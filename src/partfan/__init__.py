@@ -46,8 +46,6 @@ from .fan import (
     fan_from_json,
     is_finite_complete,
     link_complex,
-    project_star,
-    star,
     validate_fan,
 )
 from .groups import (

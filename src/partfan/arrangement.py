@@ -19,7 +19,7 @@ from .errors import (
     WrongBasis,
 )
 from .fan import build_fan
-from .partition import Partition
+from .partition import UnionFind, group_by
 from .poset import FanPoset
 from .rational import dot, int_kernel_basis, matrix_rank, primitive_ray
 
@@ -195,11 +195,7 @@ def support(arrangement, fan, cone):
 def flat_partition(arrangement, fan):
     """Blocks are the cones with equal support flats; admissible by theory,
     and re-verified by the caller through partition.is_admissible."""
-    groups = {}
-    for cone in fan.cones:
-        key = support(arrangement, fan, cone).indices
-        groups.setdefault(key, []).append(cone)
-    return Partition(fan, [tuple(v) for v in groups.values()])
+    return group_by(fan, lambda cone: support(arrangement, fan, cone).indices)
 
 
 def _chamber_check(fan, base):
@@ -282,27 +278,17 @@ def shards(arrangement, arrfan, base):
     out = []
     for h in range(m):
         walls = sorted(w for w, hh in wall_hyperplane.items() if hh == h)
-        parent = {w: w for w in walls}
-
-        def find(w):
-            while parent[w] != w:
-                parent[w] = parent[parent[w]]
-                w = parent[w]
-            return w
-
+        sets = UnionFind(walls)
         for a, b in combinations(walls, 2):
             shared = tuple(sorted(set(a) & set(b)))
             if len(shared) != fan.dim - 2 or shared not in fan:
                 continue
             flat_key = support(arrangement, fan, shared).indices
-            if flat_key in cut_flats[h]:
-                continue
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+            if flat_key not in cut_flats[h]:
+                sets.union(a, b)
         groups = {}
         for w in walls:
-            groups.setdefault(find(w), []).append(w)
+            groups.setdefault(sets.find(w), []).append(w)
         for members in sorted(groups.values()):
             out.append(Shard(len(out), h, members))
     return out
@@ -352,16 +338,12 @@ def shard_partition(arrangement, arrfan, base):
             for k in range(len(w) + 1):
                 faces.update(combinations(w, k))
         face_sets.append(frozenset(faces))
-    groups = {}
-    for cone in fan.cones:
-        containing = [face_sets[i] for i, sh in enumerate(shard_list)
-                      if cone in face_sets[i]]
-        if containing:
-            key = frozenset.intersection(*containing)
-        else:
-            key = "ambient"
-        groups.setdefault(key, []).append(cone)
-    return Partition(fan, [tuple(v) for v in groups.values()])
+
+    def key(cone):
+        containing = [faces for faces in face_sets if cone in faces]
+        return frozenset.intersection(*containing) if containing else "ambient"
+
+    return group_by(fan, key)
 
 
 # ---------------------------------------------------------------------------

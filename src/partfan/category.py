@@ -99,7 +99,7 @@ def build_category(fan, partition):
                 groups.setdefault(key, set()).add((sigma, tau))
     morphisms = []
     by_key = {}
-    for idx, key in enumerate(sorted(groups, key=_key_sort)):
+    for idx, key in enumerate(sorted(groups)):
         source, target, signature = key
         reps = tuple(sorted(groups[key]))
         rank = len(reps[0][1]) - len(reps[0][0])
@@ -148,11 +148,6 @@ def build_category(fan, partition):
     cat = Category(fan, partition, tuple(morphisms), hom, compose_table, identities)
     cat._by_key = by_key
     return cat
-
-
-def _key_sort(key):
-    source, target, signature = key
-    return (source, target, signature)
 
 
 def compose(category, f, g):

@@ -149,47 +149,49 @@ def read_envelope():
     return data
 
 
-def need_fan(env):
-    if "fan" not in env:
-        raise BadInput("no fan in the input envelope")
-    return fan_from_json(env["fan"])
+_LOADERS = {
+    "fan": fan_from_json,
+    "arrangement": arrlib.arrangement_from_json,
+    "presentation": grplib.presentation_from_json,
+    "partition": partlib.partition_from_json,
+    "poset": posetlib.poset_from_json,
+}
 
 
-def need_partition(env, fan):
-    if "partition" not in env:
-        raise BadInput("no partition in the input envelope")
-    return partlib.partition_from_json(fan, env["partition"])
+def load(env, key, *fan):
+    """Parse the envelope entry ``key``; a partition or poset needs its fan.
+
+    A malformed entry raises BadInput naming the key and the problem.
+    """
+    if key not in env:
+        raise BadInput("no %s in the input envelope" % key)
+    try:
+        return _LOADERS[key](*fan, env[key])
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise BadInput("malformed %s in the input envelope" % key,
+                       witness={"key": key,
+                                "problem": "%s: %s" % (type(err).__name__, err)}) from err
 
 
-def need_poset(env, fan):
-    if "poset" not in env:
-        raise BadInput("no poset in the input envelope")
-    return posetlib.poset_from_json(fan, env["poset"])
-
-
-def need_arrangement(env):
-    if "arrangement" not in env:
-        raise BadInput("no arrangement in the input envelope")
-    return arrlib.arrangement_from_json(env["arrangement"])
-
-
-def need_presentation(env):
-    if "presentation" not in env:
-        raise BadInput("no presentation in the input envelope")
-    return grplib.presentation_from_json(env["presentation"])
+def parse_ints(text):
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise BadInput("expected comma-separated integers", witness=text) from None
 
 
 def parse_cone(text):
     text = text.strip()
-    if text.startswith("s"):
-        return (int(text[1:]) - 1,)
-    if text in ("0", "[]"):
-        return ()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
+    try:
+        if text.startswith("s"):
+            return (int(text[1:]) - 1,)
+        if text in ("0", "[]"):
             return ()
-        return tuple(sorted(int(t) for t in inner.split(",")))
+        if text.startswith("[") and text.endswith("]"):
+            inner = text[1:-1].strip()
+            return tuple(sorted(int(t) for t in inner.split(","))) if inner else ()
+    except ValueError:
+        pass
     raise BadInput("cannot parse cone selector", witness=text)
 
 
@@ -218,16 +220,14 @@ def parse_seeds(text):
     return pairs
 
 
-def resolve_base(env, fan, selector):
+def resolve_base(arrfan, selector):
     if selector == "positive":
-        arr = need_arrangement(env)
-        arrfan = arrlib.arrangement_fan(arr, with_signs=True)
-        target = (1,) * len(arr.normals)
+        target = (1,) * len(arrfan.arrangement.normals)
         for c in arrfan.fan.max_cones:
             if arrfan.sign_of(c) == target:
                 return c
         raise BadInput("no all-positive chamber")
-    return fan.check_cone(parse_cone(selector))
+    return arrfan.fan.check_cone(parse_cone(selector))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def cmd_examples(args):
 
 def cmd_fan_validate(args):
     env = read_envelope()
-    fan = need_fan(env)
+    fan = load(env, "fan")
     report = validate_fan(fan)
     out = report.to_json()
     out["max_cones"] = len(fan.max_cones)
@@ -251,73 +251,76 @@ def cmd_fan_validate(args):
 
 def cmd_fan_complete(args):
     env = read_envelope()
-    return {"complete": is_finite_complete(need_fan(env))}
+    return {"complete": is_finite_complete(load(env, "fan"))}
 
 
 def cmd_fan_from_arrangement(args):
     env = read_envelope()
-    arr = need_arrangement(env)
+    arr = load(env, "arrangement")
     env["fan"] = arrlib.arrangement_fan(arr).to_json()
     return env
 
 
 def cmd_partition_potentials(args):
     env = read_envelope()
-    fan = need_fan(env)
+    fan = load(env, "fan")
     env["partition"] = partlib.potential_identifications(fan).partition.to_json()
     return env
 
 
 def cmd_partition_check(args):
     env = read_envelope()
-    fan = need_fan(env)
-    ok, witness = partlib.is_admissible(fan, need_partition(env, fan))
+    fan = load(env, "fan")
+    ok, witness = partlib.is_admissible(fan, load(env, "partition", fan))
     return {"admissible": ok,
             "witness": None if witness is None else [list(c) for c in witness]}
 
 
 def cmd_partition_closure(args):
     env = read_envelope()
-    fan = need_fan(env)
+    fan = load(env, "fan")
     env["partition"] = partlib.admissible_closure(
         fan, parse_seeds(args.seed)).to_json()
     return env
 
 
 def _other_partition(path, fan):
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if "partition" in data:
-        data = data["partition"]
-    return partlib.partition_from_json(fan, data)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as err:
+        raise BadInput("cannot read the partition file", witness=str(err)) from err
+    if not (isinstance(data, dict) and "partition" in data):
+        data = {"partition": data}
+    return load(data, "partition", fan)
 
 
 def cmd_partition_meet(args):
     env = read_envelope()
-    fan = need_fan(env)
-    result = partlib.meet(need_partition(env, fan), _other_partition(args.other, fan))
+    fan = load(env, "fan")
+    result = partlib.meet(load(env, "partition", fan), _other_partition(args.other, fan))
     env["partition"] = result.to_json()
     return env
 
 
 def cmd_partition_join(args):
     env = read_envelope()
-    fan = need_fan(env)
-    result = partlib.join(need_partition(env, fan), _other_partition(args.other, fan))
+    fan = load(env, "fan")
+    result = partlib.join(load(env, "partition", fan), _other_partition(args.other, fan))
     env["partition"] = result.to_json()
     return env
 
 
 def cmd_partition_enumerate(args):
     env = read_envelope()
-    fan = need_fan(env)
+    fan = load(env, "fan")
     parts = partlib.enumerate_admissible(fan, limit=args.limit)
     return {"count": len(parts), "partitions": [p.to_json() for p in parts]}
 
 
 def _category(env):
-    fan = need_fan(env)
-    partition = need_partition(env, fan)
+    fan = load(env, "fan")
+    partition = load(env, "partition", fan)
     return fan, partition, catlib.build_category(fan, partition)
 
 
@@ -351,15 +354,15 @@ def cmd_category_export(args):
 
 def cmd_poset_functional(args):
     env = read_envelope()
-    fan = need_fan(env)
-    b = tuple(int(t) for t in args.b.split(","))
+    fan = load(env, "fan")
+    b = parse_ints(args.b)
     env["poset"] = posetlib.poset_from_linear_functional(fan, b).to_json()
     return env
 
 
 def cmd_poset_bisector(args):
     env = read_envelope()
-    fan = need_fan(env)
+    fan = load(env, "fan")
     base = fan.check_cone(parse_cone(args.base))
     env["poset"] = posetlib.rank2_bisector_poset(fan, base).to_json()
     return env
@@ -367,41 +370,38 @@ def cmd_poset_bisector(args):
 
 def cmd_poset_regions(args):
     env = read_envelope()
-    arr = need_arrangement(env)
-    arrfan = arrlib.arrangement_fan(arr, with_signs=True)
-    env["fan"] = arrfan.fan.to_json()
-    base = resolve_base(env, arrfan.fan, args.base)
+    _, arrfan, base = _arr_with_base(env, args.base)
     env["poset"] = arrlib.poset_of_regions(arrfan, base).to_json()
     return env
 
 
 def cmd_poset_check(args):
     env = read_envelope()
-    fan = need_fan(env)
-    return posetlib.check_weak_fan_poset(fan, need_poset(env, fan)).to_json()
+    fan = load(env, "fan")
+    return posetlib.check_weak_fan_poset(fan, load(env, "poset", fan)).to_json()
 
 
 def cmd_poset_nondegenerate(args):
     env = read_envelope()
-    fan = need_fan(env)
+    fan = load(env, "fan")
     ok, witness = posetlib.check_nondegenerate(
-        fan, need_partition(env, fan), need_poset(env, fan))
+        fan, load(env, "partition", fan), load(env, "poset", fan))
     return {"nondegenerate": ok, "witness": witness}
 
 
 def cmd_group_picture(args):
     env = read_envelope()
-    fan = need_fan(env)
-    pres = grplib.picture_group(fan, need_partition(env, fan),
-                                need_poset(env, fan), mode=args.mode)
+    fan = load(env, "fan")
+    pres = grplib.picture_group(fan, load(env, "partition", fan),
+                                load(env, "poset", fan), mode=args.mode)
     return _presentation_output(env, pres, args.format)
 
 
 def cmd_group_alt(args):
     env = read_envelope()
-    fan = need_fan(env)
-    pres = grplib.alt_presentation(fan, need_partition(env, fan),
-                                   need_poset(env, fan))
+    fan = load(env, "fan")
+    pres = grplib.alt_presentation(fan, load(env, "partition", fan),
+                                   load(env, "poset", fan))
     return _presentation_output(env, pres, args.format)
 
 
@@ -416,9 +416,9 @@ def _presentation_output(env, pres, fmt):
 
 def cmd_group_psi(args):
     env = read_envelope()
-    fan = need_fan(env)
-    partition = need_partition(env, fan)
-    poset = need_poset(env, fan)
+    fan = load(env, "fan")
+    partition = load(env, "partition", fan)
+    poset = load(env, "poset", fan)
     category = catlib.build_category(fan, partition)
     morphism = category.morphism_of_pair(parse_cone(args.source),
                                          parse_cone(args.target))
@@ -428,26 +428,26 @@ def cmd_group_psi(args):
 
 def cmd_group_quotient(args):
     env = read_envelope()
-    fan = need_fan(env)
-    fine = need_partition(env, fan)
+    fan = load(env, "fan")
+    fine = load(env, "partition", fan)
     coarse = _other_partition(args.coarse, fan)
-    pres = grplib.quotient_presentation(need_presentation(env), fan, fine, coarse)
+    pres = grplib.quotient_presentation(load(env, "presentation"), fan, fine, coarse)
     env["presentation"] = pres.to_json()
     return env
 
 
 def cmd_group_abelianize(args):
     env = read_envelope()
-    free_rank, torsion = grplib.abelianization(need_presentation(env))
+    free_rank, torsion = grplib.abelianization(load(env, "presentation"))
     return {"free_rank": free_rank, "torsion": list(torsion)}
 
 
 def cmd_group_certify_rank2(args):
     env = read_envelope()
-    fan = need_fan(env)
-    partition = need_partition(env, fan)
+    fan = load(env, "fan")
+    partition = load(env, "partition", fan)
     category = catlib.build_category(fan, partition)
-    poset = need_poset(env, fan) if "poset" in env else \
+    poset = load(env, "poset", fan) if "poset" in env else \
         posetlib.rank2_bisector_poset(fan, fan.max_cones[0])
     ok, witness = grplib.rank2_faithfulness_certificate(category, poset)
     return {"faithful": ok, "witness": witness}
@@ -455,15 +455,11 @@ def cmd_group_certify_rank2(args):
 
 def cmd_group_certify_brauer(args):
     env = read_envelope()
-    arr = need_arrangement(env)
-    arrfan = arrlib.arrangement_fan(arr, with_signs=True)
+    arr, arrfan, base = _arr_with_base(env, "positive")
     fan = arrfan.fan
-    env["fan"] = fan.to_json()
-    partition = need_partition(env, fan) if "partition" in env \
-        else arrlib.flat_partition(arr, fan)
-    base = resolve_base(env, fan, "positive")
-    poset = arrlib.poset_of_regions(arrfan, base)
     flat = arrlib.flat_partition(arr, fan)
+    partition = load(env, "partition", fan) if "partition" in env else flat
+    poset = arrlib.poset_of_regions(arrfan, base)
     flat_pres = grplib.picture_group(fan, flat, poset, mode="codim2")
     wa_ok = arrlib.wa_certify(arr, flat_pres)
     category = catlib.build_category(fan, partition)
@@ -474,15 +470,15 @@ def cmd_group_certify_brauer(args):
 
 def cmd_cw_build(args):
     env = read_envelope()
-    fan = need_fan(env)
-    complex_ = cwlib.build_cw(fan, need_partition(env, fan))
+    fan = load(env, "fan")
+    complex_ = cwlib.build_cw(fan, load(env, "partition", fan))
     env["cw"] = complex_.to_json()
     return env
 
 
 def _rebuild_cw(env):
-    fan = need_fan(env)
-    return cwlib.build_cw(fan, need_partition(env, fan))
+    fan = load(env, "fan")
+    return cwlib.build_cw(fan, load(env, "partition", fan))
 
 
 def cmd_cw_euler(args):
@@ -498,21 +494,20 @@ def cmd_cw_pi1(args):
 
 def cmd_cw_compare(args):
     env = read_envelope()
-    return cwlib.compare_pi1_picture(_rebuild_cw(env), need_presentation(env))
+    return cwlib.compare_pi1_picture(_rebuild_cw(env), load(env, "presentation"))
 
 
 def cmd_arr_flats(args):
     env = read_envelope()
-    arr = need_arrangement(env)
+    arr = load(env, "arrangement")
     return {"flats": [f.to_json() for f in arrlib.flats(arr)]}
 
 
 def _arr_with_base(env, selector):
-    arr = need_arrangement(env)
+    arr = load(env, "arrangement")
     arrfan = arrlib.arrangement_fan(arr, with_signs=True)
     env["fan"] = arrfan.fan.to_json()
-    base = resolve_base(env, arrfan.fan, selector)
-    return arr, arrfan, base
+    return arr, arrfan, resolve_base(arrfan, selector)
 
 
 def cmd_arr_shards(args):
@@ -532,7 +527,7 @@ def cmd_arr_shard_partition(args):
 
 def cmd_arr_flat_partition(args):
     env = read_envelope()
-    arr = need_arrangement(env)
+    arr = load(env, "arrangement")
     fan = arrlib.arrangement_fan(arr)
     env["fan"] = fan.to_json()
     env["partition"] = arrlib.flat_partition(arr, fan).to_json()
@@ -541,7 +536,7 @@ def cmd_arr_flat_partition(args):
 
 def cmd_arr_wall_algebra(args):
     env = read_envelope()
-    arr = need_arrangement(env)
+    arr = load(env, "arrangement")
     algebra = arrlib.WallAlgebra(arr)
     table = {}
     for a in algebra.basis:
@@ -560,11 +555,11 @@ def _wa_name(key):
 def cmd_render(args):
     env = read_envelope()
     if "fan" in env:
-        fan = need_fan(env)
+        fan = load(env, "fan")
         if fan.dim == 2:
             return render.fan_svg(fan)
-    arr = need_arrangement(env)
-    projection = tuple(int(t) for t in args.projection.split(","))
+    arr = load(env, "arrangement")
+    projection = parse_ints(args.projection)
     return render.arrangement_svg(arr, projection_point=projection)
 
 

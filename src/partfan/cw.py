@@ -40,8 +40,7 @@ class CWComplex:
         decomposition; the fundamental group never needs them.
         """
         rep = self.partition.blocks[block_id][0]
-        return tuple((rep, tau) for tau in self.fan.star(rep)
-                     if len(tau) == self.fan.dim)
+        return tuple((rep, tau) for tau in self.fan.star_chambers(rep))
 
     def to_json(self):
         return {
@@ -68,7 +67,9 @@ class Edge:
 
     Oriented from the lexicographically smaller endpoint block; loops fall
     back to the order of the two morphism signatures (the projections of
-    the two sides of any representative wall).
+    the two sides of any representative wall).  Chamber blocks all have
+    least members of one length, so their ids, which order blocks by least
+    member, order them as the blocks themselves compare.
     """
 
     __slots__ = ("index", "block", "tail", "head", "tail_signature")
@@ -107,9 +108,7 @@ def build_cw(fan, partition):
         sig_b = fan.projected_cone(wall, side_b)
         block_a = partition.block_of[side_a]
         block_b = partition.block_of[side_b]
-        key_a = (_block_key(partition, block_a), sig_a)
-        key_b = (_block_key(partition, block_b), sig_b)
-        if key_a <= key_b:
+        if (block_a, sig_a) <= (block_b, sig_b):
             edges.append(Edge(idx, b, block_a, block_b, sig_a))
         else:
             edges.append(Edge(idx, b, block_b, block_a, sig_b))
@@ -124,10 +123,6 @@ def build_cw(fan, partition):
                      tuple(two_cells))
 
 
-def _block_key(partition, block_id):
-    return partition.blocks[block_id]
-
-
 def _attaching_word(fan, partition, edge_of_block, sigma):
     """Cyclic crossing word around a codimension-2 cone.
 
@@ -137,9 +132,8 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
     crossing contributes the oriented 1-cell of the wall's block.
     """
     basis = subspace_coordinates(fan, sigma)
-    star = fan.star(sigma)
-    walls = [c for c in star if len(c) == len(sigma) + 1]
-    chambers = [c for c in star if len(c) == len(sigma) + 2]
+    walls = [c for c in fan.star(sigma) if len(c) == len(sigma) + 1]
+    chambers = fan.star_chambers(sigma)
     proj = {w: fan.projected_cone(sigma, w)[0] for w in walls}
     coords = {w: _plane_coordinates(basis, proj[w]) for w in walls}
     ordered = sorted(walls, key=cmp_to_key(lambda a, b: _angular_cmp(coords[a],
@@ -202,7 +196,7 @@ def pi1_presentation(complex_):
     """
     fan = complex_.fan
     partition = complex_.partition
-    vertices = sorted(complex_.vertices, key=lambda b: _block_key(partition, b))
+    vertices = sorted(complex_.vertices)
     if not vertices:
         raise Disconnected("no 0-cells")
     adjacency = {v: [] for v in complex_.vertices}
@@ -215,9 +209,8 @@ def pi1_presentation(complex_):
     frontier = [root]
     while frontier:
         nxt = []
-        for v in sorted(frontier, key=lambda b: _block_key(partition, b)):
-            for u, eidx in sorted(adjacency[v],
-                                  key=lambda t: (_block_key(partition, t[0]), t[1])):
+        for v in sorted(frontier):
+            for u, eidx in sorted(adjacency[v]):
                 if u not in seen:
                     seen.add(u)
                     tree_edges.add(eidx)

@@ -60,24 +60,31 @@ class Fan:
         self.rays = rays
         self.max_cones = max_cones
         self.cones = cones
-        self._cone_set = frozenset(cones)
+        # face -> star and dimension -> cones, each in the order of ``cones``
+        stars = {c: [] for c in cones}
+        by_dim = {}
+        for tau in cones:
+            by_dim.setdefault(len(tau), []).append(tau)
+            for k in range(len(tau) + 1):
+                for sigma in combinations(tau, k):
+                    stars[sigma].append(tau)
+        self._stars = {c: tuple(s) for c, s in stars.items()}
+        self._by_dim = {d: tuple(cs) for d, cs in by_dim.items()}
+        self._validation = None
         self._projection_cache = {}
         self._project_star_cache = {}
 
     def __contains__(self, cone):
-        return tuple(cone) in self._cone_set
+        return tuple(cone) in self._stars
 
     def check_cone(self, cone):
         cone = tuple(sorted(cone))
-        if cone not in self._cone_set:
+        if cone not in self._stars:
             raise UnknownCone("cone not in fan", witness=list(cone))
         return cone
 
-    def cone_dim(self, cone):
-        return len(cone)
-
     def cones_of_dim(self, d):
-        return tuple(c for c in self.cones if len(c) == d)
+        return self._by_dim.get(d, ())
 
     def chambers(self):
         return self.cones_of_dim(self.dim)
@@ -89,9 +96,11 @@ class Fan:
         return tuple(self.rays[i] for i in cone)
 
     def star(self, cone):
-        cone = self.check_cone(cone)
-        s = set(cone)
-        return tuple(c for c in self.cones if s.issubset(c))
+        return self._stars[self.check_cone(cone)]
+
+    def star_chambers(self, cone):
+        """The maximal cones of full dimension in star(cone)."""
+        return tuple(c for c in self.star(cone) if len(c) == self.dim)
 
     def projection(self, cone):
         """Matrix of the orthogonal projection onto span(cone)^perp."""
@@ -135,8 +144,7 @@ class Fan:
         wall = self.check_cone(wall)
         if len(wall) != self.dim - 1:
             raise UnknownCone("not a codimension-1 cone", witness=list(wall))
-        s = set(wall)
-        return tuple(c for c in self.chambers() if s.issubset(c))
+        return self.star_chambers(wall)
 
     def to_json(self):
         return {
@@ -185,8 +193,15 @@ def validate_fan(fan):
 
     For simplicial cones with distinct rays this is equivalent to
     cone(S1) & cone(S2) == cone(S1 & S2), decided by exact extreme-ray
-    extraction on the combined H-representations.
+    extraction on the combined H-representations.  The report is computed
+    once per fan.
     """
+    if fan._validation is None:
+        fan._validation = _validation_report(fan)
+    return fan._validation
+
+
+def _validation_report(fan):
     violations = []
     for a, b in combinations(fan.max_cones, 2):
         shared = tuple(sorted(set(a) & set(b)))
@@ -203,19 +218,22 @@ def validate_fan(fan):
 
 
 def is_finite_complete(fan):
-    """Completeness via the ridge criterion.
+    """Whether the fan is a valid fan whose support is the whole space.
 
     True iff all maximal cones are full-dimensional, every codimension-1
-    cone lies in exactly two maximal cones, and the wall-crossing graph is
-    connected.  Sufficient for pure simplicial fans of the sizes handled
-    here; not a general completeness proof.
+    cone lies in exactly two maximal cones, the wall-crossing graph is
+    connected, and validate_fan finds no violation.  In a valid fan the
+    ridge condition leaves no boundary wall, so the support is the whole
+    space; without validity a cycle of chambers could wind twice around a
+    codimension-2 cone.  True therefore implies that the fan is both valid
+    and complete.  Validity is checked last, as it is the costly part.
     """
     if not fan.max_cones:
         return False
     if any(len(c) != fan.dim for c in fan.max_cones):
         return False
     adjacency = {c: set() for c in fan.max_cones}
-    for wall in fan.cones_of_dim(fan.dim - 1):
+    for wall in fan.walls():
         incident = fan.adjacent_chambers(wall)
         if len(incident) != 2:
             return False
@@ -229,15 +247,7 @@ def is_finite_complete(fan):
             continue
         seen.add(c)
         stack.extend(adjacency[c] - seen)
-    return len(seen) == len(fan.max_cones)
-
-
-def star(fan, cone):
-    return fan.star(cone)
-
-
-def project_star(fan, cone):
-    return fan.project_star(cone)
+    return len(seen) == len(fan.max_cones) and validate_fan(fan).ok
 
 
 class LinkComplex:
@@ -310,10 +320,6 @@ def link_complex(fan, block):
             break
         simplices.extend(layer)
     return LinkComplex(vertices, tuple(simplices))
-
-
-def fan_to_json(fan):
-    return fan.to_json()
 
 
 def fan_from_json(data):

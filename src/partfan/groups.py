@@ -135,6 +135,11 @@ def wall_generator(fan, partition, wall):
     return "X[%s]" % cone_symbol_body(fan, block[0])
 
 
+def wall_generators(fan, partition):
+    """The sorted X-symbols, one per codimension-1 block."""
+    return sorted({wall_generator(fan, partition, wall) for wall in fan.walls()})
+
+
 def chamber_generator(fan, chamber):
     return "g[%s]" % cone_symbol_body(fan, chamber)
 
@@ -163,14 +168,7 @@ def picture_group(fan, partition, poset, mode="full", chain_cap=10 ** 6):
         except NotAnInterval as err:
             raise PosetInvalid("facial-interval axiom fails",
                                witness=err.witness) from err
-    generators = []
-    seen = set()
-    for wall in fan.walls():
-        sym = wall_generator(fan, partition, wall)
-        if sym not in seen:
-            seen.add(sym)
-            generators.append(sym)
-    generators.sort()
+    generators = wall_generators(fan, partition)
     relators = []
     if mode == "full":
         cones = fan.cones
@@ -227,14 +225,7 @@ def alt_presentation(fan, partition, poset):
     if not nondeg:
         raise Degenerate("poset is degenerate on identified stars", witness=witness)
     fi0 = facial_interval(fan, poset, ())
-    generators = []
-    seen = set()
-    for wall in fan.walls():
-        sym = wall_generator(fan, partition, wall)
-        if sym not in seen:
-            seen.add(sym)
-            generators.append(sym)
-    generators.sort()
+    generators = wall_generators(fan, partition)
     chamber_syms = sorted(chamber_generator(fan, c) for c in fan.chambers())
     relators = []
     for lower, upper, wall in poset.covers:
@@ -361,11 +352,7 @@ def quotient_presentation(base, fan, fine, coarse):
     for cblock in coarse.blocks:
         if len(cblock[0]) != fan.dim - 1:
             continue
-        fine_ids = sorted({fine.block_of[c] for c in cblock})
-        if len(fine_ids) < 2:
-            continue
-        syms = sorted("X[%s]" % cone_symbol_body(fan, fine.blocks[i][0])
-                      for i in fine_ids)
+        syms = sorted({wall_generator(fan, fine, c) for c in cblock})
         for other in syms[1:]:
             new_relators.append(free_reduce(((other, 1), (syms[0], -1))))
     return Presentation(base.generators, new_relators)
@@ -448,13 +435,7 @@ def smith_normal_form(matrix):
 def abelianization(presentation):
     """(free rank, nontrivial invariant factors) of the abelianized group."""
     gens = presentation.generators
-    index = {g: i for i, g in enumerate(gens)}
-    matrix = []
-    for w in presentation.relators:
-        row = [0] * len(gens)
-        for sym, exp in w:
-            row[index[sym]] += exp
-        matrix.append(row)
+    matrix = [_abelianized(w, gens) for w in presentation.relators]
     if not matrix:
         return len(gens), ()
     diag = smith_normal_form(matrix)

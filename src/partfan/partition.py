@@ -8,6 +8,7 @@ partitions of a fan form a complete lattice under refinement.
 """
 
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from .errors import (
     EnumerationLimitExceeded,
@@ -16,7 +17,7 @@ from .errors import (
     SeedNotPossible,
     UnknownCone,
 )
-from .rational import span_equal
+from .rational import rref
 
 
 class Partition:
@@ -60,15 +61,42 @@ class Partition:
     def __hash__(self):
         return hash(self.blocks)
 
-    def key(self):
-        return self.blocks
-
     def to_json(self):
         return {"blocks": [[list(c) for c in b] for b in self.blocks]}
 
 
 def _cone_key(cone):
     return (len(cone), cone)
+
+
+def group_by(fan, key):
+    """The partition of the fan's cones into classes of equal ``key(cone)``."""
+    groups = {}
+    for cone in fan.cones:
+        groups.setdefault(key(cone), []).append(cone)
+    return Partition(fan, groups.values())
+
+
+class UnionFind:
+    """Disjoint sets over a fixed collection of hashable items."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
 
 def finest_partition(fan):
@@ -98,62 +126,45 @@ class IdentTable:
     def classes(self):
         return self.partition.blocks
 
-    def class_of(self, cone):
-        return self.partition.block(cone)
-
     def same_class(self, a, b):
         return self.partition.same_block(a, b)
 
 
+# E-classes per fan, computed once; a fan's cones never change.
+_IDENT = WeakKeyDictionary()
+
+
 def potential_identifications(fan):
-    """Group cones by (equal span, equal projected star); the coarsest partition."""
-    remaining = list(fan.cones)
-    classes = []
-    while remaining:
-        rep = remaining.pop(0)
-        members = [rep]
-        rest = []
-        for other in remaining:
-            if len(other) == len(rep) and _possibly_identified(fan, rep, other):
-                members.append(other)
-            else:
-                rest.append(other)
-        remaining = rest
-        classes.append(tuple(members))
-    return IdentTable(Partition(fan, classes))
+    """Group cones by (equal span, equal projected star); the coarsest partition.
+
+    The reduced row echelon form of a cone's rays is a canonical key for
+    its span, so the classes are the groups of equal (span, projected
+    star) keys.
+    """
+    if fan not in _IDENT:
+        _IDENT[fan] = IdentTable(group_by(
+            fan, lambda c: (rref(fan.ray_vectors(c))[0], fan.project_star(c))))
+    return _IDENT[fan]
 
 
-def _possibly_identified(fan, a, b):
-    if a == b:
-        return True
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    if not span_equal(fan.ray_vectors(a), fan.ray_vectors(b)):
-        return False
-    return fan.project_star(a) == fan.project_star(b)
-
-
-def _check_possible(fan, partition, ident=None):
-    ident = ident or potential_identifications(fan)
+def _check_possible(fan, partition):
+    ident = potential_identifications(fan)
     for block in partition.blocks:
         for cone in block[1:]:
             if not ident.same_class(block[0], cone):
                 raise PossibleIdentViolation(
                     "block crosses potential-identification classes",
                     witness=[list(block[0]), list(cone)])
-    return ident
 
 
-def is_admissible(fan, partition, ident=None):
+def is_admissible(fan, partition):
     """Whether identified cones force identification of matching star members.
 
     Returns (True, None) or (False, witness) with witness the offending
     quadruple (sigma1, sigma2, tau1, tau2).  Raises PossibleIdentViolation
     when a block is not even contained in one E-class.
     """
-    _check_possible(fan, partition, ident)
+    _check_possible(fan, partition)
     for block in partition.blocks:
         for s1, s2 in combinations(block, 2):
             match = _star_matching(fan, s1, s2)
@@ -179,46 +190,23 @@ def admissible_closure(fan, seed_pairs):
     count, so this terminates.
     """
     ident = potential_identifications(fan)
-    parent = {c: c for c in fan.cones}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if _cone_key(rb) < _cone_key(ra):
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return True
-
+    sets = UnionFind(fan.cones)
     for a, b in seed_pairs:
         a = fan.check_cone(a)
         b = fan.check_cone(b)
         if not ident.same_class(a, b):
             raise SeedNotPossible("seed pair crosses E-classes",
                                   witness=[list(a), list(b)])
-        union(a, b)
-
-    changed = True
-    while changed:
-        changed = False
-        groups = {}
-        for c in fan.cones:
-            groups.setdefault(find(c), []).append(c)
-        for members in groups.values():
-            for s1, s2 in combinations(sorted(members, key=_cone_key), 2):
+        sets.union(a, b)
+    while True:
+        closure = group_by(fan, sets.find)
+        merged = False
+        for block in closure.blocks:
+            for s1, s2 in combinations(block, 2):
                 for t1, t2 in _star_matching(fan, s1, s2).items():
-                    if union(t1, t2):
-                        changed = True
-    groups = {}
-    for c in fan.cones:
-        groups.setdefault(find(c), []).append(c)
-    return Partition(fan, [tuple(v) for v in groups.values()])
+                    merged |= sets.union(t1, t2)
+        if not merged:
+            return closure
 
 
 def refines(p1, p2):
@@ -230,34 +218,18 @@ def refines(p1, p2):
 def meet(p1, p2):
     """Common refinement: together iff together in both."""
     _require_same_fan(p1, p2)
-    groups = {}
-    for c in p1.fan.cones:
-        key = (p1.block_of[c], p2.block_of[c])
-        groups.setdefault(key, []).append(c)
-    return Partition(p1.fan, [tuple(v) for v in groups.values()])
+    return group_by(p1.fan, lambda c: (p1.block_of[c], p2.block_of[c]))
 
 
 def join(p1, p2):
     """Transitive closure of the union of the two block relations."""
     _require_same_fan(p1, p2)
-    parent = {c: c for c in p1.fan.cones}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    sets = UnionFind(p1.fan.cones)
     for p in (p1, p2):
         for block in p.blocks:
             for c in block[1:]:
-                ra, rb = find(block[0]), find(c)
-                if ra != rb:
-                    parent[rb] = ra
-    groups = {}
-    for c in p1.fan.cones:
-        groups.setdefault(find(c), []).append(c)
-    return Partition(p1.fan, [tuple(v) for v in groups.values()])
+                sets.union(block[0], c)
+    return group_by(p1.fan, sets.find)
 
 
 def _require_same_fan(p1, p2):
@@ -281,7 +253,7 @@ def enumerate_admissible(fan, limit=16):
     for choice in _product(per_class):
         blocks = [tuple(b) for part in choice for b in part]
         partition = Partition(fan, blocks)
-        if is_admissible(fan, partition, ident)[0]:
+        if is_admissible(fan, partition)[0]:
             out.append(partition)
     return out
 

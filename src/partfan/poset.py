@@ -54,6 +54,7 @@ class FanPoset:
                 raise PosetInvalid("cover relation has a cycle", witness=list(c))
             seen.add(c)
             self._above[c] = frozenset(seen)
+        self._facial = {}
 
     def leq(self, a, b):
         return b in self._above[a]
@@ -71,15 +72,36 @@ class FanPoset:
             return -1
         return None
 
+    def extremes(self, members):
+        """(minimum, maximum) of the members, each None unless unique."""
+        mins = [c for c in members
+                if all(not self.leq(o, c) for o in members if o != c)]
+        maxs = [c for c in members
+                if all(not self.leq(c, o) for o in members if o != c)]
+        return (mins[0] if len(mins) == 1 else None,
+                maxs[0] if len(maxs) == 1 else None)
+
     def minimum(self):
-        mins = [c for c in self.elements
-                if all(not self.leq(o, c) for o in self.elements if o != c)]
-        return mins[0] if len(mins) == 1 else None
+        return self.extremes(self.elements)[0]
 
     def maximum(self):
-        maxs = [c for c in self.elements
-                if all(not self.leq(c, o) for o in self.elements if o != c)]
-        return maxs[0] if len(maxs) == 1 else None
+        return self.extremes(self.elements)[1]
+
+    def facial(self, cone):
+        """The facial interval of ``cone`` as (members, lower, upper).
+
+        Members are the chambers of star(cone); lower and upper are None
+        unless the members form the order interval [lower, upper].
+        Computed once per cone.
+        """
+        if cone not in self._facial:
+            members = self.fan.star_chambers(cone)
+            lo, hi = self.extremes(members)
+            if lo is None or hi is None or \
+                    set(self.interval(lo, hi)) != set(members):
+                lo = hi = None
+            self._facial[cone] = (members, lo, hi)
+        return self._facial[cone]
 
     def maximal_chains(self, a, b, cap=10 ** 6):
         """All maximal chains from a to b, each as a list of wall labels."""
@@ -170,7 +192,9 @@ def rank2_bisector_poset(fan, base):
     The base chamber is the minimum; the maximum is the chamber containing
     the opposite of the base's angle bisector (if that direction lies on a
     ray, the chamber counterclockwise from the ray is chosen).  The two
-    boundary paths around the circle are the covering chains.
+    boundary paths around the circle are the covering chains.  Raises
+    PosetInvalid when the maximum shares a wall with the base, since the
+    result would break the facial-interval axiom.
 
     Signs of the bisector tests are decided exactly: with base rays u, w
     the bisector is u*|w| + w*|u| up to scale, and every comparison reduces
@@ -198,23 +222,26 @@ def rank2_bisector_poset(fan, base):
         s2 = -det_with_minus_d(b)         # want det(-d, b) >= 0
         if s1 >= 0 and s2 >= 0:
             containing.append((chamber, a, b, s1, s2))
+
+    # A maximum wall-adjacent to the minimum collapses the facial interval
+    # of their shared wall to the whole poset, breaking the axiom.
+    def wall_adjacent(c):
+        return c != base and len(set(c) & set(base)) == fan.dim - 1
+
     if len(containing) == 1:
         tau_d = containing[0][0]
     else:
         # -d lies on a shared ray.  Prefer the chamber counterclockwise of
-        # it (s1 == 0), unless that chamber is wall-adjacent to the base:
-        # a maximum adjacent to the minimum collapses the facial interval
-        # of their shared wall to the whole poset, breaking the axiom.
+        # it (s1 == 0), unless only that one is wall-adjacent to the base.
         ccw_choice = next(c for c, _, _, s1, _ in containing if s1 == 0)
         cw_choice = next(c for c, _, _, _, s2 in containing if s2 == 0)
-
-        def wall_adjacent(c):
-            return c != base and len(set(c) & set(base)) == fan.dim - 1
-
         if wall_adjacent(ccw_choice) and not wall_adjacent(cw_choice):
             tau_d = cw_choice
         else:
             tau_d = ccw_choice
+    if wall_adjacent(tau_d):
+        raise PosetInvalid("the maximum is wall-adjacent to the base",
+                           witness=[list(base), list(tau_d)])
 
     order = _angular_chamber_order(fan, base)
     j = order.index(tau_d)
@@ -274,18 +301,6 @@ class PosetReport:
         }
 
 
-def _facial_min_max(fan, poset, cone):
-    members = tuple(c for c in fan.star(cone) if len(c) == fan.dim)
-    mins = [c for c in members if all(not poset.leq(o, c) for o in members if o != c)]
-    maxs = [c for c in members if all(not poset.leq(c, o) for o in members if o != c)]
-    if len(mins) != 1 or len(maxs) != 1:
-        return members, None, None
-    lo, hi = mins[0], maxs[0]
-    if set(poset.interval(lo, hi)) != set(members):
-        return members, None, None
-    return members, lo, hi
-
-
 def check_weak_fan_poset(fan, poset):
     """Report on the two fan-poset axioms.
 
@@ -295,11 +310,7 @@ def check_weak_fan_poset(fan, poset):
     generated by the interval's rays in full dimension.  The
     simply-connected weak variant is reported as not checked.
     """
-    facial_failures = []
-    for cone in fan.cones:
-        _, lo, hi = _facial_min_max(fan, poset, cone)
-        if lo is None:
-            facial_failures.append(cone)
+    facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
     union_failures = []
     for a in poset.elements:
         for b in poset.elements:
@@ -329,7 +340,7 @@ class FacialInterval:
 
 def facial_interval(fan, poset, cone):
     cone = fan.check_cone(cone)
-    members, lo, hi = _facial_min_max(fan, poset, cone)
+    members, lo, hi = poset.facial(cone)
     if lo is None:
         raise NotAnInterval("star is not an order interval", witness=list(cone))
     return FacialInterval(cone, lo, hi, members)

@@ -20,10 +20,6 @@ def vec(entries):
     return tuple(Fraction(x) for x in entries)
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 

@@ -1,6 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import partfan
 from partfan.cli import main
 
 
@@ -317,3 +323,80 @@ def test_arrangement_reports(monkeypatch, capsys):
                          ["arrangement", "flat-partition"],
                          ["partition", "check"])
     assert code == 0 and json.loads(out)["admissible"]
+
+
+SQUARE = {"dim": 2, "rays": [[1, 0], [0, -1], [-1, 0], [0, 1]],
+          "max_cones": [[0, 3], [0, 1], [1, 2], [2, 3]]}
+
+
+@pytest.mark.parametrize("args, envelope", [
+    (["fan", "validate"], {"fan": {"dim": 2}}),
+    (["fan", "validate"], {"fan": dict(SQUARE, rays=[[1, 0], ["a", 1], [-1, 0],
+                                                      [0, 1]])}),
+    (["fan", "from-arrangement"], {"arrangement": {"dim": 3}}),
+    (["fan", "validate"], {"fan": "x"}),
+    (["poset", "bisector", "--base", "[a]"], {"fan": SQUARE}),
+    (["poset", "functional", "--b", "1,x"], {"fan": SQUARE}),
+    (["render", "--projection", "1,1,a"],
+     {"arrangement": {"dim": 3, "normals": [[1, 0, 0]]}}),
+])
+def test_malformed_input_is_bad_input(monkeypatch, capsys, args, envelope):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == "BadInput"
+    assert captured.err == ""
+
+
+def test_functional_poset_on_double_winding_fan(monkeypatch, capsys):
+    fan = {"dim": 2, "rays": [[1, 0], [-4, 3], [1, -3], [1, 3], [-4, -3]],
+           "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
+    code, out = run_cli(["poset", "functional", "--b", "1,1"],
+                        stdin_text=json.dumps({"fan": fan}),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "NotComplete"
+
+
+README_PIPELINES = [
+    [["examples", "hirzebruch-a1"], ["partition", "potentials"]],
+    [["examples", "square"], ["partition", "closure", "--seed", "s1~s3,s2~s4"],
+     ["cw", "build"], ["cw", "euler"]],
+    [["examples", "brauer3"], ["fan", "from-arrangement"], ["fan", "validate"]],
+    [["examples", "brauer3"], ["group", "certify-brauer"]],
+    [["examples", "brauer3"], ["render"]],
+    [["examples", "brauer3"], ["arrangement", "shard-partition"]],
+]
+
+# Runs each pipeline in one process and prints [argv, exit code, stdout]
+# per stage, one JSON line each.
+PIPELINE_DRIVER = """
+import io, json, sys
+from partfan.cli import main
+for stages in json.loads(sys.argv[1]):
+    text = ""
+    for argv in stages:
+        sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
+        code = main(argv)
+        text = sys.stdout.getvalue()
+        sys.__stdout__.write(json.dumps([argv, code, text]) + "\\n")
+"""
+
+
+def test_readme_pipelines_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(partfan.__file__))
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", PIPELINE_DRIVER, json.dumps(README_PIPELINES)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        for seed in ("1", "2")]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    stages = [json.loads(line) for line in outputs[0].splitlines()]
+    assert len(stages) == sum(len(p) for p in README_PIPELINES)
+    assert all(code == 0 for _, code, _ in stages)

@@ -37,6 +37,14 @@ def test_build_cw_requires_complete():
         build_cw(quadrant, finest_partition(quadrant))
 
 
+def test_build_cw_rejects_double_winding():
+    # walls in two chambers each, but the chambers wind twice around 0
+    fan = build_fan(2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+                    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    with pytest.raises(NotComplete):
+        build_cw(fan, finest_partition(fan))
+
+
 def test_cell_counts_equal_block_counts(square_fan, square_admissible):
     n = square_fan.dim
     for partition in square_admissible:

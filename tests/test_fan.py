@@ -70,6 +70,28 @@ def test_completeness(square_fan, hzb_fan):
     assert not is_finite_complete(quadrant)
 
 
+# five rays going twice round the origin: every wall lies in two chambers
+DOUBLE_WINDING = ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+                  [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+def test_completeness_rejects_double_winding():
+    fan = build_fan(2, *DOUBLE_WINDING)
+    assert not validate_fan(fan).ok
+    assert not is_finite_complete(fan)
+
+
+def test_star_index_matches_scan(square_fan, hzb_fan, three_lines_fan, brauer):
+    for fan in (square_fan, hzb_fan, three_lines_fan, brauer.fan):
+        for cone in fan.cones:
+            scan = tuple(c for c in fan.cones if set(cone) <= set(c))
+            assert fan.star(cone) == scan
+            assert fan.star_chambers(cone) == \
+                tuple(c for c in scan if len(c) == fan.dim)
+        for d in range(fan.dim + 1):
+            assert fan.cones_of_dim(d) == tuple(c for c in fan.cones if len(c) == d)
+
+
 def test_star(square_fan):
     assert square_fan.star((0,)) == ((0,), (0, 1), (0, 3))
     assert len(square_fan.star(())) == 9

@@ -18,6 +18,7 @@ from partfan.partition import (
     potential_identifications,
     refines,
 )
+from partfan.rational import span_equal
 
 HZB_P1_BLOCKS = (((),), ((0,),), ((1,), (3,)), ((2,),),
                  ((0, 1), (0, 3)), ((1, 2), (2, 3)))
@@ -179,13 +180,21 @@ def test_fan_mismatch(square_fan, hzb_fan):
         meet(p, q)
 
 
-def test_possible_identification_is_equivalence(square_fan, hzb_fan,
-                                                three_lines_fan):
-    from partfan.partition import _possibly_identified
+def _pairwise_identified(fan, a, b):
+    """Reference predicate: equal length, equal span, equal projected star."""
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    return (span_equal(fan.ray_vectors(a), fan.ray_vectors(b))
+            and fan.project_star(a) == fan.project_star(b))
 
+
+def test_possible_identification_is_equivalence(square_fan, hzb_fan,
+                                                three_lines_fan, brauer):
     for fan in (square_fan, hzb_fan, three_lines_fan):
         cones = fan.cones
-        table = {(a, b): _possibly_identified(fan, a, b)
+        table = {(a, b): _pairwise_identified(fan, a, b)
                  for a in cones for b in cones}
         for a in cones:
             assert table[(a, a)]
@@ -194,3 +203,9 @@ def test_possible_identification_is_equivalence(square_fan, hzb_fan,
                 for c in cones:
                     if table[(a, b)] and table[(b, c)]:
                         assert table[(a, c)]
+    # the E-classes are exactly the classes of the pairwise predicate
+    for fan in (square_fan, hzb_fan, three_lines_fan, brauer.fan):
+        ident = potential_identifications(fan)
+        for a in fan.cones:
+            for b in fan.cones:
+                assert ident.same_class(a, b) == _pairwise_identified(fan, a, b)

@@ -75,6 +75,16 @@ def test_bisector_tie_break():
     assert poset.maximum() == (3, 4)
 
 
+def test_bisector_refuses_maximum_adjacent_to_base():
+    # -(1,1) lies inside cone{(1,0),(-2,-1)}, which shares the ray (1,0)
+    # with the base
+    fan = build_fan(2, [(1, 0), (0, 1), (-1, 0), (-2, -1)],
+                    [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(PosetInvalid) as err:
+        rank2_bisector_poset(fan, (0, 1))
+    assert err.value.witness == [[0, 1], [0, 3]]
+
+
 def test_bisector_requires_rank2():
     fan = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
     with pytest.raises(NotRank2):
