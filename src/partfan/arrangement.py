@@ -1,16 +1,21 @@
 """Central simplicial hyperplane arrangements.
 
-The induced fan is enumerated through sign vectors with an exact
-feasibility test per candidate.  On top of the fan: flats and the
-flat-partition, the poset of regions, shards with respect to a base
-region and the shard-partition, and the wall algebra of the built-in
-rank-3 arrangement together with its homomorphism certificate.
+The induced fan is found combinatorially, in the language of oriented
+matroids (Bjoerner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
+Matroids*, ch. 4): rays are the lines of rank-(n-1) flats, a chamber is a
+tope together with the rays that conform to it, and chambers are reached
+by a breadth-first search of the tope graph.  Every sign test is an
+integer dot product.  On top of the fan: flats and the flat-partition, the
+poset of regions, shards with respect to a base region and the
+shard-partition, and the wall algebra of the built-in rank-3 arrangement
+together with its homomorphism certificate.
 """
 
-from itertools import combinations, product
+from collections import deque
+from itertools import combinations, count
 
-from . import cones as conelib
 from .errors import (
+    DimensionMismatch,
     NotAChamber,
     NotSimplicialArrangement,
     UnknownCone,
@@ -21,13 +26,17 @@ from .errors import (
 from .fan import build_fan
 from .partition import UnionFind, group_by
 from .poset import FanPoset
-from .rational import dot, int_kernel_basis, matrix_rank, primitive_ray
+from .rational import dot, int_dot, int_kernel_basis, matrix_rank, primitive_ray
 
 
 class Arrangement:
     """Normals of a central arrangement; pairwise non-parallel and nonzero."""
 
     def __init__(self, dim, normals):
+        for i, n in enumerate(normals):
+            if len(n) != dim:
+                raise DimensionMismatch("normal length differs from the dimension",
+                                        witness=[i, len(n), dim])
         normals = tuple(primitive_ray(n) for n in normals)
         for a, b in combinations(range(len(normals)), 2):
             na, nb = normals[a], normals[b]
@@ -37,7 +46,8 @@ class Arrangement:
         self.normals = normals
 
     def sign_vector(self, point):
-        return tuple(_sign(dot(n, point)) for n in self.normals)
+        """Signs of <n_i, point>; the point has integer or Fraction entries."""
+        return tuple(_sign(int_dot(n, point)) for n in self.normals)
 
     def to_json(self):
         return {"dim": self.dim, "normals": [list(n) for n in self.normals]}
@@ -75,59 +85,65 @@ class ArrangementFan:
 
 
 def arrangement_fan(arrangement, with_signs=False):
-    """Enumerate all realizable sign vectors and assemble the fan.
+    """The fan of a central simplicial arrangement, by a tope-graph search.
 
-    Feasibility of each of the 3^m candidates is decided exactly via
-    extreme rays of the corresponding closed cell; the witness point is a
-    relative-interior point.  Faces are matched to rays by sign-vector
-    conformality.  Raises NotSimplicialArrangement when any cell has a ray
-    count different from its dimension.
+    The rays are +/- the primitive kernel vectors of the (n-1)-subsets of
+    normals whose kernel is a line.  The search starts at the tope (sign
+    vector of a chamber) of a moment-curve point (1, t, t^2, ...) on no
+    hyperplane.  A chamber's rays are the rays whose sign vectors conform
+    to its tope; its neighbours are the topes that differ in one
+    hyperplane holding n-1 of those rays.  The faces are the subsets of
+    chamber rays; a face's witness point is the sum of its primitive rays,
+    which lies in its relative interior, and its sign vector is that
+    point's.  Raises NotSimplicialArrangement when a chamber does not have
+    exactly n rays, as happens for every chamber of a non-essential
+    arrangement.  The work is C(m, n-1) small kernels plus one pass over
+    the rays and the hyperplanes per chamber.
     """
-
-    m = len(arrangement.normals)
-    if m > 12:
-        raise NotSimplicialArrangement(
-            "sign enumeration guard: too many hyperplanes", witness=m)
-    dim = arrangement.dim
-    cells = {}
-    for signs in product((1, 0, -1), repeat=m):
-        point = conelib.strict_sign_feasible(arrangement.normals, signs, dim)
-        if point is not None:
-            cells[signs] = point
-    ray_cells = {}
-    for signs, point in cells.items():
-        d = _cell_dimension(arrangement, signs, dim)
-        if d == 1:
-            ray_cells[signs] = primitive_ray(point)
-    ray_list = sorted(ray_cells.values())
-    ray_index = {r: i for i, r in enumerate(ray_list)}
-    face_signs = {}
-    face_points = {}
-    max_cones = []
-    for signs, point in cells.items():
-        d = _cell_dimension(arrangement, signs, dim)
-        rays = [ray_index[v] for s, v in ray_cells.items() if _conforms(s, signs)]
-        if len(rays) != d:
+    dim, normals = arrangement.dim, arrangement.normals
+    lines = set()
+    for subset in combinations(normals, max(dim - 1, 0)):
+        kernel = int_kernel_basis(subset, dim)
+        # a line on every hyperplane is the lineality of a non-essential
+        # arrangement, not a ray
+        if len(kernel) == 1 and any(arrangement.sign_vector(kernel[0])):
+            lines.add(kernel[0])
+    rays = sorted(lines | {tuple(-x for x in r) for r in lines})
+    ray_signs = [arrangement.sign_vector(r) for r in rays]
+    for t in count(1):
+        start = arrangement.sign_vector([t ** k for k in range(dim)])
+        if all(start):
+            break
+    seen = {start}
+    queue = deque([start])
+    chambers = []
+    while queue:
+        tope = queue.popleft()
+        chamber = tuple(i for i, signs in enumerate(ray_signs)
+                        if _conforms(signs, tope))
+        if len(chamber) != dim:
             raise NotSimplicialArrangement(
-                "cell has a non-simplicial ray count",
-                witness={"signs": list(signs), "dim": d, "rays": len(rays)})
-        cone = tuple(sorted(rays))
-        face_signs[cone] = signs
-        face_points[cone] = point
-        if d == dim:
-            max_cones.append(cone)
-    fan = build_fan(dim, ray_list, max_cones)
-    if set(fan.cones) != set(face_signs):
-        raise NotSimplicialArrangement("derived faces disagree with sign cells")
+                "chamber does not have exactly dim rays",
+                witness={"signs": list(tope), "dim": dim, "rays": len(chamber)})
+        chambers.append(chamber)
+        for h in range(len(normals)):
+            if sum(ray_signs[i][h] == 0 for i in chamber) == dim - 1:
+                flipped = tope[:h] + (-tope[h],) + tope[h + 1:]
+                if flipped not in seen:
+                    seen.add(flipped)
+                    queue.append(flipped)
+    face_points = {}
+    for chamber in chambers:
+        for k in range(dim + 1):
+            for face in combinations(chamber, k):
+                if face not in face_points:
+                    face_points[face] = tuple(sum(rays[i][j] for i in face)
+                                              for j in range(dim))
+    face_signs = {face: arrangement.sign_vector(point)
+                  for face, point in face_points.items()}
+    fan = build_fan(dim, rays, chambers)
     result = ArrangementFan(arrangement, fan, face_signs, face_points)
     return result if with_signs else fan
-
-
-def _cell_dimension(arrangement, signs, dim):
-    zero_normals = [arrangement.normals[i] for i, s in enumerate(signs) if s == 0]
-    if not zero_normals:
-        return dim
-    return dim - matrix_rank(zero_normals)
 
 
 def _conforms(face_signs, cell_signs):

@@ -11,7 +11,7 @@ materialized tables.
 
 from itertools import combinations
 
-from .errors import NotAdmissible, NotComposable, RankZero
+from .errors import NotAdmissible, NotAFace, NotComposable, RankZero
 from .partition import is_admissible
 
 
@@ -55,6 +55,9 @@ class Category:
     def morphism_of_pair(self, sigma, tau):
         sigma = self.fan.check_cone(sigma)
         tau = self.fan.check_cone(tau)
+        if not set(sigma) <= set(tau):
+            raise NotAFace("source is not a face of the target",
+                           witness=[list(sigma), list(tau)])
         key = (self.partition.block_of[sigma], self.partition.block_of[tau],
                self.fan.projected_cone(sigma, tau))
         return self.morphisms[self._by_key[key]]

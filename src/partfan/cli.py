@@ -20,7 +20,7 @@ from . import groups as grplib
 from . import partition as partlib
 from . import poset as posetlib
 from . import render
-from .errors import BadInput, PartFanError
+from .errors import BadInput, NotComplete, PartFanError
 from .fan import fan_from_json, is_finite_complete, validate_fan
 
 
@@ -446,6 +446,9 @@ def cmd_group_certify_rank2(args):
     env = read_envelope()
     fan = load(env, "fan")
     partition = load(env, "partition", fan)
+    if "poset" not in env and not fan.max_cones:
+        raise NotComplete("the bisector poset needs a finite complete fan",
+                          witness=fan.to_json())
     category = catlib.build_category(fan, partition)
     poset = load(env, "poset", fan) if "poset" in env else \
         posetlib.rank2_bisector_poset(fan, fan.max_cones[0])

@@ -49,6 +49,10 @@ class UnknownFace(UnknownCone):
     code = "UnknownFace"
 
 
+class NotAFace(PartFanError):
+    code = "NotAFace"
+
+
 class NotComplete(PartFanError):
     code = "NotComplete"
 

@@ -128,17 +128,18 @@ class Fan:
 
     def project_star(self, cone):
         """The projected fan pi_sigma(star(sigma)) as a set of canonical cones."""
-        cone = self.check_cone(cone)
-        if cone not in self._project_star_cache:
-            self._project_star_cache[cone] = frozenset(
-                self.projected_cone(cone, tau) for tau in self.star(cone)
-            )
-        return self._project_star_cache[cone]
+        return frozenset(self.project_star_map(cone).values())
 
     def project_star_map(self, cone):
-        """Bijection star(sigma) -> canonical projected cones."""
+        """Bijection star(sigma) -> canonical projected cones.
+
+        Computed once per cone; callers must not modify the returned dict.
+        """
         cone = self.check_cone(cone)
-        return {tau: self.projected_cone(cone, tau) for tau in self.star(cone)}
+        if cone not in self._project_star_cache:
+            self._project_star_cache[cone] = {
+                tau: self.projected_cone(cone, tau) for tau in self.star(cone)}
+        return self._project_star_cache[cone]
 
     def adjacent_chambers(self, wall):
         wall = self.check_cone(wall)

@@ -20,7 +20,7 @@ from .errors import (
     PosetInvalid,
 )
 from .fan import is_finite_complete
-from .rational import dot, int_kernel_basis, sqrt_combination_sign, vec
+from .rational import dot, int_dot, int_kernel_basis, sqrt_combination_sign, vec
 
 
 class FanPoset:
@@ -304,19 +304,44 @@ class PosetReport:
 def check_weak_fan_poset(fan, poset):
     """Report on the two fan-poset axioms.
 
-    (a) every star(sigma)^n is an order interval; (b) the union of the
-    maximal cones of every interval is a polyhedral cone, checked by the
-    exact criterion that no chamber outside the interval meets the cone
-    generated by the interval's rays in full dimension.  The
-    simply-connected weak variant is reported as not checked.
+    (a) every star(sigma)^n is an order interval; (b) the union U of the
+    maximal cones of every interval is a polyhedral cone.  The
+    simply-connected weak variant is reported as not checked.  Raises
+    NotComplete unless the fan is finite, complete and valid, which (b)
+    relies on.
+
+    (b) is decided by boundary walls.  A boundary wall of U is a wall of
+    a member chamber whose other chamber is not a member.  U is convex iff
+    every ray of U lies on the member side of every boundary wall's
+    hyperplane.  If U is convex, a boundary wall is a piece of the
+    boundary of U inside a hyperplane, so that hyperplane supports U.
+    Conversely, let P be the intersection of the member-side halfspaces.
+    U is the cone over its rays, so U lies in P.  In a complete valid fan
+    the boundary of U is covered by the boundary walls, each of which lies
+    in the boundary of P.  So U meets the interior of P in a set that is
+    closed and open there, and not empty, since the interior of U lies in
+    it; the interior of P is connected, so U = P.  The test needs one
+    integer dot product per (boundary wall, ray).  Only an interval that
+    fails it goes through the exact listing of the outside chambers that
+    meet the cone over its rays in full dimension.
     """
+    if not is_finite_complete(fan):
+        raise NotComplete("fan posets need a finite complete fan")
     facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
+    inward = {}  # (wall, chamber) -> normal of the wall pointing into chamber
+    for wall in fan.walls():
+        t1, t2 = fan.adjacent_chambers(wall)
+        nu = wall_normal(fan, wall, t1)
+        inward[wall, t1] = nu
+        inward[wall, t2] = tuple(-x for x in nu)
     union_failures = []
     for a in poset.elements:
         for b in poset.elements:
             if not poset.leq(a, b):
                 continue
             members = poset.interval(a, b)
+            if _convex_union(fan, members, inward):
+                continue
             generators = sorted({fan.rays[i] for c in members for i in c})
             halfspace_rep = conelib.halfspaces(generators, fan.dim)
             outside = [c for c in poset.elements if c not in set(members)]
@@ -328,6 +353,20 @@ def check_weak_fan_poset(fan, poset):
                         "chamber": list(c),
                     })
     return PosetReport(facial_failures, union_failures)
+
+
+def _convex_union(fan, members, inward):
+    """Whether the members' rays all lie on the member side of each boundary wall."""
+    member_set = set(members)
+    rays = [fan.rays[i] for i in {i for c in members for i in c}]
+    for c in members:
+        for wall in combinations(c, fan.dim - 1):
+            if all(t in member_set for t in fan.star_chambers(wall)):
+                continue
+            nu = inward[wall, c]
+            if any(int_dot(nu, r) < 0 for r in rays):
+                return False
+    return True
 
 
 class FacialInterval:

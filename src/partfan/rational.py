@@ -35,6 +35,15 @@ def dot(a, b):
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
+def int_dot(a, b):
+    """Dot product without Fraction coercion, for integer (or Fraction) vectors.
+
+    >>> int_dot((1, -2, 3), (4, 5, 6))
+    12
+    """
+    return sum(x * y for x, y in zip(a, b))
+
+
 def is_zero(a):
     return all(x == 0 for x in a)
 

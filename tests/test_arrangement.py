@@ -1,17 +1,20 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from partfan import arrangement as A
+from partfan import cones as conelib
 from partfan.errors import (
+    DimensionMismatch,
     NotAChamber,
     NotSimplicialArrangement,
+    PartFanError,
     WrongArrangement,
 )
-from partfan.fan import is_finite_complete, validate_fan
+from partfan.fan import build_fan, is_finite_complete, validate_fan
 from partfan.partition import is_admissible, potential_identifications, refines
 from partfan.poset import poset_from_linear_functional
-from partfan.rational import dot, kernel_basis, matrix_rank
+from partfan.rational import dot, kernel_basis, matrix_rank, primitive_ray
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +44,53 @@ def region_count_oracle(normals, dim):
             continue
         mu[x] = -sum(mu[y] for y in order if y < x)
     return sum(abs(m) for m in mu.values())
+
+
+def sign_enumeration_fan(arrangement):
+    """The arrangement fan by the former brute-force search.
+
+    Tests each of the 3^m sign vectors for an exact witness point, takes
+    the one-dimensional cells as rays and matches every cell to the rays
+    that conform to it.  Raises NotSimplicialArrangement when a cell's ray
+    count differs from its dimension.
+    """
+    dim, normals = arrangement.dim, arrangement.normals
+    cells = {}
+    for signs in product((1, 0, -1), repeat=len(normals)):
+        point = conelib.strict_sign_feasible(normals, signs, dim)
+        if point is not None:
+            cells[signs] = point
+
+    def cell_dimension(signs):
+        zero = [normals[i] for i, s in enumerate(signs) if s == 0]
+        return dim - matrix_rank(zero) if zero else dim
+
+    ray_cells = {signs: primitive_ray(point) for signs, point in cells.items()
+                 if cell_dimension(signs) == 1}
+    ray_index = {r: i for i, r in enumerate(sorted(ray_cells.values()))}
+    face_signs, face_points, max_cones = {}, {}, []
+    for signs, point in cells.items():
+        d = cell_dimension(signs)
+        cone = tuple(sorted(ray_index[v] for s, v in ray_cells.items()
+                            if all(f in (0, c) for f, c in zip(s, signs))))
+        if len(cone) != d:
+            raise NotSimplicialArrangement("cell has a non-simplicial ray count")
+        face_signs[cone], face_points[cone] = signs, point
+        if d == dim:
+            max_cones.append(cone)
+    fan = build_fan(dim, sorted(ray_index), max_cones)
+    assert set(fan.cones) == set(face_signs)
+    return A.ArrangementFan(arrangement, fan, face_signs, face_points)
+
+
+A3_NORMALS = [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
+
+
+def b_normals(n):
+    """The type-B reflection arrangement: e_i and e_i +/- e_j."""
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return unit + [tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+                   for i, j in combinations(range(n), 2) for s in (1, -1)]
 
 
 def join_irreducible_oracle(poset):
@@ -88,6 +138,65 @@ def test_non_simplicial_arrangement_rejected():
     arrangement = A.Arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     with pytest.raises(NotSimplicialArrangement):
         A.arrangement_fan(arrangement)
+
+
+@pytest.mark.parametrize("dim, normals", [
+    (1, [(1,)]),
+    (2, [(1, 0), (0, 1)]),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (2, [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)]),   # a rank-2 pencil
+    (3, A3_NORMALS),
+], ids=["coordinate-1", "coordinate-2", "coordinate-3", "pencil", "A3"])
+def test_tope_search_matches_sign_enumeration(dim, normals):
+    arrangement = A.Arrangement(dim, normals)
+    new = A.arrangement_fan(arrangement, with_signs=True)
+    old = sign_enumeration_fan(arrangement)
+    assert new.fan.to_json() == old.fan.to_json()
+    assert new.fan.cones == old.fan.cones
+    assert new.face_signs == old.face_signs
+    assert new.face_points == old.face_points
+
+
+def test_tope_search_matches_sign_enumeration_brauer(brauer):
+    old = sign_enumeration_fan(brauer.arrangement)
+    assert brauer.fan.to_json() == old.fan.to_json()
+    assert brauer.fan.cones == old.fan.cones
+    assert brauer.arrfan.face_signs == old.face_signs
+    assert brauer.arrfan.face_points == old.face_points
+
+
+def test_non_simplicial_arrangement_rejected_by_both_searches():
+    arrangement = A.Arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    with pytest.raises(NotSimplicialArrangement):
+        A.arrangement_fan(arrangement)
+    with pytest.raises(NotSimplicialArrangement):
+        sign_enumeration_fan(arrangement)
+
+
+@pytest.mark.parametrize("dim, normals", [
+    (1, []),
+    (2, [(1, 0)]),
+    (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+])
+def test_non_essential_arrangement_rejected(dim, normals):
+    with pytest.raises(NotSimplicialArrangement):
+        A.arrangement_fan(A.Arrangement(dim, normals))
+    with pytest.raises(PartFanError):
+        sign_enumeration_fan(A.Arrangement(dim, normals))
+
+
+def test_b4_has_384_simplicial_chambers():
+    fan = A.arrangement_fan(A.Arrangement(4, b_normals(4)))
+    assert len(fan.max_cones) == 384
+    assert all(len(c) == 4 for c in fan.max_cones)
+    f = [len(fan.cones_of_dim(d)) for d in range(1, 5)]
+    assert f[0] - f[1] + f[2] - f[3] == 0
+
+
+def test_normal_of_wrong_length_rejected():
+    with pytest.raises(DimensionMismatch) as err:
+        A.Arrangement(3, [(1, 0, 0), (0, 1)])
+    assert err.value.witness == [1, 2, 3]
 
 
 def test_parallel_normals_rejected():

@@ -13,7 +13,7 @@ from partfan.category import (
     first_factors,
     last_factors,
 )
-from partfan.errors import NotAdmissible, NotComposable, RankZero
+from partfan.errors import NotAdmissible, NotAFace, NotComposable, RankZero
 from partfan.fan import build_fan
 from partfan.partition import admissible_closure, finest_partition, from_blocks
 
@@ -110,6 +110,15 @@ def test_compose_hzb_through_identified_middle(hzb_fan, p1_partition):
     composite = compose(cat, f, a)
     assert composite is cat.morphism_of_pair((), (0, 1))
     assert composite.target == cat.partition.block_of[(0, 1)]
+
+
+def test_morphism_of_pair_needs_a_face(square_fan, torus_partition, hzb_fan,
+                                       p1_partition):
+    for fan, partition in ((square_fan, torus_partition), (hzb_fan, p1_partition)):
+        cat = build_category(fan, partition)
+        with pytest.raises(NotAFace) as err:
+            cat.morphism_of_pair((0,), (1, 2))
+        assert err.value.witness == [[0], [1, 2]]
 
 
 def test_compose_not_composable(square_fan, torus_partition):

@@ -142,6 +142,29 @@ def test_certify_rank2(monkeypatch, capsys):
     assert json.loads(out)["faithful"]
 
 
+@pytest.mark.parametrize("example", ["hirzebruch-a1", "square"])
+def test_group_psi_source_not_a_face(monkeypatch, capsys, example):
+    code, out = pipeline(monkeypatch, capsys,
+                         ["examples", example],
+                         ["partition", "potentials"],
+                         ["poset", "functional", "--b", "1,2"],
+                         ["group", "psi", "--source", "[0]",
+                          "--target", "[1,2]"])
+    assert code == 1
+    assert json.loads(out) == {"error": "NotAFace", "witness": [[0], [1, 2]]}
+
+
+def test_certify_rank2_empty_fan(monkeypatch, capsys):
+    envelope = {"fan": {"dim": 2, "rays": [], "max_cones": []},
+                "partition": {"blocks": []}}
+    code, out = run_cli(["group", "certify-rank2"], json.dumps(envelope),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "NotComplete"
+    assert doc["witness"]["max_cones"] == []
+
+
 def test_certify_brauer(monkeypatch, capsys):
     code, out = pipeline(monkeypatch, capsys,
                          ["examples", "brauer3"],

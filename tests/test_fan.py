@@ -109,6 +109,13 @@ def test_project_star_hirzebruch(hzb_fan):
     assert hzb_fan.project_star((1,)) == hzb_fan.project_star((3,))
 
 
+def test_project_star_map_computed_once(hzb_fan):
+    star_map = hzb_fan.project_star_map((1,))
+    assert hzb_fan.project_star_map([1]) is star_map
+    assert set(star_map) == set(hzb_fan.star((1,)))
+    assert hzb_fan.project_star((1,)) == frozenset(star_map.values())
+
+
 def test_project_star_of_maximal_cone(square_fan):
     assert square_fan.project_star((0, 3)) == frozenset({()})
 

@@ -1,5 +1,11 @@
-import pytest
+from functools import cmp_to_key
+from itertools import product
+from math import gcd
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from partfan import cones as conelib
 from partfan.errors import (
     DegenerateFunctional,
     NotAnInterval,
@@ -21,6 +27,57 @@ from partfan.poset import (
 )
 
 TAU1, TAU2, TAU3, TAU4 = (0, 3), (0, 1), (1, 2), (2, 3)
+
+
+def union_failures_oracle(fan, poset):
+    """The interval-union axiom by the former per-chamber search.
+
+    For every interval, each chamber outside it is tested for a
+    full-dimensional meeting with the cone generated by the interval's
+    rays.
+    """
+    failures = []
+    for a in poset.elements:
+        for b in poset.elements:
+            if not poset.leq(a, b):
+                continue
+            members = poset.interval(a, b)
+            generators = sorted({fan.rays[i] for c in members for i in c})
+            halfspace_rep = conelib.halfspaces(generators, fan.dim)
+            for c in poset.elements:
+                if c not in members and conelib.fulldim_in_halfspaces(
+                        fan.ray_vectors(c), halfspace_rep, fan.dim):
+                    failures.append({"interval": [list(a), list(b)],
+                                     "chamber": list(c)})
+    return failures
+
+
+def chain_poset(fan, chambers):
+    """The chain chambers[0] < chambers[1] < ... of wall-adjacent chambers."""
+    return FanPoset(fan, [(lo, up, tuple(sorted(set(lo) & set(up))))
+                          for lo, up in zip(chambers, chambers[1:])])
+
+
+def _ccw(a, b):
+    """Counterclockwise order from the positive x-axis, decided exactly."""
+    ha = 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
+    hb = 0 if b[1] > 0 or (b[1] == 0 and b[0] > 0) else 1
+    if ha != hb:
+        return ha - hb
+    return -(a[0] * b[1] - a[1] * b[0])
+
+
+@st.composite
+def complete_planar_fans(draw):
+    """Complete planar fans: rays sorted by angle, every gap below pi."""
+    pool = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
+            if (x, y) != (0, 0) and gcd(x, y) == 1]
+    rays = sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=9,
+                                unique=True)), key=cmp_to_key(_ccw))
+    n = len(rays)
+    assume(all(a[0] * b[1] - a[1] * b[0] > 0
+               for a, b in zip(rays, rays[1:] + rays[:1])))
+    return build_fan(2, rays, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
 
 
 def test_functional_poset_square(square_fan):
@@ -180,3 +237,47 @@ def test_nondegenerate_finest_trivially(square_fan):
     poset = poset_from_linear_functional(square_fan, (1, 1))
     ok, _ = check_nondegenerate(square_fan, finest_partition(square_fan), poset)
     assert ok
+
+
+def test_check_weak_fan_poset_requires_complete_fan():
+    quadrant = build_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+    poset = FanPoset(quadrant, [((0, 1), (1, 2), (1,))])
+    with pytest.raises(NotComplete):
+        check_weak_fan_poset(quadrant, poset)
+
+
+def test_union_test_matches_oracle_on_planar_chain():
+    # a chain of the first four of six chambers spans 225 degrees and is
+    # not convex; the first three span a half-plane
+    fan = build_fan(2, [(1, 0), (1, 1), (-1, 2), (-1, 0), (-1, -1), (1, -2)],
+                    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    poset = chain_poset(fan, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    report = check_weak_fan_poset(fan, poset)
+    expected = union_failures_oracle(fan, poset)
+    assert list(report.union_failures) == expected
+    assert {"interval": [[0, 1], [3, 4]], "chamber": [4, 5]} in expected
+    assert {"interval": [[0, 1], [2, 3]], "chamber": [4, 5]} not in expected
+
+
+def test_union_test_matches_oracle_on_octant_chain():
+    # the octants in Gray-code order: three consecutive octants make an L
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    octants = [tuple(sorted(t)) for t in product((0, 3), (1, 4), (2, 5))]
+    fan = build_fan(3, rays, octants)
+    gray = [0, 1, 3, 2, 6, 7, 5, 4]
+    poset = chain_poset(fan, [octants[i] for i in gray])
+    report = check_weak_fan_poset(fan, poset)
+    expected = union_failures_oracle(fan, poset)
+    assert list(report.union_failures) == expected
+    assert expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(complete_planar_fans(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_union_test_matches_oracle_on_functional_posets(fan, b):
+    try:
+        poset = poset_from_linear_functional(fan, b)
+    except DegenerateFunctional:
+        assume(False)
+    report = check_weak_fan_poset(fan, poset)
+    assert list(report.union_failures) == union_failures_oracle(fan, poset)
