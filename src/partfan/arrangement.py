@@ -26,7 +26,7 @@ from .errors import (
 from .fan import build_fan
 from .partition import UnionFind, group_by
 from .poset import FanPoset
-from .rational import dot, int_dot, int_kernel_basis, matrix_rank, primitive_ray
+from .rational import dot, int_kernel_basis, matrix_rank, primitive_ray
 
 
 class Arrangement:
@@ -47,7 +47,7 @@ class Arrangement:
 
     def sign_vector(self, point):
         """Signs of <n_i, point>; the point has integer or Fraction entries."""
-        return tuple(_sign(int_dot(n, point)) for n in self.normals)
+        return tuple(_sign(dot(n, point)) for n in self.normals)
 
     def to_json(self):
         return {"dim": self.dim, "normals": [list(n) for n in self.normals]}

@@ -1,4 +1,4 @@
-"""Exact polyhedral cone computations.
+"""Exact polyhedral cones on integer rows.
 
 A cone is handled either by generators (V-representation) or by a system
 ``{x : E x = 0, A x >= 0}`` (H-representation).  Conversion in both
@@ -8,21 +8,22 @@ pointed quotient are enumerated from candidate zero-sets of the inequality
 rows.  At the ambient dimensions this library targets (fans live in small
 n) the candidate enumeration is cheap and, unlike any floating-point code
 path, provably exact.
+
+Inputs may have ``Fraction`` entries; each row is scaled by a positive
+factor to integers on the way in, which changes no cone.  Everything
+inside runs on plain ints, and every result is a primitive integer
+vector.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
+from .errors import DependentBasis
 from .rational import (
-    _invert,
     dot,
-    identity_matrix,
-    kernel_basis,
-    mat_mul,
+    int_kernel_basis,
     matrix_rank,
+    pivot_columns,
     primitive_ray,
-    rref,
-    transpose,
     vec,
 )
 
@@ -34,45 +35,42 @@ def extreme_rays(equalities, inequalities, dim):
     integer vectors.  The rays are the extreme rays of the pointed part;
     together with +/- the lineality basis they generate the cone.
     """
-    equalities = [vec(e) for e in equalities]
-    inequalities = [vec(a) for a in inequalities]
-    subspace = kernel_basis(equalities, dim) if equalities else identity_matrix(dim)
+    subspace = int_kernel_basis(equalities, dim)
     d = len(subspace)
     if d == 0:
         return (), ()
-    # inequality system pulled back to subspace coordinates y
-    b_rows = [tuple(dot(a, q) for q in subspace) for a in inequalities]
-    b_rows = [r for r in b_rows if any(x != 0 for x in r)]
-    lin_y = kernel_basis(b_rows, d) if b_rows else identity_matrix(d)
+    # inequality system pulled back to subspace coordinates y, scaled to
+    # primitive integer rows
+    pulled = (tuple(dot(a, q) for q in subspace) for a in inequalities)
+    b_rows = [primitive_ray(r) for r in pulled if any(r)]
+    lin_y = int_kernel_basis(b_rows, d)
     lineality = tuple(sorted(primitive_ray(_combine(subspace, y)) for y in lin_y))
     # complement W of the lineality inside the subspace coordinates
-    pivot_cols = set(rref(lin_y)[1]) if lin_y else set()
+    pivot_cols = set(pivot_columns(lin_y))
     free_cols = [j for j in range(d) if j not in pivot_cols]
     p = len(free_cols)
     if p == 0:
         return lineality, ()
     b2 = [tuple(row[j] for j in free_cols) for row in b_rows]
-    rays_z = _pointed_extreme_rays(b2, p)
     rays = set()
-    for z in rays_z:
-        y = [Fraction(0)] * d
+    for z in _pointed_extreme_rays(b2, p):
+        y = [0] * d
         for j, zj in zip(free_cols, z):
-            y[j] = Fraction(zj)
+            y[j] = zj
         rays.add(primitive_ray(_combine(subspace, y)))
     return lineality, tuple(sorted(rays))
 
 
 def _combine(basis, coeffs):
-    n = len(basis[0])
-    out = [Fraction(0)] * n
+    out = [0] * len(basis[0])
     for c, b in zip(coeffs, basis):
         if c:
-            out = [o + Fraction(c) * x for o, x in zip(out, b)]
+            out = [o + c * x for o, x in zip(out, b)]
     return tuple(out)
 
 
 def _pointed_extreme_rays(rows, p):
-    """Extreme rays of a pointed cone {z in R^p : B z >= 0}.
+    """Extreme rays of a pointed cone {z in R^p : B z >= 0}, B an integer matrix.
 
     A ray r is extreme iff B r >= 0 and the rows vanishing on r have rank
     p - 1, so candidates come from (p-1)-subsets of rows with a
@@ -85,11 +83,11 @@ def _pointed_extreme_rays(rows, p):
                 rays.append(cand)
         return rays
     found = set()
-    for subset in combinations(range(len(rows)), p - 1):
-        ker = kernel_basis([rows[i] for i in subset], p)
+    for subset in combinations(rows, p - 1):
+        ker = int_kernel_basis(subset, p)
         if len(ker) != 1:
             continue
-        z = primitive_ray(ker[0])
+        z = ker[0]
         for cand in (z, tuple(-x for x in z)):
             if all(dot(row, cand) >= 0 for row in rows):
                 found.add(cand)
@@ -103,29 +101,32 @@ def halfspaces(generators, dim):
     dual cone {y : <g, y> >= 0 for all generators g}, and the equalities
     are a basis of the dual's lineality, i.e. of span(C)^perp.
     """
-    generators = [vec(g) for g in generators]
+    generators = list(generators)
     if not generators:
-        return tuple(identity_matrix(dim)), ()
-    lin, rays = extreme_rays((), generators, dim)
-    return lin, rays
+        return int_kernel_basis((), dim), ()
+    return extreme_rays((), generators, dim)
 
 
 def simplicial_halfspaces(ray_vectors, dim):
     """H-representation of a simplicial cone from its independent generators.
 
-    Inequalities are the dual-basis functionals (barycentric coordinates
-    must be nonnegative); equalities cut out the linear span.
+    The equalities are a primitive basis of span(G)^perp.  Inequality i is
+    the primitive normal of the hyperplane through the other generators
+    and span(G)^perp, oriented so that generator i is positive: a positive
+    multiple of the dual-basis functional, row i of (G G^T)^{-1} G, whose
+    nonnegativity says that barycentric coordinate i is nonnegative.
+    Raises DependentBasis when the generators are linearly dependent.
     """
-    rays = [vec(r) for r in ray_vectors]
-    if not rays:
-        return tuple(identity_matrix(dim)), ()
-    eqs = kernel_basis(rays, dim)
-    # rows of (G G^T)^{-1} G are the coordinate functionals on span(G)
-    g = tuple(rays)
-    gram = mat_mul(g, transpose(g))
-    inv = _invert(gram, len(g))
-    ineqs = mat_mul(inv, g)
-    return tuple(eqs), tuple(ineqs)
+    rays = list(ray_vectors)
+    eqs = int_kernel_basis(rays, dim)
+    if len(eqs) + len(rays) != dim:
+        raise DependentBasis("generators of a simplicial cone are dependent",
+                             witness=[[str(x) for x in r] for r in rays])
+    ineqs = []
+    for i, ray in enumerate(rays):
+        (normal,) = int_kernel_basis(rays[:i] + rays[i + 1:] + list(eqs), dim)
+        ineqs.append(normal if dot(normal, ray) > 0 else tuple(-x for x in normal))
+    return eqs, tuple(ineqs)
 
 
 def intersect_generated_cones(rays_a, rays_b, dim):
@@ -135,7 +136,7 @@ def intersect_generated_cones(rays_a, rays_b, dim):
     """
     eqs_a, ineqs_a = simplicial_halfspaces(rays_a, dim)
     eqs_b, ineqs_b = simplicial_halfspaces(rays_b, dim)
-    return extreme_rays(tuple(eqs_a) + tuple(eqs_b), tuple(ineqs_a) + tuple(ineqs_b), dim)
+    return extreme_rays(eqs_a + eqs_b, ineqs_a + ineqs_b, dim)
 
 
 def cone_contains(generators, dim, point):
@@ -200,4 +201,4 @@ def strict_sign_feasible(normals, signs, dim):
 
 
 def vec_scale_int(v, s):
-    return tuple(s * Fraction(x) for x in v)
+    return tuple(s * x for x in v)

@@ -11,6 +11,7 @@ decompositions but carry no attaching words; the fundamental group only
 needs the 2-skeleton.
 """
 
+from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import Disconnected, NotComplete, PreconditionUnmet
@@ -159,7 +160,8 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
 
 def _plane_coordinates(basis, vector):
     b1, b2 = basis
-    return (dot(vector, b1) / dot(b1, b1), dot(vector, b2) / dot(b2, b2))
+    return (Fraction(dot(vector, b1), dot(b1, b1)),
+            Fraction(dot(vector, b2), dot(b2, b2)))
 
 
 def _angular_cmp(u, v):

@@ -8,6 +8,7 @@ integer ray vectors in the ambient coordinates.
 """
 
 from itertools import combinations
+from math import lcm
 
 from . import cones as conelib
 from .errors import (
@@ -71,7 +72,10 @@ class Fan:
         self._stars = {c: tuple(s) for c, s in stars.items()}
         self._by_dim = {d: tuple(cs) for d, cs in by_dim.items()}
         self._validation = None
+        self._ident = None
         self._projection_cache = {}
+        self._scaled_projection_cache = {}
+        self._projected_cone_cache = {}
         self._project_star_cache = {}
 
     def __contains__(self, cone):
@@ -111,20 +115,34 @@ class Fan:
             )
         return self._projection_cache[cone]
 
+    def _scaled_projection(self, base):
+        """den * projection(base): an integer matrix, den > 0 clearing denominators.
+
+        It maps every vector to a positive multiple of its exact projection,
+        so primitive projected rays are the same.
+        """
+        if base not in self._scaled_projection_cache:
+            p = self.projection(base)
+            den = lcm(*(x.denominator for row in p for x in row))
+            self._scaled_projection_cache[base] = tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row) for row in p)
+        return self._scaled_projection_cache[base]
+
     def projected_cone(self, base, cone):
         """Canonical form of the projection of ``cone`` along ``base``.
 
         ``base`` must be a face of ``cone``; the result is the sorted tuple
-        of primitive projected generators (ambient coordinates).
+        of primitive projected generators (ambient coordinates).  Computed
+        once per (base, cone).
         """
-        p = self.projection(base)
-        base_set = set(base)
-        out = set()
-        for i in cone:
-            if i in base_set:
-                continue
-            out.add(primitive_ray(mat_vec(p, self.rays[i])))
-        return tuple(sorted(out))
+        key = (tuple(base), tuple(cone))
+        if key not in self._projected_cone_cache:
+            p = self._scaled_projection(self.check_cone(base))
+            base_set = set(base)
+            self._projected_cone_cache[key] = tuple(sorted({
+                primitive_ray(mat_vec(p, self.rays[i]))
+                for i in cone if i not in base_set}))
+        return self._projected_cone_cache[key]
 
     def project_star(self, cone):
         """The projected fan pi_sigma(star(sigma)) as a set of canonical cones."""

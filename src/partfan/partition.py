@@ -8,7 +8,6 @@ partitions of a fan form a complete lattice under refinement.
 """
 
 from itertools import combinations
-from weakref import WeakKeyDictionary
 
 from .errors import (
     EnumerationLimitExceeded,
@@ -130,21 +129,17 @@ class IdentTable:
         return self.partition.same_block(a, b)
 
 
-# E-classes per fan, computed once; a fan's cones never change.
-_IDENT = WeakKeyDictionary()
-
-
 def potential_identifications(fan):
     """Group cones by (equal span, equal projected star); the coarsest partition.
 
     The reduced row echelon form of a cone's rays is a canonical key for
     its span, so the classes are the groups of equal (span, projected
-    star) keys.
+    star) keys.  The classes are computed once per fan and kept on it.
     """
-    if fan not in _IDENT:
-        _IDENT[fan] = IdentTable(group_by(
+    if fan._ident is None:
+        fan._ident = IdentTable(group_by(
             fan, lambda c: (rref(fan.ray_vectors(c))[0], fan.project_star(c))))
-    return _IDENT[fan]
+    return fan._ident
 
 
 def _check_possible(fan, partition):

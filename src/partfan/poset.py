@@ -20,7 +20,7 @@ from .errors import (
     PosetInvalid,
 )
 from .fan import is_finite_complete
-from .rational import dot, int_dot, int_kernel_basis, sqrt_combination_sign, vec
+from .rational import dot, int_kernel_basis, sqrt_combination_sign, vec
 
 
 class FanPoset:
@@ -364,7 +364,7 @@ def _convex_union(fan, members, inward):
             if all(t in member_set for t in fan.star_chambers(wall)):
                 continue
             nu = inward[wall, c]
-            if any(int_dot(nu, r) < 0 for r in rays):
+            if any(dot(nu, r) < 0 for r in rays):
                 return False
     return True
 

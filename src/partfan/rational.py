@@ -1,16 +1,24 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra: integers inside, ``Fraction`` at the boundary.
 
-Vectors are tuples of ``fractions.Fraction`` (or plain ints), matrices are
-row-major tuples of such tuples.  Everything is exact; there is no floating
-point anywhere because the geometric predicates built on top (span equality,
+Vectors are tuples of ints or ``fractions.Fraction``, matrices are
+row-major tuples of such tuples.  There is no floating point anywhere,
+because the geometric predicates built on top (span equality,
 projected-fan equality, cone membership) are exact set equalities.
 
-Integer vectors returned by :func:`primitive_ray` use arbitrary-precision
-Python ints, so Gram-matrix inverses with large coefficients are safe.
+The kernels that the cone and fan code run most, :func:`dot`,
+:func:`matrix_rank` and :func:`int_kernel_basis`, compute on plain Python
+ints: :func:`dot` of integer vectors is an int, and rank and kernel come
+from fraction-free elimination (rows are scaled to integers first, which
+changes neither).  ``Fraction`` appears only where a value is truly
+rational: :func:`rref`, :func:`solve`, :func:`kernel_basis`,
+:func:`complement_projection` and :func:`gram_schmidt` keep their exact
+rational results.  Python ints have arbitrary precision, so no
+coefficient can overflow.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DependentBasis, DimensionMismatch, ZeroVector
 
@@ -30,18 +38,17 @@ def vec_scale(c, a):
 
 
 def dot(a, b):
+    """Exact dot product; integer vectors give an int, never a float.
+
+    >>> dot((1, -2, 3), (4, 5, 6))
+    12
+    >>> from fractions import Fraction
+    >>> dot((Fraction(1, 2), 1), (1, 1))
+    Fraction(3, 2)
+    """
     if len(a) != len(b):
         raise DimensionMismatch("vectors of different length", witness=(len(a), len(b)))
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def int_dot(a, b):
-    """Dot product without Fraction coercion, for integer (or Fraction) vectors.
-
-    >>> int_dot((1, -2, 3), (4, 5, 6))
-    12
-    """
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero(a):
@@ -76,17 +83,34 @@ def primitive_ray(v):
 
     Raises ZeroVector on the zero vector.
     """
-    v = vec(v)
-    if is_zero(v):
-        raise ZeroVector("cannot normalize the zero vector", witness=list(map(str, v)))
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = _integer_row(v)
+    g = gcd(*ints)
+    if g == 0:
+        raise ZeroVector("cannot normalize the zero vector",
+                         witness=list(map(str, vec(v))))
     return tuple(x // g for x in ints)
+
+
+def _integer_row(r):
+    """A positive multiple of the row r with integer entries, as a list."""
+    if all(type(x) is int for x in r):
+        return list(r)
+    r = vec(r)
+    den = lcm(*(x.denominator for x in r))
+    return [x.numerator * (den // x.denominator) for x in r]
+
+
+def _integer_rows(rows):
+    """Each row scaled by a positive factor to integers; a ragged matrix raises.
+
+    Scaling a row by a positive factor changes neither the row space nor
+    the kernel, nor the side of an inequality row.
+    """
+    out = [_integer_row(r) for r in rows]
+    for r in out:
+        if len(r) != len(out[0]):
+            raise DimensionMismatch("ragged matrix", witness=(len(out[0]), len(r)))
+    return out
 
 
 def rref(rows):
@@ -123,8 +147,56 @@ def rref(rows):
     return reduced, tuple(pivots)
 
 
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of a list of integer row lists.
+
+    Returns (nonzero rows, pivot columns), spanning the input's row space;
+    ``rows`` is modified in place.  Each row has a positive entry at its
+    own pivot column, zeros at the other pivot columns and entry-gcd 1,
+    which keeps the entries small.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pick = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        pivot_row = rows[pick]
+        rows[pick] = rows[rank]
+        c = gcd(*pivot_row)
+        if pivot_row[col] < 0:
+            c = -c
+        pivot_row = rows[rank] = [x // c for x in pivot_row]
+        pv = pivot_row[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != rank:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+                c = gcd(*row)
+                rows[i] = [x // c for x in row] if c > 1 else row
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
 def matrix_rank(rows):
-    return len(rref(rows)[0])
+    return len(pivot_columns(rows))
+
+
+def pivot_columns(rows):
+    """The pivot columns of the reduced row echelon form of ``rows``.
+
+    They depend only on the row space: column j is a pivot iff it is
+    independent of the columns before it.
+
+    >>> pivot_columns([(0, 2, 4), (0, 1, 3)])
+    (1, 2)
+    """
+    return tuple(_echelon(_integer_rows(rows))[1])
 
 
 def in_span(v, reduced_rows, pivots):
@@ -193,8 +265,31 @@ def kernel_basis(rows, ncols):
 
 
 def int_kernel_basis(rows, ncols):
-    """Kernel basis normalized to primitive integer vectors."""
-    return tuple(primitive_ray(v) for v in kernel_basis(rows, ncols))
+    """Kernel basis normalized to primitive integer vectors.
+
+    The same vectors as ``primitive_ray(v) for v in kernel_basis(rows,
+    ncols)``, found by fraction-free elimination: the vector of free column
+    j is the one that is positive at j and zero at the other free columns.
+
+    >>> int_kernel_basis([(2, 2, 0)], 3)
+    ((-1, 1, 0), (0, 0, 1))
+    >>> from fractions import Fraction
+    >>> int_kernel_basis([(Fraction(1, 2), Fraction(1, 3))], 2)
+    ((-2, 3),)
+    """
+    reduced, pivots = _echelon(_integer_rows(rows))
+    scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        x = [0] * ncols
+        x[j] = scale
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[j] * (scale // row[p])
+        g = gcd(*x)
+        basis.append(tuple(v // g for v in x))
+    return tuple(basis)
 
 
 def complement_projection(basis, dim=None):
@@ -237,7 +332,7 @@ def gram_schmidt(basis):
     for v in basis:
         w = vec(v)
         for u in out:
-            w = vec_sub(w, vec_scale(dot(w, u) / dot(u, u), u))
+            w = vec_sub(w, vec_scale(Fraction(dot(w, u), dot(u, u)), u))
         if not is_zero(w):
             out.append(w)
     return tuple(out)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from partfan.errors import (
@@ -16,7 +18,7 @@ from partfan.fan import (
     projected_star_as_fan,
     validate_fan,
 )
-from partfan.rational import mat_mul
+from partfan.rational import mat_mul, mat_vec, primitive_ray
 
 
 def test_build_fan_hirzebruch_faces(hzb_fan):
@@ -114,6 +116,20 @@ def test_project_star_map_computed_once(hzb_fan):
     assert hzb_fan.project_star_map([1]) is star_map
     assert set(star_map) == set(hzb_fan.star((1,)))
     assert hzb_fan.project_star((1,)) == frozenset(star_map.values())
+
+
+def test_projected_cone_memo_matches_fresh_projection(square_fan, hzb_fan,
+                                                      three_lines_fan, brauer):
+    for fan in (square_fan, hzb_fan, three_lines_fan, brauer.fan):
+        for tau in fan.cones:
+            for k in range(len(tau) + 1):
+                for sigma in combinations(tau, k):
+                    fresh = tuple(sorted({
+                        primitive_ray(mat_vec(fan.projection(sigma), fan.rays[i]))
+                        for i in tau if i not in sigma}))
+                    first = fan.projected_cone(sigma, tau)
+                    assert first == fresh
+                    assert fan.projected_cone(sigma, tau) is first
 
 
 def test_project_star_of_maximal_cone(square_fan):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from partfan.errors import (
@@ -209,3 +212,14 @@ def test_possible_identification_is_equivalence(square_fan, hzb_fan,
         for a in fan.cones:
             for b in fan.cones:
                 assert ident.same_class(a, b) == _pairwise_identified(fan, a, b)
+
+
+def test_potential_identifications_do_not_keep_the_fan_alive():
+    from partfan.catalog import hirzebruch
+
+    fan = hirzebruch(2)
+    assert potential_identifications(fan) is potential_identifications(fan)
+    ref = weakref.ref(fan)
+    del fan
+    gc.collect()
+    assert ref() is None

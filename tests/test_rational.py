@@ -10,9 +10,15 @@ from partfan.rational import (
     dot,
     gram_schmidt,
     identity_matrix,
+    int_kernel_basis,
+    kernel_basis,
     mat_mul,
     mat_vec,
+    matrix_rank,
+    pivot_columns,
     primitive_ray,
+    rref,
+    solve,
     span_equal,
     sqrt_combination_sign,
     transpose,
@@ -136,3 +142,56 @@ def test_doctests():
 ])
 def test_sqrt_combination_sign(x, p, y, q, expected):
     assert sqrt_combination_sign(x, p, y, q) == expected
+
+
+def int_kernel_basis_oracle(rows, ncols):
+    """The Fraction path: rref kernel vectors, then primitive normalization."""
+    return tuple(primitive_ray(v) for v in kernel_basis(rows, ncols))
+
+
+@st.composite
+def matrices(draw):
+    """Integer and Fraction matrices with up to 4 columns, zero rows included."""
+    ncols = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), small_fractions)
+    row = st.lists(entry, min_size=ncols, max_size=ncols).map(tuple)
+    return draw(st.lists(row, max_size=4)), ncols
+
+
+@given(matrices())
+def test_fraction_free_elimination_matches_rref(matrix):
+    rows, ncols = matrix
+    assert int_kernel_basis(rows, ncols) == int_kernel_basis_oracle(rows, ncols)
+    reduced, pivots = rref(rows)
+    assert matrix_rank(rows) == len(reduced)
+    assert pivot_columns(rows) == pivots
+
+
+def test_ragged_matrix_raises_dimension_mismatch():
+    ragged = [(1, 0, 0), (0, 1)]
+    for fn in (rref, matrix_rank, pivot_columns):
+        with pytest.raises(DimensionMismatch):
+            fn(ragged)
+    with pytest.raises(DimensionMismatch):
+        int_kernel_basis(ragged, 3)
+    with pytest.raises(DimensionMismatch):
+        dot((1, 2), (1, 2, 3))
+
+
+def test_exact_results_on_integer_input():
+    from partfan.catalog import hirzebruch
+    from partfan.cw import _plane_coordinates
+    from partfan.fan import build_fan, subspace_coordinates
+
+    def exact(values):
+        return all(type(x) in (int, Fraction) for x in values)
+
+    assert type(dot((1, 2), (3, 4))) is int
+    assert all(exact(v) for v in gram_schmidt([(1, 1, 0), (1, 0, 1), (0, 1, 1)]))
+    assert exact(solve([(1, 2), (3, 4)], (1, 1)))
+    octant = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
+    for fan in (hirzebruch(1), octant):
+        for cone in fan.cones:
+            assert all(exact(v) for v in subspace_coordinates(fan, cone))
+    coords = _plane_coordinates(((1, 0, 0), (0, 2, 0)), (1, 1, 5))
+    assert coords == (1, Fraction(1, 2)) and exact(coords)
