@@ -226,13 +226,22 @@ def factorization_cube(category, f):
 
 def factorization_pairs(category, f):
     """All (g, h) with h o g = f, straight from the composition table."""
-    out = []
-    for (gi, hi), res in category.compose_table.items():
-        if res == f.index:
-            g = category.morphisms[gi]
-            if g.source == f.source and category.morphisms[hi].target == f.target:
-                out.append((gi, hi))
-    return sorted(out)
+    return _factorizations(category).get(f.index, [])
+
+
+def _factorizations(category):
+    """Map each composite f to its sorted (g, h) pairs, in one table pass.
+
+    A pair counts only when g starts at f's source and h ends at f's
+    target.  Built from the current table on every call, so an entry
+    changed after the build is seen.
+    """
+    ms = category.morphisms
+    out = {}
+    for (gi, hi), res in sorted(category.compose_table.items()):
+        if ms[gi].source == ms[res].source and ms[hi].target == ms[res].target:
+            out.setdefault(res, []).append((gi, hi))
+    return out
 
 
 class AxiomReport:
@@ -269,8 +278,9 @@ def check_cubical(category):
         if ms[fi].rank + ms[gi].rank != ms[hi].rank:
             report.record(1, {"f": fi, "g": gi, "composite": hi})
 
+    factorizations = _factorizations(category)
     for f in ms:
-        pairs = factorization_pairs(category, f)
+        pairs = factorizations.get(f.index, [])
         cube = factorization_cube(category, f)
         if sorted(cube.objects) != pairs or len(set(cube.objects)) != 2 ** f.rank:
             report.record(2, {"morphism": f.index,

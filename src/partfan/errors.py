@@ -29,6 +29,10 @@ class DimensionMismatch(PartFanError):
     code = "DimensionMismatch"
 
 
+class InexactNumber(PartFanError):
+    code = "InexactNumber"
+
+
 class NonSimplicialCone(PartFanError):
     code = "NonSimplicialCone"
 

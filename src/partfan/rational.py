@@ -20,12 +20,26 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DependentBasis, DimensionMismatch, ZeroVector
+from .errors import DependentBasis, DimensionMismatch, InexactNumber, ZeroVector
 
 
 def vec(entries):
-    """Coerce an iterable of numbers into an exact rational vector."""
-    return tuple(Fraction(x) for x in entries)
+    """Coerce an iterable of numbers into an exact rational vector.
+
+    Entries may be ints, Fractions or rational strings such as ``"1/3"``.
+    A float (already rounded) or a bool (not a number) raises
+    InexactNumber with the entry as witness.
+
+    >>> vec((1, "1/3"))
+    (Fraction(1, 1), Fraction(1, 3))
+    """
+    return tuple(map(_exact, entries))
+
+
+def _exact(x):
+    if isinstance(x, (float, bool)):
+        raise InexactNumber("floats and booleans are not exact numbers", witness=x)
+    return Fraction(x)
 
 
 def vec_sub(a, b):
@@ -33,7 +47,7 @@ def vec_sub(a, b):
 
 
 def vec_scale(c, a):
-    c = Fraction(c)
+    c = _exact(c)
     return tuple(c * x for x in a)
 
 
@@ -236,7 +250,7 @@ def solve(a_rows, b):
 
     A is given by rows; free variables are set to zero.
     """
-    aug = [list(vec(row)) + [Fraction(bi)] for row, bi in zip(a_rows, b)]
+    aug = [list(vec(row)) + [_exact(bi)] for row, bi in zip(a_rows, b)]
     reduced, pivots = rref(aug)
     n = len(a_rows[0]) if a_rows else 0
     x = [Fraction(0)] * n
@@ -340,8 +354,8 @@ def gram_schmidt(basis):
 
 def sqrt_combination_sign(x, p, y, q):
     """Exact sign of x*sqrt(p) + y*sqrt(q) for integers p, q > 0 and rational x, y."""
-    x = Fraction(x)
-    y = Fraction(y)
+    x = _exact(x)
+    y = _exact(y)
     if x >= 0 and y >= 0:
         return 0 if x == 0 and y == 0 else 1
     if x <= 0 and y <= 0:

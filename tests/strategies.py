@@ -1,0 +1,30 @@
+"""Hypothesis strategies shared by several test modules."""
+
+from functools import cmp_to_key
+from math import gcd
+
+from hypothesis import assume, strategies as st
+
+from partfan.fan import build_fan
+
+
+def _ccw(a, b):
+    """Counterclockwise order from the positive x-axis, decided exactly."""
+    ha = 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
+    hb = 0 if b[1] > 0 or (b[1] == 0 and b[0] > 0) else 1
+    if ha != hb:
+        return ha - hb
+    return -(a[0] * b[1] - a[1] * b[0])
+
+
+@st.composite
+def complete_planar_fans(draw, max_rays=9):
+    """Complete planar fans: rays sorted by angle, every gap below pi."""
+    pool = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
+            if (x, y) != (0, 0) and gcd(x, y) == 1]
+    rays = sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=max_rays,
+                                unique=True)), key=cmp_to_key(_ccw))
+    n = len(rays)
+    assume(all(a[0] * b[1] - a[1] * b[0] > 0
+               for a, b in zip(rays, rays[1:] + rays[:1])))
+    return build_fan(2, rays, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])

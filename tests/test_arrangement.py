@@ -6,6 +6,7 @@ from partfan import arrangement as A
 from partfan import cones as conelib
 from partfan.errors import (
     DimensionMismatch,
+    InexactNumber,
     NotAChamber,
     NotSimplicialArrangement,
     PartFanError,
@@ -185,12 +186,37 @@ def test_non_essential_arrangement_rejected(dim, normals):
         sign_enumeration_fan(A.Arrangement(dim, normals))
 
 
+@pytest.mark.parametrize("dim, normals", [
+    (3, A3_NORMALS),
+    (3, A.builtin_brauer().normals),
+    (3, b_normals(3)),
+    (4, b_normals(4)),
+], ids=["A3", "brauer", "B3", "B4"])
+def test_arrangement_fans_validate_by_facet_separation(monkeypatch, dim, normals):
+    """A wall of one chamber separates it from every other chamber, so no
+    pair of an arrangement fan needs an exact cone intersection."""
+    def refuse(*args):
+        raise AssertionError("exact intersection on an arrangement fan")
+
+    fan = A.arrangement_fan(A.Arrangement(dim, normals))
+    monkeypatch.setattr(conelib, "intersect_generated_cones", refuse)
+    assert validate_fan(fan).ok
+    assert is_finite_complete(fan)
+
+
 def test_b4_has_384_simplicial_chambers():
     fan = A.arrangement_fan(A.Arrangement(4, b_normals(4)))
     assert len(fan.max_cones) == 384
     assert all(len(c) == 4 for c in fan.max_cones)
     f = [len(fan.cones_of_dim(d)) for d in range(1, 5)]
     assert f[0] - f[1] + f[2] - f[3] == 0
+
+
+def test_float_normal_rejected():
+    # as a float, (0.1, 0.3) is not parallel to (1, 3)
+    with pytest.raises(InexactNumber) as err:
+        A.Arrangement(2, [(0.1, 0.3), (1, 3)])
+    assert err.value.witness == 0.1
 
 
 def test_normal_of_wrong_length_rejected():

@@ -285,3 +285,24 @@ def test_factorization_pairs_match_cube(square_fan, torus_partition):
     for f in cat.morphisms:
         assert sorted(factorization_cube(cat, f).objects) == \
             factorization_pairs(cat, f)
+
+
+def factorization_pairs_oracle(category, f):
+    """The former per-morphism scan of the whole composition table."""
+    out = []
+    for (gi, hi), res in category.compose_table.items():
+        if res == f.index:
+            g = category.morphisms[gi]
+            if g.source == f.source and category.morphisms[hi].target == f.target:
+                out.append((gi, hi))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("which", ["square", "hirzebruch", "brauer"])
+def test_factorization_pairs_match_per_morphism_scan(which, square_fan, torus_partition,
+                                                     hzb_fan, p1_partition, brauer):
+    cat = {"square": lambda: build_category(square_fan, torus_partition),
+           "hirzebruch": lambda: build_category(hzb_fan, p1_partition),
+           "brauer": lambda: brauer.category("flat")}[which]()
+    for f in cat.morphisms:
+        assert factorization_pairs(cat, f) == factorization_pairs_oracle(cat, f)

@@ -372,6 +372,23 @@ def test_malformed_input_is_bad_input(monkeypatch, capsys, args, envelope):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("args, envelope, witness", [
+    (["fan", "validate"], {"fan": dict(SQUARE, rays=[[0.1, 0.3], [1, 3], [-1, 0],
+                                                      [0, 1]])}, 0.1),
+    (["fan", "validate"], {"fan": dict(SQUARE, rays=[[1, 0], [0, -1], [-1, 0],
+                                                      [False, True]])}, False),
+    (["fan", "from-arrangement"],
+     {"arrangement": {"dim": 2, "normals": [[0.1, 0.3], [1, 3]]}}, 0.1),
+])
+def test_floats_and_booleans_are_inexact(monkeypatch, capsys, args, envelope, witness):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": "InexactNumber", "witness": witness}
+    assert captured.err == ""
+
+
 def test_functional_poset_on_double_winding_fan(monkeypatch, capsys):
     fan = {"dim": 2, "rays": [[1, 0], [-4, 3], [1, -3], [1, 3], [-4, -3]],
            "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partfan import cones as conelib
 from partfan.cones import (
     cone_contains,
     extreme_rays,
@@ -297,7 +298,7 @@ def test_validate_fan_reports_match_fraction_oracle():
     rng = random.Random(7)
     invalid = 0
     for _ in range(300):
-        dim = rng.choice((2, 3))
+        dim = rng.choice((2, 3, 4))
         rays = [tuple(rng.randrange(-3, 4) for _ in range(dim))
                 for _ in range(rng.randrange(dim, dim + 4))]
         max_cones = [tuple(rng.sample(range(len(rays)), rng.randrange(dim - 1, dim + 1)))
@@ -310,3 +311,23 @@ def test_validate_fan_reports_match_fraction_oracle():
         assert json.dumps(report) == json.dumps(validation_oracle(fan))
         invalid += not report["valid"]
     assert invalid >= 40
+
+
+def test_valid_pair_no_facet_separates_reaches_the_exact_intersection(monkeypatch):
+    """The two cones meet only at the origin, but no facet functional of
+    either one is <= 0 on all rays of the other, so the separation
+    certificate cannot prove the pair and the exact intersection decides."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return intersect_generated_cones(*args)
+
+    monkeypatch.setattr(conelib, "intersect_generated_cones", counting)
+    fan = build_fan(3, [(1, 0, 1), (3, -3, 1), (-2, -1, -1),
+                        (-1, 0, 3), (1, 1, -1), (1, 1, -3)],
+                    [(0, 1, 2), (3, 4, 5)])
+    report = validate_fan(fan)
+    assert len(calls) == 1
+    assert report.ok
+    assert report.to_json() == validation_oracle(fan)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from partfan import groups as G
 from partfan.cw import (
@@ -7,10 +8,16 @@ from partfan.cw import (
     euler_characteristic,
     pi1_presentation,
 )
-from partfan.errors import NotComplete, PreconditionUnmet
+from partfan.errors import (
+    DegenerateFunctional,
+    NotComplete,
+    PosetInvalid,
+    PreconditionUnmet,
+)
 from partfan.fan import build_fan
-from partfan.partition import finest_partition
+from partfan.partition import admissible_closure, finest_partition
 from partfan.poset import poset_from_linear_functional, rank2_bisector_poset
+from strategies import complete_planar_fans
 
 
 def test_cells_torus(square_fan, torus_partition):
@@ -28,6 +35,15 @@ def test_cells_cylinder(hzb_fan, p1_partition):
 def test_cells_disk(square_fan):
     cw = build_cw(square_fan, finest_partition(square_fan))
     assert cw.cell_counts() == (4, 4, 1)
+    assert euler_characteristic(cw) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_planar_fans())
+def test_finest_partition_is_a_disk(fan):
+    cw = build_cw(fan, finest_partition(fan))
+    n = len(fan.rays)
+    assert cw.cell_counts() == (n, n, 1)
     assert euler_characteristic(cw) == 1
 
 
@@ -136,6 +152,20 @@ def test_compare_pi1_picture_torus(square_fan, torus_partition):
     assert report["generators_equal"]
     assert report["abelianizations_equal"]
     assert report["pi1_abelianization"] == {"free_rank": 2, "torsion": []}
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_planar_fans(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_pi1_and_picture_group_abelianize_alike(fan, b):
+    chambers = fan.chambers()
+    partition = admissible_closure(fan, [(chambers[0], c) for c in chambers[1:]])
+    try:
+        poset = poset_from_linear_functional(fan, b)
+        pic = G.picture_group(fan, partition, poset, mode="codim2")
+    except (DegenerateFunctional, PosetInvalid):
+        assume(False)
+    report = compare_pi1_picture(build_cw(fan, partition), pic)
+    assert report["abelianizations_equal"]
 
 
 def test_compare_pi1_picture_three_lines(three_lines_fan, three_lines_partition):

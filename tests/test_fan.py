@@ -4,6 +4,7 @@ import pytest
 
 from partfan.errors import (
     DuplicateRay,
+    InexactNumber,
     MixedBlock,
     NonSimplicialCone,
     NotComplete,
@@ -39,6 +40,17 @@ def test_build_fan_dependent_rays_in_cone():
 def test_build_fan_duplicate_ray():
     with pytest.raises(DuplicateRay):
         build_fan(2, [(1, 0), (2, 0), (0, 1)], [(0, 2)])
+
+
+@pytest.mark.parametrize("rays, witness", [
+    ([(0.1, 0.3), (1, 3), (0, -1)], 0.1),
+    ([(True, 0), (1, 3), (0, -1)], True),
+])
+def test_build_fan_rejects_floats_and_booleans(rays, witness):
+    # 0.1 is not 1/10, and True is not 1: neither may become a ray entry
+    with pytest.raises(InexactNumber) as err:
+        build_fan(2, rays, [(0, 2), (1, 2)])
+    assert err.value.witness is witness
 
 
 def test_build_fan_renormalizes_rays():

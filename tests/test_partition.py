@@ -2,6 +2,7 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partfan.errors import (
     EnumerationLimitExceeded,
@@ -22,6 +23,7 @@ from partfan.partition import (
     refines,
 )
 from partfan.rational import span_equal
+from strategies import complete_planar_fans
 
 HZB_P1_BLOCKS = (((),), ((0,),), ((1,), (3,)), ((2,),),
                  ((0, 1), (0, 3)), ((1, 2), (2, 3)))
@@ -223,3 +225,30 @@ def test_potential_identifications_do_not_keep_the_fan_alive():
     del fan
     gc.collect()
     assert ref() is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_planar_fans(), st.data())
+def test_admissible_closure_is_idempotent(fan, data):
+    classes = [c for c in potential_identifications(fan).classes if len(c) > 1]
+    pair = st.sampled_from(classes).flatmap(
+        lambda c: st.tuples(st.sampled_from(c), st.sampled_from(c)))
+    seeds = data.draw(st.lists(pair, max_size=3))
+    closure = admissible_closure(fan, seeds)
+    again = admissible_closure(fan, [(b[0], c) for b in closure.blocks for c in b[1:]])
+    assert again == closure
+    assert is_admissible(fan, closure) == (True, None)
+
+
+@settings(max_examples=15, deadline=None)
+@given(complete_planar_fans(max_rays=6), st.data())
+def test_meet_and_join_obey_the_lattice_laws(fan, data):
+    admissible = st.sampled_from(enumerate_admissible(fan))
+    for _ in range(10):
+        p, q, r = (data.draw(admissible) for _ in range(3))
+        assert meet(p, q) == meet(q, p)
+        assert join(p, q) == join(q, p)
+        assert meet(meet(p, q), r) == meet(p, meet(q, r))
+        assert join(join(p, q), r) == join(p, join(q, r))
+        assert meet(p, join(p, q)) == p
+        assert join(p, meet(p, q)) == p

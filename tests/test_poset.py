@@ -1,6 +1,4 @@
-from functools import cmp_to_key
 from itertools import product
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +23,7 @@ from partfan.poset import (
     rank2_bisector_poset,
     wall_normal,
 )
+from strategies import complete_planar_fans
 
 TAU1, TAU2, TAU3, TAU4 = (0, 3), (0, 1), (1, 2), (2, 3)
 
@@ -56,28 +55,6 @@ def chain_poset(fan, chambers):
     """The chain chambers[0] < chambers[1] < ... of wall-adjacent chambers."""
     return FanPoset(fan, [(lo, up, tuple(sorted(set(lo) & set(up))))
                           for lo, up in zip(chambers, chambers[1:])])
-
-
-def _ccw(a, b):
-    """Counterclockwise order from the positive x-axis, decided exactly."""
-    ha = 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
-    hb = 0 if b[1] > 0 or (b[1] == 0 and b[0] > 0) else 1
-    if ha != hb:
-        return ha - hb
-    return -(a[0] * b[1] - a[1] * b[0])
-
-
-@st.composite
-def complete_planar_fans(draw):
-    """Complete planar fans: rays sorted by angle, every gap below pi."""
-    pool = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
-            if (x, y) != (0, 0) and gcd(x, y) == 1]
-    rays = sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=9,
-                                unique=True)), key=cmp_to_key(_ccw))
-    n = len(rays)
-    assume(all(a[0] * b[1] - a[1] * b[0] > 0
-               for a, b in zip(rays, rays[1:] + rays[:1])))
-    return build_fan(2, rays, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
 
 
 def test_functional_poset_square(square_fan):

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from partfan.errors import DependentBasis, DimensionMismatch, ZeroVector
+from partfan.errors import DependentBasis, DimensionMismatch, InexactNumber, ZeroVector
 from partfan.rational import (
     complement_projection,
     dot,
@@ -22,6 +22,8 @@ from partfan.rational import (
     span_equal,
     sqrt_combination_sign,
     transpose,
+    vec,
+    vec_scale,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -61,6 +63,22 @@ def test_primitive_ray_scale_invariant(entries, scale):
     scaled = tuple(scale * x for x in v)
     assert primitive_ray(v) == primitive_ray(scaled)
     assert primitive_ray(primitive_ray(v)) == primitive_ray(v)
+
+
+def test_vec_keeps_exact_entries_and_rejects_floats_and_booleans():
+    assert vec((2, Fraction(1, 3), "-1/3")) == (2, Fraction(1, 3), Fraction(-1, 3))
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(InexactNumber) as err:
+            vec((1, bad))
+        assert err.value.witness is bad
+        with pytest.raises(InexactNumber):
+            primitive_ray((bad, 1))
+        with pytest.raises(InexactNumber):
+            solve([(1, 0), (0, 1)], (bad, 1))
+        with pytest.raises(InexactNumber):
+            vec_scale(bad, (1, 2))
+        with pytest.raises(InexactNumber):
+            sqrt_combination_sign(bad, 2, -1, 1)
 
 
 def test_complement_projection_axis():
