@@ -37,7 +37,8 @@ class MorphClass:
 
 
 class Category:
-    def __init__(self, fan, partition, morphisms, hom, compose_table, identities):
+    def __init__(self, fan, partition, morphisms, hom, compose_table, identities,
+                 of_pair):
         self.fan = fan
         self.partition = partition
         self.objects = tuple(range(len(partition.blocks)))
@@ -45,6 +46,7 @@ class Category:
         self.hom = hom                    # (source, target) -> tuple of indices
         self.compose_table = compose_table  # (f, g) -> index of g o f
         self.identities = identities      # block id -> morphism index
+        self.of_pair = of_pair            # (sigma, tau) -> morphism index
 
     def hom_set(self, source, target):
         return tuple(self.morphisms[i] for i in self.hom.get((source, target), ()))
@@ -58,9 +60,7 @@ class Category:
         if not set(sigma) <= set(tau):
             raise NotAFace("source is not a face of the target",
                            witness=[list(sigma), list(tau)])
-        key = (self.partition.block_of[sigma], self.partition.block_of[tau],
-               self.fan.projected_cone(sigma, tau))
-        return self.morphisms[self._by_key[key]]
+        return self.morphisms[self.of_pair[sigma, tau]]
 
     def to_json(self):
         return {
@@ -101,13 +101,13 @@ def build_category(fan, partition):
                        fan.projected_cone(sigma, tau))
                 groups.setdefault(key, set()).add((sigma, tau))
     morphisms = []
-    by_key = {}
+    of_pair = {}
     for idx, key in enumerate(sorted(groups)):
         source, target, signature = key
         reps = tuple(sorted(groups[key]))
         rank = len(reps[0][1]) - len(reps[0][0])
         morphisms.append(MorphClass(idx, source, target, signature, reps, rank))
-        by_key[key] = idx
+        of_pair.update(dict.fromkeys(reps, idx))
     hom = {}
     for m in morphisms:
         hom.setdefault((m.source, m.target), []).append(m.index)
@@ -117,40 +117,28 @@ def build_category(fan, partition):
         if m.rank == 0:
             identities[m.source] = m.index
 
-    # composition per representative matching; checked single-valued
-    by_source_rep = {}
-    for m in morphisms:
-        for sigma, tau in m.reps:
-            by_source_rep.setdefault(sigma, []).append(m.index)
+    # composition per representative matching; checked single-valued.  Each
+    # f rep (sigma, kappa) looks up the reps (kappa, tau2) of every g by
+    # their source.  By admissibility every target kappa of f starts reps
+    # of the same morphisms g, so the table fills in g order for each f.
+    reps_from = {}   # kappa -> g index -> targets tau2 of g's reps (kappa, tau2)
+    for g in morphisms:
+        for kappa, tau2 in g.reps:
+            reps_from.setdefault(kappa, {}).setdefault(g.index, []).append(tau2)
     compose_table = {}
     for f in morphisms:
-        targets = {tau for _, tau in f.reps}
-        for kappa in sorted(targets):
-            for g_idx in by_source_rep.get(kappa, ()):
-                g = morphisms[g_idx]
-                results = set()
-                for sigma, tau in f.reps:
-                    for sigma2, tau2 in g.reps:
-                        if sigma2 == tau:
-                            key = (partition.block_of[sigma],
-                                   partition.block_of[tau2],
-                                   fan.projected_cone(sigma, tau2))
-                            results.add(by_key[key])
-                if not results:
-                    continue
-                if len(results) > 1:
-                    raise NotAdmissible(
-                        "composition not single-valued",
-                        witness=[f.index, g.index, sorted(results)])
-                prev = compose_table.get((f.index, g.index))
-                composed = results.pop()
-                if prev is not None and prev != composed:
-                    raise NotAdmissible("composition not single-valued",
-                                        witness=[f.index, g.index])
-                compose_table[(f.index, g.index)] = composed
-    cat = Category(fan, partition, tuple(morphisms), hom, compose_table, identities)
-    cat._by_key = by_key
-    return cat
+        results = {}
+        for sigma, kappa in f.reps:
+            for g_idx, ends in reps_from[kappa].items():
+                results.setdefault(g_idx, set()).update(
+                    of_pair[sigma, tau2] for tau2 in ends)
+        for g_idx, composed in results.items():
+            if len(composed) > 1:
+                raise NotAdmissible("composition not single-valued",
+                                    witness=[f.index, g_idx, sorted(composed)])
+            compose_table[(f.index, g_idx)] = composed.pop()
+    return Category(fan, partition, tuple(morphisms), hom, compose_table, identities,
+                    of_pair)
 
 
 def compose(category, f, g):

@@ -9,6 +9,7 @@ document; euler prints a bare integer.  All output is deterministic
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,7 +44,9 @@ def main(argv=None):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="partfan",
                                      description="partitioned-fan toolkit")
     sub = parser.add_subparsers(dest="command")
@@ -145,9 +148,12 @@ def read_envelope():
     except json.JSONDecodeError as err:
         raise BadInput("stdin is not JSON", witness=str(err))
     if not isinstance(data, dict):
-        raise BadInput("envelope must be a JSON object")
+        raise BadInput("envelope must be a JSON object", witness=_JSON_TYPES[type(data)])
     return data
 
+
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
 
 _LOADERS = {
     "fan": fan_from_json,
@@ -164,7 +170,8 @@ def load(env, key, *fan):
     A malformed entry raises BadInput naming the key and the problem.
     """
     if key not in env:
-        raise BadInput("no %s in the input envelope" % key)
+        raise BadInput("no %s in the input envelope" % key,
+                       witness={"key": key, "problem": "missing"})
     try:
         return _LOADERS[key](*fan, env[key])
     except (KeyError, IndexError, TypeError, ValueError) as err:
@@ -226,7 +233,7 @@ def resolve_base(arrfan, selector):
         for c in arrfan.fan.max_cones:
             if arrfan.sign_of(c) == target:
                 return c
-        raise BadInput("no all-positive chamber")
+        raise BadInput("no all-positive chamber", witness=len(target))
     return arrfan.fan.check_cone(parse_cone(selector))
 
 

@@ -8,7 +8,6 @@ integer ray vectors in the ambient coordinates.
 """
 
 from itertools import combinations
-from math import lcm
 
 from . import cones as conelib
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
 from .rational import (
     complement_projection,
     dot,
+    int_complement_projection,
     matrix_rank,
     mat_vec,
     primitive_ray,
@@ -117,16 +117,16 @@ class Fan:
         return self._projection_cache[cone]
 
     def _scaled_projection(self, base):
-        """den * projection(base): an integer matrix, den > 0 clearing denominators.
+        """A positive multiple of projection(base) with integer entries.
 
-        It maps every vector to a positive multiple of its exact projection,
+        ``int_complement_projection`` computes it by fraction-free
+        elimination, once per base; the zero cone gives the identity.  It
+        maps every vector to a positive multiple of its exact projection,
         so primitive projected rays are the same.
         """
         if base not in self._scaled_projection_cache:
-            p = self.projection(base)
-            den = lcm(*(x.denominator for row in p for x in row))
-            self._scaled_projection_cache[base] = tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row) for row in p)
+            self._scaled_projection_cache[base] = int_complement_projection(
+                self.ray_vectors(base), self.dim)
         return self._scaled_projection_cache[base]
 
     def projected_cone(self, base, cone):

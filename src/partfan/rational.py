@@ -6,10 +6,11 @@ because the geometric predicates built on top (span equality,
 projected-fan equality, cone membership) are exact set equalities.
 
 The kernels that the cone and fan code run most, :func:`dot`,
-:func:`matrix_rank` and :func:`int_kernel_basis`, compute on plain Python
-ints: :func:`dot` of integer vectors is an int, and rank and kernel come
+:func:`matrix_rank`, :func:`span_key`, :func:`int_kernel_basis` and
+:func:`int_complement_projection`, compute on plain Python ints: :func:`dot`
+of integer vectors is an int, and rank, span, kernel and projection come
 from fraction-free elimination (rows are scaled to integers first, which
-changes neither).  ``Fraction`` appears only where a value is truly
+changes none of them).  ``Fraction`` appears only where a value is truly
 rational: :func:`rref`, :func:`solve`, :func:`kernel_basis`,
 :func:`complement_projection` and :func:`gram_schmidt` keep their exact
 rational results.  Python ints have arbitrary precision, so no
@@ -213,6 +214,22 @@ def pivot_columns(rows):
     return tuple(_echelon(_integer_rows(rows))[1])
 
 
+def span_key(vectors):
+    """Canonical key of the linear span of ``vectors``: a tuple of int rows.
+
+    The rows of :func:`_echelon` are the reduced row echelon rows, each
+    scaled to the primitive integer vector with a positive pivot.  RREF is
+    unique for a row space, so two sets span the same space iff their keys
+    are equal.
+
+    >>> span_key([(0, 2, 4), (0, 1, 3)])
+    ((0, 1, 0), (0, 0, 1))
+    >>> span_key([(2, 4)]) == span_key([(-1, -2), (3, 6)])
+    True
+    """
+    return tuple(map(tuple, _echelon(_integer_rows(vectors))[0]))
+
+
 def in_span(v, reduced_rows, pivots):
     """Membership of v in the row space given by an rref basis."""
     v = list(vec(v))
@@ -330,6 +347,34 @@ def complement_projection(basis, dim=None):
     coeff = mat_mul(mat_mul(transpose(b), inv), b)
     ident = identity_matrix(n)
     return tuple(tuple(ident[i][j] - coeff[i][j] for j in range(n)) for i in range(n))
+
+
+def int_complement_projection(basis, dim):
+    """The integer matrix L * complement_projection(basis, dim), for some L > 0.
+
+    With B the basis rows (each scaled to integers, which keeps the span)
+    and G = B B^T, fraction-free elimination of [G | I] ends in rows
+    [c_i e_i | c_i (G^-1)_i] with c_i > 0, so L = lcm(c_i) makes L G^-1 an
+    integer matrix and L P = L I - B^T (L G^-1) B.  It maps every vector
+    to a positive multiple of its exact projection; an empty basis gives
+    the identity.  Raises DependentBasis if the vectors are dependent.
+
+    >>> int_complement_projection([(1, 1)], 2)
+    ((1, -1), (-1, 1))
+    """
+    b = _integer_rows(basis)
+    k = len(b)
+    gram = [[dot(u, v) for v in b] + [int(i == j) for j in range(k)]
+            for i, u in enumerate(b)]
+    reduced, pivots = _echelon(gram)
+    if pivots[:k] != list(range(k)):
+        raise DependentBasis("projection basis is linearly dependent",
+                             witness=[[str(x) for x in vec(v)] for v in basis])
+    scale = lcm(*(row[i] for i, row in enumerate(reduced)))
+    inv_b = mat_mul([[x * (scale // row[i]) for x in row[k:]]
+                     for i, row in enumerate(reduced)], b)
+    return tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
+                       for j in range(dim)) for i in range(dim))
 
 
 def _invert(m, n):

@@ -1,6 +1,7 @@
-"""Hypothesis strategies shared by several test modules."""
+"""Hypothesis strategies and arrangements shared by several test modules."""
 
 from functools import cmp_to_key
+from itertools import combinations
 from math import gcd
 
 from hypothesis import assume, strategies as st
@@ -28,3 +29,13 @@ def complete_planar_fans(draw, max_rays=9):
     assume(all(a[0] * b[1] - a[1] * b[0] > 0
                for a, b in zip(rays, rays[1:] + rays[:1])))
     return build_fan(2, rays, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
+
+
+A3_NORMALS = [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
+
+
+def b_normals(n):
+    """The type-B reflection arrangement: e_i and e_i +/- e_j."""
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return unit + [tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+                   for i, j in combinations(range(n), 2) for s in (1, -1)]

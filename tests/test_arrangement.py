@@ -16,6 +16,7 @@ from partfan.fan import build_fan, is_finite_complete, validate_fan
 from partfan.partition import is_admissible, potential_identifications, refines
 from partfan.poset import poset_from_linear_functional
 from partfan.rational import dot, kernel_basis, matrix_rank, primitive_ray
+from strategies import A3_NORMALS, b_normals
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +83,6 @@ def sign_enumeration_fan(arrangement):
     fan = build_fan(dim, sorted(ray_index), max_cones)
     assert set(fan.cones) == set(face_signs)
     return A.ArrangementFan(arrangement, fan, face_signs, face_points)
-
-
-A3_NORMALS = [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
-
-
-def b_normals(n):
-    """The type-B reflection arrangement: e_i and e_i +/- e_j."""
-    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    return unit + [tuple(a + s * b for a, b in zip(unit[i], unit[j]))
-                   for i, j in combinations(range(n), 2) for s in (1, -1)]
 
 
 def join_irreducible_oracle(poset):

@@ -1,7 +1,9 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
+from partfan import arrangement as arrlib
 from partfan.category import (
     build_category,
     check_cubical,
@@ -15,7 +17,13 @@ from partfan.category import (
 )
 from partfan.errors import NotAdmissible, NotAFace, NotComposable, RankZero
 from partfan.fan import build_fan
-from partfan.partition import admissible_closure, finest_partition, from_blocks
+from partfan.partition import (
+    admissible_closure,
+    enumerate_admissible,
+    finest_partition,
+    from_blocks,
+)
+from strategies import A3_NORMALS, complete_planar_fans
 
 
 def coordinate_fan_r3():
@@ -306,3 +314,71 @@ def test_factorization_pairs_match_per_morphism_scan(which, square_fan, torus_pa
            "brauer": lambda: brauer.category("flat")}[which]()
     for f in cat.morphisms:
         assert factorization_pairs(cat, f) == factorization_pairs_oracle(cat, f)
+
+
+def former_lookup(category):
+    """The former morphism lookup by (source block, target block, projected cone)."""
+    by_key = {(m.source, m.target, m.signature): m.index for m in category.morphisms}
+    block_of = category.partition.block_of
+
+    def lookup(sigma, tau):
+        return by_key[(block_of[sigma], block_of[tau],
+                       category.fan.projected_cone(sigma, tau))]
+    return lookup
+
+
+def former_compose_table(category):
+    """The former composition loop: for each target kappa of f, every g with a
+    rep starting at kappa, and every f rep against every g rep."""
+    lookup = former_lookup(category)
+    ms = category.morphisms
+    by_source_rep = {}
+    for m in ms:
+        for sigma, _ in m.reps:
+            by_source_rep.setdefault(sigma, []).append(m.index)
+    table = {}
+    for f in ms:
+        for kappa in sorted({tau for _, tau in f.reps}):
+            for g_idx in by_source_rep.get(kappa, ()):
+                results = {lookup(sigma, tau2) for sigma, tau in f.reps
+                           for sigma2, tau2 in ms[g_idx].reps if sigma2 == tau}
+                assert len(results) == 1
+                table.setdefault((f.index, g_idx), results.pop())
+    return table
+
+
+def assert_matches_former_routes(category):
+    lookup = former_lookup(category)
+    for m in category.morphisms:
+        for sigma, tau in m.reps:
+            assert category.morphism_of_pair(sigma, tau) is m
+            assert lookup(sigma, tau) == m.index
+    assert list(category.compose_table.items()) == \
+        list(former_compose_table(category).items())
+
+
+@pytest.fixture(scope="module")
+def a3_partitions():
+    arrangement = arrlib.Arrangement(3, A3_NORMALS)
+    arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+    fan = arrfan.fan
+    base = next(c for c in fan.max_cones if arrfan.sign_of(c) == (1,) * 6)
+    return fan, {"flat": arrlib.flat_partition(arrangement, fan),
+                 "shard": arrlib.shard_partition(arrangement, arrfan, base),
+                 "finest": finest_partition(fan)}
+
+
+@pytest.mark.parametrize("which", ["flat", "shard", "finest"])
+def test_pair_lookup_and_composition_match_former_routes(which, a3_partitions, brauer):
+    a3_fan, a3 = a3_partitions
+    brauer_parts = {"flat": brauer.flat, "shard": brauer.shard,
+                    "finest": finest_partition(brauer.fan)}
+    for fan, partition in ((a3_fan, a3[which]), (brauer.fan, brauer_parts[which])):
+        assert_matches_former_routes(build_category(fan, partition))
+
+
+@settings(max_examples=10, deadline=None)
+@given(complete_planar_fans(max_rays=6))
+def test_planar_pair_lookup_and_composition_match_former_routes(fan):
+    for partition in enumerate_admissible(fan):
+        assert_matches_former_routes(build_category(fan, partition))

@@ -389,6 +389,56 @@ def test_floats_and_booleans_are_inexact(monkeypatch, capsys, args, envelope, wi
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("args, stdin_text, witness", [
+    (["partition", "check"], json.dumps({"fan": SQUARE}),
+     {"key": "partition", "problem": "missing"}),
+    (["category", "build"], json.dumps({"fan": SQUARE}),
+     {"key": "partition", "problem": "missing"}),
+    (["fan", "validate"], "[1, 2]", "array"),
+    (["fan", "validate"], "3", "number"),
+    (["arrangement", "shards"],
+     json.dumps({"arrangement": {"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]]}}), 3),
+], ids=["no-partition", "category-no-partition", "array", "number",
+        "no-positive-chamber"])
+def test_bad_input_has_a_witness(monkeypatch, capsys, args, stdin_text, witness):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": "BadInput", "witness": witness}
+    assert captured.err == ""
+
+
+ONE_PROCESS_CALLS = [
+    (["examples", "square"], ""),
+    (["fan", "validate"], json.dumps({"fan": SQUARE})),
+    (["partition", "potentials"], json.dumps({"fan": SQUARE})),
+    (["partition", "check"], json.dumps({"fan": SQUARE})),
+    ([], ""),
+    (["examples", "hirzebruch-a1"], ""),
+    ([], ""),
+]
+
+
+def test_repeated_main_calls_print_what_separate_processes_print(monkeypatch):
+    """The parser is built once per process; reusing it changes no output,
+    and the help text still goes to the current sys.stdout."""
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(partfan.__file__))
+    separate = [subprocess.run([sys.executable, "-m", "partfan.cli", *argv],
+                               input=stdin_text, capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=src), timeout=120)
+                for argv, stdin_text in ONE_PROCESS_CALLS]
+    for (argv, stdin_text), proc in zip(ONE_PROCESS_CALLS, separate):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(argv)
+        assert (code, out.getvalue()) == (proc.returncode, proc.stdout)
+        assert proc.stderr == ""
+    assert separate[4].stdout.startswith("usage: partfan")
+
+
 def test_functional_poset_on_double_winding_fan(monkeypatch, capsys):
     fan = {"dim": 2, "rays": [[1, 0], [-4, 3], [1, -3], [1, 3], [-4, -3]],
            "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}

@@ -9,12 +9,15 @@ from partfan.errors import (
     PossibleIdentViolation,
     SeedNotPossible,
 )
+from partfan import arrangement as arrlib
+from partfan import catalog
 from partfan.fan import build_fan
 from partfan.partition import (
     admissible_closure,
     enumerate_admissible,
     finest_partition,
     from_blocks,
+    group_by,
     is_admissible,
     join,
     meet,
@@ -22,8 +25,8 @@ from partfan.partition import (
     potential_identifications,
     refines,
 )
-from partfan.rational import span_equal
-from strategies import complete_planar_fans
+from partfan.rational import mat_vec, primitive_ray, rref, span_equal
+from strategies import A3_NORMALS, b_normals, complete_planar_fans
 
 HZB_P1_BLOCKS = (((),), ((0,),), ((1,), (3,)), ((2,),),
                  ((0, 1), (0, 3)), ((1, 2), (2, 3)))
@@ -214,6 +217,36 @@ def test_possible_identification_is_equivalence(square_fan, hzb_fan,
         for a in fan.cones:
             for b in fan.cones:
                 assert ident.same_class(a, b) == _pairwise_identified(fan, a, b)
+
+
+def fraction_projected_cone(fan, base, cone):
+    """The former projected cone: the Fraction projection, then primitive rays."""
+    p = fan.projection(base)
+    return tuple(sorted({primitive_ray(mat_vec(p, fan.rays[i]))
+                         for i in cone if i not in base}))
+
+
+INTEGER_CORE_FANS = {
+    **{name: make for name, make in catalog.EXAMPLES.items() if name != "brauer3"},
+    "brauer": lambda: arrlib.arrangement_fan(catalog.brauer()),
+    "A3": lambda: arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS)),
+    "B3": lambda: arrlib.arrangement_fan(arrlib.Arrangement(3, b_normals(3))),
+    "B4": lambda: arrlib.arrangement_fan(arrlib.Arrangement(4, b_normals(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CORE_FANS))
+def test_integer_core_matches_fraction_route(name):
+    """Integer projections and span keys give the former cones and E-classes,
+    whose key was the Fraction rref of the span and the Fraction projected star."""
+    fan = INTEGER_CORE_FANS[name]()
+    former = {c: {t: fraction_projected_cone(fan, c, t) for t in fan.star(c)}
+              for c in fan.cones}
+    for c in fan.cones:
+        assert fan.project_star_map(c) == former[c]
+    classes = group_by(fan, lambda c: (rref(fan.ray_vectors(c))[0],
+                                       frozenset(former[c].values()))).blocks
+    assert potential_identifications(fan).classes == classes
 
 
 def test_potential_identifications_do_not_keep_the_fan_alive():

@@ -10,6 +10,7 @@ from partfan.rational import (
     dot,
     gram_schmidt,
     identity_matrix,
+    int_complement_projection,
     int_kernel_basis,
     kernel_basis,
     mat_mul,
@@ -20,6 +21,7 @@ from partfan.rational import (
     rref,
     solve,
     span_equal,
+    span_key,
     sqrt_combination_sign,
     transpose,
     vec,
@@ -111,6 +113,41 @@ def test_complement_projection_properties(rows):
         assert mat_vec(p, b) == (Fraction(0),) * 3
 
 
+@st.composite
+def bases(draw):
+    """Integer and Fraction bases of up to ``dim`` vectors in dimensions 2-5."""
+    dim = draw(st.integers(2, 5))
+    entry = st.one_of(st.integers(-4, 4), small_fractions)
+    row = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    return draw(st.lists(row, min_size=1, max_size=dim)), dim
+
+
+@given(bases())
+def test_int_complement_projection_is_positive_multiple(basis):
+    """The Fraction projection stays the oracle of the integer one."""
+    rows, dim = basis
+    if matrix_rank(rows) != len(rows):
+        for fn in (complement_projection, lambda b: int_complement_projection(b, dim)):
+            with pytest.raises(DependentBasis):
+                fn(rows)
+        return
+    exact = complement_projection(rows)
+    scaled = int_complement_projection(rows, dim)
+    assert all(type(x) is int for row in scaled for x in row)
+    nonzero = [(s, e) for srow, erow in zip(scaled, exact)
+               for s, e in zip(srow, erow) if e]
+    if not nonzero:                     # a full-rank basis projects to zero
+        assert all(x == 0 for row in scaled for x in row)
+        return
+    factor = Fraction(nonzero[0][0]) / nonzero[0][1]
+    assert factor > 0
+    assert scaled == tuple(tuple(factor * x for x in row) for row in exact)
+
+
+def test_int_complement_projection_empty_is_identity():
+    assert int_complement_projection([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def test_span_equal_examples():
     assert span_equal([(0, 1)], [(0, -1)])
     assert not span_equal([(1, 0)], [(0, 1)])
@@ -132,6 +169,12 @@ def test_span_equal_is_equivalence(a, b, c):
     assert span_equal(a, b) == span_equal(b, a)
     if span_equal(a, b) and span_equal(b, c):
         assert span_equal(a, c)
+
+
+@given(genset, genset)
+def test_span_key_decides_span_equality(a, b):
+    assert (span_key(a) == span_key(b)) == span_equal(a, b)
+    assert span_key(a) == span_key([tuple(-2 * x for x in v) for v in reversed(a)])
 
 
 def test_gram_schmidt_orthogonal():
