@@ -4,13 +4,13 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partfan import arrangement as arrlib
+from partfan import catalog
 from partfan.errors import (
     EnumerationLimitExceeded,
     PossibleIdentViolation,
     SeedNotPossible,
 )
-from partfan import arrangement as arrlib
-from partfan import catalog
 from partfan.fan import build_fan
 from partfan.partition import (
     admissible_closure,
