@@ -28,9 +28,6 @@ class MorphClass:
         self.reps = reps              # sorted tuple of (sigma, tau) pairs
         self.rank = rank
 
-    def is_identity(self):
-        return self.rank == 0
-
     def __repr__(self):
         return "MorphClass(%d: %d->%d, sig=%s)" % (
             self.index, self.source, self.target, self.signature)
@@ -50,9 +47,6 @@ class Category:
 
     def hom_set(self, source, target):
         return tuple(self.morphisms[i] for i in self.hom.get((source, target), ()))
-
-    def block_label(self, block_id):
-        return self.partition.blocks[block_id]
 
     def morphism_of_pair(self, sigma, tau):
         sigma = self.fan.check_cone(sigma)

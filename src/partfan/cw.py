@@ -86,7 +86,8 @@ class Edge:
 def build_cw(fan, partition):
     """Assemble the cell structure; needs a finite complete fan."""
     if not is_finite_complete(fan):
-        raise NotComplete("classifying-space cells need a complete fan")
+        raise NotComplete("classifying-space cells need a complete fan",
+                          witness=fan.to_json())
     ok, witness = is_admissible(fan, partition)
     if not ok:
         from .errors import NotAdmissible

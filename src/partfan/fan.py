@@ -74,7 +74,6 @@ class Fan:
         self._by_dim = {d: tuple(cs) for d, cs in by_dim.items()}
         self._validation = None
         self._ident = None
-        self._projection_cache = {}
         self._scaled_projection_cache = {}
         self._projected_cone_cache = {}
         self._project_star_cache = {}
@@ -109,12 +108,7 @@ class Fan:
 
     def projection(self, cone):
         """Matrix of the orthogonal projection onto span(cone)^perp."""
-        cone = self.check_cone(cone)
-        if cone not in self._projection_cache:
-            self._projection_cache[cone] = complement_projection(
-                self.ray_vectors(cone), dim=self.dim
-            )
-        return self._projection_cache[cone]
+        return complement_projection(self.ray_vectors(self.check_cone(cone)), self.dim)
 
     def _scaled_projection(self, base):
         """A positive multiple of projection(base) with integer entries.
@@ -370,7 +364,8 @@ def link_complex(fan, block):
     their projections is again a cone of the projected star.
     """
     if not is_finite_complete(fan):
-        raise NotComplete("link complexes need a finite complete fan")
+        raise NotComplete("link complexes need a finite complete fan",
+                          witness=fan.to_json())
     block = sorted(fan.check_cone(c) for c in block)
     rep = block[0]
     ps = fan.project_star(rep)

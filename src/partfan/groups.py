@@ -254,24 +254,25 @@ def psi(fan, partition, poset, morphism):
     return chain_word(fan, partition, chains[0])
 
 
-def words_equal(word_a, word_b, relators, max_length=None, max_nodes=20000):
+def words_equal(word_a, word_b, relators):
     """Bounded search for equality of two words modulo the relators.
 
     Breadth-first rewriting: free reduction plus replacing a subword s by
     t^-1 whenever s t is a cyclic rotation of a relator or its inverse.
-    Returns True when a rewrite path to the empty word is found; False
-    means no proof was found within the bounds, not a disproof.
+    Words stay within the target's length plus the longest relator's plus
+    2, and at most 20 000 words are expanded.  Returns True when a rewrite
+    path to the empty word is found; False means no proof was found within
+    these bounds, not a disproof.
     """
     target = word_concat(word_a, word_inverse(word_b))
     if not target:
         return True
     rewrites = _rewrite_rules(relators)
-    if max_length is None:
-        max_length = len(target) + max((len(r) for r in relators), default=0) + 2
+    max_length = len(target) + max((len(r) for r in relators), default=0) + 2
     seen = {target}
     queue = deque([target])
     nodes = 0
-    while queue and nodes < max_nodes:
+    while queue and nodes < 20000:
         word = queue.popleft()
         nodes += 1
         for nxt in _neighbors(word, rewrites, max_length):
@@ -313,7 +314,7 @@ def _neighbors(word, rewrites, max_length):
                     yield out
 
 
-def functor_check(category, poset, chain_cap=10 ** 6):
+def functor_check(category, poset):
     """Verify Psi respects composition: Psi(g o f) ~ Psi(f) * Psi(g).
 
     Equality is witnessed by bounded relator rewriting against the full
@@ -321,7 +322,7 @@ def functor_check(category, poset, chain_cap=10 ** 6):
     """
     fan = category.fan
     partition = category.partition
-    pres = picture_group(fan, partition, poset, mode="full", chain_cap=chain_cap)
+    pres = picture_group(fan, partition, poset, mode="full")
     failures = []
     for (fi, gi), hi in sorted(category.compose_table.items()):
         f = category.morphisms[fi]

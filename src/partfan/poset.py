@@ -8,7 +8,6 @@ supplied cover lists.  Facial intervals, the fan-poset axioms and
 non-degeneracy with respect to a partition are checked exactly.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import cones as conelib
@@ -160,7 +159,7 @@ def poset_from_linear_functional(fan, b):
     Requires completeness and genericity of b.
     """
     if not is_finite_complete(fan):
-        raise NotComplete("fan posets need a finite complete fan")
+        raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
     b = vec(b)
     covers = []
     for wall in fan.walls():
@@ -178,7 +177,7 @@ def poset_from_linear_functional(fan, b):
 
 
 def _det2(a, b):
-    return Fraction(a[0]) * Fraction(b[1]) - Fraction(a[1]) * Fraction(b[0])
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def _ccw_rays(fan, chamber):
@@ -203,7 +202,7 @@ def rank2_bisector_poset(fan, base):
     if fan.dim != 2:
         raise NotRank2("bisector posets are defined for fans in the plane")
     if not is_finite_complete(fan):
-        raise NotComplete("fan posets need a finite complete fan")
+        raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
     base = fan.check_cone(base)
     if len(base) != 2:
         raise NotRank2("base must be a maximal cone", witness=list(base))
@@ -326,7 +325,7 @@ def check_weak_fan_poset(fan, poset):
     meet the cone over its rays in full dimension.
     """
     if not is_finite_complete(fan):
-        raise NotComplete("fan posets need a finite complete fan")
+        raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
     facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
     inward = {}  # (wall, chamber) -> normal of the wall pointing into chamber
     for wall in fan.walls():

@@ -5,16 +5,17 @@ row-major tuples of such tuples.  There is no floating point anywhere,
 because the geometric predicates built on top (span equality,
 projected-fan equality, cone membership) are exact set equalities.
 
-The kernels that the cone and fan code run most, :func:`dot`,
-:func:`matrix_rank`, :func:`span_key`, :func:`int_kernel_basis` and
-:func:`int_complement_projection`, compute on plain Python ints: :func:`dot`
-of integer vectors is an int, and rank, span, kernel and projection come
-from fraction-free elimination (rows are scaled to integers first, which
-changes none of them).  ``Fraction`` appears only where a value is truly
-rational: :func:`rref`, :func:`solve`, :func:`kernel_basis`,
-:func:`complement_projection` and :func:`gram_schmidt` keep their exact
-rational results.  Python ints have arbitrary precision, so no
-coefficient can overflow.
+There is one elimination, :func:`_echelon`: fraction-free Gauss-Jordan on
+plain Python ints (rows are scaled to integers first, which changes neither
+row space nor kernel).  :func:`matrix_rank`, :func:`span_key`,
+:func:`int_kernel_basis` and :func:`int_complement_projection` return its
+integer results, and :func:`dot` of integer vectors is an int.  Where a
+value is truly rational, the ``Fraction`` result is derived from the
+integer one at the boundary: :func:`rref` divides each echelon row by its
+pivot entry, :func:`kernel_basis` each integer kernel vector by its entry
+in its free column, and :func:`complement_projection` the integer
+projection by its scale; :func:`solve` reads its solution off :func:`rref`.
+Python ints have arbitrary precision, so no coefficient can overflow.
 """
 
 from fractions import Fraction
@@ -129,37 +130,19 @@ def _integer_rows(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns)."""
-    rows = [list(vec(r)) for r in rows]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise DimensionMismatch("ragged matrix", witness=(ncols, len(r)))
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    reduced = tuple(tuple(r) for r in rows[:rank])
-    return reduced, tuple(pivots)
+    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
+
+    A row space has exactly one RREF, so it is the :func:`_echelon` rows
+    divided by their pivot entries.
+
+    >>> rref([(0, 2, 4), (0, 1, 3)])[1]
+    (1, 2)
+    >>> rref([(2, 1)])[0] == ((1, Fraction(1, 2)),)
+    True
+    """
+    reduced, pivots = _echelon(_integer_rows(rows))
+    return (tuple(tuple(Fraction(x, row[p]) for x in row)
+                  for row, p in zip(reduced, pivots)), tuple(pivots))
 
 
 def _echelon(rows):
@@ -230,16 +213,6 @@ def span_key(vectors):
     return tuple(map(tuple, _echelon(_integer_rows(vectors))[0]))
 
 
-def in_span(v, reduced_rows, pivots):
-    """Membership of v in the row space given by an rref basis."""
-    v = list(vec(v))
-    for row, p in zip(reduced_rows, pivots):
-        if v[p] != 0:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
 def span_equal(a_vectors, b_vectors):
     """Whether two generating sets span the same linear subspace.
 
@@ -255,11 +228,7 @@ def span_equal(a_vectors, b_vectors):
     lengths = {len(v) for v in a_vectors} | {len(v) for v in b_vectors}
     if len(lengths) > 1:
         raise DimensionMismatch("mixed vector lengths", witness=sorted(lengths))
-    ra, pa = rref(a_vectors)
-    rb, pb = rref(b_vectors)
-    if len(ra) != len(rb):
-        return False
-    return all(in_span(v, rb, pb) for v in ra) and all(in_span(v, ra, pa) for v in rb)
+    return span_key(a_vectors) == span_key(b_vectors)
 
 
 def solve(a_rows, b):
@@ -279,28 +248,27 @@ def solve(a_rows, b):
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel {x : A x = 0} as a tuple of vectors."""
-    if not rows:
-        return tuple(identity_matrix(ncols))
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    """Basis of the right kernel {x : A x = 0} as a tuple of vectors.
+
+    The vector of free column j is 1 at j and 0 at the other free columns:
+    the :func:`int_kernel_basis` vector divided by its entry at j.  That is
+    its last nonzero entry, since an RREF row is zero left of its pivot.
+
+    >>> kernel_basis([(2, 2, 0)], 3) == ((-1, 1, 0), (0, 0, 1))
+    True
+    """
     basis = []
-    for j in free:
-        x = [Fraction(0)] * ncols
-        x[j] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            x[p] = -row[j]
-        basis.append(tuple(x))
+    for v in int_kernel_basis(rows, ncols):
+        last = next(x for x in reversed(v) if x)
+        basis.append(tuple(Fraction(x, last) for x in v))
     return tuple(basis)
 
 
 def int_kernel_basis(rows, ncols):
     """Kernel basis normalized to primitive integer vectors.
 
-    The same vectors as ``primitive_ray(v) for v in kernel_basis(rows,
-    ncols)``, found by fraction-free elimination: the vector of free column
-    j is the one that is positive at j and zero at the other free columns.
+    Found by fraction-free elimination: the vector of free column j is the
+    primitive one that is positive at j and zero at the other free columns.
 
     >>> int_kernel_basis([(2, 2, 0)], 3)
     ((-1, 1, 0), (0, 0, 1))
@@ -326,41 +294,45 @@ def int_kernel_basis(rows, ncols):
 def complement_projection(basis, dim=None):
     """Matrix of the orthogonal projection onto span(basis)^perp.
 
-    The result P is idempotent and symmetric with kernel span(basis).
-    An empty basis yields the identity (the ambient dimension must then be
-    supplied via ``dim``).  Raises DependentBasis if the given vectors are
-    linearly dependent.
+    The result P is idempotent and symmetric with kernel span(basis); it is
+    the integer projection L * P of :func:`int_complement_projection`
+    divided by its scale L.  An empty basis yields the identity (the ambient
+    dimension must then be supplied via ``dim``).  Raises DependentBasis if
+    the given vectors are linearly dependent.
+
+    >>> complement_projection([(1, 1)]) == ((Fraction(1, 2), Fraction(-1, 2)),
+    ...                                     (Fraction(-1, 2), Fraction(1, 2)))
+    True
     """
     basis = [vec(v) for v in basis]
     if not basis:
         if dim is None:
             raise DimensionMismatch("empty basis needs an explicit ambient dimension")
         return identity_matrix(dim)
-    n = len(basis[0])
-    if matrix_rank(basis) != len(basis):
-        raise DependentBasis("projection basis is linearly dependent",
-                             witness=[[str(x) for x in v] for v in basis])
-    # P = I - B^T (B B^T)^{-1} B  with B the matrix whose rows are the basis.
-    b = tuple(basis)
-    gram = mat_mul(b, transpose(b))
-    inv = _invert(gram, len(b))
-    coeff = mat_mul(mat_mul(transpose(b), inv), b)
-    ident = identity_matrix(n)
-    return tuple(tuple(ident[i][j] - coeff[i][j] for j in range(n)) for i in range(n))
+    scale, scaled = _scaled_complement_projection(basis, len(basis[0]))
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in scaled)
 
 
 def int_complement_projection(basis, dim):
     """The integer matrix L * complement_projection(basis, dim), for some L > 0.
 
-    With B the basis rows (each scaled to integers, which keeps the span)
-    and G = B B^T, fraction-free elimination of [G | I] ends in rows
-    [c_i e_i | c_i (G^-1)_i] with c_i > 0, so L = lcm(c_i) makes L G^-1 an
-    integer matrix and L P = L I - B^T (L G^-1) B.  It maps every vector
-    to a positive multiple of its exact projection; an empty basis gives
-    the identity.  Raises DependentBasis if the vectors are dependent.
+    It maps every vector to a positive multiple of its exact projection; an
+    empty basis gives the identity.  Raises DependentBasis if the vectors
+    are dependent.
 
     >>> int_complement_projection([(1, 1)], 2)
     ((1, -1), (-1, 1))
+    """
+    return _scaled_complement_projection(basis, dim)[1]
+
+
+def _scaled_complement_projection(basis, dim):
+    """(L, L * P) for the projection P onto span(basis)^perp.
+
+    With B the basis rows (each scaled to integers, which keeps the span)
+    and G = B B^T, fraction-free elimination of [G | I] ends in rows
+    [c_i e_i | c_i (G^-1)_i] with c_i > 0, so L = lcm(c_i) makes L G^-1 an
+    integer matrix and L P = L I - B^T (L G^-1) B.
     """
     b = _integer_rows(basis)
     k = len(b)
@@ -373,16 +345,9 @@ def int_complement_projection(basis, dim):
     scale = lcm(*(row[i] for i, row in enumerate(reduced)))
     inv_b = mat_mul([[x * (scale // row[i]) for x in row[k:]]
                      for i, row in enumerate(reduced)], b)
-    return tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
-                       for j in range(dim)) for i in range(dim))
-
-
-def _invert(m, n):
-    aug = [list(m[i]) + list(identity_matrix(n)[i]) for i in range(n)]
-    reduced, pivots = rref(aug)
-    if list(pivots[:n]) != list(range(n)):
-        raise DependentBasis("singular Gram matrix")
-    return tuple(tuple(row[n:]) for row in reduced)
+    scaled = tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
+                         for j in range(dim)) for i in range(dim))
+    return scale, scaled
 
 
 def gram_schmidt(basis):

@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+import fraction_oracles as oracle
 from partfan import arrangement as A
 from partfan import cones as conelib
 from partfan.errors import (
@@ -15,7 +16,7 @@ from partfan.errors import (
 from partfan.fan import build_fan, is_finite_complete, validate_fan
 from partfan.partition import is_admissible, potential_identifications, refines
 from partfan.poset import poset_from_linear_functional
-from partfan.rational import dot, kernel_basis, matrix_rank, primitive_ray
+from partfan.rational import dot, matrix_rank, primitive_ray
 from strategies import A3_NORMALS, b_normals
 
 
@@ -33,11 +34,11 @@ def region_count_oracle(normals, dim):
     for size in range(len(normals) + 1):
         for subset in combinations(range(len(normals)), size):
             rows = [normals[i] for i in subset]
-            basis = kernel_basis(rows, dim)
+            basis = oracle.kernel_basis(rows, dim)
             closed = frozenset(
                 i for i, n in enumerate(normals)
                 if all(dot(n, b) == 0 for b in basis))
-            flats[closed] = dim - matrix_rank(rows) if rows else dim
+            flats[closed] = dim - len(oracle.rref(rows)[0])
     order = sorted(flats, key=lambda f: (len(f), sorted(f)))
     mu = {}
     for x in order:

@@ -446,7 +446,18 @@ def test_functional_poset_on_double_winding_fan(monkeypatch, capsys):
                         stdin_text=json.dumps({"fan": fan}),
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
-    assert json.loads(out)["error"] == "NotComplete"
+    assert json.loads(out) == {"error": "NotComplete",
+                               "witness": dict(fan, max_cones=sorted(fan["max_cones"]))}
+
+
+def test_cw_build_on_one_chamber_fan_names_the_fan(monkeypatch, capsys):
+    fan = {"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+    code, out = run_cli(["partition", "potentials"], json.dumps({"fan": fan}),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    code, out = run_cli(["cw", "build"], out, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "NotComplete", "witness": fan}
 
 
 README_PIPELINES = [

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_oracles as oracle
 from partfan import cones as conelib
 from partfan.cones import (
     cone_contains,
@@ -19,10 +20,8 @@ from partfan.fan import ValidationReport, build_fan, validate_fan
 from partfan.rational import (
     dot,
     identity_matrix,
-    kernel_basis,
     mat_mul,
     primitive_ray,
-    rref,
     transpose,
     vec,
 )
@@ -127,20 +126,20 @@ def test_strict_sign_feasible():
 
 # Fraction-path oracles for extreme_rays and simplicial_halfspaces: the same
 # algorithms over exact rationals, with a Gram-matrix inverse in place of the
-# per-facet integer kernels.
+# per-facet integer kernels, on the former Fraction Gauss-Jordan.
 
 def extreme_rays_oracle(equalities, inequalities, dim):
     equalities = [vec(e) for e in equalities]
     inequalities = [vec(a) for a in inequalities]
-    subspace = kernel_basis(equalities, dim) if equalities else identity_matrix(dim)
+    subspace = oracle.kernel_basis(equalities, dim) if equalities else identity_matrix(dim)
     d = len(subspace)
     if d == 0:
         return (), ()
     b_rows = [tuple(dot(a, q) for q in subspace) for a in inequalities]
     b_rows = [r for r in b_rows if any(x != 0 for x in r)]
-    lin_y = kernel_basis(b_rows, d) if b_rows else identity_matrix(d)
+    lin_y = oracle.kernel_basis(b_rows, d) if b_rows else identity_matrix(d)
     lineality = tuple(sorted(primitive_ray(_combine_oracle(subspace, y)) for y in lin_y))
-    pivot_cols = set(rref(lin_y)[1]) if lin_y else set()
+    pivot_cols = set(oracle.rref(lin_y)[1]) if lin_y else set()
     free_cols = [j for j in range(d) if j not in pivot_cols]
     p = len(free_cols)
     if p == 0:
@@ -167,7 +166,7 @@ def _pointed_extreme_rays_oracle(rows, p):
         return [c for c in ((1,), (-1,)) if all(dot(row, c) >= 0 for row in rows)]
     found = set()
     for subset in combinations(range(len(rows)), p - 1):
-        ker = kernel_basis([rows[i] for i in subset], p)
+        ker = oracle.kernel_basis([rows[i] for i in subset], p)
         if len(ker) != 1:
             continue
         z = primitive_ray(ker[0])
@@ -182,14 +181,9 @@ def simplicial_halfspaces_oracle(ray_vectors, dim):
     rays = [vec(r) for r in ray_vectors]
     if not rays:
         return identity_matrix(dim), ()
-    n = len(rays)
     gram = mat_mul(rays, transpose(rays))
-    ident = identity_matrix(n)
-    reduced, pivots = rref([list(gram[i]) + list(ident[i]) for i in range(n)])
-    if list(pivots[:n]) != list(range(n)):
-        raise DependentBasis("singular Gram matrix")
-    inverse = tuple(tuple(row[n:]) for row in reduced)
-    return kernel_basis(rays, dim), mat_mul(inverse, rays)
+    inverse = oracle.gram_inverse(gram, len(rays))
+    return oracle.kernel_basis(rays, dim), mat_mul(inverse, rays)
 
 
 def intersect_generated_cones_oracle(rays_a, rays_b, dim):

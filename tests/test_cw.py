@@ -49,8 +49,9 @@ def test_finest_partition_is_a_disk(fan):
 
 def test_build_cw_requires_complete():
     quadrant = build_fan(2, [(1, 0), (0, 1)], [(0, 1)])
-    with pytest.raises(NotComplete):
+    with pytest.raises(NotComplete) as err:
         build_cw(quadrant, finest_partition(quadrant))
+    assert err.value.witness == quadrant.to_json()
 
 
 def test_build_cw_rejects_double_winding():

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import fraction_oracles as oracle
 from partfan.errors import (
     DuplicateRay,
     InexactNumber,
@@ -136,9 +137,9 @@ def test_projected_cone_memo_matches_fresh_projection(square_fan, hzb_fan,
         for tau in fan.cones:
             for k in range(len(tau) + 1):
                 for sigma in combinations(tau, k):
-                    fresh = tuple(sorted({
-                        primitive_ray(mat_vec(fan.projection(sigma), fan.rays[i]))
-                        for i in tau if i not in sigma}))
+                    p = oracle.complement_projection(fan.ray_vectors(sigma), dim=fan.dim)
+                    fresh = tuple(sorted({primitive_ray(mat_vec(p, fan.rays[i]))
+                                          for i in tau if i not in sigma}))
                     first = fan.projected_cone(sigma, tau)
                     assert first == fresh
                     assert fan.projected_cone(sigma, tau) is first
@@ -176,8 +177,9 @@ def test_link_complex_mixed_block(hzb_fan):
 
 def test_link_complex_incomplete():
     quadrant = build_fan(2, [(1, 0), (0, 1)], [(0, 1)])
-    with pytest.raises(NotComplete):
+    with pytest.raises(NotComplete) as err:
         link_complex(quadrant, [()])
+    assert err.value.witness == quadrant.to_json()
 
 
 def test_rank2_links_are_spheres(square_fan, hzb_fan):

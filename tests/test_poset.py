@@ -76,8 +76,12 @@ def test_functional_poset_hzb_acyclic(hzb_fan):
 
 def test_functional_poset_incomplete():
     quadrant = build_fan(2, [(1, 0), (0, 1)], [(0, 1)])
-    with pytest.raises(NotComplete):
+    with pytest.raises(NotComplete) as err:
         poset_from_linear_functional(quadrant, (1, 1))
+    assert err.value.witness == quadrant.to_json()
+    with pytest.raises(NotComplete) as err:
+        rank2_bisector_poset(quadrant, (0, 1))
+    assert err.value.witness == quadrant.to_json()
 
 
 def test_wall_normal_orientation(square_fan):
@@ -219,8 +223,9 @@ def test_nondegenerate_finest_trivially(square_fan):
 def test_check_weak_fan_poset_requires_complete_fan():
     quadrant = build_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
     poset = FanPoset(quadrant, [((0, 1), (1, 2), (1,))])
-    with pytest.raises(NotComplete):
+    with pytest.raises(NotComplete) as err:
         check_weak_fan_poset(quadrant, poset)
+    assert err.value.witness == quadrant.to_json()
 
 
 def test_union_test_matches_oracle_on_planar_chain():

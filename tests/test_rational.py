@@ -2,9 +2,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from partfan.errors import DependentBasis, DimensionMismatch, InexactNumber, ZeroVector
+import fraction_oracles as oracle
+from partfan import rational
+from partfan.errors import (
+    DependentBasis,
+    DimensionMismatch,
+    InexactNumber,
+    PartFanError,
+    ZeroVector,
+)
 from partfan.rational import (
     complement_projection,
     dot,
@@ -12,7 +20,6 @@ from partfan.rational import (
     identity_matrix,
     int_complement_projection,
     int_kernel_basis,
-    kernel_basis,
     mat_mul,
     mat_vec,
     matrix_rank,
@@ -124,14 +131,14 @@ def bases(draw):
 
 @given(bases())
 def test_int_complement_projection_is_positive_multiple(basis):
-    """The Fraction projection stays the oracle of the integer one."""
+    """The former Gram-inverse projection is the oracle of the integer one."""
     rows, dim = basis
-    if matrix_rank(rows) != len(rows):
+    if len(oracle.rref(rows)[0]) != len(rows):
         for fn in (complement_projection, lambda b: int_complement_projection(b, dim)):
             with pytest.raises(DependentBasis):
                 fn(rows)
         return
-    exact = complement_projection(rows)
+    exact = oracle.complement_projection(rows)
     scaled = int_complement_projection(rows, dim)
     assert all(type(x) is int for row in scaled for x in row)
     nonzero = [(s, e) for srow, erow in zip(scaled, exact)
@@ -173,7 +180,7 @@ def test_span_equal_is_equivalence(a, b, c):
 
 @given(genset, genset)
 def test_span_key_decides_span_equality(a, b):
-    assert (span_key(a) == span_key(b)) == span_equal(a, b)
+    assert (span_key(a) == span_key(b)) == oracle.span_equal(a, b)
     assert span_key(a) == span_key([tuple(-2 * x for x in v) for v in reversed(a)])
 
 
@@ -207,7 +214,7 @@ def test_sqrt_combination_sign(x, p, y, q, expected):
 
 def int_kernel_basis_oracle(rows, ncols):
     """The Fraction path: rref kernel vectors, then primitive normalization."""
-    return tuple(primitive_ray(v) for v in kernel_basis(rows, ncols))
+    return tuple(primitive_ray(v) for v in oracle.kernel_basis(rows, ncols))
 
 
 @st.composite
@@ -223,9 +230,68 @@ def matrices(draw):
 def test_fraction_free_elimination_matches_rref(matrix):
     rows, ncols = matrix
     assert int_kernel_basis(rows, ncols) == int_kernel_basis_oracle(rows, ncols)
-    reduced, pivots = rref(rows)
+    reduced, pivots = oracle.rref(rows)
     assert matrix_rank(rows) == len(reduced)
     assert pivot_columns(rows) == pivots
+
+
+@st.composite
+def flawed_matrices(draw):
+    """(rows, other, b): int and Fraction rows with zero and dependent rows.
+
+    Some draws carry one ragged row or one float or bool entry.  ``other``
+    is a second generating set of the same width, ``b`` a right-hand side.
+    """
+    ncols = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), small_fractions)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=4))
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, c = draw(small_fractions), draw(small_fractions)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [a * x + c * y for x, y in zip(rows[0], rows[1])])
+    flaw = draw(st.sampled_from(["none"] * 4 + ["ragged", "inexact"]))
+    if rows and flaw == "ragged":
+        bad = draw(st.sampled_from(rows))
+        if len(bad) == 1 or draw(st.booleans()):
+            bad.append(1)
+        else:
+            bad.pop()
+    if rows and flaw == "inexact":
+        bad = draw(st.sampled_from(rows))
+        bad[draw(st.integers(0, len(bad) - 1))] = draw(
+            st.sampled_from([0.5, 1.0, True, False]))
+    rows = [tuple(r) for r in rows]
+    other = [tuple(r) for r in draw(st.lists(row, max_size=3))]
+    b = tuple(draw(st.lists(entry, min_size=len(rows), max_size=len(rows))))
+    return rows, other, b
+
+
+def _typed_outcome(fn, *args):
+    """The value with the type of every entry, or the error code and witness."""
+    def typed(x):
+        return tuple(map(typed, x)) if isinstance(x, tuple) else (type(x), x)
+
+    try:
+        return typed(fn(*args))
+    except PartFanError as err:
+        return err.code, repr(err.witness)
+
+
+@settings(max_examples=400, deadline=None)
+@given(flawed_matrices())
+def test_fraction_routines_match_the_former_gauss_jordan(matrix):
+    rows, other, b = matrix
+    ncols = len(rows[0]) if rows else 2
+    for name, args in (("rref", (rows,)),
+                       ("kernel_basis", (rows, ncols)),
+                       ("solve", (rows, b)),
+                       ("complement_projection", (rows,)),
+                       ("complement_projection", (rows, ncols)),
+                       ("span_equal", (rows, rows[1:])),
+                       ("span_equal", (rows, other))):
+        assert (_typed_outcome(getattr(rational, name), *args)
+                == _typed_outcome(getattr(oracle, name), *args)), name
 
 
 def test_ragged_matrix_raises_dimension_mismatch():
