@@ -202,11 +202,11 @@ def _type2_relators(fan, partition, poset):
         for sigma, kappa in m.reps:
             lo_s = facial_interval(fan, poset, sigma).lower
             lo_k = facial_interval(fan, poset, kappa).lower
-            chains = poset.maximal_chains(lo_s, lo_k)
-            if not chains:
+            chain = poset.first_chain(lo_s, lo_k)
+            if chain is None:
                 raise IntervalBroken("no chain between interval minima",
                                      witness=[list(sigma), list(kappa)])
-            words.append(chain_word(fan, partition, chains[0]))
+            words.append(chain_word(fan, partition, chain))
         for w in words[1:]:
             rel = word_concat(words[0], word_inverse(w))
             if rel:
@@ -241,17 +241,20 @@ def alt_presentation(fan, partition, poset):
 def psi(fan, partition, poset, morphism):
     """Psi([f_{sigma kappa}]) as the chain word from sigma^- up to kappa^-.
 
-    Identity morphisms map to the empty word; the chain choice is
-    irrelevant up to the chain relators.
+    (sigma, kappa) is the morphism's first representative, and the chain
+    is the first maximal chain in sorted-cover order,
+    ``poset.first_chain(sigma^-, kappa^-)``; any other chain gives a word
+    equal to it up to the chain relators.  Identity morphisms map to the
+    empty word.  No chain list is built, so no chain limit applies.
     """
     sigma, kappa = morphism.reps[0]
     lo_s = facial_interval(fan, poset, sigma).lower
     lo_k = facial_interval(fan, poset, kappa).lower
-    chains = poset.maximal_chains(lo_s, lo_k)
-    if not chains:
+    chain = poset.first_chain(lo_s, lo_k)
+    if chain is None:
         raise IntervalBroken("interval minima are not comparable",
                              witness=[list(sigma), list(kappa)])
-    return chain_word(fan, partition, chains[0])
+    return chain_word(fan, partition, chain)
 
 
 def words_equal(word_a, word_b, relators):
@@ -318,18 +321,17 @@ def functor_check(category, poset):
     """Verify Psi respects composition: Psi(g o f) ~ Psi(f) * Psi(g).
 
     Equality is witnessed by bounded relator rewriting against the full
-    picture presentation.  Returns (True, []) or (False, failures).
+    picture presentation.  Psi is computed once per morphism.  Returns
+    (True, []) or (False, failures).
     """
     fan = category.fan
     partition = category.partition
     pres = picture_group(fan, partition, poset, mode="full")
+    images = [psi(fan, partition, poset, m) for m in category.morphisms]
     failures = []
     for (fi, gi), hi in sorted(category.compose_table.items()):
-        f = category.morphisms[fi]
-        g = category.morphisms[gi]
-        h = category.morphisms[hi]
-        lhs = word_concat(psi(fan, partition, poset, f), psi(fan, partition, poset, g))
-        rhs = psi(fan, partition, poset, h)
+        lhs = word_concat(images[fi], images[gi])
+        rhs = images[hi]
         if not words_equal(lhs, rhs, pres.relators):
             failures.append({"f": fi, "g": gi, "composite": hi,
                              "lhs": render_word(lhs), "rhs": render_word(rhs)})

@@ -234,33 +234,60 @@ def _require_same_fan(p1, p2):
 
 
 def enumerate_admissible(fan, limit=16):
-    """All admissible partitions of a small fan, by exhaustive search.
+    """All admissible partitions of a small fan, by depth-first search.
 
-    Candidates are products of set partitions of each E-class, filtered by
-    is_admissible.  Guarded by a cone-count limit because partition counts
-    explode.
+    Candidates are the products of set partitions of the E-classes.  The
+    search fixes one class at a time, in the classes' order, taking its
+    set partitions in ``_set_partitions`` order, so leaves come in product
+    order.  A candidate is admissible iff, for each pair s1 ~ s2 it
+    identifies, it identifies every pair (t1, t2), t1 != t2, that
+    ``_star_matching(fan, s1, s2)`` forces: the pairs ``is_admissible``
+    checks, less those that hold trivially.  The forced pairs of each pair
+    in a class are computed once.  A forced pair is decided at the first
+    class by which the blocks of t1, t2 and of s1, s2 are all fixed.  On a
+    simplicial fan that is the class of t1, a later one: the matching
+    sends s1 to s2, so t1 strictly contains s1 and has more rays, and the
+    classes are sorted by ray count.  A choice that splits a pair decided
+    at its class is skipped with all its completions, and a Partition is
+    built only at a leaf.  So the result is the list, in the same order,
+    that filtering the whole product by ``is_admissible`` gives.  Guarded
+    by a cone-count limit because partition counts explode.
     """
     if len(fan.cones) > limit:
         raise EnumerationLimitExceeded(
             "fan exceeds the enumeration guard", witness=len(fan.cones))
-    ident = potential_identifications(fan)
-    per_class = [list(_set_partitions(list(cls))) for cls in ident.classes]
+    classes = potential_identifications(fan).classes
+    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
+    forced = {(s1, s2): [(t1, t2) for t1, t2 in _star_matching(fan, s1, s2).items()
+                         if t1 != t2]
+              for cls in classes for s1, s2 in combinations(cls, 2)}
+    choices = []  # per class: (blocks, forced pairs) of each set partition
+    for cls in classes:
+        choices.append([
+            ([tuple(b) for b in part],
+             [pair for b in part for s in combinations(b, 2) for pair in forced[s]])
+            for part in _set_partitions(list(cls))])
+    label = {}  # cone -> (class, block) under the choices of the current path
     out = []
-    for choice in _product(per_class):
-        blocks = [tuple(b) for part in choice for b in part]
-        partition = Partition(fan, blocks)
-        if is_admissible(fan, partition)[0]:
-            out.append(partition)
+
+    def search(k, blocks, due):
+        # due[j]: the pairs forced so far that are decided at class j
+        if k == len(classes):
+            out.append(Partition(fan, blocks))
+            return
+        for part, pairs in choices[k]:
+            for i, block in enumerate(part):
+                for cone in block:
+                    label[cone] = (k, i)
+            later = list(due)
+            for t1, t2 in pairs:
+                j = max(k, class_of[t1], class_of[t2])
+                later[j] = later[j] + ((t1, t2),)
+            if all(label[t1] == label[t2] for t1, t2 in later[k]):
+                search(k + 1, blocks + part, later)
+
+    search(0, [], [()] * len(classes))
     return out
-
-
-def _product(lists):
-    if not lists:
-        yield []
-        return
-    for head in lists[0]:
-        for rest in _product(lists[1:]):
-            yield [head] + rest
 
 
 def _set_partitions(items):

@@ -36,16 +36,17 @@ class FanPoset:
                                    witness=[list(lower), list(upper)])
         self.covers = covers
         self._cover_set = frozenset(covers)
-        self._up = {c: set() for c in self.elements}
-        for lower, upper, _ in covers:
-            self._up[lower].add(upper)
+        # (upper, wall) of each cover above a chamber, in sorted order
+        self._up = {c: [] for c in self.elements}
+        for lower, upper, wall in covers:
+            self._up[lower].append((upper, wall))
         self._above = {}
         for c in self.elements:
             seen = set()
             stack = [c]
             while stack:
                 x = stack.pop()
-                for y in self._up[x]:
+                for y, _ in self._up[x]:
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
@@ -103,12 +104,13 @@ class FanPoset:
         return self._facial[cone]
 
     def maximal_chains(self, a, b, cap=10 ** 6):
-        """All maximal chains from a to b, each as a list of wall labels."""
+        """All maximal chains from a to b, each as a tuple of wall labels.
+
+        Listed depth-first, taking the covers above each chamber in sorted
+        order.
+        """
         from .errors import ChainLimitExceeded
 
-        up_labelled = {}
-        for lower, upper, wall in self.covers:
-            up_labelled.setdefault(lower, []).append((upper, wall))
         chains = []
 
         def walk(node, labels):
@@ -117,13 +119,45 @@ class FanPoset:
                 if len(chains) > cap:
                     raise ChainLimitExceeded("too many maximal chains", witness=cap)
                 return
-            for upper, wall in sorted(up_labelled.get(node, ())):
+            for upper, wall in self._up[node]:
                 if self.leq(upper, b):
                     walk(upper, labels + [wall])
 
         if self.leq(a, b):
             walk(a, [])
         return chains
+
+    def first_chain(self, a, b):
+        """The first maximal chain from a to b in sorted-cover order, or None.
+
+        Walks upward from a, taking at each chamber the least cover
+        (upper, wall) with upper <= b.  Returns None unless a <= b.  This is
+        ``maximal_chains(a, b)[0]``, found without listing the others: that
+        depth-first search tries the covers in the same sorted order, and
+        its first branch never dead-ends.  For <= is the reflexive-transitive
+        closure of the covers, so every u <= b with u != b has a cover
+        u < v with v <= b, and a path of such covers reaches b because the
+        order has no cycle.
+
+        >>> from partfan import catalog
+        >>> square = catalog.square()
+        >>> poset = poset_from_linear_functional(square, (1, 1))
+        >>> poset.minimum(), poset.maximum()
+        ((1, 2), (0, 3))
+        >>> poset.first_chain((1, 2), (0, 3))
+        ((1,), (0,))
+        >>> poset.maximal_chains((1, 2), (0, 3))
+        [((1,), (0,)), ((2,), (3,))]
+        >>> poset.first_chain((0, 3), (1, 2)) is None
+        True
+        """
+        if not self.leq(a, b):
+            return None
+        labels = []
+        while a != b:
+            a, wall = next((u, w) for u, w in self._up[a] if self.leq(u, b))
+            labels.append(wall)
+        return tuple(labels)
 
     def to_json(self):
         return {"covers": [[list(lo), list(up)] for lo, up, _ in self.covers]}
@@ -343,7 +377,8 @@ def check_weak_fan_poset(fan, poset):
                 continue
             generators = sorted({fan.rays[i] for c in members for i in c})
             halfspace_rep = conelib.halfspaces(generators, fan.dim)
-            outside = [c for c in poset.elements if c not in set(members)]
+            member_set = set(members)
+            outside = [c for c in poset.elements if c not in member_set]
             for c in outside:
                 if conelib.fulldim_in_halfspaces(fan.ray_vectors(c),
                                                  halfspace_rep, fan.dim):

@@ -269,6 +269,8 @@ def int_kernel_basis(rows, ncols):
 
     Found by fraction-free elimination: the vector of free column j is the
     primitive one that is positive at j and zero at the other free columns.
+    A row whose length is not ``ncols`` raises DimensionMismatch with
+    witness [ncols, row length].
 
     >>> int_kernel_basis([(2, 2, 0)], 3)
     ((-1, 1, 0), (0, 0, 1))
@@ -276,7 +278,11 @@ def int_kernel_basis(rows, ncols):
     >>> int_kernel_basis([(Fraction(1, 2), Fraction(1, 3))], 2)
     ((-2, 3),)
     """
-    reduced, pivots = _echelon(_integer_rows(rows))
+    rows = _integer_rows(rows)
+    if rows and len(rows[0]) != ncols:
+        raise DimensionMismatch("row length differs from the column count",
+                                witness=[ncols, len(rows[0])])
+    reduced, pivots = _echelon(rows)
     scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     basis = []
     for j in range(ncols):

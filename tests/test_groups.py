@@ -194,6 +194,7 @@ def test_psi_word_length_is_chain_length(square_fan, torus_partition):
         word = G.psi(square_fan, torus_partition, poset, m)
         chains = poset.maximal_chains(lo_s, lo_k)
         assert len(word) == len(chains[0])
+        assert word == G.chain_word(square_fan, torus_partition, chains[0])
 
 
 def test_functor_check_builtins(square_fan, torus_partition, hzb_fan,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracles as oracle
+import search_oracles
 from partfan import arrangement as arrlib
 from partfan import catalog
 from partfan.errors import (
@@ -141,6 +142,25 @@ def test_enumerate_counts(square_admissible, hzb_admissible):
 def test_enumerate_limit(square_fan):
     with pytest.raises(EnumerationLimitExceeded):
         enumerate_admissible(square_fan, limit=4)
+
+
+@pytest.mark.parametrize("name", ["square", "hirzebruch", "three_lines"])
+def test_pruned_enumeration_matches_product_filter_on_catalog(name):
+    fans = [catalog.hirzebruch(a) for a in range(4)] if name == "hirzebruch" \
+        else [getattr(catalog, name)()]
+    for fan in fans:
+        pruned = enumerate_admissible(fan)
+        assert [p.blocks for p in pruned] == \
+            [p.blocks for p in search_oracles.enumerate_admissible(fan)]
+        assert all(p.fan is fan for p in pruned)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_planar_fans(max_rays=7))
+def test_pruned_enumeration_matches_product_filter_on_planar_fans(fan):
+    assert len(fan.cones) <= 16
+    assert [p.blocks for p in enumerate_admissible(fan)] == \
+        [p.blocks for p in search_oracles.enumerate_admissible(fan)]
 
 
 def test_coarsest_is_admissible_everywhere(square_fan, hzb_fan, three_lines_fan):

@@ -3,6 +3,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from partfan import arrangement as arrlib
+from partfan import catalog
 from partfan import cones as conelib
 from partfan.errors import (
     DegenerateFunctional,
@@ -23,7 +25,7 @@ from partfan.poset import (
     rank2_bisector_poset,
     wall_normal,
 )
-from strategies import complete_planar_fans
+from strategies import A3_NORMALS, complete_planar_fans
 
 TAU1, TAU2, TAU3, TAU4 = (0, 3), (0, 1), (1, 2), (2, 3)
 
@@ -263,3 +265,38 @@ def test_union_test_matches_oracle_on_functional_posets(fan, b):
         assume(False)
     report = check_weak_fan_poset(fan, poset)
     assert list(report.union_failures) == union_failures_oracle(fan, poset)
+
+
+def assert_first_chain_is_first_of_maximal_chains(poset):
+    for a in poset.elements:
+        for b in poset.elements:
+            assert poset.first_chain(a, b) == (poset.maximal_chains(a, b) or [None])[0]
+
+
+def test_first_chain_on_a3_poset_of_regions():
+    arrfan = arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS), with_signs=True)
+    base = next(c for c in arrfan.fan.max_cones if arrfan.sign_of(c) == (1,) * 6)
+    assert_first_chain_is_first_of_maximal_chains(arrlib.poset_of_regions(arrfan, base))
+
+
+def test_first_chain_on_bisector_posets():
+    checked = 0
+    for fan in (catalog.square(), catalog.hirzebruch(1), catalog.hirzebruch(2)):
+        for base in fan.chambers():
+            try:
+                poset = rank2_bisector_poset(fan, base)
+            except PosetInvalid:
+                continue
+            assert_first_chain_is_first_of_maximal_chains(poset)
+            checked += 1
+    assert checked >= 6
+
+
+@settings(max_examples=15, deadline=None)
+@given(complete_planar_fans(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_first_chain_on_functional_posets(fan, b):
+    try:
+        poset = poset_from_linear_functional(fan, b)
+    except DegenerateFunctional:
+        assume(False)
+    assert_first_chain_is_first_of_maximal_chains(poset)

@@ -20,6 +20,7 @@ from partfan.rational import (
     identity_matrix,
     int_complement_projection,
     int_kernel_basis,
+    kernel_basis,
     mat_mul,
     mat_vec,
     matrix_rank,
@@ -303,6 +304,22 @@ def test_ragged_matrix_raises_dimension_mismatch():
         int_kernel_basis(ragged, 3)
     with pytest.raises(DimensionMismatch):
         dot((1, 2), (1, 2, 3))
+
+
+def test_kernel_of_a_wider_row_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch) as err:
+        kernel_basis([(1, 2, 3)], 2)
+    assert err.value.witness == [2, 3]
+    with pytest.raises(DimensionMismatch):
+        int_kernel_basis([(1, 2, 3)], 2)
+
+
+def test_kernel_of_a_narrower_row_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch) as err:
+        kernel_basis([(1, 2)], 3)
+    assert err.value.witness == [3, 2]
+    with pytest.raises(DimensionMismatch):
+        int_kernel_basis([(1, 2)], 3)
 
 
 def test_exact_results_on_integer_input():
