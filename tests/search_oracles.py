@@ -1,8 +1,8 @@
 """Former exhaustive searches of partfan, kept as oracles for the pruned ones.
 
 ``partition.enumerate_admissible`` now searches the E-classes depth-first
-and skips every choice that splits a forced pair.  The routine below is the
-product filter it replaced, copied unchanged apart from its name: it builds
+and skips every choice that splits a forced pair.  The routines below are
+the product filter it replaced and its helper, copied unchanged: it builds
 every product of set partitions of the E-classes and keeps the candidates
 that ``is_admissible`` accepts.
 """
