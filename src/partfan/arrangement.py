@@ -26,7 +26,7 @@ from .errors import (
 from .fan import build_fan
 from .partition import UnionFind, group_by
 from .poset import FanPoset
-from .rational import dot, int_kernel_basis, matrix_rank, primitive_ray
+from .rational import dot, int_kernel_basis, primitive_ray
 
 
 class Arrangement:
@@ -174,8 +174,7 @@ class Flat:
 
 def _flat_from_indices(arrangement, indices):
     normals = [arrangement.normals[i] for i in indices]
-    basis = int_kernel_basis(normals, arrangement.dim) if indices \
-        else int_kernel_basis([], arrangement.dim)
+    basis = int_kernel_basis(normals, arrangement.dim)
     closed = frozenset(
         i for i, n in enumerate(arrangement.normals)
         if all(dot(n, b) == 0 for b in basis)
@@ -184,34 +183,78 @@ def _flat_from_indices(arrangement, indices):
 
 
 def flats(arrangement):
-    """All flats, from closures of hyperplane subsets."""
-    out = set()
-    m = len(arrangement.normals)
-    for size in range(m + 1):
-        for subset in combinations(range(m), size):
-            out.add(_flat_from_indices(arrangement, subset))
+    """All flats, built rank by rank by closure.
+
+    The closure of a set S of hyperplanes is the set of hyperplanes that
+    contain the intersection of S.  Every flat of rank r + 1 is the
+    closure of F + {h} for a flat F of rank r and a hyperplane h not in F
+    (Orlik and Terao, *Arrangements of Hyperplanes*, 2.1): take r + 1
+    independent normals of it, let F be the closure of all but one and h
+    the one left out.  Such a closure has rank r + 1, as the normal of h
+    is not in the span of F's normals.  So starting from the closure of
+    the empty set, the closures of F + {h} over the flats F of one rank
+    give all flats of the next.  An h that already lies in a cover G of F
+    found so far is skipped: closure(F + {h}) lies in G and has G's rank,
+    so it is G.  This makes about one closure per cover relation of the
+    lattice, not one per subset of hyperplanes.  A flat's basis is the
+    primitive kernel basis of its normals, which depends only on their
+    span, so it does not depend on which set was closed.
+
+    >>> arrangement = Arrangement(2, [(1, 0), (0, 1), (1, 1)])
+    >>> [sorted(f.indices) for f in flats(arrangement)]
+    [[], [0], [1], [2], [0, 1, 2]]
+    >>> flats(arrangement)[1].basis
+    ((0, 1),)
+    """
+    level = [_flat_from_indices(arrangement, ())]
+    out = set(level)
+    while level:
+        above = []
+        for flat in level:
+            covers = []
+            for h in range(len(arrangement.normals)):
+                if h in flat.indices or any(h in c.indices for c in covers):
+                    continue
+                covers.append(_flat_from_indices(arrangement, flat.indices | {h}))
+            above.extend(c for c in covers if c not in out)
+            out.update(covers)
+        level = above
     return sorted(out, key=lambda f: (len(f.indices), sorted(f.indices)))
 
 
+def _zero_set(arrangement, vectors):
+    """The hyperplanes that contain every one of the vectors."""
+    return frozenset(i for i, n in enumerate(arrangement.normals)
+                     if all(dot(n, v) == 0 for v in vectors))
+
+
 def support(arrangement, fan, cone):
-    """Smallest flat containing a face of the arrangement fan."""
+    """Smallest flat containing a face of the arrangement fan.
+
+    Its hyperplanes are the face's zero set Z, the hyperplanes that
+    contain every ray of the face.  Z is closed: the intersection K of Z
+    contains the span of the face, so a hyperplane that contains K
+    contains every ray of the face and lies in Z.  So the flat is Z with
+    the kernel basis of Z's normals, and no closure is taken.
+    """
     try:
         cone = fan.check_cone(cone)
     except UnknownCone as err:
         raise UnknownFace("face not in the arrangement fan",
                           witness=err.witness) from err
-    if cone == ():
-        return _flat_from_indices(arrangement, range(len(arrangement.normals)))
-    vectors = fan.ray_vectors(cone)
-    containing = [i for i, n in enumerate(arrangement.normals)
-                  if all(dot(n, v) == 0 for v in vectors)]
-    return _flat_from_indices(arrangement, containing)
+    zero = _zero_set(arrangement, fan.ray_vectors(cone))
+    return Flat(zero, int_kernel_basis(
+        [arrangement.normals[i] for i in sorted(zero)], arrangement.dim))
 
 
 def flat_partition(arrangement, fan):
     """Blocks are the cones with equal support flats; admissible by theory,
-    and re-verified by the caller through partition.is_admissible."""
-    return group_by(fan, lambda cone: support(arrangement, fan, cone).indices)
+    and re-verified by the caller through partition.is_admissible.
+
+    A support flat is determined by its hyperplanes, the cone's zero set
+    (see ``support``), so the cones are grouped by zero set.
+    """
+    return group_by(fan, lambda cone: _zero_set(arrangement, fan.ray_vectors(cone)))
 
 
 def _chamber_check(fan, base):
@@ -270,38 +313,46 @@ def shards(arrangement, arrfan, base):
     hyperplanes of the region containing the base.  Every non-basic member
     is cut along X.  Shards are the components of each hyperplane's walls
     under adjacency through uncut codimension-2 faces.
+
+    Everything is read off the (dim-2)-faces f and their zero sets Z(f),
+    the hyperplanes of f's support flat (see ``support``).  Every face of
+    a simplicial arrangement fan spans its support flat, and every flat X
+    of rank 2 is spanned by a (dim-2)-face, a region of the arrangement
+    restricted to X.  So the codimension-2 flats are the distinct Z(f),
+    and ``_rank2_basics`` runs once per flat, in the order of ``flats``.
+    A wall's hyperplane is the one member of its zero set.  Two distinct
+    walls that both contain f share exactly f, as the fan is simplicial,
+    and walls that share a (dim-2)-face f both lie in star(f).  So
+    joining, for each f, the walls of each hyperplane H in star(f),
+    unless Z(f) is cut for H, gives the components of the adjacency.
     """
     fan = arrfan.fan
     base = _chamber_check(fan, base)
     base_point = arrfan.face_points[base]
-    m = len(arrangement.normals)
-    codim2 = [f for f in flats(arrangement)
-              if matrix_rank([arrangement.normals[i] for i in f.indices]) == 2]
-    cut_flats = {i: set() for i in range(m)}
-    for flat in codim2:
-        members = sorted(flat.indices)
-        if len(members) < 3:
+    flat_of = {f: _zero_set(arrangement, fan.ray_vectors(f))
+               for f in fan.cones_of_dim(fan.dim - 2)}
+    cut = set()  # (hyperplane, flat) when the hyperplane is cut along the flat
+    for flat in sorted(set(flat_of.values()), key=lambda z: (len(z), sorted(z))):
+        if len(flat) < 3:
             continue
+        members = sorted(flat)
         basics = _rank2_basics(arrangement, members, base_point)
-        for h in members:
-            if h not in basics:
-                cut_flats[h].add(flat.indices)
-    wall_hyperplane = {}
+        cut.update((h, flat) for h in members if h not in basics)
+    walls_on = {h: [] for h in range(len(arrangement.normals))}
+    hyperplane_of = {}
     for wall in fan.walls():
-        sup = support(arrangement, fan, wall)
-        (h,) = sup.indices
-        wall_hyperplane[wall] = h
+        (h,) = _zero_set(arrangement, fan.ray_vectors(wall))
+        walls_on[h].append(wall)
+        hyperplane_of[wall] = h
+    sets = UnionFind(fan.walls())
+    for face, flat in flat_of.items():
+        first = {}  # hyperplane -> its first wall in star(face)
+        for wall in fan.star(face):
+            h = hyperplane_of.get(wall)
+            if h is not None and (h, flat) not in cut:
+                sets.union(first.setdefault(h, wall), wall)
     out = []
-    for h in range(m):
-        walls = sorted(w for w, hh in wall_hyperplane.items() if hh == h)
-        sets = UnionFind(walls)
-        for a, b in combinations(walls, 2):
-            shared = tuple(sorted(set(a) & set(b)))
-            if len(shared) != fan.dim - 2 or shared not in fan:
-                continue
-            flat_key = support(arrangement, fan, shared).indices
-            if flat_key not in cut_flats[h]:
-                sets.union(a, b)
+    for h, walls in walls_on.items():
         groups = {}
         for w in walls:
             groups.setdefault(sets.find(w), []).append(w)
@@ -343,23 +394,21 @@ def shard_partition(arrangement, arrfan, base):
     The intersection is taken over the shards' full face sets (all cones
     of the fan inside the shard), which represents the point-set
     intersection faithfully; chambers lie in no shard and share a
-    distinguished ambient key.
+    distinguished ambient key.  Two cones have the same intersection iff
+    they lie in the same shards: a cone lies in the intersection of the
+    shards that contain it, so if the intersections of two cones agree,
+    each lies in every shard that holds the other.  So the cones are
+    grouped by the set of shards that contain them, and the chambers, the
+    only cones in no wall, by the empty set.
     """
     fan = arrfan.fan
-    shard_list = shards(arrangement, arrfan, base)
-    face_sets = []
-    for sh in shard_list:
-        faces = set()
+    containing = {}  # cone -> indices of the shards holding it
+    for sh in shards(arrangement, arrfan, base):
         for w in sh.walls:
             for k in range(len(w) + 1):
-                faces.update(combinations(w, k))
-        face_sets.append(frozenset(faces))
-
-    def key(cone):
-        containing = [faces for faces in face_sets if cone in faces]
-        return frozenset.intersection(*containing) if containing else "ambient"
-
-    return group_by(fan, key)
+                for face in combinations(w, k):
+                    containing.setdefault(face, set()).add(sh.index)
+    return group_by(fan, lambda cone: frozenset(containing.get(cone, ())))
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,18 @@ def picture_group(fan, partition, poset, mode="full", chain_cap=10 ** 6):
     mode="codim2" only for codimension-2 cones, which suffices when the
     poset is a polygonal lattice (the caller asserts polygonality).
     Type-2 relators (identified-morphism words) are emitted only when the
-    poset is degenerate.
+    poset is degenerate.  The presentation is computed once per (fan,
+    partition, mode, chain_cap) and kept on the poset.
     """
     if mode not in ("full", "codim2"):
         raise PosetInvalid("unknown picture-group mode", witness=mode)
+    key = (fan, partition, mode, chain_cap)
+    if key not in poset._pictures:
+        poset._pictures[key] = _picture_group(fan, partition, poset, mode, chain_cap)
+    return poset._pictures[key]
+
+
+def _picture_group(fan, partition, poset, mode, chain_cap):
     for cone in fan.cones:
         try:
             facial_interval(fan, poset, cone)

@@ -27,16 +27,20 @@ class Partition:
     """
 
     def __init__(self, fan, blocks):
-        blocks = tuple(tuple(sorted(b, key=_cone_key)) for b in blocks)
+        blocks = [tuple(b) if len(b) < 2 else tuple(sorted(b, key=_cone_key))
+                  for b in blocks]
+        blocks.sort(key=lambda b: (len(b[0]), b[0]))
         self.fan = fan
-        self.blocks = tuple(sorted(blocks, key=lambda b: _cone_key(b[0])))
-        self.block_of = {}
-        for idx, block in enumerate(self.blocks):
-            for cone in block:
-                if cone in self.block_of:
+        self.blocks = tuple(blocks)
+        self.block_of = {c: idx for idx, block in enumerate(blocks) for c in block}
+        if len(self.block_of) != sum(map(len, blocks)):
+            seen = set()
+            for cone in (c for block in blocks for c in block):
+                if cone in seen:
                     raise FanMismatch("cone appears in two blocks", witness=list(cone))
-                self.block_of[cone] = idx
-        if set(self.block_of) != set(fan.cones):
+                seen.add(cone)
+        # the keys of the fan's star index are its cones
+        if self.block_of.keys() != fan._stars.keys():
             missing = sorted(set(fan.cones) - set(self.block_of), key=_cone_key)
             extra = sorted(set(self.block_of) - set(fan.cones), key=_cone_key)
             raise FanMismatch("blocks do not partition the fan",
@@ -159,12 +163,16 @@ def is_admissible(fan, partition):
     Returns (True, None) or (False, witness) with witness the offending
     quadruple (sigma1, sigma2, tau1, tau2).  Raises PossibleIdentViolation
     when a block is not even contained in one E-class.
+
+    Each block is checked along the pairs of ``_block_pairs``: its first
+    member with each other member.  The scan over all pairs of a block
+    visits those pairs first, and a block fails only if one of them
+    fails, so the witness is the one that scan returns.
     """
     _check_possible(fan, partition)
     for block in partition.blocks:
-        for s1, s2 in combinations(block, 2):
-            match = _star_matching(fan, s1, s2)
-            for t1, t2 in match.items():
+        for s1, s2 in _block_pairs(fan, block):
+            for t1, t2 in _star_matching(fan, s1, s2).items():
                 if not partition.same_block(t1, t2):
                     return False, (s1, s2, t1, t2)
     return True, None
@@ -178,12 +186,45 @@ def _star_matching(fan, s1, s2):
     return {t1: inverse2[c] for t1, c in m1.items()}
 
 
+def _block_pairs(fan, block):
+    """The pairs of members whose star matchings decide a block of one E-class.
+
+    These are (s0, s) for the first member s0 and each other member s.
+    Members of one E-class have one span and one projected star, and
+    ``_star_matching`` goes through the canonical projected cones of that
+    span.  When projection is injective on each member's star, as on
+    every valid fan (the projected star is then a fan whose cones match
+    those of the star), the matchings are bijections and compose:
+    match(s -> s') = match(s0 -> s') o match(s0 -> s)^-1.  So if every
+    t ~ match(s0 -> s)(t) for each s, then for t in star(s) and
+    u = match(s0 -> s)^-1(t) both u ~ t and u ~ match(s0 -> s')(u) =
+    match(s -> s')(t) hold, and every pair of the block is consistent.
+    Otherwise all pairs of the block are returned.
+    """
+    if len(block) > 1 and _projects_injectively(fan, block):
+        return [(block[0], s) for s in block[1:]]
+    return list(combinations(block, 2))
+
+
+def _projects_injectively(fan, block):
+    """Whether projection is injective on the star of every member.
+
+    The members of a block of one E-class share their projected star, so
+    this holds iff each star has as many cones as that projected star.
+    """
+    size = len(set(fan.project_star_map(block[0]).values()))
+    return all(len(fan.project_star_map(s)) == size for s in block)
+
+
 def admissible_closure(fan, seed_pairs):
     """Smallest admissible partition whose blocks contain all seed pairs.
 
     Union-find fixpoint: whenever sigma1 ~ sigma2, matching star members
     are merged; iterated until stable.  Merges strictly decrease the block
-    count, so this terminates.
+    count, so this terminates.  Each round merges along ``_block_pairs``
+    only.  Every merge is forced, and a round without merges leaves a
+    partition in which those pairs, and so all pairs of each block, match
+    consistently: the least admissible partition containing the seeds.
     """
     ident = potential_identifications(fan)
     sets = UnionFind(fan.cones)
@@ -198,7 +239,7 @@ def admissible_closure(fan, seed_pairs):
         closure = group_by(fan, sets.find)
         merged = False
         for block in closure.blocks:
-            for s1, s2 in combinations(block, 2):
+            for s1, s2 in _block_pairs(fan, block):
                 for t1, t2 in _star_matching(fan, s1, s2).items():
                     merged |= sets.union(t1, t2)
         if not merged:

@@ -38,8 +38,10 @@ class FanPoset:
         self._cover_set = frozenset(covers)
         # (upper, wall) of each cover above a chamber, in sorted order
         self._up = {c: [] for c in self.elements}
+        self._across = {}  # wall -> (lower, upper) of each cover across it
         for lower, upper, wall in covers:
             self._up[lower].append((upper, wall))
+            self._across.setdefault(wall, []).append((lower, upper))
         self._above = {}
         for c in self.elements:
             seen = set()
@@ -55,6 +57,7 @@ class FanPoset:
             seen.add(c)
             self._above[c] = frozenset(seen)
         self._facial = {}
+        self._pictures = {}
 
     def leq(self, a, b):
         return b in self._above[a]
@@ -425,26 +428,64 @@ def check_nondegenerate(fan, partition, poset):
     For every pair sigma1 ~ sigma2 the cover directions inside their stars
     must agree under the canonical matching of projected cones; a mismatch
     would force a picture-group generator to be trivial.  Returns
-    (True, None) or (False, witness).
-    """
-    from .partition import _star_matching
+    (True, None) or (False, witness).  Raises PossibleIdentViolation when
+    a block crosses potential-identification classes.
 
+    A block is decided without its pairs.  Let D(s) be the set of pairs
+    (projected_cone(s, lower), projected_cone(s, upper)) over the covers
+    across the walls of star(s).  The pair test of s_i, s_j asks that
+    (match(lower), match(upper)) be a cover for each such cover of s_i.
+    That pair lies in star(s_j) and projects to the cover's own projected
+    pair, so when projection is injective on star(s_j), as on every valid
+    fan, it is a cover iff that projected pair lies in D(s_j).  So the
+    test is D(s_i) <= D(s_j), and over the block s_0, ..., s_k it holds
+    for every i < j iff D(s_0) <= D(s_1) <= ... <= D(s_k).  The covers
+    need not cross every wall, so D(s_i) = D(s_j) is not required.  Only
+    a failing block, or one where projection is not injective, goes
+    through the pair scan, which gives the witness; blocks fail in the
+    same order, so it is the one the scan over all blocks gives.
+    """
+    from .partition import _check_possible, _projects_injectively
+
+    _check_possible(fan, partition)
     for block in partition.blocks:
         if len(block[0]) == fan.dim:
             continue
-        for s1, s2 in combinations(block, 2):
-            match = _star_matching(fan, s1, s2)
-            for lower, upper, wall in poset.covers:
-                if not (set(s1) <= set(wall)):
-                    continue
-                lo2, up2 = match.get(lower), match.get(upper)
-                if lo2 is None or up2 is None:
-                    continue
-                direction = poset.cover_direction(lo2, up2)
-                if direction != 1:
-                    return False, {
-                        "block": [list(c) for c in block],
-                        "cover": [list(lower), list(upper)],
-                        "image": [list(lo2), list(up2)],
-                    }
+        if _projects_injectively(fan, block):
+            images = [_cover_images(fan, poset, s) for s in block]
+            if all(a <= b for a, b in zip(images, images[1:])):
+                continue
+        witness = _degenerate_pair(fan, poset, block)
+        if witness is not None:
+            return False, witness
     return True, None
+
+
+def _cover_images(fan, poset, cone):
+    """D(cone): the covers across walls of star(cone), as projected pairs."""
+    project = fan.project_star_map(cone)
+    return {(project[lower], project[upper])
+            for wall in fan.star(cone) if len(wall) == fan.dim - 1
+            for lower, upper in poset._across.get(wall, ())}
+
+
+def _degenerate_pair(fan, poset, block):
+    """The first failing (pair, cover) of a block as a witness, or None."""
+    from .partition import _star_matching
+
+    for s1, s2 in combinations(block, 2):
+        match = _star_matching(fan, s1, s2)
+        for lower, upper, wall in poset.covers:
+            if not (set(s1) <= set(wall)):
+                continue
+            lo2, up2 = match.get(lower), match.get(upper)
+            if lo2 is None or up2 is None:
+                continue
+            direction = poset.cover_direction(lo2, up2)
+            if direction != 1:
+                return {
+                    "block": [list(c) for c in block],
+                    "cover": [list(lower), list(upper)],
+                    "image": [list(lo2), list(up2)],
+                }
+    return None

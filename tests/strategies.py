@@ -1,4 +1,5 @@
-"""Hypothesis strategies and arrangements shared by several test modules."""
+"""Hypothesis strategies, arrangements and random partitions shared by several
+test modules."""
 
 from functools import cmp_to_key
 from itertools import combinations
@@ -7,6 +8,7 @@ from math import gcd
 from hypothesis import assume, strategies as st
 
 from partfan.fan import build_fan
+from partfan.partition import Partition, potential_identifications
 
 
 def _ccw(a, b):
@@ -39,3 +41,18 @@ def b_normals(n):
     unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     return unit + [tuple(a + s * b for a, b in zip(unit[i], unit[j]))
                    for i, j in combinations(range(n), 2) for s in (1, -1)]
+
+
+def refining_partition(fan, rng):
+    """A random partition that refines the E-classes; rarely admissible."""
+    blocks = []
+    for cls in potential_identifications(fan).classes:
+        labels = [rng.randrange(len(cls)) for _ in cls]
+        blocks += [[c for c, k in zip(cls, labels) if k == label] for label in set(labels)]
+    return Partition(fan, blocks)
+
+
+def random_seeds(fan, rng):
+    """Random seed pairs for ``admissible_closure``, each inside one E-class."""
+    classes = [c for c in potential_identifications(fan).classes if len(c) > 1]
+    return [tuple(rng.sample(c, 2)) for c in classes if rng.random() < 0.4]

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import pytest
 
 import fraction_oracles as oracle
+import search_oracles
 from partfan import arrangement as A
 from partfan import cones as conelib
 from partfan.errors import (
@@ -242,6 +243,67 @@ def test_support_examples(brauer):
 def test_flats_count(brauer):
     # ambient + 7 planes + 9 lines + origin
     assert len(A.flats(brauer.arrangement)) == 18
+
+
+def a_normals(n):
+    """The braid arrangement A_n: e_i - e_j in R^(n+1), not essential."""
+    unit = [tuple(int(k == i) for k in range(n + 1)) for i in range(n + 1)]
+    return [tuple(a - b for a, b in zip(unit[i], unit[j]))
+            for i, j in combinations(range(n + 1), 2)]
+
+
+# A_4 made essential: e_i - e_j and e_i in R^4 (the coordinate x_5 set to 0)
+A4_ESSENTIAL = [n[:4] for n in a_normals(4)]
+BELL = (1, 1, 2, 5, 15, 52, 203)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_braid_arrangement_flats_are_set_partitions(n):
+    # the flats of A_n are the set partitions of n + 1 points
+    assert len(A.flats(A.Arrangement(n + 1, a_normals(n)))) == BELL[n + 1]
+
+
+@pytest.mark.parametrize("dim, normals", [
+    (1, [(1,)]),
+    (2, [(1, 0), (0, 1), (1, 1)]),
+    (2, [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)]),
+    (3, [(1, 0, 0), (0, 1, 0)]),                                 # not essential
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]),  # not simplicial
+    (3, A3_NORMALS),
+    (3, b_normals(3)),
+    (4, A4_ESSENTIAL),
+    (4, a_normals(3)),
+])
+def test_flats_by_closure_match_subset_closures(dim, normals):
+    arrangement = A.Arrangement(dim, normals)
+    assert [f.to_json() for f in A.flats(arrangement)] == \
+        [f.to_json() for f in search_oracles.flats(arrangement)]
+
+
+@pytest.mark.parametrize("dim, normals", [
+    (1, [(1,)]),
+    (2, [(1, 0), (0, 1)]),
+    (2, [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)]),
+    (3, A3_NORMALS),
+    (3, A.builtin_brauer().normals),
+    (3, b_normals(3)),
+    (4, A4_ESSENTIAL),
+])
+def test_supports_and_shards_match_the_pairwise_oracles(dim, normals):
+    arrangement = A.Arrangement(dim, normals)
+    arrfan = A.arrangement_fan(arrangement, with_signs=True)
+    fan = arrfan.fan
+    for cone in fan.cones:
+        assert A.support(arrangement, fan, cone).to_json() == \
+            search_oracles.support(arrangement, fan, cone).to_json()
+    assert A.flat_partition(arrangement, fan).blocks == \
+        search_oracles.flat_partition(arrangement, fan).blocks
+    chambers = fan.chambers()
+    for base in chambers[::max(1, len(chambers) // 4)]:
+        assert [s.to_json() for s in A.shards(arrangement, arrfan, base)] == \
+            [s.to_json() for s in search_oracles.shards(arrangement, arrfan, base)]
+        assert A.shard_partition(arrangement, arrfan, base).blocks == \
+            search_oracles.shard_partition(arrangement, arrfan, base).blocks
 
 
 def test_support_unknown_face(brauer):

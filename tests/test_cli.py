@@ -184,6 +184,25 @@ def test_poset_check_and_nondegenerate(monkeypatch, capsys):
     assert json.loads(out)["nondegenerate"]
 
 
+@pytest.mark.parametrize("command", [["poset", "nondegenerate"],
+                                     ["group", "picture"], ["group", "alt"]])
+def test_block_across_classes_is_an_error_document(monkeypatch, capsys, command):
+    # the same document as ``partition check``; it was a raw KeyError
+    code, out = pipeline(monkeypatch, capsys, ["examples", "square"])
+    envelope = json.loads(out)
+    envelope["partition"] = {"blocks": [[[0], [1]]]}
+    expected = {"error": "PossibleIdentViolation", "witness": [[0], [1]]}
+    code, out = run_cli(["partition", "check"], json.dumps(envelope),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, json.loads(out)) == (1, expected)
+    code, out = run_cli(["poset", "functional", "--b", "1,2"], json.dumps(envelope),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    code, out = run_cli(command, out, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, json.loads(out)) == (1, expected)
+    assert capsys.readouterr().err == ""
+
+
 def test_category_check_cubical(monkeypatch, capsys):
     code, out = pipeline(monkeypatch, capsys,
                          ["examples", "hirzebruch-a1"],

@@ -74,6 +74,30 @@ def test_chain_cap(square_fan, torus_partition):
         G.picture_group(square_fan, torus_partition, poset, chain_cap=1)
 
 
+def test_picture_group_is_kept_on_the_poset(square_fan, torus_partition, monkeypatch):
+    from partfan.errors import ChainLimitExceeded
+
+    poset = poset_from_linear_functional(square_fan, (1, 1))
+    full = G.picture_group(square_fan, torus_partition, poset)
+    fresh = G.picture_group(square_fan, torus_partition,
+                            poset_from_linear_functional(square_fan, (1, 1)))
+    assert full.to_json() == fresh.to_json()
+    codim2 = G.picture_group(square_fan, torus_partition, poset, mode="codim2")
+    finest = G.picture_group(square_fan, finest_partition(square_fan), poset)
+    assert G.picture_group(square_fan, torus_partition, poset) is full
+    assert G.picture_group(square_fan, torus_partition, poset, mode="codim2") is codim2
+    assert finest is not full
+    # functor_check and the rank-2 certificate reuse it and list no chains
+    cat = build_category(square_fan, torus_partition)
+    monkeypatch.setattr(type(poset), "maximal_chains", None)
+    assert G.functor_check(cat, poset)[0]
+    assert G.rank2_faithfulness_certificate(cat, poset)[0]
+    monkeypatch.undo()
+    # a smaller chain cap is a different key and still raises
+    with pytest.raises(ChainLimitExceeded):
+        G.picture_group(square_fan, torus_partition, poset, chain_cap=1)
+
+
 def test_picture_group_invalid_poset(square_fan, torus_partition):
     covers = [(TAU1, TAU2, (0,)), (TAU3, TAU2, (1,)),
               (TAU3, TAU4, (2,)), (TAU4, TAU1, (3,))]

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -10,11 +11,15 @@ from partfan import arrangement as arrlib
 from partfan import catalog
 from partfan.errors import (
     EnumerationLimitExceeded,
+    FanMismatch,
     PossibleIdentViolation,
     SeedNotPossible,
 )
 from partfan.fan import build_fan
 from partfan.partition import (
+    Partition,
+    _projects_injectively,
+    _star_matching,
     admissible_closure,
     enumerate_admissible,
     finest_partition,
@@ -28,7 +33,13 @@ from partfan.partition import (
     refines,
 )
 from partfan.rational import mat_vec, primitive_ray
-from strategies import A3_NORMALS, b_normals, complete_planar_fans
+from strategies import (
+    A3_NORMALS,
+    b_normals,
+    complete_planar_fans,
+    random_seeds,
+    refining_partition,
+)
 
 HZB_P1_BLOCKS = (((),), ((0,),), ((1,), (3,)), ((2,),),
                  ((0, 1), (0, 3)), ((1, 2), (2, 3)))
@@ -199,12 +210,101 @@ def test_partition_json_defaults_singletons(square_fan):
 
 
 def test_fan_mismatch(square_fan, hzb_fan):
-    from partfan.errors import FanMismatch
-
     p = finest_partition(square_fan)
     q = finest_partition(hzb_fan)
     with pytest.raises(FanMismatch):
         meet(p, q)
+
+
+def test_partition_blocks_are_canonical_and_checked(square_fan):
+    p = Partition(square_fan, [[(2,), (0,)], [(0, 3), (0, 1)]] +
+                  [[c] for c in square_fan.cones if c not in ((0,), (2,), (0, 1), (0, 3))])
+    assert p.blocks == (((),), ((0,), (2,)), ((1,),), ((3,),),
+                        ((0, 1), (0, 3)), ((1, 2),), ((2, 3),))
+    with pytest.raises(FanMismatch) as err:
+        Partition(square_fan, [[c] for c in square_fan.cones] + [[(1,), (3,)]])
+    assert err.value.witness == [1]
+    with pytest.raises(FanMismatch) as err:
+        Partition(square_fan, [[(0,), (0,)]] + [[c] for c in square_fan.cones])
+    assert err.value.witness == [0]
+    with pytest.raises(FanMismatch) as err:
+        Partition(square_fan, [[c] for c in square_fan.cones if c != (1,)] + [[(7,)]])
+    assert err.value.witness == {"missing": [[1]], "unknown": [[7]]}
+
+
+def _oracle_fans():
+    a3 = arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS), with_signs=True)
+    brauer = arrlib.arrangement_fan(catalog.brauer(), with_signs=True)
+    return ([catalog.square(), catalog.three_lines(), catalog.hirzebruch(1),
+             catalog.hirzebruch(2), a3.fan, brauer.fan],
+            [arrlib.shard_partition(arrfan.arrangement, arrfan, arrfan.fan.chambers()[k])
+             for arrfan in (a3, brauer) for k in (0, 5)])
+
+
+def test_block_checks_match_the_pairwise_oracles():
+    """is_admissible and admissible_closure match every member pair only
+    with the block's first member; the former scans matched every pair."""
+    rng = random.Random(9)
+    fans, shard_partitions = _oracle_fans()
+    failures = 0
+    for fan in fans:
+        partitions = [refining_partition(fan, rng) for _ in range(25)]
+        for _ in range(8):
+            seeds = random_seeds(fan, rng)
+            closure = admissible_closure(fan, seeds)
+            assert closure.blocks == search_oracles.admissible_closure(fan, seeds).blocks
+            partitions.append(closure)
+        partitions += [p for p in shard_partitions if p.fan is fan]
+        for p in partitions:
+            result = is_admissible(fan, p)
+            assert result == search_oracles.is_admissible(fan, p)
+            failures += not result[0]
+    assert failures > 100
+
+
+def test_block_fails_at_a_later_member(brauer):
+    """Walls w0, w1, w2 of one hyperplane in one block, with the chambers of
+    w0 and w1 identified side by side and those of w2 left alone: only the
+    pairs with w2 fail, and the witness is the pair scan's first."""
+    fan = brauer.fan
+    w0, w1, w2 = next(b for b in brauer.flat.blocks if len(b[0]) == 2 and len(b) >= 3)[:3]
+    sides = _star_matching(fan, w0, w1)
+    partition = from_blocks(fan, [(w0, w1, w2)] +
+                            [(c, sides[c]) for c in fan.star_chambers(w0)])
+    ok, witness = is_admissible(fan, partition)
+    assert not ok and witness[:2] == (w0, w2)
+    assert (ok, witness) == search_oracles.is_admissible(fan, partition)
+
+
+def test_closure_merges_along_every_member(brauer):
+    fan = brauer.fan
+    w0, w1, w2 = next(b for b in brauer.flat.blocks if len(b[0]) == 2 and len(b) >= 3)[:3]
+    seeds = [(w1, w2), (w0, w2)]
+    closure = admissible_closure(fan, seeds)
+    assert closure.blocks == search_oracles.admissible_closure(fan, seeds).blocks
+    sides = _star_matching(fan, w1, w2)
+    assert all(closure.same_block(c, sides[c]) for c in fan.star_chambers(w1))
+
+
+def test_overlapping_fan_is_checked_pair_by_pair():
+    # cones (0, 1) and (0, 2) overlap: both project along ray 0 to one cone
+    fan = build_fan(2, [(1, 0), (0, 1), (1, 1), (-1, 0)], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert not _projects_injectively(fan, ((0,), (3,)))
+    assert _projects_injectively(catalog.square(), ((0,), (2,)))
+    partition = from_blocks(fan, [[(0,), (3,)]])
+    assert is_admissible(fan, partition) == search_oracles.is_admissible(fan, partition)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_planar_fans(), st.integers(0, 2 ** 32))
+def test_block_checks_match_the_pairwise_oracles_on_planar_fans(fan, seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        p = refining_partition(fan, rng)
+        assert is_admissible(fan, p) == search_oracles.is_admissible(fan, p)
+        seeds = random_seeds(fan, rng)
+        assert admissible_closure(fan, seeds).blocks == \
+            search_oracles.admissible_closure(fan, seeds).blocks
 
 
 def _pairwise_identified(fan, a, b):

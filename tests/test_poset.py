@@ -1,8 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import search_oracles
 from partfan import arrangement as arrlib
 from partfan import catalog
 from partfan import cones as conelib
@@ -12,9 +14,10 @@ from partfan.errors import (
     NotComplete,
     NotRank2,
     PosetInvalid,
+    PossibleIdentViolation,
 )
 from partfan.fan import build_fan
-from partfan.partition import finest_partition
+from partfan.partition import admissible_closure, finest_partition, from_blocks
 from partfan.poset import (
     FanPoset,
     check_nondegenerate,
@@ -25,7 +28,12 @@ from partfan.poset import (
     rank2_bisector_poset,
     wall_normal,
 )
-from strategies import A3_NORMALS, complete_planar_fans
+from strategies import (
+    A3_NORMALS,
+    complete_planar_fans,
+    random_seeds,
+    refining_partition,
+)
 
 TAU1, TAU2, TAU3, TAU4 = (0, 3), (0, 1), (1, 2), (2, 3)
 
@@ -204,6 +212,101 @@ def test_nondegenerate_all_admissible(square_fan, square_admissible,
     po_h = poset_from_linear_functional(hzb_fan, (1, 2))
     for p in hzb_admissible:
         assert check_nondegenerate(hzb_fan, p, po_h)[0]
+
+
+def test_nondegenerate_accepts_a_partial_cover_set(square_fan, torus_partition):
+    # the torus block {s1, s3}: a check of s3's covers against s1's would
+    # reject the first poset, whose covers skip the wall s1
+    poset = poset_from_linear_functional(square_fan, (1, 1))
+    skip_s1 = FanPoset(square_fan, [c for c in poset.covers if c[2] != (0,)])
+    skip_s3 = FanPoset(square_fan, [c for c in poset.covers if c[2] != (2,)])
+    assert check_nondegenerate(square_fan, torus_partition, skip_s1) == (True, None)
+    assert check_nondegenerate(square_fan, torus_partition, skip_s3) == (False, {
+        "block": [[0], [2]], "cover": [[0, 1], [0, 3]], "image": [[1, 2], [2, 3]]})
+    for p in (skip_s1, skip_s3):
+        assert check_nondegenerate(square_fan, torus_partition, p) == \
+            search_oracles.check_nondegenerate(square_fan, torus_partition, p)
+
+
+def test_nondegenerate_fails_between_later_members():
+    """Walls w0, w1, w2 of one hyperplane in one block, with no cover across
+    w0 and w2: w0 passes against both, and the cover across w1 has no image."""
+    arrfan = arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS), with_signs=True)
+    fan = arrfan.fan
+    regions = arrlib.poset_of_regions(arrfan, fan.chambers()[0])
+    h = fan.walls()[0]
+    w0, w1, w2 = [w for w in fan.walls()
+                  if fan.project_star(w) == fan.project_star(h)][:3]
+    poset = FanPoset(fan, [c for c in regions.covers if c[2] not in (w0, w2)])
+    partition = from_blocks(fan, [(w0, w1, w2)])
+    ok, witness = check_nondegenerate(fan, partition, poset)
+    assert not ok
+    assert witness["cover"] == [[list(lo), list(up)] for lo, up, w in regions.covers
+                                if w == w1][0]
+    assert (ok, witness) == search_oracles.check_nondegenerate(fan, partition, poset)
+
+
+def test_nondegenerate_rejects_a_block_across_classes(square_fan):
+    # the former pair scan ended in a raw KeyError from the star matching
+    poset = poset_from_linear_functional(square_fan, (1, 2))
+    partition = from_blocks(square_fan, [[(0,), (1,)]])
+    with pytest.raises(PossibleIdentViolation) as err:
+        check_nondegenerate(square_fan, partition, poset)
+    assert err.value.witness == [[0], [1]]
+
+
+def _poset_variants(fan, poset, rng):
+    """The poset, three with covers left out, and the acyclic ones of three
+    with covers flipped."""
+    out = [poset]
+    for _ in range(3):
+        out.append(FanPoset(fan, [c for c in poset.covers if rng.random() < 0.7]))
+    for _ in range(3):
+        try:
+            out.append(FanPoset(fan, [(up, lo, w) if rng.random() < 0.2 else (lo, up, w)
+                                      for lo, up, w in poset.covers]))
+        except PosetInvalid:
+            pass
+    return out
+
+
+def test_nondegenerate_matches_the_pairwise_oracle():
+    """check_nondegenerate tests inclusions of cover images along each
+    block; the former scan matched every pair against every cover."""
+    rng = random.Random(5)
+    cases = [(catalog.square(), (1, 2)), (catalog.three_lines(), (2, 1)),
+             (catalog.hirzebruch(2), (1, 3))]
+    cases = [(fan, poset_from_linear_functional(fan, b)) for fan, b in cases]
+    for normals in (A3_NORMALS, catalog.brauer().normals):
+        arrfan = arrlib.arrangement_fan(arrlib.Arrangement(3, normals), with_signs=True)
+        base = arrfan.fan.chambers()[3]
+        cases.append((arrfan.fan, arrlib.poset_of_regions(arrfan, base)))
+    verdicts = []
+    for fan, poset in cases:
+        partitions = [admissible_closure(fan, random_seeds(fan, rng)) for _ in range(6)]
+        partitions += [refining_partition(fan, rng) for _ in range(6)]
+        for variant in _poset_variants(fan, poset, rng):
+            for p in partitions:
+                result = check_nondegenerate(fan, p, variant)
+                assert result == search_oracles.check_nondegenerate(fan, p, variant)
+                verdicts.append(result[0])
+    assert 50 < verdicts.count(False) < len(verdicts) - 50
+
+
+@settings(max_examples=20, deadline=None)
+@given(complete_planar_fans(), st.integers(0, 2 ** 32))
+def test_nondegenerate_matches_the_pairwise_oracle_on_planar_fans(fan, seed):
+    rng = random.Random(seed)
+    b = (rng.randint(-9, 9), rng.randint(-9, 9))
+    try:
+        poset = poset_from_linear_functional(fan, b)
+    except DegenerateFunctional:
+        assume(False)
+    for variant in _poset_variants(fan, poset, rng):
+        for p in (admissible_closure(fan, random_seeds(fan, rng)),
+                  refining_partition(fan, rng)):
+            assert check_nondegenerate(fan, p, variant) == \
+                search_oracles.check_nondegenerate(fan, p, variant)
 
 
 def test_degenerate_hand_built(square_fan, torus_partition):
