@@ -19,6 +19,7 @@ from .errors import (
     PosetInvalid,
 )
 from .fan import is_finite_complete
+from .partition import _check_possible, _projects_injectively, _star_matching
 from .rational import dot, int_kernel_basis, sqrt_combination_sign, vec
 
 
@@ -445,8 +446,6 @@ def check_nondegenerate(fan, partition, poset):
     through the pair scan, which gives the witness; blocks fail in the
     same order, so it is the one the scan over all blocks gives.
     """
-    from .partition import _check_possible, _projects_injectively
-
     _check_possible(fan, partition)
     for block in partition.blocks:
         if len(block[0]) == fan.dim:
@@ -471,8 +470,6 @@ def _cover_images(fan, poset, cone):
 
 def _degenerate_pair(fan, poset, block):
     """The first failing (pair, cover) of a block as a witness, or None."""
-    from .partition import _star_matching
-
     for s1, s2 in combinations(block, 2):
         match = _star_matching(fan, s1, s2)
         for lower, upper, wall in poset.covers:

@@ -242,8 +242,8 @@ def _oracle_fans():
 
 
 def test_block_checks_match_the_pairwise_oracles():
-    """is_admissible and admissible_closure match every member pair only
-    with the block's first member; the former scans matched every pair."""
+    """is_admissible and admissible_closure match each member of a block
+    with its first member only; the former scans matched every pair."""
     rng = random.Random(9)
     fans, shard_partitions = _oracle_fans()
     failures = 0
