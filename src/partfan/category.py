@@ -9,6 +9,7 @@ so composition and all five cubical axioms can be checked on fully
 materialized tables.
 """
 
+from functools import cache
 from itertools import combinations
 
 from .errors import NotAdmissible, NotAFace, NotComposable, RankZero
@@ -152,11 +153,8 @@ def first_factors(category, f):
     if f.rank == 0:
         raise RankZero("identity morphisms have no factors", witness=f.index)
     sigma, tau = f.reps[0]
-    extra = [i for i in tau if i not in sigma]
-    out = set()
-    for v in extra:
-        middle = tuple(sorted(sigma + (v,)))
-        out.add(category.morphism_of_pair(sigma, middle).index)
+    out = {category.of_pair[sigma, tuple(sorted(sigma + (v,)))]
+           for v in tau if v not in sigma}
     return tuple(category.morphisms[i] for i in sorted(out))
 
 
@@ -165,11 +163,8 @@ def last_factors(category, f):
     if f.rank == 0:
         raise RankZero("identity morphisms have no factors", witness=f.index)
     sigma, tau = f.reps[0]
-    extra = [i for i in tau if i not in sigma]
-    out = set()
-    for v in extra:
-        lam = tuple(i for i in tau if i != v)
-        out.add(category.morphism_of_pair(lam, tau).index)
+    out = {category.of_pair[tuple(i for i in tau if i != v), tau]
+           for v in tau if v not in sigma}
     return tuple(category.morphisms[i] for i in sorted(out))
 
 
@@ -189,21 +184,32 @@ def factorization_cube(category, f):
     """All two-step factorizations of f, with the subset-poset indexing.
 
     The subset map comes from one representative (sigma, tau): S maps to
-    sigma -> cone{sigma, {v_i : i in S}} -> tau.  The build verifies that
+    sigma -> cone{sigma, {v_i : i in S}} -> tau.  The objects are listed by
+    subset size, and within a size in ``combinations`` order, so objects
+    1..k are the singletons {i} and the k before the last are the
+    co-singletons, {v_k} dropped first.  ``check_cubical`` verifies that
     this hits every factorization pair exactly once (Faq(f) ~ I^k).
+
+    The reps are pairs of sorted cones and every middle is a sorted face of
+    tau, so each pair is read straight off ``Category.of_pair``.
     """
+    of_pair = category.of_pair
     sigma, tau = f.reps[0]
     extra = [i for i in tau if i not in sigma]
     objects = []
     subset_of = {}
-    for size in range(len(extra) + 1):
-        for S in combinations(range(len(extra)), size):
-            middle = tuple(sorted(sigma + tuple(extra[i] for i in S)))
-            g = category.morphism_of_pair(sigma, middle)
-            h = category.morphism_of_pair(middle, tau)
-            objects.append((g.index, h.index))
-            subset_of[(g.index, h.index)] = frozenset(S)
+    for S in _cube_subsets(len(extra)):
+        middle = tuple(sorted(sigma + tuple(extra[i] for i in S)))
+        obj = (of_pair[sigma, middle], of_pair[middle, tau])
+        objects.append(obj)
+        subset_of[obj] = frozenset(S)
     return FactorizationCube(f, tuple(objects), subset_of)
+
+
+@cache
+def _cube_subsets(k):
+    """The subsets of range(k) in the order of the factorization-cube objects."""
+    return tuple(S for size in range(k + 1) for S in combinations(range(k), size))
 
 
 def factorization_pairs(category, f):
@@ -253,41 +259,64 @@ def check_cubical(category):
        faithful (at most one morphism between factorization objects);
     4. morphisms of equal rank >= 1 are determined by their first factors;
     5. likewise by their last factors.
+
+    Everything is read from the current ``compose_table``, so an entry
+    changed after the build is seen.  A Faq-morphism (g1, h1) -> (g2, h2)
+    is a phi from g1's target to g2's target with phi o g1 = g2 and
+    h2 o phi = h1.  One pass over the table indexes every phi by g and
+    phi o g, so the counts out of (g1, h1) look only at the phi with
+    phi o g1 one of the cube's g, not at whole hom-sets.  When the nonzero
+    counts are exactly 1 on the pairs S < T of the cube, nothing fails;
+    otherwise every ordered pair is compared in turn, so axioms 2 and 3
+    record their witnesses in the order of a scan over all pairs.
+
+    The factors of axioms 4 and 5 are read off f's factorization cube.  Its
+    singleton objects {i} are (f_{sigma, cone{sigma, v_i}}, ...) and its
+    co-singletons are (..., f_{lambda_i, tau}), with lambda_i dropping v_i:
+    the pairs ``first_factors`` and ``last_factors`` look up, from the same
+    representative.  They are read by position, since a cube that fails
+    axiom 2 may list one object twice.  Each axiom records its witnesses in
+    morphism order.
     """
     report = AxiomReport()
     ms = category.morphisms
-    for (fi, gi), hi in sorted(category.compose_table.items()):
+    table = category.compose_table
+    after = {}   # after[g][c]: the phi with phi o g = c
+    for (fi, gi), hi in sorted(table.items()):
         if ms[fi].rank + ms[gi].rank != ms[hi].rank:
             report.record(1, {"f": fi, "g": gi, "composite": hi})
+        after.setdefault(fi, {}).setdefault(hi, []).append(gi)
 
     factorizations = _factorizations(category)
-    for f in ms:
-        pairs = factorizations.get(f.index, [])
-        cube = factorization_cube(category, f)
-        if sorted(cube.objects) != pairs or len(set(cube.objects)) != 2 ** f.rank:
-            report.record(2, {"morphism": f.index,
-                              "expected": 2 ** f.rank,
-                              "pairs": pairs})
-            continue
-        middles = [ms[g].target for g, _ in cube.objects]
-        if len(set(middles)) != len(middles):
-            report.record(3, {"morphism": f.index, "middles": middles})
-        for (a, b) in combinations(cube.objects, 2):
-            for src, dst in ((a, b), (b, a)):
-                count = _faq_morphisms(category, src, dst)
-                expected = 1 if cube.subset_of[src] <= cube.subset_of[dst] else 0
-                if count != expected:
-                    report.record(3 if count > 1 else 2,
-                                  {"morphism": f.index, "from": src, "to": dst,
-                                   "count": count, "expected": expected})
-
     by_first = {}
     by_last = {}
     for f in ms:
-        if f.rank == 0:
+        k = f.rank
+        objects = factorization_cube(category, f).objects
+        pairs = factorizations.get(f.index, [])
+        if sorted(objects) != pairs or len(set(objects)) != 2 ** k:
+            report.record(2, {"morphism": f.index, "expected": 2 ** k,
+                              "pairs": pairs})
+        else:
+            middles = [ms[g].target for g, _ in objects]
+            if len(set(middles)) != len(middles):
+                report.record(3, {"morphism": f.index, "middles": middles})
+            counts = _faq_counts(category, after, objects, middles)
+            inclusions = _cube_inclusions(k)
+            if counts.keys() != inclusions or any(c != 1 for c in counts.values()):
+                for i, j in combinations(range(len(objects)), 2):
+                    for a, b in ((i, j), (j, i)):
+                        count = counts.get((a, b), 0)
+                        expected = 1 if (a, b) in inclusions else 0
+                        if count != expected:
+                            report.record(3 if count > 1 else 2,
+                                          {"morphism": f.index, "from": objects[a],
+                                           "to": objects[b], "count": count,
+                                           "expected": expected})
+        if k == 0:
             continue
-        fkey = tuple(sorted(m.index for m in first_factors(category, f)))
-        lkey = tuple(sorted(m.index for m in last_factors(category, f)))
+        fkey = tuple(sorted({g for g, _ in objects[1:k + 1]}))
+        lkey = tuple(sorted({h for _, h in objects[-1 - k:-1]}))
         if fkey in by_first:
             report.record(4, {"a": by_first[fkey], "b": f.index, "first": fkey})
         else:
@@ -299,17 +328,35 @@ def check_cubical(category):
     return report
 
 
-def _faq_morphisms(category, src, dst):
-    """Number of Faq-morphisms between two factorization objects of one f."""
-    g1, h1 = src
-    g2, h2 = dst
+def _faq_counts(category, after, objects, middles):
+    """The nonzero Faq-morphism counts between cube objects, by position.
+
+    The count from (g1, h1) to (g2, h2) is the number of phi from g1's
+    target to g2's target with phi o g1 = g2 and h2 o phi = h1;
+    ``after[g1][g2]`` lists the phi with phi o g1 = g2.
+    """
     ms = category.morphisms
-    count = 0
-    for phi_idx in category.hom.get((ms[g1].target, ms[g2].target), ()):
-        if category.compose_table.get((g1, phi_idx)) == g2 and \
-           category.compose_table.get((phi_idx, h2)) == h1:
-            count += 1
-    return count
+    table = category.compose_table
+    gs = [g for g, _ in objects]
+    counts = {}
+    for a, (g1, h1) in enumerate(objects):
+        composites = after.get(g1, {})
+        for b in [b for b, g2 in enumerate(gs) if g2 in composites and b != a]:
+            h2 = objects[b][1]
+            for phi in composites[gs[b]]:
+                if (ms[phi].source == middles[a] and ms[phi].target == middles[b]
+                        and table.get((phi, h2)) == h1):
+                    counts[a, b] = counts.get((a, b), 0) + 1
+    return counts
+
+
+@cache
+def _cube_inclusions(k):
+    """The position pairs (a, b), a != b, of factorization-cube objects whose
+    subsets of {0..k-1} satisfy S_a <= S_b."""
+    subsets = [frozenset(S) for S in _cube_subsets(k)]
+    return frozenset((a, b) for a, sa in enumerate(subsets)
+                     for b, sb in enumerate(subsets) if a != b and sa <= sb)
 
 
 def check_last_factor_compatibility(category):
@@ -321,9 +368,11 @@ def check_last_factor_compatibility(category):
     (False, offending set of morphism indices).  In ambient dimension 2
     this amounts to detecting any 3 pairwise-compatible rank-1 morphisms.
     """
-    ms = category.morphisms
+    incoming_of = {}
+    for m in category.morphisms:
+        incoming_of.setdefault(m.target, []).append(m)
     for obj in category.objects:
-        incoming = [m for m in ms if m.target == obj]
+        incoming = incoming_of.get(obj, [])
         rank1 = sorted(m.index for m in incoming if m.rank == 1)
         if len(rank1) < 3:
             continue

@@ -11,14 +11,13 @@ decompositions but carry no attaching words; the fundamental group only
 needs the 2-skeleton.
 """
 
-from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import Disconnected, NotComplete, PreconditionUnmet
-from .fan import is_finite_complete, subspace_coordinates
+from .fan import is_finite_complete
 from .groups import Presentation, abelianization, free_reduce, wall_generator
 from .partition import is_admissible
-from .rational import dot
+from .rational import dot, int_kernel_basis
 
 
 class CWComplex:
@@ -130,39 +129,39 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
 
     The projected star of sigma is a complete fan in the plane
     span(sigma)^perp; its rays (projected walls) are sorted by exact
-    angular order in an orthogonal rational frame, and each consecutive
+    angular order in an orthogonal integer frame, and each consecutive
     crossing contributes the oriented 1-cell of the wall's block.
+
+    The frame is b1 and e2 = (b1.b1) b2 - (b2.b1) b1, for the primitive
+    kernel basis b1, b2 of ``int_kernel_basis``, and a ray v has the
+    coordinates (v.b1, v.e2).  This is the order of the orthogonal rational
+    frame u1, u2 that Gram-Schmidt makes from ``kernel_basis``.  That
+    basis is b1 / c1, b2 / c2, each divided by its entry at its free
+    column, which is positive.  So u1 = b1 / c1 and u2 = e2 / (c2 b1.b1),
+    and the rational coordinates (v.u1 / u1.u1, v.u2 / u2.u2) are the
+    integer ones, each axis scaled by a positive constant.  Such scaling
+    keeps ``_half`` (the signs of both coordinates) and the sign of the
+    cross product, so the angular order, the start of the cyclic word and
+    every word are the same.
     """
-    basis = subspace_coordinates(fan, sigma)
+    b1, b2 = int_kernel_basis(fan.ray_vectors(sigma), fan.dim)
+    n11, n21 = dot(b1, b1), dot(b2, b1)
+    e2 = tuple(n11 * y - n21 * x for x, y in zip(b1, b2))
     walls = [c for c in fan.star(sigma) if len(c) == len(sigma) + 1]
-    chambers = fan.star_chambers(sigma)
     proj = {w: fan.projected_cone(sigma, w)[0] for w in walls}
-    coords = {w: _plane_coordinates(basis, proj[w]) for w in walls}
+    coords = {w: (dot(proj[w], b1), dot(proj[w], e2)) for w in walls}
     ordered = sorted(walls, key=cmp_to_key(lambda a, b: _angular_cmp(coords[a],
                                                                      coords[b])))
     chamber_between = {}
-    for c in chambers:
-        sig = frozenset(fan.projected_cone(sigma, c))
-        chamber_between[sig] = c
-    m = len(ordered)
+    for c in fan.star_chambers(sigma):
+        chamber_between[frozenset(fan.projected_cone(sigma, c))] = c
     word = []
-    for i in range(m):
-        w_prev = ordered[i - 1]
-        w_cur = ordered[i]
+    for w_prev, w_cur in zip(ordered[-1:] + ordered[:-1], ordered):
         before = chamber_between[frozenset((proj[w_prev], proj[w_cur]))]
-        w_next = ordered[(i + 1) % m]
-        after = chamber_between[frozenset((proj[w_cur], proj[w_next]))]
         edge = edge_of_block[partition.block_of[w_cur]]
-        crossing_sig = fan.projected_cone(w_cur, before)
-        sign = 1 if crossing_sig == edge.tail_signature else -1
+        sign = 1 if fan.projected_cone(w_cur, before) == edge.tail_signature else -1
         word.append((edge.index, sign))
     return word
-
-
-def _plane_coordinates(basis, vector):
-    b1, b2 = basis
-    return (Fraction(dot(vector, b1), dot(b1, b1)),
-            Fraction(dot(vector, b2), dot(b2, b2)))
 
 
 def _angular_cmp(u, v):

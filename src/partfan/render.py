@@ -9,6 +9,8 @@ predicate depends on these numbers.
 
 import math
 
+from .errors import BadInput, DimensionMismatch
+
 
 def _svg_header(size):
     return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -18,7 +20,7 @@ def _svg_header(size):
 def fan_svg(fan, size=400):
     """Rays and chamber labels of a fan in the plane."""
     if fan.dim != 2:
-        raise ValueError("fan_svg draws rank-2 fans")
+        raise DimensionMismatch("fan_svg draws rank-2 fans", witness=[2, fan.dim])
     center = size / 2.0
     scale = size * 0.4
     parts = [_svg_header(size)]
@@ -58,9 +60,21 @@ def _stereographic(point, pole, frame):
 
 def arrangement_svg(arrangement, projection_point=(1, 1, 1), size=500,
                     samples=720, window=6.0):
-    """Stereographic projection of the hyperplane great circles."""
+    """Stereographic projection of the hyperplane great circles.
+
+    A rank other than 3, or a projection point with other than three
+    coordinates, raises DimensionMismatch with witness [3, that number]; the
+    zero point raises BadInput.
+    """
     if arrangement.dim != 3:
-        raise ValueError("stereographic rendering needs a rank-3 arrangement")
+        raise DimensionMismatch("stereographic rendering needs a rank-3 arrangement",
+                                witness=[3, arrangement.dim])
+    if len(projection_point) != 3:
+        raise DimensionMismatch("the projection point needs three coordinates",
+                                witness=[3, len(projection_point)])
+    if not any(projection_point):
+        raise BadInput("the projection point must be nonzero",
+                       witness=list(projection_point))
     pole = [float(x) for x in projection_point]
     norm = math.sqrt(sum(x * x for x in pole))
     pole = [x / norm for x in pole]
@@ -73,7 +87,12 @@ def arrangement_svg(arrangement, projection_point=(1, 1, 1), size=500,
     parts = [_svg_header(size)]
     for idx, normal in enumerate(arrangement.normals):
         n = _normalize([float(x) for x in normal])
-        a = _normalize(_cross(n, pole if abs(_dotf(n, pole)) < 0.99 else [1, 0, 0]))
+        # a direction in the normal's plane: across the pole, or off an axis
+        # the normal does not lie on when the pole is (nearly) the normal
+        a = _cross(n, pole if abs(_dotf(n, pole)) < 0.99 else [1, 0, 0])
+        if not any(a):
+            a = _cross(n, [0, 1, 0])
+        a = _normalize(a)
         b = _normalize(_cross(n, a))
         segment = []
         for k in range(samples + 1):

@@ -4,6 +4,7 @@ from partfan import arrangement as arrlib
 from partfan import catalog
 from partfan import category as catlib
 from partfan import partition as partlib
+from strategies import A3_NORMALS, b_normals
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +60,24 @@ class BrauerBundle:
 @pytest.fixture(scope="session")
 def brauer():
     return BrauerBundle()
+
+
+@pytest.fixture(scope="session")
+def coxeter_partitions(brauer):
+    """name -> (fan, {"flat", "shard", "finest"} -> partition) for A3, Brauer
+    and B3; shards from the all-positive chamber."""
+    out = {"brauer": (brauer.fan, {"flat": brauer.flat, "shard": brauer.shard,
+                                   "finest": partlib.finest_partition(brauer.fan)})}
+    for name, normals in (("A3", A3_NORMALS), ("B3", b_normals(3))):
+        arrangement = arrlib.Arrangement(3, normals)
+        arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+        fan = arrfan.fan
+        base = next(c for c in fan.max_cones
+                    if arrfan.sign_of(c) == (1,) * len(normals))
+        out[name] = (fan, {"flat": arrlib.flat_partition(arrangement, fan),
+                           "shard": arrlib.shard_partition(arrangement, arrfan, base),
+                           "finest": partlib.finest_partition(fan)})
+    return out
 
 
 @pytest.fixture(scope="session")

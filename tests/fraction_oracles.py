@@ -5,12 +5,28 @@ elimination, ``_echelon``.  These are the routines it replaced, copied
 unchanged apart from their names for the rank test and the Gram inverse, so
 that no test checks the integer core against something derived from it.
 They import only the non-eliminating helpers of ``partfan.rational``.
+
+The last three routines are the Fraction plane frame that
+``partfan.cw._attaching_word`` used before it moved to an integer frame:
+``subspace_coordinates`` (an orthogonal basis of span(sigma)^perp by
+Gram-Schmidt over the kernel basis above), ``_plane_coordinates`` and the
+former ``_attaching_word`` itself.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 
+from partfan.cw import _angular_cmp
 from partfan.errors import DependentBasis, DimensionMismatch
-from partfan.rational import _exact, identity_matrix, mat_mul, transpose, vec
+from partfan.rational import (
+    _exact,
+    dot,
+    gram_schmidt,
+    identity_matrix,
+    mat_mul,
+    transpose,
+    vec,
+)
 
 
 def rref(rows):
@@ -137,3 +153,52 @@ def gram_inverse(m, n):
     if list(pivots[:n]) != list(range(n)):
         raise DependentBasis("singular Gram matrix")
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction plane frame of the CW attaching words
+
+def subspace_coordinates(fan, cone):
+    """An orthogonal rational basis of span(cone)^perp, for 2D frames."""
+    comp = kernel_basis(fan.ray_vectors(cone), fan.dim)
+    return gram_schmidt(comp)
+
+
+def _attaching_word(fan, partition, edge_of_block, sigma):
+    """Cyclic crossing word around a codimension-2 cone.
+
+    The projected star of sigma is a complete fan in the plane
+    span(sigma)^perp; its rays (projected walls) are sorted by exact
+    angular order in an orthogonal rational frame, and each consecutive
+    crossing contributes the oriented 1-cell of the wall's block.
+    """
+    basis = subspace_coordinates(fan, sigma)
+    walls = [c for c in fan.star(sigma) if len(c) == len(sigma) + 1]
+    chambers = fan.star_chambers(sigma)
+    proj = {w: fan.projected_cone(sigma, w)[0] for w in walls}
+    coords = {w: _plane_coordinates(basis, proj[w]) for w in walls}
+    ordered = sorted(walls, key=cmp_to_key(lambda a, b: _angular_cmp(coords[a],
+                                                                     coords[b])))
+    chamber_between = {}
+    for c in chambers:
+        sig = frozenset(fan.projected_cone(sigma, c))
+        chamber_between[sig] = c
+    m = len(ordered)
+    word = []
+    for i in range(m):
+        w_prev = ordered[i - 1]
+        w_cur = ordered[i]
+        before = chamber_between[frozenset((proj[w_prev], proj[w_cur]))]
+        w_next = ordered[(i + 1) % m]
+        after = chamber_between[frozenset((proj[w_cur], proj[w_next]))]
+        edge = edge_of_block[partition.block_of[w_cur]]
+        crossing_sig = fan.projected_cone(w_cur, before)
+        sign = 1 if crossing_sig == edge.tail_signature else -1
+        word.append((edge.index, sign))
+    return word
+
+
+def _plane_coordinates(basis, vector):
+    b1, b2 = basis
+    return (Fraction(dot(vector, b1), dot(b1, b1)),
+            Fraction(dot(vector, b2), dot(b2, b2)))

@@ -16,13 +16,26 @@ apart from imports:
 - ``is_admissible``, ``admissible_closure`` and ``check_nondegenerate``:
   the star matching of every pair of cones in a block, and for
   non-degeneracy a scan of every cover for each such pair.
+- ``check_cubical``, ``_faq_morphisms``, ``factorization_cube``,
+  ``first_factors``, ``last_factors`` and
+  ``check_last_factor_compatibility``: every (sigma, tau) pair looked up
+  through the validating ``Category.morphism_of_pair``, each Faq count by a
+  scan of a whole hom-set, and the factors of axioms 4 and 5 looked up again
+  rather than read off the cube.
 """
 
 from itertools import combinations
 
 from partfan.arrangement import Flat, Shard, _chamber_check, _rank2_basics
+from partfan.category import (
+    AxiomReport,
+    FactorizationCube,
+    _cliques_of_size_3_up,
+    _factorizations,
+)
 from partfan.errors import (
     EnumerationLimitExceeded,
+    RankZero,
     SeedNotPossible,
     UnknownCone,
     UnknownFace,
@@ -262,4 +275,156 @@ def check_nondegenerate(fan, partition, poset):
                         "cover": [list(lower), list(upper)],
                         "image": [list(lo2), list(up2)],
                     }
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# cubical axioms
+
+def first_factors(category, f):
+    """The rank-1 first factors [f_{sigma, cone{sigma, v_i}}]."""
+    if f.rank == 0:
+        raise RankZero("identity morphisms have no factors", witness=f.index)
+    sigma, tau = f.reps[0]
+    extra = [i for i in tau if i not in sigma]
+    out = set()
+    for v in extra:
+        middle = tuple(sorted(sigma + (v,)))
+        out.add(category.morphism_of_pair(sigma, middle).index)
+    return tuple(category.morphisms[i] for i in sorted(out))
+
+
+def last_factors(category, f):
+    """The rank-1 last factors [f_{lambda_i, tau}] with lambda_i dropping v_i."""
+    if f.rank == 0:
+        raise RankZero("identity morphisms have no factors", witness=f.index)
+    sigma, tau = f.reps[0]
+    extra = [i for i in tau if i not in sigma]
+    out = set()
+    for v in extra:
+        lam = tuple(i for i in tau if i != v)
+        out.add(category.morphism_of_pair(lam, tau).index)
+    return tuple(category.morphisms[i] for i in sorted(out))
+
+
+def factorization_cube(category, f):
+    """All two-step factorizations of f, with the subset-poset indexing.
+
+    The subset map comes from one representative (sigma, tau): S maps to
+    sigma -> cone{sigma, {v_i : i in S}} -> tau.  The build verifies that
+    this hits every factorization pair exactly once (Faq(f) ~ I^k).
+    """
+    sigma, tau = f.reps[0]
+    extra = [i for i in tau if i not in sigma]
+    objects = []
+    subset_of = {}
+    for size in range(len(extra) + 1):
+        for S in combinations(range(len(extra)), size):
+            middle = tuple(sorted(sigma + tuple(extra[i] for i in S)))
+            g = category.morphism_of_pair(sigma, middle)
+            h = category.morphism_of_pair(middle, tau)
+            objects.append((g.index, h.index))
+            subset_of[(g.index, h.index)] = frozenset(S)
+    return FactorizationCube(f, tuple(objects), subset_of)
+
+
+def check_cubical(category):
+    """Verify the five cubical axioms on the materialized category.
+
+    1. rank additivity over the composition table;
+    2. Faq(f) is isomorphic to the subset poset of {1..rank f};
+    3. the middle-object functor Faq(f) -> C is injective on objects and
+       faithful (at most one morphism between factorization objects);
+    4. morphisms of equal rank >= 1 are determined by their first factors;
+    5. likewise by their last factors.
+    """
+    report = AxiomReport()
+    ms = category.morphisms
+    for (fi, gi), hi in sorted(category.compose_table.items()):
+        if ms[fi].rank + ms[gi].rank != ms[hi].rank:
+            report.record(1, {"f": fi, "g": gi, "composite": hi})
+
+    factorizations = _factorizations(category)
+    for f in ms:
+        pairs = factorizations.get(f.index, [])
+        cube = factorization_cube(category, f)
+        if sorted(cube.objects) != pairs or len(set(cube.objects)) != 2 ** f.rank:
+            report.record(2, {"morphism": f.index,
+                              "expected": 2 ** f.rank,
+                              "pairs": pairs})
+            continue
+        middles = [ms[g].target for g, _ in cube.objects]
+        if len(set(middles)) != len(middles):
+            report.record(3, {"morphism": f.index, "middles": middles})
+        for (a, b) in combinations(cube.objects, 2):
+            for src, dst in ((a, b), (b, a)):
+                count = _faq_morphisms(category, src, dst)
+                expected = 1 if cube.subset_of[src] <= cube.subset_of[dst] else 0
+                if count != expected:
+                    report.record(3 if count > 1 else 2,
+                                  {"morphism": f.index, "from": src, "to": dst,
+                                   "count": count, "expected": expected})
+
+    by_first = {}
+    by_last = {}
+    for f in ms:
+        if f.rank == 0:
+            continue
+        fkey = tuple(sorted(m.index for m in first_factors(category, f)))
+        lkey = tuple(sorted(m.index for m in last_factors(category, f)))
+        if fkey in by_first:
+            report.record(4, {"a": by_first[fkey], "b": f.index, "first": fkey})
+        else:
+            by_first[fkey] = f.index
+        if lkey in by_last:
+            report.record(5, {"a": by_last[lkey], "b": f.index, "last": lkey})
+        else:
+            by_last[lkey] = f.index
+    return report
+
+
+def _faq_morphisms(category, src, dst):
+    """Number of Faq-morphisms between two factorization objects of one f."""
+    g1, h1 = src
+    g2, h2 = dst
+    ms = category.morphisms
+    count = 0
+    for phi_idx in category.hom.get((ms[g1].target, ms[g2].target), ()):
+        if category.compose_table.get((g1, phi_idx)) == g2 and \
+           category.compose_table.get((phi_idx, h2)) == h1:
+            count += 1
+    return count
+
+
+def check_last_factor_compatibility(category):
+    """Pairwise compatibility of last factors.
+
+    For each object, any set of k >= 3 rank-1 morphisms into it that are
+    pairwise the last factors of a rank-2 morphism must jointly be the
+    last-factor set of a rank-k morphism.  Returns (True, None) or
+    (False, offending set of morphism indices).  In ambient dimension 2
+    this amounts to detecting any 3 pairwise-compatible rank-1 morphisms.
+    """
+    ms = category.morphisms
+    for obj in category.objects:
+        incoming = [m for m in ms if m.target == obj]
+        rank1 = sorted(m.index for m in incoming if m.rank == 1)
+        if len(rank1) < 3:
+            continue
+        edges = set()
+        realized = {}
+        for m in incoming:
+            if m.rank < 2:
+                continue
+            key = tuple(sorted(x.index for x in last_factors(category, m)))
+            realized.setdefault(len(key), set()).add(key)
+            if m.rank == 2:
+                edges.add(key)
+        neighbors = {v: set() for v in rank1}
+        for a, b in edges:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+        for clique in _cliques_of_size_3_up(rank1, neighbors):
+            if clique not in realized.get(len(clique), set()):
+                return False, clique
     return True, None

@@ -1,9 +1,11 @@
+import copy
+import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 
-from partfan import arrangement as arrlib
+import search_oracles as oracle
 from partfan.category import (
     build_category,
     check_cubical,
@@ -23,7 +25,7 @@ from partfan.partition import (
     finest_partition,
     from_blocks,
 )
-from strategies import A3_NORMALS, complete_planar_fans
+from strategies import complete_planar_fans
 
 
 def coordinate_fan_r3():
@@ -357,24 +359,11 @@ def assert_matches_former_routes(category):
         list(former_compose_table(category).items())
 
 
-@pytest.fixture(scope="module")
-def a3_partitions():
-    arrangement = arrlib.Arrangement(3, A3_NORMALS)
-    arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
-    fan = arrfan.fan
-    base = next(c for c in fan.max_cones if arrfan.sign_of(c) == (1,) * 6)
-    return fan, {"flat": arrlib.flat_partition(arrangement, fan),
-                 "shard": arrlib.shard_partition(arrangement, arrfan, base),
-                 "finest": finest_partition(fan)}
-
-
 @pytest.mark.parametrize("which", ["flat", "shard", "finest"])
-def test_pair_lookup_and_composition_match_former_routes(which, a3_partitions, brauer):
-    a3_fan, a3 = a3_partitions
-    brauer_parts = {"flat": brauer.flat, "shard": brauer.shard,
-                    "finest": finest_partition(brauer.fan)}
-    for fan, partition in ((a3_fan, a3[which]), (brauer.fan, brauer_parts[which])):
-        assert_matches_former_routes(build_category(fan, partition))
+def test_pair_lookup_and_composition_match_former_routes(which, coxeter_partitions):
+    for name in ("A3", "brauer"):
+        fan, partitions = coxeter_partitions[name]
+        assert_matches_former_routes(build_category(fan, partitions[which]))
 
 
 @settings(max_examples=10, deadline=None)
@@ -382,3 +371,127 @@ def test_pair_lookup_and_composition_match_former_routes(which, a3_partitions, b
 def test_planar_pair_lookup_and_composition_match_former_routes(fan):
     for partition in enumerate_admissible(fan):
         assert_matches_former_routes(build_category(fan, partition))
+
+
+def assert_cubical_matches_oracle(category):
+    """The axiom report, the last-factor verdict, every factorization cube and
+    every factor set equal the former lookups through ``morphism_of_pair``."""
+    assert check_cubical(category).to_json() == oracle.check_cubical(category).to_json()
+    assert check_last_factor_compatibility(category) == \
+        oracle.check_last_factor_compatibility(category)
+    for f in category.morphisms:
+        cube, former = factorization_cube(category, f), oracle.factorization_cube(category, f)
+        assert (cube.objects, cube.subset_of) == (former.objects, former.subset_of)
+        if f.rank:
+            assert first_factors(category, f) == oracle.first_factors(category, f)
+            assert last_factors(category, f) == oracle.last_factors(category, f)
+
+
+def test_catalogue_cubical_matches_oracle(square_fan, torus_partition, hzb_fan,
+                                          p1_partition, three_lines_fan,
+                                          three_lines_partition, square_admissible,
+                                          hzb_admissible):
+    cases = [(square_fan, torus_partition), (hzb_fan, p1_partition),
+             (three_lines_fan, three_lines_partition)]
+    cases += [(square_fan, p) for p in square_admissible]
+    cases += [(hzb_fan, p) for p in hzb_admissible]
+    for fan, partition in cases:
+        assert_cubical_matches_oracle(build_category(fan, partition))
+
+
+@pytest.mark.parametrize("which", ["flat", "shard", "finest"])
+@pytest.mark.parametrize("name", ["A3", "brauer", "B3"])
+def test_coxeter_cubical_matches_oracle(name, which, coxeter_partitions):
+    fan, partitions = coxeter_partitions[name]
+    assert_cubical_matches_oracle(build_category(fan, partitions[which]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_planar_fans(max_rays=6))
+def test_planar_cubical_matches_oracle(fan):
+    # every eighth admissible partition, the finest first: a six-ray fan has
+    # about two hundred
+    for partition in enumerate_admissible(fan)[::8]:
+        assert_cubical_matches_oracle(build_category(fan, partition))
+
+
+def corrupted(category):
+    """A copy of the category with its own composition table to change."""
+    twin = copy.copy(category)
+    twin.compose_table = dict(category.compose_table)
+    return twin
+
+
+def retargeted_composite(category, rng):
+    """Point one composite at another morphism between the same blocks.  The
+    factorization pairs of both morphisms change, so axiom 2 fails."""
+    ms = category.morphisms
+    keys = [key for key, h in sorted(category.compose_table.items())
+            if len(category.hom[ms[h].source, ms[h].target]) > 1]
+    key = rng.choice(keys)
+    h = ms[category.compose_table[key]]
+    twin = corrupted(category)
+    twin.compose_table[key] = rng.choice(
+        [i for i in category.hom[h.source, h.target] if i != h.index])
+    return twin
+
+
+def doubled_faq_morphism(category, rng, between_middles=True):
+    """Add a second Faq-morphism between two nested objects of one cube.
+
+    For a rank-3 f, objects a and b with S_a < S_b have the one Faq-morphism
+    phi from (g_a, h_a) to (g_b, h_b).  Another phi' between the same middle
+    blocks is made one too, by setting phi' o g_a = g_b and h_b o phi' = h_a.
+    Neither composite is f, so f's cube still passes axiom 2, and its count
+    of 2 fails axiom 3.  With ``between_middles`` false, phi' shares just one
+    end with the middle blocks: those two entries are then no Faq-morphism.
+    """
+    ms = category.morphisms
+    table = category.compose_table
+    shared_ends = 2 if between_middles else 1
+    choices = []
+    for f in ms:
+        if f.rank != 3:
+            continue
+        cube = factorization_cube(category, f)
+        for a, b in combinations(cube.objects, 2):
+            if cube.subset_of[a] < cube.subset_of[b] and cube.subset_of[a] and \
+                    len(cube.subset_of[b]) < 3:
+                (ga, ha), (gb, hb) = a, b
+                choices += [(ga, ha, gb, hb, m.index) for m in ms
+                            if (m.source == ms[ga].target) + (m.target == ms[gb].target)
+                            == shared_ends and table.get((ga, m.index)) != gb]
+    ga, ha, gb, hb, phi = rng.choice(choices)
+    twin = corrupted(category)
+    twin.compose_table[ga, phi] = gb
+    twin.compose_table[phi, hb] = ha
+    return twin
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_axiom2_corruptions_match_oracle(seed, coxeter_partitions, square_fan,
+                                         torus_partition):
+    rng = random.Random(seed)
+    fan, partitions = coxeter_partitions["A3"]
+    for category in (build_category(fan, partitions["flat"]),
+                     build_category(square_fan, torus_partition)):
+        twin = retargeted_composite(category, rng)
+        report = check_cubical(twin)
+        assert report.failures[2]
+        assert report.to_json() == oracle.check_cubical(twin).to_json()
+        assert check_last_factor_compatibility(twin) == \
+            oracle.check_last_factor_compatibility(twin)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_axiom3_corruptions_match_oracle(seed, coxeter_partitions, brauer):
+    rng = random.Random(seed)
+    fan, partitions = coxeter_partitions["A3"]
+    for category in (build_category(fan, partitions["flat"]), brauer.category("flat")):
+        twin = doubled_faq_morphism(category, rng)
+        report = check_cubical(twin)
+        assert any(w.get("count") == 2 for w in report.failures[3])
+        assert report.to_json() == oracle.check_cubical(twin).to_json()
+        elsewhere = doubled_faq_morphism(category, rng, between_middles=False)
+        assert check_cubical(elsewhere).to_json() == \
+            oracle.check_cubical(elsewhere).to_json()

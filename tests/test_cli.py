@@ -391,6 +391,36 @@ def test_malformed_input_is_bad_input(monkeypatch, capsys, args, envelope):
     assert captured.err == ""
 
 
+AXES = {"dim": 3, "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("projection, arrangement, error", [
+    ("1,1,1", {"dim": 4, "normals": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                     [0, 0, 0, 1]]},
+     {"error": "DimensionMismatch", "witness": [3, 4]}),
+    ("0,0,0", AXES, {"error": "BadInput", "witness": [0, 0, 0]}),
+    ("1,0", AXES, {"error": "DimensionMismatch", "witness": [3, 2]}),
+    ("1,0,0,1", AXES, {"error": "DimensionMismatch", "witness": [3, 4]}),
+], ids=["rank-4", "zero-pole", "short-pole", "long-pole"])
+def test_render_rejects_what_it_cannot_draw(monkeypatch, capsys, projection,
+                                            arrangement, error):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"arrangement": arrangement})))
+    code = main(["render", "--projection", projection])
+    captured = capsys.readouterr()
+    assert (code, json.loads(captured.out), captured.err) == (1, error, "")
+
+
+def test_render_pole_on_a_normal(monkeypatch, capsys):
+    # the pole (1,0,0) is the first normal, which is also the axis the
+    # great circle's frame used to be taken across
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"arrangement": AXES})))
+    code = main(["render", "--projection", "1,0,0"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.startswith("<svg") and captured.out.count("<text") == 3
+    assert "<polyline" in captured.out
+
+
 @pytest.mark.parametrize("args, envelope, witness", [
     (["fan", "validate"], {"fan": dict(SQUARE, rays=[[0.1, 0.3], [1, 3], [-1, 0],
                                                       [0, 1]])}, 0.1),

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import fraction_oracles as oracle
 from partfan import groups as G
 from partfan.cw import (
     build_cw,
@@ -15,7 +16,11 @@ from partfan.errors import (
     PreconditionUnmet,
 )
 from partfan.fan import build_fan
-from partfan.partition import admissible_closure, finest_partition
+from partfan.partition import (
+    admissible_closure,
+    enumerate_admissible,
+    finest_partition,
+)
 from partfan.poset import poset_from_linear_functional, rank2_bisector_poset
 from strategies import complete_planar_fans
 
@@ -222,3 +227,38 @@ def test_brauer_cw_structure(brauer):
         report = compare_pi1_picture(cw, pic)
         assert report["generators_equal"]
         assert report["abelianizations_equal"]
+
+
+def assert_words_match_oracle(fan, partition):
+    """Every 2-cell word equals the one ordered in the former Fraction frame."""
+    complex_ = build_cw(fan, partition)
+    edge_of_block = {e.block: e for e in complex_.edges}
+    for block, word in complex_.two_cells:
+        sigma = partition.blocks[block][0]
+        assert list(word) == oracle._attaching_word(fan, partition, edge_of_block, sigma)
+
+
+def test_catalogue_words_match_oracle(square_fan, torus_partition, hzb_fan,
+                                      p1_partition, three_lines_fan,
+                                      three_lines_partition, square_admissible,
+                                      hzb_admissible):
+    cases = [(square_fan, torus_partition), (hzb_fan, p1_partition),
+             (three_lines_fan, three_lines_partition)]
+    cases += [(square_fan, p) for p in square_admissible]
+    cases += [(hzb_fan, p) for p in hzb_admissible]
+    for fan, partition in cases:
+        assert_words_match_oracle(fan, partition)
+
+
+@pytest.mark.parametrize("which", ["flat", "shard", "finest"])
+@pytest.mark.parametrize("name", ["A3", "brauer", "B3"])
+def test_coxeter_words_match_oracle(name, which, coxeter_partitions):
+    fan, partitions = coxeter_partitions[name]
+    assert_words_match_oracle(fan, partitions[which])
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_planar_fans(max_rays=6))
+def test_planar_words_match_oracle(fan):
+    for partition in enumerate_admissible(fan)[::8]:
+        assert_words_match_oracle(fan, partition)

@@ -324,7 +324,6 @@ def test_kernel_of_a_narrower_row_raises_dimension_mismatch():
 
 def test_exact_results_on_integer_input():
     from partfan.catalog import hirzebruch
-    from partfan.cw import _plane_coordinates
     from partfan.fan import build_fan, subspace_coordinates
 
     def exact(values):
@@ -337,5 +336,5 @@ def test_exact_results_on_integer_input():
     for fan in (hirzebruch(1), octant):
         for cone in fan.cones:
             assert all(exact(v) for v in subspace_coordinates(fan, cone))
-    coords = _plane_coordinates(((1, 0, 0), (0, 2, 0)), (1, 1, 5))
+    coords = oracle._plane_coordinates(((1, 0, 0), (0, 2, 0)), (1, 1, 5))
     assert coords == (1, Fraction(1, 2)) and exact(coords)

@@ -1,5 +1,9 @@
+import pytest
+
 from partfan.catalog import brauer, torus_partition
 from partfan.cw import build_cw
+from partfan.errors import DimensionMismatch
+from partfan.fan import build_fan
 from partfan.render import arrangement_svg, fan_svg, skeleton_svg
 
 
@@ -7,6 +11,13 @@ def test_fan_svg(square_fan):
     svg = fan_svg(square_fan)
     assert svg.startswith("<svg")
     assert svg.count("<line") == 4
+
+
+def test_fan_svg_needs_rank_2():
+    octant = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
+    with pytest.raises(DimensionMismatch) as err:
+        fan_svg(octant)
+    assert err.value.witness == [2, 3]
 
 
 def test_fan_svg_deterministic(square_fan):
