@@ -279,7 +279,7 @@ def poset_of_regions(arrfan, base):
     base = _chamber_check(fan, base)
     covers = []
     for wall in fan.walls():
-        t1, t2 = fan.adjacent_chambers(wall)
+        t1, t2 = fan._star_chambers(wall)
         s1 = separating_set(arrfan, t1, base)
         s2 = separating_set(arrfan, t2, base)
         if s1 < s2:
@@ -347,7 +347,7 @@ def shards(arrangement, arrfan, base):
     sets = UnionFind(fan.walls())
     for face, flat in flat_of.items():
         first = {}  # hyperplane -> its first wall in star(face)
-        for wall in fan.star(face):
+        for wall in fan._stars[face]:
             h = hyperplane_of.get(wall)
             if h is not None and (h, flat) not in cut:
                 sets.union(first.setdefault(h, wall), wall)

@@ -93,7 +93,7 @@ def build_category(fan, partition):
         for k in range(len(tau) + 1):
             for sigma in combinations(tau, k):
                 key = (partition.block_of[sigma], partition.block_of[tau],
-                       fan.projected_cone(sigma, tau))
+                       fan._projected_cone(sigma, tau))
                 groups.setdefault(key, set()).add((sigma, tau))
     morphisms = []
     of_pair = {}

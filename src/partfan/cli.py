@@ -27,7 +27,8 @@ from .fan import fan_from_json, is_finite_complete, validate_fan
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_vector_values(
+        sys.argv[1:] if argv is None else argv))
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2
@@ -42,6 +43,27 @@ def main(argv=None):
         else:
             print(json.dumps(output, sort_keys=True))
     return 0
+
+
+# options whose value is a comma-separated vector, which may start with "-"
+VECTOR_OPTIONS = ("--b", "--projection")
+
+
+def _attach_vector_values(argv):
+    """Write each "--b -1,2" as "--b=-1,2", the form argparse always reads.
+
+    argparse takes a token that starts with "-" for an option unless it is
+    a plain negative number, so "--b -1,2" would stop with a usage error.
+    Every value attached this way reaches the command's own parser, which
+    ends a bad one in BadInput with the value as the witness.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in VECTOR_OPTIONS and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 @functools.cache

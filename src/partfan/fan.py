@@ -104,7 +104,17 @@ class Fan:
 
     def star_chambers(self, cone):
         """The maximal cones of full dimension in star(cone)."""
-        return tuple(c for c in self.star(cone) if len(c) == self.dim)
+        return self._star_chambers(self.check_cone(cone))
+
+    def _star_chambers(self, cone):
+        """``star_chambers`` of a cone read off this fan's own tables.
+
+        The underscore reads (this, ``_project_star_map``,
+        ``_projected_cone`` and the ``_stars`` table) skip ``check_cone``:
+        partfan calls them with sorted cones it took from the fan, and the
+        public names check their input before calling them.
+        """
+        return tuple(c for c in self._stars[cone] if len(c) == self.dim)
 
     def projection(self, cone):
         """Matrix of the orthogonal projection onto span(cone)^perp."""
@@ -130,9 +140,13 @@ class Fan:
         of primitive projected generators (ambient coordinates).  Computed
         once per (base, cone).
         """
-        key = (tuple(base), tuple(cone))
+        return self._projected_cone(self.check_cone(base), tuple(cone))
+
+    def _projected_cone(self, base, cone):
+        """``projected_cone`` of two cones read off this fan's own tables."""
+        key = (base, cone)
         if key not in self._projected_cone_cache:
-            p = self._scaled_projection(self.check_cone(base))
+            p = self._scaled_projection(base)
             base_set = set(base)
             self._projected_cone_cache[key] = tuple(sorted({
                 primitive_ray(mat_vec(p, self.rays[i]))
@@ -148,17 +162,20 @@ class Fan:
 
         Computed once per cone; callers must not modify the returned dict.
         """
-        cone = self.check_cone(cone)
+        return self._project_star_map(self.check_cone(cone))
+
+    def _project_star_map(self, cone):
+        """``project_star_map`` of a cone read off this fan's own tables."""
         if cone not in self._project_star_cache:
             self._project_star_cache[cone] = {
-                tau: self.projected_cone(cone, tau) for tau in self.star(cone)}
+                tau: self._projected_cone(cone, tau) for tau in self._stars[cone]}
         return self._project_star_cache[cone]
 
     def adjacent_chambers(self, wall):
         wall = self.check_cone(wall)
         if len(wall) != self.dim - 1:
             raise UnknownCone("not a codimension-1 cone", witness=list(wall))
-        return self.star_chambers(wall)
+        return self._star_chambers(wall)
 
     def to_json(self):
         return {
@@ -302,7 +319,7 @@ def is_finite_complete(fan):
         return False
     adjacency = {c: set() for c in fan.max_cones}
     for wall in fan.walls():
-        incident = fan.adjacent_chambers(wall)
+        incident = fan._star_chambers(wall)
         if len(incident) != 2:
             return False
         adjacency[incident[0]].add(incident[1])
@@ -374,8 +391,8 @@ def link_complex(fan, block):
             raise MixedBlock("block members have different projected stars",
                              witness=[list(rep), list(other)])
     k = len(rep)
-    vertices = tuple(c for c in fan.star(rep) if len(c) == k + 1)
-    proj = {v: fan.projected_cone(rep, v) for v in vertices}
+    vertices = tuple(c for c in fan._stars[rep] if len(c) == k + 1)
+    proj = {v: fan._projected_cone(rep, v) for v in vertices}
     simplices = []
     for size in range(1, len(vertices) + 1):
         layer = []

@@ -26,7 +26,7 @@ from .errors import (
     NotRank2,
     PosetInvalid,
 )
-from .poset import check_nondegenerate, facial_interval
+from .poset import _facial_interval, check_nondegenerate
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def picture_group(fan, partition, poset, mode="full", chain_cap=10 ** 6):
 def _picture_group(fan, partition, poset, mode, chain_cap):
     for cone in fan.cones:
         try:
-            facial_interval(fan, poset, cone)
+            _facial_interval(poset, cone)
         except NotAnInterval as err:
             raise PosetInvalid("facial-interval axiom fails",
                                witness=err.witness) from err
@@ -183,7 +183,7 @@ def _picture_group(fan, partition, poset, mode, chain_cap):
     else:
         cones = fan.cones_of_dim(fan.dim - 2)
     for cone in cones:
-        fi = facial_interval(fan, poset, cone)
+        fi = _facial_interval(poset, cone)
         chains = poset.maximal_chains(fi.lower, fi.upper, cap=chain_cap)
         if len(chains) <= 1:
             continue
@@ -208,8 +208,8 @@ def _type2_relators(fan, partition, poset):
             continue
         words = []
         for sigma, kappa in m.reps:
-            lo_s = facial_interval(fan, poset, sigma).lower
-            lo_k = facial_interval(fan, poset, kappa).lower
+            lo_s = _facial_interval(poset, sigma).lower
+            lo_k = _facial_interval(poset, kappa).lower
             chain = poset.first_chain(lo_s, lo_k)
             if chain is None:
                 raise IntervalBroken("no chain between interval minima",
@@ -232,7 +232,7 @@ def alt_presentation(fan, partition, poset):
     nondeg, witness = check_nondegenerate(fan, partition, poset)
     if not nondeg:
         raise Degenerate("poset is degenerate on identified stars", witness=witness)
-    fi0 = facial_interval(fan, poset, ())
+    fi0 = _facial_interval(poset, ())
     generators = wall_generators(fan, partition)
     chamber_syms = sorted(chamber_generator(fan, c) for c in fan.chambers())
     relators = []
@@ -256,8 +256,8 @@ def psi(fan, partition, poset, morphism):
     empty word.  No chain list is built, so no chain limit applies.
     """
     sigma, kappa = morphism.reps[0]
-    lo_s = facial_interval(fan, poset, sigma).lower
-    lo_k = facial_interval(fan, poset, kappa).lower
+    lo_s = _facial_interval(poset, sigma).lower
+    lo_k = _facial_interval(poset, kappa).lower
     chain = poset.first_chain(lo_s, lo_k)
     if chain is None:
         raise IntervalBroken("interval minima are not comparable",
@@ -581,7 +581,7 @@ def hom_distinctness_certificate(category, poset, wall_algebra_certified):
                     # admissibility guarantees a representative per source
                     raise IntervalBroken("morphism lacks a representative at a "
                                          "source member", witness=list(sigma))
-                lo = facial_interval(fan, poset, kappa).lower
+                lo = _facial_interval(poset, kappa).lower
                 if lo in minima:
                     return False, {"hom": [src, dst],
                                    "morphisms": [minima[lo], i],

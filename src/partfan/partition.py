@@ -180,8 +180,8 @@ def is_admissible(fan, partition):
 
 def _star_matching(fan, s1, s2):
     """tau1 in star(s1) -> the unique tau2 in star(s2) with equal projection."""
-    m1 = fan.project_star_map(s1)
-    m2 = fan.project_star_map(s2)
+    m1 = fan._project_star_map(s1)
+    m2 = fan._project_star_map(s2)
     inverse2 = {v: k for k, v in m2.items()}
     return {t1: inverse2[c] for t1, c in m1.items()}
 
@@ -212,8 +212,8 @@ def _projects_injectively(fan, block):
     The members of a block of one E-class share their projected star, so
     this holds iff each star has as many cones as that projected star.
     """
-    size = len(set(fan.project_star_map(block[0]).values()))
-    return all(len(fan.project_star_map(s)) == size for s in block)
+    size = len(set(fan._project_star_map(block[0]).values()))
+    return all(len(fan._project_star_map(s)) == size for s in block)
 
 
 def admissible_closure(fan, seed_pairs):

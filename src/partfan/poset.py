@@ -24,11 +24,20 @@ from .rational import dot, int_kernel_basis, sqrt_combination_sign, vec
 
 
 class FanPoset:
-    """Labelled cover relations on the maximal cones plus the derived order."""
+    """Labelled cover relations on the maximal cones plus the derived order.
+
+    The order is held as int bitmasks over the chamber indices: chamber i
+    of ``elements`` (the fan's chambers in sorted order) is bit i.
+    ``_up_mask[i]`` has the bits of the chambers >= chamber i and
+    ``_down_mask[i]`` those <= it, so a <= b is one bit test and the
+    interval [a, b] is ``_up_mask[a] & _down_mask[b]``.  Reading a mask
+    from its lowest bit up lists its chambers in sorted order.
+    """
 
     def __init__(self, fan, covers):
         self.fan = fan
         self.elements = tuple(fan.chambers())
+        self._index = {c: i for i, c in enumerate(self.elements)}
         covers = tuple(sorted(covers))
         for lower, upper, wall in covers:
             shared = tuple(sorted(set(lower) & set(upper)))
@@ -43,29 +52,52 @@ class FanPoset:
         for lower, upper, wall in covers:
             self._up[lower].append((upper, wall))
             self._across.setdefault(wall, []).append((lower, upper))
-        self._above = {}
-        for c in self.elements:
-            seen = set()
-            stack = [c]
-            while stack:
-                x = stack.pop()
-                for y, _ in self._up[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if c in seen:
-                raise PosetInvalid("cover relation has a cycle", witness=list(c))
-            seen.add(c)
-            self._above[c] = frozenset(seen)
+        self._up_mask, self._down_mask = self._closure()
         self._facial = {}
         self._pictures = {}
 
+    def _closure(self):
+        """(up masks, down masks), propagated along a topological order.
+
+        Raises PosetInvalid on a cycle, with the first chamber that lies on
+        one as the witness.
+        """
+        above = [[self._index[u] for u, _ in self._up[c]] for c in self.elements]
+        pending = [0] * len(above)
+        for js in above:
+            for j in js:
+                pending[j] += 1
+        order = [i for i, k in enumerate(pending) if k == 0]
+        for i in order:
+            for j in above[i]:
+                pending[j] -= 1
+                if pending[j] == 0:
+                    order.append(j)
+        if len(order) < len(above):
+            # a chamber on a cycle keeps a pending cover; find the first one
+            for i, k in enumerate(pending):
+                if k and _on_cycle(above, i):
+                    raise PosetInvalid("cover relation has a cycle",
+                                       witness=list(self.elements[i]))
+        down = [1 << i for i in range(len(above))]
+        for i in order:
+            for j in above[i]:
+                down[j] |= down[i]
+        up = [1 << i for i in range(len(above))]
+        for i in reversed(order):
+            for j in above[i]:
+                up[i] |= up[j]
+        return up, down
+
     def leq(self, a, b):
-        return b in self._above[a]
+        return bool(self._up_mask[self._index[a]] >> self._index[b] & 1)
+
+    def interval_mask(self, a, b):
+        return self._up_mask[self._index[a]] & self._down_mask[self._index[b]]
 
     def interval(self, a, b):
-        return tuple(sorted(c for c in self.elements
-                            if self.leq(a, c) and self.leq(c, b)))
+        """The chambers c with a <= c <= b, in sorted order."""
+        return tuple(self.elements[i] for i in _bit_indices(self.interval_mask(a, b)))
 
     def cover_direction(self, a, b):
         """+1 if a is covered by b, -1 if b covered by a, else None."""
@@ -77,11 +109,14 @@ class FanPoset:
         return None
 
     def extremes(self, members):
-        """(minimum, maximum) of the members, each None unless unique."""
-        mins = [c for c in members
-                if all(not self.leq(o, c) for o in members if o != c)]
-        maxs = [c for c in members
-                if all(not self.leq(c, o) for o in members if o != c)]
+        """(minimum, maximum) of the members, each None unless unique.
+
+        c is minimal iff the only member <= c is c itself, one mask test.
+        """
+        members = [(c, self._index[c]) for c in members]
+        mask = _bits(i for _, i in members)
+        mins = [c for c, i in members if self._down_mask[i] & mask == 1 << i]
+        maxs = [c for c, i in members if self._up_mask[i] & mask == 1 << i]
         return (mins[0] if len(mins) == 1 else None,
                 maxs[0] if len(maxs) == 1 else None)
 
@@ -102,7 +137,7 @@ class FanPoset:
             members = self.fan.star_chambers(cone)
             lo, hi = self.extremes(members)
             if lo is None or hi is None or \
-                    set(self.interval(lo, hi)) != set(members):
+                    self.interval_mask(lo, hi) != _bits(self._index[c] for c in members):
                 lo = hi = None
             self._facial[cone] = (members, lo, hi)
         return self._facial[cone]
@@ -167,6 +202,20 @@ class FanPoset:
         return {"covers": [[list(lo), list(up)] for lo, up, _ in self.covers]}
 
 
+def _on_cycle(above, i):
+    """Whether chamber index i reaches itself along one or more covers."""
+    seen = set()
+    stack = list(above[i])
+    while stack:
+        j = stack.pop()
+        if j == i:
+            return True
+        if j not in seen:
+            seen.add(j)
+            stack.extend(above[j])
+    return False
+
+
 def poset_from_json(fan, data):
     covers = []
     for lo, up in data["covers"]:
@@ -201,7 +250,7 @@ def poset_from_linear_functional(fan, b):
     b = vec(b)
     covers = []
     for wall in fan.walls():
-        t1, t2 = fan.adjacent_chambers(wall)
+        t1, t2 = fan._star_chambers(wall)
         nu = wall_normal(fan, wall, t2)
         val = dot(b, nu)
         if val == 0:
@@ -357,54 +406,104 @@ def check_weak_fan_poset(fan, poset):
     the boundary of U is covered by the boundary walls, each of which lies
     in the boundary of P.  So U meets the interior of P in a set that is
     closed and open there, and not empty, since the interior of U lies in
-    it; the interior of P is connected, so U = P.  The test needs one
-    integer dot product per (boundary wall, ray).  Only an interval that
-    fails it goes through the exact listing of the outside chambers that
-    meet the cone over its rays in full dimension.
+    it; the interior of P is connected, so U = P.
+
+    The test runs on bitmasks.  Once per side (wall, chamber) of each
+    wall it records the bit of the chamber across the wall and the mask
+    of the rays strictly on the far side of the wall's hyperplane from the
+    chamber.  With M the interval's chamber mask and R the OR of its
+    members' ray masks, U is convex iff no side of a member whose chamber
+    across is outside M has a far-side mask that meets R.
+
+    A non-convex interval fails (b) once for each outside chamber C that
+    meets K = cone(interval rays) in full dimension.  K contains a member
+    chamber, so it is full-dimensional: ``halfspaces`` gives it no
+    equalities, and K is the set where each of its facet functionals h is
+    >= 0.  C is decided by the signs of the h on its rays first:
+
+    - if h . r >= 0 for every h and every ray r of C, every ray of C lies
+      in K, so C lies in K and C & K = C is full-dimensional: a failure;
+    - if one h has h . r <= 0 on every ray of C, C lies in {h . x <= 0}
+      and K in {h . x >= 0}, so C & K lies in the hyperplane h . x = 0
+      (h is not zero): not a failure.
+
+    Only a chamber that neither rule decides goes through the exact
+    ``fulldim_in_halfspaces``.
     """
     if not is_finite_complete(fan):
         raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
     facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
-    inward = {}  # (wall, chamber) -> normal of the wall pointing into chamber
+    index = poset._index
+    ray_masks = [_bits(c) for c in poset.elements]
+    sides = [[] for _ in poset.elements]  # (bit across, far-side ray mask)
     for wall in fan.walls():
-        t1, t2 = fan.adjacent_chambers(wall)
+        t1, t2 = fan._star_chambers(wall)
         nu = wall_normal(fan, wall, t1)
-        inward[wall, t1] = nu
-        inward[wall, t2] = tuple(-x for x in nu)
+        values = [dot(nu, r) for r in fan.rays]
+        i, j = index[t1], index[t2]
+        sides[i].append((1 << j, _bits(r for r, v in enumerate(values) if v < 0)))
+        sides[j].append((1 << i, _bits(r for r, v in enumerate(values) if v > 0)))
     union_failures = []
-    for a in poset.elements:
-        for b in poset.elements:
-            if not poset.leq(a, b):
-                continue
-            members = poset.interval(a, b)
-            if _convex_union(fan, members, inward):
-                continue
-            generators = sorted({fan.rays[i] for c in members for i in c})
-            halfspace_rep = conelib.halfspaces(generators, fan.dim)
-            member_set = set(members)
-            outside = [c for c in poset.elements if c not in member_set]
-            for c in outside:
-                if conelib.fulldim_in_halfspaces(fan.ray_vectors(c),
-                                                 halfspace_rep, fan.dim):
-                    union_failures.append({
-                        "interval": [list(a), list(b)],
-                        "chamber": list(c),
-                    })
+    for a, above in enumerate(poset._up_mask):
+        for b in _bit_indices(above):
+            members = above & poset._down_mask[b]
+            ids = _bit_indices(members)
+            rays = 0
+            for i in ids:
+                rays |= ray_masks[i]
+            if any(far & rays for i in ids for across, far in sides[i]
+                   if not across & members):
+                interval = [list(poset.elements[a]), list(poset.elements[b])]
+                union_failures.extend(
+                    {"interval": interval, "chamber": list(c)}
+                    for c in _full_meets(fan, poset, members, rays, ray_masks))
     return PosetReport(facial_failures, union_failures)
 
 
-def _convex_union(fan, members, inward):
-    """Whether the members' rays all lie on the member side of each boundary wall."""
-    member_set = set(members)
-    rays = [fan.rays[i] for i in {i for c in members for i in c}]
-    for c in members:
-        for wall in combinations(c, fan.dim - 1):
-            if all(t in member_set for t in fan.star_chambers(wall)):
-                continue
-            nu = inward[wall, c]
-            if any(dot(nu, r) < 0 for r in rays):
-                return False
-    return True
+def _full_meets(fan, poset, members, rays, ray_masks):
+    """The chambers outside ``members`` meeting cone(rays) in full dimension.
+
+    ``rays`` is a ray mask; the sign rules of ``check_weak_fan_poset``
+    decide first, ``fulldim_in_halfspaces`` decides the rest.
+    """
+    halfspace_rep = conelib.halfspaces(
+        sorted(fan.rays[r] for r in _bit_indices(rays)), fan.dim)
+    inside = _bits(range(len(fan.rays)))  # rays where every h is >= 0
+    nonpositive = []                       # per h, the rays where h <= 0
+    for h in halfspace_rep[1]:
+        values = [dot(h, r) for r in fan.rays]
+        inside &= _bits(r for r, v in enumerate(values) if v >= 0)
+        nonpositive.append(_bits(r for r, v in enumerate(values) if v <= 0))
+    out = []
+    for i, c in enumerate(poset.elements):
+        mask = ray_masks[i]
+        if members >> i & 1:
+            continue
+        if mask & inside == mask:
+            out.append(c)
+        elif any(mask & below == mask for below in nonpositive):
+            continue
+        elif conelib.fulldim_in_halfspaces(fan.ray_vectors(c), halfspace_rep, fan.dim):
+            out.append(c)
+    return out
+
+
+def _bits(indices):
+    """The bitmask with the given bit positions set."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _bit_indices(mask):
+    """The set bit positions of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class FacialInterval:
@@ -416,7 +515,11 @@ class FacialInterval:
 
 
 def facial_interval(fan, poset, cone):
-    cone = fan.check_cone(cone)
+    return _facial_interval(poset, fan.check_cone(cone))
+
+
+def _facial_interval(poset, cone):
+    """``facial_interval`` of a sorted cone taken from the fan's tables."""
     members, lo, hi = poset.facial(cone)
     if lo is None:
         raise NotAnInterval("star is not an order interval", witness=list(cone))
@@ -462,9 +565,9 @@ def check_nondegenerate(fan, partition, poset):
 
 def _cover_images(fan, poset, cone):
     """D(cone): the covers across walls of star(cone), as projected pairs."""
-    project = fan.project_star_map(cone)
+    project = fan._project_star_map(cone)
     return {(project[lower], project[upper])
-            for wall in fan.star(cone) if len(wall) == fan.dim - 1
+            for wall in fan._stars[cone] if len(wall) == fan.dim - 1
             for lower, upper in poset._across.get(wall, ())}
 
 

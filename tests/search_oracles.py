@@ -22,10 +22,18 @@ apart from imports:
   through the validating ``Category.morphism_of_pair``, each Faq count by a
   scan of a whole hom-set, and the factors of axioms 4 and 5 looked up again
   rather than read off the cube.
+- ``ClosureOrder`` (with the former ``FanPoset`` closure and its
+  ``leq``, ``interval``, ``extremes`` and ``facial``), ``_convex_union``
+  and ``check_weak_fan_poset``: the order as frozensets of the chambers
+  above each chamber, closed from the poset's cover list alone; every
+  interval listed by a scan of all chambers; the boundary-wall test by one
+  dot product per (boundary wall, ray); and every outside chamber of a
+  non-convex interval decided by ``fulldim_in_halfspaces``.
 """
 
 from itertools import combinations
 
+from partfan import cones as conelib
 from partfan.arrangement import Flat, Shard, _chamber_check, _rank2_basics
 from partfan.category import (
     AxiomReport,
@@ -35,11 +43,14 @@ from partfan.category import (
 )
 from partfan.errors import (
     EnumerationLimitExceeded,
+    NotComplete,
+    PosetInvalid,
     RankZero,
     SeedNotPossible,
     UnknownCone,
     UnknownFace,
 )
+from partfan.fan import is_finite_complete
 from partfan.partition import (
     Partition,
     UnionFind,
@@ -49,6 +60,7 @@ from partfan.partition import (
     group_by,
     potential_identifications,
 )
+from partfan.poset import PosetReport, wall_normal
 from partfan.rational import dot, int_kernel_basis, matrix_rank
 
 
@@ -428,3 +440,112 @@ def check_last_factor_compatibility(category):
             if clique not in realized.get(len(clique), set()):
                 return False, clique
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# fan-poset axioms
+
+class ClosureOrder:
+    """The order of a FanPoset, closed again from its cover list alone."""
+
+    def __init__(self, poset):
+        self.fan = poset.fan
+        self.elements = poset.elements
+        self._up = {c: [] for c in self.elements}
+        for lower, upper, wall in poset.covers:
+            self._up[lower].append((upper, wall))
+        self._above = {}
+        for c in self.elements:
+            seen = set()
+            stack = [c]
+            while stack:
+                x = stack.pop()
+                for y, _ in self._up[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if c in seen:
+                raise PosetInvalid("cover relation has a cycle", witness=list(c))
+            seen.add(c)
+            self._above[c] = frozenset(seen)
+        self._facial = {}
+
+    def leq(self, a, b):
+        return b in self._above[a]
+
+    def interval(self, a, b):
+        return tuple(sorted(c for c in self.elements
+                            if self.leq(a, c) and self.leq(c, b)))
+
+    def extremes(self, members):
+        """(minimum, maximum) of the members, each None unless unique."""
+        mins = [c for c in members
+                if all(not self.leq(o, c) for o in members if o != c)]
+        maxs = [c for c in members
+                if all(not self.leq(c, o) for o in members if o != c)]
+        return (mins[0] if len(mins) == 1 else None,
+                maxs[0] if len(maxs) == 1 else None)
+
+    def facial(self, cone):
+        """The facial interval of ``cone`` as (members, lower, upper).
+
+        Members are the chambers of star(cone); lower and upper are None
+        unless the members form the order interval [lower, upper].
+        Computed once per cone.
+        """
+        if cone not in self._facial:
+            members = self.fan.star_chambers(cone)
+            lo, hi = self.extremes(members)
+            if lo is None or hi is None or \
+                    set(self.interval(lo, hi)) != set(members):
+                lo = hi = None
+            self._facial[cone] = (members, lo, hi)
+        return self._facial[cone]
+
+
+def check_weak_fan_poset(fan, poset):
+    """Report on the two fan-poset axioms, by the former interval scan."""
+    if not is_finite_complete(fan):
+        raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
+    poset = ClosureOrder(poset)
+    facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
+    inward = {}  # (wall, chamber) -> normal of the wall pointing into chamber
+    for wall in fan.walls():
+        t1, t2 = fan.adjacent_chambers(wall)
+        nu = wall_normal(fan, wall, t1)
+        inward[wall, t1] = nu
+        inward[wall, t2] = tuple(-x for x in nu)
+    union_failures = []
+    for a in poset.elements:
+        for b in poset.elements:
+            if not poset.leq(a, b):
+                continue
+            members = poset.interval(a, b)
+            if _convex_union(fan, members, inward):
+                continue
+            generators = sorted({fan.rays[i] for c in members for i in c})
+            halfspace_rep = conelib.halfspaces(generators, fan.dim)
+            member_set = set(members)
+            outside = [c for c in poset.elements if c not in member_set]
+            for c in outside:
+                if conelib.fulldim_in_halfspaces(fan.ray_vectors(c),
+                                                 halfspace_rep, fan.dim):
+                    union_failures.append({
+                        "interval": [list(a), list(b)],
+                        "chamber": list(c),
+                    })
+    return PosetReport(facial_failures, union_failures)
+
+
+def _convex_union(fan, members, inward):
+    """Whether the members' rays all lie on the member side of each boundary wall."""
+    member_set = set(members)
+    rays = [fan.rays[i] for i in {i for c in members for i in c}]
+    for c in members:
+        for wall in combinations(c, fan.dim - 1):
+            if all(t in member_set for t in fan.star_chambers(wall)):
+                continue
+            nu = inward[wall, c]
+            if any(dot(nu, r) < 0 for r in rays):
+                return False
+    return True

@@ -421,6 +421,25 @@ def test_render_pole_on_a_normal(monkeypatch, capsys):
     assert "<polyline" in captured.out
 
 
+@pytest.mark.parametrize("spaced, joined, envelope", [
+    (["poset", "functional", "--b", "-1,2"], ["poset", "functional", "--b=-1,2"],
+     {"fan": SQUARE}),
+    (["render", "--projection", "-1,0,0"], ["render", "--projection=-1,0,0"],
+     {"arrangement": AXES}),
+], ids=["functional", "projection"])
+def test_a_value_with_a_leading_minus_parses_in_both_forms(monkeypatch, capsys,
+                                                           spaced, joined, envelope):
+    # argparse read "-1,2" after a space as an unknown option (exit 2)
+    outputs = []
+    for args in (spaced, joined):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+        code = main(args)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("args, envelope, witness", [
     (["fan", "validate"], {"fan": dict(SQUARE, rays=[[0.1, 0.3], [1, 3], [-1, 0],
                                                       [0, 1]])}, 0.1),
@@ -447,8 +466,12 @@ def test_floats_and_booleans_are_inexact(monkeypatch, capsys, args, envelope, wi
     (["fan", "validate"], "3", "number"),
     (["arrangement", "shards"],
      json.dumps({"arrangement": {"dim": 2, "normals": [[1, 0], [0, 1], [-1, -1]]}}), 3),
+    (["poset", "functional", "--b", "-1,x"], json.dumps({"fan": SQUARE}), "-1,x"),
+    (["poset", "functional", "--b", "--help"], json.dumps({"fan": SQUARE}), "--help"),
+    (["render", "--projection", "-1,0,a"], json.dumps({"arrangement": AXES}), "-1,0,a"),
 ], ids=["no-partition", "category-no-partition", "array", "number",
-        "no-positive-chamber"])
+        "no-positive-chamber", "minus-functional", "option-as-functional",
+        "minus-projection"])
 def test_bad_input_has_a_witness(monkeypatch, capsys, args, stdin_text, witness):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(args)

@@ -20,6 +20,7 @@ from partfan.fan import build_fan
 from partfan.partition import admissible_closure, finest_partition, from_blocks
 from partfan.poset import (
     FanPoset,
+    _angular_chamber_order,
     check_nondegenerate,
     check_weak_fan_poset,
     facial_interval,
@@ -30,6 +31,7 @@ from partfan.poset import (
 )
 from strategies import (
     A3_NORMALS,
+    b_normals,
     complete_planar_fans,
     random_seeds,
     refining_partition,
@@ -43,14 +45,15 @@ def union_failures_oracle(fan, poset):
 
     For every interval, each chamber outside it is tested for a
     full-dimensional meeting with the cone generated by the interval's
-    rays.
+    rays.  The intervals come from the oracle's own closure of the covers.
     """
+    order = search_oracles.ClosureOrder(poset)
     failures = []
     for a in poset.elements:
         for b in poset.elements:
-            if not poset.leq(a, b):
+            if not order.leq(a, b):
                 continue
-            members = poset.interval(a, b)
+            members = order.interval(a, b)
             generators = sorted({fan.rays[i] for c in members for i in c})
             halfspace_rep = conelib.halfspaces(generators, fan.dim)
             for c in poset.elements:
@@ -59,6 +62,37 @@ def union_failures_oracle(fan, poset):
                     failures.append({"interval": [list(a), list(b)],
                                      "chamber": list(c)})
     return failures
+
+
+def report_and_fallbacks(fan, poset):
+    """check_weak_fan_poset's report and its number of exact fallback calls."""
+    calls = []
+    exact = conelib.fulldim_in_halfspaces
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conelib, "fulldim_in_halfspaces", counted)
+        report = check_weak_fan_poset(fan, poset)
+    return report, len(calls)
+
+
+def assert_matches_poset_oracles(fan, poset):
+    """Compare the report, every facial triple, every interval and the
+    extremes with the closure oracles; return the report and the number of
+    exact fallback calls."""
+    report, fallbacks = report_and_fallbacks(fan, poset)
+    assert report.to_json() == search_oracles.check_weak_fan_poset(fan, poset).to_json()
+    order = search_oracles.ClosureOrder(poset)
+    assert [poset.facial(c) for c in fan.cones] == [order.facial(c) for c in fan.cones]
+    for a in poset.elements:
+        for b in poset.elements:
+            assert poset.leq(a, b) == order.leq(a, b)
+            assert poset.interval(a, b) == order.interval(a, b)
+    assert poset.extremes(poset.elements) == order.extremes(poset.elements)
+    return report, fallbacks
 
 
 def chain_poset(fan, chambers):
@@ -339,11 +373,12 @@ def test_union_test_matches_oracle_on_planar_chain():
     fan = build_fan(2, [(1, 0), (1, 1), (-1, 2), (-1, 0), (-1, -1), (1, -2)],
                     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     poset = chain_poset(fan, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    report = check_weak_fan_poset(fan, poset)
+    report, fallbacks = assert_matches_poset_oracles(fan, poset)
     expected = union_failures_oracle(fan, poset)
     assert list(report.union_failures) == expected
     assert {"interval": [[0, 1], [3, 4]], "chamber": [4, 5]} in expected
     assert {"interval": [[0, 1], [2, 3]], "chamber": [4, 5]} not in expected
+    assert fallbacks == 0
 
 
 def test_union_test_matches_oracle_on_octant_chain():
@@ -353,21 +388,86 @@ def test_union_test_matches_oracle_on_octant_chain():
     fan = build_fan(3, rays, octants)
     gray = [0, 1, 3, 2, 6, 7, 5, 4]
     poset = chain_poset(fan, [octants[i] for i in gray])
-    report = check_weak_fan_poset(fan, poset)
+    report, fallbacks = assert_matches_poset_oracles(fan, poset)
     expected = union_failures_oracle(fan, poset)
     assert list(report.union_failures) == expected
     assert expected
+    assert fallbacks == 0
 
 
 @settings(max_examples=15, deadline=None)
-@given(complete_planar_fans(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
-def test_union_test_matches_oracle_on_functional_posets(fan, b):
+@given(complete_planar_fans(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       st.integers(0, 8))
+def test_union_test_matches_oracle_on_functional_posets(fan, b, base):
+    """Functional and bisector posets of random planar fans: the sign rules
+    decide every chamber, since a non-convex planar union spans the plane."""
     try:
         poset = poset_from_linear_functional(fan, b)
     except DegenerateFunctional:
         assume(False)
-    report = check_weak_fan_poset(fan, poset)
+    report, fallbacks = assert_matches_poset_oracles(fan, poset)
     assert list(report.union_failures) == union_failures_oracle(fan, poset)
+    assert fallbacks == 0
+    try:
+        bisector = rank2_bisector_poset(fan, fan.chambers()[base % len(fan.chambers())])
+    except PosetInvalid:
+        return
+    assert assert_matches_poset_oracles(fan, bisector)[1] == 0
+
+
+def test_weak_fan_poset_matches_oracles_on_catalogue_fans():
+    """Functional, bisector and angular chain posets of the catalogue fans;
+    the chains have non-convex intervals."""
+    failures = 0
+    for fan in (catalog.square(), catalog.hirzebruch(1), catalog.hirzebruch(2),
+                catalog.three_lines()):
+        posets = []
+        for base in fan.chambers():
+            try:
+                posets.append(rank2_bisector_poset(fan, base))
+            except PosetInvalid:
+                pass
+        for b in ((1, 1), (1, 2), (2, 1), (-1, 3), (3, -2), (2, 5)):
+            try:
+                posets.append(poset_from_linear_functional(fan, b))
+            except DegenerateFunctional:
+                pass
+        posets.append(chain_poset(fan, _angular_chamber_order(fan, fan.chambers()[0])))
+        for poset in posets:
+            report, fallbacks = assert_matches_poset_oracles(fan, poset)
+            assert fallbacks == 0
+            failures += len(report.union_failures)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "brauer"])
+def test_weak_fan_poset_matches_oracles_on_posets_of_regions(name):
+    normals = {"A3": A3_NORMALS, "B3": b_normals(3),
+               "brauer": catalog.brauer().normals}[name]
+    arrfan = arrlib.arrangement_fan(arrlib.Arrangement(3, normals), with_signs=True)
+    base = next(c for c in arrfan.fan.max_cones
+                if arrfan.sign_of(c) == (1,) * len(normals))
+    report, fallbacks = assert_matches_poset_oracles(
+        arrfan.fan, arrlib.poset_of_regions(arrfan, base))
+    assert report.ok and fallbacks == 0
+
+
+def test_union_test_decides_a_straddling_chamber_exactly():
+    """A gallery of four A3 chambers whose union is not convex.  Outside
+    chambers that straddle a facet of the cone over its rays are decided by
+    neither sign rule, so the exact test runs; the other outside chambers
+    are decided by the signs."""
+    fan = arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS))
+    ray = {r: i for i, r in enumerate(fan.rays)}
+    gallery = [tuple(sorted(ray[r] for r in c)) for c in (
+        ((1, -1, 1), (1, 0, 0), (1, 1, 1)),
+        ((0, 0, 1), (1, -1, 1), (1, 1, 1)),
+        ((-1, -1, 1), (0, 0, 1), (1, -1, 1)),
+        ((-1, -1, 1), (0, -1, 0), (1, -1, 1)))]
+    poset = chain_poset(fan, gallery)
+    report, fallbacks = assert_matches_poset_oracles(fan, poset)
+    assert list(report.union_failures) == union_failures_oracle(fan, poset)
+    assert fallbacks == 2
 
 
 def assert_first_chain_is_first_of_maximal_chains(poset):
