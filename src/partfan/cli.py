@@ -46,7 +46,7 @@ def main(argv=None):
 
 
 # options whose value is a comma-separated vector, which may start with "-"
-VECTOR_OPTIONS = ("--b", "--projection")
+_VECTOR_OPTIONS = ("--b", "--projection")
 
 
 def _attach_vector_values(argv):
@@ -54,12 +54,14 @@ def _attach_vector_values(argv):
 
     argparse takes a token that starts with "-" for an option unless it is
     a plain negative number, so "--b -1,2" would stop with a usage error.
-    Every value attached this way reaches the command's own parser, which
-    ends a bad one in BadInput with the value as the witness.
+    Abbreviated names such as "--proj" are attached too.  Every value
+    attached this way reaches the command's own parser, which ends a bad
+    one in BadInput with the value as the witness.
     """
     out = []
     for token in argv:
-        if out and out[-1] in VECTOR_OPTIONS and token.startswith("-"):
+        if out and len(out[-1]) > 2 and token.startswith("-") and \
+                any(name.startswith(out[-1]) for name in _VECTOR_OPTIONS):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -426,7 +426,9 @@ def test_render_pole_on_a_normal(monkeypatch, capsys):
      {"fan": SQUARE}),
     (["render", "--projection", "-1,0,0"], ["render", "--projection=-1,0,0"],
      {"arrangement": AXES}),
-], ids=["functional", "projection"])
+    (["render", "--proj", "-1,0,0"], ["render", "--projection=-1,0,0"],
+     {"arrangement": AXES}),
+], ids=["functional", "projection", "abbreviated"])
 def test_a_value_with_a_leading_minus_parses_in_both_forms(monkeypatch, capsys,
                                                            spaced, joined, envelope):
     # argparse read "-1,2" after a space as an unknown option (exit 2)
