@@ -64,8 +64,10 @@ def union_failures_oracle(fan, poset):
     return failures
 
 
-def report_and_fallbacks(fan, poset):
-    """check_weak_fan_poset's report and its number of exact fallback calls."""
+def assert_matches_poset_oracles(fan, poset):
+    """Compare the report, every facial triple, every interval and the
+    extremes with the closure oracles; return the report and the number of
+    exact fallback calls it made."""
     calls = []
     exact = conelib.fulldim_in_halfspaces
 
@@ -76,14 +78,6 @@ def report_and_fallbacks(fan, poset):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(conelib, "fulldim_in_halfspaces", counted)
         report = check_weak_fan_poset(fan, poset)
-    return report, len(calls)
-
-
-def assert_matches_poset_oracles(fan, poset):
-    """Compare the report, every facial triple, every interval and the
-    extremes with the closure oracles; return the report and the number of
-    exact fallback calls."""
-    report, fallbacks = report_and_fallbacks(fan, poset)
     assert report.to_json() == search_oracles.check_weak_fan_poset(fan, poset).to_json()
     order = search_oracles.ClosureOrder(poset)
     assert [poset.facial(c) for c in fan.cones] == [order.facial(c) for c in fan.cones]
@@ -92,7 +86,7 @@ def assert_matches_poset_oracles(fan, poset):
             assert poset.leq(a, b) == order.leq(a, b)
             assert poset.interval(a, b) == order.interval(a, b)
     assert poset.extremes(poset.elements) == order.extremes(poset.elements)
-    return report, fallbacks
+    return report, len(calls)
 
 
 def chain_poset(fan, chambers):
