@@ -268,8 +268,10 @@ def separating_set(arrfan, region, base):
     """Hyperplanes with strictly opposite signs on region and base."""
     region = _chamber_check(arrfan.fan, region)
     base = _chamber_check(arrfan.fan, base)
-    rs = arrfan.sign_of(region)
-    bs = arrfan.sign_of(base)
+    return _separating(arrfan.sign_of(region), arrfan.sign_of(base))
+
+
+def _separating(rs, bs):
     return frozenset(i for i, (a, b) in enumerate(zip(rs, bs)) if a == -b and a != 0)
 
 
@@ -277,11 +279,12 @@ def poset_of_regions(arrfan, base):
     """Chambers ordered away from the base by separating-set inclusion."""
     fan = arrfan.fan
     base = _chamber_check(fan, base)
+    signs = arrfan.face_signs
+    sep = {c: _separating(signs[c], signs[base]) for c in fan.chambers()}
     covers = []
     for wall in fan.walls():
         t1, t2 = fan._star_chambers(wall)
-        s1 = separating_set(arrfan, t1, base)
-        s2 = separating_set(arrfan, t2, base)
+        s1, s2 = sep[t1], sep[t2]
         if s1 < s2:
             covers.append((t1, t2, wall))
         elif s2 < s1:

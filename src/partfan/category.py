@@ -212,11 +212,6 @@ def _cube_subsets(k):
     return tuple(S for size in range(k + 1) for S in combinations(range(k), size))
 
 
-def factorization_pairs(category, f):
-    """All (g, h) with h o g = f, straight from the composition table."""
-    return _factorizations(category).get(f.index, [])
-
-
 def _factorizations(category):
     """Map each composite f to its sorted (g, h) pairs, in one table pass.
 

@@ -24,7 +24,6 @@ from .rational import (
     matrix_rank,
     pivot_columns,
     primitive_ray,
-    vec,
 )
 
 
@@ -139,20 +138,12 @@ def intersect_generated_cones(rays_a, rays_b, dim):
     return extreme_rays(eqs_a + eqs_b, ineqs_a + ineqs_b, dim)
 
 
-def cone_contains(generators, dim, point):
-    """Exact membership of a point in cone(generators)."""
-    eqs, ineqs = halfspaces(generators, dim)
-    point = vec(point)
-    return all(dot(e, point) == 0 for e in eqs) and all(dot(a, point) >= 0 for a in ineqs)
-
-
-def fulldim_intersection(simplicial_rays, generators, dim):
-    """Whether a simplicial cone meets cone(generators) in full dimension."""
-    return fulldim_in_halfspaces(simplicial_rays, halfspaces(generators, dim), dim)
-
-
 def fulldim_in_halfspaces(simplicial_rays, halfspace_rep, dim):
-    """fulldim_intersection against a precomputed (equalities, inequalities)."""
+    """Whether a simplicial cone meets {E x = 0, A x >= 0} in full dimension.
+
+    ``halfspace_rep`` is the pair (E, A), for instance the ``halfspaces``
+    of a generated cone.
+    """
     eqs_a, ineqs_a = simplicial_halfspaces(simplicial_rays, dim)
     eqs_b, ineqs_b = halfspace_rep
     lin, rays = extreme_rays(tuple(eqs_a) + tuple(eqs_b),

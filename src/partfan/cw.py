@@ -135,7 +135,8 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
     The frame is b1 and e2 = (b1.b1) b2 - (b2.b1) b1, for the primitive
     kernel basis b1, b2 of ``int_kernel_basis``, and a ray v has the
     coordinates (v.b1, v.e2).  This is the order of the orthogonal rational
-    frame u1, u2 that Gram-Schmidt makes from ``kernel_basis``.  That
+    frame u1, u2 that Gram-Schmidt makes from the Fraction kernel basis,
+    as ``subspace_coordinates`` in ``tests/fraction_oracles.py`` does.  That
     basis is b1 / c1, b2 / c2, each divided by its entry at its free
     column, which is positive.  So u1 = b1 / c1 and u2 = e2 / (c2 b1.b1),
     and the rational coordinates (v.u1 / u1.u1, v.u2 / u2.u2) are the

@@ -421,38 +421,3 @@ def canonical_fan(fan):
     max_cones = sorted(tuple(sorted(relabel[i] for i in c)) for c in fan.max_cones)
     return build_fan(fan.dim, rays, max_cones)
 
-
-def subspace_coordinates(fan, cone):
-    """An orthogonal rational basis of span(cone)^perp, for 2D frames."""
-    from .rational import gram_schmidt, kernel_basis
-
-    comp = kernel_basis(fan.ray_vectors(cone), fan.dim)
-    return gram_schmidt(comp)
-
-
-def projected_star_as_fan(fan, cone):
-    """Express pi_sigma(star sigma) as a Fan in coordinates of span(sigma)^perp.
-
-    Fan validity and completeness are invariant under the linear
-    identification, so the result can be fed to validate_fan and
-    is_finite_complete.
-    """
-    from .rational import solve
-
-    cone = fan.check_cone(cone)
-    basis = subspace_coordinates(fan, cone)
-    d = len(basis)
-    if d == 0:
-        return build_fan(0, [], [])
-    ps = sorted(fan.project_star(cone))
-    ray_list = sorted({r for c in ps for r in c})
-    coords = []
-    for r in ray_list:
-        sol = solve([[basis[j][i] for j in range(d)] for i in range(fan.dim)], r)
-        coords.append(primitive_ray(sol))
-    index = {r: i for i, r in enumerate(ray_list)}
-    maximal = [c for c in ps if not any(set(c) < set(o) for o in ps)]
-    max_cones = [tuple(sorted(index[r] for r in c)) for c in maximal if c]
-    if not max_cones and len(ps) == 1:
-        max_cones = []
-    return build_fan(d, coords, max_cones)

@@ -59,19 +59,6 @@ def render_word(word):
     return " ".join(sym if exp == 1 else sym + "^-1" for sym, exp in word)
 
 
-def parse_word(text):
-    text = text.strip()
-    if text in ("", "e"):
-        return ()
-    out = []
-    for token in text.split():
-        if token.endswith("^-1"):
-            out.append((token[:-3], -1))
-        else:
-            out.append((token, 1))
-    return tuple(out)
-
-
 class Presentation:
     """Generators plus freely reduced relator words."""
 

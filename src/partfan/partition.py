@@ -102,10 +102,6 @@ class UnionFind:
         return True
 
 
-def finest_partition(fan):
-    return Partition(fan, [(c,) for c in fan.cones])
-
-
 def from_blocks(fan, listed_blocks):
     """Partition from explicitly listed blocks; unlisted cones become singletons."""
     listed = [tuple(fan.check_cone(c) for c in b) for b in listed_blocks]

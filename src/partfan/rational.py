@@ -12,9 +12,8 @@ row space nor kernel).  :func:`matrix_rank`, :func:`span_key`,
 integer results, and :func:`dot` of integer vectors is an int.  Where a
 value is truly rational, the ``Fraction`` result is derived from the
 integer one at the boundary: :func:`rref` divides each echelon row by its
-pivot entry, :func:`kernel_basis` each integer kernel vector by its entry
-in its free column, and :func:`complement_projection` the integer
-projection by its scale; :func:`solve` reads its solution off :func:`rref`.
+pivot entry, and :func:`complement_projection` the integer projection by
+its scale.
 Python ints have arbitrary precision, so no coefficient can overflow.
 """
 
@@ -44,15 +43,6 @@ def _exact(x):
     return Fraction(x)
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    c = _exact(c)
-    return tuple(c * x for x in a)
-
-
 def dot(a, b):
     """Exact dot product; integer vectors give an int, never a float.
 
@@ -65,10 +55,6 @@ def dot(a, b):
     if len(a) != len(b):
         raise DimensionMismatch("vectors of different length", witness=(len(a), len(b)))
     return sum(map(mul, a, b))
-
-
-def is_zero(a):
-    return all(x == 0 for x in a)
 
 
 def identity_matrix(n):
@@ -231,39 +217,6 @@ def span_equal(a_vectors, b_vectors):
     return span_key(a_vectors) == span_key(b_vectors)
 
 
-def solve(a_rows, b):
-    """One solution x of A x = b, or None if inconsistent.
-
-    A is given by rows; free variables are set to zero.
-    """
-    aug = [list(vec(row)) + [_exact(bi)] for row, bi in zip(a_rows, b)]
-    reduced, pivots = rref(aug)
-    n = len(a_rows[0]) if a_rows else 0
-    x = [Fraction(0)] * n
-    for row, p in reversed(list(zip(reduced, pivots))):
-        if p == n:
-            return None
-        x[p] = row[n] - sum(row[j] * x[j] for j in range(p + 1, n))
-    return tuple(x)
-
-
-def kernel_basis(rows, ncols):
-    """Basis of the right kernel {x : A x = 0} as a tuple of vectors.
-
-    The vector of free column j is 1 at j and 0 at the other free columns:
-    the :func:`int_kernel_basis` vector divided by its entry at j.  That is
-    its last nonzero entry, since an RREF row is zero left of its pivot.
-
-    >>> kernel_basis([(2, 2, 0)], 3) == ((-1, 1, 0), (0, 0, 1))
-    True
-    """
-    basis = []
-    for v in int_kernel_basis(rows, ncols):
-        last = next(x for x in reversed(v) if x)
-        basis.append(tuple(Fraction(x, last) for x in v))
-    return tuple(basis)
-
-
 def int_kernel_basis(rows, ncols):
     """Kernel basis normalized to primitive integer vectors.
 
@@ -354,18 +307,6 @@ def _scaled_complement_projection(basis, dim):
     scaled = tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
                          for j in range(dim)) for i in range(dim))
     return scale, scaled
-
-
-def gram_schmidt(basis):
-    """Orthogonal (not normalized) rational basis with the same span."""
-    out = []
-    for v in basis:
-        w = vec(v)
-        for u in out:
-            w = vec_sub(w, vec_scale(Fraction(dot(w, u), dot(u, u)), u))
-        if not is_zero(w):
-            out.append(w)
-    return tuple(out)
 
 
 def sqrt_combination_sign(x, p, y, q):

@@ -120,38 +120,6 @@ def _polyline(points, center, scale):
     return '<polyline points="%s" fill="none" stroke="black" stroke-width="1"/>' % coords
 
 
-def skeleton_svg(complex_, size=400):
-    """Circle layout of the CW 1-skeleton (rank-2 examples)."""
-    vertices = list(complex_.vertices)
-    center = size / 2.0
-    radius = size * 0.35
-    pos = {}
-    for k, vtx in enumerate(vertices):
-        angle = 2.0 * math.pi * k / max(len(vertices), 1)
-        pos[vtx] = (center + radius * math.cos(angle),
-                    center - radius * math.sin(angle))
-    parts = [_svg_header(size)]
-    loop_count = {}
-    for e in complex_.edges:
-        x1, y1 = pos[e.tail]
-        x2, y2 = pos[e.head]
-        if e.tail == e.head:
-            k = loop_count.get(e.tail, 0)
-            loop_count[e.tail] = k + 1
-            r = 18 + 12 * k
-            parts.append('<circle cx="%g" cy="%g" r="%d" fill="none" '
-                         'stroke="black"/>' % (x1 + r, y1, r))
-        else:
-            parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" '
-                         'stroke="black"/>' % (x1, y1, x2, y2))
-    for vtx, (x, y) in pos.items():
-        parts.append('<circle cx="%g" cy="%g" r="4" fill="black"/>' % (x, y))
-        parts.append('<text x="%g" y="%g" font-size="11">v%d</text>'
-                     % (x + 6, y - 6, vtx))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def _cross(a, b):
     return [a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],

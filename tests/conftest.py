@@ -67,7 +67,7 @@ def coxeter_partitions(brauer):
     """name -> (fan, {"flat", "shard", "finest"} -> partition) for A3, Brauer
     and B3; shards from the all-positive chamber."""
     out = {"brauer": (brauer.fan, {"flat": brauer.flat, "shard": brauer.shard,
-                                   "finest": partlib.finest_partition(brauer.fan)})}
+                                   "finest": partlib.from_blocks(brauer.fan, [])})}
     for name, normals in (("A3", A3_NORMALS), ("B3", b_normals(3))):
         arrangement = arrlib.Arrangement(3, normals)
         arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
@@ -76,7 +76,7 @@ def coxeter_partitions(brauer):
                     if arrfan.sign_of(c) == (1,) * len(normals))
         out[name] = (fan, {"flat": arrlib.flat_partition(arrangement, fan),
                            "shard": arrlib.shard_partition(arrangement, arrfan, base),
-                           "finest": partlib.finest_partition(fan)})
+                           "finest": partlib.from_blocks(fan, [])})
     return out
 
 

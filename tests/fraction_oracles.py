@@ -1,16 +1,19 @@
-"""The former Fraction Gauss-Jordan routines of ``partfan.rational``, kept as oracles.
+"""The former Fraction routines of ``partfan.rational`` and ``partfan.fan``, kept as oracles.
 
 ``partfan.rational`` now derives every Fraction result from one integer
 elimination, ``_echelon``.  These are the routines it replaced, copied
 unchanged apart from their names for the rank test and the Gram inverse, so
 that no test checks the integer core against something derived from it.
 They import only the non-eliminating helpers of ``partfan.rational``.
+``solve``, ``kernel_basis`` and ``gram_schmidt`` (with its vector helpers)
+have no production caller left, so this is their only copy.
 
-The last three routines are the Fraction plane frame that
+The last routines are the Fraction plane frame that
 ``partfan.cw._attaching_word`` used before it moved to an integer frame:
 ``subspace_coordinates`` (an orthogonal basis of span(sigma)^perp by
 Gram-Schmidt over the kernel basis above), ``_plane_coordinates`` and the
-former ``_attaching_word`` itself.
+former ``_attaching_word`` itself.  ``projected_star_as_fan`` writes a
+projected star in that frame as a Fan of its own.
 """
 
 from fractions import Fraction
@@ -18,12 +21,13 @@ from functools import cmp_to_key
 
 from partfan.cw import _angular_cmp
 from partfan.errors import DependentBasis, DimensionMismatch
+from partfan.fan import build_fan
 from partfan.rational import (
     _exact,
     dot,
-    gram_schmidt,
     identity_matrix,
     mat_mul,
+    primitive_ray,
     transpose,
     vec,
 )
@@ -155,6 +159,31 @@ def gram_inverse(m, n):
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+def vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(c, a):
+    c = _exact(c)
+    return tuple(c * x for x in a)
+
+
+def is_zero(a):
+    return all(x == 0 for x in a)
+
+
+def gram_schmidt(basis):
+    """Orthogonal (not normalized) rational basis with the same span."""
+    out = []
+    for v in basis:
+        w = vec(v)
+        for u in out:
+            w = vec_sub(w, vec_scale(Fraction(dot(w, u), dot(u, u)), u))
+        if not is_zero(w):
+            out.append(w)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # the Fraction plane frame of the CW attaching words
 
@@ -162,6 +191,30 @@ def subspace_coordinates(fan, cone):
     """An orthogonal rational basis of span(cone)^perp, for 2D frames."""
     comp = kernel_basis(fan.ray_vectors(cone), fan.dim)
     return gram_schmidt(comp)
+
+
+def projected_star_as_fan(fan, cone):
+    """Express pi_sigma(star sigma) as a Fan in coordinates of span(sigma)^perp.
+
+    Fan validity and completeness are invariant under the linear
+    identification, so the result can be fed to validate_fan and
+    is_finite_complete.
+    """
+    cone = fan.check_cone(cone)
+    basis = subspace_coordinates(fan, cone)
+    d = len(basis)
+    if d == 0:
+        return build_fan(0, [], [])
+    ps = sorted(fan.project_star(cone))
+    ray_list = sorted({r for c in ps for r in c})
+    coords = []
+    for r in ray_list:
+        sol = solve([[basis[j][i] for j in range(d)] for i in range(fan.dim)], r)
+        coords.append(primitive_ray(sol))
+    index = {r: i for i, r in enumerate(ray_list)}
+    maximal = [c for c in ps if not any(set(c) < set(o) for o in ps)]
+    max_cones = [tuple(sorted(index[r] for r in c)) for c in maximal if c]
+    return build_fan(d, coords, max_cones)
 
 
 def _attaching_word(fan, partition, edge_of_block, sigma):

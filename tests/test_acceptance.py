@@ -16,7 +16,7 @@ from partfan.cw import build_cw, compare_pi1_picture, euler_characteristic, \
     pi1_presentation
 from partfan.partition import (
     admissible_closure,
-    finest_partition,
+    from_blocks,
     is_admissible,
     join,
     meet,
@@ -64,7 +64,7 @@ def test_criterion_2_closure_and_homsets(hzb_fan, p1_partition):
 
 def test_criterion_3_cell_counts(square_fan, hzb_fan, torus_partition,
                                  p1_partition):
-    disk = build_cw(square_fan, finest_partition(square_fan))
+    disk = build_cw(square_fan, from_blocks(square_fan, []))
     assert disk.cell_counts() == (4, 4, 1)
     assert euler_characteristic(disk) == 1
     cylinder = build_cw(hzb_fan, p1_partition)
@@ -197,7 +197,7 @@ def test_criterion_9_picture_vs_pi1(square_fan, torus_partition, brauer):
 
 def test_criterion_10_quotient_chain(hzb_fan, p1_partition):
     poset = rank2_bisector_poset(hzb_fan, (0, 3))
-    finest = finest_partition(hzb_fan)
+    finest = from_blocks(hzb_fan, [])
     coarsest = potential_identifications(hzb_fan).partition
     base = G.picture_group(hzb_fan, finest, poset, mode="full")
     direct = G.quotient_presentation(base, hzb_fan, finest, coarsest)

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 
 import search_oracles as oracle
 from partfan.category import (
+    _factorizations,
     build_category,
     check_cubical,
     check_last_factor_compatibility,
     compose,
     export_category_dot,
     factorization_cube,
-    factorization_pairs,
     first_factors,
     last_factors,
 )
@@ -22,7 +22,6 @@ from partfan.fan import build_fan
 from partfan.partition import (
     admissible_closure,
     enumerate_admissible,
-    finest_partition,
     from_blocks,
 )
 from strategies import complete_planar_fans
@@ -80,7 +79,7 @@ def test_hirzebruch_family_parameter():
 
 
 def test_build_category_finest_is_poset(square_fan):
-    cat = build_category(square_fan, finest_partition(square_fan))
+    cat = build_category(square_fan, from_blocks(square_fan, []))
     assert all(len(v) <= 1 for v in cat.hom.values())
     assert len(cat.objects) == 9
 
@@ -199,7 +198,7 @@ def test_last_factors_square(square_fan, torus_partition):
 
 def test_factors_rank3():
     fan = coordinate_fan_r3()
-    cat = build_category(fan, finest_partition(fan))
+    cat = build_category(fan, from_blocks(fan, []))
     f = cat.morphism_of_pair((), (0, 1, 2))
     assert len(first_factors(cat, f)) == 3
     assert len(last_factors(cat, f)) == 3
@@ -232,7 +231,7 @@ def test_last_factor_compatibility_positive(square_fan, torus_partition,
 
 
 def test_last_factor_compatibility_finest(three_lines_fan):
-    cat = build_category(three_lines_fan, finest_partition(three_lines_fan))
+    cat = build_category(three_lines_fan, from_blocks(three_lines_fan, []))
     ok, _ = check_last_factor_compatibility(cat)
     assert ok
 
@@ -294,7 +293,7 @@ def test_factorization_pairs_match_cube(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
     for f in cat.morphisms:
         assert sorted(factorization_cube(cat, f).objects) == \
-            factorization_pairs(cat, f)
+            _factorizations(cat).get(f.index, [])
 
 
 def factorization_pairs_oracle(category, f):
@@ -315,7 +314,7 @@ def test_factorization_pairs_match_per_morphism_scan(which, square_fan, torus_pa
            "hirzebruch": lambda: build_category(hzb_fan, p1_partition),
            "brauer": lambda: brauer.category("flat")}[which]()
     for f in cat.morphisms:
-        assert factorization_pairs(cat, f) == factorization_pairs_oracle(cat, f)
+        assert _factorizations(cat).get(f.index, []) == factorization_pairs_oracle(cat, f)
 
 
 def former_lookup(category):

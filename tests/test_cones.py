@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracles as oracle
 from partfan import cones as conelib
 from partfan.cones import (
-    cone_contains,
     extreme_rays,
-    fulldim_intersection,
+    fulldim_in_halfspaces,
     halfspaces,
     intersect_generated_cones,
     simplicial_halfspaces,
@@ -74,17 +73,15 @@ def test_intersection_at_shared_face():
     assert set(rays) == {(1, 0)}
 
 
-def test_cone_contains():
-    assert cone_contains([(1, 0), (1, 1)], 2, (2, 1))
-    assert not cone_contains([(1, 0), (1, 1)], 2, (0, 1))
+def test_fulldim_in_halfspaces():
+    def fulldim(simplicial_rays, generators):
+        return fulldim_in_halfspaces(simplicial_rays, halfspaces(generators, 2), 2)
 
-
-def test_fulldim_intersection():
-    assert fulldim_intersection([(1, 0), (0, 1)], [(1, 1), (1, -1)], 2)
-    assert not fulldim_intersection([(1, 0), (0, 1)], [(-1, 1), (-1, -1)], 2)
+    assert fulldim([(1, 0), (0, 1)], [(1, 1), (1, -1)])
+    assert not fulldim([(1, 0), (0, 1)], [(-1, 1), (-1, -1)])
     # touching along a ray only is not full-dimensional
-    assert not fulldim_intersection([(1, 0), (0, 1)], [(0, 1), (-1, 0)], 2)
-    assert not fulldim_intersection([(1, 0), (0, 1)], [(0, 1), (-1, 1)], 2)
+    assert not fulldim([(1, 0), (0, 1)], [(0, 1), (-1, 0)])
+    assert not fulldim([(1, 0), (0, 1)], [(0, 1), (-1, 1)])
 
 
 def test_extreme_rays_satisfy_system_fuzz():

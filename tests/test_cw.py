@@ -19,7 +19,7 @@ from partfan.fan import build_fan
 from partfan.partition import (
     admissible_closure,
     enumerate_admissible,
-    finest_partition,
+    from_blocks,
 )
 from partfan.poset import poset_from_linear_functional, rank2_bisector_poset
 from strategies import complete_planar_fans
@@ -38,7 +38,7 @@ def test_cells_cylinder(hzb_fan, p1_partition):
 
 
 def test_cells_disk(square_fan):
-    cw = build_cw(square_fan, finest_partition(square_fan))
+    cw = build_cw(square_fan, from_blocks(square_fan, []))
     assert cw.cell_counts() == (4, 4, 1)
     assert euler_characteristic(cw) == 1
 
@@ -46,7 +46,7 @@ def test_cells_disk(square_fan):
 @settings(max_examples=25, deadline=None)
 @given(complete_planar_fans())
 def test_finest_partition_is_a_disk(fan):
-    cw = build_cw(fan, finest_partition(fan))
+    cw = build_cw(fan, from_blocks(fan, []))
     n = len(fan.rays)
     assert cw.cell_counts() == (n, n, 1)
     assert euler_characteristic(cw) == 1
@@ -55,7 +55,7 @@ def test_finest_partition_is_a_disk(fan):
 def test_build_cw_requires_complete():
     quadrant = build_fan(2, [(1, 0), (0, 1)], [(0, 1)])
     with pytest.raises(NotComplete) as err:
-        build_cw(quadrant, finest_partition(quadrant))
+        build_cw(quadrant, from_blocks(quadrant, []))
     assert err.value.witness == quadrant.to_json()
 
 
@@ -64,7 +64,7 @@ def test_build_cw_rejects_double_winding():
     fan = build_fan(2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
                     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(NotComplete):
-        build_cw(fan, finest_partition(fan))
+        build_cw(fan, from_blocks(fan, []))
 
 
 def test_cell_counts_equal_block_counts(square_fan, square_admissible):
@@ -85,7 +85,7 @@ def test_pi1_torus(square_fan, torus_partition):
 
 
 def test_pi1_disk_trivial(square_fan):
-    cw = build_cw(square_fan, finest_partition(square_fan))
+    cw = build_cw(square_fan, from_blocks(square_fan, []))
     pres = pi1_presentation(cw)
     # the 4-cycle skeleton leaves one non-tree edge, killed by the 2-cell
     assert len(pres.generators) == 1
@@ -109,7 +109,7 @@ def test_attaching_word_lengths(square_fan, torus_partition):
 def test_attaching_words_close_up(square_fan, hzb_fan, square_admissible):
     # every attaching word is a closed walk: its 0-chain boundary vanishes
     jobs = [(square_fan, p) for p in square_admissible]
-    jobs.append((hzb_fan, finest_partition(hzb_fan)))
+    jobs.append((hzb_fan, from_blocks(hzb_fan, [])))
     for fan, partition in jobs:
         cw = build_cw(fan, partition)
         edges = {e.index: e for e in cw.edges}
@@ -125,7 +125,7 @@ def test_attaching_words_close_up(square_fan, hzb_fan, square_admissible):
 def test_attaching_word_signs_balance_on_finest(square_fan, hzb_fan):
     # on the finest square/Hirzebruch fans the crossing signs cancel in total
     for fan in (square_fan, hzb_fan):
-        cw = build_cw(fan, finest_partition(fan))
+        cw = build_cw(fan, from_blocks(fan, []))
         for _, word in cw.two_cells:
             assert sum(sign for _, sign in word) == 0
 
@@ -188,7 +188,7 @@ def test_compare_pi1_picture_three_lines(three_lines_fan, three_lines_partition)
 
 
 def test_compare_precondition(square_fan):
-    cw = build_cw(square_fan, finest_partition(square_fan))
+    cw = build_cw(square_fan, from_blocks(square_fan, []))
     dummy = G.Presentation([], [])
     with pytest.raises(PreconditionUnmet):
         compare_pi1_picture(cw, dummy)

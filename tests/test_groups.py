@@ -8,7 +8,7 @@ from partfan.errors import Degenerate, NotComparable, NotRank2, PosetInvalid
 from partfan.fan import build_fan
 from partfan.partition import (
     admissible_closure,
-    finest_partition,
+    from_blocks,
     potential_identifications,
 )
 from partfan.poset import (
@@ -28,8 +28,6 @@ def test_free_reduce_and_render():
     assert w == (("a", 1), ("a", 1))
     assert G.render_word(w) == "a a"
     assert G.render_word(()) == "e"
-    assert G.parse_word("a b^-1") == (("a", 1), ("b", -1))
-    assert G.parse_word("e") == ()
 
 
 def test_word_inverse():
@@ -55,7 +53,7 @@ def test_picture_group_torus(square_fan, torus_partition):
 
 def test_picture_group_finest(square_fan):
     poset = poset_from_linear_functional(square_fan, (1, 1))
-    pres = G.picture_group(square_fan, finest_partition(square_fan), poset)
+    pres = G.picture_group(square_fan, from_blocks(square_fan, []), poset)
     assert len(pres.generators) == 4
     assert len(pres.relators) == 1
 
@@ -83,7 +81,7 @@ def test_picture_group_is_kept_on_the_poset(square_fan, torus_partition, monkeyp
                             poset_from_linear_functional(square_fan, (1, 1)))
     assert full.to_json() == fresh.to_json()
     codim2 = G.picture_group(square_fan, torus_partition, poset, mode="codim2")
-    finest = G.picture_group(square_fan, finest_partition(square_fan), poset)
+    finest = G.picture_group(square_fan, from_blocks(square_fan, []), poset)
     assert G.picture_group(square_fan, torus_partition, poset) is full
     assert G.picture_group(square_fan, torus_partition, poset, mode="codim2") is codim2
     assert finest is not full
@@ -132,7 +130,7 @@ def test_alt_presentation_single_cover():
     fan = build_fan(2, [(1, 0), (0, -1), (-1, 0), (0, 1)],
                     [(0, 3), (0, 1), (1, 2), (2, 3)])
     poset = poset_from_linear_functional(fan, (1, 1))
-    pres = G.alt_presentation(fan, finest_partition(fan), poset)
+    pres = G.alt_presentation(fan, from_blocks(fan, []), poset)
     covers = [w for w in pres.relators if len(w) == 3]
     assert len(covers) == 4
 
@@ -256,7 +254,7 @@ def test_functor_check_reports_corruption(square_fan, torus_partition,
 
 def test_quotient_presentation_chain(hzb_fan, p1_partition):
     poset = rank2_bisector_poset(hzb_fan, TAU1)
-    finest = finest_partition(hzb_fan)
+    finest = from_blocks(hzb_fan, [])
     coarsest = potential_identifications(hzb_fan).partition
     base = G.picture_group(hzb_fan, finest, poset)
     direct = G.quotient_presentation(base, hzb_fan, finest, coarsest)
@@ -277,7 +275,7 @@ def test_quotient_presentation_self_is_noop(square_fan, torus_partition):
 
 def test_quotient_presentation_square(square_fan, torus_partition):
     poset = poset_from_linear_functional(square_fan, (1, 1))
-    finest = finest_partition(square_fan)
+    finest = from_blocks(square_fan, [])
     base = G.picture_group(square_fan, finest, poset)
     quot = G.quotient_presentation(base, square_fan, finest, torus_partition)
     added = sorted(set(quot.relators) - set(base.relators))
@@ -386,7 +384,7 @@ def test_rank2_certificate_builtins(square_fan, torus_partition, hzb_fan,
 
 def test_rank2_certificate_requires_plane():
     fan = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
-    cat = build_category(fan, finest_partition(fan))
+    cat = build_category(fan, from_blocks(fan, []))
     with pytest.raises(NotRank2):
         G.rank2_faithfulness_certificate(cat, FanPoset(fan, []))
 

@@ -22,7 +22,6 @@ from partfan.partition import (
     _star_matching,
     admissible_closure,
     enumerate_admissible,
-    finest_partition,
     from_blocks,
     group_by,
     is_admissible,
@@ -82,7 +81,7 @@ def test_is_admissible_witness(hzb_fan):
 
 
 def test_is_admissible_finest(square_fan):
-    ok, witness = is_admissible(square_fan, finest_partition(square_fan))
+    ok, witness = is_admissible(square_fan, from_blocks(square_fan, []))
     assert ok
 
 
@@ -103,7 +102,7 @@ def test_closure_torus(square_fan, torus_partition):
 
 
 def test_closure_empty_seed(square_fan):
-    assert admissible_closure(square_fan, []) == finest_partition(square_fan)
+    assert admissible_closure(square_fan, []) == from_blocks(square_fan, [])
 
 
 def test_closure_bad_seed(square_fan):
@@ -112,7 +111,7 @@ def test_closure_bad_seed(square_fan):
 
 
 def test_lattice_bounds(hzb_fan, p1_partition):
-    finest = finest_partition(hzb_fan)
+    finest = from_blocks(hzb_fan, [])
     assert meet(p1_partition, finest) == finest
     assert join(p1_partition, finest) == p1_partition
 
@@ -210,8 +209,8 @@ def test_partition_json_defaults_singletons(square_fan):
 
 
 def test_fan_mismatch(square_fan, hzb_fan):
-    p = finest_partition(square_fan)
-    q = finest_partition(hzb_fan)
+    p = from_blocks(square_fan, [])
+    q = from_blocks(hzb_fan, [])
     with pytest.raises(FanMismatch):
         meet(p, q)
 

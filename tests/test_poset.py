@@ -17,7 +17,7 @@ from partfan.errors import (
     PossibleIdentViolation,
 )
 from partfan.fan import build_fan
-from partfan.partition import admissible_closure, finest_partition, from_blocks
+from partfan.partition import admissible_closure, from_blocks
 from partfan.poset import (
     FanPoset,
     _angular_chamber_order,
@@ -349,7 +349,7 @@ def test_degenerate_hand_built(square_fan, torus_partition):
 
 def test_nondegenerate_finest_trivially(square_fan):
     poset = poset_from_linear_functional(square_fan, (1, 1))
-    ok, _ = check_nondegenerate(square_fan, finest_partition(square_fan), poset)
+    ok, _ = check_nondegenerate(square_fan, from_blocks(square_fan, []), poset)
     assert ok
 
 

@@ -16,24 +16,20 @@ from partfan.errors import (
 from partfan.rational import (
     complement_projection,
     dot,
-    gram_schmidt,
     identity_matrix,
     int_complement_projection,
     int_kernel_basis,
-    kernel_basis,
     mat_mul,
     mat_vec,
     matrix_rank,
     pivot_columns,
     primitive_ray,
     rref,
-    solve,
     span_equal,
     span_key,
     sqrt_combination_sign,
     transpose,
     vec,
-    vec_scale,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -83,10 +79,6 @@ def test_vec_keeps_exact_entries_and_rejects_floats_and_booleans():
         assert err.value.witness is bad
         with pytest.raises(InexactNumber):
             primitive_ray((bad, 1))
-        with pytest.raises(InexactNumber):
-            solve([(1, 0), (0, 1)], (bad, 1))
-        with pytest.raises(InexactNumber):
-            vec_scale(bad, (1, 2))
         with pytest.raises(InexactNumber):
             sqrt_combination_sign(bad, 2, -1, 1)
 
@@ -185,13 +177,6 @@ def test_span_key_decides_span_equality(a, b):
     assert span_key(a) == span_key([tuple(-2 * x for x in v) for v in reversed(a)])
 
 
-def test_gram_schmidt_orthogonal():
-    basis = gram_schmidt([(1, 1, 0), (1, 0, 1), (0, 1, 1)])
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            assert dot(basis[i], basis[j]) == 0
-
-
 def test_doctests():
     import doctest
 
@@ -238,10 +223,10 @@ def test_fraction_free_elimination_matches_rref(matrix):
 
 @st.composite
 def flawed_matrices(draw):
-    """(rows, other, b): int and Fraction rows with zero and dependent rows.
+    """(rows, other): int and Fraction rows with zero and dependent rows.
 
     Some draws carry one ragged row or one float or bool entry.  ``other``
-    is a second generating set of the same width, ``b`` a right-hand side.
+    is a second generating set of the same width.
     """
     ncols = draw(st.integers(1, 4))
     entry = st.one_of(st.just(0), st.integers(-4, 4), small_fractions)
@@ -264,8 +249,7 @@ def flawed_matrices(draw):
             st.sampled_from([0.5, 1.0, True, False]))
     rows = [tuple(r) for r in rows]
     other = [tuple(r) for r in draw(st.lists(row, max_size=3))]
-    b = tuple(draw(st.lists(entry, min_size=len(rows), max_size=len(rows))))
-    return rows, other, b
+    return rows, other
 
 
 def _typed_outcome(fn, *args):
@@ -282,11 +266,9 @@ def _typed_outcome(fn, *args):
 @settings(max_examples=400, deadline=None)
 @given(flawed_matrices())
 def test_fraction_routines_match_the_former_gauss_jordan(matrix):
-    rows, other, b = matrix
+    rows, other = matrix
     ncols = len(rows[0]) if rows else 2
     for name, args in (("rref", (rows,)),
-                       ("kernel_basis", (rows, ncols)),
-                       ("solve", (rows, b)),
                        ("complement_projection", (rows,)),
                        ("complement_projection", (rows, ncols)),
                        ("span_equal", (rows, rows[1:])),
@@ -308,33 +290,29 @@ def test_ragged_matrix_raises_dimension_mismatch():
 
 def test_kernel_of_a_wider_row_raises_dimension_mismatch():
     with pytest.raises(DimensionMismatch) as err:
-        kernel_basis([(1, 2, 3)], 2)
-    assert err.value.witness == [2, 3]
-    with pytest.raises(DimensionMismatch):
         int_kernel_basis([(1, 2, 3)], 2)
+    assert err.value.witness == [2, 3]
 
 
 def test_kernel_of_a_narrower_row_raises_dimension_mismatch():
     with pytest.raises(DimensionMismatch) as err:
-        kernel_basis([(1, 2)], 3)
-    assert err.value.witness == [3, 2]
-    with pytest.raises(DimensionMismatch):
         int_kernel_basis([(1, 2)], 3)
+    assert err.value.witness == [3, 2]
 
 
 def test_exact_results_on_integer_input():
     from partfan.catalog import hirzebruch
-    from partfan.fan import build_fan, subspace_coordinates
+    from partfan.fan import build_fan
 
     def exact(values):
         return all(type(x) in (int, Fraction) for x in values)
 
     assert type(dot((1, 2), (3, 4))) is int
-    assert all(exact(v) for v in gram_schmidt([(1, 1, 0), (1, 0, 1), (0, 1, 1)]))
-    assert exact(solve([(1, 2), (3, 4)], (1, 1)))
+    assert all(exact(v) for v in oracle.gram_schmidt([(1, 1, 0), (1, 0, 1), (0, 1, 1)]))
+    assert exact(oracle.solve([(1, 2), (3, 4)], (1, 1)))
     octant = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
     for fan in (hirzebruch(1), octant):
         for cone in fan.cones:
-            assert all(exact(v) for v in subspace_coordinates(fan, cone))
+            assert all(exact(v) for v in oracle.subspace_coordinates(fan, cone))
     coords = oracle._plane_coordinates(((1, 0, 0), (0, 2, 0)), (1, 1, 5))
     assert coords == (1, Fraction(1, 2)) and exact(coords)

@@ -1,10 +1,9 @@
 import pytest
 
-from partfan.catalog import brauer, torus_partition
-from partfan.cw import build_cw
+from partfan.catalog import brauer
 from partfan.errors import DimensionMismatch
 from partfan.fan import build_fan
-from partfan.render import arrangement_svg, fan_svg, skeleton_svg
+from partfan.render import arrangement_svg, fan_svg
 
 
 def test_fan_svg(square_fan):
@@ -34,9 +33,3 @@ def test_arrangement_svg_other_projection():
     svg = arrangement_svg(brauer(), projection_point=(1, 2, 5))
     assert "<polyline" in svg
 
-
-def test_skeleton_svg(square_fan):
-    cw = build_cw(square_fan, torus_partition(square_fan))
-    svg = skeleton_svg(cw)
-    # single 0-cell with two loop 1-cells
-    assert svg.count("<circle") >= 3
