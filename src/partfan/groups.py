@@ -360,145 +360,61 @@ def quotient_presentation(base, fan, fine, coarse):
 # abelianization / integer lattice tools
 
 def smith_normal_form(matrix):
-    """Diagonal of the Smith normal form of an integer matrix."""
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag = []
-    r = c = 0
-    while r < rows and c < cols:
-        pivot = None
-        best = None
-        for i in range(r, rows):
-            for j in range(c, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[r], m[pi] = m[pi], m[r]
-        for row in m:
-            row[c], row[pj] = row[pj], row[c]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(r + 1, rows):
-                if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c]:
-                        m[r], m[i] = m[i], m[r]
-                        dirty = True
-            for j in range(c + 1, cols):
-                if m[r][j]:
-                    q = m[r][j] // m[r][c]
-                    for row in m:
-                        row[j] -= q * row[c]
-                    if m[r][j]:
-                        for row in m:
-                            row[c], row[j] = row[j], row[c]
-                        dirty = True
-        # pivot now divides everything in its row/column; clear and recurse
-        entry = abs(m[r][c])
-        rest_dirty = False
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                if m[i][j] % entry:
-                    m[r] = [a + b for a, b in zip(m[r], m[i])]
-                    rest_dirty = True
-                    break
-            if rest_dirty:
-                break
-        if rest_dirty:
-            continue
-        diag.append(entry)
-        r += 1
-        c += 1
-    # normalize divisibility d1 | d2 | ...
-    from math import gcd
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-    return diag
+    Repeated rows are dropped first; they add nothing to the lattice.  Each
+    step pivots on an entry p of least absolute value and reduces its row
+    and column by p; a nonzero remainder is a smaller pivot, so the step
+    repeats.  Once both are clear, a row with an entry that p does not
+    divide is added to p's row, which again leaves a smaller remainder.
+    Otherwise |p| is the next factor and p's row drops out, leaving p's
+    column zero.  Every entry left is then a multiple of p, so the factors
+    come out in divisibility order.
+    """
+    m = [list(row) for row in dict.fromkeys(map(tuple, matrix)) if any(row)]
+    factors = []
+    while m:
+        _, i, j = min((abs(a), i, j) for i, row in enumerate(m)
+                      for j, a in enumerate(row) if a)
+        pivot_row = m[i]
+        p = pivot_row[j]
+        for row in m:
+            if row is not pivot_row and row[j]:
+                q = row[j] // p
+                row[:] = [a - q * b for a, b in zip(row, pivot_row)]
+        for k, a in enumerate(pivot_row):
+            if k != j and a:
+                q = a // p
+                for row in m:
+                    row[k] -= q * row[j]
+        if any(pivot_row[:j] + pivot_row[j + 1:]) or \
+                any(row[j] for row in m if row is not pivot_row):
+            continue
+        bad = next((row for row in m if any(a % p for a in row)), None)
+        if bad is not None:
+            pivot_row[:] = [a + b for a, b in zip(pivot_row, bad)]
+            continue
+        factors.append(abs(p))
+        m = [row for row in m if row is not pivot_row and any(row)]
+    return factors
 
 
 def abelianization(presentation):
     """(free rank, nontrivial invariant factors) of the abelianized group."""
     gens = presentation.generators
-    matrix = [_abelianized(w, gens) for w in presentation.relators]
-    if not matrix:
-        return len(gens), ()
-    diag = smith_normal_form(matrix)
-    rank = len([d for d in diag if d != 0])
-    torsion = tuple(d for d in diag if d > 1)
-    return len(gens) - rank, torsion
-
-
-def _hermite_rows(matrix):
-    """Row-style Hermite form used for integer row-lattice membership."""
-    m = [list(row) for row in matrix if any(row)]
-    if not m:
-        return []
-    cols = len(m[0])
-    out = []
-    col = 0
-    while m and col < cols:
-        candidates = [row for row in m if row[col] != 0]
-        if not candidates:
-            col += 1
-            continue
-        while True:
-            candidates.sort(key=lambda row: abs(row[col]))
-            pivot = candidates[0]
-            done = True
-            for row in candidates[1:]:
-                q = row[col] // pivot[col]
-                for j in range(cols):
-                    row[j] -= q * pivot[j]
-                if row[col]:
-                    done = False
-            candidates = [row for row in candidates if row[col] != 0]
-            if done or len(candidates) == 1:
-                break
-        pivot = candidates[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        out.append(pivot)
-        m = [row for row in m if row is not pivot and any(row)]
-        for row in m:
-            if row[col] % pivot[col] == 0 and row[col] != 0:
-                q = row[col] // pivot[col]
-                for j in range(cols):
-                    row[j] -= q * pivot[j]
-        m = [row for row in m if any(row)]
-        col += 1
-    return out
+    factors = smith_normal_form(_abelianized(w, gens) for w in presentation.relators)
+    return len(gens) - len(factors), tuple(d for d in factors if d > 1)
 
 
 def in_row_lattice(vector, matrix):
-    """Whether an integer vector lies in the integer row span of the matrix."""
-    rows = [list(r) for r in matrix if any(r)]
-    v = list(vector)
-    if not any(v):
-        return True
-    if not rows:
-        return False
-    hermite = _hermite_rows(rows)
-    cols = len(v)
-    for row in hermite:
-        lead = next(j for j in range(cols) if row[j] != 0)
-        if v[lead] % row[lead] == 0:
-            q = v[lead] // row[lead]
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    """Whether an integer vector lies in the integer row lattice L of the matrix.
+
+    Z^n/L maps onto Z^n/(L + Zv), and finitely generated abelian groups
+    are Hopfian, so v lies in L exactly when the two quotients are
+    isomorphic: when L and L + Zv have the same invariant factors.
+    """
+    rows = list(matrix)
+    return smith_normal_form(rows) == smith_normal_form(rows + [vector])
 
 
 # ---------------------------------------------------------------------------

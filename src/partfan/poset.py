@@ -578,9 +578,7 @@ def _degenerate_pair(fan, poset, block):
         for lower, upper, wall in poset.covers:
             if not (set(s1) <= set(wall)):
                 continue
-            lo2, up2 = match.get(lower), match.get(upper)
-            if lo2 is None or up2 is None:
-                continue
+            lo2, up2 = match[lower], match[upper]
             direction = poset.cover_direction(lo2, up2)
             if direction != 1:
                 return {

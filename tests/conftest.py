@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from partfan import arrangement as arrlib
@@ -5,6 +8,29 @@ from partfan import catalog
 from partfan import category as catlib
 from partfan import partition as partlib
 from strategies import A3_NORMALS, b_normals
+
+
+@pytest.fixture
+def time_limit():
+    """A context manager that fails the test once its body runs ``seconds``.
+
+    SIGALRM interrupts the computation, so a routine that blows up fails
+    the test instead of hanging the run.
+    """
+    @contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError("still running after %s s" % seconds)
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,12 @@ def test_partition_meet_with_file(monkeypatch, capsys, tmp_path):
                         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert json.loads(out)["partition"] == json.loads(other_text)["partition"]
+    same = tmp_path / "same.json"
+    same.write_text(env_text)
+    code, out = run_cli(["partition", "join", "--other", str(same)],
+                        stdin_text=env_text,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, json.loads(out)) == (0, json.loads(env_text))
 
 
 def test_group_pipeline(monkeypatch, capsys):
@@ -119,6 +125,22 @@ def test_group_pipeline(monkeypatch, capsys):
                          ["group", "abelianize"])
     assert code == 0
     assert json.loads(out) == {"free_rank": 2, "torsion": []}
+
+
+def test_group_abelianize_without_coefficient_explosion(monkeypatch, capsys, time_limit):
+    """Relator i is a^r1 b^r2 c^r3 d^r4 e^r5 for row i; a corner-pivot Smith
+    form ran past 30 s here, with entries of over 4 300 digits."""
+    rows = [(3, -6, 6, -5, 4), (2, 0, -5, 4, 4), (-4, -5, -3, -3, -5),
+            (-6, 2, 2, 6, 0), (3, 4, -6, -1, 2), (2, -21, -3, -35, -17)]
+    gens = ["a", "b", "c", "d", "e"]
+    relators = [[[g, 1 if r > 0 else -1] for g, r in zip(gens, row) for _ in range(abs(r))]
+                for row in rows]
+    envelope = {"presentation": {"generators": gens, "relators": relators}}
+    with time_limit(1):
+        code, out = run_cli(["group", "abelianize"], stdin_text=json.dumps(envelope),
+                            monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert out.strip() == '{"free_rank": 0, "torsion": [2, 7054]}'
 
 
 def test_group_psi(monkeypatch, capsys):
@@ -210,6 +232,11 @@ def test_category_check_cubical(monkeypatch, capsys):
                          ["category", "check-cubical"])
     assert code == 0
     assert json.loads(out)["cubical"]
+    code, out = pipeline(monkeypatch, capsys,
+                         ["examples", "hirzebruch-a1"],
+                         ["partition", "closure", "--seed", "s2~s4"],
+                         ["category", "build"])
+    assert (code, sorted(json.loads(out))) == (0, ["category", "fan", "partition"])
 
 
 def test_category_check_last_factors_three_lines(monkeypatch, capsys):
@@ -248,6 +275,11 @@ def test_category_export_roundtrip(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     assert "morphisms" in doc and "composition" in doc
+    code, out = pipeline(monkeypatch, capsys,
+                         ["examples", "square"],
+                         ["partition", "potentials"],
+                         ["category", "export", "--format", "dot"])
+    assert code == 0 and out.startswith("digraph category {")
 
 
 def test_partition_enumerate(monkeypatch, capsys):
@@ -352,6 +384,11 @@ def test_arrangement_reports(monkeypatch, capsys):
                          ["arrangement", "flats"])
     assert code == 0
     assert len(json.loads(out)["flats"]) == 18
+    code, out = pipeline(monkeypatch, capsys,
+                         ["examples", "brauer3"],
+                         ["arrangement", "shards"])
+    doc = json.loads(out)
+    assert code == 0 and doc["count"] == len(doc["shards"])
     code, out = pipeline(monkeypatch, capsys,
                          ["examples", "brauer3"],
                          ["arrangement", "wall-algebra"])

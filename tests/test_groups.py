@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import lattice_oracles
 from partfan import groups as G
 from partfan.category import build_category
 from partfan.errors import Degenerate, NotComparable, NotRank2, PosetInvalid
@@ -13,6 +14,7 @@ from partfan.partition import (
 )
 from partfan.poset import (
     FanPoset,
+    check_nondegenerate,
     poset_from_linear_functional,
     rank2_bisector_poset,
 )
@@ -303,20 +305,51 @@ def test_abelianization_examples():
     assert G.abelianization(z2) == (0, (2,))
 
 
-def test_smith_normal_form_against_sympy():
+def test_smith_normal_form_against_sympy(time_limit):
+    """Small matrices first, then up to 8 x 8 with entries up to 40, where
+    a corner-pivot elimination's coefficients grew past thousands of
+    digits.  Each case must finish within 1 s."""
     from sympy import Matrix
     from sympy.matrices.normalforms import smith_normal_form
 
     rng = random.Random(7)
-    for _ in range(25):
-        rows = rng.randrange(1, 4)
-        cols = rng.randrange(1, 4)
-        m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        ours = [d for d in G.smith_normal_form(m) if d != 0]
+    shapes = [(4, 6)] * 25 + [(9, bound) for bound in (3, 9, 40) for _ in range(70)]
+    for size, bound in shapes:
+        rows = rng.randrange(1, size)
+        cols = rng.randrange(1, size)
+        m = [[rng.randrange(-bound, bound + 1) for _ in range(cols)]
+             for _ in range(rows)]
+        with time_limit(1):
+            ours = [d for d in G.smith_normal_form(m) if d != 0]
         ref = smith_normal_form(Matrix(m))
         theirs = [abs(ref[i, i]) for i in range(min(rows, cols))
                   if ref[i, i] != 0]
         assert ours == theirs, (m, ours, theirs)
+
+
+def test_lattice_routines_match_the_former_ones(time_limit):
+    """The least-pivot Smith form, the abelianization over it and the
+    Hopfian membership test agree with the corner-pivot Smith form and the
+    Hermite reduction they replaced."""
+    rng = random.Random(13)
+    with time_limit(30):
+        for _ in range(1000):
+            rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+            m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+            diag = lattice_oracles.smith_normal_form(m)
+            assert G.smith_normal_form(m) == diag, m
+            gens = ["x%d" % j for j in range(cols)]
+            pres = G.Presentation(gens, [[(g, 1 if e > 0 else -1)
+                                          for g, e in zip(gens, row)
+                                          for _ in range(abs(e))] for row in m])
+            assert G.abelianization(pres) == \
+                (cols - len(diag), tuple(d for d in diag if d > 1)), m
+            if rng.random() < 0.5:
+                coeffs = [rng.randrange(-3, 4) for _ in m]
+                v = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols)]
+            else:
+                v = [rng.randrange(-6, 7) for _ in range(cols)]
+            assert G.in_row_lattice(v, m) == lattice_oracles.in_row_lattice(v, m), (v, m)
 
 
 def test_row_lattice_membership():
@@ -398,6 +431,22 @@ def test_type2_relators_are_consequences(square_fan, torus_partition):
     assert G.abelianization(enlarged) == G.abelianization(pres)
     for rel in extra:
         assert G.words_equal(rel, (), pres.relators)
+
+
+def test_type2_relators_on_a_degenerate_poset(three_lines_fan):
+    """A facial but degenerate poset keeps its type-2 words, which here
+    make X[1,0] trivial."""
+    fan = three_lines_fan
+    partition = from_blocks(fan, [[(0,), (3,)], [(0, 1), (3, 5)], [(0, 2), (3, 4)]])
+    covers = [((0, 2), (0, 1)), ((1, 5), (0, 1)), ((2, 4), (0, 2)),
+              ((3, 4), (2, 4)), ((3, 5), (1, 5)), ((3, 5), (3, 4))]
+    poset = FanPoset(fan, [(lo, up, tuple(sorted(set(lo) & set(up))))
+                           for lo, up in covers])
+    assert not check_nondegenerate(fan, partition, poset)[0]
+    assert G.picture_group(fan, partition, poset).to_text() == (
+        "gens: X[-2,3] X[0,-1] X[0,1] X[1,0] X[2,-3] ; rels: "
+        "X[-2,3] X[0,1] X[1,0]^-1 X[2,-3]^-1 X[0,-1]^-1 X[1,0]^-1; "
+        "X[1,0]^-1; X[1,0]")
 
 
 def test_presentation_formats(square_fan, torus_partition):
