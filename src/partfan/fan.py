@@ -25,6 +25,7 @@ from .rational import (
     matrix_rank,
     mat_vec,
     primitive_ray,
+    span_key,
 )
 
 ZERO_CONE = ()
@@ -74,7 +75,9 @@ class Fan:
         self._by_dim = {d: tuple(cs) for d, cs in by_dim.items()}
         self._validation = None
         self._ident = None
+        self._span_keys = {}
         self._scaled_projection_cache = {}
+        self._projected_ray_cache = {}
         self._projected_cone_cache = {}
         self._project_star_cache = {}
 
@@ -120,18 +123,40 @@ class Fan:
         """Matrix of the orthogonal projection onto span(cone)^perp."""
         return complement_projection(self.ray_vectors(self.check_cone(cone)), self.dim)
 
-    def _scaled_projection(self, base):
-        """A positive multiple of projection(base) with integer entries.
+    def _span_key(self, cone):
+        """``span_key`` of the cone's rays, computed once per cone.
 
-        ``int_complement_projection`` computes it by fraction-free
-        elimination, once per base; the zero cone gives the identity.  It
-        maps every vector to a positive multiple of its exact projection,
-        so primitive projected rays are the same.
+        The one owner of a cone's span: the E-class key and the projection
+        caches below both read it.
         """
-        if base not in self._scaled_projection_cache:
-            self._scaled_projection_cache[base] = int_complement_projection(
-                self.ray_vectors(base), self.dim)
-        return self._scaled_projection_cache[base]
+        if cone not in self._span_keys:
+            self._span_keys[cone] = span_key(self.ray_vectors(cone))
+        return self._span_keys[cone]
+
+    def _scaled_projection(self, span):
+        """A positive multiple of the projection onto span^perp, as integers.
+
+        ``span`` is a ``span_key``; its rows are a basis of the span, so
+        ``int_complement_projection`` of them is L * P for some L > 0, with
+        P the orthogonal projection that ``projection`` returns for every
+        cone of that span.  Another basis of the same span changes only L,
+        and L * P maps every vector to a positive multiple of its exact
+        projection, so primitive projected rays are the same.  Computed
+        once per span, and only for a span that projects some ray: a
+        chamber projects none.  The zero span gives the identity.
+        """
+        if span not in self._scaled_projection_cache:
+            self._scaled_projection_cache[span] = int_complement_projection(
+                span, self.dim)
+        return self._scaled_projection_cache[span]
+
+    def _projected_ray(self, span, i):
+        """Primitive projection of ray i onto span^perp, once per (span, ray)."""
+        key = (span, i)
+        if key not in self._projected_ray_cache:
+            self._projected_ray_cache[key] = primitive_ray(
+                mat_vec(self._scaled_projection(span), self.rays[i]))
+        return self._projected_ray_cache[key]
 
     def projected_cone(self, base, cone):
         """Canonical form of the projection of ``cone`` along ``base``.
@@ -146,11 +171,10 @@ class Fan:
         """``projected_cone`` of two cones read off this fan's own tables."""
         key = (base, cone)
         if key not in self._projected_cone_cache:
-            p = self._scaled_projection(base)
+            span = self._span_key(base)
             base_set = set(base)
             self._projected_cone_cache[key] = tuple(sorted({
-                primitive_ray(mat_vec(p, self.rays[i]))
-                for i in cone if i not in base_set}))
+                self._projected_ray(span, i) for i in cone if i not in base_set}))
         return self._projected_cone_cache[key]
 
     def project_star(self, cone):

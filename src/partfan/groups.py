@@ -406,15 +406,17 @@ def abelianization(presentation):
     return len(gens) - len(factors), tuple(d for d in factors if d > 1)
 
 
-def in_row_lattice(vector, matrix):
-    """Whether an integer vector lies in the integer row lattice L of the matrix.
+def row_lattice_member(matrix):
+    """The test whether an integer vector lies in the row lattice L of the matrix.
 
     Z^n/L maps onto Z^n/(L + Zv), and finitely generated abelian groups
     are Hopfian, so v lies in L exactly when the two quotients are
-    isomorphic: when L and L + Zv have the same invariant factors.
+    isomorphic: when L and L + Zv have the same invariant factors.  L's
+    factors are computed once, here; each test computes those of L + Zv.
     """
     rows = list(matrix)
-    return smith_normal_form(rows) == smith_normal_form(rows + [vector])
+    factors = smith_normal_form(rows)
+    return lambda vector: smith_normal_form(rows + [vector]) == factors
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,8 @@ def rank2_faithfulness_certificate(category, poset):
     if not nondeg:
         raise Degenerate("certificate needs a non-degenerate poset", witness=witness)
     pres = picture_group(fan, partition, poset, mode="full")
-    rel_rows = [_abelianized(w, pres.generators) for w in pres.relators]
+    in_relator_lattice = row_lattice_member(
+        _abelianized(w, pres.generators) for w in pres.relators)
     for (src, dst), indices in sorted(category.hom.items()):
         if len(indices) < 2:
             continue
@@ -452,7 +455,7 @@ def rank2_faithfulness_certificate(category, poset):
         for a, b in combinations(indices, 2):
             diff = [x - y for x, y in zip(_abelianized(words[a], pres.generators),
                                           _abelianized(words[b], pres.generators))]
-            if in_row_lattice(diff, rel_rows):
+            if in_relator_lattice(diff):
                 return False, {"hom": [src, dst], "morphisms": [a, b],
                                "words": [render_word(words[a]),
                                          render_word(words[b])]}

@@ -16,7 +16,6 @@ from .errors import (
     SeedNotPossible,
     UnknownCone,
 )
-from .rational import span_key
 
 
 class Partition:
@@ -132,14 +131,15 @@ class IdentTable:
 def potential_identifications(fan):
     """Group cones by (equal span, equal projected star); the coarsest partition.
 
-    ``span_key`` (the primitive integer echelon rows of a cone's rays) is a
-    canonical key for its span, so the classes are the groups of equal
-    (span, projected star) keys.  The classes are computed once per fan
-    and kept on it.
+    The fan's span memo (``span_key``, the primitive integer echelon rows
+    of a cone's rays) is a canonical key for its span, so the classes are
+    the groups of equal (span, projected star) keys.  The classes are
+    computed once per fan and kept on it.
     """
     if fan._ident is None:
         fan._ident = IdentTable(group_by(
-            fan, lambda c: (span_key(fan.ray_vectors(c)), fan.project_star(c))))
+            fan, lambda c: (fan._span_key(c),
+                            frozenset(fan._project_star_map(c).values()))))
     return fan._ident
 
 

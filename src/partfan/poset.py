@@ -131,10 +131,11 @@ class FanPoset:
 
         Members are the chambers of star(cone); lower and upper are None
         unless the members form the order interval [lower, upper].
-        Computed once per cone.
+        Computed once per cone; ``cone`` is one of ``fan.cones``, unchecked
+        (``facial_interval`` checks its input first).
         """
         if cone not in self._facial:
-            members = self.fan.star_chambers(cone)
+            members = self.fan._star_chambers(cone)
             lo, hi = self.extremes(members)
             if lo is None or hi is None or \
                     self.interval_mask(lo, hi) != _bits(self._index[c] for c in members):

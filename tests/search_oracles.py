@@ -29,6 +29,11 @@ apart from imports:
   interval listed by a scan of all chambers; the boundary-wall test by one
   dot product per (boundary wall, ray); and every outside chamber of a
   non-convex interval decided by ``fulldim_in_halfspaces``.
+- ``PerConeProjection``: ``Fan._scaled_projection`` and
+  ``Fan._projected_cone`` as they were before projections were keyed by
+  span, as methods of an object holding the fan and the two caches: one
+  ``int_complement_projection`` of the base cone's rays per base cone,
+  chambers and every wall of one hyperplane included.
 """
 
 from itertools import combinations
@@ -61,7 +66,14 @@ from partfan.partition import (
     potential_identifications,
 )
 from partfan.poset import PosetReport, wall_normal
-from partfan.rational import dot, int_kernel_basis, matrix_rank
+from partfan.rational import (
+    dot,
+    int_complement_projection,
+    int_kernel_basis,
+    mat_vec,
+    matrix_rank,
+    primitive_ray,
+)
 
 
 def enumerate_admissible(fan, limit=16):
@@ -549,3 +561,28 @@ def _convex_union(fan, members, inward):
             if any(dot(nu, r) < 0 for r in rays):
                 return False
     return True
+
+
+class PerConeProjection:
+    """The projected cones of a fan, from one projection matrix per base cone."""
+
+    def __init__(self, fan):
+        self.fan = fan
+        self._scaled_projection_cache = {}
+        self._projected_cone_cache = {}
+
+    def _scaled_projection(self, base):
+        if base not in self._scaled_projection_cache:
+            self._scaled_projection_cache[base] = int_complement_projection(
+                self.fan.ray_vectors(base), self.fan.dim)
+        return self._scaled_projection_cache[base]
+
+    def _projected_cone(self, base, cone):
+        key = (base, cone)
+        if key not in self._projected_cone_cache:
+            p = self._scaled_projection(base)
+            base_set = set(base)
+            self._projected_cone_cache[key] = tuple(sorted({
+                primitive_ray(mat_vec(p, self.fan.rays[i]))
+                for i in cone if i not in base_set}))
+        return self._projected_cone_cache[key]

@@ -1,14 +1,16 @@
 """Hypothesis strategies, arrangements and random partitions shared by several
 test modules."""
 
+import random
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from hypothesis import assume, strategies as st
 
 from partfan.fan import build_fan
 from partfan.partition import Partition, potential_identifications
+from partfan.rational import mat_vec, matrix_rank
 
 
 def _ccw(a, b):
@@ -41,6 +43,42 @@ def b_normals(n):
     unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     return unit + [tuple(a + s * b for a, b in zip(unit[i], unit[j]))
                    for i, j in combinations(range(n), 2) for s in (1, -1)]
+
+
+def a_normals(n):
+    """The braid arrangement A_n: e_i - e_j in R^(n+1), not essential."""
+    unit = [tuple(int(k == i) for k in range(n + 1)) for i in range(n + 1)]
+    return [tuple(a - b for a, b in zip(unit[i], unit[j]))
+            for i, j in combinations(range(n + 1), 2)]
+
+
+# A_4 made essential: e_i - e_j and e_i in R^4 (the coordinate x_5 set to 0)
+A4_ESSENTIAL = [n[:4] for n in a_normals(4)]
+
+
+def random_fan(dim, seed, subdivisions=3):
+    """A seeded complete simplicial fan in R^dim with skew rays.
+
+    The fan of the coordinate orthants is subdivided at a few random faces
+    of dimension at least 2 (stellar subdivision: the new ray is the sum
+    of the face's rays), and its rays are then mapped by a random
+    invertible integer matrix.  Both steps keep a complete simplicial fan.
+    """
+    rng = random.Random(seed)
+    # ray 2i is e_i and ray 2i + 1 is -e_i
+    rays = [tuple(s * int(k == i) for k in range(dim)) for i in range(dim) for s in (1, -1)]
+    max_cones = [tuple(2 * i + b for i, b in enumerate(bits))
+                 for bits in product((0, 1), repeat=dim)]
+    for _ in range(subdivisions):
+        face = set(rng.sample(rng.choice(max_cones), rng.randint(2, dim)))
+        rays.append(tuple(map(sum, zip(*(rays[i] for i in face)))))
+        max_cones = [c for c in max_cones if not face <= set(c)] + [
+            tuple(sorted(set(c) - {j} | {len(rays) - 1}))
+            for c in max_cones if face <= set(c) for j in face]
+    while True:
+        matrix = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+        if matrix_rank(matrix) == dim:
+            return build_fan(dim, [mat_vec(matrix, r) for r in rays], max_cones)
 
 
 def refining_partition(fan, rng):

@@ -18,7 +18,7 @@ from partfan.fan import build_fan, is_finite_complete, validate_fan
 from partfan.partition import is_admissible, potential_identifications, refines
 from partfan.poset import poset_from_linear_functional
 from partfan.rational import dot, matrix_rank, primitive_ray
-from strategies import A3_NORMALS, b_normals
+from strategies import A3_NORMALS, A4_ESSENTIAL, a_normals, b_normals
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +245,6 @@ def test_flats_count(brauer):
     assert len(A.flats(brauer.arrangement)) == 18
 
 
-def a_normals(n):
-    """The braid arrangement A_n: e_i - e_j in R^(n+1), not essential."""
-    unit = [tuple(int(k == i) for k in range(n + 1)) for i in range(n + 1)]
-    return [tuple(a - b for a, b in zip(unit[i], unit[j]))
-            for i, j in combinations(range(n + 1), 2)]
-
-
-# A_4 made essential: e_i - e_j and e_i in R^4 (the coordinate x_5 set to 0)
-A4_ESSENTIAL = [n[:4] for n in a_normals(4)]
 BELL = (1, 1, 2, 5, 15, 52, 203)
 
 

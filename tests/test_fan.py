@@ -1,8 +1,13 @@
+import json
 from itertools import combinations
 
 import pytest
 
 import fraction_oracles as oracle
+import search_oracles
+from partfan import arrangement as arrlib
+from partfan import catalog
+from partfan import fan as fanlib
 from partfan.errors import (
     DuplicateRay,
     InexactNumber,
@@ -11,7 +16,10 @@ from partfan.errors import (
     NotComplete,
     UnknownCone,
 )
+from partfan.category import build_category
+from partfan.cw import build_cw
 from partfan.fan import (
+    Fan,
     build_fan,
     canonical_fan,
     fan_from_json,
@@ -19,7 +27,10 @@ from partfan.fan import (
     link_complex,
     validate_fan,
 )
+from partfan.partition import potential_identifications
+from partfan.poset import check_weak_fan_poset
 from partfan.rational import mat_mul, mat_vec, primitive_ray
+from strategies import A3_NORMALS, A4_ESSENTIAL, b_normals, random_fan
 
 
 def test_build_fan_hirzebruch_faces(hzb_fan):
@@ -221,3 +232,114 @@ def test_canonical_fan_sorts_rays(hzb_fan):
     canon = canonical_fan(hzb_fan)
     assert list(canon.rays) == sorted(canon.rays)
     assert len(canon.cones) == len(hzb_fan.cones)
+
+
+def arrangement_of(name):
+    if name == "brauer":
+        return catalog.brauer()
+    normals = {"A3": A3_NORMALS, "B3": b_normals(3), "A4": A4_ESSENTIAL}[name]
+    return arrlib.Arrangement(len(normals[0]), normals)
+
+
+PROJECTION_FANS = {
+    "square": catalog.square,
+    "hirzebruch-a1": catalog.hirzebruch,
+    "hirzebruch-a2": lambda: catalog.hirzebruch(2),
+    "three-lines": catalog.three_lines,
+    **{name: lambda name=name: arrlib.arrangement_fan(arrangement_of(name))
+       for name in ("A3", "brauer", "B3", "A4")},
+    **{"random-%d-%d" % (dim, seed): lambda dim=dim, seed=seed: random_fan(dim, seed)
+       for dim in (2, 3, 4) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_FANS))
+def test_projected_cones_match_the_per_cone_route(name):
+    fan = PROJECTION_FANS[name]()
+    former = search_oracles.PerConeProjection(fan)
+    for tau in fan.cones:
+        for k in range(len(tau) + 1):
+            for sigma in combinations(tau, k):
+                assert fan._projected_cone(sigma, tau) == \
+                    former._projected_cone(sigma, tau), (sigma, tau)
+
+
+def _category_and_cw_documents(name):
+    arrangement = arrangement_of(name)
+    arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+    fan = arrfan.fan
+    base = next(c for c in fan.max_cones
+                if arrfan.sign_of(c) == (1,) * len(arrangement.normals))
+    documents = []
+    for partition in (arrlib.flat_partition(arrangement, fan),
+                      arrlib.shard_partition(arrangement, arrfan, base)):
+        documents.append(json.dumps(build_category(fan, partition).to_json()))
+        documents.append(json.dumps(build_cw(fan, partition).to_json()))
+    return documents, fan
+
+
+@pytest.mark.parametrize("name", ["A3", "brauer", "B3"])
+def test_category_and_cw_unchanged_under_the_per_cone_route(monkeypatch, name):
+    documents, _ = _category_and_cw_documents(name)
+    routes = {}
+
+    def former_projected_cone(fan, base, cone):
+        if fan not in routes:
+            routes[fan] = search_oracles.PerConeProjection(fan)
+        return routes[fan]._projected_cone(base, cone)
+
+    monkeypatch.setattr(Fan, "_projected_cone", former_projected_cone)
+    former, fan = _category_and_cw_documents(name)
+    assert not fan._projected_ray_cache
+    assert former == documents
+
+
+def _count_projections(monkeypatch):
+    """Record the basis of every ``int_complement_projection`` call of the fan."""
+    bases = []
+    original = fanlib.int_complement_projection
+
+    def counting(basis, dim):
+        bases.append(basis)
+        return original(basis, dim)
+
+    monkeypatch.setattr(fanlib, "int_complement_projection", counting)
+    return bases
+
+
+@pytest.mark.parametrize("name, calls", [("A3", 14), ("A4", 51)])
+def test_one_projection_per_flat_below_the_top(monkeypatch, name, calls):
+    arrangement = arrangement_of(name)
+    fan = arrlib.arrangement_fan(arrangement)
+    bases = _count_projections(monkeypatch)
+    potential_identifications(fan)
+    assert len(bases) == len(arrlib.flats(arrangement)) - 1 == calls
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("square", 3), ("hirzebruch-a1", 4), ("three-lines", 4)])
+def test_one_planar_projection_per_line_and_the_zero_cone(monkeypatch, name, calls):
+    fan = PROJECTION_FANS[name]()
+    bases = _count_projections(monkeypatch)
+    potential_identifications(fan)
+    lines = {max(r, tuple(-x for x in r)) for r in fan.rays}
+    assert len(bases) == len(lines) + 1 == calls
+    assert all(len(basis) < fan.dim for basis in bases)
+
+
+def test_no_check_cone_on_the_fans_own_cones(monkeypatch):
+    arrangement = arrangement_of("A3")
+    arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+    fan = arrfan.fan
+    poset = arrlib.poset_of_regions(arrfan, fan.max_cones[0])
+    calls = []
+    original = Fan.check_cone
+
+    def counting(self, cone):
+        calls.append(cone)
+        return original(self, cone)
+
+    monkeypatch.setattr(Fan, "check_cone", counting)
+    potential_identifications(fan)
+    assert check_weak_fan_poset(fan, poset).ok
+    assert calls == []

@@ -349,16 +349,17 @@ def test_lattice_routines_match_the_former_ones(time_limit):
                 v = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols)]
             else:
                 v = [rng.randrange(-6, 7) for _ in range(cols)]
-            assert G.in_row_lattice(v, m) == lattice_oracles.in_row_lattice(v, m), (v, m)
+            assert G.row_lattice_member(m)(v) == lattice_oracles.in_row_lattice(v, m), (v, m)
 
 
 def test_row_lattice_membership():
     rows = [[2, 0], [0, 3]]
-    assert G.in_row_lattice([2, 3], rows)
-    assert G.in_row_lattice([4, -3], rows)
-    assert not G.in_row_lattice([1, 0], rows)
-    assert G.in_row_lattice([0, 0], rows)
-    assert not G.in_row_lattice([1, 1], [])
+    in_lattice = G.row_lattice_member(rows)
+    assert in_lattice([2, 3])
+    assert in_lattice([4, -3])
+    assert not in_lattice([1, 0])
+    assert in_lattice([0, 0])
+    assert not G.row_lattice_member([])([1, 1])
 
 
 def test_row_lattice_membership_fuzz():
@@ -393,7 +394,7 @@ def test_row_lattice_membership_fuzz():
                  for j in range(cols)]
         else:
             d = [rng.randrange(-7, 8) for _ in range(cols)]
-        assert G.in_row_lattice(d, rows) == oracle(d, rows), (d, rows)
+        assert G.row_lattice_member(rows)(d) == oracle(d, rows), (d, rows)
 
 
 # ---------------------------------------------------------------------------
