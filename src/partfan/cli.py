@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Subcommands communicate through a JSON envelope on stdin/stdout holding
-any of: fan, partition, poset, arrangement, base, presentation, cw.
+any of: fan, partition, poset, arrangement, presentation, category, cw.
+Every handler is called as ``handler(args, env)`` with one ``Envelope``,
+which reads stdin and parses each entry on first use.
 Producing commands extend the envelope; checking commands print a result
 document; euler prints a bare integer.  All output is deterministic
 (sorted keys, sorted collections).  Module errors exit nonzero with
@@ -32,11 +34,14 @@ def main(argv=None):
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2
+    env = Envelope()
     try:
-        output = args.handler(args)
+        output = args.handler(args, env)
     except PartFanError as err:
         print(json.dumps(err.to_json(), sort_keys=True))
         return 1
+    if output is env:
+        output = env.data
     if output is not None:
         if isinstance(output, str):
             sys.stdout.write(output)
@@ -159,22 +164,7 @@ def _cmd(sub, name, handler):
 
 
 # ---------------------------------------------------------------------------
-# envelope helpers
-
-def read_envelope():
-    if sys.stdin.isatty():
-        return {}
-    text = sys.stdin.read().strip()
-    if not text:
-        return {}
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise BadInput("stdin is not JSON", witness=str(err))
-    if not isinstance(data, dict):
-        raise BadInput("envelope must be a JSON object", witness=_JSON_TYPES[type(data)])
-    return data
-
+# the envelope
 
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
                bool: "boolean", type(None): "null"}
@@ -188,20 +178,64 @@ _LOADERS = {
 }
 
 
-def load(env, key, *fan):
-    """Parse the envelope entry ``key``; a partition or poset needs its fan.
+class Envelope:
+    """The JSON envelope a command reads, and the one it prints.
 
-    A malformed entry raises BadInput naming the key and the problem.
+    stdin is read on the first use of an entry, so a command that reads
+    none (``examples``) never touches it.  ``env[key]`` parses the entry
+    once and keeps the object; a partition or poset is parsed on the
+    envelope's fan, which is read first.  A malformed or missing entry
+    raises BadInput naming the key and the problem.  ``env[key] = obj``
+    sets a built object as the entry: later entries are parsed on it, and
+    the printed envelope holds its ``to_json()``.
     """
-    if key not in env:
-        raise BadInput("no %s in the input envelope" % key,
-                       witness={"key": key, "problem": "missing"})
+
+    def __init__(self, data=None, parsed=()):
+        self._data = data
+        self._parsed = dict(parsed)
+
+    @property
+    def data(self):
+        """The envelope as JSON, read from stdin on first use."""
+        if self._data is None:
+            self._data = _read_stdin()
+        return self._data
+
+    def __contains__(self, key):
+        return key in self.data
+
+    def __getitem__(self, key):
+        if key not in self._parsed:
+            fan = (self["fan"],) if key in ("partition", "poset") else ()
+            if key not in self.data:
+                raise BadInput("no %s in the input envelope" % key,
+                               witness={"key": key, "problem": "missing"})
+            try:
+                self._parsed[key] = _LOADERS[key](*fan, self.data[key])
+            except (KeyError, IndexError, TypeError, ValueError) as err:
+                raise BadInput("malformed %s in the input envelope" % key,
+                               witness={"key": key, "problem": "%s: %s" % (
+                                   type(err).__name__, err)}) from err
+        return self._parsed[key]
+
+    def __setitem__(self, key, obj):
+        self._parsed[key] = obj
+        self.data[key] = obj.to_json()
+
+
+def _read_stdin():
+    if sys.stdin.isatty():
+        return {}
+    text = sys.stdin.read().strip()
+    if not text:
+        return {}
     try:
-        return _LOADERS[key](*fan, env[key])
-    except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise BadInput("malformed %s in the input envelope" % key,
-                       witness={"key": key,
-                                "problem": "%s: %s" % (type(err).__name__, err)}) from err
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise BadInput("stdin is not JSON", witness=str(err))
+    if not isinstance(data, dict):
+        raise BadInput("envelope must be a JSON object", witness=_JSON_TYPES[type(data)])
+    return data
 
 
 def parse_ints(text):
@@ -251,71 +285,62 @@ def parse_seeds(text):
     return pairs
 
 
-def resolve_base(arrfan, selector):
-    if selector == "positive":
-        target = (1,) * len(arrfan.arrangement.normals)
-        for c in arrfan.fan.max_cones:
-            if arrfan.sign_of(c) == target:
-                return c
-        raise BadInput("no all-positive chamber", witness=len(target))
-    return arrfan.fan.check_cone(parse_cone(selector))
+def _arrangement_fan(env, selector):
+    """The arrangement's fan, set as the envelope's fan, and its base chamber."""
+    arrfan = arrlib.arrangement_fan(env["arrangement"], with_signs=True)
+    env["fan"] = arrfan.fan
+    if selector != "positive":
+        return arrfan, arrfan.fan.check_cone(parse_cone(selector))
+    target = (1,) * len(arrfan.arrangement.normals)
+    for c in arrfan.fan.max_cones:
+        if arrfan.sign_of(c) == target:
+            return arrfan, c
+    raise BadInput("no all-positive chamber", witness=len(target))
 
 
 # ---------------------------------------------------------------------------
 # handlers
 
-def cmd_examples(args):
+def cmd_examples(args, env):
     obj = catalog.EXAMPLES[args.name]()
     if args.name == "brauer3":
         return {"arrangement": obj.to_json()}
     return {"fan": obj.to_json()}
 
 
-def cmd_fan_validate(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    report = validate_fan(fan)
-    out = report.to_json()
-    out["max_cones"] = len(fan.max_cones)
+def cmd_fan_validate(args, env):
+    out = validate_fan(env["fan"]).to_json()
+    out["max_cones"] = len(env["fan"].max_cones)
     return out
 
 
-def cmd_fan_complete(args):
-    env = read_envelope()
-    return {"complete": is_finite_complete(load(env, "fan"))}
+def cmd_fan_complete(args, env):
+    return {"complete": is_finite_complete(env["fan"])}
 
 
-def cmd_fan_from_arrangement(args):
-    env = read_envelope()
-    arr = load(env, "arrangement")
-    env["fan"] = arrlib.arrangement_fan(arr).to_json()
+def cmd_fan_from_arrangement(args, env):
+    env["fan"] = arrlib.arrangement_fan(env["arrangement"])
     return env
 
 
-def cmd_partition_potentials(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    env["partition"] = partlib.potential_identifications(fan).partition.to_json()
+def cmd_partition_potentials(args, env):
+    env["partition"] = partlib.potential_identifications(env["fan"]).partition
     return env
 
 
-def cmd_partition_check(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    ok, witness = partlib.is_admissible(fan, load(env, "partition", fan))
+def cmd_partition_check(args, env):
+    ok, witness = partlib.is_admissible(env["fan"], env["partition"])
     return {"admissible": ok,
             "witness": None if witness is None else [list(c) for c in witness]}
 
 
-def cmd_partition_closure(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    env["partition"] = partlib.admissible_closure(
-        fan, parse_seeds(args.seed)).to_json()
+def cmd_partition_closure(args, env):
+    env["partition"] = partlib.admissible_closure(env["fan"], parse_seeds(args.seed))
     return env
 
 
-def _other_partition(path, fan):
+def _other_partition(path, env):
+    """The partition in the file at ``path``, parsed on the envelope's fan."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -323,116 +348,79 @@ def _other_partition(path, fan):
         raise BadInput("cannot read the partition file", witness=str(err)) from err
     if not (isinstance(data, dict) and "partition" in data):
         data = {"partition": data}
-    return load(data, "partition", fan)
+    return Envelope(data, {"fan": env["fan"]})["partition"]
 
 
-def cmd_partition_meet(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    result = partlib.meet(load(env, "partition", fan), _other_partition(args.other, fan))
-    env["partition"] = result.to_json()
+def cmd_partition_meet(args, env):
+    env["partition"] = partlib.meet(env["partition"], _other_partition(args.other, env))
     return env
 
 
-def cmd_partition_join(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    result = partlib.join(load(env, "partition", fan), _other_partition(args.other, fan))
-    env["partition"] = result.to_json()
+def cmd_partition_join(args, env):
+    env["partition"] = partlib.join(env["partition"], _other_partition(args.other, env))
     return env
 
 
-def cmd_partition_enumerate(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    parts = partlib.enumerate_admissible(fan, limit=args.limit)
+def cmd_partition_enumerate(args, env):
+    parts = partlib.enumerate_admissible(env["fan"], limit=args.limit)
     return {"count": len(parts), "partitions": [p.to_json() for p in parts]}
 
 
-def _category(env):
-    fan = load(env, "fan")
-    partition = load(env, "partition", fan)
-    return fan, partition, catlib.build_category(fan, partition)
-
-
-def cmd_category_build(args):
-    env = read_envelope()
-    _, _, category = _category(env)
-    env["category"] = category.to_json()
+def cmd_category_build(args, env):
+    env["category"] = catlib.build_category(env["fan"], env["partition"])
     return env
 
 
-def cmd_category_cubical(args):
-    env = read_envelope()
-    _, _, category = _category(env)
+def cmd_category_cubical(args, env):
+    category = catlib.build_category(env["fan"], env["partition"])
     return catlib.check_cubical(category).to_json()
 
 
-def cmd_category_last_factors(args):
-    env = read_envelope()
-    _, _, category = _category(env)
+def cmd_category_last_factors(args, env):
+    category = catlib.build_category(env["fan"], env["partition"])
     ok, witness = catlib.check_last_factor_compatibility(category)
     return {"compatible": ok, "witness": None if witness is None else list(witness)}
 
 
-def cmd_category_export(args):
-    env = read_envelope()
-    _, _, category = _category(env)
+def cmd_category_export(args, env):
+    category = catlib.build_category(env["fan"], env["partition"])
     if args.format == "dot":
         return catlib.export_category_dot(category)
     return category.to_json()
 
 
-def cmd_poset_functional(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    b = parse_ints(args.b)
-    env["poset"] = posetlib.poset_from_linear_functional(fan, b).to_json()
+def cmd_poset_functional(args, env):
+    env["poset"] = posetlib.poset_from_linear_functional(env["fan"], parse_ints(args.b))
     return env
 
 
-def cmd_poset_bisector(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    base = fan.check_cone(parse_cone(args.base))
-    env["poset"] = posetlib.rank2_bisector_poset(fan, base).to_json()
+def cmd_poset_bisector(args, env):
+    fan = env["fan"]
+    env["poset"] = posetlib.rank2_bisector_poset(fan, fan.check_cone(parse_cone(args.base)))
     return env
 
 
-def cmd_poset_regions(args):
-    env = read_envelope()
-    _, arrfan, base = _arr_with_base(env, args.base)
-    env["poset"] = arrlib.poset_of_regions(arrfan, base).to_json()
+def cmd_poset_regions(args, env):
+    env["poset"] = arrlib.poset_of_regions(*_arrangement_fan(env, args.base))
     return env
 
 
-def cmd_poset_check(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    return posetlib.check_weak_fan_poset(fan, load(env, "poset", fan)).to_json()
+def cmd_poset_check(args, env):
+    return posetlib.check_weak_fan_poset(env["fan"], env["poset"]).to_json()
 
 
-def cmd_poset_nondegenerate(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    ok, witness = posetlib.check_nondegenerate(
-        fan, load(env, "partition", fan), load(env, "poset", fan))
+def cmd_poset_nondegenerate(args, env):
+    ok, witness = posetlib.check_nondegenerate(env["fan"], env["partition"], env["poset"])
     return {"nondegenerate": ok, "witness": witness}
 
 
-def cmd_group_picture(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    pres = grplib.picture_group(fan, load(env, "partition", fan),
-                                load(env, "poset", fan), mode=args.mode)
+def cmd_group_picture(args, env):
+    pres = grplib.picture_group(env["fan"], env["partition"], env["poset"], mode=args.mode)
     return _presentation_output(env, pres, args.format)
 
 
-def cmd_group_alt(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    pres = grplib.alt_presentation(fan, load(env, "partition", fan),
-                                   load(env, "poset", fan))
+def cmd_group_alt(args, env):
+    pres = grplib.alt_presentation(env["fan"], env["partition"], env["poset"])
     return _presentation_output(env, pres, args.format)
 
 
@@ -441,58 +429,49 @@ def _presentation_output(env, pres, fmt):
         return pres.to_text() + "\n"
     if fmt == "gap":
         return pres.to_gap()
-    env["presentation"] = pres.to_json()
+    env["presentation"] = pres
     return env
 
 
-def cmd_group_psi(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    partition = load(env, "partition", fan)
-    poset = load(env, "poset", fan)
-    category = catlib.build_category(fan, partition)
-    morphism = category.morphism_of_pair(parse_cone(args.source),
-                                         parse_cone(args.target))
-    word = grplib.psi(fan, partition, poset, morphism)
-    return {"word": grplib.render_word(word)}
+def cmd_group_psi(args, env):
+    fan, partition, poset = env["fan"], env["partition"], env["poset"]
+    morphism = catlib.build_category(fan, partition).morphism_of_pair(
+        parse_cone(args.source), parse_cone(args.target))
+    return {"word": grplib.render_word(grplib.psi(fan, partition, poset, morphism))}
 
 
-def cmd_group_quotient(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    fine = load(env, "partition", fan)
-    coarse = _other_partition(args.coarse, fan)
-    pres = grplib.quotient_presentation(load(env, "presentation"), fan, fine, coarse)
-    env["presentation"] = pres.to_json()
+def cmd_group_quotient(args, env):
+    # read the partition, the --coarse file, then the presentation: the first
+    # error is that of the first of them that is missing or malformed
+    fine = env["partition"]
+    coarse = _other_partition(args.coarse, env)
+    env["presentation"] = grplib.quotient_presentation(
+        env["presentation"], env["fan"], fine, coarse)
     return env
 
 
-def cmd_group_abelianize(args):
-    env = read_envelope()
-    free_rank, torsion = grplib.abelianization(load(env, "presentation"))
+def cmd_group_abelianize(args, env):
+    free_rank, torsion = grplib.abelianization(env["presentation"])
     return {"free_rank": free_rank, "torsion": list(torsion)}
 
 
-def cmd_group_certify_rank2(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    partition = load(env, "partition", fan)
+def cmd_group_certify_rank2(args, env):
+    fan, partition = env["fan"], env["partition"]
     if "poset" not in env and not fan.max_cones:
         raise NotComplete("the bisector poset needs a finite complete fan",
                           witness=fan.to_json())
     category = catlib.build_category(fan, partition)
-    poset = load(env, "poset", fan) if "poset" in env else \
+    poset = env["poset"] if "poset" in env else \
         posetlib.rank2_bisector_poset(fan, fan.max_cones[0])
     ok, witness = grplib.rank2_faithfulness_certificate(category, poset)
     return {"faithful": ok, "witness": witness}
 
 
-def cmd_group_certify_brauer(args):
-    env = read_envelope()
-    arr, arrfan, base = _arr_with_base(env, "positive")
-    fan = arrfan.fan
+def cmd_group_certify_brauer(args, env):
+    arrfan, base = _arrangement_fan(env, "positive")
+    arr, fan = env["arrangement"], arrfan.fan
     flat = arrlib.flat_partition(arr, fan)
-    partition = load(env, "partition", fan) if "partition" in env else flat
+    partition = env["partition"] if "partition" in env else flat
     poset = arrlib.poset_of_regions(arrfan, base)
     flat_pres = grplib.picture_group(fan, flat, poset, mode="codim2")
     wa_ok = arrlib.wa_certify(arr, flat_pres)
@@ -502,76 +481,49 @@ def cmd_group_certify_brauer(args):
             "faithful": wa_ok and hom_ok, "witness": witness}
 
 
-def cmd_cw_build(args):
-    env = read_envelope()
-    fan = load(env, "fan")
-    complex_ = cwlib.build_cw(fan, load(env, "partition", fan))
-    env["cw"] = complex_.to_json()
+def cmd_cw_build(args, env):
+    env["cw"] = cwlib.build_cw(env["fan"], env["partition"])
     return env
 
 
-def _rebuild_cw(env):
-    fan = load(env, "fan")
-    return cwlib.build_cw(fan, load(env, "partition", fan))
+def cmd_cw_euler(args, env):
+    return cwlib.euler_characteristic(cwlib.build_cw(env["fan"], env["partition"]))
 
 
-def cmd_cw_euler(args):
-    env = read_envelope()
-    return cwlib.euler_characteristic(_rebuild_cw(env))
+def cmd_cw_pi1(args, env):
+    return cwlib.pi1_presentation(cwlib.build_cw(env["fan"], env["partition"])).to_json()
 
 
-def cmd_cw_pi1(args):
-    env = read_envelope()
-    pres = cwlib.pi1_presentation(_rebuild_cw(env))
-    return pres.to_json()
+def cmd_cw_compare(args, env):
+    complex_ = cwlib.build_cw(env["fan"], env["partition"])
+    return cwlib.compare_pi1_picture(complex_, env["presentation"])
 
 
-def cmd_cw_compare(args):
-    env = read_envelope()
-    return cwlib.compare_pi1_picture(_rebuild_cw(env), load(env, "presentation"))
+def cmd_arr_flats(args, env):
+    return {"flats": [f.to_json() for f in arrlib.flats(env["arrangement"])]}
 
 
-def cmd_arr_flats(args):
-    env = read_envelope()
-    arr = load(env, "arrangement")
-    return {"flats": [f.to_json() for f in arrlib.flats(arr)]}
-
-
-def _arr_with_base(env, selector):
-    arr = load(env, "arrangement")
-    arrfan = arrlib.arrangement_fan(arr, with_signs=True)
-    env["fan"] = arrfan.fan.to_json()
-    return arr, arrfan, resolve_base(arrfan, selector)
-
-
-def cmd_arr_shards(args):
-    env = read_envelope()
-    arr, arrfan, base = _arr_with_base(env, args.base)
-    shard_list = arrlib.shards(arr, arrfan, base)
+def cmd_arr_shards(args, env):
+    arrfan, base = _arrangement_fan(env, args.base)
+    shard_list = arrlib.shards(env["arrangement"], arrfan, base)
     return {"count": len(shard_list),
             "shards": [s.to_json() for s in shard_list]}
 
 
-def cmd_arr_shard_partition(args):
-    env = read_envelope()
-    arr, arrfan, base = _arr_with_base(env, args.base)
-    env["partition"] = arrlib.shard_partition(arr, arrfan, base).to_json()
+def cmd_arr_shard_partition(args, env):
+    arrfan, base = _arrangement_fan(env, args.base)
+    env["partition"] = arrlib.shard_partition(env["arrangement"], arrfan, base)
     return env
 
 
-def cmd_arr_flat_partition(args):
-    env = read_envelope()
-    arr = load(env, "arrangement")
-    fan = arrlib.arrangement_fan(arr)
-    env["fan"] = fan.to_json()
-    env["partition"] = arrlib.flat_partition(arr, fan).to_json()
+def cmd_arr_flat_partition(args, env):
+    env["fan"] = arrlib.arrangement_fan(env["arrangement"])
+    env["partition"] = arrlib.flat_partition(env["arrangement"], env["fan"])
     return env
 
 
-def cmd_arr_wall_algebra(args):
-    env = read_envelope()
-    arr = load(env, "arrangement")
-    algebra = arrlib.WallAlgebra(arr)
+def cmd_arr_wall_algebra(args, env):
+    algebra = arrlib.WallAlgebra(env["arrangement"])
     table = {}
     for a in algebra.basis:
         for b in algebra.basis:
@@ -586,15 +538,11 @@ def _wa_name(key):
     return "(%s)" % ",".join(str(x) for x in key)
 
 
-def cmd_render(args):
-    env = read_envelope()
-    if "fan" in env:
-        fan = load(env, "fan")
-        if fan.dim == 2:
-            return render.fan_svg(fan)
-    arr = load(env, "arrangement")
-    projection = parse_ints(args.projection)
-    return render.arrangement_svg(arr, projection_point=projection)
+def cmd_render(args, env):
+    if "fan" in env and env["fan"].dim == 2:
+        return render.fan_svg(env["fan"])
+    return render.arrangement_svg(env["arrangement"],
+                                  projection_point=parse_ints(args.projection))
 
 
 if __name__ == "__main__":

@@ -85,8 +85,13 @@ class Fan:
         return tuple(cone) in self._stars
 
     def check_cone(self, cone):
+        """The fan's own key for ``cone``: its ray indices as a sorted tuple.
+
+        A float or bool index is refused like any cone not in the fan,
+        although ``0.0 == 0`` and ``True == 1`` would find one.
+        """
         cone = tuple(sorted(cone))
-        if cone not in self._stars:
+        if cone not in self._stars or any(type(i) is not int for i in cone):
             raise UnknownCone("cone not in fan", witness=list(cone))
         return cone
 
@@ -218,6 +223,8 @@ def build_fan(dim, rays, max_cones):
         prim.append(primitive_ray(r))
     normalized = []
     for mc in max_cones:
+        if any(type(i) is not int for i in mc):
+            raise BadIndex("ray index is not an integer", witness=list(mc))
         idxs = tuple(sorted(set(mc)))
         if len(idxs) != len(tuple(mc)):
             raise BadIndex("repeated ray index in a maximal cone", witness=list(mc))
@@ -403,6 +410,20 @@ def link_complex(fan, block):
     Vertices are the cones of star(sigma) one dimension above a
     representative sigma; a set of vertices spans a simplex iff the cone of
     their projections is again a cone of the projected star.
+
+    So each tau in star(sigma) other than sigma is the simplex
+    {sigma + {i} : i in tau - sigma}, and these are all the simplices.
+    Proof: the projection pi along span(sigma) is injective on the rays of
+    star(sigma) outside sigma.  Let i != j be two of them with
+    pi(r_i) = c pi(r_j), c > 0.  Then r_i = c r_j + sum_k b_k r_k over k in
+    sigma, so x = r_i + sum_k a_k r_k, with every a_k > |b_k|, lies in the
+    relative interiors of both cone(sigma + {i}) and cone(sigma + {j}).  On a
+    valid fan (and a finite complete fan is valid) their intersection is a
+    common face, which then contains a relative interior point of each and
+    so is both cones: i == j, a contradiction.  Hence the projections of a
+    vertex set S generate pi(tau) iff S is {sigma + {i} : i in tau - sigma},
+    and every such sigma + {i} is a face of tau, so a vertex.  Simplices are
+    listed by size, then by their sorted vertex indices.
     """
     if not is_finite_complete(fan):
         raise NotComplete("link complexes need a finite complete fan",
@@ -416,19 +437,11 @@ def link_complex(fan, block):
                              witness=[list(rep), list(other)])
     k = len(rep)
     vertices = tuple(c for c in fan._stars[rep] if len(c) == k + 1)
-    proj = {v: fan._projected_cone(rep, v) for v in vertices}
-    simplices = []
-    for size in range(1, len(vertices) + 1):
-        layer = []
-        for combo in combinations(range(len(vertices)), size):
-            generators = set()
-            for i in combo:
-                generators.update(proj[vertices[i]])
-            if tuple(sorted(generators)) in ps:
-                layer.append(combo)
-        if not layer:
-            break
-        simplices.extend(layer)
+    index = {v: n for n, v in enumerate(vertices)}
+    simplices = sorted(
+        (tuple(sorted(index[tuple(sorted(rep + (i,)))] for i in tau if i not in rep))
+         for tau in fan._stars[rep] if tau != rep),
+        key=lambda s: (len(s), s))
     return LinkComplex(vertices, tuple(simplices))
 
 

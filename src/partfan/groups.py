@@ -104,8 +104,16 @@ class Presentation:
 
 
 def presentation_from_json(data):
-    return Presentation(data["generators"],
-                        [tuple((sym, exp) for sym, exp in w) for w in data["relators"]])
+    """The presentation a ``to_json`` document describes.
+
+    Each letter must be [generator, 1] or [generator, -1] with a string
+    generator; any other letter raises ValueError.
+    """
+    relators = [tuple((sym, exp) for sym, exp in w) for w in data["relators"]]
+    for sym, exp in (letter for w in relators for letter in w):
+        if not isinstance(sym, str) or type(exp) is not int or exp not in (1, -1):
+            raise ValueError("letter %r is not [generator, 1 or -1]" % [sym, exp])
+    return Presentation(data["generators"], relators)
 
 
 # ---------------------------------------------------------------------------

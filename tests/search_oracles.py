@@ -34,6 +34,9 @@ apart from imports:
   span, as methods of an object holding the fan and the two caches: one
   ``int_complement_projection`` of the base cone's rays per base cone,
   chambers and every wall of one hyperplane included.
+- ``link_complex``: every subset of the next-dimension star cones tested
+  for a projected cone of the star, layer by layer, where
+  ``fan.link_complex`` now reads each simplex off one cone of the star.
 """
 
 from itertools import combinations
@@ -48,6 +51,7 @@ from partfan.category import (
 )
 from partfan.errors import (
     EnumerationLimitExceeded,
+    MixedBlock,
     NotComplete,
     PosetInvalid,
     RankZero,
@@ -55,7 +59,7 @@ from partfan.errors import (
     UnknownCone,
     UnknownFace,
 )
-from partfan.fan import is_finite_complete
+from partfan.fan import LinkComplex, is_finite_complete
 from partfan.partition import (
     Partition,
     UnionFind,
@@ -586,3 +590,33 @@ class PerConeProjection:
                 primitive_ray(mat_vec(p, self.fan.rays[i]))
                 for i in cone if i not in base_set}))
         return self._projected_cone_cache[key]
+
+
+def link_complex(fan, block):
+    """The sphere complex of a block of cones sharing one projected star."""
+    if not is_finite_complete(fan):
+        raise NotComplete("link complexes need a finite complete fan",
+                          witness=fan.to_json())
+    block = sorted(fan.check_cone(c) for c in block)
+    rep = block[0]
+    ps = fan.project_star(rep)
+    for other in block[1:]:
+        if fan.project_star(other) != ps:
+            raise MixedBlock("block members have different projected stars",
+                             witness=[list(rep), list(other)])
+    k = len(rep)
+    vertices = tuple(c for c in fan._stars[rep] if len(c) == k + 1)
+    proj = {v: fan._projected_cone(rep, v) for v in vertices}
+    simplices = []
+    for size in range(1, len(vertices) + 1):
+        layer = []
+        for combo in combinations(range(len(vertices)), size):
+            generators = set()
+            for i in combo:
+                generators.update(proj[vertices[i]])
+            if tuple(sorted(generators)) in ps:
+                layer.append(combo)
+        if not layer:
+            break
+        simplices.extend(layer)
+    return LinkComplex(vertices, tuple(simplices))

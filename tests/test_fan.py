@@ -9,6 +9,7 @@ from partfan import arrangement as arrlib
 from partfan import catalog
 from partfan import fan as fanlib
 from partfan.errors import (
+    BadIndex,
     DuplicateRay,
     InexactNumber,
     MixedBlock,
@@ -62,6 +63,25 @@ def test_build_fan_rejects_floats_and_booleans(rays, witness):
     with pytest.raises(InexactNumber) as err:
         build_fan(2, rays, [(0, 2), (1, 2)])
     assert err.value.witness is witness
+
+
+@pytest.mark.parametrize("max_cones, witness", [
+    ([(True, 0)], [True, 0]),
+    ([(0.0, 1)], [0.0, 1]),
+    ([(0, "1")], [0, "1"]),
+])
+def test_build_fan_refuses_a_ray_index_that_is_not_an_int(max_cones, witness):
+    # True and 0.0 would index rays 1 and 0; 0.0 used to end in a TypeError
+    with pytest.raises(BadIndex) as err:
+        build_fan(2, [(1, 0), (0, 1)], max_cones)
+    assert err.value.witness == witness
+
+
+@pytest.mark.parametrize("cone", [[0.0], [True], [0, 3.0], [1, True]])
+def test_check_cone_refuses_an_index_that_is_not_an_int(square_fan, cone):
+    # (0.0,) == (0,), so the lookup alone would pass it on as the fan's cone
+    with pytest.raises(UnknownCone):
+        square_fan.check_cone(cone)
 
 
 def test_build_fan_renormalizes_rays():
@@ -183,6 +203,18 @@ def test_link_complex_hzb_ray_block(hzb_fan):
 def test_link_complex_mixed_block(hzb_fan):
     with pytest.raises(MixedBlock):
         link_complex(hzb_fan, [(0,), (2,)])
+
+
+LINK_FANS = ("square", "hirzebruch-a1", "hirzebruch-a2", "three-lines",
+             "brauer", "A3", "B3", "A4")
+
+
+@pytest.mark.parametrize("name", LINK_FANS)
+def test_link_complex_matches_the_subset_search(name):
+    fan = PROJECTION_FANS[name]()
+    for block in potential_identifications(fan).partition.blocks:
+        got, former = link_complex(fan, block), search_oracles.link_complex(fan, block)
+        assert (got.vertices, got.simplices) == (former.vertices, former.simplices), block
 
 
 def test_link_complex_incomplete():

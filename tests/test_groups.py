@@ -461,3 +461,11 @@ def test_presentation_formats(square_fan, torus_partition):
     assert again.relators == pres.relators
     gap = pres.to_gap()
     assert "FreeGroup" in gap and "rels :=" in gap
+
+
+@pytest.mark.parametrize("letter", [["a", "1"], ["a", 2], ["a", 1.5], ["a", True],
+                                    ["a", 0], [1, 1]])
+def test_presentation_letters_are_a_generator_and_one_or_minus_one(letter):
+    # ["a", 2] used to count as a^2 in the abelianization but print as a^-1
+    with pytest.raises(ValueError, match="is not \\[generator, 1 or -1\\]"):
+        G.presentation_from_json({"generators": ["a"], "relators": [[letter]]})

@@ -1,5 +1,8 @@
 """The README's ``python`` blocks run as written and give the values they state.
 
+Its ``sh`` pipelines run in CI as separate ``partfan`` processes; the last
+test checks that the workflow runs each of them as the README writes it.
+
 The blocks ("Library tour", then "Hyperplane arrangements") run in order in
 one namespace, since the second reads the first's ``pf``.  Every bare
 expression in them is evaluated and must be a key of ``STATED`` (the value
@@ -11,7 +14,9 @@ import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 STATED = {
     "pf.validate_fan(fan).ok": True,
@@ -41,3 +46,18 @@ def test_readme_blocks_give_the_stated_values():
             else:
                 exec(compile(ast.Module([node], []), "README", "exec"), namespace)
     assert seen == STATED
+
+
+def commands(text):
+    """The text with comments dropped, continuations joined and blanks collapsed."""
+    text = re.sub(r"#[^\n]*", "", text).replace("\\\n", " ")
+    return re.sub(r"[ \t]+", " ", text)
+
+
+def test_ci_runs_the_readme_pipelines():
+    (block,) = [b for b in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+                if "| partfan" in b]
+    pipelines = [line.strip() for line in commands(block).splitlines() if line.strip()]
+    workflow = commands(WORKFLOW.read_text())
+    assert len(pipelines) == 5
+    assert [p for p in pipelines if p not in workflow] == []
