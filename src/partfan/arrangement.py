@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fan import build_fan
 from .partition import UnionFind, group_by
-from .poset import FanPoset
+from .poset import poset_from_linear_functional
 from .rational import dot, int_kernel_basis, primitive_ray
 
 
@@ -276,23 +276,21 @@ def _separating(rs, bs):
 
 
 def poset_of_regions(arrfan, base):
-    """Chambers ordered away from the base by separating-set inclusion."""
+    """Chambers ordered away from the base by separating-set inclusion.
+
+    This is ``poset_from_linear_functional`` of -p, p the sum of the base's
+    rays.  A wall spans one hyperplane H of the arrangement, and its two
+    chambers lie on opposite sides of H and on the same side of every
+    other hyperplane, so their separating sets differ by H alone: the
+    larger is that of the chamber across H from the base, the upper one.
+    p lies inside the base, so off H, and for the normal nu of the wall
+    pointing from chamber t1 to chamber t2, -p . nu > 0 exactly when p is
+    on t1's side: when H separates the base from t2.
+    """
     fan = arrfan.fan
     base = _chamber_check(fan, base)
-    signs = arrfan.face_signs
-    sep = {c: _separating(signs[c], signs[base]) for c in fan.chambers()}
-    covers = []
-    for wall in fan.walls():
-        t1, t2 = fan._star_chambers(wall)
-        s1, s2 = sep[t1], sep[t2]
-        if s1 < s2:
-            covers.append((t1, t2, wall))
-        elif s2 < s1:
-            covers.append((t2, t1, wall))
-        else:
-            raise NotAChamber("separating sets of adjacent chambers not nested",
-                              witness=list(wall))
-    return FanPoset(fan, covers)
+    return poset_from_linear_functional(
+        fan, [-sum(x) for x in zip(*fan.ray_vectors(base))])
 
 
 class Shard:

@@ -7,7 +7,7 @@ through *canonical cones*: lexicographically sorted tuples of primitive
 integer ray vectors in the ambient coordinates.
 """
 
-from itertools import combinations
+from itertools import combinations, count
 
 from . import cones as conelib
 from .errors import (
@@ -74,6 +74,8 @@ class Fan:
         self._stars = {c: tuple(s) for c, s in stars.items()}
         self._by_dim = {d: tuple(cs) for d, cs in by_dim.items()}
         self._validation = None
+        self._complete = None
+        self._facet_cache = {}
         self._ident = None
         self._span_keys = {}
         self._scaled_projection_cache = {}
@@ -123,6 +125,25 @@ class Fan:
         public names check their input before calling them.
         """
         return tuple(c for c in self._stars[cone] if len(c) == self.dim)
+
+    def _facets(self, cone):
+        """{ray index i: facet functional h_i} of a maximal cone, once per cone.
+
+        h_i is the ``simplicial_halfspaces`` inequality of ray i: positive
+        on ray i and zero on the cone's other rays.  For a chamber c and a
+        wall w of c, the h_i with i in c - w is therefore the primitive
+        normal of span(w) that points into c; ``_wall_normal`` reads it, and
+        no other code derives a wall normal.
+        """
+        if cone not in self._facet_cache:
+            self._facet_cache[cone] = dict(zip(cone, conelib.simplicial_halfspaces(
+                self.ray_vectors(cone), self.dim)[1]))
+        return self._facet_cache[cone]
+
+    def _wall_normal(self, wall, chamber):
+        """Primitive normal of span(wall) pointing into ``chamber``."""
+        (i,) = set(chamber) - set(wall)
+        return self._facets(chamber)[i]
 
     def projection(self, cone):
         """Matrix of the orthogonal projection onto span(cone)^perp."""
@@ -254,14 +275,16 @@ def validate_fan(fan):
     """Check that every pairwise intersection of maximal cones is a common face.
 
     For simplicial cones with distinct rays this is equivalent to
-    cone(a) & cone(b) == cone(S), S the rays that a and b share.  Most
-    pairs are proved valid by facet separation; the others are decided by
-    exact extreme-ray extraction on the combined H-representations.  The
-    report is computed once per fan.
+    cone(a) & cone(b) == cone(S), S the rays that a and b share.  A fan
+    that ``is_finite_complete`` certifies is valid (its docstring proves
+    it), so its report is empty and no pair is tested.  Otherwise most
+    pairs are proved valid by facet separation, and the others are decided
+    by exact extreme-ray extraction on the combined H-representations.
+    The report is computed once per fan.
 
     Separation certificate.  Facet functional h_i of a maximal cone a (from
-    ``simplicial_halfspaces``, computed once per cone) is positive on ray i
-    and zero on the other rays of a.  Keep ray sets A and B with
+    ``Fan._facets``) is positive on ray i and zero on the other rays of a.
+    Keep ray sets A and B with
     S <= A <= a, S <= B <= b and the invariant
     cone(a) & cone(b) <= cone(A) & cone(B); it holds for A = a, B = b.
     If i is in A - S and h_i <= 0 on every ray of B, replace A by A - {i}
@@ -275,8 +298,6 @@ def validate_fan(fan):
     cone(S), which lies in both cones, so the intersection is cone(S) and
     the pair is no violation; the exact intersection would have returned
     no lineality and exactly the rays of S, so the report is unchanged.
-    In an arrangement fan every pair is proved this way: a wall of
-    chamber a separates it from any other chamber b.
 
     Fallback.  A pair where no functional applies before A or B reaches S
     is intersected exactly by ``intersect_generated_cones``, which is then
@@ -286,18 +307,17 @@ def validate_fan(fan):
     the origin but are not separated by a facet of either.
     """
     if fan._validation is None:
-        fan._validation = _validation_report(fan)
+        fan._validation = ValidationReport(
+            () if is_finite_complete(fan) else _pairwise_violations(fan))
     return fan._validation
 
 
-def _validation_report(fan):
-    facets = {c: dict(zip(c, conelib.simplicial_halfspaces(fan.ray_vectors(c),
-                                                           fan.dim)[1]))
-              for c in fan.max_cones}
+def _pairwise_violations(fan):
+    """The violations of every pair of maximal cones, separated or intersected."""
     violations = []
     for a, b in combinations(fan.max_cones, 2):
         shared = set(a) & set(b)
-        if _separated(fan, facets, a, b, shared):
+        if _separated(fan, a, b, shared):
             continue
         lin, rays = conelib.intersect_generated_cones(
             fan.ray_vectors(a), fan.ray_vectors(b), fan.dim
@@ -308,22 +328,22 @@ def _validation_report(fan):
         expected = tuple(sorted(fan.rays[i] for i in shared))
         if tuple(sorted(rays)) != expected:
             violations.append((a, b, rays))
-    return ValidationReport(violations)
+    return violations
 
 
-def _separated(fan, facets, a, b, shared):
+def _separated(fan, a, b, shared):
     """Whether facet functionals prove cone(a) & cone(b) == cone(shared).
 
     The separation certificate of ``validate_fan``, on the rays of A and B
-    outside S (every functional used vanishes on S); ``facets`` maps each
-    maximal cone to {ray index: facet functional}.
+    outside S (every functional used vanishes on S).
     """
     extra = {a: set(a) - shared, b: set(b) - shared}
     while extra[a] and extra[b]:
         progress = False
         for cone, other in ((a, b), (b, a)):
             for i in sorted(extra[cone]):
-                values = [(r, dot(facets[cone][i], fan.rays[r])) for r in extra[other]]
+                values = [(r, dot(fan._facets(cone)[i], fan.rays[r]))
+                          for r in extra[other]]
                 if all(v <= 0 for _, v in values):
                     extra[cone].discard(i)
                     extra[other] = {r for r, v in values if v == 0}
@@ -336,34 +356,81 @@ def _separated(fan, facets, a, b, shared):
 def is_finite_complete(fan):
     """Whether the fan is a valid fan whose support is the whole space.
 
-    True iff all maximal cones are full-dimensional, every codimension-1
-    cone lies in exactly two maximal cones, the wall-crossing graph is
-    connected, and validate_fan finds no violation.  In a valid fan the
-    ridge condition leaves no boundary wall, so the support is the whole
-    space; without validity a cycle of chambers could wind twice around a
-    codimension-2 cone.  True therefore implies that the fan is both valid
-    and complete.  Validity is checked last, as it is the costly part.
+    Decided once per fan by a certificate on the walls alone (De Loera,
+    Rambau and Santos, *Triangulations*, section 4.5: a pure simplicial
+    pseudomanifold with one point covered once is a triangulation).  With
+    n the dimension, it holds iff
+
+    (a) every maximal cone is full-dimensional, a chamber;
+    (b) every wall lies in exactly two chambers, and the ray each chamber
+        has off the wall lies strictly on its own side of the wall's
+        hyperplane;
+    (c) the moment-curve point x = (1, t, t^2, ..., t^(n-1)), for the least
+        integer t >= 1 that puts it off every facet hyperplane of every
+        chamber, lies in exactly one chamber.  Such a t exists: for a facet
+        functional h, h . x is a nonzero polynomial in t of degree below
+        n, so each h rules out fewer than n values of t.
+
+    A valid complete fan passes.  A lower-dimensional maximal cone would
+    meet some chamber in a relative-interior point, so be a face of it;
+    near a relative-interior point of a wall, each side lies in exactly
+    one chamber, which has the wall as a face; and a point off the facet
+    hyperplanes lies in the interior of a chamber, so in no other.
+
+    Conversely, let n = 1.  The only wall is the zero cone, so by (b) the
+    fan has the two chambers cone(1) and cone(-1), the whole line.  Let
+    n >= 2, and for y off every facet hyperplane let N(y) count the
+    chambers that contain y.  Join two such points by a polygonal path
+    that avoids the cones of dimension n - 2 or less and the intersections
+    of two distinct facet hyperplanes (they lie in finitely many subspaces
+    of codimension at least 2, which do not disconnect R^n), and crosses
+    the hyperplanes at finitely many points.  At a crossing point p, only a
+    chamber with p on its boundary can gain or lose the path.  Such a
+    chamber has exactly one facet through p: a wall with p in its relative
+    interior, inside the one hyperplane through p.  By (b) each such wall
+    has one chamber on each side, so each loses one chamber of the count
+    and gains the other: N does not change.  By (c), N = 1 wherever it is
+    defined.  The union of the chambers is closed and contains that dense
+    set, so it is R^n: the fan is complete.
+
+    The same count near a point p proves validity.  Let G be a cone with p
+    in its relative interior, and N_G(y), for y near p, count the chambers
+    with face G that contain y.  A facet through p of such a chamber
+    contains G, so it is a wall whose other chamber also has face G, and
+    the crossing argument inside a small ball around p makes N_G constant
+    there; it is at least 1, as every cone is a face of a chamber by (a).
+    A chamber that contains p has exactly one face with p in its relative
+    interior, and a chamber that misses p misses a small ball around it,
+    so N is the sum of the N_G.  N = 1 leaves one G: every chamber through
+    p has the same face through p.  So for chambers a and b, each point of
+    a & b lies in a face of both, spanned by rays they share: a & b is
+    cone(S), S their shared rays, and the fan is valid.
+
+    Only maximal cones and their faces enter, so a ray that no maximal
+    cone uses changes nothing: it is no cone of the fan, and validity
+    (``validate_fan`` pairs maximal cones) does not see it either.
     """
-    if not fan.max_cones:
-        return False
+    if fan._complete is None:
+        fan._complete = _ridge_certificate(fan)
+    return fan._complete
+
+
+def _ridge_certificate(fan):
+    """Conditions (a), (b) and (c) of ``is_finite_complete``."""
     if any(len(c) != fan.dim for c in fan.max_cones):
         return False
-    adjacency = {c: set() for c in fan.max_cones}
     for wall in fan.walls():
         incident = fan._star_chambers(wall)
         if len(incident) != 2:
             return False
-        adjacency[incident[0]].add(incident[1])
-        adjacency[incident[1]].add(incident[0])
-    seen = set()
-    stack = [fan.max_cones[0]]
-    while stack:
-        c = stack.pop()
-        if c in seen:
-            continue
-        seen.add(c)
-        stack.extend(adjacency[c] - seen)
-    return len(seen) == len(fan.max_cones) and validate_fan(fan).ok
+        (j,) = set(incident[1]) - set(wall)
+        if dot(fan._wall_normal(wall, incident[0]), fan.rays[j]) >= 0:
+            return False
+    facets = [h for c in fan.max_cones for h in fan._facets(c).values()]
+    x = next(p for p in (tuple(t ** k for k in range(fan.dim)) for t in count(1))
+             if all(dot(h, p) for h in facets))
+    return sum(all(dot(h, x) > 0 for h in fan._facets(c).values())
+               for c in fan.max_cones) == 1
 
 
 class LinkComplex:

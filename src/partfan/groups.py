@@ -107,13 +107,23 @@ def presentation_from_json(data):
     """The presentation a ``to_json`` document describes.
 
     Each letter must be [generator, 1] or [generator, -1] with a string
-    generator; any other letter raises ValueError.
+    generator, ``generators`` a list of distinct strings, and every
+    letter's generator one of them; anything else raises ValueError.  The
+    checks run in that order.
     """
     relators = [tuple((sym, exp) for sym, exp in w) for w in data["relators"]]
-    for sym, exp in (letter for w in relators for letter in w):
+    letters = [letter for w in relators for letter in w]
+    for sym, exp in letters:
         if not isinstance(sym, str) or type(exp) is not int or exp not in (1, -1):
             raise ValueError("letter %r is not [generator, 1 or -1]" % [sym, exp])
-    return Presentation(data["generators"], relators)
+    generators = data["generators"]
+    if type(generators) is not list or not all(isinstance(g, str) for g in generators) \
+            or len(set(generators)) != len(generators):
+        raise ValueError("generators %r are not a list of distinct strings" % (generators,))
+    for sym, exp in letters:
+        if sym not in generators:
+            raise ValueError("letter %r names no generator" % [sym, exp])
+    return Presentation(generators, relators)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +211,8 @@ def _type2_relators(fan, partition, poset):
     for m in category.morphisms:
         if m.rank == 0 or len(m.reps) < 2:
             continue
-        words = []
-        for sigma, kappa in m.reps:
-            lo_s = _facial_interval(poset, sigma).lower
-            lo_k = _facial_interval(poset, kappa).lower
-            chain = poset.first_chain(lo_s, lo_k)
-            if chain is None:
-                raise IntervalBroken("no chain between interval minima",
-                                     witness=[list(sigma), list(kappa)])
-            words.append(chain_word(fan, partition, chain))
+        words = [_minima_chain_word(fan, partition, poset, sigma, kappa)
+                 for sigma, kappa in m.reps]
         for w in words[1:]:
             rel = word_concat(words[0], word_inverse(w))
             if rel:
@@ -250,10 +253,18 @@ def psi(fan, partition, poset, morphism):
     equal to it up to the chain relators.  Identity morphisms map to the
     empty word.  No chain list is built, so no chain limit applies.
     """
-    sigma, kappa = morphism.reps[0]
-    lo_s = _facial_interval(poset, sigma).lower
-    lo_k = _facial_interval(poset, kappa).lower
-    chain = poset.first_chain(lo_s, lo_k)
+    return _minima_chain_word(fan, partition, poset, *morphism.reps[0])
+
+
+def _minima_chain_word(fan, partition, poset, sigma, kappa):
+    """The word of ``poset.first_chain(sigma^-, kappa^-)``, sigma^- the
+    minimum of sigma's facial interval.
+
+    Raises IntervalBroken, witness [sigma, kappa], when the minima are not
+    comparable.
+    """
+    chain = poset.first_chain(_facial_interval(poset, sigma).lower,
+                              _facial_interval(poset, kappa).lower)
     if chain is None:
         raise IntervalBroken("interval minima are not comparable",
                              witness=[list(sigma), list(kappa)])

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fan import is_finite_complete
 from .partition import _check_possible, _projects_injectively, _star_matching
-from .rational import dot, int_kernel_basis, sqrt_combination_sign, vec
+from .rational import dot, sqrt_combination_sign, vec
 
 
 class FanPoset:
@@ -226,24 +226,12 @@ def poset_from_json(fan, data):
     return FanPoset(fan, covers)
 
 
-def wall_normal(fan, wall, toward):
-    """Primitive normal of span(wall), oriented toward the chamber ``toward``."""
-    normals = int_kernel_basis(fan.ray_vectors(wall), fan.dim)
-    nu = normals[0]
-    interior = [0] * fan.dim
-    for i in toward:
-        interior = [a + b for a, b in zip(interior, fan.rays[i])]
-    side = dot(nu, interior)
-    if side == 0:
-        raise PosetInvalid("chamber does not determine a side", witness=list(wall))
-    return nu if side > 0 else tuple(-x for x in nu)
-
-
 def poset_from_linear_functional(fan, b):
     """Order the chambers so the functional b increases across every wall.
 
     Each wall with adjacent chambers (t1, t2) contributes the cover
-    t1 < t2 for which the normal pointing from t1 to t2 has b(nu) > 0.
+    t1 < t2 for which the normal pointing from t1 to t2 (the fan's
+    ``_wall_normal`` into t2) has b(nu) > 0.
     Requires completeness and genericity of b.
     """
     if not is_finite_complete(fan):
@@ -252,8 +240,7 @@ def poset_from_linear_functional(fan, b):
     covers = []
     for wall in fan.walls():
         t1, t2 = fan._star_chambers(wall)
-        nu = wall_normal(fan, wall, t2)
-        val = dot(b, nu)
+        val = dot(b, fan._wall_normal(wall, t2))
         if val == 0:
             raise DegenerateFunctional("functional vanishes on a wall normal",
                                        witness=list(wall))
@@ -439,7 +426,7 @@ def check_weak_fan_poset(fan, poset):
     sides = [[] for _ in poset.elements]  # (bit across, far-side ray mask)
     for wall in fan.walls():
         t1, t2 = fan._star_chambers(wall)
-        nu = wall_normal(fan, wall, t1)
+        nu = fan._wall_normal(wall, t1)
         values = [dot(nu, r) for r in fan.rays]
         i, j = index[t1], index[t2]
         sides[i].append((1 << j, _bits(r for r, v in enumerate(values) if v < 0)))

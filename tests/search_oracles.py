@@ -37,12 +37,29 @@ apart from imports:
 - ``link_complex``: every subset of the next-dimension star cones tested
   for a projected cone of the star, layer by layer, where
   ``fan.link_complex`` now reads each simplex off one cone of the star.
+- ``is_finite_complete``: every wall counted, the wall-crossing graph
+  searched for connectivity, and every pair of maximal cones validated,
+  where ``fan.is_finite_complete`` is now the ridge certificate.  The one
+  change: pairs are validated by ``fan._pairwise_violations``, since
+  ``validate_fan`` now trusts the certificate.
+- ``wall_normal``: the kernel of the wall's rays, oriented by the sum of
+  the chamber's rays, where the fan now reads its normals off the facet
+  functionals of its chambers (``Fan._wall_normal``).
+- ``poset_of_regions``: each wall's cover oriented by comparing the
+  separating sets of its two chambers, where ``arrangement``'s is now the
+  functional poset of minus the base's ray sum.
 """
 
 from itertools import combinations
 
 from partfan import cones as conelib
-from partfan.arrangement import Flat, Shard, _chamber_check, _rank2_basics
+from partfan.arrangement import (
+    Flat,
+    Shard,
+    _chamber_check,
+    _rank2_basics,
+    _separating,
+)
 from partfan.category import (
     AxiomReport,
     FactorizationCube,
@@ -52,6 +69,7 @@ from partfan.category import (
 from partfan.errors import (
     EnumerationLimitExceeded,
     MixedBlock,
+    NotAChamber,
     NotComplete,
     PosetInvalid,
     RankZero,
@@ -59,7 +77,8 @@ from partfan.errors import (
     UnknownCone,
     UnknownFace,
 )
-from partfan.fan import LinkComplex, is_finite_complete
+from partfan import fan as fanlib
+from partfan.fan import LinkComplex
 from partfan.partition import (
     Partition,
     UnionFind,
@@ -69,7 +88,7 @@ from partfan.partition import (
     group_by,
     potential_identifications,
 )
-from partfan.poset import PosetReport, wall_normal
+from partfan.poset import FanPoset, PosetReport
 from partfan.rational import (
     dot,
     int_complement_projection,
@@ -521,7 +540,7 @@ class ClosureOrder:
 
 def check_weak_fan_poset(fan, poset):
     """Report on the two fan-poset axioms, by the former interval scan."""
-    if not is_finite_complete(fan):
+    if not fanlib.is_finite_complete(fan):
         raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
     poset = ClosureOrder(poset)
     facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
@@ -594,7 +613,7 @@ class PerConeProjection:
 
 def link_complex(fan, block):
     """The sphere complex of a block of cones sharing one projected star."""
-    if not is_finite_complete(fan):
+    if not fanlib.is_finite_complete(fan):
         raise NotComplete("link complexes need a finite complete fan",
                           witness=fan.to_json())
     block = sorted(fan.check_cone(c) for c in block)
@@ -620,3 +639,65 @@ def link_complex(fan, block):
             break
         simplices.extend(layer)
     return LinkComplex(vertices, tuple(simplices))
+
+
+def is_finite_complete(fan):
+    """Whether the fan is a valid fan whose support is the whole space.
+
+    True iff all maximal cones are full-dimensional, every codimension-1
+    cone lies in exactly two maximal cones, the wall-crossing graph is
+    connected, and no pair of maximal cones is a violation.
+    """
+    if not fan.max_cones:
+        return False
+    if any(len(c) != fan.dim for c in fan.max_cones):
+        return False
+    adjacency = {c: set() for c in fan.max_cones}
+    for wall in fan.walls():
+        incident = fan._star_chambers(wall)
+        if len(incident) != 2:
+            return False
+        adjacency[incident[0]].add(incident[1])
+        adjacency[incident[1]].add(incident[0])
+    seen = set()
+    stack = [fan.max_cones[0]]
+    while stack:
+        c = stack.pop()
+        if c in seen:
+            continue
+        seen.add(c)
+        stack.extend(adjacency[c] - seen)
+    return len(seen) == len(fan.max_cones) and not fanlib._pairwise_violations(fan)
+
+
+def wall_normal(fan, wall, toward):
+    """Primitive normal of span(wall), oriented toward the chamber ``toward``."""
+    normals = int_kernel_basis(fan.ray_vectors(wall), fan.dim)
+    nu = normals[0]
+    interior = [0] * fan.dim
+    for i in toward:
+        interior = [a + b for a, b in zip(interior, fan.rays[i])]
+    side = dot(nu, interior)
+    if side == 0:
+        raise PosetInvalid("chamber does not determine a side", witness=list(wall))
+    return nu if side > 0 else tuple(-x for x in nu)
+
+
+def poset_of_regions(arrfan, base):
+    """Chambers ordered away from the base by separating-set inclusion."""
+    fan = arrfan.fan
+    base = _chamber_check(fan, base)
+    signs = arrfan.face_signs
+    sep = {c: _separating(signs[c], signs[base]) for c in fan.chambers()}
+    covers = []
+    for wall in fan.walls():
+        t1, t2 = fan._star_chambers(wall)
+        s1, s2 = sep[t1], sep[t2]
+        if s1 < s2:
+            covers.append((t1, t2, wall))
+        elif s2 < s1:
+            covers.append((t2, t1, wall))
+        else:
+            raise NotAChamber("separating sets of adjacent chambers not nested",
+                              witness=list(wall))
+    return FanPoset(fan, covers)

@@ -22,13 +22,18 @@ def _ccw(a, b):
     return -(a[0] * b[1] - a[1] * b[0])
 
 
+def angular_order(rays):
+    """Planar rays sorted counterclockwise from the positive x-axis."""
+    return sorted(rays, key=cmp_to_key(_ccw))
+
+
 @st.composite
 def complete_planar_fans(draw, max_rays=9):
     """Complete planar fans: rays sorted by angle, every gap below pi."""
     pool = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
             if (x, y) != (0, 0) and gcd(x, y) == 1]
-    rays = sorted(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=max_rays,
-                                unique=True)), key=cmp_to_key(_ccw))
+    rays = angular_order(draw(st.lists(st.sampled_from(pool), min_size=3,
+                                       max_size=max_rays, unique=True)))
     n = len(rays)
     assume(all(a[0] * b[1] - a[1] * b[0] > 0
                for a, b in zip(rays, rays[1:] + rays[:1])))

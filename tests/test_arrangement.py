@@ -372,6 +372,15 @@ def test_poset_of_regions_matches_functional(brauer):
     assert set(functional.covers) == set(brauer.poset.covers)
 
 
+@pytest.mark.parametrize("name", ["A3", "brauer"])
+def test_poset_of_regions_matches_the_separating_sets(name):
+    arrangement = A.builtin_brauer() if name == "brauer" else A.Arrangement(3, A3_NORMALS)
+    arrfan = A.arrangement_fan(arrangement, with_signs=True)
+    for base in arrfan.fan.chambers():
+        assert A.poset_of_regions(arrfan, base).covers == \
+            search_oracles.poset_of_regions(arrfan, base).covers, base
+
+
 def test_poset_of_regions_not_a_chamber(brauer):
     with pytest.raises(NotAChamber):
         A.poset_of_regions(brauer.arrfan, (0,))

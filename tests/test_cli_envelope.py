@@ -313,7 +313,12 @@ FLOAT_BLOCK = {"fan": SQUARE, "partition": {"blocks": [[[0.0], [2]]]}}
 
 
 def presentation(*letters):
-    return {"presentation": {"generators": ["a"], "relators": [list(letters)]}}
+    return generators(["a"], *letters)
+
+
+def generators(names, *letters):
+    """A presentation envelope with the given generators and one relator."""
+    return {"presentation": {"generators": names, "relators": [list(letters)]}}
 
 
 @pytest.mark.parametrize("argv, envelope, document", [
@@ -342,9 +347,22 @@ def presentation(*letters):
     (["group", "abelianize"], presentation(["a", True]),
      {"error": "BadInput", "witness": {"key": "presentation", "problem":
       "ValueError: letter ['a', True] is not [generator, 1 or -1]"}}),
+    (["group", "abelianize"], generators(["a", "a"], ["a", 1], ["a", 1]),
+     {"error": "BadInput", "witness": {"key": "presentation", "problem":
+      "ValueError: generators ['a', 'a'] are not a list of distinct strings"}}),
+    (["group", "abelianize"], generators("ab", ["a", 1]),
+     {"error": "BadInput", "witness": {"key": "presentation", "problem":
+      "ValueError: generators 'ab' are not a list of distinct strings"}}),
+    (["group", "abelianize"], generators([1, 2]),
+     {"error": "BadInput", "witness": {"key": "presentation", "problem":
+      "ValueError: generators [1, 2] are not a list of distinct strings"}}),
+    (["group", "abelianize"], presentation(["b", 1]),
+     {"error": "BadInput", "witness": {"key": "presentation", "problem":
+      "ValueError: letter ['b', 1] names no generator"}}),
 ], ids=["bool-index-validate", "bool-index-potentials", "float-index", "float-block",
         "float-block-cw", "float-block-psi", "bool-cover", "string-exponent",
-        "exponent-2", "float-exponent", "bool-exponent"])
+        "exponent-2", "float-exponent", "bool-exponent", "repeated-generator",
+        "string-generators", "integer-generators", "unknown-generator"])
 def test_non_integer_indices_and_exponents_are_error_documents(monkeypatch, capsys,
                                                                 argv, envelope, document):
     code, out = run(argv, json.dumps(envelope), monkeypatch, capsys)

@@ -1,7 +1,10 @@
 import json
+import random
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
 
 import fraction_oracles as oracle
 import search_oracles
@@ -30,8 +33,15 @@ from partfan.fan import (
 )
 from partfan.partition import potential_identifications
 from partfan.poset import check_weak_fan_poset
-from partfan.rational import mat_mul, mat_vec, primitive_ray
-from strategies import A3_NORMALS, A4_ESSENTIAL, b_normals, random_fan
+from partfan.rational import dot, mat_mul, mat_vec, primitive_ray
+from strategies import (
+    A3_NORMALS,
+    A4_ESSENTIAL,
+    angular_order,
+    b_normals,
+    complete_planar_fans,
+    random_fan,
+)
 
 
 def test_build_fan_hirzebruch_faces(hzb_fan):
@@ -375,3 +385,120 @@ def test_no_check_cone_on_the_fans_own_cones(monkeypatch):
     potential_identifications(fan)
     assert check_weak_fan_poset(fan, poset).ok
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the ridge certificate of is_finite_complete against the former search
+
+
+def suspension(rays, max_cones):
+    """The fan in R^(n+1) of each cone joined with each pole +/- e_(n+1)."""
+    n = len(rays[0])
+    poles = [(0,) * n + (1,), (0,) * n + (-1,)]
+    return build_fan(n + 1, [tuple(r) + (0,) for r in rays] + poles,
+                     [tuple(c) + (p,) for c in max_cones
+                      for p in (len(rays), len(rays) + 1)])
+
+
+# rays (1,0), (0,1) and (1,1) with every pair a chamber: each wall lies in
+# two chambers, but the walls (1,0) and (0,1) have both on one side
+FOLD = ([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
+
+
+def opposite_sides(fan, wall):
+    """Whether the wall's two chambers lie strictly on opposite sides of it."""
+    t1, t2 = fan.star_chambers(wall)
+    (j,) = set(t2) - set(wall)
+    return dot(fan._wall_normal(wall, t1), fan.rays[j]) < 0
+
+
+@pytest.mark.parametrize("fan", [build_fan(2, *DOUBLE_WINDING), suspension(*DOUBLE_WINDING)],
+                         ids=["double-winding", "suspension"])
+def test_a_double_cover_fails_only_the_point_count(fan):
+    assert all(len(c) == fan.dim for c in fan.max_cones)
+    assert all(len(fan.star_chambers(w)) == 2 and opposite_sides(fan, w)
+               for w in fan.walls())
+    assert not is_finite_complete(fan)
+    assert not search_oracles.is_finite_complete(fan)
+
+
+def test_the_fold_fails_the_side_test():
+    fan = build_fan(2, *FOLD)
+    assert all(len(fan.star_chambers(w)) == 2 for w in fan.walls())
+    assert [opposite_sides(fan, w) for w in fan.walls()] == [False, False, True]
+    assert not is_finite_complete(fan)
+    assert not search_oracles.is_finite_complete(fan)
+
+
+def test_a_wall_in_three_chambers_fails_the_count():
+    # the square fan plus a second layer over the left half-plane: the walls
+    # (0,1) and (0,-1) lie in three chambers, the point (1,1) in one
+    fan = build_fan(2, [(1, 0), (0, -1), (-1, 0), (0, 1), (-1, 1), (-1, -1)],
+                    [(0, 3), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    assert sorted(len(fan.star_chambers(w)) for w in fan.walls()) == [2, 2, 2, 2, 3, 3]
+    assert not is_finite_complete(fan)
+    assert not search_oracles.is_finite_complete(fan)
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_FANS))
+def test_completeness_matches_the_search(name):
+    fan = PROJECTION_FANS[name]()
+    assert is_finite_complete(fan) is search_oracles.is_finite_complete(fan) is True
+    # without one chamber, each of its walls lies in one chamber only
+    partial = build_fan(fan.dim, fan.rays, fan.max_cones[1:])
+    assert is_finite_complete(partial) is search_oracles.is_finite_complete(partial) is False
+
+
+@given(complete_planar_fans())
+@settings(max_examples=60, deadline=None)
+def test_completeness_matches_the_search_on_planar_fans(fan):
+    assert is_finite_complete(fan) is search_oracles.is_finite_complete(fan) is True
+
+
+def star_polygon(rng):
+    """Chambers joining every s-th of m planar rays in angular order.
+
+    When every step turns by less than pi, each wall has its two chambers
+    on opposite sides, and the chambers go s times round the origin.
+    """
+    pool = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if gcd(x, y) == 1]
+    rays = angular_order(rng.sample(pool, rng.randint(3, 9)))
+    m = len(rays)
+    step = rng.choice([s for s in range(1, m) if gcd(s, m) == 1])
+    return build_fan(2, rays, [(k * step % m, (k + 1) * step % m) for k in range(m)])
+
+
+def test_completeness_matches_the_search_on_star_polygons():
+    rng = random.Random(3)
+    verdicts = []
+    for _ in range(400):
+        try:
+            fan = star_polygon(rng)
+        except NonSimplicialCone:
+            continue
+        if rng.random() < 0.3:
+            fan = suspension(fan.rays, fan.max_cones)
+        verdict = is_finite_complete(fan)
+        assert verdict is search_oracles.is_finite_complete(fan), fan.to_json()
+        verdicts.append((verdict, all(opposite_sides(fan, w) for w in fan.walls())))
+    # complete fans, double covers, and folds
+    assert min(verdicts.count(v) for v in [(True, True), (False, True), (False, False)]) >= 20
+
+
+def test_a_certified_fan_validates_without_testing_pairs(monkeypatch):
+    fan = arrlib.arrangement_fan(arrangement_of("B3"))
+
+    def fail(fan):
+        raise AssertionError("a pair was tested")
+
+    monkeypatch.setattr(fanlib, "_pairwise_violations", fail)
+    assert validate_fan(fan).to_json() == {"valid": True, "violations": []}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_FANS))
+def test_wall_normals_match_the_kernel(name):
+    fan = PROJECTION_FANS[name]()
+    for wall in fan.walls():
+        for chamber in fan.star_chambers(wall):
+            assert fan._wall_normal(wall, chamber) == \
+                search_oracles.wall_normal(fan, wall, chamber), (wall, chamber)

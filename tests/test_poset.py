@@ -27,7 +27,6 @@ from partfan.poset import (
     poset_from_json,
     poset_from_linear_functional,
     rank2_bisector_poset,
-    wall_normal,
 )
 from strategies import (
     A3_NORMALS,
@@ -123,9 +122,9 @@ def test_functional_poset_incomplete():
 
 
 def test_wall_normal_orientation(square_fan):
-    nu = wall_normal(square_fan, (0,), TAU1)
+    nu = square_fan._wall_normal((0,), TAU1)
     assert nu == (0, 1)
-    assert wall_normal(square_fan, (0,), TAU2) == (0, -1)
+    assert square_fan._wall_normal((0,), TAU2) == (0, -1)
 
 
 def test_bisector_square(square_fan):
