@@ -71,17 +71,22 @@ def builtin_brauer():
 
 
 class ArrangementFan:
-    """The fan of an arrangement plus the face/sign-vector dictionary."""
+    """The fan of an arrangement, with the sign vectors of its faces."""
 
-    def __init__(self, arrangement, fan, face_signs, face_points):
+    def __init__(self, arrangement, fan):
         self.arrangement = arrangement
         self.fan = fan
-        self.face_signs = face_signs    # cone -> sign vector
-        self.face_points = face_points  # cone -> interior witness point
 
     def sign_of(self, cone):
+        """The sign vector of a face: that of the sum of its primitive rays,
+        which lies in the face's relative interior."""
         cone = self.fan.check_cone(cone)
-        return self.face_signs[cone]
+        return self.arrangement.sign_vector(_ray_sum(self.fan, cone))
+
+
+def _ray_sum(fan, cone):
+    """The sum of the cone's primitive rays; the zero vector for the zero cone."""
+    return tuple(sum(fan.rays[i][j] for i in cone) for j in range(fan.dim))
 
 
 def arrangement_fan(arrangement, with_signs=False):
@@ -93,11 +98,10 @@ def arrangement_fan(arrangement, with_signs=False):
     hyperplane.  A chamber's rays are the rays whose sign vectors conform
     to its tope; its neighbours are the topes that differ in one
     hyperplane holding n-1 of those rays.  The faces are the subsets of
-    chamber rays; a face's witness point is the sum of its primitive rays,
-    which lies in its relative interior, and its sign vector is that
-    point's.  Raises NotSimplicialArrangement when a chamber does not have
-    exactly n rays, as happens for every chamber of a non-essential
-    arrangement.  The work is C(m, n-1) small kernels plus one pass over
+    chamber rays.  With ``with_signs`` the fan comes in an ArrangementFan,
+    whose ``sign_of`` computes a face's sign vector when asked.  Raises
+    NotSimplicialArrangement when a chamber does not have exactly n rays,
+    as happens for every chamber of a non-essential arrangement.  The work is C(m, n-1) small kernels plus one pass over
     the rays and the hyperplanes per chamber.
     """
     dim, normals = arrangement.dim, arrangement.normals
@@ -132,23 +136,13 @@ def arrangement_fan(arrangement, with_signs=False):
                 if flipped not in seen:
                     seen.add(flipped)
                     queue.append(flipped)
-    face_points = {}
-    for chamber in chambers:
-        for k in range(dim + 1):
-            for face in combinations(chamber, k):
-                if face not in face_points:
-                    face_points[face] = tuple(sum(rays[i][j] for i in face)
-                                              for j in range(dim))
-    face_signs = {face: arrangement.sign_vector(point)
-                  for face, point in face_points.items()}
     fan = build_fan(dim, rays, chambers)
-    result = ArrangementFan(arrangement, fan, face_signs, face_points)
-    return result if with_signs else fan
+    return ArrangementFan(arrangement, fan) if with_signs else fan
 
 
-def _conforms(face_signs, cell_signs):
+def _conforms(face, cell):
     """Face order of covectors: zero where it must be, agreeing elsewhere."""
-    return all(f == 0 or f == c for f, c in zip(face_signs, cell_signs))
+    return all(f == 0 or f == c for f, c in zip(face, cell))
 
 
 class Flat:
@@ -289,8 +283,7 @@ def poset_of_regions(arrfan, base):
     """
     fan = arrfan.fan
     base = _chamber_check(fan, base)
-    return poset_from_linear_functional(
-        fan, [-sum(x) for x in zip(*fan.ray_vectors(base))])
+    return poset_from_linear_functional(fan, [-x for x in _ray_sum(fan, base)])
 
 
 class Shard:
@@ -313,38 +306,43 @@ def shards(arrangement, arrfan, base):
     hyperplanes containing X; its two basic members are the facet
     hyperplanes of the region containing the base.  Every non-basic member
     is cut along X.  Shards are the components of each hyperplane's walls
-    under adjacency through uncut codimension-2 faces.
+    under adjacency through uncut codimension-2 faces.  Raises
+    WrongArrangement when ``arrangement`` is not the one of ``arrfan``.
 
     Everything is read off the (dim-2)-faces f and their zero sets Z(f),
     the hyperplanes of f's support flat (see ``support``).  Every face of
     a simplicial arrangement fan spans its support flat, and every flat X
     of rank 2 is spanned by a (dim-2)-face, a region of the arrangement
     restricted to X.  So the codimension-2 flats are the distinct Z(f),
-    and ``_rank2_basics`` runs once per flat, in the order of ``flats``.
-    A wall's hyperplane is the one member of its zero set.  Two distinct
-    walls that both contain f share exactly f, as the fan is simplicial,
-    and walls that share a (dim-2)-face f both lie in star(f).  So
-    joining, for each f, the walls of each hyperplane H in star(f),
-    unless Z(f) is cut for H, gives the components of the adjacency.
+    and the basics of each are read off the walls of one face spanning
+    it (``_basic_walls``).  A wall's hyperplane is the one member of its
+    zero set.  Two distinct walls that both contain f share exactly f, as
+    the fan is simplicial, and walls that share a (dim-2)-face f both lie
+    in star(f).  So joining, for each f, the walls of each hyperplane H in
+    star(f), unless Z(f) is cut for H, gives the components of the
+    adjacency.
     """
+    if arrangement.to_json() != arrfan.arrangement.to_json():
+        raise WrongArrangement("arrangement is not the arrangement fan's",
+                               witness=[arrangement.to_json(),
+                                        arrfan.arrangement.to_json()])
     fan = arrfan.fan
     base = _chamber_check(fan, base)
-    base_point = arrfan.face_points[base]
+    point = _ray_sum(fan, base)
     flat_of = {f: _zero_set(arrangement, fan.ray_vectors(f))
                for f in fan.cones_of_dim(fan.dim - 2)}
-    cut = set()  # (hyperplane, flat) when the hyperplane is cut along the flat
-    for flat in sorted(set(flat_of.values()), key=lambda z: (len(z), sorted(z))):
-        if len(flat) < 3:
-            continue
-        members = sorted(flat)
-        basics = _rank2_basics(arrangement, members, base_point)
-        cut.update((h, flat) for h in members if h not in basics)
     walls_on = {h: [] for h in range(len(arrangement.normals))}
     hyperplane_of = {}
     for wall in fan.walls():
         (h,) = _zero_set(arrangement, fan.ray_vectors(wall))
         walls_on[h].append(wall)
         hyperplane_of[wall] = h
+    face_of = {flat: f for f, flat in flat_of.items()}  # one face spanning each flat
+    cut = set()  # (hyperplane, flat) when the hyperplane is cut along the flat
+    for flat, f in face_of.items():
+        if len(flat) >= 3:
+            basics = {hyperplane_of[w] for w in _basic_walls(fan, f, point)}
+            cut.update((h, flat) for h in flat if h not in basics)
     sets = UnionFind(fan.walls())
     for face, flat in flat_of.items():
         first = {}  # hyperplane -> its first wall in star(face)
@@ -362,31 +360,37 @@ def shards(arrangement, arrfan, base):
     return out
 
 
-def _rank2_basics(arrangement, members, base_point):
-    """Facet hyperplanes of the rank-2 subarrangement region holding the base.
+def _basic_walls(fan, face, point):
+    """The two walls through a (dim-2)-face that span its basic hyperplanes.
 
-    All member normals live in the 2-plane orthogonal to the flat, so a
-    member is basic iff the line it cuts in that plane supports a boundary
-    ray of the sign-restricted sector.
+    ``point`` is the sum of the base chamber's rays.  The walls are those
+    of the one chamber c of star(face) with ``point`` strictly on c's side
+    of both of c's walls through the face.
+
+    Proof.  Let X be the span of the face and A_X the hyperplanes that
+    contain X.  Near a relative-interior point x of the face, the
+    arrangement is its localization A_X (Orlik and Terao, *Arrangements of
+    Hyperplanes*, ch. 1), so the chambers of star(face) match the regions
+    of A_X one to one: a chamber near x lies in one region of A_X, each
+    region contains the points near x on its side, and those lie in
+    exactly one chamber of star(face).  A_X has rank 2, so each region R
+    is the intersection of its two facet half-spaces.  The chamber c of R
+    is simplicial and has exactly two walls through the face, c less one
+    of its two rays off the face; near x, c and R agree, so these walls
+    span R's two facet hyperplanes and their normals pointing into c
+    (``Fan._wall_normal``) are the inward normals of those facets.  The
+    point lies in the interior of the base chamber, so off every
+    hyperplane and inside one region R_0 of A_X: the region holding the
+    base.  Both normals of R_0's chamber are positive on the point.  If
+    both normals of some chamber c are positive on it, the point lies in
+    both facet half-spaces of c's region, so in that region, which is
+    R_0.  So c is unique, and its two walls span the facets of R_0: the
+    basics of X.
     """
-    normals = [arrangement.normals[i] for i in members]
-    signs = [_sign(dot(n, base_point)) for n in normals]
-    if any(s == 0 for s in signs):
-        raise NotAChamber("base point lies on a subarrangement hyperplane")
-    flat_basis = int_kernel_basis(normals, arrangement.dim)
-    basics = set()
-    for idx, h in enumerate(members):
-        # boundary-ray candidates: the line of H_h inside the normal plane
-        cand = int_kernel_basis([normals[idx]] + list(flat_basis), arrangement.dim)
-        for base_vec in cand:
-            for d in (base_vec, tuple(-x for x in base_vec)):
-                if all(s * dot(n, d) >= 0 for n, s in zip(normals, signs)):
-                    basics.add(h)
-    if len(basics) != 2:
-        raise NotSimplicialArrangement(
-            "rank-2 subarrangement does not have exactly two facets",
-            witness=sorted(members))
-    return basics
+    for c in fan._star_chambers(face):
+        walls = [tuple(i for i in c if i != j) for j in c if j not in face]
+        if all(dot(fan._wall_normal(w, c), point) > 0 for w in walls):
+            return walls
 
 
 def shard_partition(arrangement, arrfan, base):
@@ -400,7 +404,8 @@ def shard_partition(arrangement, arrfan, base):
     shards that contain it, so if the intersections of two cones agree,
     each lies in every shard that holds the other.  So the cones are
     grouped by the set of shards that contain them, and the chambers, the
-    only cones in no wall, by the empty set.
+    only cones in no wall, by the empty set.  Raises WrongArrangement as
+    ``shards`` does, before any work.
     """
     fan = arrfan.fan
     containing = {}  # cone -> indices of the shards holding it

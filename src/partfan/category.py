@@ -89,12 +89,10 @@ def build_category(fan, partition):
         raise NotAdmissible("partition is not admissible",
                             witness=[list(c) for c in witness])
     groups = {}
-    for tau in fan.cones:
-        for k in range(len(tau) + 1):
-            for sigma in combinations(tau, k):
-                key = (partition.block_of[sigma], partition.block_of[tau],
-                       fan._projected_cone(sigma, tau))
-                groups.setdefault(key, set()).add((sigma, tau))
+    for sigma in fan.cones:
+        for tau, signature in fan._project_star_map(sigma).items():
+            key = (partition.block_of[sigma], partition.block_of[tau], signature)
+            groups.setdefault(key, set()).add((sigma, tau))
     morphisms = []
     of_pair = {}
     for idx, key in enumerate(sorted(groups)):
@@ -175,9 +173,6 @@ class FactorizationCube:
         self.anchor = anchor
         self.objects = objects      # tuple of (g index, h index) pairs
         self.subset_of = subset_of  # object -> frozenset index subset
-
-    def rank(self):
-        return self.anchor.rank
 
 
 def factorization_cube(category, f):

@@ -105,8 +105,8 @@ def build_cw(fan, partition):
     for idx, b in enumerate(cells_by_dim.get(1, ())):
         wall = partition.blocks[b][0]
         side_a, side_b = fan._star_chambers(wall)
-        sig_a = fan._projected_cone(wall, side_a)
-        sig_b = fan._projected_cone(wall, side_b)
+        project = fan._project_star_map(wall)
+        sig_a, sig_b = project[side_a], project[side_b]
         block_a = partition.block_of[side_a]
         block_b = partition.block_of[side_b]
         if (block_a, sig_a) <= (block_b, sig_b):
@@ -148,19 +148,20 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
     b1, b2 = int_kernel_basis(fan.ray_vectors(sigma), fan.dim)
     n11, n21 = dot(b1, b1), dot(b2, b1)
     e2 = tuple(n11 * y - n21 * x for x, y in zip(b1, b2))
+    project = fan._project_star_map(sigma)
     walls = [c for c in fan._stars[sigma] if len(c) == len(sigma) + 1]
-    proj = {w: fan._projected_cone(sigma, w)[0] for w in walls}
+    proj = {w: project[w][0] for w in walls}
     coords = {w: (dot(proj[w], b1), dot(proj[w], e2)) for w in walls}
     ordered = sorted(walls, key=cmp_to_key(lambda a, b: _angular_cmp(coords[a],
                                                                      coords[b])))
     chamber_between = {}
     for c in fan._star_chambers(sigma):
-        chamber_between[frozenset(fan._projected_cone(sigma, c))] = c
+        chamber_between[frozenset(project[c])] = c
     word = []
     for w_prev, w_cur in zip(ordered[-1:] + ordered[:-1], ordered):
         before = chamber_between[frozenset((proj[w_prev], proj[w_cur]))]
         edge = edge_of_block[partition.block_of[w_cur]]
-        sign = 1 if fan._projected_cone(w_cur, before) == edge.tail_signature else -1
+        sign = 1 if fan._project_star_map(w_cur)[before] == edge.tail_signature else -1
         word.append((edge.index, sign))
     return word
 

@@ -15,6 +15,7 @@ from .errors import (
     DuplicateRay,
     MixedBlock,
     NonSimplicialCone,
+    NotAFace,
     NotComplete,
     UnknownCone,
 )
@@ -80,7 +81,6 @@ class Fan:
         self._span_keys = {}
         self._scaled_projection_cache = {}
         self._projected_ray_cache = {}
-        self._projected_cone_cache = {}
         self._project_star_cache = {}
 
     def __contains__(self, cone):
@@ -119,8 +119,8 @@ class Fan:
     def _star_chambers(self, cone):
         """``star_chambers`` of a cone read off this fan's own tables.
 
-        The underscore reads (this, ``_project_star_map``,
-        ``_projected_cone`` and the ``_stars`` table) skip ``check_cone``:
+        The underscore reads (this, ``_project_star_map`` and the
+        ``_stars`` table) skip ``check_cone``:
         partfan calls them with sorted cones it took from the fan, and the
         public names check their input before calling them.
         """
@@ -188,20 +188,16 @@ class Fan:
         """Canonical form of the projection of ``cone`` along ``base``.
 
         ``base`` must be a face of ``cone``; the result is the sorted tuple
-        of primitive projected generators (ambient coordinates).  Computed
-        once per (base, cone).
+        of primitive projected generators (ambient coordinates), read off
+        ``project_star_map(base)``.  Raises NotAFace otherwise.
         """
-        return self._projected_cone(self.check_cone(base), tuple(cone))
-
-    def _projected_cone(self, base, cone):
-        """``projected_cone`` of two cones read off this fan's own tables."""
-        key = (base, cone)
-        if key not in self._projected_cone_cache:
-            span = self._span_key(base)
-            base_set = set(base)
-            self._projected_cone_cache[key] = tuple(sorted({
-                self._projected_ray(span, i) for i in cone if i not in base_set}))
-        return self._projected_cone_cache[key]
+        cone = self.check_cone(cone)
+        base = self.check_cone(base)
+        projected = self._project_star_map(base).get(cone)
+        if projected is None:
+            raise NotAFace("base is not a face of the cone",
+                           witness=[list(base), list(cone)])
+        return projected
 
     def project_star(self, cone):
         """The projected fan pi_sigma(star(sigma)) as a set of canonical cones."""
@@ -215,10 +211,18 @@ class Fan:
         return self._project_star_map(self.check_cone(cone))
 
     def _project_star_map(self, cone):
-        """``project_star_map`` of a cone read off this fan's own tables."""
+        """``project_star_map`` of a cone read off this fan's own tables.
+
+        The one memo of projected cones: tau in star(cone) maps to the
+        sorted primitive projections of tau's rays outside ``cone``.
+        """
         if cone not in self._project_star_cache:
+            span = self._span_key(cone)
+            base = set(cone)
             self._project_star_cache[cone] = {
-                tau: self._projected_cone(cone, tau) for tau in self._stars[cone]}
+                tau: tuple(sorted({self._projected_ray(span, i)
+                                   for i in tau if i not in base}))
+                for tau in self._stars[cone]}
         return self._project_star_cache[cone]
 
     def adjacent_chambers(self, wall):

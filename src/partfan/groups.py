@@ -136,7 +136,7 @@ def cone_symbol_body(fan, cone):
 
 def wall_generator(fan, partition, wall):
     """X-symbol of a codimension-1 block, named by its least member's rays."""
-    block = partition.block(wall)
+    block = partition.blocks[partition.block_of[wall]]
     return "X[%s]" % cone_symbol_body(fan, block[0])
 
 

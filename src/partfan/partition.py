@@ -14,7 +14,6 @@ from .errors import (
     FanMismatch,
     PossibleIdentViolation,
     SeedNotPossible,
-    UnknownCone,
 )
 
 
@@ -47,13 +46,15 @@ class Partition:
                                        "unknown": [list(c) for c in extra]})
 
     def same_block(self, a, b):
-        return self.block_of[tuple(a)] == self.block_of[tuple(b)]
+        """Whether two cones of the fan, each checked, share a block.
+
+        partfan's own loops read ``block_of`` on the fan's cones instead.
+        """
+        check = self.fan.check_cone
+        return self.block_of[check(a)] == self.block_of[check(b)]
 
     def block(self, cone):
-        cone = tuple(cone)
-        if cone not in self.block_of:
-            raise UnknownCone("cone not in fan", witness=list(cone))
-        return self.blocks[self.block_of[cone]]
+        return self.blocks[self.block_of[self.fan.check_cone(cone)]]
 
     def __eq__(self, other):
         if not isinstance(other, Partition) or self.blocks != other.blocks:
@@ -125,7 +126,8 @@ class IdentTable:
         return self.partition.blocks
 
     def same_class(self, a, b):
-        return self.partition.same_block(a, b)
+        block_of = self.partition.block_of
+        return block_of[a] == block_of[b]
 
 
 def potential_identifications(fan):
@@ -169,7 +171,7 @@ def is_admissible(fan, partition):
     for block in partition.blocks:
         for s1, s2 in _block_pairs(fan, block):
             for t1, t2 in _star_matching(fan, s1, s2).items():
-                if not partition.same_block(t1, t2):
+                if partition.block_of[t1] != partition.block_of[t2]:
                     return False, (s1, s2, t1, t2)
     return True, None
 
@@ -245,7 +247,7 @@ def admissible_closure(fan, seed_pairs):
 def refines(p1, p2):
     """Whether every block of p1 is contained in a block of p2."""
     _require_same_fan(p1, p2)
-    return all(p2.same_block(b[0], c) for b in p1.blocks for c in b[1:])
+    return all(p2.block_of[b[0]] == p2.block_of[c] for b in p1.blocks for c in b[1:])
 
 
 def meet(p1, p2):

@@ -48,6 +48,15 @@ apart from imports:
 - ``poset_of_regions``: each wall's cover oriented by comparing the
   separating sets of its two chambers, where ``arrangement``'s is now the
   functional poset of minus the base's ray sum.
+- ``_rank2_basics``: the basic hyperplanes of a rank-2 flat from the
+  kernels of its normals, where ``arrangement.shards`` now reads them off
+  the wall normals of one chamber of a face's star.
+
+The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
+and the sign vectors through ``arrangement._ray_sum`` and
+``ArrangementFan.sign_of``, since the arrangement fan keeps no table of
+face points or sign vectors, and ``link_complex`` reads its projected
+cones off ``Fan._project_star_map``, the fan's one projected-cone memo.
 """
 
 from itertools import combinations
@@ -57,8 +66,9 @@ from partfan.arrangement import (
     Flat,
     Shard,
     _chamber_check,
-    _rank2_basics,
+    _ray_sum,
     _separating,
+    _sign,
 )
 from partfan.category import (
     AxiomReport,
@@ -71,6 +81,7 @@ from partfan.errors import (
     MixedBlock,
     NotAChamber,
     NotComplete,
+    NotSimplicialArrangement,
     PosetInvalid,
     RankZero,
     SeedNotPossible,
@@ -186,7 +197,7 @@ def shards(arrangement, arrfan, base):
     """
     fan = arrfan.fan
     base = _chamber_check(fan, base)
-    base_point = arrfan.face_points[base]
+    base_point = _ray_sum(fan, base)
     m = len(arrangement.normals)
     codim2 = [f for f in flats(arrangement)
               if matrix_rank([arrangement.normals[i] for i in f.indices]) == 2]
@@ -221,6 +232,33 @@ def shards(arrangement, arrfan, base):
         for members in sorted(groups.values()):
             out.append(Shard(len(out), h, members))
     return out
+
+
+def _rank2_basics(arrangement, members, base_point):
+    """Facet hyperplanes of the rank-2 subarrangement region holding the base.
+
+    All member normals live in the 2-plane orthogonal to the flat, so a
+    member is basic iff the line it cuts in that plane supports a boundary
+    ray of the sign-restricted sector.
+    """
+    normals = [arrangement.normals[i] for i in members]
+    signs = [_sign(dot(n, base_point)) for n in normals]
+    if any(s == 0 for s in signs):
+        raise NotAChamber("base point lies on a subarrangement hyperplane")
+    flat_basis = int_kernel_basis(normals, arrangement.dim)
+    basics = set()
+    for idx, h in enumerate(members):
+        # boundary-ray candidates: the line of H_h inside the normal plane
+        cand = int_kernel_basis([normals[idx]] + list(flat_basis), arrangement.dim)
+        for base_vec in cand:
+            for d in (base_vec, tuple(-x for x in base_vec)):
+                if all(s * dot(n, d) >= 0 for n, s in zip(normals, signs)):
+                    basics.add(h)
+    if len(basics) != 2:
+        raise NotSimplicialArrangement(
+            "rank-2 subarrangement does not have exactly two facets",
+            witness=sorted(members))
+    return basics
 
 
 def shard_partition(arrangement, arrfan, base):
@@ -625,7 +663,7 @@ def link_complex(fan, block):
                              witness=[list(rep), list(other)])
     k = len(rep)
     vertices = tuple(c for c in fan._stars[rep] if len(c) == k + 1)
-    proj = {v: fan._projected_cone(rep, v) for v in vertices}
+    proj = {v: fan._project_star_map(rep)[v] for v in vertices}
     simplices = []
     for size in range(1, len(vertices) + 1):
         layer = []
@@ -687,8 +725,8 @@ def poset_of_regions(arrfan, base):
     """Chambers ordered away from the base by separating-set inclusion."""
     fan = arrfan.fan
     base = _chamber_check(fan, base)
-    signs = arrfan.face_signs
-    sep = {c: _separating(signs[c], signs[base]) for c in fan.chambers()}
+    base_signs = arrfan.sign_of(base)
+    sep = {c: _separating(arrfan.sign_of(c), base_signs) for c in fan.chambers()}
     covers = []
     for wall in fan.walls():
         t1, t2 = fan._star_chambers(wall)

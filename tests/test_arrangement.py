@@ -55,8 +55,9 @@ def sign_enumeration_fan(arrangement):
 
     Tests each of the 3^m sign vectors for an exact witness point, takes
     the one-dimensional cells as rays and matches every cell to the rays
-    that conform to it.  Raises NotSimplicialArrangement when a cell's ray
-    count differs from its dimension.
+    that conform to it.  Returns the fan and each cone's sign vector.
+    Raises NotSimplicialArrangement when a cell's ray count differs from
+    its dimension.
     """
     dim, normals = arrangement.dim, arrangement.normals
     cells = {}
@@ -72,19 +73,19 @@ def sign_enumeration_fan(arrangement):
     ray_cells = {signs: primitive_ray(point) for signs, point in cells.items()
                  if cell_dimension(signs) == 1}
     ray_index = {r: i for i, r in enumerate(sorted(ray_cells.values()))}
-    face_signs, face_points, max_cones = {}, {}, []
-    for signs, point in cells.items():
+    face_signs, max_cones = {}, []
+    for signs in cells:
         d = cell_dimension(signs)
         cone = tuple(sorted(ray_index[v] for s, v in ray_cells.items()
                             if all(f in (0, c) for f, c in zip(s, signs))))
         if len(cone) != d:
             raise NotSimplicialArrangement("cell has a non-simplicial ray count")
-        face_signs[cone], face_points[cone] = signs, point
+        face_signs[cone] = signs
         if d == dim:
             max_cones.append(cone)
     fan = build_fan(dim, sorted(ray_index), max_cones)
     assert set(fan.cones) == set(face_signs)
-    return A.ArrangementFan(arrangement, fan, face_signs, face_points)
+    return fan, face_signs
 
 
 def join_irreducible_oracle(poset):
@@ -144,19 +145,17 @@ def test_non_simplicial_arrangement_rejected():
 def test_tope_search_matches_sign_enumeration(dim, normals):
     arrangement = A.Arrangement(dim, normals)
     new = A.arrangement_fan(arrangement, with_signs=True)
-    old = sign_enumeration_fan(arrangement)
-    assert new.fan.to_json() == old.fan.to_json()
-    assert new.fan.cones == old.fan.cones
-    assert new.face_signs == old.face_signs
-    assert new.face_points == old.face_points
+    old_fan, old_signs = sign_enumeration_fan(arrangement)
+    assert new.fan.to_json() == old_fan.to_json()
+    assert new.fan.cones == old_fan.cones
+    assert {c: new.sign_of(c) for c in new.fan.cones} == old_signs
 
 
 def test_tope_search_matches_sign_enumeration_brauer(brauer):
-    old = sign_enumeration_fan(brauer.arrangement)
-    assert brauer.fan.to_json() == old.fan.to_json()
-    assert brauer.fan.cones == old.fan.cones
-    assert brauer.arrfan.face_signs == old.face_signs
-    assert brauer.arrfan.face_points == old.face_points
+    old_fan, old_signs = sign_enumeration_fan(brauer.arrangement)
+    assert brauer.fan.to_json() == old_fan.to_json()
+    assert brauer.fan.cones == old_fan.cones
+    assert {c: brauer.arrfan.sign_of(c) for c in brauer.fan.cones} == old_signs
 
 
 def test_non_simplicial_arrangement_rejected_by_both_searches():
@@ -295,6 +294,72 @@ def test_supports_and_shards_match_the_pairwise_oracles(dim, normals):
             [s.to_json() for s in search_oracles.shards(arrangement, arrfan, base)]
         assert A.shard_partition(arrangement, arrfan, base).blocks == \
             search_oracles.shard_partition(arrangement, arrfan, base).blocks
+
+
+BASICS_CASES = [
+    (3, A3_NORMALS),
+    (3, A.builtin_brauer().normals),
+    (3, b_normals(3)),
+    (4, A4_ESSENTIAL),
+]
+BASICS_IDS = ["A3", "brauer", "B3", "A4"]
+
+
+@pytest.mark.parametrize("dim, normals", BASICS_CASES, ids=BASICS_IDS)
+def test_basics_from_wall_normals_match_the_kernel_oracle(dim, normals):
+    """Every base chamber and every (dim-2)-face of a flat with at least
+    three hyperplanes: the hyperplanes of the face's basic walls are the
+    kernel oracle's basics of that flat."""
+    arrangement = A.Arrangement(dim, normals)
+    fan = A.arrangement_fan(arrangement)
+    faces = {}
+    for f in fan.cones_of_dim(dim - 2):
+        members = sorted(A.support(arrangement, fan, f).indices)
+        if len(members) >= 3:
+            faces[f] = members
+    checks = 0
+    for base in fan.chambers():
+        point = A._ray_sum(fan, base)
+        for f, members in faces.items():
+            walls = A._basic_walls(fan, f, point)
+            assert len(walls) == 2
+            found = {h for w in walls for h in A.support(arrangement, fan, w).indices}
+            assert found == search_oracles._rank2_basics(arrangement, members, point), \
+                (base, f)
+            checks += 1
+    assert checks == len(fan.chambers()) * len(faces) > 0
+
+
+@pytest.mark.parametrize("dim, normals", BASICS_CASES, ids=BASICS_IDS)
+def test_shards_make_no_kernel_call(monkeypatch, dim, normals):
+    """The completeness certificate computes the fan's facet functionals;
+    after it, shards read the basics off them and compute no kernel."""
+    from partfan import rational
+
+    arrangement = A.Arrangement(dim, normals)
+    arrfan = A.arrangement_fan(arrangement, with_signs=True)
+    assert is_finite_complete(arrfan.fan)
+
+    def refuse(*args):
+        raise AssertionError("int_kernel_basis called by shards")
+
+    for module in (A, conelib, rational):
+        monkeypatch.setattr(module, "int_kernel_basis", refuse)
+    for base in arrfan.fan.chambers():
+        A.shards(arrangement, arrfan, base)
+
+
+def test_shards_refuse_a_mismatched_arrangement(brauer):
+    normals = list(brauer.arrangement.normals)
+    normals[6] = (1, -1, 1)
+    other = A.Arrangement(3, normals)
+    for build in (A.shards, A.shard_partition):
+        with pytest.raises(WrongArrangement) as err:
+            build(other, brauer.arrfan, brauer.base)
+        assert err.value.witness == [other.to_json(), brauer.arrangement.to_json()]
+    # the mismatch is refused before the base is looked at
+    with pytest.raises(WrongArrangement):
+        A.shards(other, brauer.arrfan, (0,))
 
 
 def test_support_unknown_face(brauer):

@@ -17,6 +17,7 @@ from partfan.errors import (
     InexactNumber,
     MixedBlock,
     NonSimplicialCone,
+    NotAFace,
     NotComplete,
     UnknownCone,
 )
@@ -185,6 +186,24 @@ def test_projected_cone_memo_matches_fresh_projection(square_fan, hzb_fan,
                     assert fan.projected_cone(sigma, tau) is first
 
 
+def test_projected_cone_checks_its_cones(square_fan):
+    fan = build_fan(2, square_fan.rays, square_fan.max_cones)
+    with pytest.raises(NotAFace) as err:
+        fan.projected_cone((0,), (1,))
+    assert err.value.witness == [[0], [1]]
+    # (1, 2) is a cone of the square, but not in star((0,))
+    with pytest.raises(NotAFace) as err:
+        fan.projected_cone([0], (2, 1))
+    assert err.value.witness == [[0], [1, 2]]
+    with pytest.raises(UnknownCone):
+        fan.projected_cone((0,), (0, 2))
+    with pytest.raises(UnknownCone):
+        fan.projected_cone((0, 2), (0, 1))
+    assert fan.projected_cone((0,), (3, 0)) is fan.projected_cone((0,), (0, 3))
+    assert fan.projected_cone((0,), (3, 0)) is fan.project_star_map((0,))[0, 3]
+    assert set(fan._project_star_cache) == {(0,)}
+
+
 def test_project_star_of_maximal_cone(square_fan):
     assert square_fan.project_star((0, 3)) == frozenset({()})
 
@@ -299,11 +318,12 @@ PROJECTION_FANS = {
 def test_projected_cones_match_the_per_cone_route(name):
     fan = PROJECTION_FANS[name]()
     former = search_oracles.PerConeProjection(fan)
-    for tau in fan.cones:
-        for k in range(len(tau) + 1):
-            for sigma in combinations(tau, k):
-                assert fan._projected_cone(sigma, tau) == \
-                    former._projected_cone(sigma, tau), (sigma, tau)
+    pairs = 0
+    for sigma in fan.cones:
+        for tau, projected in fan._project_star_map(sigma).items():
+            assert projected == former._projected_cone(sigma, tau), (sigma, tau)
+            pairs += 1
+    assert pairs == sum(2 ** len(tau) for tau in fan.cones)
 
 
 def _category_and_cw_documents(name):
@@ -325,12 +345,16 @@ def test_category_and_cw_unchanged_under_the_per_cone_route(monkeypatch, name):
     documents, _ = _category_and_cw_documents(name)
     routes = {}
 
-    def former_projected_cone(fan, base, cone):
+    def former_project_star_map(fan, cone):
         if fan not in routes:
-            routes[fan] = search_oracles.PerConeProjection(fan)
-        return routes[fan]._projected_cone(base, cone)
+            routes[fan] = search_oracles.PerConeProjection(fan), {}
+        former, maps = routes[fan]
+        if cone not in maps:
+            maps[cone] = {tau: former._projected_cone(cone, tau)
+                          for tau in fan._stars[cone]}
+        return maps[cone]
 
-    monkeypatch.setattr(Fan, "_projected_cone", former_projected_cone)
+    monkeypatch.setattr(Fan, "_project_star_map", former_project_star_map)
     former, fan = _category_and_cw_documents(name)
     assert not fan._projected_ray_cache
     assert former == documents

@@ -14,6 +14,7 @@ from partfan.errors import (
     FanMismatch,
     PossibleIdentViolation,
     SeedNotPossible,
+    UnknownCone,
 )
 from partfan.fan import build_fan
 from partfan.partition import (
@@ -206,6 +207,20 @@ def test_partition_json_defaults_singletons(square_fan):
     p = partition_from_json(square_fan, {"blocks": [[[0], [2]]]})
     assert p.same_block((0,), (2,))
     assert not p.same_block((0, 1), (0, 3))
+
+
+def test_partition_checks_its_cone_arguments(torus_partition):
+    p = torus_partition
+    for bad in ((9,), (0, 2), (0.0,), "x"):
+        with pytest.raises(UnknownCone):
+            p.same_block(bad, (0,))
+        with pytest.raises(UnknownCone):
+            p.same_block((0,), bad)
+        with pytest.raises(UnknownCone):
+            p.block(bad)
+    assert p.block((1, 0)) == p.block((0, 1)) == p.block([0, 1])
+    assert p.same_block([1, 0], (0, 1))
+    assert p.same_block((0,), (2,)) and not p.same_block((0,), (1,))
 
 
 def test_fan_mismatch(square_fan, hzb_fan):
