@@ -90,12 +90,19 @@ class Fan:
         """The fan's own key for ``cone``: its ray indices as a sorted tuple.
 
         A float or bool index is refused like any cone not in the fan,
-        although ``0.0 == 0`` and ``True == 1`` would find one.
+        although ``0.0 == 0`` and ``True == 1`` would find one.  So is
+        anything that is not an iterable of hashable, comparable indices,
+        such as ``5``, ``None`` or ``[[0]]``; its witness is the cone as
+        given.
         """
-        cone = tuple(sorted(cone))
-        if cone not in self._stars or any(type(i) is not int for i in cone):
-            raise UnknownCone("cone not in fan", witness=list(cone))
-        return cone
+        try:
+            key = tuple(sorted(cone))
+            known = key in self._stars
+        except TypeError:
+            raise UnknownCone("cone not in fan", witness=cone) from None
+        if not known or any(type(i) is not int for i in key):
+            raise UnknownCone("cone not in fan", witness=list(key))
+        return key
 
     def cones_of_dim(self, d):
         return self._by_dim.get(d, ())

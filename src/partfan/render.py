@@ -11,19 +11,24 @@ import math
 
 from .errors import BadInput, DimensionMismatch
 
+FAN_SIZE = 400  # side of a rank-2 fan's picture, in pixels
+SIZE = 500  # side of a stereographic picture, in pixels
+SAMPLES = 720  # chords per great circle
+WINDOW = 6.0  # the picture shows the square |x|, |y| <= WINDOW of the plane
+
 
 def _svg_header(size):
     return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             'width="%d" height="%d" viewBox="0 0 %d %d">' % (size, size, size, size))
 
 
-def fan_svg(fan, size=400):
+def fan_svg(fan):
     """Rays and chamber labels of a fan in the plane."""
     if fan.dim != 2:
         raise DimensionMismatch("fan_svg draws rank-2 fans", witness=[2, fan.dim])
-    center = size / 2.0
-    scale = size * 0.4
-    parts = [_svg_header(size)]
+    center = FAN_SIZE / 2.0
+    scale = FAN_SIZE * 0.4
+    parts = [_svg_header(FAN_SIZE)]
     parts.append('<circle cx="%g" cy="%g" r="%g" fill="none" stroke="#ccc"/>'
                  % (center, center, scale))
     for i, ray in enumerate(fan.rays):
@@ -47,19 +52,7 @@ def fan_svg(fan, size=400):
     return "\n".join(parts) + "\n"
 
 
-def _stereographic(point, pole, frame):
-    u, v = frame
-    dot_p = sum(a * b for a, b in zip(point, pole))
-    denom = 1.0 - dot_p
-    if abs(denom) < 1e-9:
-        return None
-    proj = [(a - dot_p * b) / denom for a, b in zip(point, pole)]
-    return (sum(a * b for a, b in zip(proj, u)),
-            sum(a * b for a, b in zip(proj, v)))
-
-
-def arrangement_svg(arrangement, projection_point=(1, 1, 1), size=500,
-                    samples=720, window=6.0):
+def arrangement_svg(arrangement, projection_point=(1, 1, 1)):
     """Stereographic projection of the hyperplane great circles.
 
     A rank other than 3, or a projection point with other than three
@@ -82,9 +75,18 @@ def arrangement_svg(arrangement, projection_point=(1, 1, 1), size=500,
     seed = [1.0, 0.0, 0.0] if abs(pole[0]) < 0.9 else [0.0, 1.0, 0.0]
     u = _normalize(_cross(pole, seed))
     v = _normalize(_cross(pole, u))
-    center = size / 2.0
-    scale = size / (2.0 * window)
-    parts = [_svg_header(size)]
+    p0, p1, p2 = pole
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    # one (cos t, sin t) per sample, shared by every great circle.  Each dot
+    # product is the left fold from 0.0 that sum() computes up to Python
+    # 3.11 (3.12 compensates float sums), so the output bytes are those of
+    # the reference renderer in tests/search_oracles.py
+    angles = [2.0 * math.pi * k / SAMPLES for k in range(SAMPLES + 1)]
+    trig = [(math.cos(t), math.sin(t)) for t in angles]
+    center = SIZE / 2.0
+    scale = SIZE / (2.0 * WINDOW)
+    parts = [_svg_header(SIZE)]
     for idx, normal in enumerate(arrangement.normals):
         n = _normalize([float(x) for x in normal])
         # a direction in the normal's plane: across the pole, or off an axis
@@ -94,17 +96,29 @@ def arrangement_svg(arrangement, projection_point=(1, 1, 1), size=500,
             a = _cross(n, [0, 1, 0])
         a = _normalize(a)
         b = _normalize(_cross(n, a))
+        a0, a1, a2 = a
+        b0, b1, b2 = b
         segment = []
-        for k in range(samples + 1):
-            t = 2.0 * math.pi * k / samples
-            point = [math.cos(t) * a[i] + math.sin(t) * b[i] for i in range(3)]
-            image = _stereographic(point, pole, (u, v))
-            if image is None or abs(image[0]) > window or abs(image[1]) > window:
+        for c, s in trig:
+            x0 = c * a0 + s * b0
+            x1 = c * a1 + s * b1
+            x2 = c * a2 + s * b2
+            dot_p = 0.0 + x0 * p0 + x1 * p1 + x2 * p2
+            denom = 1.0 - dot_p
+            if abs(denom) < 1e-9:
+                x = y = math.inf  # the pole has no image: it breaks the segment
+            else:
+                q0 = (x0 - dot_p * p0) / denom
+                q1 = (x1 - dot_p * p1) / denom
+                q2 = (x2 - dot_p * p2) / denom
+                x = 0.0 + q0 * u0 + q1 * u1 + q2 * u2
+                y = 0.0 + q0 * v0 + q1 * v1 + q2 * v2
+            if abs(x) > WINDOW or abs(y) > WINDOW:
                 if len(segment) > 1:
                     parts.append(_polyline(segment, center, scale))
                 segment = []
-                continue
-            segment.append(image)
+            else:
+                segment.append((x, y))
         if len(segment) > 1:
             parts.append(_polyline(segment, center, scale))
         label = ",".join(str(x) for x in normal)

@@ -51,6 +51,10 @@ apart from imports:
 - ``_rank2_basics``: the basic hyperplanes of a rank-2 flat from the
   kernels of its normals, where ``arrangement.shards`` now reads them off
   the wall normals of one chamber of a face's star.
+- ``arrangement_svg`` and ``_stereographic``: each sample's cos and sin
+  computed per great circle, and its image through generator ``sum()``
+  passes over coordinate lists, where ``render.arrangement_svg`` now shares
+  one angle table across the circles and works on scalars.
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -59,6 +63,7 @@ face points or sign vectors, and ``link_complex`` reads its projected
 cones off ``Fan._project_star_map``, the fan's one projected-cone memo.
 """
 
+import math
 from itertools import combinations
 
 from partfan import cones as conelib
@@ -77,6 +82,8 @@ from partfan.category import (
     _factorizations,
 )
 from partfan.errors import (
+    BadInput,
+    DimensionMismatch,
     EnumerationLimitExceeded,
     MixedBlock,
     NotAChamber,
@@ -108,6 +115,7 @@ from partfan.rational import (
     matrix_rank,
     primitive_ray,
 )
+from partfan.render import _cross, _dotf, _normalize, _polyline, _svg_header
 
 
 def enumerate_admissible(fan, limit=16):
@@ -739,3 +747,70 @@ def poset_of_regions(arrfan, base):
             raise NotAChamber("separating sets of adjacent chambers not nested",
                               witness=list(wall))
     return FanPoset(fan, covers)
+
+
+def _stereographic(point, pole, frame):
+    u, v = frame
+    dot_p = sum(a * b for a, b in zip(point, pole))
+    denom = 1.0 - dot_p
+    if abs(denom) < 1e-9:
+        return None
+    proj = [(a - dot_p * b) / denom for a, b in zip(point, pole)]
+    return (sum(a * b for a, b in zip(proj, u)),
+            sum(a * b for a, b in zip(proj, v)))
+
+
+def arrangement_svg(arrangement, projection_point=(1, 1, 1), size=500,
+                    samples=720, window=6.0):
+    """Stereographic projection of the hyperplane great circles.
+
+    A rank other than 3, or a projection point with other than three
+    coordinates, raises DimensionMismatch with witness [3, that number]; the
+    zero point raises BadInput.
+    """
+    if arrangement.dim != 3:
+        raise DimensionMismatch("stereographic rendering needs a rank-3 arrangement",
+                                witness=[3, arrangement.dim])
+    if len(projection_point) != 3:
+        raise DimensionMismatch("the projection point needs three coordinates",
+                                witness=[3, len(projection_point)])
+    if not any(projection_point):
+        raise BadInput("the projection point must be nonzero",
+                       witness=list(projection_point))
+    pole = [float(x) for x in projection_point]
+    norm = math.sqrt(sum(x * x for x in pole))
+    pole = [x / norm for x in pole]
+    # orthonormal frame of the plane orthogonal to the pole
+    seed = [1.0, 0.0, 0.0] if abs(pole[0]) < 0.9 else [0.0, 1.0, 0.0]
+    u = _normalize(_cross(pole, seed))
+    v = _normalize(_cross(pole, u))
+    center = size / 2.0
+    scale = size / (2.0 * window)
+    parts = [_svg_header(size)]
+    for idx, normal in enumerate(arrangement.normals):
+        n = _normalize([float(x) for x in normal])
+        # a direction in the normal's plane: across the pole, or off an axis
+        # the normal does not lie on when the pole is (nearly) the normal
+        a = _cross(n, pole if abs(_dotf(n, pole)) < 0.99 else [1, 0, 0])
+        if not any(a):
+            a = _cross(n, [0, 1, 0])
+        a = _normalize(a)
+        b = _normalize(_cross(n, a))
+        segment = []
+        for k in range(samples + 1):
+            t = 2.0 * math.pi * k / samples
+            point = [math.cos(t) * a[i] + math.sin(t) * b[i] for i in range(3)]
+            image = _stereographic(point, pole, (u, v))
+            if image is None or abs(image[0]) > window or abs(image[1]) > window:
+                if len(segment) > 1:
+                    parts.append(_polyline(segment, center, scale))
+                segment = []
+                continue
+            segment.append(image)
+        if len(segment) > 1:
+            parts.append(_polyline(segment, center, scale))
+        label = ",".join(str(x) for x in normal)
+        parts.append('<text x="8" y="%d" font-size="11">H%d: (%s)</text>'
+                     % (16 + 14 * idx, idx, label))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

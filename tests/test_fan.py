@@ -95,6 +95,14 @@ def test_check_cone_refuses_an_index_that_is_not_an_int(square_fan, cone):
         square_fan.check_cone(cone)
 
 
+@pytest.mark.parametrize("cone", [5, None, [[0]]])
+def test_check_cone_refuses_what_is_no_iterable_of_indices(square_fan, cone):
+    # these ended in a bare TypeError: not iterable, or an unhashable index
+    with pytest.raises(UnknownCone) as err:
+        square_fan.check_cone(cone)
+    assert err.value.witness == cone
+
+
 def test_build_fan_renormalizes_rays():
     fan = build_fan(2, [(2, 0), (0, 3)], [(0, 1)])
     assert fan.rays == ((1, 0), (0, 1))
