@@ -79,6 +79,7 @@ class Fan:
         self._facet_cache = {}
         self._ident = None
         self._span_keys = {}
+        self._symbol_bodies = {}  # groups.cone_symbol_body, per cone
         self._scaled_projection_cache = {}
         self._projected_ray_cache = {}
         self._project_star_cache = {}

@@ -130,8 +130,15 @@ def presentation_from_json(data):
 # generator naming
 
 def cone_symbol_body(fan, cone):
-    rays = sorted(fan.ray_vectors(cone))
-    return ";".join(",".join(str(x) for x in r) for r in rays)
+    """The cone's sorted ray vectors as text, computed once per cone of the fan.
+
+    partfan calls it with cones it took from the fan's own tables.
+    """
+    bodies = fan._symbol_bodies
+    if cone not in bodies:
+        bodies[cone] = ";".join(",".join(str(x) for x in r)
+                                for r in sorted(fan.ray_vectors(cone)))
+    return bodies[cone]
 
 
 def wall_generator(fan, partition, wall):
@@ -274,13 +281,17 @@ def _minima_chain_word(fan, partition, poset, sigma, kappa):
 def words_equal(word_a, word_b, relators):
     """Bounded search for equality of two words modulo the relators.
 
-    Breadth-first rewriting: free reduction plus replacing a subword s by
-    t^-1 whenever s t is a cyclic rotation of a relator or its inverse.
+    Two routes, in this order.  Literal: equal words are equal, and True
+    is returned before any rewrite rule is built.  Rewriting: a
+    breadth-first search over free reduction plus replacing a subword s
+    by t^-1 whenever s t is a cyclic rotation of a relator or its inverse.
     Words stay within the target's length plus the longest relator's plus
     2, and at most 20 000 words are expanded.  Returns True when a rewrite
     path to the empty word is found; False means no proof was found within
     these bounds, not a disproof.
     """
+    if word_a == word_b:
+        return True
     target = word_concat(word_a, word_inverse(word_b))
     if not target:
         return True
@@ -379,7 +390,12 @@ def quotient_presentation(base, fan, fine, coarse):
 # abelianization / integer lattice tools
 
 def smith_normal_form(matrix):
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
+    return [abs(p) for _, p in _smith_reduce(matrix)[0]]
+
+
+def _smith_reduce(matrix):
+    """The Smith reduction of an integer matrix, with its column operations.
 
     Repeated rows are dropped first; they add nothing to the lattice.  Each
     step pivots on an entry p of least absolute value and reduces its row
@@ -389,9 +405,18 @@ def smith_normal_form(matrix):
     Otherwise |p| is the next factor and p's row drops out, leaving p's
     column zero.  Every entry left is then a multiple of p, so the factors
     come out in divisibility order.
+
+    Returns (pivots, column operations): each pivot as (column, p) in the
+    order the factors come out, and each column operation as (k, j, q),
+    column k minus q times column j, in the order applied.  Row operations
+    keep the row lattice L; the column operations compose to a unimodular
+    V with L V spanned by the pivot rows, each p times the unit vector of
+    its column.  Later operations leave a finished pivot row unchanged,
+    as its other entries are zero.
     """
     m = [list(row) for row in dict.fromkeys(map(tuple, matrix)) if any(row)]
-    factors = []
+    pivots = []
+    column_ops = []
     while m:
         _, i, j = min((abs(a), i, j) for i, row in enumerate(m)
                       for j, a in enumerate(row) if a)
@@ -404,6 +429,7 @@ def smith_normal_form(matrix):
         for k, a in enumerate(pivot_row):
             if k != j and a:
                 q = a // p
+                column_ops.append((k, j, q))
                 for row in m:
                     row[k] -= q * row[j]
         if any(pivot_row[:j] + pivot_row[j + 1:]) or \
@@ -413,9 +439,9 @@ def smith_normal_form(matrix):
         if bad is not None:
             pivot_row[:] = [a + b for a, b in zip(pivot_row, bad)]
             continue
-        factors.append(abs(p))
+        pivots.append((j, p))
         m = [row for row in m if row is not pivot_row and any(row)]
-    return factors
+    return pivots, column_ops
 
 
 def abelianization(presentation):
@@ -428,14 +454,25 @@ def abelianization(presentation):
 def row_lattice_member(matrix):
     """The test whether an integer vector lies in the row lattice L of the matrix.
 
-    Z^n/L maps onto Z^n/(L + Zv), and finitely generated abelian groups
-    are Hopfian, so v lies in L exactly when the two quotients are
-    isomorphic: when L and L + Zv have the same invariant factors.  L's
-    factors are computed once, here; each test computes those of L + Zv.
+    L is reduced once, here, by ``_smith_reduce``; with V its column
+    operations, v lies in L exactly when v V lies in L V, the lattice of
+    the pivot rows: when each pivot's entry of v V is a multiple of p and
+    every other entry is zero.  Each test applies the column operations
+    to v in one pass.
     """
-    rows = list(matrix)
-    factors = smith_normal_form(rows)
-    return lambda vector: smith_normal_form(rows + [vector]) == factors
+    pivots, column_ops = _smith_reduce(matrix)
+
+    def member(vector):
+        v = list(vector)
+        for k, j, q in column_ops:
+            v[k] -= q * v[j]
+        for j, p in pivots:
+            if v[j] % p:
+                return False
+            v[j] = 0
+        return not any(v)
+
+    return member
 
 
 # ---------------------------------------------------------------------------

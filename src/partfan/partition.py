@@ -279,53 +279,85 @@ def enumerate_admissible(fan, limit=16):
     search fixes one class at a time, in the classes' order, taking its
     set partitions in ``_set_partitions`` order, so leaves come in product
     order.  A candidate is admissible iff, for each pair s1 ~ s2 it
-    identifies, it identifies every pair (t1, t2), t1 != t2, that
+    identifies, it identifies every pair (t1, t2) that
     ``_star_matching(fan, s1, s2)`` forces: the pairs ``is_admissible``
-    checks, less those that hold trivially.  The forced pairs of each pair
-    in a class are computed once.  A forced pair is decided at the first
-    class by which the blocks of t1, t2 and of s1, s2 are all fixed.  On a
-    simplicial fan that is the class of t1, a later one: the matching
-    sends s1 to s2, so t1 strictly contains s1 and has more rays, and the
-    classes are sorted by ray count.  A choice that splits a pair decided
-    at its class is skipped with all its completions, and a Partition is
-    built only at a leaf.  So the result is the list, in the same order,
-    that filtering the whole product by ``is_admissible`` gives.  Guarded
-    by a cone-count limit because partition counts explode.
+    checks.  Each class is read once as positions 0..n-1 of its members:
+    each set partition becomes position blocks and a label vector (the
+    block of each position), and each pair of positions the forced pairs
+    of its two members, as (class, position, position).  Three facts keep
+    the result the list, in the same order, that filtering the whole
+    product by ``is_admissible`` gives:
+
+    - The matching sends s1 to s2, and that pair holds inside its own
+      block, so it is dropped.  Every other t1 strictly contains s1, so on
+      a simplicial fan it has more rays and lies in a later class, as the
+      classes are sorted by ray count.
+    - A forced pair whose cones lie in different E-classes is never
+      identified, so a set partition that forces one is pruned at its own
+      class, with all its completions.
+    - A forced pair is decided at its class, the first by which the
+      blocks of t1 and t2 are fixed.  The pairs due at class k are tested
+      against the label vector of its set partition before anything is
+      propagated, and the last class propagates nothing.
+
+    A Partition is built only at a leaf.  Guarded by a cone-count limit
+    because partition counts explode.
     """
     if len(fan.cones) > limit:
         raise EnumerationLimitExceeded(
             "fan exceeds the enumeration guard", witness=len(fan.cones))
     classes = potential_identifications(fan).classes
-    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
-    forced = {(s1, s2): [(t1, t2) for t1, t2 in _star_matching(fan, s1, s2).items()
-                         if t1 != t2]
-              for cls in classes for s1, s2 in combinations(cls, 2)}
-    choices = []  # per class: (blocks, forced pairs) of each set partition
-    for cls in classes:
-        choices.append([
-            ([tuple(b) for b in part],
-             [pair for b in part for s in combinations(b, 2) for pair in forced[s]])
-            for part in _set_partitions(list(cls))])
-    label = {}  # cone -> (class, block) under the choices of the current path
+    place = {c: (k, i) for k, cls in enumerate(classes) for i, c in enumerate(cls)}
+    choices = [_class_choices(fan, k, cls, place) for k, cls in enumerate(classes)]
+    last = len(classes) - 1
+    due = [[] for _ in classes]  # due[j]: position pairs forced so far at class j
     out = []
 
-    def search(k, blocks, due):
-        # due[j]: the pairs forced so far that are decided at class j
-        if k == len(classes):
-            out.append(Partition(fan, blocks))
-            return
-        for part, pairs in choices[k]:
-            for i, block in enumerate(part):
-                for cone in block:
-                    label[cone] = (k, i)
-            later = list(due)
-            for t1, t2 in pairs:
-                j = max(k, class_of[t1], class_of[t2])
-                later[j] = later[j] + ((t1, t2),)
-            if all(label[t1] == label[t2] for t1, t2 in later[k]):
-                search(k + 1, blocks + part, later)
+    def search(k, blocks):
+        for part, label, pairs in choices[k]:
+            if any(label[p] != label[q] for p, q in due[k]):
+                continue
+            if k == last:
+                out.append(Partition(fan, blocks + part))
+                continue
+            for j, p, q in pairs:
+                due[j].append((p, q))
+            search(k + 1, blocks + part)
+            for j, _, _ in pairs:
+                due[j].pop()
 
-    search(0, [], [()] * len(classes))
+    search(0, [])
+    return out
+
+
+def _class_choices(fan, k, cls, place):
+    """(blocks, label vector, forced pairs) of each set partition of class k
+    that forces no pair across two E-classes, in ``_set_partitions`` order.
+
+    Forced pairs are (class, position, position) and lie in later classes.
+    """
+    forced = {}
+    for p, q in combinations(range(len(cls)), 2):
+        pairs = []
+        for t1, t2 in _star_matching(fan, cls[p], cls[q]).items():
+            (j, a), (j2, b) = place[t1], place[t2]
+            if j != j2:
+                pairs = None
+                break
+            if j != k:
+                pairs.append((j, a, b))
+        forced[p, q] = pairs
+    out = []
+    for part in _set_partitions(list(range(len(cls)))):
+        pairs = [forced[pq] for block in part for pq in combinations(block, 2)]
+        if None in pairs:
+            continue
+        label = [0] * len(cls)
+        for i, block in enumerate(part):
+            for p in block:
+                label[p] = i
+        out.append(([tuple(cls[p] for p in block) for block in part], label,
+                    [pair for f in pairs for pair in f]))
     return out
 
 

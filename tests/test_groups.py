@@ -37,6 +37,34 @@ def test_word_inverse():
     assert G.word_concat(w, G.word_inverse(w)) == ()
 
 
+def test_equal_words_are_equal_before_any_rewrite_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("target or rewrite rules built for equal words")
+
+    monkeypatch.setattr(G, "_rewrite_rules", refuse)
+    monkeypatch.setattr(G, "word_concat", refuse)
+    w = (("a", 1), ("b", -1), ("a", 1))
+    assert G.words_equal(w, w, [(("a", 1), ("b", 1))])
+    assert G.words_equal((), (), [])
+    with pytest.raises(AssertionError):
+        G.words_equal(w, (), [(("a", 1), ("b", 1))])
+
+
+def test_generator_names_are_kept_per_fan():
+    """The square and the Hirzebruch fan have the same cone tuples and
+    different rays; each fan names its cones by its own rays."""
+    from partfan import catalog
+
+    square, hirzebruch = catalog.square(), catalog.hirzebruch(1)
+    assert square.cones == hirzebruch.cones
+    for fan in (square, hirzebruch, square):
+        for cone in fan.cones[1:]:
+            assert G.cone_symbol_body(fan, cone) == ";".join(
+                ",".join(map(str, r)) for r in sorted(fan.ray_vectors(cone)))
+    assert G.chamber_generator(square, TAU3) == "g[-1,0;0,-1]"
+    assert G.chamber_generator(hirzebruch, TAU3) == "g[-1,1;0,-1]"
+
+
 # ---------------------------------------------------------------------------
 # picture groups
 

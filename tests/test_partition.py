@@ -164,6 +164,66 @@ def test_pruned_enumeration_matches_product_filter_on_catalog():
         assert all(p.fan is fan for p in pruned)
 
 
+@pytest.mark.parametrize("fan", [catalog.square(), catalog.three_lines(), catalog.hirzebruch(2)],
+                         ids=["square", "three-lines", "hirzebruch2"])
+def test_pruned_enumeration_matches_product_filter_without_a_chamber(fan):
+    """Non-complete fans: their boundary rays form classes of their own."""
+    for dropped in range(len(fan.max_cones)):
+        cut = build_fan(2, fan.rays, fan.max_cones[:dropped] + fan.max_cones[dropped + 1:])
+        assert [p.blocks for p in enumerate_admissible(cut)] == \
+            [p.blocks for p in search_oracles.enumerate_admissible(cut)]
+
+
+THREE_D_FANS = {
+    # name: (rays, maximal cones, cone count)
+    "one chamber": ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)], 8),
+    "two chambers on a wall": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)],
+                               [(0, 1, 2), (0, 1, 3)], 12),
+    "two opposite chambers": ([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                               (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+                              [(0, 1, 2), (3, 4, 5)], 15),
+    # the walls off the axis lie in one plane, so walls and chambers form
+    # classes of 3, and identifying two walls forces a pair of chambers
+    "three chambers around a ray": ([(0, 0, 1), (1, 0, 0), (0, 1, 0), (-1, -1, 0)],
+                                    [(0, 1, 2), (0, 2, 3), (0, 1, 3)], 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREE_D_FANS))
+def test_pruned_enumeration_matches_product_filter_in_three_dimensions(name):
+    rays, max_cones, count = THREE_D_FANS[name]
+    fan = build_fan(3, rays, max_cones)
+    assert len(fan.cones) == count
+    assert [p.blocks for p in enumerate_admissible(fan)] == \
+        [p.blocks for p in search_oracles.enumerate_admissible(fan)]
+
+
+def test_pruned_enumeration_matches_product_filter_across_classes():
+    """An overlapping fan: two cones of star(-e3) project to the ray e1,
+    so matching e3 with -e3 sends the wall (e3, e1) to the wall (-e3, b),
+    which lies in another E-class.  No admissible partition joins e3 and
+    -e3."""
+    rays = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0), (1, 0, 1), (1, 0, -1)]
+    fan = build_fan(3, rays, [(0, 2, 3), (1, 3, 4), (1, 5)])
+    assert len(fan.cones) == 16
+    assert _star_matching(fan, (0,), (1,))[(0, 2)] == (1, 5)
+    classes = potential_identifications(fan).partition
+    assert classes.block_of[(0, 2)] != classes.block_of[(1, 5)]
+    enumerated = enumerate_admissible(fan)
+    assert [p.blocks for p in enumerated] == \
+        [p.blocks for p in search_oracles.enumerate_admissible(fan)]
+    assert all(p.block_of[(0,)] != p.block_of[(1,)] for p in enumerated)
+
+
+def test_three_chambers_around_a_ray_forces_chamber_pairs():
+    rays, max_cones, _ = THREE_D_FANS["three chambers around a ray"]
+    fan = build_fan(3, rays, max_cones)
+    classes = potential_identifications(fan).classes
+    assert [c for c in classes if len(c) > 1] == [((1, 2), (1, 3), (2, 3)),
+                                                  ((0, 1, 2), (0, 1, 3), (0, 2, 3))]
+    assert _star_matching(fan, (1, 2), (1, 3)) == {(1, 2): (1, 3), (0, 1, 2): (0, 1, 3)}
+
+
 @settings(max_examples=25, deadline=None)
 @given(complete_planar_fans(max_rays=7))
 def test_pruned_enumeration_matches_product_filter_on_planar_fans(fan):
