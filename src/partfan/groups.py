@@ -163,7 +163,7 @@ def chain_word(fan, partition, labels):
     return tuple((wall_generator(fan, partition, wall), 1) for wall in labels)
 
 
-def picture_group(fan, partition, poset, mode="full", chain_cap=10 ** 6):
+def picture_group(fan, partition, poset, mode="full"):
     """Presentation of G(fan, partition, poset).
 
     mode="full" emits chain relators for the facial interval of every cone;
@@ -171,17 +171,17 @@ def picture_group(fan, partition, poset, mode="full", chain_cap=10 ** 6):
     poset is a polygonal lattice (the caller asserts polygonality).
     Type-2 relators (identified-morphism words) are emitted only when the
     poset is degenerate.  The presentation is computed once per (fan,
-    partition, mode, chain_cap) and kept on the poset.
+    partition, mode) and kept on the poset.
     """
     if mode not in ("full", "codim2"):
         raise PosetInvalid("unknown picture-group mode", witness=mode)
-    key = (fan, partition, mode, chain_cap)
+    key = (fan, partition, mode)
     if key not in poset._pictures:
-        poset._pictures[key] = _picture_group(fan, partition, poset, mode, chain_cap)
+        poset._pictures[key] = _picture_group(fan, partition, poset, mode)
     return poset._pictures[key]
 
 
-def _picture_group(fan, partition, poset, mode, chain_cap):
+def _picture_group(fan, partition, poset, mode):
     for cone in fan.cones:
         try:
             _facial_interval(poset, cone)
@@ -196,7 +196,7 @@ def _picture_group(fan, partition, poset, mode, chain_cap):
         cones = fan.cones_of_dim(fan.dim - 2)
     for cone in cones:
         fi = _facial_interval(poset, cone)
-        chains = poset.maximal_chains(fi.lower, fi.upper, cap=chain_cap)
+        chains = poset.maximal_chains(fi.lower, fi.upper)
         if len(chains) <= 1:
             continue
         reference = chain_word(fan, partition, chains[0])

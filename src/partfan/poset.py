@@ -3,8 +3,9 @@
 Covers always connect wall-adjacent chambers and carry the shared
 codimension-1 cone as a label.  Three constructions are provided: from a
 generic linear functional (orient each wall so the functional increases),
-the rank-2 angle-bisector order used for fans in the plane, and user
-supplied cover lists.  Facial intervals, the fan-poset axioms and
+the rank-2 angle-bisector order used for fans in the plane (the same wall
+loop, with the functional minus the base's bisector), and user supplied
+cover lists.  Facial intervals, the fan-poset axioms and
 non-degeneracy with respect to a partition are checked exactly.
 """
 
@@ -12,6 +13,7 @@ from itertools import combinations
 
 from . import cones as conelib
 from .errors import (
+    ChainLimitExceeded,
     DegenerateFunctional,
     NotAnInterval,
     NotComplete,
@@ -21,6 +23,9 @@ from .errors import (
 from .fan import is_finite_complete
 from .partition import _check_possible, _projects_injectively, _star_matching
 from .rational import dot, sqrt_combination_sign, vec
+
+# ``FanPoset.maximal_chains`` raises ChainLimitExceeded past this many chains
+CHAIN_CAP = 10 ** 6
 
 
 class FanPoset:
@@ -40,6 +45,9 @@ class FanPoset:
         self._index = {c: i for i, c in enumerate(self.elements)}
         covers = tuple(sorted(covers))
         for lower, upper, wall in covers:
+            if lower not in self._index or upper not in self._index:
+                raise PosetInvalid("cover does not join two chambers",
+                                   witness=[list(lower), list(upper)])
             shared = tuple(sorted(set(lower) & set(upper)))
             if shared != wall or len(wall) != fan.dim - 1 or wall not in fan:
                 raise PosetInvalid("cover does not cross a shared wall",
@@ -143,21 +151,20 @@ class FanPoset:
             self._facial[cone] = (members, lo, hi)
         return self._facial[cone]
 
-    def maximal_chains(self, a, b, cap=10 ** 6):
+    def maximal_chains(self, a, b):
         """All maximal chains from a to b, each as a tuple of wall labels.
 
         Listed depth-first, taking the covers above each chamber in sorted
-        order.
+        order.  Raises ChainLimitExceeded past ``CHAIN_CAP`` chains.
         """
-        from .errors import ChainLimitExceeded
-
         chains = []
 
         def walk(node, labels):
             if node == b:
                 chains.append(tuple(labels))
-                if len(chains) > cap:
-                    raise ChainLimitExceeded("too many maximal chains", witness=cap)
+                if len(chains) > CHAIN_CAP:
+                    raise ChainLimitExceeded("too many maximal chains",
+                                             witness=CHAIN_CAP)
                 return
             for upper, wall in self._up[node]:
                 if self.leq(upper, b):
@@ -226,53 +233,72 @@ def poset_from_json(fan, data):
     return FanPoset(fan, covers)
 
 
+def _orient_walls(fan, sign):
+    """One cover per wall of ``fan`` on which ``sign`` is not 0, and the rest.
+
+    For each wall with chambers (t1, t2), in ``fan.walls()`` order, let nu
+    be its normal into t2 (``Fan._wall_normal``).  The cover goes upward
+    toward t2 when sign(nu) > 0 and toward t1 when sign(nu) < 0.  A wall
+    with sign(nu) == 0 gets no cover: it is returned as (wall, t1, t2, nu)
+    in the list of ties, for the caller to orient or refuse.
+    """
+    covers, ties = [], []
+    for wall in fan.walls():
+        t1, t2 = fan._star_chambers(wall)
+        nu = fan._wall_normal(wall, t2)
+        s = sign(nu)
+        if s > 0:
+            covers.append((t1, t2, wall))
+        elif s < 0:
+            covers.append((t2, t1, wall))
+        else:
+            ties.append((wall, t1, t2, nu))
+    return covers, ties
+
+
 def poset_from_linear_functional(fan, b):
     """Order the chambers so the functional b increases across every wall.
 
     Each wall with adjacent chambers (t1, t2) contributes the cover
-    t1 < t2 for which the normal pointing from t1 to t2 (the fan's
-    ``_wall_normal`` into t2) has b(nu) > 0.
-    Requires completeness and genericity of b.
+    t1 < t2 for which the normal nu pointing from t1 to t2 has
+    b(nu) > 0 (``_orient_walls`` with the sign of b . nu).  Requires
+    completeness and genericity of b: DegenerateFunctional names the first
+    wall, in ``fan.walls()`` order, on which b(nu) == 0.
     """
     if not is_finite_complete(fan):
         raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
     b = vec(b)
-    covers = []
-    for wall in fan.walls():
-        t1, t2 = fan._star_chambers(wall)
-        val = dot(b, fan._wall_normal(wall, t2))
-        if val == 0:
-            raise DegenerateFunctional("functional vanishes on a wall normal",
-                                       witness=list(wall))
-        if val > 0:
-            covers.append((t1, t2, wall))
-        else:
-            covers.append((t2, t1, wall))
+    covers, ties = _orient_walls(fan, lambda nu: dot(b, nu))
+    if ties:
+        raise DegenerateFunctional("functional vanishes on a wall normal",
+                                   witness=list(ties[0][0]))
     return FanPoset(fan, covers)
-
-
-def _det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _ccw_rays(fan, chamber):
-    a, b = fan.ray_vectors(chamber)
-    return (a, b) if _det2(a, b) > 0 else (b, a)
 
 
 def rank2_bisector_poset(fan, base):
     """The two-chain poset on a complete fan in the plane.
 
     The base chamber is the minimum; the maximum is the chamber containing
-    the opposite of the base's angle bisector (if that direction lies on a
-    ray, the chamber counterclockwise from the ray is chosen).  The two
-    boundary paths around the circle are the covering chains.  Raises
-    PosetInvalid when the maximum shares a wall with the base, since the
-    result would break the facial-interval axiom.
+    the opposite of the base's angle bisector d, and the two boundary
+    paths around the circle from the base to it are the covering chains.
+    Raises PosetInvalid, with the witness [base, maximum], when the
+    maximum shares a wall with the base, since the result would break the
+    facial-interval axiom.
 
-    Signs of the bisector tests are decided exactly: with base rays u, w
-    the bisector is u*|w| + w*|u| up to scale, and every comparison reduces
-    to the sign of an integer combination x*sqrt(p) + y*sqrt(q).
+    This is the functional poset of -d.  With base rays u, w, p = w . w
+    and q = u . u, the bisector is d = u*sqrt(p) + w*sqrt(q) up to scale,
+    and each wall is oriented by the exact sign of
+    -d . nu = -(nu . u)*sqrt(p) - (nu . w)*sqrt(q).  Why that gives the
+    two chains: take a ray at angle theta and let nu be its normal that
+    points counterclockwise.  Then -d . nu = |d||nu| sin(theta - theta_d),
+    which is positive exactly on the open counterclockwise arc from d to
+    -d.  So walls are climbed counterclockwise on that arc and clockwise
+    on the other: these are the two chains from the base, which contains
+    d, to the chamber of -d, whose two walls both point into it.
+
+    At most one wall has sign 0: the ray through -d, which is then shared
+    by two chambers.  Its cover goes into the chamber counterclockwise of
+    the ray, unless only that chamber is wall-adjacent to the base.
     """
     if fan.dim != 2:
         raise NotRank2("bisector posets are defined for fans in the plane")
@@ -281,70 +307,31 @@ def rank2_bisector_poset(fan, base):
     base = fan.check_cone(base)
     if len(base) != 2:
         raise NotRank2("base must be a maximal cone", witness=list(base))
-    u, w = _ccw_rays(fan, base)
-    p = int(dot(w, w))   # -d = -(u*sqrt(p) + w*sqrt(q))
+    u, w = fan.ray_vectors(base)
+    p = int(dot(w, w))
     q = int(dot(u, u))
-
-    def det_with_minus_d(a):
-        # sign of det(a, -d) = -(det(a,u) sqrt(p) + det(a,w) sqrt(q))
-        return sqrt_combination_sign(-_det2(a, u), p, -_det2(a, w), q)
-
-    containing = []
-    for chamber in fan.chambers():
-        a, b = _ccw_rays(fan, chamber)
-        s1 = det_with_minus_d(a)          # want det(a, -d) >= 0
-        s2 = -det_with_minus_d(b)         # want det(-d, b) >= 0
-        if s1 >= 0 and s2 >= 0:
-            containing.append((chamber, a, b, s1, s2))
+    covers, ties = _orient_walls(
+        fan, lambda nu: sqrt_combination_sign(-dot(nu, u), p, -dot(nu, w), q))
 
     # A maximum wall-adjacent to the minimum collapses the facial interval
     # of their shared wall to the whole poset, breaking the axiom.
     def wall_adjacent(c):
         return c != base and len(set(c) & set(base)) == fan.dim - 1
 
-    if len(containing) == 1:
-        tau_d = containing[0][0]
-    else:
-        # -d lies on a shared ray.  Prefer the chamber counterclockwise of
-        # it (s1 == 0), unless only that one is wall-adjacent to the base.
-        ccw_choice = next(c for c, _, _, s1, _ in containing if s1 == 0)
-        cw_choice = next(c for c, _, _, _, s2 in containing if s2 == 0)
-        if wall_adjacent(ccw_choice) and not wall_adjacent(cw_choice):
-            tau_d = cw_choice
-        else:
-            tau_d = ccw_choice
-    if wall_adjacent(tau_d):
+    for wall, t1, t2, nu in ties:
+        # nu points into t2, so t2 is counterclockwise of the ray iff
+        # det(ray, nu) > 0
+        ray = fan.rays[wall[0]]
+        lower, upper = (t1, t2) if ray[0] * nu[1] - ray[1] * nu[0] > 0 else (t2, t1)
+        if wall_adjacent(upper) and not wall_adjacent(lower):
+            lower, upper = upper, lower
+        covers.append((lower, upper, wall))
+    poset = FanPoset(fan, covers)
+    top = poset.maximum()
+    if wall_adjacent(top):
         raise PosetInvalid("the maximum is wall-adjacent to the base",
-                           witness=[list(base), list(tau_d)])
-
-    order = _angular_chamber_order(fan, base)
-    j = order.index(tau_d)
-    covers = []
-    for i in range(j):
-        lo, up = order[i], order[i + 1]
-        covers.append((lo, up, tuple(sorted(set(lo) & set(up)))))
-    prev = base
-    for i in range(len(order) - 1, j, -1):
-        nxt = order[i]
-        covers.append((prev, nxt, tuple(sorted(set(prev) & set(nxt)))))
-        prev = nxt
-    if prev != tau_d:
-        covers.append((prev, tau_d, tuple(sorted(set(prev) & set(tau_d)))))
-    return FanPoset(fan, covers)
-
-
-def _angular_chamber_order(fan, start):
-    """Chambers in counterclockwise order starting at ``start``."""
-    chambers = list(fan.chambers())
-    order = [start]
-    current = start
-    while len(order) < len(chambers):
-        a, b = _ccw_rays(fan, current)
-        nxt = next(c for c in chambers
-                   if c != current and b in fan.ray_vectors(c))
-        order.append(nxt)
-        current = nxt
-    return order
+                           witness=[list(base), list(top)])
+    return poset
 
 
 class PosetReport:

@@ -55,6 +55,11 @@ apart from imports:
   computed per great circle, and its image through generator ``sum()``
   passes over coordinate lists, where ``render.arrangement_svg`` now shares
   one angle table across the circles and works on scalars.
+- ``rank2_bisector_poset``, ``_angular_chamber_order``, ``_ccw_rays`` and
+  ``_det2``: the maximum found by two exact sign tests per chamber and
+  the two chains laid down by a counterclockwise walk with a search for
+  each next chamber, where ``poset.rank2_bisector_poset`` now orients
+  each wall by the sign of minus the bisector on its normal.
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -88,6 +93,7 @@ from partfan.errors import (
     MixedBlock,
     NotAChamber,
     NotComplete,
+    NotRank2,
     NotSimplicialArrangement,
     PosetInvalid,
     RankZero,
@@ -114,6 +120,7 @@ from partfan.rational import (
     mat_vec,
     matrix_rank,
     primitive_ray,
+    sqrt_combination_sign,
 )
 from partfan.render import _cross, _dotf, _normalize, _polyline, _svg_header
 
@@ -747,6 +754,102 @@ def poset_of_regions(arrfan, base):
             raise NotAChamber("separating sets of adjacent chambers not nested",
                               witness=list(wall))
     return FanPoset(fan, covers)
+
+
+def _det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _ccw_rays(fan, chamber):
+    a, b = fan.ray_vectors(chamber)
+    return (a, b) if _det2(a, b) > 0 else (b, a)
+
+
+def rank2_bisector_poset(fan, base):
+    """The two-chain poset on a complete fan in the plane.
+
+    The base chamber is the minimum; the maximum is the chamber containing
+    the opposite of the base's angle bisector (if that direction lies on a
+    ray, the chamber counterclockwise from the ray is chosen).  The two
+    boundary paths around the circle are the covering chains.  Raises
+    PosetInvalid when the maximum shares a wall with the base, since the
+    result would break the facial-interval axiom.
+
+    Signs of the bisector tests are decided exactly: with base rays u, w
+    the bisector is u*|w| + w*|u| up to scale, and every comparison reduces
+    to the sign of an integer combination x*sqrt(p) + y*sqrt(q).
+    """
+    if fan.dim != 2:
+        raise NotRank2("bisector posets are defined for fans in the plane")
+    if not fanlib.is_finite_complete(fan):
+        raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
+    base = fan.check_cone(base)
+    if len(base) != 2:
+        raise NotRank2("base must be a maximal cone", witness=list(base))
+    u, w = _ccw_rays(fan, base)
+    p = int(dot(w, w))   # -d = -(u*sqrt(p) + w*sqrt(q))
+    q = int(dot(u, u))
+
+    def det_with_minus_d(a):
+        # sign of det(a, -d) = -(det(a,u) sqrt(p) + det(a,w) sqrt(q))
+        return sqrt_combination_sign(-_det2(a, u), p, -_det2(a, w), q)
+
+    containing = []
+    for chamber in fan.chambers():
+        a, b = _ccw_rays(fan, chamber)
+        s1 = det_with_minus_d(a)          # want det(a, -d) >= 0
+        s2 = -det_with_minus_d(b)         # want det(-d, b) >= 0
+        if s1 >= 0 and s2 >= 0:
+            containing.append((chamber, a, b, s1, s2))
+
+    # A maximum wall-adjacent to the minimum collapses the facial interval
+    # of their shared wall to the whole poset, breaking the axiom.
+    def wall_adjacent(c):
+        return c != base and len(set(c) & set(base)) == fan.dim - 1
+
+    if len(containing) == 1:
+        tau_d = containing[0][0]
+    else:
+        # -d lies on a shared ray.  Prefer the chamber counterclockwise of
+        # it (s1 == 0), unless only that one is wall-adjacent to the base.
+        ccw_choice = next(c for c, _, _, s1, _ in containing if s1 == 0)
+        cw_choice = next(c for c, _, _, _, s2 in containing if s2 == 0)
+        if wall_adjacent(ccw_choice) and not wall_adjacent(cw_choice):
+            tau_d = cw_choice
+        else:
+            tau_d = ccw_choice
+    if wall_adjacent(tau_d):
+        raise PosetInvalid("the maximum is wall-adjacent to the base",
+                           witness=[list(base), list(tau_d)])
+
+    order = _angular_chamber_order(fan, base)
+    j = order.index(tau_d)
+    covers = []
+    for i in range(j):
+        lo, up = order[i], order[i + 1]
+        covers.append((lo, up, tuple(sorted(set(lo) & set(up)))))
+    prev = base
+    for i in range(len(order) - 1, j, -1):
+        nxt = order[i]
+        covers.append((prev, nxt, tuple(sorted(set(prev) & set(nxt)))))
+        prev = nxt
+    if prev != tau_d:
+        covers.append((prev, tau_d, tuple(sorted(set(prev) & set(tau_d)))))
+    return FanPoset(fan, covers)
+
+
+def _angular_chamber_order(fan, start):
+    """Chambers in counterclockwise order starting at ``start``."""
+    chambers = list(fan.chambers())
+    order = [start]
+    current = start
+    while len(order) < len(chambers):
+        a, b = _ccw_rays(fan, current)
+        nxt = next(c for c in chambers
+                   if c != current and b in fan.ray_vectors(c))
+        order.append(nxt)
+        current = nxt
+    return order
 
 
 def _stereographic(point, pole, frame):

@@ -13,6 +13,7 @@ from partfan.errors import (
     NotSimplicialArrangement,
     PartFanError,
     WrongArrangement,
+    WrongBasis,
 )
 from partfan.fan import build_fan, is_finite_complete, validate_fan
 from partfan.partition import is_admissible, potential_identifications, refines
@@ -589,6 +590,12 @@ def test_wall_algebra_commutative_associative(brauer):
 def test_wall_algebra_rejects_other_arrangements():
     with pytest.raises(WrongArrangement):
         A.WallAlgebra(A.Arrangement(2, [(1, 0), (0, 1)]))
+
+
+def test_wall_algebra_rejects_a_key_outside_its_basis():
+    with pytest.raises(WrongBasis) as err:
+        A.WallAlgebra(A.builtin_brauer()).element([((9, 9, 9), 1)])
+    assert err.value.witness == (9, 9, 9)
 
 
 def test_wa_mul_bilinear(brauer):

@@ -335,6 +335,8 @@ def generators(names, *letters):
      {"error": "UnknownCone", "witness": [0.0]}),
     (["poset", "check"], {"fan": SQUARE, "poset": {"covers": [[[True, 0], [0, 3]]]}},
      {"error": "UnknownCone", "witness": [0, True]}),
+    (["poset", "check"], {"fan": SQUARE, "poset": {"covers": [[[0], [0, 1]]]}},
+     {"error": "PosetInvalid", "witness": [[0], [0, 1]]}),
     (["group", "abelianize"], presentation(["a", "1"]),
      {"error": "BadInput", "witness": {"key": "presentation", "problem":
       "ValueError: letter ['a', '1'] is not [generator, 1 or -1]"}}),
@@ -360,7 +362,8 @@ def generators(names, *letters):
      {"error": "BadInput", "witness": {"key": "presentation", "problem":
       "ValueError: letter ['b', 1] names no generator"}}),
 ], ids=["bool-index-validate", "bool-index-potentials", "float-index", "float-block",
-        "float-block-cw", "float-block-psi", "bool-cover", "string-exponent",
+        "float-block-cw", "float-block-psi", "bool-cover", "ray-cover",
+        "string-exponent",
         "exponent-2", "float-exponent", "bool-exponent", "repeated-generator",
         "string-generators", "integer-generators", "unknown-generator"])
 def test_non_integer_indices_and_exponents_are_error_documents(monkeypatch, capsys,

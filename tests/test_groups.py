@@ -4,8 +4,15 @@ import pytest
 
 import lattice_oracles
 from partfan import groups as G
+from partfan import poset as poset_module
 from partfan.category import build_category
-from partfan.errors import Degenerate, NotComparable, NotRank2, PosetInvalid
+from partfan.errors import (
+    Degenerate,
+    MissingWallAlgebraCertificate,
+    NotComparable,
+    NotRank2,
+    PosetInvalid,
+)
 from partfan.fan import build_fan
 from partfan.partition import (
     admissible_closure,
@@ -94,12 +101,13 @@ def test_picture_group_bisector_single_relator(hzb_fan, p1_partition):
     assert len(pres.relators) == 1
 
 
-def test_chain_cap(square_fan, torus_partition):
+def test_chain_cap(square_fan, torus_partition, monkeypatch):
     from partfan.errors import ChainLimitExceeded
 
+    monkeypatch.setattr(poset_module, "CHAIN_CAP", 1)
     poset = poset_from_linear_functional(square_fan, (1, 1))
     with pytest.raises(ChainLimitExceeded):
-        G.picture_group(square_fan, torus_partition, poset, chain_cap=1)
+        G.picture_group(square_fan, torus_partition, poset)
 
 
 def test_picture_group_is_kept_on_the_poset(square_fan, torus_partition, monkeypatch):
@@ -121,9 +129,13 @@ def test_picture_group_is_kept_on_the_poset(square_fan, torus_partition, monkeyp
     assert G.functor_check(cat, poset)[0]
     assert G.rank2_faithfulness_certificate(cat, poset)[0]
     monkeypatch.undo()
-    # a smaller chain cap is a different key and still raises
+    # the kept picture is not recomputed under a smaller chain cap; a
+    # fresh poset lists its chains again and raises
+    monkeypatch.setattr(poset_module, "CHAIN_CAP", 1)
+    assert G.picture_group(square_fan, torus_partition, poset) is full
     with pytest.raises(ChainLimitExceeded):
-        G.picture_group(square_fan, torus_partition, poset, chain_cap=1)
+        G.picture_group(square_fan, torus_partition,
+                        poset_from_linear_functional(square_fan, (1, 1)))
 
 
 def test_picture_group_invalid_poset(square_fan, torus_partition):
@@ -449,6 +461,14 @@ def test_rank2_certificate_requires_plane():
     cat = build_category(fan, from_blocks(fan, []))
     with pytest.raises(NotRank2):
         G.rank2_faithfulness_certificate(cat, FanPoset(fan, []))
+
+
+def test_hom_distinctness_requires_the_wall_algebra_certificate(square_fan,
+                                                                torus_partition):
+    cat = build_category(square_fan, torus_partition)
+    poset = poset_from_linear_functional(square_fan, (1, 1))
+    with pytest.raises(MissingWallAlgebraCertificate):
+        G.hom_distinctness_certificate(cat, poset, False)
 
 
 def test_type2_relators_are_consequences(square_fan, torus_partition):

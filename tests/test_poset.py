@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -20,7 +21,6 @@ from partfan.fan import build_fan
 from partfan.partition import admissible_closure, from_blocks
 from partfan.poset import (
     FanPoset,
-    _angular_chamber_order,
     check_nondegenerate,
     check_weak_fan_poset,
     facial_interval,
@@ -28,8 +28,10 @@ from partfan.poset import (
     poset_from_linear_functional,
     rank2_bisector_poset,
 )
+from partfan.rational import dot, sqrt_combination_sign
 from strategies import (
     A3_NORMALS,
+    angular_order,
     b_normals,
     complete_planar_fans,
     random_seeds,
@@ -160,6 +162,71 @@ def test_bisector_refuses_maximum_adjacent_to_base():
     assert err.value.witness == [[0, 1], [0, 3]]
 
 
+def seeded_planar_fans(seed, count, box):
+    """``count`` complete planar fans on primitive rays in [-box, box]^2.
+
+    Every other fan is centrally symmetric, whose rays lie on lines through
+    the origin, so the opposite of a bisector often lands on a ray.
+    """
+    rng = random.Random(seed)
+    pool = [(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
+            if (x, y) != (0, 0) and math.gcd(x, y) == 1]
+    half = [(x, y) for x, y in pool if y > 0 or (y == 0 and x > 0)]
+    fans = []
+    while len(fans) < count:
+        if len(fans) % 2:
+            rays = rng.sample(pool, rng.randint(3, min(10, len(pool))))
+        else:
+            picks = rng.sample(half, rng.randint(2, min(5, len(half))))
+            rays = picks + [(-x, -y) for x, y in picks]
+        rays = angular_order(rays)
+        n = len(rays)
+        if all(a[0] * b[1] - a[1] * b[0] > 0
+               for a, b in zip(rays, rays[1:] + rays[:1])):
+            fans.append(build_fan(2, rays, [tuple(sorted((i, (i + 1) % n)))
+                                            for i in range(n)]))
+    return fans
+
+
+def bisector_outcome(construct, fan, base):
+    """The covers ``construct`` gives for the base, or its refusal."""
+    try:
+        return construct(fan, base).covers
+    except PosetInvalid as err:
+        return "PosetInvalid", err.witness
+
+
+def minus_bisector_on_a_ray(fan, base):
+    """Whether -d, for d the bisector of the base, lies on a ray of the fan."""
+    u, w = fan.ray_vectors(base)
+    p, q = dot(w, w), dot(u, u)   # d = u*sqrt(p) + w*sqrt(q)
+
+    def sign_at_d(form):
+        return sqrt_combination_sign(form(u), p, form(w), q)
+
+    # r lies on -d iff det(r, d) = 0 > r . d
+    return any(sign_at_d(lambda v: r[0] * v[1] - r[1] * v[0]) == 0
+               and sign_at_d(lambda v: dot(r, v)) < 0 for r in fan.rays)
+
+
+def test_bisector_poset_matches_the_angular_walk():
+    """Every base of the catalogue fans and of seeded planar fans, on a
+    box of 4 and a box of 2: the wall-orientation loop gives the covers,
+    or the refusal, of the former angular walk."""
+    fans = [catalog.square(), catalog.hirzebruch(1), catalog.hirzebruch(2),
+            catalog.three_lines()]
+    fans += seeded_planar_fans(1, 150, 4) + seeded_planar_fans(2, 150, 2)
+    ties = refusals = 0
+    for fan in fans:
+        for base in fan.chambers():
+            got = bisector_outcome(rank2_bisector_poset, fan, base)
+            assert got == bisector_outcome(search_oracles.rank2_bisector_poset,
+                                           fan, base), (fan.to_json(), base)
+            ties += minus_bisector_on_a_ray(fan, base)
+            refusals += got[0] == "PosetInvalid"
+    assert ties > 0 and refusals > 0
+
+
 def test_bisector_requires_rank2():
     fan = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
     with pytest.raises(NotRank2):
@@ -217,6 +284,9 @@ def test_poset_validation():
         FanPoset(fan, [(TAU1, TAU3, ())])      # not wall-adjacent
     with pytest.raises(PosetInvalid):
         FanPoset(fan, [(TAU1, TAU2, (0,)), (TAU2, TAU1, (0,))])  # cycle
+    with pytest.raises(PosetInvalid) as err:
+        FanPoset(fan, [((0,), TAU2, (0,))])   # a ray is not a chamber
+    assert err.value.witness == [[0], [0, 1]]
 
 
 def test_poset_json_roundtrip(square_fan):
@@ -425,7 +495,8 @@ def test_weak_fan_poset_matches_oracles_on_catalogue_fans():
                 posets.append(poset_from_linear_functional(fan, b))
             except DegenerateFunctional:
                 pass
-        posets.append(chain_poset(fan, _angular_chamber_order(fan, fan.chambers()[0])))
+        order = search_oracles._angular_chamber_order(fan, fan.chambers()[0])
+        posets.append(chain_poset(fan, order))
         for poset in posets:
             report, fallbacks = assert_matches_poset_oracles(fan, poset)
             assert fallbacks == 0
