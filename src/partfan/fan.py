@@ -78,6 +78,7 @@ class Fan:
         self._complete = None
         self._facet_cache = {}
         self._ident = None
+        self._admissible = {}  # partition blocks -> partition.is_admissible verdict
         self._span_keys = {}
         self._symbol_bodies = {}  # groups.cone_symbol_body, per cone
         self._scaled_projection_cache = {}

@@ -27,7 +27,7 @@ class Partition:
     def __init__(self, fan, blocks):
         blocks = [tuple(b) if len(b) < 2 else tuple(sorted(b, key=_cone_key))
                   for b in blocks]
-        blocks.sort(key=lambda b: (len(b[0]), b[0]))
+        blocks.sort(key=_block_key)
         self.fan = fan
         self.blocks = tuple(blocks)
         self.block_of = {c: idx for idx, block in enumerate(blocks) for c in block}
@@ -70,6 +70,25 @@ class Partition:
 
 def _cone_key(cone):
     return (len(cone), cone)
+
+
+def _block_key(block):
+    return _cone_key(block[0])
+
+
+def _sorted_partition(fan, blocks):
+    """The Partition of ``blocks``, sorted tuples that partition the fan.
+
+    Sorts the block list and fills ``block_of``, as ``Partition`` does,
+    and trusts the caller for the rest: no member is re-sorted and the
+    blocks are not checked against the fan's cones.
+    """
+    blocks.sort(key=_block_key)
+    partition = Partition.__new__(Partition)
+    partition.fan = fan
+    partition.blocks = tuple(blocks)
+    partition.block_of = {c: idx for idx, block in enumerate(blocks) for c in block}
+    return partition
 
 
 def group_by(fan, key):
@@ -166,8 +185,21 @@ def is_admissible(fan, partition):
     member with each other member.  The scan over all pairs of a block
     visits those pairs first, and a block fails only if one of them
     fails, so the witness is the one that scan returns.
+
+    The verdict depends only on the fan and the blocks, so it is kept on
+    the fan (``Fan._admissible``), keyed by the blocks; a later call with
+    the same blocks reads it there.  ``_check_possible`` runs on every
+    call, and its errors are never kept.
     """
     _check_possible(fan, partition)
+    verdict = fan._admissible.get(partition.blocks)
+    if verdict is None:
+        verdict = fan._admissible[partition.blocks] = _admissibility(fan, partition)
+    return verdict
+
+
+def _admissibility(fan, partition):
+    """The verdict ``is_admissible`` returns, computed afresh."""
     for block in partition.blocks:
         for s1, s2 in _block_pairs(fan, block):
             for t1, t2 in _star_matching(fan, s1, s2).items():
@@ -300,7 +332,15 @@ def enumerate_admissible(fan, limit=16):
       against the label vector of its set partition before anything is
       propagated, and the last class propagates nothing.
 
-    A Partition is built only at a leaf.  Guarded by a cone-count limit
+    A Partition is built only at a leaf, by ``_sorted_partition``, which
+    equals ``Partition(fan, blocks)`` there.  The E-classes partition the
+    fan's cones and each is sorted by ``_cone_key`` (they are blocks of a
+    Partition); each leaf takes one set partition of every class, so its
+    blocks partition the fan's cones.  ``_set_partitions`` of an
+    increasing list yields increasing blocks: ``first`` is the least item
+    and goes to the front of a block, and the rest is increasing by
+    induction.  So each leaf block lists its positions in increasing
+    order, and its members are sorted.  Guarded by a cone-count limit
     because partition counts explode.
     """
     if len(fan.cones) > limit:
@@ -318,7 +358,7 @@ def enumerate_admissible(fan, limit=16):
             if any(label[p] != label[q] for p, q in due[k]):
                 continue
             if k == last:
-                out.append(Partition(fan, blocks + part))
+                out.append(_sorted_partition(fan, blocks + part))
                 continue
             for j, p, q in pairs:
                 due[j].append((p, q))

@@ -22,6 +22,9 @@ apart from imports:
   through the validating ``Category.morphism_of_pair``, each Faq count by a
   scan of a whole hom-set, and the factors of axioms 4 and 5 looked up again
   rather than read off the cube.
+- ``_factorizations``: each composite's factorization pairs from a sorted
+  pass of their own over the composition table, where
+  ``category.check_cubical`` now collects them in its one sorted pass.
 - ``ClosureOrder`` (with the former ``FanPoset`` closure and its
   ``leq``, ``interval``, ``extremes`` and ``facial``), ``_convex_union``
   and ``check_weak_fan_poset``: the order as frozensets of the chambers
@@ -84,7 +87,6 @@ from partfan.category import (
     AxiomReport,
     FactorizationCube,
     _cliques_of_size_3_up,
-    _factorizations,
 )
 from partfan.errors import (
     BadInput,
@@ -380,6 +382,21 @@ def check_nondegenerate(fan, partition, poset):
 
 # ---------------------------------------------------------------------------
 # cubical axioms
+
+def _factorizations(category):
+    """Map each composite f to its sorted (g, h) pairs, in one table pass.
+
+    A pair counts only when g starts at f's source and h ends at f's
+    target.  Built from the current table on every call, so an entry
+    changed after the build is seen.
+    """
+    ms = category.morphisms
+    out = {}
+    for (gi, hi), res in sorted(category.compose_table.items()):
+        if ms[gi].source == ms[res].source and ms[hi].target == ms[res].target:
+            out.setdefault(res, []).append((gi, hi))
+    return out
+
 
 def first_factors(category, f):
     """The rank-1 first factors [f_{sigma, cone{sigma, v_i}}]."""

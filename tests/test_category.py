@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 import search_oracles as oracle
 from partfan.category import (
-    _factorizations,
+    _composites_by_union,
     build_category,
     check_cubical,
     check_last_factor_compatibility,
@@ -18,11 +18,12 @@ from partfan.category import (
     last_factors,
 )
 from partfan.errors import NotAdmissible, NotAFace, NotComposable, RankZero
-from partfan.fan import build_fan
+from partfan.fan import build_fan, validate_fan
 from partfan.partition import (
     admissible_closure,
     enumerate_admissible,
     from_blocks,
+    is_admissible,
 )
 from strategies import complete_planar_fans
 
@@ -293,7 +294,7 @@ def test_factorization_pairs_match_cube(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
     for f in cat.morphisms:
         assert sorted(factorization_cube(cat, f).objects) == \
-            _factorizations(cat).get(f.index, [])
+            oracle._factorizations(cat).get(f.index, [])
 
 
 def factorization_pairs_oracle(category, f):
@@ -314,7 +315,8 @@ def test_factorization_pairs_match_per_morphism_scan(which, square_fan, torus_pa
            "hirzebruch": lambda: build_category(hzb_fan, p1_partition),
            "brauer": lambda: brauer.category("flat")}[which]()
     for f in cat.morphisms:
-        assert _factorizations(cat).get(f.index, []) == factorization_pairs_oracle(cat, f)
+        assert oracle._factorizations(cat).get(f.index, []) == \
+            factorization_pairs_oracle(cat, f)
 
 
 def former_lookup(category):
@@ -365,11 +367,64 @@ def test_pair_lookup_and_composition_match_former_routes(which, coxeter_partitio
         assert_matches_former_routes(build_category(fan, partitions[which]))
 
 
+def assert_first_representative_matches_the_union(category):
+    """Each f's row of the table, in order, is the union over all chains."""
+    reps_from = {}
+    for g in category.morphisms:
+        for kappa, tau2 in g.reps:
+            reps_from.setdefault(kappa, {}).setdefault(g.index, []).append(tau2)
+    rows = {}
+    for (f, g), h in category.compose_table.items():
+        rows.setdefault(f, {})[g] = h
+    for f in category.morphisms:
+        union = _composites_by_union(f, reps_from, category.of_pair)
+        assert list(rows[f.index].items()) == list(union.items())
+
+
+@pytest.mark.parametrize("which", ["flat", "shard", "finest"])
+def test_first_representative_composites_match_the_union(which, coxeter_partitions):
+    for name in ("A3", "brauer"):
+        fan, partitions = coxeter_partitions[name]
+        assert_first_representative_matches_the_union(
+            build_category(fan, partitions[which]))
+
+
+def test_composition_not_single_valued_on_an_overlapping_fan():
+    """Cones of this overlapping fan overlap, so two chains of one pair of
+    morphisms give different composites, though the partition passes the
+    admissibility check.  The union over all chains names both."""
+    rays = [(3, 0), (-3, -1), (0, 3), (3, -1), (0, -1), (1, -2)]
+    fan = build_fan(2, rays, [tuple(sorted((i, (i + 1) % 6))) for i in range(6)])
+    assert not validate_fan(fan).ok
+    partition = admissible_closure(fan, [((0, 1), (0, 5))])
+    assert is_admissible(fan, partition) == (True, None)
+    with pytest.raises(NotAdmissible, match="composition not single-valued") as raised:
+        build_category(fan, partition)
+    assert raised.value.witness == [1, 14, [7, 8]]
+
+
+def test_reps_of_an_identity_start_different_morphisms_on_an_overlapping_fan():
+    """Rays 0 and 2 of this overlapping fan share an E-class, but ray 2 lies
+    in one more cone, so only the rep at ray 2 of their block's identity
+    composes with the fourth morphism out of the block."""
+    rays = [(-1, -1), (-1, 1), (1, 1), (2, 3), (1, 0)]
+    fan = build_fan(2, rays, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert not validate_fan(fan).ok
+    category = build_category(fan, admissible_closure(fan, [((0,), (2,))]))
+    identity = category.morphism_of_pair((0,), (0,))
+    assert identity.reps == (((0,), (0,)), ((2,), (2,)))
+    composable = [g for f, g in category.compose_table if f == identity.index]
+    assert (len(fan.star((0,))), len(fan.star((2,))), len(composable)) == (3, 4, 4)
+    assert_first_representative_matches_the_union(category)
+
+
 @settings(max_examples=10, deadline=None)
 @given(complete_planar_fans(max_rays=6))
 def test_planar_pair_lookup_and_composition_match_former_routes(fan):
     for partition in enumerate_admissible(fan):
-        assert_matches_former_routes(build_category(fan, partition))
+        category = build_category(fan, partition)
+        assert_matches_former_routes(category)
+        assert_first_representative_matches_the_union(category)
 
 
 def assert_cubical_matches_oracle(category):

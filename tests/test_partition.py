@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ import fraction_oracles as oracle
 import search_oracles
 from partfan import arrangement as arrlib
 from partfan import catalog
+from partfan import partition as partlib
 from partfan.errors import (
     EnumerationLimitExceeded,
     FanMismatch,
@@ -155,13 +157,21 @@ def test_enumerate_limit(square_fan):
         enumerate_admissible(square_fan, limit=4)
 
 
+def assert_matches_product_filter(fan):
+    """The same partitions in the same order as the product filter, whose
+    candidates are built by ``Partition(fan, blocks)``, down to the order
+    of ``block_of``."""
+    pruned = enumerate_admissible(fan)
+    assert [(p.blocks, list(p.block_of.items())) for p in pruned] == \
+        [(p.blocks, list(p.block_of.items())) for p in search_oracles.enumerate_admissible(fan)]
+    assert all(p.fan is fan for p in pruned)
+    return pruned
+
+
 def test_pruned_enumeration_matches_product_filter_on_catalog():
     for fan in [catalog.square(), catalog.three_lines()] + \
             [catalog.hirzebruch(a) for a in range(4)]:
-        pruned = enumerate_admissible(fan)
-        assert [p.blocks for p in pruned] == \
-            [p.blocks for p in search_oracles.enumerate_admissible(fan)]
-        assert all(p.fan is fan for p in pruned)
+        assert_matches_product_filter(fan)
 
 
 @pytest.mark.parametrize("fan", [catalog.square(), catalog.three_lines(), catalog.hirzebruch(2)],
@@ -170,8 +180,7 @@ def test_pruned_enumeration_matches_product_filter_without_a_chamber(fan):
     """Non-complete fans: their boundary rays form classes of their own."""
     for dropped in range(len(fan.max_cones)):
         cut = build_fan(2, fan.rays, fan.max_cones[:dropped] + fan.max_cones[dropped + 1:])
-        assert [p.blocks for p in enumerate_admissible(cut)] == \
-            [p.blocks for p in search_oracles.enumerate_admissible(cut)]
+        assert_matches_product_filter(cut)
 
 
 THREE_D_FANS = {
@@ -194,8 +203,7 @@ def test_pruned_enumeration_matches_product_filter_in_three_dimensions(name):
     rays, max_cones, count = THREE_D_FANS[name]
     fan = build_fan(3, rays, max_cones)
     assert len(fan.cones) == count
-    assert [p.blocks for p in enumerate_admissible(fan)] == \
-        [p.blocks for p in search_oracles.enumerate_admissible(fan)]
+    assert_matches_product_filter(fan)
 
 
 def test_pruned_enumeration_matches_product_filter_across_classes():
@@ -209,9 +217,7 @@ def test_pruned_enumeration_matches_product_filter_across_classes():
     assert _star_matching(fan, (0,), (1,))[(0, 2)] == (1, 5)
     classes = potential_identifications(fan).partition
     assert classes.block_of[(0, 2)] != classes.block_of[(1, 5)]
-    enumerated = enumerate_admissible(fan)
-    assert [p.blocks for p in enumerated] == \
-        [p.blocks for p in search_oracles.enumerate_admissible(fan)]
+    enumerated = assert_matches_product_filter(fan)
     assert all(p.block_of[(0,)] != p.block_of[(1,)] for p in enumerated)
 
 
@@ -228,8 +234,41 @@ def test_three_chambers_around_a_ray_forces_chamber_pairs():
 @given(complete_planar_fans(max_rays=7))
 def test_pruned_enumeration_matches_product_filter_on_planar_fans(fan):
     assert len(fan.cones) <= 16
-    assert [p.blocks for p in enumerate_admissible(fan)] == \
-        [p.blocks for p in search_oracles.enumerate_admissible(fan)]
+    assert_matches_product_filter(fan)
+
+
+def test_admissibility_verdicts_are_kept_per_fan():
+    """The square keeps the verdict of each of its admissible partitions;
+    the blocks that join rays 0 and 2 cross the E-classes of hirzebruch(1),
+    and still raise there on every call."""
+    square, hzb = catalog.square(), catalog.hirzebruch(1)
+    partitions = enumerate_admissible(square)
+    for p in partitions:
+        assert is_admissible(square, p) == (True, None)
+        assert square._admissible[p.blocks] == (True, None)
+    crossing = [p.blocks for p in partitions if p.block_of[(0,)] == p.block_of[(2,)]]
+    assert len(crossing) == 3
+    for blocks in crossing:
+        twin = Partition(hzb, blocks)
+        for _ in range(2):
+            with pytest.raises(PossibleIdentViolation):
+                is_admissible(hzb, twin)
+    assert hzb._admissible == {}
+
+
+def test_admissibility_is_decided_once_per_partition():
+    fan = catalog.hirzebruch(1)
+    partitions = [catalog.hirzebruch_p1(fan), from_blocks(fan, [[(1,), (3,)]])]
+    verdicts = [is_admissible(fan, p) for p in partitions]
+    assert verdicts == [(True, None), (False, ((1,), (3,), (0, 1), (0, 3)))]
+
+    def fail(*args):
+        raise AssertionError("star matching recomputed")
+
+    with mock.patch.object(partlib, "_star_matching", fail):
+        assert [is_admissible(fan, Partition(fan, p.blocks)) for p in partitions] == verdicts
+        with pytest.raises(PossibleIdentViolation):
+            is_admissible(fan, from_blocks(fan, [[(0,), (2,)]]))
 
 
 def test_coarsest_is_admissible_everywhere(square_fan, hzb_fan, three_lines_fan):
