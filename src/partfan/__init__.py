@@ -77,7 +77,7 @@ from .poset import (
     poset_from_linear_functional,
     rank2_bisector_poset,
 )
-from .rational import complement_projection, primitive_ray, span_equal
+from .rational import primitive_ray
 
 __version__ = "0.1.0"
 

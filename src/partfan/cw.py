@@ -13,7 +13,7 @@ needs the 2-skeleton.
 
 from functools import cmp_to_key
 
-from .errors import Disconnected, NotComplete, PreconditionUnmet
+from .errors import Disconnected, NotAdmissible, NotComplete, PreconditionUnmet
 from .fan import is_finite_complete
 from .groups import Presentation, abelianization, free_reduce, wall_generator
 from .partition import is_admissible
@@ -89,8 +89,6 @@ def build_cw(fan, partition):
                           witness=fan.to_json())
     ok, witness = is_admissible(fan, partition)
     if not ok:
-        from .errors import NotAdmissible
-
         raise NotAdmissible("partition is not admissible",
                             witness=[list(c) for c in witness])
     n = fan.dim

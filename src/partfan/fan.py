@@ -20,7 +20,6 @@ from .errors import (
     UnknownCone,
 )
 from .rational import (
-    complement_projection,
     dot,
     int_complement_projection,
     matrix_rank,
@@ -154,10 +153,6 @@ class Fan:
         (i,) = set(chamber) - set(wall)
         return self._facets(chamber)[i]
 
-    def projection(self, cone):
-        """Matrix of the orthogonal projection onto span(cone)^perp."""
-        return complement_projection(self.ray_vectors(self.check_cone(cone)), self.dim)
-
     def _span_key(self, cone):
         """``span_key`` of the cone's rays, computed once per cone.
 
@@ -173,12 +168,12 @@ class Fan:
 
         ``span`` is a ``span_key``; its rows are a basis of the span, so
         ``int_complement_projection`` of them is L * P for some L > 0, with
-        P the orthogonal projection that ``projection`` returns for every
-        cone of that span.  Another basis of the same span changes only L,
-        and L * P maps every vector to a positive multiple of its exact
-        projection, so primitive projected rays are the same.  Computed
-        once per span, and only for a span that projects some ray: a
-        chamber projects none.  The zero span gives the identity.
+        P the orthogonal projection onto span^perp.  Another basis of the
+        same span changes only L, and L * P maps every vector to a positive
+        multiple of its exact projection, so primitive projected rays are
+        the same.  Computed once per span, and only for a span that
+        projects some ray: a chamber projects none.  The zero span gives the
+        identity.
         """
         if span not in self._scaled_projection_cache:
             self._scaled_projection_cache[span] = int_complement_projection(

@@ -17,6 +17,7 @@ built-in rank-3 arrangement.
 from collections import deque
 from itertools import combinations
 
+from .category import build_category
 from .errors import (
     Degenerate,
     IntervalBroken,
@@ -26,6 +27,7 @@ from .errors import (
     NotRank2,
     PosetInvalid,
 )
+from .partition import refines
 from .poset import _facial_interval, check_nondegenerate
 
 
@@ -211,8 +213,6 @@ def _picture_group(fan, partition, poset, mode):
 
 
 def _type2_relators(fan, partition, poset):
-    from .category import build_category
-
     category = build_category(fan, partition)
     out = []
     for m in category.morphisms:
@@ -372,8 +372,6 @@ def quotient_presentation(base, fan, fine, coarse):
     compose; composing along a chain of partitions yields the same relator
     multiset as the direct quotient.
     """
-    from .partition import refines
-
     if not refines(fine, coarse):
         raise NotComparable("fine partition does not refine the coarse one")
     new_relators = list(base.relators)

@@ -1,4 +1,4 @@
-"""Exact linear algebra: integers inside, ``Fraction`` at the boundary.
+"""Exact linear algebra on integers; ``Fraction`` only parses input and forms ``rref``.
 
 Vectors are tuples of ints or ``fractions.Fraction``, matrices are
 row-major tuples of such tuples.  There is no floating point anywhere,
@@ -9,11 +9,12 @@ There is one elimination, :func:`_echelon`: fraction-free Gauss-Jordan on
 plain Python ints (rows are scaled to integers first, which changes neither
 row space nor kernel).  :func:`matrix_rank`, :func:`span_key`,
 :func:`int_kernel_basis` and :func:`int_complement_projection` return its
-integer results, and :func:`dot` of integer vectors is an int.  Where a
-value is truly rational, the ``Fraction`` result is derived from the
-integer one at the boundary: :func:`rref` divides each echelon row by its
-pivot entry, and :func:`complement_projection` the integer projection by
-its scale.
+integer results, and :func:`dot` of integer vectors is an int.  A
+``Fraction`` is built in two places only: ``_exact`` parses rational input
+(for :func:`vec` and :func:`sqrt_combination_sign`), and :func:`rref`
+divides each echelon row by its pivot entry.  Spans are compared by their
+keys and projections are taken up to a positive scale, which is all the fan
+predicates need.
 Python ints have arbitrary precision, so no coefficient can overflow.
 """
 
@@ -55,10 +56,6 @@ def dot(a, b):
     if len(a) != len(b):
         raise DimensionMismatch("vectors of different length", witness=(len(a), len(b)))
     return sum(map(mul, a, b))
-
-
-def identity_matrix(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def mat_vec(m, v):
@@ -199,24 +196,6 @@ def span_key(vectors):
     return tuple(map(tuple, _echelon(_integer_rows(vectors))[0]))
 
 
-def span_equal(a_vectors, b_vectors):
-    """Whether two generating sets span the same linear subspace.
-
-    >>> span_equal([(0, 1)], [(0, -1)])
-    True
-    >>> span_equal([(1, 0), (0, 1)], [(1, 1), (1, -1)])
-    True
-    >>> span_equal([(1, 0)], [(0, 1)])
-    False
-    """
-    a_vectors = [vec(v) for v in a_vectors]
-    b_vectors = [vec(v) for v in b_vectors]
-    lengths = {len(v) for v in a_vectors} | {len(v) for v in b_vectors}
-    if len(lengths) > 1:
-        raise DimensionMismatch("mixed vector lengths", witness=sorted(lengths))
-    return span_key(a_vectors) == span_key(b_vectors)
-
-
 def int_kernel_basis(rows, ncols):
     """Kernel basis normalized to primitive integer vectors.
 
@@ -250,48 +229,21 @@ def int_kernel_basis(rows, ncols):
     return tuple(basis)
 
 
-def complement_projection(basis, dim=None):
-    """Matrix of the orthogonal projection onto span(basis)^perp.
-
-    The result P is idempotent and symmetric with kernel span(basis); it is
-    the integer projection L * P of :func:`int_complement_projection`
-    divided by its scale L.  An empty basis yields the identity (the ambient
-    dimension must then be supplied via ``dim``).  Raises DependentBasis if
-    the given vectors are linearly dependent.
-
-    >>> complement_projection([(1, 1)]) == ((Fraction(1, 2), Fraction(-1, 2)),
-    ...                                     (Fraction(-1, 2), Fraction(1, 2)))
-    True
-    """
-    basis = [vec(v) for v in basis]
-    if not basis:
-        if dim is None:
-            raise DimensionMismatch("empty basis needs an explicit ambient dimension")
-        return identity_matrix(dim)
-    scale, scaled = _scaled_complement_projection(basis, len(basis[0]))
-    return tuple(tuple(Fraction(x, scale) for x in row) for row in scaled)
-
-
 def int_complement_projection(basis, dim):
-    """The integer matrix L * complement_projection(basis, dim), for some L > 0.
+    """Integer matrix L * P, for some L > 0, with P the projection onto span(basis)^perp.
 
-    It maps every vector to a positive multiple of its exact projection; an
-    empty basis gives the identity.  Raises DependentBasis if the vectors
-    are dependent.
-
-    >>> int_complement_projection([(1, 1)], 2)
-    ((1, -1), (-1, 1))
-    """
-    return _scaled_complement_projection(basis, dim)[1]
-
-
-def _scaled_complement_projection(basis, dim):
-    """(L, L * P) for the projection P onto span(basis)^perp.
+    P is the orthogonal projection: idempotent and symmetric with kernel
+    span(basis).  L * P maps every vector to a positive multiple of its
+    exact projection; an empty basis gives the identity.  Raises
+    DependentBasis if the vectors are dependent.
 
     With B the basis rows (each scaled to integers, which keeps the span)
     and G = B B^T, fraction-free elimination of [G | I] ends in rows
     [c_i e_i | c_i (G^-1)_i] with c_i > 0, so L = lcm(c_i) makes L G^-1 an
     integer matrix and L P = L I - B^T (L G^-1) B.
+
+    >>> int_complement_projection([(1, 1)], 2)
+    ((1, -1), (-1, 1))
     """
     b = _integer_rows(basis)
     k = len(b)
@@ -304,9 +256,8 @@ def _scaled_complement_projection(basis, dim):
     scale = lcm(*(row[i] for i, row in enumerate(reduced)))
     inv_b = mat_mul([[x * (scale // row[i]) for x in row[k:]]
                      for i, row in enumerate(reduced)], b)
-    scaled = tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
-                         for j in range(dim)) for i in range(dim))
-    return scale, scaled
+    return tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
+                       for j in range(dim)) for i in range(dim))
 
 
 def sqrt_combination_sign(x, p, y, q):

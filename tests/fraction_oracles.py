@@ -1,12 +1,14 @@
 """The former Fraction routines of ``partfan.rational`` and ``partfan.fan``, kept as oracles.
 
-``partfan.rational`` now derives every Fraction result from one integer
+``partfan.rational`` now decides spans and projections on integers, by one
 elimination, ``_echelon``.  These are the routines it replaced, copied
 unchanged apart from their names for the rank test and the Gram inverse, so
 that no test checks the integer core against something derived from it.
 They import only the non-eliminating helpers of ``partfan.rational``.
+``complement_projection`` (the reference for ``int_complement_projection``),
+``span_equal`` (the reference for ``span_key``), ``identity_matrix``,
 ``solve``, ``kernel_basis`` and ``gram_schmidt`` (with its vector helpers)
-have no production caller left, so this is their only copy.
+have no library counterpart left, so this is their only copy.
 
 The last routines are the Fraction plane frame that
 ``partfan.cw._attaching_word`` used before it moved to an integer frame:
@@ -25,12 +27,15 @@ from partfan.fan import build_fan
 from partfan.rational import (
     _exact,
     dot,
-    identity_matrix,
     mat_mul,
     primitive_ray,
     transpose,
     vec,
 )
+
+
+def identity_matrix(n):
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def rref(rows):

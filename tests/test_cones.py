@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracles as oracle
+from fraction_oracles import identity_matrix
 from partfan import cones as conelib
 from partfan.cones import (
     extreme_rays,
@@ -18,7 +19,6 @@ from partfan.errors import DependentBasis, DimensionMismatch, PartFanError
 from partfan.fan import ValidationReport, build_fan, validate_fan
 from partfan.rational import (
     dot,
-    identity_matrix,
     mat_mul,
     primitive_ray,
     transpose,

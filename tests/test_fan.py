@@ -277,8 +277,10 @@ def test_projection_composition_identity(hzb_fan):
             from itertools import combinations
 
             for sigma in combinations(tau, k):
-                p_tau = hzb_fan.projection(tau)
-                p_sigma = hzb_fan.projection(sigma)
+                p_tau = oracle.complement_projection(hzb_fan.ray_vectors(tau),
+                                                     hzb_fan.dim)
+                p_sigma = oracle.complement_projection(hzb_fan.ray_vectors(sigma),
+                                                       hzb_fan.dim)
                 assert mat_mul(p_tau, p_sigma) == p_tau
 
 

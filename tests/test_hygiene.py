@@ -12,6 +12,11 @@ when a start name is its name, or when the live code of another module or
 of its own module outside its definition names it, as a name or as an
 attribute.  Dead definitions are dropped and the scan repeats, so a routine
 named only by dead ones is dead too.
+
+The Fraction scan pins the exactness boundary: spans and projections are
+decided on integers, so only ``rational.py`` imports ``fractions``, and
+``Fraction`` is named only in ``rational._exact`` (input parsing) and
+``rational.rref``.
 """
 
 import ast
@@ -122,3 +127,42 @@ def test_the_scan_finds_an_unreferenced_definition():
 def test_every_definition_is_reached():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unreferenced_definitions(sources, exported_names() | benchmark_names()) == []
+
+
+FRACTION_OWNERS = {("rational", "_exact"), ("rational", "rref")}
+
+
+def fraction_uses(sources):
+    """(module, line) of each ``fractions`` import or ``Fraction`` name out of bounds.
+
+    ``sources`` maps module names to source text.  Only ``rational`` may
+    import ``fractions``, and only the module-level functions in
+    ``FRACTION_OWNERS`` may name ``Fraction``, as a name or as an attribute.
+    """
+    out = []
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            if (module, getattr(top, "name", None)) in FRACTION_OWNERS:
+                continue
+            for node in ast.walk(top):
+                imported = (isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                            or isinstance(node, ast.Import)
+                            and any(a.name == "fractions" for a in node.names))
+                if (imported and module != "rational"
+                        or isinstance(node, ast.Name) and node.id == "Fraction"
+                        or isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+                    out.append((module, node.lineno))
+    return sorted(out)
+
+
+def test_the_scan_finds_fraction_uses_out_of_bounds():
+    rational = ("from fractions import Fraction\n\n\ndef _exact(x):\n    return Fraction(x)\n"
+                "\n\ndef identity(n):\n    return [Fraction(1)] * n\n")
+    cones = ("import fractions\n\n\ndef half():\n    return fractions.Fraction(1, 2)\n"
+             "\n\ndef rref(rows):\n    from fractions import Fraction\n    return rows\n")
+    assert fraction_uses({"rational": rational, "cones": cones}) == [
+        ("cones", 1), ("cones", 5), ("cones", 9), ("rational", 9)]
+
+
+def test_fraction_is_named_only_where_input_is_parsed_and_rref_is_formed():
+    assert fraction_uses({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
