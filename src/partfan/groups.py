@@ -6,8 +6,11 @@ relations of the second kind equate the words of identified morphisms and
 are skipped when the poset is non-degenerate (they are then consequences).
 
 Group-word equality is undecidable in general, so this module never
-claims full word-problem answers.  Equality uses free reduction plus a
-bounded relator-rewriting search; inequality certificates use the
+claims full word-problem answers.  ``words_equal`` tries three routes in
+order: literal equality; the conjugate route, where the cyclically reduced
+quotient of the two words is a rotation of a relator or of its inverse
+(a rotation is a conjugate, so the quotient is u r^(+-1) u^-1 and trivial);
+and a bounded relator-rewriting search.  Inequality certificates use the
 abelianization modulo the relator lattice.  Faithfulness claims are only
 issued through the two certificate routes with an actual proof behind
 them: the rank-2 bisector argument and the wall-algebra route for the
@@ -258,9 +261,16 @@ def psi(fan, partition, poset, morphism):
     is the first maximal chain in sorted-cover order,
     ``poset.first_chain(sigma^-, kappa^-)``; any other chain gives a word
     equal to it up to the chain relators.  Identity morphisms map to the
-    empty word.  No chain list is built, so no chain limit applies.
+    empty word.  No chain list is built, so no chain limit applies.  The
+    image is computed once per (fan, partition) and first representative,
+    and kept on the poset, where ``functor_check`` and
+    ``rank2_faithfulness_certificate`` read it.
     """
-    return _minima_chain_word(fan, partition, poset, *morphism.reps[0])
+    images = poset._psi_images.setdefault((fan, partition), {})
+    rep = morphism.reps[0]
+    if rep not in images:
+        images[rep] = _minima_chain_word(fan, partition, poset, *rep)
+    return images[rep]
 
 
 def _minima_chain_word(fan, partition, poset, sigma, kappa):
@@ -281,19 +291,26 @@ def _minima_chain_word(fan, partition, poset, sigma, kappa):
 def words_equal(word_a, word_b, relators):
     """Bounded search for equality of two words modulo the relators.
 
-    Two routes, in this order.  Literal: equal words are equal, and True
-    is returned before any rewrite rule is built.  Rewriting: a
-    breadth-first search over free reduction plus replacing a subword s
-    by t^-1 whenever s t is a cyclic rotation of a relator or its inverse.
-    Words stay within the target's length plus the longest relator's plus
-    2, and at most 20 000 words are expanded.  Returns True when a rewrite
-    path to the empty word is found; False means no proof was found within
-    these bounds, not a disproof.
+    Three routes, in this order.  Literal: equal words are equal, and True
+    is returned before any rewrite rule is built.  Conjugate: when the
+    cyclic reduction of the target word_a word_b^-1 is a rotation of a
+    relator r or of r^-1, the target is u r^(+-1) u^-1 (a rotation is a
+    conjugate), so it is trivial; again no rewrite rule is built.
+    Rewriting: a breadth-first search over free reduction plus replacing a
+    subword s by t^-1 whenever s t is a cyclic rotation of a relator or its
+    inverse.  Words stay within the target's length plus the longest
+    relator's plus 2, and at most 20 000 words are expanded.  Returns True
+    when a rewrite path to the empty word is found; False means no proof
+    was found within these bounds, not a disproof.
+
+    The conjugate route changes no verdict: the rules hold (rotation, ()),
+    which deletes the core from u core u^-1, so the search would return
+    True on its first expansion for every target that route settles.
     """
     if word_a == word_b:
         return True
     target = word_concat(word_a, word_inverse(word_b))
-    if not target:
+    if not target or _is_relator_conjugate(target, relators):
         return True
     rewrites = _rewrite_rules(relators)
     max_length = len(target) + max((len(r) for r in relators), default=0) + 2
@@ -309,6 +326,25 @@ def words_equal(word_a, word_b, relators):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
+    return False
+
+
+def _is_relator_conjugate(word, relators):
+    """Whether the cyclic reduction of a freely reduced word is a rotation
+    of a relator or of its inverse."""
+    i, j = 0, len(word) - 1
+    while i < j and word[i][0] == word[j][0] and word[i][1] == -word[j][1]:
+        i += 1
+        j -= 1
+    core = word[i:j + 1]
+    n = len(core)
+    for rel in relators:
+        if len(rel) != n:
+            continue
+        for base in (rel, word_inverse(rel)):
+            for rot in range(n):
+                if base[rot] == core[0] and base[rot:] + base[:rot] == core:
+                    return True
     return False
 
 
@@ -345,9 +381,9 @@ def _neighbors(word, rewrites, max_length):
 def functor_check(category, poset):
     """Verify Psi respects composition: Psi(g o f) ~ Psi(f) * Psi(g).
 
-    Equality is witnessed by bounded relator rewriting against the full
-    picture presentation.  Psi is computed once per morphism.  Returns
-    (True, []) or (False, failures).
+    Equality is witnessed by ``words_equal`` against the full picture
+    presentation.  Psi images come from the poset's memo (see ``psi``).
+    Returns (True, []) or (False, failures).
     """
     fan = category.fan
     partition = category.partition

@@ -7,7 +7,9 @@ identification of the matching members of their stars.  The admissible
 partitions of a fan form a complete lattice under refinement.
 """
 
+from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import (
     EnumerationLimitExceeded,
@@ -21,7 +23,9 @@ class Partition:
     """A partition of the cones of a fan into blocks.
 
     Blocks are sorted tuples of cones; the block list is sorted by least
-    member so equality and block ids are deterministic.
+    member so equality and block ids are deterministic.  ``block_of`` maps
+    each cone to the index of its block.  The constructor fills and checks
+    it; a partition built by ``_sorted_partition`` fills it on first read.
     """
 
     def __init__(self, fan, blocks):
@@ -30,7 +34,6 @@ class Partition:
         blocks.sort(key=_block_key)
         self.fan = fan
         self.blocks = tuple(blocks)
-        self.block_of = {c: idx for idx, block in enumerate(blocks) for c in block}
         if len(self.block_of) != sum(map(len, blocks)):
             seen = set()
             for cone in (c for block in blocks for c in block):
@@ -44,6 +47,10 @@ class Partition:
             raise FanMismatch("blocks do not partition the fan",
                               witness={"missing": [list(c) for c in missing],
                                        "unknown": [list(c) for c in extra]})
+
+    @cached_property
+    def block_of(self):
+        return {c: idx for idx, block in enumerate(self.blocks) for c in block}
 
     def same_block(self, a, b):
         """Whether two cones of the fan, each checked, share a block.
@@ -76,18 +83,21 @@ def _block_key(block):
     return _cone_key(block[0])
 
 
-def _sorted_partition(fan, blocks):
-    """The Partition of ``blocks``, sorted tuples that partition the fan.
+def _sorted_partition(fan, ranked_blocks):
+    """The Partition of ``ranked_blocks``, pairs (rank, block) of sorted
+    blocks that partition the fan, each ranked by the index of its first
+    member in ``fan.cones``.
 
-    Sorts the block list and fills ``block_of``, as ``Partition`` does,
-    and trusts the caller for the rest: no member is re-sorted and the
-    blocks are not checked against the fan's cones.
+    ``fan.cones`` is sorted by ``_cone_key``, so the ranks are distinct and
+    sorting the pairs sorts the blocks as ``Partition`` does, without a
+    key call.  It trusts the caller for the rest: no member is re-sorted,
+    the blocks are not checked against the fan's cones, and ``block_of`` is
+    left to be filled on first read.
     """
-    blocks.sort(key=_block_key)
+    ranked_blocks.sort()
     partition = Partition.__new__(Partition)
     partition.fan = fan
-    partition.blocks = tuple(blocks)
-    partition.block_of = {c: idx for idx, block in enumerate(blocks) for c in block}
+    partition.blocks = tuple(map(itemgetter(1), ranked_blocks))
     return partition
 
 
@@ -333,7 +343,9 @@ def enumerate_admissible(fan, limit=16):
       propagated, and the last class propagates nothing.
 
     A Partition is built only at a leaf, by ``_sorted_partition``, which
-    equals ``Partition(fan, blocks)`` there.  The E-classes partition the
+    equals ``Partition(fan, blocks)`` there; each block comes ranked by its
+    first member's index in ``fan.cones``, and the leaf's ``block_of`` is
+    filled when first read.  The E-classes partition the
     fan's cones and each is sorted by ``_cone_key`` (they are blocks of a
     Partition); each leaf takes one set partition of every class, so its
     blocks partition the fan's cones.  ``_set_partitions`` of an
@@ -348,7 +360,8 @@ def enumerate_admissible(fan, limit=16):
             "fan exceeds the enumeration guard", witness=len(fan.cones))
     classes = potential_identifications(fan).classes
     place = {c: (k, i) for k, cls in enumerate(classes) for i, c in enumerate(cls)}
-    choices = [_class_choices(fan, k, cls, place) for k, cls in enumerate(classes)]
+    rank = {c: r for r, c in enumerate(fan.cones)}
+    choices = [_class_choices(fan, k, cls, place, rank) for k, cls in enumerate(classes)]
     last = len(classes) - 1
     due = [[] for _ in classes]  # due[j]: position pairs forced so far at class j
     out = []
@@ -370,11 +383,13 @@ def enumerate_admissible(fan, limit=16):
     return out
 
 
-def _class_choices(fan, k, cls, place):
+def _class_choices(fan, k, cls, place, rank):
     """(blocks, label vector, forced pairs) of each set partition of class k
     that forces no pair across two E-classes, in ``_set_partitions`` order.
 
-    Forced pairs are (class, position, position) and lie in later classes.
+    Each block comes as (rank of its first member, block), for
+    ``_sorted_partition``.  Forced pairs are (class, position, position)
+    and lie in later classes.
     """
     forced = {}
     for p, q in combinations(range(len(cls)), 2):
@@ -396,7 +411,8 @@ def _class_choices(fan, k, cls, place):
         for i, block in enumerate(part):
             for p in block:
                 label[p] = i
-        out.append(([tuple(cls[p] for p in block) for block in part], label,
+        out.append(([(rank[cls[block[0]]], tuple(cls[p] for p in block))
+                     for block in part], label,
                     [pair for f in pairs for pair in f]))
     return out
 

@@ -63,6 +63,7 @@ class FanPoset:
         self._up_mask, self._down_mask = self._closure()
         self._facial = {}
         self._pictures = {}
+        self._psi_images = {}  # (fan, partition) -> groups.psi image per first rep
 
     def _closure(self):
         """(up masks, down masks), propagated along a topological order.

@@ -63,6 +63,10 @@ apart from imports:
   the two chains laid down by a counterclockwise walk with a search for
   each next chamber, where ``poset.rank2_bisector_poset`` now orients
   each wall by the sign of minus the bisector on its normal.
+- ``words_equal``: the literal check and then the bounded rewriting
+  search, which builds every rewrite rule of the relators first, where
+  ``groups.words_equal`` now settles a target whose cyclic reduction is a
+  rotation of a relator or of its inverse before building any rule.
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -72,6 +76,7 @@ cones off ``Fan._project_star_map``, the fan's one projected-cone memo.
 """
 
 import math
+from collections import deque
 from itertools import combinations
 
 from partfan import cones as conelib
@@ -105,6 +110,7 @@ from partfan.errors import (
 )
 from partfan import fan as fanlib
 from partfan.fan import LinkComplex
+from partfan.groups import _neighbors, _rewrite_rules, word_concat, word_inverse
 from partfan.partition import (
     Partition,
     UnionFind,
@@ -934,3 +940,37 @@ def arrangement_svg(arrangement, projection_point=(1, 1, 1), size=500,
                      % (16 + 14 * idx, idx, label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def words_equal(word_a, word_b, relators):
+    """Bounded search for equality of two words modulo the relators.
+
+    Two routes, in this order.  Literal: equal words are equal, and True
+    is returned before any rewrite rule is built.  Rewriting: a
+    breadth-first search over free reduction plus replacing a subword s
+    by t^-1 whenever s t is a cyclic rotation of a relator or its inverse.
+    Words stay within the target's length plus the longest relator's plus
+    2, and at most 20 000 words are expanded.  Returns True when a rewrite
+    path to the empty word is found; False means no proof was found within
+    these bounds, not a disproof.
+    """
+    if word_a == word_b:
+        return True
+    target = word_concat(word_a, word_inverse(word_b))
+    if not target:
+        return True
+    rewrites = _rewrite_rules(relators)
+    max_length = len(target) + max((len(r) for r in relators), default=0) + 2
+    seen = {target}
+    queue = deque([target])
+    nodes = 0
+    while queue and nodes < 20000:
+        word = queue.popleft()
+        nodes += 1
+        for nxt in _neighbors(word, rewrites, max_length):
+            if not nxt:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False

@@ -3,6 +3,9 @@ import random
 import pytest
 
 import lattice_oracles
+import search_oracles
+from partfan import arrangement as arrlib
+from partfan import catalog
 from partfan import groups as G
 from partfan import poset as poset_module
 from partfan.category import build_category
@@ -25,6 +28,7 @@ from partfan.poset import (
     poset_from_linear_functional,
     rank2_bisector_poset,
 )
+from strategies import A3_NORMALS
 
 TAU1, TAU2, TAU3, TAU4 = (0, 3), (0, 1), (1, 2), (2, 3)
 
@@ -55,6 +59,118 @@ def test_equal_words_are_equal_before_any_rewrite_rule(monkeypatch):
     assert G.words_equal((), (), [])
     with pytest.raises(AssertionError):
         G.words_equal(w, (), [(("a", 1), ("b", 1))])
+
+
+@pytest.fixture(scope="module")
+def pictured():
+    """name -> (fan, partition, poset) for the planar catalogue fans (their
+    catalogue partitions, one poset each) and for A3 (flat partition, poset
+    of regions from the all-positive chamber)."""
+    square, hzb, lines = catalog.square(), catalog.hirzebruch(1), catalog.three_lines()
+    arrangement = arrlib.Arrangement(3, A3_NORMALS)
+    arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+    base = next(c for c in arrfan.fan.max_cones
+                if arrfan.sign_of(c) == (1,) * len(A3_NORMALS))
+    return {
+        "square": (square, catalog.torus_partition(square),
+                   poset_from_linear_functional(square, (1, 1))),
+        "hirzebruch-a1": (hzb, catalog.hirzebruch_p1(hzb), rank2_bisector_poset(hzb, TAU1)),
+        "three-lines": (lines, catalog.three_lines_partition(lines),
+                        rank2_bisector_poset(lines, lines.chambers()[0])),
+        "A3": (arrfan.fan, arrlib.flat_partition(arrangement, arrfan.fan),
+               arrlib.poset_of_regions(arrfan, base)),
+    }
+
+
+PICTURED = ["A3", "hirzebruch-a1", "square", "three-lines"]
+
+
+def random_word(rng, generators, length):
+    return G.free_reduce(tuple((rng.choice(generators), rng.choice((1, -1)))
+                               for _ in range(length)))
+
+
+def conjugate_pairs(rng, presentation, count):
+    """(u rot v, u v) for random words u, v and a random rotation rot of a
+    relator or of its inverse: the quotient is u rot u^-1."""
+    gens = presentation.generators
+    for _ in range(count):
+        rel = rng.choice(presentation.relators)
+        base = rel if rng.random() < 0.5 else G.word_inverse(rel)
+        k = rng.randrange(len(base))
+        u, v = (random_word(rng, gens, rng.randrange(4)) for _ in range(2))
+        yield G.word_concat(u, base[k:] + base[:k], v), G.word_concat(u, v)
+
+
+def composition_pairs(fan, partition, poset):
+    """(Psi(f) Psi(g), Psi(g o f)) for each entry of the composition table."""
+    category = build_category(fan, partition)
+    images = [G.psi(fan, partition, poset, m) for m in category.morphisms]
+    return [(G.word_concat(images[f], images[g]), images[h])
+            for (f, g), h in sorted(category.compose_table.items())]
+
+
+@pytest.mark.parametrize("name", PICTURED)
+def test_words_equal_matches_the_former_search(pictured, name):
+    """Random conjugates on every full presentation.  On the planar ones
+    also each composition pair of ``functor_check`` and random pairs of
+    words of length at most 1; the former search expands up to 20 000
+    words on each pair it cannot prove, too many for A3's 22 relators."""
+    fan, partition, poset = pictured[name]
+    pres = G.picture_group(fan, partition, poset)
+    rng = random.Random(23)
+    pairs = list(conjugate_pairs(rng, pres, 10))
+    if name != "A3":
+        pairs += composition_pairs(fan, partition, poset)
+        pairs += [(random_word(rng, pres.generators, rng.randrange(2)),
+                   random_word(rng, pres.generators, rng.randrange(2)))
+                  for _ in range(4)]
+    verdicts = [search_oracles.words_equal(a, b, pres.relators) for a, b in pairs]
+    assert [G.words_equal(a, b, pres.relators) for a, b in pairs] == verdicts
+    assert name == "A3" or not all(verdicts)
+
+
+def cyclic_core(word):
+    while len(word) > 1 and word[0] == (word[-1][0], -word[-1][1]):
+        word = word[1:-1]
+    return word
+
+
+@pytest.mark.parametrize("name", PICTURED)
+def test_conjugates_are_equal_before_any_rewrite_rule(pictured, name, monkeypatch):
+    """Relator conjugates, and on the planar fans every composition pair,
+    are proved equal with ``_rewrite_rules`` refusing to run.  A conjugate
+    with one letter of its rotation inverted reaches the rules unless its
+    cyclic core is still a rotation of a relator or of its inverse."""
+    def refuse(*args):
+        raise AssertionError("rewrite rules built for a relator conjugate")
+
+    fan, partition, poset = pictured[name]
+    pres = G.picture_group(fan, partition, poset)
+    rotations = {base[k:] + base[:k] for rel in pres.relators
+                 for base in (rel, G.word_inverse(rel)) for k in range(len(rel))}
+    rng = random.Random(29)
+    pairs = list(conjugate_pairs(rng, pres, 40))
+    if name != "A3":
+        pairs += composition_pairs(fan, partition, poset)
+    monkeypatch.setattr(G, "_rewrite_rules", refuse)
+    for a, b in pairs:
+        assert G.words_equal(a, b, pres.relators)
+        assert G.words_equal(b, a, pres.relators)
+    settled = 0
+    for _ in range(40):
+        u = random_word(rng, pres.generators, rng.randrange(4))
+        rot = list(rng.choice(sorted(rotations)))
+        i = rng.randrange(len(rot))
+        rot[i] = (rot[i][0], -rot[i][1])
+        word = G.word_concat(u, tuple(rot), G.word_inverse(u))
+        if word and cyclic_core(word) in rotations:
+            settled += 1
+            assert G.words_equal(word, (), pres.relators)
+        else:
+            with pytest.raises(AssertionError):
+                G.words_equal(word, (), pres.relators)
+    assert settled < 40
 
 
 def test_generator_names_are_kept_per_fan():
@@ -454,6 +570,29 @@ def test_rank2_certificate_builtins(square_fan, torus_partition, hzb_fan,
         poset = rank2_bisector_poset(fan, base)
         ok, witness = G.rank2_faithfulness_certificate(cat, poset)
         assert ok, witness
+
+
+def test_psi_is_computed_once_per_morphism(square_fan, torus_partition, monkeypatch):
+    """``functor_check`` then ``rank2_faithfulness_certificate`` on one
+    poset compute each Psi image once; the certificate reads the memo."""
+    calls = []
+    real = G._minima_chain_word
+
+    def counted(*args):
+        calls.append(args[3:])
+        return real(*args)
+
+    monkeypatch.setattr(G, "_minima_chain_word", counted)
+    category = build_category(square_fan, torus_partition)
+    poset = poset_from_linear_functional(square_fan, (1, 1))
+    assert G.functor_check(category, poset)[0]
+    assert G.rank2_faithfulness_certificate(category, poset)[0]
+    assert sorted(calls) == sorted(m.reps[0] for m in category.morphisms)
+    assert G.functor_check(category, poset)[0]
+    assert len(calls) == len(category.morphisms)
+    assert all(G.psi(square_fan, torus_partition, poset, m)
+               == real(square_fan, torus_partition, poset, *m.reps[0])
+               for m in category.morphisms)
 
 
 def test_rank2_certificate_requires_plane():

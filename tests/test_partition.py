@@ -174,6 +174,27 @@ def test_pruned_enumeration_matches_product_filter_on_catalog():
         assert_matches_product_filter(fan)
 
 
+def test_leaves_are_sorted_without_block_keys_and_fill_block_of_on_first_read(monkeypatch):
+    """Leaves sort their blocks by rank in ``fan.cones``, with no
+    ``_block_key`` call, and leave ``block_of`` unfilled until it is read;
+    then each equals ``Partition(fan, leaf.blocks)``, whose constructor
+    still checks the blocks."""
+    fans = [catalog.square(), catalog.three_lines()] + [catalog.hirzebruch(a) for a in range(4)]
+    for fan in fans:
+        potential_identifications(fan)  # its classes are a Partition built with keys
+    with monkeypatch.context() as patch:
+        patch.setattr(partlib, "_block_key", mock.Mock(side_effect=AssertionError))
+        enumerated = [(fan, enumerate_admissible(fan)) for fan in fans]
+    for fan, leaves in enumerated:
+        assert leaves and not any("block_of" in p.__dict__ for p in leaves)
+        for p in leaves:
+            built = Partition(fan, p.blocks)
+            assert list(p.block_of.items()) == list(built.block_of.items())
+            assert p.blocks == built.blocks and p.__dict__.keys() == built.__dict__.keys()
+        with pytest.raises(FanMismatch):
+            Partition(fan, leaves[0].blocks[:-1])
+
+
 @pytest.mark.parametrize("fan", [catalog.square(), catalog.three_lines(), catalog.hirzebruch(2)],
                          ids=["square", "three-lines", "hirzebruch2"])
 def test_pruned_enumeration_matches_product_filter_without_a_chamber(fan):
