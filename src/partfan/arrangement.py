@@ -404,17 +404,15 @@ def shard_partition(arrangement, arrfan, base):
     shards that contain it, so if the intersections of two cones agree,
     each lies in every shard that holds the other.  So the cones are
     grouped by the set of shards that contain them, and the chambers, the
-    only cones in no wall, by the empty set.  Raises WrongArrangement as
+    only cones in no wall, by the empty set.  A shard is a union of walls,
+    so a cone lies in it exactly when one of its walls lies in star(cone):
+    the set is read off ``fan._stars``.  Raises WrongArrangement as
     ``shards`` does, before any work.
     """
     fan = arrfan.fan
-    containing = {}  # cone -> indices of the shards holding it
-    for sh in shards(arrangement, arrfan, base):
-        for w in sh.walls:
-            for k in range(len(w) + 1):
-                for face in combinations(w, k):
-                    containing.setdefault(face, set()).add(sh.index)
-    return group_by(fan, lambda cone: frozenset(containing.get(cone, ())))
+    shard_of = {w: sh.index for sh in shards(arrangement, arrfan, base) for w in sh.walls}
+    return group_by(fan, lambda cone: frozenset(shard_of[w] for w in fan._stars[cone]
+                                                if w in shard_of))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,11 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
     keeps ``_half`` (the signs of both coordinates) and the sign of the
     cross product, so the angular order, the start of the cyclic word and
     every word are the same.
+
+    The chamber crossed into each wall is read off the two walls.  On a
+    complete simplicial fan the walls through sigma are sigma + {a}, and
+    two walls consecutive in angular order bound the chamber
+    sigma + {a, b}, the union of the two.
     """
     b1, b2 = int_kernel_basis(fan.ray_vectors(sigma), fan.dim)
     n11, n21 = dot(b1, b1), dot(b2, b1)
@@ -152,12 +157,9 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
     coords = {w: (dot(proj[w], b1), dot(proj[w], e2)) for w in walls}
     ordered = sorted(walls, key=cmp_to_key(lambda a, b: _angular_cmp(coords[a],
                                                                      coords[b])))
-    chamber_between = {}
-    for c in fan._star_chambers(sigma):
-        chamber_between[frozenset(project[c])] = c
     word = []
     for w_prev, w_cur in zip(ordered[-1:] + ordered[:-1], ordered):
-        before = chamber_between[frozenset((proj[w_prev], proj[w_cur]))]
+        before = tuple(sorted(set(w_prev) | set(w_cur)))
         edge = edge_of_block[partition.block_of[w_cur]]
         sign = 1 if fan._project_star_map(w_cur)[before] == edge.tail_signature else -1
         word.append((edge.index, sign))

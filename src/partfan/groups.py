@@ -10,7 +10,9 @@ claims full word-problem answers.  ``words_equal`` tries three routes in
 order: literal equality; the conjugate route, where the cyclically reduced
 quotient of the two words is a rotation of a relator or of its inverse
 (a rotation is a conjugate, so the quotient is u r^(+-1) u^-1 and trivial);
-and a bounded relator-rewriting search.  Inequality certificates use the
+and a bounded relator-rewriting search.  Both the conjugate route and the
+rewrite rules read the rotations of each relator and of its inverse from
+one generator, ``_rotations``.  Inequality certificates use the
 abelianization modulo the relator lattice.  Faithfulness claims are only
 issued through the two certificate routes with an actual proof behind
 them: the rank-2 bisector argument and the wall-algebra route for the
@@ -25,7 +27,6 @@ from .errors import (
     Degenerate,
     IntervalBroken,
     MissingWallAlgebraCertificate,
-    NotAnInterval,
     NotComparable,
     NotRank2,
     PosetInvalid,
@@ -187,12 +188,15 @@ def picture_group(fan, partition, poset, mode="full"):
 
 
 def _picture_group(fan, partition, poset, mode):
+    """The presentation ``picture_group`` keeps, computed afresh.
+
+    A cone fails the facial-interval axiom exactly when ``poset.facial``
+    gives it no lower end, which is when ``facial_interval`` would raise
+    NotAnInterval with the witness list(cone).
+    """
     for cone in fan.cones:
-        try:
-            _facial_interval(poset, cone)
-        except NotAnInterval as err:
-            raise PosetInvalid("facial-interval axiom fails",
-                               witness=err.witness) from err
+        if poset.facial(cone)[1] is None:
+            raise PosetInvalid("facial-interval axiom fails", witness=list(cone))
     generators = wall_generators(fan, partition)
     relators = []
     if mode == "full":
@@ -329,6 +333,14 @@ def words_equal(word_a, word_b, relators):
     return False
 
 
+def _rotations(relators):
+    """Every rotation of each relator and of its inverse, in relator order."""
+    for rel in relators:
+        for base in (rel, word_inverse(rel)):
+            for rot in range(len(base)):
+                yield base[rot:] + base[:rot]
+
+
 def _is_relator_conjugate(word, relators):
     """Whether the cyclic reduction of a freely reduced word is a rotation
     of a relator or of its inverse."""
@@ -337,40 +349,28 @@ def _is_relator_conjugate(word, relators):
         i += 1
         j -= 1
     core = word[i:j + 1]
-    n = len(core)
-    for rel in relators:
-        if len(rel) != n:
-            continue
-        for base in (rel, word_inverse(rel)):
-            for rot in range(n):
-                if base[rot] == core[0] and base[rot:] + base[:rot] == core:
-                    return True
-    return False
+    return core in _rotations(r for r in relators if len(r) == len(core))
 
 
 def _rewrite_rules(relators):
-    rules = []
-    for rel in relators:
-        for base in (rel, word_inverse(rel)):
-            n = len(base)
-            for rot in range(n):
-                cyc = base[rot:] + base[:rot]
-                for cut in range(n + 1):
-                    s, t = cyc[:cut], cyc[cut:]
-                    rules.append((s, word_inverse(t)))
-    dedup = sorted(set((s, t) for s, t in rules if s != t))
-    return dedup
+    """The rules (s, t^-1) for each cut s t of a rotation, sorted, s != t^-1.
+
+    The cut at the end of each rotation gives the rule (rotation, ()),
+    which the conjugate route of ``words_equal`` relies on.
+    """
+    rules = {(cyc[:cut], word_inverse(cyc[cut:]))
+             for cyc in _rotations(relators) for cut in range(len(cyc) + 1)}
+    return sorted((s, t) for s, t in rules if s != t)
 
 
 def _neighbors(word, rewrites, max_length):
+    """The words one rule application away from ``word``, within the bound.
+
+    An empty s needs no case of its own: ``word[pos:pos]`` is empty at
+    every position, so the loop inserts t at each of them.
+    """
     for s, t in rewrites:
         k = len(s)
-        if k == 0:
-            for pos in range(len(word) + 1):
-                out = free_reduce(word[:pos] + t + word[pos:])
-                if len(out) <= max_length:
-                    yield out
-            continue
         for pos in range(len(word) - k + 1):
             if word[pos:pos + k] == s:
                 out = free_reduce(word[:pos] + t + word[pos + k:])

@@ -53,7 +53,6 @@ class FanPoset:
                 raise PosetInvalid("cover does not cross a shared wall",
                                    witness=[list(lower), list(upper)])
         self.covers = covers
-        self._cover_set = frozenset(covers)
         # (upper, wall) of each cover above a chamber, in sorted order
         self._up = {c: [] for c in self.elements}
         self._across = {}  # wall -> (lower, upper) of each cover across it
@@ -64,6 +63,7 @@ class FanPoset:
         self._facial = {}
         self._pictures = {}
         self._psi_images = {}  # (fan, partition) -> groups.psi image per first rep
+        self._nondegenerate = {}  # (fan, partition) -> check_nondegenerate verdict
 
     def _closure(self):
         """(up masks, down masks), propagated along a topological order.
@@ -109,11 +109,14 @@ class FanPoset:
         return tuple(self.elements[i] for i in _bit_indices(self.interval_mask(a, b)))
 
     def cover_direction(self, a, b):
-        """+1 if a is covered by b, -1 if b covered by a, else None."""
-        wall = tuple(sorted(set(a) & set(b)))
-        if (a, b, wall) in self._cover_set:
+        """+1 if a is covered by b, -1 if b covered by a, else None.
+
+        Every cover (lower, upper, wall) is listed in ``_across[wall]``.
+        """
+        across = self._across.get(tuple(sorted(set(a) & set(b))), ())
+        if (a, b) in across:
             return 1
-        if (b, a, wall) in self._cover_set:
+        if (b, a) in across:
             return -1
         return None
 
@@ -524,8 +527,20 @@ def check_nondegenerate(fan, partition, poset):
     a failing block, or one where projection is not injective, goes
     through the pair scan, which gives the witness; blocks fail in the
     same order, so it is the one the scan over all blocks gives.
+
+    The verdict is kept on the poset, keyed by (fan, partition), so the
+    picture group and the rank-2 certificate read the one a caller got.
+    ``_check_possible`` runs on every call, and its errors are never kept.
     """
     _check_possible(fan, partition)
+    key = (fan, partition)
+    if key not in poset._nondegenerate:
+        poset._nondegenerate[key] = _nondegeneracy(fan, partition, poset)
+    return poset._nondegenerate[key]
+
+
+def _nondegeneracy(fan, partition, poset):
+    """The verdict ``check_nondegenerate`` keeps, computed afresh."""
     for block in partition.blocks:
         if len(block[0]) == fan.dim:
             continue
@@ -548,12 +563,21 @@ def _cover_images(fan, poset, cone):
 
 
 def _degenerate_pair(fan, poset, block):
-    """The first failing (pair, cover) of a block as a witness, or None."""
+    """The first failing (pair, cover) of a block as a witness, or None.
+
+    For each pair (s1, s2) it scans the covers whose wall contains s1, in
+    sorted order.  A wall contains s1 exactly when it lies in star(s1),
+    so these are the covers across the walls of ``fan._stars[s1]``, read
+    from ``poset._across``; sorted, they are the subsequence of the sorted
+    ``poset.covers`` that a scan of every cover would test, in the same
+    order, so the witness is the same.
+    """
     for s1, s2 in combinations(block, 2):
         match = _star_matching(fan, s1, s2)
-        for lower, upper, wall in poset.covers:
-            if not (set(s1) <= set(wall)):
-                continue
+        covers = sorted((lower, upper, wall) for wall in fan._stars[s1]
+                        if len(wall) == fan.dim - 1
+                        for lower, upper in poset._across.get(wall, ()))
+        for lower, upper, wall in covers:
             lo2, up2 = match[lower], match[upper]
             direction = poset.cover_direction(lo2, up2)
             if direction != 1:

@@ -27,17 +27,39 @@ def angular_order(rays):
     return sorted(rays, key=cmp_to_key(_ccw))
 
 
+# the primitive integer directions with entries in [-4, 4]
+PLANAR_RAYS = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
+               if (x, y) != (0, 0) and gcd(x, y) == 1]
+
+
 @st.composite
 def complete_planar_fans(draw, max_rays=9):
     """Complete planar fans: rays sorted by angle, every gap below pi."""
-    pool = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
-            if (x, y) != (0, 0) and gcd(x, y) == 1]
-    rays = angular_order(draw(st.lists(st.sampled_from(pool), min_size=3,
+    rays = angular_order(draw(st.lists(st.sampled_from(PLANAR_RAYS), min_size=3,
                                        max_size=max_rays, unique=True)))
     n = len(rays)
     assume(all(a[0] * b[1] - a[1] * b[0] > 0
                for a, b in zip(rays, rays[1:] + rays[:1])))
     return build_fan(2, rays, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
+
+
+def seeded_planar_fan(seed, n, symmetric):
+    """A seeded complete planar fan with n rays from ``PLANAR_RAYS``.  A
+    symmetric fan is n / 2 lines through the origin; any other has no two
+    opposite rays."""
+    rng = random.Random(seed)
+    upper = [v for v in PLANAR_RAYS if v[1] > 0 or (v[1] == 0 and v[0] > 0)]
+    while True:
+        if symmetric:
+            picks = rng.sample(upper, n // 2)
+            rays = picks + [(-x, -y) for x, y in picks]
+        else:
+            rays = rng.sample(PLANAR_RAYS, n)
+            if any((-x, -y) in rays for x, y in rays):
+                continue
+        rays = angular_order(rays)
+        if all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(rays, rays[1:] + rays[:1])):
+            return build_fan(2, rays, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
 
 
 A3_NORMALS = [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
