@@ -84,16 +84,22 @@ def build_category(fan, partition):
     well-definedness of composition (existence and uniqueness of the
     composite over all representative chains) is verified during the build.
 
-    For each f, the composites are first read off its first representative
-    (sigma0, kappa0): g o f = [sigma0, tau2] for the one rep (kappa0, tau2)
-    of each g starting at kappa0.  Every other rep (sigma, kappa) of f must
-    then start reps of the same g, one each, with [sigma, tau2] the same
-    class.  When these checks hold, the union of the classes [sigma, tau2]
-    over all representative chains is one class per g, the first rep's, and
-    the union meets the g in the first rep's order, so f's row of the table
-    is the union's.  When a check fails, or some g has two reps starting at
-    one kappa, ``_composites_by_union`` takes the union over all chains for
-    that f; it alone raises NotAdmissible, so the witness is the union's.
+    Each g has at most one rep (kappa, tau2) starting at a cone kappa:
+    distinct cones of star(kappa) have distinct signatures (consequence 4
+    of ``potential_identifications``, which ``is_admissible`` reaches
+    first).  For each f, the composites are read off its first
+    representative (sigma0, kappa0): g o f = [sigma0, tau2] for the rep
+    (kappa0, tau2) of each g starting at kappa0.  Every other rep
+    (sigma, kappa) of f gives the same row, so f's row is the union of the
+    classes [sigma, tau2] over all representative chains, in the first
+    rep's g order.  Proof: the matching m: star(sigma0) -> star(sigma)
+    preserves faces and sends kappa0 to kappa, so it sends g's rep
+    (kappa0, tau2) to (kappa, m(tau2)), with the same signature; by
+    admissibility tau2 ~ m(tau2), so (kappa, m(tau2)) is g's rep at kappa,
+    and [sigma0, tau2] = [sigma, m(tau2)] as both have one signature.
+    ``_composites_by_first_rep`` still compares each row with the first
+    and raises NotAdmissible("composition not single-valued") on a
+    mismatch.
     """
     ok, witness = is_admissible(fan, partition)
     if not ok:
@@ -125,54 +131,31 @@ def build_category(fan, partition):
     # f rep (sigma, kappa) looks up the reps (kappa, tau2) of every g by
     # their source.  By admissibility every target kappa of f starts reps
     # of the same morphisms g, so the table fills in g order for each f.
-    reps_from = {}   # kappa -> g index -> targets tau2 of g's reps (kappa, tau2)
+    reps_from = {}   # kappa -> g index -> target tau2 of g's rep (kappa, tau2)
     for g in morphisms:
         for kappa, tau2 in g.reps:
-            reps_from.setdefault(kappa, {}).setdefault(g.index, []).append(tau2)
-    # the cones at which some g has two reps
-    forked = {kappa for kappa, row in reps_from.items()
-              if any(len(ends) > 1 for ends in row.values())}
+            reps_from.setdefault(kappa, {})[g.index] = tau2
     compose_table = {}
     for f in morphisms:
-        row = _composites_by_first_rep(f, reps_from, forked, of_pair)
-        if row is None:
-            row = _composites_by_union(f, reps_from, of_pair)
+        row = _composites_by_first_rep(f, reps_from, of_pair)
         compose_table.update(((f.index, g_idx), h) for g_idx, h in row.items())
     return Category(fan, partition, tuple(morphisms), hom, compose_table, identities,
                     of_pair)
 
 
-def _composites_by_first_rep(f, reps_from, forked, of_pair):
-    """g index -> g o f read off f's first rep, or None when a rep of f ends
-    in a cone of ``forked`` or gives other composites than the first."""
+def _composites_by_first_rep(f, reps_from, of_pair):
+    """g index -> g o f read off f's first rep; raises NotAdmissible,
+    witness [f, sigma, kappa], at a rep (sigma, kappa) of f that gives
+    other composites than the first."""
     first = None
     for sigma, kappa in f.reps:
-        if kappa in forked:
-            return None
-        row = {g_idx: of_pair[sigma, ends[0]] for g_idx, ends in reps_from[kappa].items()}
+        row = {g_idx: of_pair[sigma, tau2] for g_idx, tau2 in reps_from[kappa].items()}
         if first is None:
             first = row
         elif row != first:
-            return None
-    return first
-
-
-def _composites_by_union(f, reps_from, of_pair):
-    """g index -> g o f, the union of [sigma, tau2] over all chains.
-
-    Raises NotAdmissible, witness [f, g, the classes], for the first g
-    whose chains give more than one class.
-    """
-    results = {}
-    for sigma, kappa in f.reps:
-        for g_idx, ends in reps_from[kappa].items():
-            results.setdefault(g_idx, set()).update(
-                of_pair[sigma, tau2] for tau2 in ends)
-    for g_idx, composed in results.items():
-        if len(composed) > 1:
             raise NotAdmissible("composition not single-valued",
-                                witness=[f.index, g_idx, sorted(composed)])
-    return {g_idx: composed.pop() for g_idx, composed in results.items()}
+                                witness=[f.index, list(sigma), list(kappa)])
+    return first
 
 
 def compose(category, f, g):

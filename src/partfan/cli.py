@@ -229,9 +229,11 @@ def _read_stdin():
     text = sys.stdin.read().strip()
     if not text:
         return {}
+    # json.loads raises JSONDecodeError, a plain ValueError for an integer
+    # of too many digits, or RecursionError for arrays nested too deep
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise BadInput("stdin is not JSON", witness=str(err))
     if not isinstance(data, dict):
         raise BadInput("envelope must be a JSON object", witness=_JSON_TYPES[type(data)])

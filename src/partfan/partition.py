@@ -15,6 +15,7 @@ from .errors import (
     EnumerationLimitExceeded,
     FanMismatch,
     PossibleIdentViolation,
+    PreconditionUnmet,
     SeedNotPossible,
 )
 
@@ -166,12 +167,48 @@ def potential_identifications(fan):
     of a cone's rays) is a canonical key for its span, so the classes are
     the groups of equal (span, projected star) keys.  The classes are
     computed once per fan and kept on it.
+
+    Precondition: projection along each cone sigma is injective on
+    star(sigma), so that the projected star is a fan whose cones match
+    those of the star.  Every valid fan satisfies it (the proof is in
+    ``fan.link_complex``).  Raises PreconditionUnmet, witness
+    [sigma, tau1, tau2], at the first cone in ``fan.cones`` order whose
+    star has two cones with one projection, tau1 and tau2 the first such
+    pair in ``fan._stars[sigma]`` order; the refusal is not kept.  Every
+    consumer of star matchings (``is_admissible``, ``admissible_closure``,
+    ``enumerate_admissible``, ``check_nondegenerate`` and through them
+    ``build_category``, ``build_cw`` and ``picture_group``) calls this
+    first, and relies on four consequences:
+
+    1. ``_star_matching`` between members of one class is a face-preserving
+       bijection, and matchings compose, so the pairs of ``_block_pairs``
+       (first member with each other member) decide a block.
+    2. A forced pair never crosses E-classes: if s1 ~ s2 and
+       t2 = match(t1), then span(t1) = span(t2), and projection along t
+       factors as pi_t = pi_{pi_s(t)} o pi_s, so t1 and t2 have one
+       projected star.  ``enumerate_admissible`` needs no cross-class prune.
+    3. A block that fails the chain test of ``poset.check_nondegenerate``
+       has a pair of members and a cover whose matched image is not a
+       cover, so its pair scan always finds a witness.
+    4. Distinct cones of star(kappa) have distinct signatures, so each
+       morphism has at most one representative starting at kappa, and
+       composition is single-valued on an admissible partition (see
+       ``category.build_category``).
     """
     if fan._ident is None:
-        fan._ident = IdentTable(group_by(
-            fan, lambda c: (fan._span_key(c),
-                            frozenset(fan._project_star_map(c).values()))))
+        fan._ident = IdentTable(group_by(fan, lambda c: _ident_key(fan, c)))
     return fan._ident
+
+
+def _ident_key(fan, cone):
+    """The E-class key of a cone; refuses a star that projects non-injectively."""
+    star = fan._project_star_map(cone)
+    projected = frozenset(star.values())
+    if len(projected) < len(star):
+        pair = next((t1, t2) for t1, t2 in combinations(star, 2) if star[t1] == star[t2])
+        raise PreconditionUnmet("projection is not injective on a star",
+                                witness=[list(cone), *map(list, pair)])
+    return fan._span_key(cone), projected
 
 
 def _check_possible(fan, partition):
@@ -211,7 +248,7 @@ def is_admissible(fan, partition):
 def _admissibility(fan, partition):
     """The verdict ``is_admissible`` returns, computed afresh."""
     for block in partition.blocks:
-        for s1, s2 in _block_pairs(fan, block):
+        for s1, s2 in _block_pairs(block):
             for t1, t2 in _star_matching(fan, s1, s2).items():
                 if partition.block_of[t1] != partition.block_of[t2]:
                     return False, (s1, s2, t1, t2)
@@ -226,34 +263,17 @@ def _star_matching(fan, s1, s2):
     return {t1: inverse2[c] for t1, c in m1.items()}
 
 
-def _block_pairs(fan, block):
-    """The pairs of members whose star matchings decide a block of one E-class.
+def _block_pairs(block):
+    """The pairs (s0, s) of the first member s0 with each other member s.
 
-    These are (s0, s) for the first member s0 and each other member s.
-    Members of one E-class have one span and one projected star, and
-    ``_star_matching`` goes through the canonical projected cones of that
-    span.  When projection is injective on each member's star, as on
-    every valid fan (the projected star is then a fan whose cones match
-    those of the star), the matchings are bijections and compose:
-    match(s -> s') = match(s0 -> s') o match(s0 -> s)^-1.  So if every
-    t ~ match(s0 -> s)(t) for each s, then for t in star(s) and
+    They decide a block of one E-class: by the precondition of
+    ``potential_identifications`` the matchings are bijections and
+    compose, match(s -> s') = match(s0 -> s') o match(s0 -> s)^-1.  So if
+    every t ~ match(s0 -> s)(t) for each s, then for t in star(s) and
     u = match(s0 -> s)^-1(t) both u ~ t and u ~ match(s0 -> s')(u) =
     match(s -> s')(t) hold, and every pair of the block is consistent.
-    Otherwise all pairs of the block are returned.
     """
-    if len(block) > 1 and _projects_injectively(fan, block):
-        return [(block[0], s) for s in block[1:]]
-    return list(combinations(block, 2))
-
-
-def _projects_injectively(fan, block):
-    """Whether projection is injective on the star of every member.
-
-    The members of a block of one E-class share their projected star, so
-    this holds iff each star has as many cones as that projected star.
-    """
-    size = len(set(fan._project_star_map(block[0]).values()))
-    return all(len(fan._project_star_map(s)) == size for s in block)
+    return [(block[0], s) for s in block[1:]]
 
 
 def admissible_closure(fan, seed_pairs):
@@ -279,7 +299,7 @@ def admissible_closure(fan, seed_pairs):
         closure = group_by(fan, sets.find)
         merged = False
         for block in closure.blocks:
-            for s1, s2 in _block_pairs(fan, block):
+            for s1, s2 in _block_pairs(block):
                 for t1, t2 in _star_matching(fan, s1, s2).items():
                     merged |= sets.union(t1, t2)
         if not merged:
@@ -334,9 +354,9 @@ def enumerate_admissible(fan, limit=16):
       block, so it is dropped.  Every other t1 strictly contains s1, so on
       a simplicial fan it has more rays and lies in a later class, as the
       classes are sorted by ray count.
-    - A forced pair whose cones lie in different E-classes is never
-      identified, so a set partition that forces one is pruned at its own
-      class, with all its completions.
+    - The two cones of a forced pair lie in one E-class (consequence 2 of
+      ``potential_identifications``), so no set partition is pruned for
+      forcing a pair across classes.
     - A forced pair is decided at its class, the first by which the
       blocks of t1 and t2 are fixed.  The pairs due at class k are tested
       against the label vector of its set partition before anything is
@@ -384,29 +404,23 @@ def enumerate_admissible(fan, limit=16):
 
 
 def _class_choices(fan, k, cls, place, rank):
-    """(blocks, label vector, forced pairs) of each set partition of class k
-    that forces no pair across two E-classes, in ``_set_partitions`` order.
+    """(blocks, label vector, forced pairs) of each set partition of class k,
+    in ``_set_partitions`` order.
 
     Each block comes as (rank of its first member, block), for
     ``_sorted_partition``.  Forced pairs are (class, position, position)
-    and lie in later classes.
+    and lie in later classes; both cones of a pair lie in one class.
     """
     forced = {}
     for p, q in combinations(range(len(cls)), 2):
-        pairs = []
+        pairs = forced[p, q] = []
         for t1, t2 in _star_matching(fan, cls[p], cls[q]).items():
-            (j, a), (j2, b) = place[t1], place[t2]
-            if j != j2:
-                pairs = None
-                break
+            (j, a), (_, b) = place[t1], place[t2]
             if j != k:
                 pairs.append((j, a, b))
-        forced[p, q] = pairs
     out = []
     for part in _set_partitions(list(range(len(cls)))):
         pairs = [forced[pq] for block in part for pq in combinations(block, 2)]
-        if None in pairs:
-            continue
         label = [0] * len(cls)
         for i, block in enumerate(part):
             for p in block:

@@ -21,7 +21,7 @@ from .errors import (
     PosetInvalid,
 )
 from .fan import is_finite_complete
-from .partition import _check_possible, _projects_injectively, _star_matching
+from .partition import _check_possible, _star_matching
 from .rational import dot, sqrt_combination_sign, vec
 
 # ``FanPoset.maximal_chains`` raises ChainLimitExceeded past this many chains
@@ -519,14 +519,16 @@ def check_nondegenerate(fan, partition, poset):
     across the walls of star(s).  The pair test of s_i, s_j asks that
     (match(lower), match(upper)) be a cover for each such cover of s_i.
     That pair lies in star(s_j) and projects to the cover's own projected
-    pair, so when projection is injective on star(s_j), as on every valid
-    fan, it is a cover iff that projected pair lies in D(s_j).  So the
-    test is D(s_i) <= D(s_j), and over the block s_0, ..., s_k it holds
-    for every i < j iff D(s_0) <= D(s_1) <= ... <= D(s_k).  The covers
-    need not cross every wall, so D(s_i) = D(s_j) is not required.  Only
-    a failing block, or one where projection is not injective, goes
-    through the pair scan, which gives the witness; blocks fail in the
-    same order, so it is the one the scan over all blocks gives.
+    pair, and projection is injective on star(s_j) (the precondition of
+    ``potential_identifications``, which ``_check_possible`` reaches
+    first), so it is a cover iff that projected pair lies in D(s_j).  So
+    the test is D(s_i) <= D(s_j), and over the block s_0, ..., s_k it
+    holds for every i < j iff D(s_0) <= D(s_1) <= ... <= D(s_k).  The
+    covers need not cross every wall, so D(s_i) = D(s_j) is not
+    required.  Only a failing block goes through the pair scan, which
+    gives the witness: a failing block has a pair and a cover whose
+    matched image is not a cover.  Blocks fail in the same order, so it
+    is the one the scan over all blocks gives.
 
     The verdict is kept on the poset, keyed by (fan, partition), so the
     picture group and the rank-2 certificate read the one a caller got.
@@ -544,13 +546,9 @@ def _nondegeneracy(fan, partition, poset):
     for block in partition.blocks:
         if len(block[0]) == fan.dim:
             continue
-        if _projects_injectively(fan, block):
-            images = [_cover_images(fan, poset, s) for s in block]
-            if all(a <= b for a, b in zip(images, images[1:])):
-                continue
-        witness = _degenerate_pair(fan, poset, block)
-        if witness is not None:
-            return False, witness
+        images = [_cover_images(fan, poset, s) for s in block]
+        if not all(a <= b for a, b in zip(images, images[1:])):
+            return False, _degenerate_pair(fan, poset, block)
     return True, None
 
 
@@ -563,7 +561,7 @@ def _cover_images(fan, poset, cone):
 
 
 def _degenerate_pair(fan, poset, block):
-    """The first failing (pair, cover) of a block as a witness, or None.
+    """The first failing (pair, cover) of a block that fails, as a witness.
 
     For each pair (s1, s2) it scans the covers whose wall contains s1, in
     sorted order.  A wall contains s1 exactly when it lies in star(s1),
@@ -586,4 +584,3 @@ def _degenerate_pair(fan, poset, block):
                     "cover": [list(lower), list(upper)],
                     "image": [list(lo2), list(up2)],
                 }
-    return None

@@ -18,6 +18,7 @@ predicates need.
 Python ints have arbitrary precision, so no coefficient can overflow.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -38,10 +39,25 @@ def vec(entries):
     return tuple(map(_exact, entries))
 
 
+# The largest decimal exponent a rational string may carry, as many as the
+# digits Python allows in an integer string: ``Fraction("1e1000000000")``
+# would build 10**exponent before anything could refuse it.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def _exact(x):
+    """``Fraction(x)``; a zero denominator or an exponent beyond
+    ``_MAX_EXPONENT`` raises ValueError, as a malformed string does."""
     if isinstance(x, (float, bool)):
         raise InexactNumber("floats and booleans are not exact numbers", witness=x)
-    return Fraction(x)
+    exponent = _EXPONENT.search(x) if isinstance(x, str) else None
+    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+        raise ValueError("exponent beyond %d in %r" % (_MAX_EXPONENT, x))
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,)) from None
 
 
 def dot(a, b):

@@ -16,6 +16,9 @@ apart from imports:
 - ``is_admissible``, ``admissible_closure`` and ``check_nondegenerate``:
   the star matching of every pair of cones in a block, and for
   non-degeneracy a scan of every cover for each such pair.
+- ``_composites_by_union``: each morphism's composites as the union of
+  the classes over all representative chains, where
+  ``category.build_category`` now reads them off the first representative.
 - ``check_cubical``, ``_faq_morphisms``, ``factorization_cube``,
   ``first_factors``, ``last_factors`` and
   ``check_last_factor_compatibility``: every (sigma, tau) pair looked up
@@ -99,6 +102,7 @@ from partfan.errors import (
     EnumerationLimitExceeded,
     MixedBlock,
     NotAChamber,
+    NotAdmissible,
     NotComplete,
     NotRank2,
     NotSimplicialArrangement,
@@ -384,6 +388,28 @@ def check_nondegenerate(fan, partition, poset):
                         "image": [list(lo2), list(up2)],
                     }
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# composition
+
+
+def _composites_by_union(f, reps_from, of_pair):
+    """g index -> g o f, the union of [sigma, tau2] over all chains.
+
+    Raises NotAdmissible, witness [f, g, the classes], for the first g
+    whose chains give more than one class.
+    """
+    results = {}
+    for sigma, kappa in f.reps:
+        for g_idx, ends in reps_from[kappa].items():
+            results.setdefault(g_idx, set()).update(
+                of_pair[sigma, tau2] for tau2 in ends)
+    for g_idx, composed in results.items():
+        if len(composed) > 1:
+            raise NotAdmissible("composition not single-valued",
+                                witness=[f.index, g_idx, sorted(composed)])
+    return {g_idx: composed.pop() for g_idx, composed in results.items()}
 
 
 # ---------------------------------------------------------------------------

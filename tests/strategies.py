@@ -10,7 +10,7 @@ from hypothesis import assume, strategies as st
 
 from partfan.fan import build_fan
 from partfan.partition import Partition, potential_identifications
-from partfan.rational import mat_vec, matrix_rank
+from partfan.rational import mat_vec, matrix_rank, primitive_ray
 
 
 def _ccw(a, b):
@@ -106,6 +106,27 @@ def random_fan(dim, seed, subdivisions=3):
         matrix = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
         if matrix_rank(matrix) == dim:
             return build_fan(dim, [mat_vec(matrix, r) for r in rays], max_cones)
+
+
+def random_cone_set(dim, seed, max_cones=16):
+    """A seeded set of simplicial cones in R^dim that need not be a fan.
+
+    Rays are distinct primitive vectors with entries in -2..2; maximal
+    cones of dim - 1 or dim independent rays are drawn at random, overlaps
+    allowed, and kept while the set has at most ``max_cones`` cones, the
+    zero cone included.
+    """
+    rng = random.Random(seed)
+    pool = sorted({primitive_ray(v) for v in product(range(-2, 3), repeat=dim) if any(v)})
+    rays = rng.sample(pool, rng.randint(dim + 1, dim + 3))
+    chosen, faces = [], {()}
+    for _ in range(6):
+        cone = tuple(sorted(rng.sample(range(len(rays)), rng.choice((dim - 1, dim)))))
+        grown = faces.union(*(combinations(cone, k) for k in range(1, len(cone) + 1)))
+        if len(grown) <= max_cones and matrix_rank([rays[i] for i in cone]) == len(cone):
+            chosen.append(cone)
+            faces = grown
+    return build_fan(dim, rays, chosen)
 
 
 def refining_partition(fan, rng):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 import search_oracles as oracle
 from partfan.category import (
-    _composites_by_union,
     build_category,
     check_cubical,
     check_last_factor_compatibility,
@@ -17,15 +16,22 @@ from partfan.category import (
     first_factors,
     last_factors,
 )
-from partfan.errors import NotAdmissible, NotAFace, NotComposable, RankZero
+from partfan.errors import (
+    NotAdmissible,
+    NotAFace,
+    NotComposable,
+    PreconditionUnmet,
+    RankZero,
+)
 from partfan.fan import build_fan, validate_fan
 from partfan.partition import (
     admissible_closure,
     enumerate_admissible,
     from_blocks,
     is_admissible,
+    potential_identifications,
 )
-from strategies import complete_planar_fans
+from strategies import complete_planar_fans, random_cone_set
 
 
 def coordinate_fan_r3():
@@ -377,7 +383,7 @@ def assert_first_representative_matches_the_union(category):
     for (f, g), h in category.compose_table.items():
         rows.setdefault(f, {})[g] = h
     for f in category.morphisms:
-        union = _composites_by_union(f, reps_from, category.of_pair)
+        union = oracle._composites_by_union(f, reps_from, category.of_pair)
         assert list(rows[f.index].items()) == list(union.items())
 
 
@@ -391,31 +397,34 @@ def test_first_representative_composites_match_the_union(which, coxeter_partitio
 
 def test_composition_not_single_valued_on_an_overlapping_fan():
     """Cones of this overlapping fan overlap, so two chains of one pair of
-    morphisms give different composites, though the partition passes the
-    admissibility check.  The union over all chains names both."""
+    morphisms would give different composites.  Cones (0, 1) and (0, 5)
+    both project along ray 0 to one cone, so the partition layer refuses
+    the fan before any category is built, each time it is asked."""
     rays = [(3, 0), (-3, -1), (0, 3), (3, -1), (0, -1), (1, -2)]
     fan = build_fan(2, rays, [tuple(sorted((i, (i + 1) % 6))) for i in range(6)])
     assert not validate_fan(fan).ok
-    partition = admissible_closure(fan, [((0, 1), (0, 5))])
-    assert is_admissible(fan, partition) == (True, None)
-    with pytest.raises(NotAdmissible, match="composition not single-valued") as raised:
-        build_category(fan, partition)
-    assert raised.value.witness == [1, 14, [7, 8]]
+    partition = from_blocks(fan, [[(0, 1), (0, 5)]])
+    for refused in (lambda: admissible_closure(fan, [((0, 1), (0, 5))]),
+                    lambda: is_admissible(fan, partition),
+                    lambda: build_category(fan, partition)):
+        with pytest.raises(PreconditionUnmet) as raised:
+            refused()
+        assert raised.value.witness == [[0], [0, 1], [0, 5]]
 
 
 def test_reps_of_an_identity_start_different_morphisms_on_an_overlapping_fan():
     """Rays 0 and 2 of this overlapping fan share an E-class, but ray 2 lies
     in one more cone, so only the rep at ray 2 of their block's identity
-    composes with the fourth morphism out of the block."""
+    would compose with the fourth morphism out of the block.  Cones (1, 2)
+    and (2, 3) both project along ray 2 to one cone, so the fan is
+    refused."""
     rays = [(-1, -1), (-1, 1), (1, 1), (2, 3), (1, 0)]
     fan = build_fan(2, rays, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert not validate_fan(fan).ok
-    category = build_category(fan, admissible_closure(fan, [((0,), (2,))]))
-    identity = category.morphism_of_pair((0,), (0,))
-    assert identity.reps == (((0,), (0,)), ((2,), (2,)))
-    composable = [g for f, g in category.compose_table if f == identity.index]
-    assert (len(fan.star((0,))), len(fan.star((2,))), len(composable)) == (3, 4, 4)
-    assert_first_representative_matches_the_union(category)
+    assert (len(fan.star((0,))), len(fan.star((2,)))) == (3, 4)
+    with pytest.raises(PreconditionUnmet) as raised:
+        build_category(fan, from_blocks(fan, [[(0,), (2,)]]))
+    assert raised.value.witness == [[2], [1, 2], [2, 3]]
 
 
 @settings(max_examples=10, deadline=None)
@@ -425,6 +434,39 @@ def test_planar_pair_lookup_and_composition_match_former_routes(fan):
         category = build_category(fan, partition)
         assert_matches_former_routes(category)
         assert_first_representative_matches_the_union(category)
+
+
+# The double-winding cone set: five rays going twice round the origin.  It
+# is no fan, but projection is injective on every star.
+DOUBLE_WINDING = (((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),
+                  ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+
+
+def test_star_injectivity_is_all_the_composition_proofs_need():
+    """Seeded cone sets, overlapping ones allowed: wherever
+    ``potential_identifications`` accepts one, valid fan or not, the
+    pruned enumeration is the product filter, and every admissible
+    partition's category builds with the table of the union over all
+    chains."""
+    cone_sets = [build_fan(2, *DOUBLE_WINDING)] + [
+        random_cone_set(dim, seed) for dim, count in ((2, 300), (3, 600))
+        for seed in range(count)]
+    accepted, invalid, categories = 0, 0, 0
+    for fan in cone_sets:
+        try:
+            potential_identifications(fan)
+        except PreconditionUnmet:
+            continue
+        accepted += 1
+        invalid += not validate_fan(fan).ok
+        partitions = enumerate_admissible(fan)
+        assert [p.blocks for p in partitions] == \
+            [p.blocks for p in oracle.enumerate_admissible(fan)]
+        for partition in partitions:
+            assert_first_representative_matches_the_union(build_category(fan, partition))
+            categories += 1
+    assert len(enumerate_admissible(cone_sets[0])) == 52
+    assert (accepted, invalid, categories) == (501, 153, 1163)
 
 
 def assert_cubical_matches_oracle(category):

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import partfan
+from partfan import cli
 from partfan.cli import main
+from partfan.errors import BadInput
 
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
@@ -517,6 +519,48 @@ def test_bad_input_has_a_witness(monkeypatch, capsys, args, stdin_text, witness)
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.out) == {"error": "BadInput", "witness": witness}
+    assert captured.err == ""
+
+
+RAY_ZERO_DENOMINATOR = {"fan": dict(SQUARE, rays=[["1/0", 0], [0, -1], [-1, 0], [0, 1]])}
+
+
+@pytest.mark.parametrize("args, envelope, key", [
+    (["fan", "validate"], RAY_ZERO_DENOMINATOR, "fan"),
+    (["fan", "from-arrangement"],
+     {"arrangement": {"dim": 2, "normals": [[1, 0], [0, "-2/0"]]}}, "arrangement"),
+    (["fan", "from-arrangement"],
+     {"arrangement": {"dim": 2, "normals": [[1, 0], [0, "1e1000000000"]]}}, "arrangement"),
+])
+def test_unbuildable_numbers_are_bad_input(monkeypatch, capsys, args, envelope, key):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    document = json.loads(captured.out)
+    assert (document["error"], document["witness"]["key"]) == ("BadInput", key)
+    assert document["witness"]["problem"].startswith("ValueError: ")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"fan": {"dim": 2, "rays": [[1%s, 0], [0, 1]], "max_cones": [[0, 1]]}}' % ("0" * 5000),
+     "4300"),
+    ("[" * 100000 + "]" * 100000, "recursion"),
+], ids=["5001-digit-integer", "deep-nesting"])
+def test_json_that_python_refuses_is_not_json(monkeypatch, capsys, text, problem):
+    """``json.loads`` refuses an integer of more than 4300 digits with a
+    plain ValueError, and deep nesting with RecursionError; neither is a
+    JSONDecodeError."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    with pytest.raises(BadInput, match="stdin is not JSON"):
+        cli._read_stdin()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(["fan", "validate"])
+    captured = capsys.readouterr()
+    assert code == 1
+    document = json.loads(captured.out)
+    assert document["error"] == "BadInput" and problem in document["witness"]
     assert captured.err == ""
 
 

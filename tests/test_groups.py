@@ -598,32 +598,33 @@ def test_psi_is_computed_once_per_morphism(square_fan, torus_partition, monkeypa
 def test_nondegeneracy_is_decided_once_per_poset(square_fan, torus_partition,
                                                  monkeypatch):
     """``picture_group``, ``functor_check`` and the rank-2 certificate on one
-    poset scan each block once; ``_check_possible`` runs on every call."""
+    poset scan each member of each block once; ``_check_possible`` runs on
+    every call."""
     scans, checks = [], []
-    real_scan = poset_module._projects_injectively
+    real_scan = poset_module._cover_images
     real_check = poset_module._check_possible
 
-    def scan(fan, block):
-        scans.append(block)
-        return real_scan(fan, block)
+    def scan(fan, poset, cone):
+        scans.append(cone)
+        return real_scan(fan, poset, cone)
 
     def check(fan, partition):
         checks.append(partition)
         return real_check(fan, partition)
 
-    monkeypatch.setattr(poset_module, "_projects_injectively", scan)
+    monkeypatch.setattr(poset_module, "_cover_images", scan)
     monkeypatch.setattr(poset_module, "_check_possible", check)
     category = build_category(square_fan, torus_partition)
     poset = rank2_bisector_poset(square_fan, TAU1)
     G.picture_group(square_fan, torus_partition, poset)
     assert G.functor_check(category, poset)[0]
     assert G.rank2_faithfulness_certificate(category, poset)[0]
-    assert sorted(scans) == sorted(b for b in torus_partition.blocks
-                                   if len(b[0]) < square_fan.dim)
+    assert sorted(scans) == sorted(c for b in torus_partition.blocks
+                                   if len(b[0]) < square_fan.dim for c in b)
     assert len(checks) == 2
-    blocks_scanned = len(scans)
+    cones_scanned = len(scans)
     assert check_nondegenerate(square_fan, torus_partition, poset) == (True, None)
-    assert len(checks) == 3 and len(scans) == blocks_scanned
+    assert len(checks) == 3 and len(scans) == cones_scanned
 
 
 def test_rank2_certificate_requires_plane():

@@ -15,13 +15,13 @@ from partfan.errors import (
     EnumerationLimitExceeded,
     FanMismatch,
     PossibleIdentViolation,
+    PreconditionUnmet,
     SeedNotPossible,
     UnknownCone,
 )
 from partfan.fan import build_fan
 from partfan.partition import (
     Partition,
-    _projects_injectively,
     _star_matching,
     admissible_closure,
     enumerate_admissible,
@@ -228,18 +228,18 @@ def test_pruned_enumeration_matches_product_filter_in_three_dimensions(name):
 
 
 def test_pruned_enumeration_matches_product_filter_across_classes():
-    """An overlapping fan: two cones of star(-e3) project to the ray e1,
-    so matching e3 with -e3 sends the wall (e3, e1) to the wall (-e3, b),
-    which lies in another E-class.  No admissible partition joins e3 and
-    -e3."""
+    """An overlapping fan: two cones of star(-e3), (-e3, e1 + e3) and
+    (-e3, e1 - e3), project to the ray e1, so matching e3 with -e3 would
+    send the wall (e3, e1) into another E-class.  The fan is refused before
+    any class is formed, and the refusal is not kept."""
     rays = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0), (1, 0, 1), (1, 0, -1)]
     fan = build_fan(3, rays, [(0, 2, 3), (1, 3, 4), (1, 5)])
     assert len(fan.cones) == 16
-    assert _star_matching(fan, (0,), (1,))[(0, 2)] == (1, 5)
-    classes = potential_identifications(fan).partition
-    assert classes.block_of[(0, 2)] != classes.block_of[(1, 5)]
-    enumerated = assert_matches_product_filter(fan)
-    assert all(p.block_of[(0,)] != p.block_of[(1,)] for p in enumerated)
+    for _ in range(2):
+        with pytest.raises(PreconditionUnmet) as raised:
+            enumerate_admissible(fan)
+        assert raised.value.witness == [[1], [1, 4], [1, 5]]
+    assert fan._ident is None
 
 
 def test_three_chambers_around_a_ray_forces_chamber_pairs():
@@ -423,10 +423,15 @@ def test_closure_merges_along_every_member(brauer):
 def test_overlapping_fan_is_checked_pair_by_pair():
     # cones (0, 1) and (0, 2) overlap: both project along ray 0 to one cone
     fan = build_fan(2, [(1, 0), (0, 1), (1, 1), (-1, 0)], [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert not _projects_injectively(fan, ((0,), (3,)))
-    assert _projects_injectively(catalog.square(), ((0,), (2,)))
     partition = from_blocks(fan, [[(0,), (3,)]])
-    assert is_admissible(fan, partition) == search_oracles.is_admissible(fan, partition)
+    for refused in (lambda: potential_identifications(fan),
+                    lambda: is_admissible(fan, partition),
+                    lambda: search_oracles.is_admissible(fan, partition),
+                    lambda: admissible_closure(fan, [((0,), (3,))])):
+        with pytest.raises(PreconditionUnmet) as raised:
+            refused()
+        assert raised.value.witness == [[0], [0, 1], [0, 2]]
+    assert potential_identifications(catalog.square()).same_class((0,), (2,))
 
 
 @settings(max_examples=25, deadline=None)

@@ -83,6 +83,27 @@ def test_vec_keeps_exact_entries_and_rejects_floats_and_booleans():
             sqrt_combination_sign(bad, 2, -1, 1)
 
 
+def test_zero_denominators_are_malformed_entries():
+    for bad in ("1/0", "0/0", " -3/0 "):
+        with pytest.raises(ValueError, match="zero denominator"):
+            vec((1, bad))
+
+
+def test_huge_exponents_are_refused_before_any_number_is_built(monkeypatch):
+    """The exponent is read off the string: ``Fraction`` is never called."""
+    def unbuilt(x):
+        raise AssertionError("Fraction(%r) was called" % (x,))
+
+    monkeypatch.setattr(rational, "Fraction", unbuilt)
+    for bad in ("1e1000000000", "2E-4301", "1.5e+1_000_000_000 "):
+        with pytest.raises(ValueError, match="exponent beyond 4300"):
+            vec((bad,))
+
+
+def test_exponents_up_to_the_bound_are_exact():
+    assert vec(("1e4300", "25e-2", "1.5E1")) == (10 ** 4300, Fraction(1, 4), 15)
+
+
 def test_complement_projection_axis():
     p = oracle.complement_projection([(0, 1)])
     assert p == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
