@@ -96,13 +96,20 @@ def arrangement_fan(arrangement, with_signs=False):
     normals whose kernel is a line.  The search starts at the tope (sign
     vector of a chamber) of a moment-curve point (1, t, t^2, ...) on no
     hyperplane.  A chamber's rays are the rays whose sign vectors conform
-    to its tope; its neighbours are the topes that differ in one
-    hyperplane holding n-1 of those rays.  The faces are the subsets of
-    chamber rays.  With ``with_signs`` the fan comes in an ArrangementFan,
-    whose ``sign_of`` computes a face's sign vector when asked.  Raises
+    to its tope (zero or the tope's sign on every hyperplane); its
+    neighbours are the topes that differ in one hyperplane holding n-1 of
+    those rays.  The faces are the subsets of chamber rays.  With
+    ``with_signs`` the fan comes in an ArrangementFan, whose ``sign_of``
+    computes a face's sign vector when asked.  Raises
     NotSimplicialArrangement when a chamber does not have exactly n rays,
-    as happens for every chamber of a non-essential arrangement.  The work is C(m, n-1) small kernels plus one pass over
-    the rays and the hyperplanes per chamber.
+    as happens for every chamber of a non-essential arrangement.
+
+    The work is C(m, n-1) small kernels and one sign vector per ray.  From
+    those, ``conform[h][s]`` is the bit set of the rays whose sign on
+    hyperplane h is 0 or s, so ``conform[h][0]`` is the rays on h.  A
+    chamber's rays are then the AND over h of ``conform[h][tope[h]]``, and
+    h holds n-1 of them when the popcount of that set AND ``conform[h][0]``
+    is n-1: two ANDs per hyperplane and chamber, and no sign test.
     """
     dim, normals = arrangement.dim, arrangement.normals
     lines = set()
@@ -114,6 +121,8 @@ def arrangement_fan(arrangement, with_signs=False):
             lines.add(kernel[0])
     rays = sorted(lines | {tuple(-x for x in r) for r in lines})
     ray_signs = [arrangement.sign_vector(r) for r in rays]
+    conform = [{s: sum(1 << i for i, signs in enumerate(ray_signs) if signs[h] in (0, s))
+                for s in (-1, 0, 1)} for h in range(len(normals))]
     for t in count(1):
         start = arrangement.sign_vector([t ** k for k in range(dim)])
         if all(start):
@@ -123,26 +132,22 @@ def arrangement_fan(arrangement, with_signs=False):
     chambers = []
     while queue:
         tope = queue.popleft()
-        chamber = tuple(i for i, signs in enumerate(ray_signs)
-                        if _conforms(signs, tope))
-        if len(chamber) != dim:
+        cell = (1 << len(rays)) - 1  # every ray
+        for h, s in enumerate(tope):
+            cell &= conform[h][s]
+        if cell.bit_count() != dim:
             raise NotSimplicialArrangement(
                 "chamber does not have exactly dim rays",
-                witness={"signs": list(tope), "dim": dim, "rays": len(chamber)})
-        chambers.append(chamber)
+                witness={"signs": list(tope), "dim": dim, "rays": cell.bit_count()})
+        chambers.append(tuple(i for i in range(len(rays)) if cell >> i & 1))
         for h in range(len(normals)):
-            if sum(ray_signs[i][h] == 0 for i in chamber) == dim - 1:
+            if (cell & conform[h][0]).bit_count() == dim - 1:
                 flipped = tope[:h] + (-tope[h],) + tope[h + 1:]
                 if flipped not in seen:
                     seen.add(flipped)
                     queue.append(flipped)
     fan = build_fan(dim, rays, chambers)
     return ArrangementFan(arrangement, fan) if with_signs else fan
-
-
-def _conforms(face, cell):
-    """Face order of covectors: zero where it must be, agreeing elsewhere."""
-    return all(f == 0 or f == c for f, c in zip(face, cell))
 
 
 class Flat:
@@ -216,27 +221,38 @@ def flats(arrangement):
     return sorted(out, key=lambda f: (len(f.indices), sorted(f.indices)))
 
 
-def _zero_set(arrangement, vectors):
-    """The hyperplanes that contain every one of the vectors."""
-    return frozenset(i for i, n in enumerate(arrangement.normals)
-                     if all(dot(n, v) == 0 for v in vectors))
+def _zero_sets(arrangement, vectors):
+    """The zero set of each cone on ``vectors``, a cone given by its indices.
+
+    A vector's zero set is the set of hyperplanes that contain it.  A
+    hyperplane contains a cone exactly when it contains each of its rays,
+    so a cone's zero set is the intersection of its rays' zero sets
+    (Orlik and Terao, *Arrangements of Hyperplanes*, ch. 1), and the zero
+    cone's is every hyperplane.  Each vector is dotted with each normal
+    once, here; the returned function only intersects.
+    """
+    every = frozenset(range(len(arrangement.normals)))
+    ray_zero = [frozenset(h for h, n in enumerate(arrangement.normals) if dot(n, v) == 0)
+                for v in vectors]
+    return lambda cone: every.intersection(*(ray_zero[i] for i in cone))
 
 
 def support(arrangement, fan, cone):
     """Smallest flat containing a face of the arrangement fan.
 
     Its hyperplanes are the face's zero set Z, the hyperplanes that
-    contain every ray of the face.  Z is closed: the intersection K of Z
-    contains the span of the face, so a hyperplane that contains K
-    contains every ray of the face and lies in Z.  So the flat is Z with
-    the kernel basis of Z's normals, and no closure is taken.
+    contain every ray of the face: the intersection of its rays' zero
+    sets (``_zero_sets``).  Z is closed: the intersection K of Z contains
+    the span of the face, so a hyperplane that contains K contains every
+    ray of the face and lies in Z.  So the flat is Z with the kernel basis
+    of Z's normals, and no closure is taken.
     """
     try:
         cone = fan.check_cone(cone)
     except UnknownCone as err:
         raise UnknownFace("face not in the arrangement fan",
                           witness=err.witness) from err
-    zero = _zero_set(arrangement, fan.ray_vectors(cone))
+    zero = _zero_sets(arrangement, fan.ray_vectors(cone))(range(len(cone)))
     return Flat(zero, int_kernel_basis(
         [arrangement.normals[i] for i in sorted(zero)], arrangement.dim))
 
@@ -246,9 +262,11 @@ def flat_partition(arrangement, fan):
     and re-verified by the caller through partition.is_admissible.
 
     A support flat is determined by its hyperplanes, the cone's zero set
-    (see ``support``), so the cones are grouped by zero set.
+    (see ``support``), so the cones are grouped by zero set.  Each ray's
+    zero set is computed once, and a cone's is the intersection of its
+    rays' (``_zero_sets``).
     """
-    return group_by(fan, lambda cone: _zero_set(arrangement, fan.ray_vectors(cone)))
+    return group_by(fan, _zero_sets(arrangement, fan.rays))
 
 
 def _chamber_check(fan, base):
@@ -310,7 +328,8 @@ def shards(arrangement, arrfan, base):
     WrongArrangement when ``arrangement`` is not the one of ``arrfan``.
 
     Everything is read off the (dim-2)-faces f and their zero sets Z(f),
-    the hyperplanes of f's support flat (see ``support``).  Every face of
+    the hyperplanes of f's support flat (see ``support``), each the
+    intersection of its rays' zero sets (``_zero_sets``).  Every face of
     a simplicial arrangement fan spans its support flat, and every flat X
     of rank 2 is spanned by a (dim-2)-face, a region of the arrangement
     restricted to X.  So the codimension-2 flats are the distinct Z(f),
@@ -329,12 +348,12 @@ def shards(arrangement, arrfan, base):
     fan = arrfan.fan
     base = _chamber_check(fan, base)
     point = _ray_sum(fan, base)
-    flat_of = {f: _zero_set(arrangement, fan.ray_vectors(f))
-               for f in fan.cones_of_dim(fan.dim - 2)}
+    zero_set = _zero_sets(arrangement, fan.rays)
+    flat_of = {f: zero_set(f) for f in fan.cones_of_dim(fan.dim - 2)}
     walls_on = {h: [] for h in range(len(arrangement.normals))}
     hyperplane_of = {}
     for wall in fan.walls():
-        (h,) = _zero_set(arrangement, fan.ray_vectors(wall))
+        (h,) = zero_set(wall)
         walls_on[h].append(wall)
         hyperplane_of[wall] = h
     face_of = {flat: f for f, flat in flat_of.items()}  # one face spanning each flat
@@ -483,23 +502,23 @@ def wa_mul(algebra, x, y):
 def wa_certify(arrangement, presentation):
     """Generator-distinctness certificate via the wall algebra.
 
-    (a) checks associativity and commutativity of * over all basis triples
-    and pairs; (b) maps every relator, necessarily of the chain-pair shape
-    w1 * w2^-1 with positive chain words, to the equation
-    phi(w1) = phi(w2) with phi(X_m) = 0vec (+) m, and verifies it holds.
-    Additionally the images of distinct generators are pairwise distinct
-    and different from the unit.  Returns True iff everything holds.
+    The algebra is commutative and associative by argument, so no basis
+    triple is tested.  ``WallAlgebra`` accepts only the built-in
+    arrangement, whose basis vectors, the seven normals and the zero
+    vector, are all of {0,1}^3, and ``basis_mul`` keeps a sum only when
+    it is again 0/1.  Read as subsets of {1,2,3}, a * b is the union of a
+    and b when they are disjoint and the symbol 0 otherwise, and 0
+    absorbs.  Disjoint union is commutative, and (a * b) * c and
+    a * (b * c) are both the union of a, b and c when the three are
+    pairwise disjoint and 0 otherwise, so the laws hold whatever the
+    presentation.  The certificate maps every relator, necessarily of the
+    chain-pair shape w1 * w2^-1 with positive chain words, to the
+    equation phi(w1) = phi(w2) with phi(X_m) = 0vec (+) m, and verifies
+    it holds.  Additionally the images of distinct generators are
+    pairwise distinct and different from the unit.  Returns True iff
+    everything holds.
     """
     algebra = WallAlgebra(arrangement)
-    for a in algebra.basis:
-        for b in algebra.basis:
-            if algebra.basis_mul(a, b) != algebra.basis_mul(b, a):
-                return False
-            for c in algebra.basis:
-                left = algebra.basis_mul(algebra.basis_mul(a, b), c)
-                right = algebra.basis_mul(a, algebra.basis_mul(b, c))
-                if left != right:
-                    return False
     images = {}
     for gen in presentation.generators:
         vector = _generator_vector(gen)

@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .errors import DependentBasis
 from .rational import (
+    _echelon,
     dot,
     int_kernel_basis,
     matrix_rank,
@@ -115,17 +116,25 @@ def simplicial_halfspaces(ray_vectors, dim):
     multiple of the dual-basis functional, row i of (G G^T)^{-1} G, whose
     nonnegativity says that barycentric coordinate i is nonnegative.
     Raises DependentBasis when the generators are linearly dependent.
+
+    All of them come from one fraction-free elimination of [G G^T | G],
+    with G the primitive generators (a positive scale of a generator
+    scales its dual functional by a positive factor).  G G^T is invertible,
+    so the elimination ends in rows [c_i e_i | c_i ((G G^T)^{-1} G)_i]
+    with c_i > 0 and entry-gcd 1.  The right-hand part of row i is
+    inequality i: its value on generator i is c_i > 0, as the dual
+    functional is 1 there, and it is primitive, since a common divisor of
+    its entries divides that value (generator i is an integer vector) and
+    so the whole row.
     """
     rays = list(ray_vectors)
     eqs = int_kernel_basis(rays, dim)
     if len(eqs) + len(rays) != dim:
         raise DependentBasis("generators of a simplicial cone are dependent",
                              witness=[[str(x) for x in r] for r in rays])
-    ineqs = []
-    for i, ray in enumerate(rays):
-        (normal,) = int_kernel_basis(rays[:i] + rays[i + 1:] + list(eqs), dim)
-        ineqs.append(normal if dot(normal, ray) > 0 else tuple(-x for x in normal))
-    return eqs, tuple(ineqs)
+    gens = [primitive_ray(r) for r in rays]
+    reduced, _ = _echelon([[dot(u, v) for v in gens] + list(u) for u in gens])
+    return eqs, tuple(tuple(row[len(gens):]) for row in reduced)
 
 
 def intersect_generated_cones(rays_a, rays_b, dim):

@@ -9,7 +9,8 @@ There is one elimination, :func:`_echelon`: fraction-free Gauss-Jordan on
 plain Python ints (rows are scaled to integers first, which changes neither
 row space nor kernel).  :func:`matrix_rank`, :func:`span_key`,
 :func:`int_kernel_basis` and :func:`int_complement_projection` return its
-integer results, and :func:`dot` of integer vectors is an int.  A
+integer results, ``cones.simplicial_halfspaces`` reads its facet
+functionals off it, and :func:`dot` of integer vectors is an int.  A
 ``Fraction`` is built in two places only: ``_exact`` parses rational input
 (for :func:`vec` and :func:`sqrt_combination_sign`), and :func:`rref`
 divides each echelon row by its pivot entry.  Spans are compared by their

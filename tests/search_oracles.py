@@ -70,6 +70,17 @@ apart from imports:
   search, which builds every rewrite rule of the relators first, where
   ``groups.words_equal`` now settles a target whose cyclic reduction is a
   rotation of a relator or of its inverse before building any rule.
+- ``arrangement_fan`` and ``_conforms``: each chamber's rays by testing
+  every ray's sign vector against the tope, and its walls by counting the
+  zero signs of its rays on each hyperplane, where
+  ``arrangement.arrangement_fan`` now ANDs one precomputed bit set of
+  conforming rays per hyperplane.
+- ``_zero_set``: a cone's zero set by dotting every ray of the cone with
+  every normal, where ``arrangement._zero_sets`` now intersects the zero
+  sets of the rays, each computed once.
+- ``simplicial_halfspaces``: one integer kernel per facet, where
+  ``cones.simplicial_halfspaces`` now reads every facet functional off one
+  elimination of [G G^T | G].
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -80,10 +91,11 @@ cones off ``Fan._project_star_map``, the fan's one projected-cone memo.
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import combinations, count
 
 from partfan import cones as conelib
 from partfan.arrangement import (
+    ArrangementFan,
     Flat,
     Shard,
     _chamber_check,
@@ -98,6 +110,7 @@ from partfan.category import (
 )
 from partfan.errors import (
     BadInput,
+    DependentBasis,
     DimensionMismatch,
     EnumerationLimitExceeded,
     MixedBlock,
@@ -113,7 +126,7 @@ from partfan.errors import (
     UnknownFace,
 )
 from partfan import fan as fanlib
-from partfan.fan import LinkComplex
+from partfan.fan import LinkComplex, build_fan
 from partfan.groups import _neighbors, _rewrite_rules, word_concat, word_inverse
 from partfan.partition import (
     Partition,
@@ -165,6 +178,85 @@ def _product(lists):
     for head in lists[0]:
         for rest in _product(lists[1:]):
             yield [head] + rest
+
+
+# ---------------------------------------------------------------------------
+# the arrangement fan, zero sets and facet functionals
+
+
+def arrangement_fan(arrangement, with_signs=False):
+    """The fan of a central simplicial arrangement, by a tope-graph search.
+
+    The rays are +/- the primitive kernel vectors of the (n-1)-subsets of
+    normals whose kernel is a line.  The search starts at the tope (sign
+    vector of a chamber) of a moment-curve point (1, t, t^2, ...) on no
+    hyperplane.  A chamber's rays are the rays whose sign vectors conform
+    to its tope; its neighbours are the topes that differ in one
+    hyperplane holding n-1 of those rays.  Raises NotSimplicialArrangement
+    when a chamber does not have exactly n rays.
+    """
+    dim, normals = arrangement.dim, arrangement.normals
+    lines = set()
+    for subset in combinations(normals, max(dim - 1, 0)):
+        kernel = int_kernel_basis(subset, dim)
+        if len(kernel) == 1 and any(arrangement.sign_vector(kernel[0])):
+            lines.add(kernel[0])
+    rays = sorted(lines | {tuple(-x for x in r) for r in lines})
+    ray_signs = [arrangement.sign_vector(r) for r in rays]
+    for t in count(1):
+        start = arrangement.sign_vector([t ** k for k in range(dim)])
+        if all(start):
+            break
+    seen = {start}
+    queue = deque([start])
+    chambers = []
+    while queue:
+        tope = queue.popleft()
+        chamber = tuple(i for i, signs in enumerate(ray_signs)
+                        if _conforms(signs, tope))
+        if len(chamber) != dim:
+            raise NotSimplicialArrangement(
+                "chamber does not have exactly dim rays",
+                witness={"signs": list(tope), "dim": dim, "rays": len(chamber)})
+        chambers.append(chamber)
+        for h in range(len(normals)):
+            if sum(ray_signs[i][h] == 0 for i in chamber) == dim - 1:
+                flipped = tope[:h] + (-tope[h],) + tope[h + 1:]
+                if flipped not in seen:
+                    seen.add(flipped)
+                    queue.append(flipped)
+    fan = build_fan(dim, rays, chambers)
+    return ArrangementFan(arrangement, fan) if with_signs else fan
+
+
+def _conforms(face, cell):
+    """Face order of covectors: zero where it must be, agreeing elsewhere."""
+    return all(f == 0 or f == c for f, c in zip(face, cell))
+
+
+def _zero_set(arrangement, vectors):
+    """The hyperplanes that contain every one of the vectors."""
+    return frozenset(i for i, n in enumerate(arrangement.normals)
+                     if all(dot(n, v) == 0 for v in vectors))
+
+
+def simplicial_halfspaces(ray_vectors, dim):
+    """H-representation of a simplicial cone, one kernel per facet.
+
+    Inequality i is the primitive normal of the hyperplane through the
+    other generators and span(G)^perp, oriented so that generator i is
+    positive.  Raises DependentBasis when the generators are dependent.
+    """
+    rays = list(ray_vectors)
+    eqs = int_kernel_basis(rays, dim)
+    if len(eqs) + len(rays) != dim:
+        raise DependentBasis("generators of a simplicial cone are dependent",
+                             witness=[[str(x) for x in r] for r in rays])
+    ineqs = []
+    for i, ray in enumerate(rays):
+        (normal,) = int_kernel_basis(rays[:i] + rays[i + 1:] + list(eqs), dim)
+        ineqs.append(normal if dot(normal, ray) > 0 else tuple(-x for x in normal))
+    return eqs, tuple(ineqs)
 
 
 # ---------------------------------------------------------------------------

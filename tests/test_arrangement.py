@@ -167,6 +167,65 @@ def test_non_simplicial_arrangement_rejected_by_both_searches():
         sign_enumeration_fan(arrangement)
 
 
+ORACLE_ARRANGEMENTS = [
+    (2, [(1, 0), (0, 1)]),
+    (2, [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)]),
+    (3, A3_NORMALS),
+    (3, A.builtin_brauer().normals),
+    (3, b_normals(3)),
+    (4, b_normals(4)),
+]
+ORACLE_IDS = ["coordinate", "pencil", "A3", "brauer", "B3", "B4"]
+
+
+@pytest.mark.parametrize("dim, normals", ORACLE_ARRANGEMENTS, ids=ORACLE_IDS)
+def test_sign_mask_tope_search_matches_the_conformance_scan(dim, normals):
+    arrangement = A.Arrangement(dim, normals)
+    new = A.arrangement_fan(arrangement, with_signs=True)
+    old = search_oracles.arrangement_fan(arrangement, with_signs=True)
+    assert new.fan.to_json() == old.fan.to_json()
+    assert new.fan.cones == old.fan.cones
+    assert [new.sign_of(c) for c in new.fan.cones] == \
+        [old.sign_of(c) for c in old.fan.cones]
+
+
+@pytest.mark.parametrize("normals, witness", [
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+     {"signs": [-1, 1, 1, 1], "dim": 3, "rays": 4}),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], {"signs": [1, 1, 1], "dim": 3, "rays": 0}),
+], ids=["four-planes", "non-essential"])
+def test_refusal_witness_is_the_conformance_scans(normals, witness):
+    arrangement = A.Arrangement(3, normals)
+    for search in (A.arrangement_fan, search_oracles.arrangement_fan):
+        with pytest.raises(NotSimplicialArrangement) as err:
+            search(arrangement)
+        assert err.value.witness == witness
+
+
+def _per_cone_zero_sets(arrangement, vectors):
+    """``arrangement._zero_sets`` through the per-cone dot-product oracle."""
+    return lambda cone: search_oracles._zero_set(arrangement, [vectors[i] for i in cone])
+
+
+@pytest.mark.parametrize("dim, normals", ORACLE_ARRANGEMENTS[2:], ids=ORACLE_IDS[2:])
+def test_zero_sets_match_the_per_cone_scan(monkeypatch, dim, normals):
+    arrangement = A.Arrangement(dim, normals)
+    arrfan = A.arrangement_fan(arrangement, with_signs=True)
+    fan, base = arrfan.fan, arrfan.fan.max_cones[0]
+    zero_set = A._zero_sets(arrangement, fan.rays)
+    for cone in fan.cones:
+        assert zero_set(cone) == search_oracles._zero_set(arrangement, fan.ray_vectors(cone))
+
+    def layer():
+        return ([A.support(arrangement, fan, c).to_json() for c in fan.cones],
+                A.flat_partition(arrangement, fan).blocks,
+                A.shard_partition(arrangement, arrfan, base).blocks)
+
+    new = layer()
+    monkeypatch.setattr(A, "_zero_sets", _per_cone_zero_sets)
+    assert layer() == new
+
+
 @pytest.mark.parametrize("dim, normals", [
     (1, []),
     (2, [(1, 0)]),

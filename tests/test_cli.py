@@ -498,6 +498,22 @@ def test_floats_and_booleans_are_inexact(monkeypatch, capsys, args, envelope, wi
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("normals, witness", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+     {"dim": 3, "rays": 4, "signs": [-1, 1, 1, 1]}),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], {"dim": 3, "rays": 0, "signs": [1, 1, 1]}),
+], ids=["four-planes", "non-essential"])
+def test_non_simplicial_arrangement_witness_is_the_tope(monkeypatch, capsys, normals,
+                                                        witness):
+    envelope = {"arrangement": {"dim": 3, "normals": normals}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+    code = main(["fan", "from-arrangement"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": "NotSimplicialArrangement",
+                                        "witness": witness}
+
+
 @pytest.mark.parametrize("args, stdin_text, witness", [
     (["partition", "check"], json.dumps({"fan": SQUARE}),
      {"key": "partition", "problem": "missing"}),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracles as oracle
+import search_oracles
 from fraction_oracles import identity_matrix
 from partfan import cones as conelib
 from partfan.cones import (
@@ -243,6 +245,23 @@ def test_simplicial_halfspaces_are_positive_multiples_of_the_oracle(generators_d
     eqs, ineqs = got
     assert eqs == tuple(primitive_ray(e) for e in expected[0])
     assert ineqs == tuple(primitive_ray(a) for a in expected[1])
+
+
+def test_simplicial_halfspaces_match_the_per_facet_kernels():
+    """One elimination of [G G^T | G] gives the per-facet kernels' rows,
+    on random integer cones of dimensions 1 to 5, dependent sets included."""
+    rng = random.Random(1)
+    outcomes = set()
+    for _ in range(3000):
+        dim = rng.randint(1, 5)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(0, dim))]
+        if len(rays) >= 2 and rng.random() < 0.2:
+            rays.append(tuple(a - 2 * b for a, b in zip(rays[0], rays[1])))
+        got = _outcome(simplicial_halfspaces, rays, dim)
+        assert got == _outcome(search_oracles.simplicial_halfspaces, rays, dim), rays
+        outcomes.add(got is DependentBasis)
+    assert outcomes == {False, True}
 
 
 @settings(max_examples=200, deadline=None)
