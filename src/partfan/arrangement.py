@@ -23,16 +23,20 @@ from .errors import (
     WrongArrangement,
     WrongBasis,
 )
-from .fan import build_fan
+from .fan import build_fan, check_dim
 from .partition import UnionFind, group_by
 from .poset import poset_from_linear_functional
 from .rational import dot, int_kernel_basis, primitive_ray
 
 
 class Arrangement:
-    """Normals of a central arrangement; pairwise non-parallel and nonzero."""
+    """Normals of a central arrangement; pairwise non-parallel and nonzero.
+
+    A ``dim`` that is not an integer >= 0 raises BadInput (``check_dim``).
+    """
 
     def __init__(self, dim, normals):
+        check_dim(dim)
         for i, n in enumerate(normals):
             if len(n) != dim:
                 raise DimensionMismatch("normal length differs from the dimension",
@@ -517,19 +521,17 @@ def wa_certify(arrangement, presentation):
     it holds.  Additionally the images of distinct generators are
     pairwise distinct and different from the unit.  Returns True iff
     everything holds.
+
+    An image is unit + m with m a nonzero primitive normal, so it is never
+    the unit, and two images are equal exactly when their normals are: the
+    distinctness test compares the normals.
     """
     algebra = WallAlgebra(arrangement)
-    images = {}
-    for gen in presentation.generators:
-        vector = _generator_vector(gen)
-        images[gen] = algebra.add(algebra.unit(), {vector: 1})
-    seen = {}
+    vectors = {gen: _generator_vector(gen) for gen in presentation.generators}
+    if len(set(vectors.values())) != len(vectors):
+        return False
     unit = algebra.unit()
-    for gen, img in images.items():
-        key = tuple(sorted(img.items()))
-        if img == unit or key in seen:
-            return False
-        seen[key] = gen
+    images = {gen: algebra.add(unit, {v: 1}) for gen, v in vectors.items()}
     for relator in presentation.relators:
         split = _split_chain_relator(relator)
         if split is None:

@@ -34,11 +34,12 @@ def extreme_rays(equalities, inequalities, dim):
     Returns (lineality_basis, rays), both as sorted tuples of primitive
     integer vectors.  The rays are the extreme rays of the pointed part;
     together with +/- the lineality basis they generate the cone.
+
+    A cone {0} (no subspace, d = 0) needs no case of its own: its empty
+    lineality complement gives p = 0 and ((), ()).
     """
     subspace = int_kernel_basis(equalities, dim)
     d = len(subspace)
-    if d == 0:
-        return (), ()
     # inequality system pulled back to subspace coordinates y, scaled to
     # primitive integer rows
     pulled = (tuple(dot(a, q) for q in subspace) for a in inequalities)
@@ -74,14 +75,9 @@ def _pointed_extreme_rays(rows, p):
 
     A ray r is extreme iff B r >= 0 and the rows vanishing on r have rank
     p - 1, so candidates come from (p-1)-subsets of rows with a
-    one-dimensional kernel.
+    one-dimensional kernel.  For p = 1 the one subset is empty, with
+    kernel basis ((1,),), so the candidates are +1 and -1.
     """
-    if p == 1:
-        rays = []
-        for cand in ((1,), (-1,)):
-            if all(dot(row, cand) >= 0 for row in rows):
-                rays.append(cand)
-        return rays
     found = set()
     for subset in combinations(rows, p - 1):
         ker = int_kernel_basis(subset, p)
@@ -161,23 +157,6 @@ def fulldim_in_halfspaces(simplicial_rays, halfspace_rep, dim):
     return bool(spanning) and matrix_rank(spanning) == dim
 
 
-def relative_interior_point(equalities, inequalities, dim):
-    """A relative-interior point of {E x = 0, A x >= 0}, or None if it is {0}.
-
-    The sum of all extreme rays lies in the relative interior of the
-    pointed part; the lineality contributes nothing and is ignored.
-    When the cone is a pure subspace the origin (its relative interior
-    under no strict constraints) is returned as the zero vector.
-    """
-    lin, rays = extreme_rays(equalities, inequalities, dim)
-    if not rays:
-        return tuple(0 for _ in range(dim)) if lin else None
-    total = [0] * dim
-    for r in rays:
-        total = [a + b for a, b in zip(total, r)]
-    return tuple(total)
-
-
 def strict_sign_feasible(normals, signs, dim):
     """Whether a point exists with <n_i, x> of exactly the given sign per normal.
 
@@ -185,20 +164,14 @@ def strict_sign_feasible(normals, signs, dim):
     hyperplane, nonzero means strictly on that side.  Returns a witness
     point or None.  This is the exact feasibility test behind sign-vector
     enumeration of hyperplane arrangements.
+
+    The witness is the sum of the extreme rays of {x : <n_i, x> = 0 where
+    the sign is 0, s_i <n_i, x> >= 0 elsewhere}, which lies in the relative
+    interior of its pointed part, or the origin when there is no ray.
     """
-    eqs = [normals[i] for i, s in enumerate(signs) if s == 0]
-    ineqs = [vec_scale_int(normals[i], s) for i, s in enumerate(signs) if s != 0]
-    point = relative_interior_point(eqs, ineqs, dim)
-    if point is None:
-        point = tuple(0 for _ in range(dim))
-    for i, s in enumerate(signs):
-        val = dot(normals[i], point)
-        if s == 0 and val != 0:
-            return None
-        if s != 0 and s * val <= 0:
-            return None
-    return point
-
-
-def vec_scale_int(v, s):
-    return tuple(s * x for x in v)
+    eqs = [n for n, s in zip(normals, signs) if s == 0]
+    ineqs = [tuple(s * x for x in n) for n, s in zip(normals, signs) if s]
+    _, rays = extreme_rays(eqs, ineqs, dim)
+    point = tuple(map(sum, zip(*rays))) if rays else (0,) * dim
+    values = (dot(n, point) for n in normals)
+    return point if all((v > 0) - (v < 0) == s for v, s in zip(values, signs)) else None

@@ -13,7 +13,7 @@ needs the 2-skeleton.
 
 from functools import cmp_to_key
 
-from .errors import Disconnected, NotAdmissible, NotComplete, PreconditionUnmet
+from .errors import NotAdmissible, NotComplete, PreconditionUnmet
 from .fan import is_finite_complete
 from .groups import Presentation, abelianization, free_reduce, wall_generator
 from .partition import is_admissible
@@ -197,17 +197,23 @@ def pi1_presentation(complex_):
     Breadth-first tree from the lexicographically least 0-cell; one
     generator per non-tree edge; one relator per 2-cell with tree letters
     deleted.  Generators reuse the picture-group symbols of their blocks.
+
+    The tree spans every 0-cell.  ``build_cw`` accepts only a finite
+    complete fan, so there is a chamber.  A generic path between two
+    chambers crosses walls at relative-interior points only (the crossing
+    argument of ``is_finite_complete``; for n <= 1 the fan is the origin
+    or the two half-lines through it), so chambers are joined through
+    walls.  By admissibility, which ``build_cw`` checked too, the edge of
+    a wall's block joins the blocks of that wall's two chambers.  So the
+    1-skeleton is connected.
     """
     fan = complex_.fan
     partition = complex_.partition
-    vertices = sorted(complex_.vertices)
-    if not vertices:
-        raise Disconnected("no 0-cells")
     adjacency = {v: [] for v in complex_.vertices}
     for e in complex_.edges:
         adjacency[e.tail].append((e.head, e.index))
         adjacency[e.head].append((e.tail, e.index))
-    root = vertices[0]
+    root = min(complex_.vertices)
     tree_edges = set()
     seen = {root}
     frontier = [root]
@@ -220,9 +226,6 @@ def pi1_presentation(complex_):
                     tree_edges.add(eidx)
                     nxt.append(u)
         frontier = nxt
-    if len(seen) != len(complex_.vertices):
-        raise Disconnected("1-skeleton is not connected",
-                           witness=[v for v in complex_.vertices if v not in seen])
     symbols = {}
     generators = []
     for e in complex_.edges:

@@ -109,10 +109,6 @@ class Degenerate(PartFanError):
     code = "Degenerate"
 
 
-class IntervalBroken(PartFanError):
-    code = "IntervalBroken"
-
-
 class NotComparable(PartFanError):
     code = "NotComparable"
 
@@ -123,10 +119,6 @@ class ChainLimitExceeded(PartFanError):
 
 class EnumerationLimitExceeded(PartFanError):
     code = "EnumerationLimitExceeded"
-
-
-class Disconnected(PartFanError):
-    code = "Disconnected"
 
 
 class PreconditionUnmet(PartFanError):

@@ -12,6 +12,7 @@ from itertools import combinations, count
 from . import cones as conelib
 from .errors import (
     BadIndex,
+    BadInput,
     DuplicateRay,
     MixedBlock,
     NonSimplicialCone,
@@ -243,8 +244,19 @@ class Fan:
         }
 
 
+def check_dim(dim):
+    """Refuse an ambient dimension that is not an integer >= 0 (a bool is
+    not one), with BadInput whose witness is the value."""
+    if type(dim) is not int or dim < 0:
+        raise BadInput("dimension must be an integer >= 0", witness=dim)
+
+
 def build_fan(dim, rays, max_cones):
-    """Construct a simplicial fan, normalizing rays and deriving all faces."""
+    """Construct a simplicial fan, normalizing rays and deriving all faces.
+
+    A ``dim`` that is not an integer >= 0 raises BadInput (``check_dim``).
+    """
+    check_dim(dim)
     prim = []
     for r in rays:
         if len(r) != dim:

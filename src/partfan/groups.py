@@ -25,7 +25,6 @@ from itertools import combinations
 from .category import build_category
 from .errors import (
     Degenerate,
-    IntervalBroken,
     MissingWallAlgebraCertificate,
     NotComparable,
     NotRank2,
@@ -281,14 +280,12 @@ def _minima_chain_word(fan, partition, poset, sigma, kappa):
     """The word of ``poset.first_chain(sigma^-, kappa^-)``, sigma^- the
     minimum of sigma's facial interval.
 
-    Raises IntervalBroken, witness [sigma, kappa], when the minima are not
-    comparable.
+    The chain exists: sigma is a face of kappa, so star(kappa) lies in
+    star(sigma), which ``_facial_interval`` has checked is the interval
+    [sigma^-, sigma^+].  So kappa^- lies in it, and sigma^- <= kappa^-.
     """
     chain = poset.first_chain(_facial_interval(poset, sigma).lower,
                               _facial_interval(poset, kappa).lower)
-    if chain is None:
-        raise IntervalBroken("interval minima are not comparable",
-                             witness=[list(sigma), list(kappa)])
     return chain_word(fan, partition, chain)
 
 
@@ -559,6 +556,11 @@ def hom_distinctness_certificate(category, poset, wall_algebra_certified):
     to check that distinct parallel morphisms from a common source
     representative have distinct interval minima kappa^-.  Returns
     (True, None) or (False, witness).
+
+    Every morphism out of a block has a representative at each member
+    sigma: ``build_category`` has checked admissibility, so the star
+    matching of the block's first member onto sigma carries each
+    representative there to one at sigma.
     """
     if not wall_algebra_certified:
         raise MissingWallAlgebraCertificate(
@@ -571,12 +573,7 @@ def hom_distinctness_certificate(category, poset, wall_algebra_certified):
         for sigma in source_block:
             minima = {}
             for i in indices:
-                kappa = next((t for s, t in category.morphisms[i].reps
-                              if s == sigma), None)
-                if kappa is None:
-                    # admissibility guarantees a representative per source
-                    raise IntervalBroken("morphism lacks a representative at a "
-                                         "source member", witness=list(sigma))
+                kappa = next(t for s, t in category.morphisms[i].reps if s == sigma)
                 lo = _facial_interval(poset, kappa).lower
                 if lo in minima:
                     return False, {"hom": [src, dst],

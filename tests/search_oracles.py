@@ -81,6 +81,11 @@ apart from imports:
 - ``simplicial_halfspaces``: one integer kernel per facet, where
   ``cones.simplicial_halfspaces`` now reads every facet functional off one
   elimination of [G G^T | G].
+- ``strict_sign_feasible``, ``relative_interior_point`` and
+  ``vec_scale_int``: the witness point by a relative-interior helper that
+  returned None for the cone {0} and the origin for a pure subspace, with
+  a signed copy of each normal made by a helper, where
+  ``cones.strict_sign_feasible`` now sums the extreme rays itself.
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -257,6 +262,49 @@ def simplicial_halfspaces(ray_vectors, dim):
         (normal,) = int_kernel_basis(rays[:i] + rays[i + 1:] + list(eqs), dim)
         ineqs.append(normal if dot(normal, ray) > 0 else tuple(-x for x in normal))
     return eqs, tuple(ineqs)
+
+
+def relative_interior_point(equalities, inequalities, dim):
+    """A relative-interior point of {E x = 0, A x >= 0}, or None if it is {0}.
+
+    The sum of all extreme rays lies in the relative interior of the
+    pointed part; the lineality contributes nothing and is ignored.
+    When the cone is a pure subspace the origin (its relative interior
+    under no strict constraints) is returned as the zero vector.
+    """
+    lin, rays = conelib.extreme_rays(equalities, inequalities, dim)
+    if not rays:
+        return tuple(0 for _ in range(dim)) if lin else None
+    total = [0] * dim
+    for r in rays:
+        total = [a + b for a, b in zip(total, r)]
+    return tuple(total)
+
+
+def strict_sign_feasible(normals, signs, dim):
+    """Whether a point exists with <n_i, x> of exactly the given sign per normal.
+
+    ``signs`` entries are -1, 0, +1; zero means the point lies on the
+    hyperplane, nonzero means strictly on that side.  Returns a witness
+    point or None.  This is the exact feasibility test behind sign-vector
+    enumeration of hyperplane arrangements.
+    """
+    eqs = [normals[i] for i, s in enumerate(signs) if s == 0]
+    ineqs = [vec_scale_int(normals[i], s) for i, s in enumerate(signs) if s != 0]
+    point = relative_interior_point(eqs, ineqs, dim)
+    if point is None:
+        point = tuple(0 for _ in range(dim))
+    for i, s in enumerate(signs):
+        val = dot(normals[i], point)
+        if s == 0 and val != 0:
+            return None
+        if s != 0 and s * val <= 0:
+            return None
+    return point
+
+
+def vec_scale_int(v, s):
+    return tuple(s * x for x in v)
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,24 @@ def test_non_simplicial_arrangement_witness_is_the_tope(monkeypatch, capsys, nor
                                         "witness": witness}
 
 
+@pytest.mark.parametrize("dim, document", [
+    ("{}", '{"error": "BadInput", "witness": {}}'),
+    ('"3"', '{"error": "BadInput", "witness": "3"}'),
+    ("3.0", '{"error": "BadInput", "witness": 3.0}'),
+    ("-1", '{"error": "BadInput", "witness": -1}'),
+    ("true", '{"error": "BadInput", "witness": true}'),
+], ids=["object", "string", "float", "negative", "boolean"])
+def test_a_dim_that_is_no_integer_at_least_zero_is_bad_input(monkeypatch, capsys,
+                                                             dim, document):
+    """A fan's or an arrangement's dim is refused with the value as the
+    witness, by every command that reads it."""
+    arrangement = '{"arrangement": {"dim": %s, "normals": []}}' % dim
+    fan = '{"fan": {"dim": %s, "rays": [], "max_cones": []}}' % dim
+    for args, stdin_text in [(["fan", "from-arrangement"], arrangement),
+                             (["fan", "validate"], fan), (["fan", "complete"], fan)]:
+        assert run_cli(args, stdin_text, monkeypatch, capsys) == (1, document + "\n"), args
+
+
 @pytest.mark.parametrize("args, stdin_text, witness", [
     (["partition", "check"], json.dumps({"fan": SQUARE}),
      {"key": "partition", "problem": "missing"}),

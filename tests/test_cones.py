@@ -123,6 +123,37 @@ def test_strict_sign_feasible():
     assert strict_sign_feasible(normals, (0, 0, 0), 2) is not None
 
 
+@pytest.mark.parametrize("equalities, inequalities, dim, expected", [
+    ([(1, 2), (0, 1)], [(1, 1)], 2, ((), ())),
+    ([(0, 0, 1)], [(1, 1, 0)], 3, (((-1, 1, 0),), ((0, 1, 0),))),
+    ([], [(2, 0)], 2, (((0, 1),), ((1, 0),))),
+    ([], [(1,), (-1,)], 1, ((), ())),
+], ids=["no-subspace", "one-free-column", "half-plane", "opposed-rows"])
+def test_extreme_rays_without_special_cases(equalities, inequalities, dim, expected):
+    """The cone {0} (d = 0) and a pointed part of dimension p = 1 go the
+    general way: p = 0 for the first, and the empty row subset, with kernel
+    ((1,),), as the candidates +1 and -1 for the others."""
+    assert extreme_rays(equalities, inequalities, dim) == expected
+
+
+def test_strict_sign_feasible_matches_the_relative_interior_route():
+    """The witness read straight off ``extreme_rays`` is the one the former
+    ``relative_interior_point`` route gave, on random sign systems of
+    dimensions 1 to 4 with up to six normals, zero normals included."""
+    rng = random.Random(1)
+    outcomes = set()
+    for _ in range(2000):
+        dim = rng.randint(1, 4)
+        normals = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                   for _ in range(rng.randint(0, 6))]
+        signs = [rng.choice((-1, 0, 1)) for _ in normals]
+        got = strict_sign_feasible(normals, signs, dim)
+        assert got == search_oracles.strict_sign_feasible(normals, signs, dim), \
+            (normals, signs)
+        outcomes.add(got is None)
+    assert outcomes == {False, True}
+
+
 # Fraction-path oracles for extreme_rays and simplicial_halfspaces: the same
 # algorithms over exact rationals, with a Gram-matrix inverse in place of the
 # per-facet integer kernels, on the former Fraction Gauss-Jordan.

@@ -17,6 +17,10 @@ The Fraction scan pins the exactness boundary: spans and projections are
 decided on integers, so only ``rational.py`` imports ``fractions``, and
 ``Fraction`` is named only in ``rational._exact`` (input parsing) and
 ``rational.rref``.
+
+The error scan asks that every ``PartFanError`` subclass of ``errors.py``
+be named in some test module: a refusal that no test names is one that
+no test shows can happen.
 """
 
 import ast
@@ -166,3 +170,17 @@ def test_the_scan_finds_fraction_uses_out_of_bounds():
 
 def test_fraction_is_named_only_where_input_is_parsed_and_rref_is_formed():
     assert fraction_uses({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def error_classes():
+    """The ``PartFanError`` subclasses that ``errors.py`` defines."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {
+        "PartFanError"}
+
+
+def test_every_error_class_is_named_by_a_test():
+    """Each error class is named in a test, as a name or as an attribute."""
+    named = set().union(*(_names([ast.parse(p.read_text())])
+                          for p in (ROOT / "tests").glob("*.py")))
+    assert sorted(error_classes() - named) == []

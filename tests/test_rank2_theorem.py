@@ -7,8 +7,11 @@ identification occurs: the fan is three lines through the origin and the
 partition identifies all three pairs of opposite rays.
 """
 
+from itertools import combinations
+
 from hypothesis import given, settings
 
+import search_oracles
 from partfan import catalog
 from partfan import groups as G
 from partfan.category import (
@@ -17,9 +20,10 @@ from partfan.category import (
     check_last_factor_compatibility,
 )
 from partfan.errors import PosetInvalid
+from partfan.fan import build_fan
 from partfan.partition import admissible_closure, enumerate_admissible
 from partfan.poset import check_nondegenerate, rank2_bisector_poset
-from strategies import complete_planar_fans, seeded_planar_fan
+from strategies import angular_order, complete_planar_fans, seeded_planar_fan
 
 
 def opposite_pairs(fan):
@@ -123,3 +127,54 @@ def test_rank2_theorem_on_the_closure_of_all_opposite_pairs(fan):
             ok, witness = G.rank2_faithfulness_certificate(category, poset)
             if not ok:
                 assert_separation_fails(category, poset, witness)
+
+
+def incompatible_last_factor_sets(category):
+    """The sets that break last-factor compatibility, read off the definition.
+
+    Every set of k >= 3 rank-1 morphisms into one object whose pairs are
+    each the last-factor set of a rank-2 morphism into it must be the
+    last-factor set of a rank-k morphism into it.  Each subset is tested,
+    with no clique search; the last factors are those of
+    ``search_oracles.last_factors``.
+    """
+    realized = {}
+    for m in category.morphisms:
+        if m.rank >= 2:
+            realized.setdefault((m.target, m.rank), set()).add(
+                tuple(x.index for x in search_oracles.last_factors(category, m)))
+    failing = []
+    for obj in category.objects:
+        rank1 = [m.index for m in category.morphisms if m.target == obj and m.rank == 1]
+        for k in range(3, len(rank1) + 1):
+            for subset in combinations(rank1, k):
+                if all(pair in realized.get((obj, 2), ())
+                       for pair in combinations(subset, 2)) \
+                        and subset not in realized.get((obj, k), ()):
+                    failing.append(subset)
+    return failing
+
+
+def found_seven_ray_fan():
+    """Three lines plus the ray (-4, -3): its last factors fail, beyond the
+    six-ray exception."""
+    rays = angular_order([(4, 1), (-4, 3), (-4, 1), (-4, -1), (-4, -3), (4, -3), (4, -1)])
+    return build_fan(2, rays, [tuple(sorted((i, (i + 1) % 7))) for i in range(7)])
+
+
+def test_last_factor_check_matches_its_definition():
+    """On every admissible partition of the corpus and of the seven-ray fan,
+    the clique search fails exactly where some set breaks the definition,
+    and its witness is such a set."""
+    partitions = failures = 0
+    for _, make, _, _ in CORPUS + [("seven rays", found_seven_ray_fan, None, None)]:
+        fan = make()
+        for partition in enumerate_admissible(fan):
+            category = build_category(fan, partition)
+            compatible, witness = check_last_factor_compatibility(category)
+            failing = incompatible_last_factor_sets(category)
+            assert compatible == (not failing), (fan.rays, partition.blocks)
+            assert compatible or witness in failing
+            partitions += 1
+            failures += not compatible
+    assert (partitions, failures) == (1891, 6)
