@@ -80,26 +80,25 @@ class Category:
 def build_category(fan, partition):
     """Materialize objects, morphism classes and the composition table.
 
-    Raises NotAdmissible when the partition fails the admissibility check;
-    well-definedness of composition (existence and uniqueness of the
-    composite over all representative chains) is verified during the build.
+    Raises NotAdmissible when the partition fails the admissibility check.
+    On an admissible partition composition is well defined, and each
+    composite is read off one representative chain.
 
     Each g has at most one rep (kappa, tau2) starting at a cone kappa:
     distinct cones of star(kappa) have distinct signatures (consequence 4
     of ``potential_identifications``, which ``is_admissible`` reaches
-    first).  For each f, the composites are read off its first
-    representative (sigma0, kappa0): g o f = [sigma0, tau2] for the rep
-    (kappa0, tau2) of each g starting at kappa0.  Every other rep
-    (sigma, kappa) of f gives the same row, so f's row is the union of the
-    classes [sigma, tau2] over all representative chains, in the first
-    rep's g order.  Proof: the matching m: star(sigma0) -> star(sigma)
-    preserves faces and sends kappa0 to kappa, so it sends g's rep
-    (kappa0, tau2) to (kappa, m(tau2)), with the same signature; by
-    admissibility tau2 ~ m(tau2), so (kappa, m(tau2)) is g's rep at kappa,
-    and [sigma0, tau2] = [sigma, m(tau2)] as both have one signature.
-    ``_composites_by_first_rep`` still compares each row with the first
-    and raises NotAdmissible("composition not single-valued") on a
-    mismatch.
+    first).  Each pair (kappa, tau2) with tau2 in star(kappa) is the rep
+    of exactly one g, so star(kappa) lists, once each, the g that start
+    at kappa's block.  For each f, the composites are read off its first
+    representative (sigma0, kappa0): g o f = [sigma0, tau2] for each
+    tau2 in star(kappa0), g = [kappa0, tau2], and the row is filled in g
+    order.  Every other rep (sigma, kappa) of f gives the same row, so
+    this is the class of every representative chain.  Proof: the matching
+    m: star(sigma0) -> star(sigma) preserves faces and sends kappa0 to
+    kappa, so it sends g's rep (kappa0, tau2) to (kappa, m(tau2)), with
+    the same signature; by admissibility tau2 ~ m(tau2), so
+    (kappa, m(tau2)) is g's rep at kappa, and [sigma0, tau2] =
+    [sigma, m(tau2)] as both have one signature.
     """
     ok, witness = is_admissible(fan, partition)
     if not ok:
@@ -127,35 +126,14 @@ def build_category(fan, partition):
         if m.rank == 0:
             identities[m.source] = m.index
 
-    # composition per representative matching; checked single-valued.  Each
-    # f rep (sigma, kappa) looks up the reps (kappa, tau2) of every g by
-    # their source.  By admissibility every target kappa of f starts reps
-    # of the same morphisms g, so the table fills in g order for each f.
-    reps_from = {}   # kappa -> g index -> target tau2 of g's rep (kappa, tau2)
-    for g in morphisms:
-        for kappa, tau2 in g.reps:
-            reps_from.setdefault(kappa, {})[g.index] = tau2
     compose_table = {}
     for f in morphisms:
-        row = _composites_by_first_rep(f, reps_from, of_pair)
-        compose_table.update(((f.index, g_idx), h) for g_idx, h in row.items())
+        sigma, kappa = f.reps[0]
+        row = sorted((of_pair[kappa, tau2], of_pair[sigma, tau2])
+                     for tau2 in fan._stars[kappa])
+        compose_table.update(((f.index, g), h) for g, h in row)
     return Category(fan, partition, tuple(morphisms), hom, compose_table, identities,
                     of_pair)
-
-
-def _composites_by_first_rep(f, reps_from, of_pair):
-    """g index -> g o f read off f's first rep; raises NotAdmissible,
-    witness [f, sigma, kappa], at a rep (sigma, kappa) of f that gives
-    other composites than the first."""
-    first = None
-    for sigma, kappa in f.reps:
-        row = {g_idx: of_pair[sigma, tau2] for g_idx, tau2 in reps_from[kappa].items()}
-        if first is None:
-            first = row
-        elif row != first:
-            raise NotAdmissible("composition not single-valued",
-                                witness=[f.index, list(sigma), list(kappa)])
-    return first
 
 
 def compose(category, f, g):

@@ -279,31 +279,34 @@ def _block_pairs(block):
 def admissible_closure(fan, seed_pairs):
     """Smallest admissible partition whose blocks contain all seed pairs.
 
-    Union-find fixpoint: whenever sigma1 ~ sigma2, matching star members
-    are merged; iterated until stable.  Merges strictly decrease the block
-    count, so this terminates.  Each round merges along ``_block_pairs``
-    only.  Every merge is forced, and a round without merges leaves a
-    partition in which those pairs, and so all pairs of each block, match
-    consistently: the least admissible partition containing the seeds.
+    A worklist of merge edges over one union-find.  The seeds are checked
+    first, in order.  Then each pair popped that ``UnionFind.union``
+    merges pushes the pairs of its ``_star_matching``; a pair already in
+    one set is dropped.  Every merge is forced: the seeds are, and when
+    s1 ~ s2 in an admissible partition, so are t and match(s1 -> s2)(t).
+    At the end each merge edge's matching holds, as its pairs were pushed
+    and popped after it.  The merge edges span each block as a tree, and
+    matchings compose along its paths (consequence 1 of
+    ``potential_identifications``; a forced pair stays in one E-class, by
+    consequence 2), so every pair of a block matches consistently, as in
+    ``_block_pairs``.  The result is the least admissible partition
+    containing the seeds.
     """
     ident = potential_identifications(fan)
-    sets = UnionFind(fan.cones)
+    pending = []
     for a, b in seed_pairs:
         a = fan.check_cone(a)
         b = fan.check_cone(b)
         if not ident.same_class(a, b):
             raise SeedNotPossible("seed pair crosses E-classes",
                                   witness=[list(a), list(b)])
-        sets.union(a, b)
-    while True:
-        closure = group_by(fan, sets.find)
-        merged = False
-        for block in closure.blocks:
-            for s1, s2 in _block_pairs(block):
-                for t1, t2 in _star_matching(fan, s1, s2).items():
-                    merged |= sets.union(t1, t2)
-        if not merged:
-            return closure
+        pending.append((a, b))
+    sets = UnionFind(fan.cones)
+    while pending:
+        s1, s2 = pending.pop()
+        if sets.union(s1, s2):
+            pending.extend(_star_matching(fan, s1, s2).items())
+    return group_by(fan, sets.find)
 
 
 def refines(p1, p2):
@@ -340,15 +343,17 @@ def enumerate_admissible(fan, limit=16):
     Candidates are the products of set partitions of the E-classes.  The
     search fixes one class at a time, in the classes' order, taking its
     set partitions in ``_set_partitions`` order, so leaves come in product
-    order.  A candidate is admissible iff, for each pair s1 ~ s2 it
-    identifies, it identifies every pair (t1, t2) that
-    ``_star_matching(fan, s1, s2)`` forces: the pairs ``is_admissible``
-    checks.  Each class is read once as positions 0..n-1 of its members:
-    each set partition becomes position blocks and a label vector (the
-    block of each position), and each pair of positions the forced pairs
-    of its two members, as (class, position, position).  Three facts keep
-    the result the list, in the same order, that filtering the whole
-    product by ``is_admissible`` gives:
+    order.  A candidate is admissible iff, for the first member s0 and
+    each other member s of each of its blocks, it identifies every pair
+    (t1, t2) that ``_star_matching(fan, s0, s)`` forces: the pairs
+    ``is_admissible`` checks, which decide a block (``_block_pairs``).
+    Each class is read once as positions 0..n-1 of its members: each set
+    partition becomes position blocks and a label vector (the block of
+    each position), and each pair of positions the forced pairs of its two
+    members, as (class, position, position).  A set partition carries the
+    forced pairs of (first position, other position) of each of its
+    blocks only.  Three facts keep the result the list, in the same order,
+    that filtering the whole product by ``is_admissible`` gives:
 
     - The matching sends s1 to s2, and that pair holds inside its own
       block, so it is dropped.  Every other t1 strictly contains s1, so on
@@ -409,7 +414,11 @@ def _class_choices(fan, k, cls, place, rank):
 
     Each block comes as (rank of its first member, block), for
     ``_sorted_partition``.  Forced pairs are (class, position, position)
-    and lie in later classes; both cones of a pair lie in one class.
+    and lie in later classes; both cones of a pair lie in one class.  A
+    block's positions increase, so its first position p pairs with each
+    later q: the pairs of ``_block_pairs``.  If they hold, every pair of
+    the block does, since the matchings compose, so the pairs of two
+    later members add no test.
     """
     forced = {}
     for p, q in combinations(range(len(cls)), 2):
@@ -420,7 +429,7 @@ def _class_choices(fan, k, cls, place, rank):
                 pairs.append((j, a, b))
     out = []
     for part in _set_partitions(list(range(len(cls)))):
-        pairs = [forced[pq] for block in part for pq in combinations(block, 2)]
+        pairs = [forced[block[0], q] for block in part for q in block[1:]]
         label = [0] * len(cls)
         for i, block in enumerate(part):
             for p in block:

@@ -108,18 +108,6 @@ class FanPoset:
         """The chambers c with a <= c <= b, in sorted order."""
         return tuple(self.elements[i] for i in _bit_indices(self.interval_mask(a, b)))
 
-    def cover_direction(self, a, b):
-        """+1 if a is covered by b, -1 if b covered by a, else None.
-
-        Every cover (lower, upper, wall) is listed in ``_across[wall]``.
-        """
-        across = self._across.get(tuple(sorted(set(a) & set(b))), ())
-        if (a, b) in across:
-            return 1
-        if (b, a) in across:
-            return -1
-        return None
-
     def extremes(self, members):
         """(minimum, maximum) of the members, each None unless unique.
 
@@ -525,10 +513,12 @@ def check_nondegenerate(fan, partition, poset):
     the test is D(s_i) <= D(s_j), and over the block s_0, ..., s_k it
     holds for every i < j iff D(s_0) <= D(s_1) <= ... <= D(s_k).  The
     covers need not cross every wall, so D(s_i) = D(s_j) is not
-    required.  Only a failing block goes through the pair scan, which
-    gives the witness: a failing block has a pair and a cover whose
-    matched image is not a cover.  Blocks fail in the same order, so it
-    is the one the scan over all blocks gives.
+    required.  Only a failing block goes through the pair scan of
+    ``_degenerate_pair``, which gives the witness: a failing block has a
+    pair and a cover whose matched image is not a cover, and by the same
+    equivalence the scan decides each cover by D(s_j) and matches only
+    the one that fails.  Blocks fail in the same order, so the witness is
+    the one the scan over all blocks gives.
 
     The verdict is kept on the poset, keyed by (fan, partition), so the
     picture group and the rank-2 certificate read the one a caller got.
@@ -548,7 +538,7 @@ def _nondegeneracy(fan, partition, poset):
             continue
         images = [_cover_images(fan, poset, s) for s in block]
         if not all(a <= b for a, b in zip(images, images[1:])):
-            return False, _degenerate_pair(fan, poset, block)
+            return False, _degenerate_pair(fan, poset, block, images)
     return True, None
 
 
@@ -560,27 +550,31 @@ def _cover_images(fan, poset, cone):
             for lower, upper in poset._across.get(wall, ())}
 
 
-def _degenerate_pair(fan, poset, block):
+def _degenerate_pair(fan, poset, block, images):
     """The first failing (pair, cover) of a block that fails, as a witness.
 
-    For each pair (s1, s2) it scans the covers whose wall contains s1, in
-    sorted order.  A wall contains s1 exactly when it lies in star(s1),
-    so these are the covers across the walls of ``fan._stars[s1]``, read
-    from ``poset._across``; sorted, they are the subsequence of the sorted
+    ``images`` holds D(s) of each member s, in block order.  For each pair
+    (s1, s2) it scans the covers whose wall contains s1, in sorted order.
+    A wall contains s1 exactly when it lies in star(s1), so these are the
+    covers across the walls of ``fan._stars[s1]``, read from
+    ``poset._across``; sorted, they are the subsequence of the sorted
     ``poset.covers`` that a scan of every cover would test, in the same
-    order, so the witness is the same.
+    order, so the witness is the same.  A cover (lower, upper) fails
+    exactly when its matched image is not a cover, that is when
+    (projected_cone(s1, lower), projected_cone(s1, upper)) is not in
+    D(s2), as ``check_nondegenerate`` shows; only the failing cover is
+    matched, for the witness.
     """
-    for s1, s2 in combinations(block, 2):
-        match = _star_matching(fan, s1, s2)
+    for (s1, _), (s2, d2) in combinations(zip(block, images), 2):
+        project = fan._project_star_map(s1)
         covers = sorted((lower, upper, wall) for wall in fan._stars[s1]
                         if len(wall) == fan.dim - 1
                         for lower, upper in poset._across.get(wall, ()))
         for lower, upper, wall in covers:
-            lo2, up2 = match[lower], match[upper]
-            direction = poset.cover_direction(lo2, up2)
-            if direction != 1:
+            if (project[lower], project[upper]) not in d2:
+                match = _star_matching(fan, s1, s2)
                 return {
                     "block": [list(c) for c in block],
                     "cover": [list(lower), list(upper)],
-                    "image": [list(lo2), list(up2)],
+                    "image": [list(match[lower]), list(match[upper])],
                 }

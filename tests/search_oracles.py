@@ -16,6 +16,10 @@ apart from imports:
 - ``is_admissible``, ``admissible_closure`` and ``check_nondegenerate``:
   the star matching of every pair of cones in a block, and for
   non-degeneracy a scan of every cover for each such pair.
+- ``_cover_direction``: the former ``FanPoset.cover_direction``, as a
+  function of the poset, which the ``check_nondegenerate`` oracle calls,
+  where ``poset._degenerate_pair`` now decides each cover by whether its
+  projected pair lies in the D-set of the other member.
 - ``_composites_by_union``: each morphism's composites as the union of
   the classes over all representative chains, where
   ``category.build_category`` now reads them off the first representative.
@@ -86,6 +90,11 @@ apart from imports:
   returned None for the cone {0} and the origin for a pure subspace, with
   a signed copy of each normal made by a helper, where
   ``cones.strict_sign_feasible`` now sums the extreme rays itself.
+- ``wa_certify``, ``_wa_unit`` and ``_wa_add``: both sides of each
+  relator multiplied out in the wall algebra and the products compared,
+  where ``arrangement.wa_certify`` now compares the two sides' letters
+  with multiplicity.  The two helpers are the former ``WallAlgebra.unit``
+  and ``WallAlgebra.add``, as functions.
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -103,10 +112,13 @@ from partfan.arrangement import (
     ArrangementFan,
     Flat,
     Shard,
+    WallAlgebra,
     _chamber_check,
+    _generator_vector,
     _ray_sum,
     _separating,
     _sign,
+    _split_chain_relator,
 )
 from partfan.category import (
     AxiomReport,
@@ -520,7 +532,7 @@ def check_nondegenerate(fan, partition, poset):
                 lo2, up2 = match.get(lower), match.get(upper)
                 if lo2 is None or up2 is None:
                     continue
-                direction = poset.cover_direction(lo2, up2)
+                direction = _cover_direction(poset, lo2, up2)
                 if direction != 1:
                     return False, {
                         "block": [list(c) for c in block],
@@ -528,6 +540,19 @@ def check_nondegenerate(fan, partition, poset):
                         "image": [list(lo2), list(up2)],
                     }
     return True, None
+
+
+def _cover_direction(poset, a, b):
+    """+1 if a is covered by b, -1 if b covered by a, else None.
+
+    Every cover (lower, upper, wall) is listed in ``_across[wall]``.
+    """
+    across = poset._across.get(tuple(sorted(set(a) & set(b))), ())
+    if (a, b) in across:
+        return 1
+    if (b, a) in across:
+        return -1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1140,3 +1165,49 @@ def words_equal(word_a, word_b, relators):
                 seen.add(nxt)
                 queue.append(nxt)
     return False
+
+
+# ---------------------------------------------------------------------------
+# wall algebra
+
+def _wa_unit():
+    return {(0, 0, 0): 1}
+
+
+def _wa_add(x, y):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def wa_certify(arrangement, presentation):
+    """Generator-distinctness certificate via the wall algebra.
+
+    The certificate maps every relator, necessarily of the chain-pair
+    shape w1 * w2^-1 with positive chain words, to the equation
+    phi(w1) = phi(w2) with phi(X_m) = 0vec (+) m, and verifies it holds
+    by multiplying out both sides.  Additionally the images of distinct
+    generators are pairwise distinct and different from the unit.
+    Returns True iff everything holds.
+    """
+    algebra = WallAlgebra(arrangement)
+    vectors = {gen: _generator_vector(gen) for gen in presentation.generators}
+    if len(set(vectors.values())) != len(vectors):
+        return False
+    unit = _wa_unit()
+    images = {gen: _wa_add(unit, {v: 1}) for gen, v in vectors.items()}
+    for relator in presentation.relators:
+        split = _split_chain_relator(relator)
+        if split is None:
+            return False
+        w1, w2 = split
+        lhs = unit
+        for sym in w1:
+            lhs = algebra.mul(lhs, images[sym])
+        rhs = unit
+        for sym in w2:
+            rhs = algebra.mul(rhs, images[sym])
+        if lhs != rhs:
+            return False
+    return True

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -18,7 +19,7 @@ from partfan.errors import (
 from partfan.fan import build_fan, is_finite_complete, validate_fan
 from partfan.partition import is_admissible, potential_identifications, refines
 from partfan.poset import poset_from_linear_functional
-from partfan.rational import dot, matrix_rank, primitive_ray
+from partfan.rational import dot, int_kernel_basis, matrix_rank, primitive_ray
 from strategies import A3_NORMALS, A4_ESSENTIAL, a_normals, b_normals
 
 
@@ -670,6 +671,68 @@ def test_wa_certify_brauer(brauer):
 
     pres = picture_group(brauer.fan, brauer.flat, brauer.poset, mode="codim2")
     assert A.wa_certify(brauer.arrangement, pres)
+
+
+def _wall_symbol(rays):
+    return "X[%s]" % ";".join(",".join(map(str, r)) for r in rays)
+
+
+def _wall_symbols(normal):
+    """Two symbols naming the wall of ``normal``, by two pairs of its rays."""
+    a, b = int_kernel_basis([normal], 3)
+    return _wall_symbol((a, b)), _wall_symbol((tuple(x + y for x, y in zip(a, b)), a))
+
+
+def _chain_presentations(rng, count):
+    """Seeded presentations of chain-pair relators over Brauer wall symbols.
+
+    Two further walls, normals (1, 2, 0) and (1, -1, 0), are not basis
+    vectors of the wall algebra.  A generator list sometimes names one
+    wall twice, a relator's right side is often a shuffle of its left, and
+    a relator is sometimes not of the chain-pair shape.
+    """
+    from partfan.groups import Presentation
+
+    brauer = A.builtin_brauer().normals
+    for _ in range(count):
+        chosen = rng.sample(brauer, rng.randint(1, 4))
+        if rng.random() < 0.1:
+            chosen.extend(rng.sample([(1, 2, 0), (1, -1, 0)], rng.randint(1, 2)))
+        gens = [rng.choice(_wall_symbols(w)) for w in chosen]
+        if rng.random() < 0.05:
+            gens.append(next(s for s in _wall_symbols(chosen[0]) if s != gens[0]))
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            w1 = [rng.choice(gens) for _ in range(rng.randint(0, 4))]
+            w2 = rng.sample(w1, len(w1)) if rng.random() < 0.6 else \
+                [rng.choice(gens) for _ in range(rng.randint(0, 4))]
+            word = [(g, 1) for g in w1] + [(g, -1) for g in reversed(w2)]
+            if rng.random() < 0.05:
+                word.reverse()
+            relators.append(word)
+        yield Presentation(gens, relators)
+
+
+def _outcome(certify, arrangement, presentation):
+    try:
+        return certify(arrangement, presentation)
+    except PartFanError as err:
+        return err.code, err.witness
+
+
+def test_wa_certify_agrees_with_multiplying_out():
+    """Letter counts decide each relator as the products of the former
+    ``wa_certify`` do: the same verdict, or the same error and witness."""
+    arrangement = A.builtin_brauer()
+    outcomes = []
+    for pres in _chain_presentations(random.Random(29), 2000):
+        got = _outcome(A.wa_certify, arrangement, pres)
+        assert got == _outcome(search_oracles.wa_certify, arrangement, pres), \
+            pres.to_json()
+        outcomes.append(got)
+    assert {True, False} <= set(outcomes)
+    assert {o for o in outcomes if isinstance(o, tuple)} == {
+        ("WrongBasis", (1, 2, 0)), ("WrongBasis", (1, -1, 0))}
 
 
 def test_wa_certify_rejects_bad_relator(brauer):
