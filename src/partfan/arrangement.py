@@ -23,7 +23,7 @@ from .errors import (
     WrongArrangement,
     WrongBasis,
 )
-from .fan import build_fan, check_dim
+from .fan import _fan_of_cones, check_dim
 from .partition import UnionFind, group_by
 from .poset import poset_from_linear_functional
 from .rational import dot, int_kernel_basis, primitive_ray
@@ -114,6 +114,14 @@ def arrangement_fan(arrangement, with_signs=False):
     chamber's rays are then the AND over h of ``conform[h][tope[h]]``, and
     h holds n-1 of them when the popcount of that set AND ``conform[h][0]``
     is n-1: two ANDs per hyperplane and chamber, and no sign test.
+
+    The fan is assembled without ``build_fan``'s input checks, which hold
+    by construction.  The rays are distinct primitive kernel vectors, and
+    a chamber's ray indices are sorted.  They are independent: the closed
+    chamber is a pointed full-dimensional cone, and its rays are exactly
+    its 1-dimensional faces (a face lies on n-1 independent hyperplanes,
+    and a ray on such a line cuts the chamber in that ray alone), so they
+    generate it, and n rays that span R^n are independent.
     """
     dim, normals = arrangement.dim, arrangement.normals
     lines = set()
@@ -150,7 +158,7 @@ def arrangement_fan(arrangement, with_signs=False):
                 if flipped not in seen:
                     seen.add(flipped)
                     queue.append(flipped)
-    fan = build_fan(dim, rays, chambers)
+    fan = _fan_of_cones(dim, rays, chambers)
     return ArrangementFan(arrangement, fan) if with_signs else fan
 
 

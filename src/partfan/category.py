@@ -252,20 +252,47 @@ def check_cubical(category):
 
     Everything is read from the current ``compose_table``, so an entry
     changed after the build is seen.  One sorted pass over the table
-    checks axiom 1, indexes every phi by g and phi o g, and collects the
-    factorization pairs (g, h) of each composite f, those with g starting
-    at f's source and h ending at f's target, in sorted order.  The cube
-    of f has 2^k objects, read off by ``_cube_objects`` as in
-    ``factorization_cube``.  Distinct table entries give distinct pairs,
-    so a cube whose sorted objects are f's pairs has 2^k distinct objects.
-    A Faq-morphism (g1, h1) -> (g2, h2)
-    is a phi from g1's target to g2's target with phi o g1 = g2 and
-    h2 o phi = h1.  The counts out of (g1, h1) look only at the phi with
-    phi o g1 one of the cube's g, not at whole hom-sets.  When the nonzero
-    counts are exactly 1 on the pairs S < T of the cube, nothing fails;
-    otherwise every ordered pair is compared in turn, so axioms 2 and 3
-    record their witnesses in the order of a scan over all pairs.  A
-    rank-0 cube has one object and so no pair to count.
+    checks axiom 1 and collects the factorization pairs (g, h) of each
+    composite f, those with g starting at f's source and h ending at f's
+    target, in sorted order.  The cube of f has 2^k objects, read off by
+    ``_cube_objects`` as in ``factorization_cube``.  Distinct table entries
+    give distinct pairs, so a cube whose sorted objects are f's pairs has
+    2^k distinct objects; this equality is axiom 2's first test.
+
+    A Faq-morphism (g1, h1) -> (g2, h2) is a phi from g1's target to g2's
+    target with phi o g1 = g2 and h2 o phi = h1.  When every morphism
+    passes that first test, the Faq counts of an f of rank k >= 1 whose
+    middles are distinct are 1 on the pairs S < T of the cube and 0
+    elsewhere, so they are not computed.  Proof.  Let (sigma, tau) be f's
+    first rep, m_S the middle cone{sigma, {v_i : i in S}}, and
+    (g_S, h_S) = ([sigma, m_S], [m_S, tau]).
+
+    - Cube objects do not depend on the rep.  Let (sigma', tau') be
+      another rep of a morphism and m the star matching
+      star(sigma) -> star(sigma').  It preserves faces and sends tau to
+      tau' (one signature, and projection is injective on a star), so it
+      sends each middle mu to a middle m(mu) between sigma' and tau', and
+      onto them.  As in ``build_category``, [sigma, mu] = [sigma', m(mu)]
+      and [mu, tau] = [m(mu), tau'], by admissibility and the restriction
+      of m to star(mu).  So ``_cube_objects`` of any rep is the same set.
+    - At most one phi, and only for S < T.  A counted phi from (g_S, h_S)
+      to (g_T, h_T) ends at g_T's target and has phi o g_S = g_T, while
+      g_S and g_T share the source; so (g_S, phi) is a factorization pair
+      of g_T.  (sigma, m_T) is a rep of g_T, so by the first test on g_T
+      and the point above, (g_S, phi) = ([sigma, m_U], [m_U, m_T]) for
+      some U <= T.  Then g_S = g_U, so S's and U's middles agree, and
+      distinct middles force U = S and phi = [m_S, m_T].
+    - At least one phi for S < T.  phi = [m_S, m_T] runs between the two
+      middles.  The first test on g_T, from its rep (sigma, m_T), puts
+      (g_S, phi) -> g_T in the table; on h_S, from its rep (m_S, tau),
+      it puts (phi, h_T) -> h_S there.
+
+    Otherwise (some morphism fails the first test, or f's middles repeat)
+    ``_faq_counts`` counts them, from an index of every phi by g and
+    phi o g that is built on first use; when the counts are not exactly 1
+    on the pairs S < T, every ordered pair is compared in turn, so axioms
+    2 and 3 record their witnesses in the order of a scan over all pairs.
+    A rank-0 cube has one object and so no pair to count.
 
     The factors of axioms 4 and 5 are read off f's factorization cube.  Its
     singleton objects {i} are (f_{sigma, cone{sigma, v_i}}, ...) and its
@@ -278,41 +305,40 @@ def check_cubical(category):
     report = AxiomReport()
     ms = category.morphisms
     of_pair = category.of_pair
-    after = {}            # after[g][c]: the phi with phi o g = c
+    entries = sorted(category.compose_table.items())
     factorizations = {}   # composite f -> its factorization pairs (g, h)
-    for (fi, gi), hi in sorted(category.compose_table.items()):
+    for (fi, gi), hi in entries:
         f, g, h = ms[fi], ms[gi], ms[hi]
         if f.rank + g.rank != h.rank:
             report.record(1, {"f": fi, "g": gi, "composite": hi})
-        after.setdefault(fi, {}).setdefault(hi, []).append(gi)
         if f.source == h.source and g.target == h.target:
             factorizations.setdefault(hi, []).append((fi, gi))
+    cubes = [_cube_objects(of_pair, *f.reps[0]) for f in ms]
+    is_cube = [sorted(objects) == factorizations.get(f.index, [])
+               for f, objects in zip(ms, cubes)]
+    every_cube = all(is_cube)
+    after = None          # after[g][c]: the phi with phi o g = c
 
     by_first = {}
     by_last = {}
-    for f in ms:
+    for f, objects in zip(ms, cubes):
         k = f.rank
-        objects = _cube_objects(of_pair, *f.reps[0])
-        pairs = factorizations.get(f.index, [])
-        if sorted(objects) != pairs:
+        if not is_cube[f.index]:
             report.record(2, {"morphism": f.index, "expected": 2 ** k,
-                              "pairs": pairs})
+                              "pairs": factorizations.get(f.index, [])})
         elif k:
             middles = [ms[g].target for g, _ in objects]
-            if len(set(middles)) != len(middles):
+            distinct = len(set(middles)) == len(middles)
+            if not distinct:
                 report.record(3, {"morphism": f.index, "middles": middles})
-            counts = _faq_counts(category, after, objects, middles)
-            if counts != _cube_counts(k):
-                inclusions = _cube_inclusions(k)
-                for i, j in combinations(range(len(objects)), 2):
-                    for a, b in ((i, j), (j, i)):
-                        count = counts.get((a, b), 0)
-                        expected = 1 if (a, b) in inclusions else 0
-                        if count != expected:
-                            report.record(3 if count > 1 else 2,
-                                          {"morphism": f.index, "from": objects[a],
-                                           "to": objects[b], "count": count,
-                                           "expected": expected})
+            if not (every_cube and distinct):
+                if after is None:
+                    after = {}
+                    for (fi, gi), hi in entries:
+                        after.setdefault(fi, {}).setdefault(hi, []).append(gi)
+                counts = _faq_counts(category, after, objects, middles)
+                if counts != _cube_counts(k):
+                    _record_faq_counts(report, f, objects, counts)
         if k == 0:
             continue
         fkey = tuple(sorted({g for g, _ in objects[1:k + 1]}))
@@ -326,6 +352,22 @@ def check_cubical(category):
         else:
             by_last[lkey] = f.index
     return report
+
+
+def _record_faq_counts(report, f, objects, counts):
+    """Record each ordered pair of f's cube objects whose count is not 1 on
+    an inclusion and 0 elsewhere: a count above 1 under axiom 3, any other
+    under axiom 2."""
+    inclusions = _cube_inclusions(f.rank)
+    for i, j in combinations(range(len(objects)), 2):
+        for a, b in ((i, j), (j, i)):
+            count = counts.get((a, b), 0)
+            expected = 1 if (a, b) in inclusions else 0
+            if count != expected:
+                report.record(3 if count > 1 else 2,
+                              {"morphism": f.index, "from": objects[a],
+                               "to": objects[b], "count": count,
+                               "expected": expected})
 
 
 def _faq_counts(category, after, objects, middles):

@@ -283,12 +283,19 @@ def build_fan(dim, rays, max_cones):
             raise DuplicateRay("rays coincide after primitive normalization",
                                witness=[seen[r], i])
         seen[r] = i
+    return _fan_of_cones(dim, prim, normalized)
+
+
+def _fan_of_cones(dim, rays, max_cones):
+    """The fan of distinct primitive ``rays`` whose ``max_cones`` are sorted
+    tuples of independent ray indices, with every face derived; nothing is
+    checked."""
     faces = {ZERO_CONE}
-    for mc in normalized:
+    for mc in max_cones:
         for k in range(1, len(mc) + 1):
             faces.update(combinations(mc, k))
     cones = tuple(sorted(faces, key=lambda c: (len(c), c)))
-    return Fan(dim, tuple(prim), tuple(sorted(set(normalized))), cones)
+    return Fan(dim, tuple(rays), tuple(sorted(set(max_cones))), cones)
 
 
 def validate_fan(fan):

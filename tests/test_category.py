@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 import search_oracles as oracle
+from partfan import arrangement as arrlib
+from partfan import category as catlib
 from partfan.category import (
     build_category,
     check_cubical,
@@ -23,7 +25,7 @@ from partfan.errors import (
     PreconditionUnmet,
     RankZero,
 )
-from partfan.fan import build_fan, validate_fan
+from partfan.fan import build_fan, is_finite_complete, validate_fan
 from partfan.partition import (
     admissible_closure,
     enumerate_admissible,
@@ -31,7 +33,7 @@ from partfan.partition import (
     is_admissible,
     potential_identifications,
 )
-from strategies import complete_planar_fans, random_cone_set
+from strategies import A4_ESSENTIAL, complete_planar_fans, random_cone_set
 
 
 def coordinate_fan_r3():
@@ -591,3 +593,104 @@ def test_axiom3_corruptions_match_oracle(seed, coxeter_partitions, brauer):
         elsewhere = doubled_faq_morphism(category, rng, between_middles=False)
         assert check_cubical(elsewhere).to_json() == \
             oracle.check_cubical(elsewhere).to_json()
+
+
+def deleted_entry(category, rng):
+    """Drop one entry (f, g) -> h of the table: h loses a factorization pair,
+    so axiom 2 fails."""
+    twin = corrupted(category)
+    del twin.compose_table[rng.choice(sorted(category.compose_table))]
+    return twin
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_deleted_entry_corruptions_match_oracle(seed, coxeter_partitions, brauer,
+                                                square_fan, torus_partition):
+    rng = random.Random(seed)
+    fan, partitions = coxeter_partitions["A3"]
+    for category in (build_category(fan, partitions["flat"]), brauer.category("shard"),
+                     build_category(square_fan, torus_partition)):
+        twin = deleted_entry(category, rng)
+        report = check_cubical(twin)
+        assert report.failures[2]
+        assert report.to_json() == oracle.check_cubical(twin).to_json()
+
+
+@pytest.fixture(scope="module")
+def a4_categories():
+    """The categories of the A4 flat and shard partitions, shards from the
+    all-positive chamber."""
+    arrangement = arrlib.Arrangement(4, A4_ESSENTIAL)
+    arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+    fan = arrfan.fan
+    base = next(c for c in fan.max_cones
+                if arrfan.sign_of(c) == (1,) * len(A4_ESSENTIAL))
+    return {"flat": build_category(fan, arrlib.flat_partition(arrangement, fan)),
+            "shard": build_category(fan, arrlib.shard_partition(arrangement, arrfan, base))}
+
+
+@pytest.mark.parametrize("which", ["flat", "shard"])
+def test_a4_cubical_matches_oracle(which, a4_categories):
+    """Rank-4 cubes of 16 objects, counted pair by pair by the oracle."""
+    category = a4_categories[which]
+    assert max(m.rank for m in category.morphisms) == 4
+    assert check_cubical(category).to_json() == oracle.check_cubical(category).to_json()
+
+
+def test_cubical_categories_need_no_faq_count(monkeypatch, coxeter_partitions,
+                                              a4_categories):
+    """Where every cube passes axiom 2 and has distinct middles, the Faq
+    counts follow from axiom 2 and are not computed."""
+    def refuse(*args):
+        raise AssertionError("Faq-morphisms counted")
+
+    monkeypatch.setattr(catlib, "_faq_counts", refuse)
+    categories = list(a4_categories.values())
+    for name in ("A3", "brauer", "B3"):
+        fan, partitions = coxeter_partitions[name]
+        categories += [build_category(fan, partitions[which])
+                       for which in ("flat", "shard", "finest")]
+    for category in categories:
+        assert check_cubical(category).ok
+
+
+def test_cubical_matches_oracle_over_the_cone_set_sweep():
+    """The seeded cone sets of the star-injectivity sweep: on every category
+    the report equals the oracle's, and eight fail, each on axiom 5 (see
+    the next test)."""
+    cone_sets = [build_fan(2, *DOUBLE_WINDING)] + [
+        random_cone_set(dim, seed) for dim, count in ((2, 300), (3, 600))
+        for seed in range(count)]
+    reports = []
+    for fan in cone_sets:
+        try:
+            potential_identifications(fan)
+        except PreconditionUnmet:
+            continue
+        for partition in enumerate_admissible(fan):
+            category = build_category(fan, partition)
+            report = check_cubical(category).to_json()
+            assert report == oracle.check_cubical(category).to_json()
+            reports.append(report)
+    failing = [r for r in reports if not r["cubical"]]
+    assert (len(reports), len(failing)) == (1163, 8)
+    assert all(list(r["violations"]) == ["5"] for r in failing)
+
+
+def test_axiom_5_fails_on_a_valid_incomplete_cone_set():
+    """``random_cone_set(3, 91)``: a valid cone set that is not complete.
+    On this admissible partition, morphisms 15 and 19 are rank-2 morphisms
+    into one block from rays 0 and 1, which are opposite and not
+    identified.  Their last factors are both {33, 35}, and both routes
+    report it."""
+    fan = build_fan(3, [(1, 1, 1), (-1, -1, -1), (2, -1, 1), (2, -1, 0)],
+                    [(0, 2, 3), (1, 2), (1, 2, 3), (1, 3)])
+    assert validate_fan(fan).ok and not is_finite_complete(fan)
+    partition = from_blocks(fan, [[(0, 2), (1, 2)], [(0, 3), (1, 3)],
+                                  [(0, 2, 3), (1, 2, 3)]])
+    assert is_admissible(fan, partition) == (True, None)
+    category = build_category(fan, partition)
+    expected = {"cubical": False,
+                "violations": {"5": [{"a": 15, "b": 19, "last": (33, 35)}]}}
+    assert check_cubical(category).to_json() == expected
+    assert oracle.check_cubical(category).to_json() == expected
