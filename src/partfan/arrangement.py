@@ -351,7 +351,9 @@ def shards(arrangement, arrfan, base):
     the fan is simplicial, and walls that share a (dim-2)-face f both lie
     in star(f).  So joining, for each f, the walls of each hyperplane H in
     star(f), unless Z(f) is cut for H, gives the components of the
-    adjacency.
+    adjacency.  Shards are numbered by hyperplane, then by their walls:
+    a shard's walls are one component, so no two shards share a wall and
+    sorting the (hyperplane, walls) pairs never ties.
     """
     if arrangement.to_json() != arrfan.arrangement.to_json():
         raise WrongArrangement("arrangement is not the arrangement fan's",
@@ -362,12 +364,9 @@ def shards(arrangement, arrfan, base):
     point = _ray_sum(fan, base)
     zero_set = _zero_sets(arrangement, fan.rays)
     flat_of = {f: zero_set(f) for f in fan.cones_of_dim(fan.dim - 2)}
-    walls_on = {h: [] for h in range(len(arrangement.normals))}
     hyperplane_of = {}
     for wall in fan.walls():
-        (h,) = zero_set(wall)
-        walls_on[h].append(wall)
-        hyperplane_of[wall] = h
+        (hyperplane_of[wall],) = zero_set(wall)
     face_of = {flat: f for f, flat in flat_of.items()}  # one face spanning each flat
     cut = set()  # (hyperplane, flat) when the hyperplane is cut along the flat
     for flat, f in face_of.items():
@@ -381,14 +380,11 @@ def shards(arrangement, arrfan, base):
             h = hyperplane_of.get(wall)
             if h is not None and (h, flat) not in cut:
                 sets.union(first.setdefault(h, wall), wall)
-    out = []
-    for h, walls in walls_on.items():
-        groups = {}
-        for w in walls:
-            groups.setdefault(sets.find(w), []).append(w)
-        for members in sorted(groups.values()):
-            out.append(Shard(len(out), h, members))
-    return out
+    groups = {}  # (hyperplane, root) -> its walls, in fan.walls() order
+    for wall in fan.walls():
+        groups.setdefault((hyperplane_of[wall], sets.find(wall)), []).append(wall)
+    pieces = sorted((h, members) for (h, _), members in groups.items())
+    return [Shard(k, h, members) for k, (h, members) in enumerate(pieces)]
 
 
 def _basic_walls(fan, face, point):

@@ -340,18 +340,22 @@ def validate_fan(fan):
 
 
 def _pairwise_violations(fan):
-    """The violations of every pair of maximal cones, separated or intersected."""
+    """The violations of every pair of maximal cones, separated or intersected.
+
+    The intersection has no lineality: a maximal cone is simplicial, so a
+    point of it has one coefficient vector, and x and -x both in it force
+    both vectors to be >= 0 and negatives of each other, so x = 0.  Each
+    cone is pointed, and so is the intersection, which is then decided by
+    its extreme rays alone.
+    """
     violations = []
     for a, b in combinations(fan.max_cones, 2):
         shared = set(a) & set(b)
         if _separated(fan, a, b, shared):
             continue
-        lin, rays = conelib.intersect_generated_cones(
+        _, rays = conelib.intersect_generated_cones(
             fan.ray_vectors(a), fan.ray_vectors(b), fan.dim
         )
-        if lin:
-            violations.append((a, b, tuple(lin) + tuple(rays)))
-            continue
         expected = tuple(sorted(fan.rays[i] for i in shared))
         if tuple(sorted(rays)) != expected:
             violations.append((a, b, rays))

@@ -192,6 +192,11 @@ def _picture_group(fan, partition, poset, mode):
     A cone fails the facial-interval axiom exactly when ``poset.facial``
     gives it no lower end, which is when ``facial_interval`` would raise
     NotAnInterval with the witness list(cone).
+
+    Every facial interval has a maximal chain, as its lower end is <= its
+    upper end; a cone with one chain gives no relator, since ``chains[1:]``
+    is empty.  Empty words, such as the type-2 words of a rank-0 morphism
+    or of a morphism with one representative, are dropped here.
     """
     for cone in fan.cones:
         if poset.facial(cone)[1] is None:
@@ -205,8 +210,6 @@ def _picture_group(fan, partition, poset, mode):
     for cone in cones:
         fi = _facial_interval(poset, cone)
         chains = poset.maximal_chains(fi.lower, fi.upper)
-        if len(chains) <= 1:
-            continue
         reference = chain_word(fan, partition, chains[0])
         for other in chains[1:]:
             relators.append(word_concat(reference,
@@ -219,17 +222,17 @@ def _picture_group(fan, partition, poset, mode):
 
 
 def _type2_relators(fan, partition, poset):
-    category = build_category(fan, partition)
+    """The word of each morphism's first rep against each other rep's.
+
+    A rank-0 morphism's reps (sigma, sigma) have the empty chain word, and
+    a morphism with one rep gives no pair, so neither needs a guard; the
+    empty words that come out are dropped by ``_picture_group``.
+    """
     out = []
-    for m in category.morphisms:
-        if m.rank == 0 or len(m.reps) < 2:
-            continue
+    for m in build_category(fan, partition).morphisms:
         words = [_minima_chain_word(fan, partition, poset, sigma, kappa)
                  for sigma, kappa in m.reps]
-        for w in words[1:]:
-            rel = word_concat(words[0], word_inverse(w))
-            if rel:
-                out.append(rel)
+        out.extend(word_concat(words[0], word_inverse(w)) for w in words[1:])
     return out
 
 

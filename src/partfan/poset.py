@@ -36,7 +36,9 @@ class FanPoset:
     ``_up_mask[i]`` has the bits of the chambers >= chamber i and
     ``_down_mask[i]`` those <= it, so a <= b is one bit test and the
     interval [a, b] is ``_up_mask[a] & _down_mask[b]``.  Reading a mask
-    from its lowest bit up lists its chambers in sorted order.
+    from its lowest bit up lists its chambers in sorted order.  The masks
+    are one fixpoint over the covers (``_closure``), with no topological
+    order; a cycle among the covers is read off them and refused.
     """
 
     def __init__(self, fan, covers):
@@ -66,36 +68,39 @@ class FanPoset:
         self._nondegenerate = {}  # (fan, partition) -> check_nondegenerate verdict
 
     def _closure(self):
-        """(up masks, down masks), propagated along a topological order.
+        """(up masks, down masks): the reflexive-transitive closure of the covers.
 
-        Raises PosetInvalid on a cycle, with the first chamber that lies on
-        one as the witness.
+        One fixpoint: each sweep takes the covers lower < upper in order
+        and ORs ``up[upper]`` into ``up[lower]`` and ``down[lower]`` into
+        ``down[upper]``; the sweeps stop after one that changes nothing.
+        The masks only grow, so they settle, and then up[i] holds every
+        chamber that i reaches along zero or more covers: a path of k
+        covers from i has reached up[i] once the sweeps have passed k
+        times.  On a poset of regions a path crosses each hyperplane at
+        most once, so at most one sweep more than the number of
+        hyperplanes is run.
+
+        A chamber lies on a cycle exactly when its own bit is in the up
+        mask of a chamber that covers it.  Raises PosetInvalid with the
+        first such chamber in ``elements`` order as the witness; the covers
+        are sorted, so it lies in the first cover that shows a cycle.
         """
-        above = [[self._index[u] for u, _ in self._up[c]] for c in self.elements]
-        pending = [0] * len(above)
-        for js in above:
-            for j in js:
-                pending[j] += 1
-        order = [i for i, k in enumerate(pending) if k == 0]
-        for i in order:
-            for j in above[i]:
-                pending[j] -= 1
-                if pending[j] == 0:
-                    order.append(j)
-        if len(order) < len(above):
-            # a chamber on a cycle keeps a pending cover; find the first one
-            for i, k in enumerate(pending):
-                if k and _on_cycle(above, i):
-                    raise PosetInvalid("cover relation has a cycle",
-                                       witness=list(self.elements[i]))
-        down = [1 << i for i in range(len(above))]
-        for i in order:
-            for j in above[i]:
-                down[j] |= down[i]
-        up = [1 << i for i in range(len(above))]
-        for i in reversed(order):
-            for j in above[i]:
-                up[i] |= up[j]
+        pairs = [(self._index[lower], self._index[upper])
+                 for lower, upper, _ in self.covers]
+        up = [1 << i for i in range(len(self.elements))]
+        down = list(up)
+        changed = True
+        while changed:
+            changed = False
+            for i, j in pairs:
+                grown = up[i] | up[j], down[j] | down[i]
+                if grown != (up[i], down[j]):
+                    up[i], down[j] = grown
+                    changed = True
+        for i, j in pairs:
+            if up[j] >> i & 1:
+                raise PosetInvalid("cover relation has a cycle",
+                                   witness=list(self.elements[i]))
         return up, down
 
     def leq(self, a, b):
@@ -200,20 +205,6 @@ class FanPoset:
 
     def to_json(self):
         return {"covers": [[list(lo), list(up)] for lo, up, _ in self.covers]}
-
-
-def _on_cycle(above, i):
-    """Whether chamber index i reaches itself along one or more covers."""
-    seen = set()
-    stack = list(above[i])
-    while stack:
-        j = stack.pop()
-        if j == i:
-            return True
-        if j not in seen:
-            seen.add(j)
-            stack.extend(above[j])
-    return False
 
 
 def poset_from_json(fan, data):

@@ -33,7 +33,7 @@ from partfan.partition import (
     is_admissible,
     potential_identifications,
 )
-from strategies import A4_ESSENTIAL, complete_planar_fans, random_cone_set
+from strategies import A3_NORMALS, A4_ESSENTIAL, complete_planar_fans, random_cone_set
 
 
 def coordinate_fan_r3():
@@ -692,5 +692,32 @@ def test_axiom_5_fails_on_a_valid_incomplete_cone_set():
     category = build_category(fan, partition)
     expected = {"cubical": False,
                 "violations": {"5": [{"a": 15, "b": 19, "last": (33, 35)}]}}
+    assert check_cubical(category).to_json() == expected
+    assert oracle.check_cubical(category).to_json() == expected
+
+
+@pytest.mark.parametrize("name, seeds, witness", [
+    ("coordinate", [((0, 4), (0, 5)), ((2, 4), (2, 5))],
+     {"a": 68, "b": 77, "last": (88, 103)}),
+    ("A3", [((5, 9), (1, 4)), ((0, 9), (2, 4))],
+     {"a": 130, "b": 179, "last": (249, 255)}),
+])
+def test_axiom_5_fails_on_complete_fans(name, seeds, witness):
+    """Completeness does not save axiom 5.  On the coordinate fan of R^3,
+    morphisms 68 and 77 are rank-2 morphisms from the opposite, unidentified
+    rays 4 and 5 into the block [0,2,4]~[0,2,5], with last factors 88 and
+    103 each; the A3 fan fails the same way.  Both routes report it."""
+    if name == "coordinate":
+        fan = build_fan(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                            (0, 0, 1), (0, 0, -1)],
+                        [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
+                         (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)])
+    else:
+        fan = arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS))
+    assert is_finite_complete(fan)
+    partition = admissible_closure(fan, seeds)
+    assert is_admissible(fan, partition) == (True, None)
+    category = build_category(fan, partition)
+    expected = {"cubical": False, "violations": {"5": [witness]}}
     assert check_cubical(category).to_json() == expected
     assert oracle.check_cubical(category).to_json() == expected

@@ -289,6 +289,16 @@ def test_poset_validation():
     assert err.value.witness == [[0], [0, 1]]
 
 
+def test_cycle_witness_is_the_first_chamber_on_the_cycle(square_fan):
+    """(1,2) and (2,3) cover each other; (0,3) and (0,1) lie above the
+    cycle but not on it, and come first in chamber order."""
+    covers = [(TAU3, TAU4, (2,)), (TAU4, TAU3, (2,)),
+              (TAU4, TAU1, (3,)), (TAU1, TAU2, (0,))]
+    with pytest.raises(PosetInvalid) as err:
+        FanPoset(square_fan, covers)
+    assert err.value.witness == [1, 2]
+
+
 def test_poset_json_roundtrip(square_fan):
     poset = poset_from_linear_functional(square_fan, (1, 1))
     again = poset_from_json(square_fan, poset.to_json())
