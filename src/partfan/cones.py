@@ -20,6 +20,7 @@ from itertools import combinations
 from .errors import DependentBasis
 from .rational import (
     _echelon,
+    _integer_rows,
     dot,
     int_kernel_basis,
     matrix_rank,
@@ -103,34 +104,47 @@ def halfspaces(generators, dim):
     return extreme_rays((), generators, dim)
 
 
+def simplicial_facets(ray_vectors):
+    """The facet functionals of a simplicial cone, one per generator, in order.
+
+    Functional i is the primitive normal of the hyperplane through the
+    other generators and span(G)^perp, oriented so that generator i is
+    positive: a positive multiple of the dual-basis functional, row i of
+    (G G^T)^{-1} G, which is 1 on generator i and 0 on the others.  This is
+    the one routine that derives facet functionals: ``simplicial_halfspaces``
+    and ``Fan._facets`` read theirs off it.
+
+    All of them come from one fraction-free elimination of [G G^T | G],
+    with G the generators scaled to integers (a positive scale of a
+    generator scales its dual functional by a positive factor).  The
+    generators are independent iff G G^T is invertible, iff the pivots of
+    the elimination are the k columns of G G^T; otherwise DependentBasis is
+    raised.  Then the elimination ends in rows [c_i e_i | c_i ((G G^T)^{-1}
+    G)_i] with c_i > 0 and entry-gcd 1.  The right-hand part of row i is
+    functional i: its value on generator i is c_i > 0, and it is primitive,
+    since a common divisor of its entries divides that value (generator i
+    is an integer vector) and so the whole row.
+    """
+    rays = list(ray_vectors)
+    gens = _integer_rows(rays)
+    k = len(gens)
+    reduced, pivots = _echelon([[dot(u, v) for v in gens] + u for u in gens])
+    if pivots != list(range(k)):
+        raise DependentBasis("generators of a simplicial cone are dependent",
+                             witness=[[str(x) for x in r] for r in rays])
+    return tuple(tuple(row[k:]) for row in reduced)
+
+
 def simplicial_halfspaces(ray_vectors, dim):
     """H-representation of a simplicial cone from its independent generators.
 
-    The equalities are a primitive basis of span(G)^perp.  Inequality i is
-    the primitive normal of the hyperplane through the other generators
-    and span(G)^perp, oriented so that generator i is positive: a positive
-    multiple of the dual-basis functional, row i of (G G^T)^{-1} G, whose
-    nonnegativity says that barycentric coordinate i is nonnegative.
-    Raises DependentBasis when the generators are linearly dependent.
-
-    All of them come from one fraction-free elimination of [G G^T | G],
-    with G the primitive generators (a positive scale of a generator
-    scales its dual functional by a positive factor).  G G^T is invertible,
-    so the elimination ends in rows [c_i e_i | c_i ((G G^T)^{-1} G)_i]
-    with c_i > 0 and entry-gcd 1.  The right-hand part of row i is
-    inequality i: its value on generator i is c_i > 0, as the dual
-    functional is 1 there, and it is primitive, since a common divisor of
-    its entries divides that value (generator i is an integer vector) and
-    so the whole row.
+    The equalities are a primitive basis of span(G)^perp, and inequality i
+    is ``simplicial_facets`` functional i, whose nonnegativity says that
+    barycentric coordinate i is nonnegative.  Raises DependentBasis when
+    the generators are linearly dependent.
     """
     rays = list(ray_vectors)
-    eqs = int_kernel_basis(rays, dim)
-    if len(eqs) + len(rays) != dim:
-        raise DependentBasis("generators of a simplicial cone are dependent",
-                             witness=[[str(x) for x in r] for r in rays])
-    gens = [primitive_ray(r) for r in rays]
-    reduced, _ = _echelon([[dot(u, v) for v in gens] + list(u) for u in gens])
-    return eqs, tuple(tuple(row[len(gens):]) for row in reduced)
+    return int_kernel_basis(rays, dim), simplicial_facets(rays)
 
 
 def intersect_generated_cones(rays_a, rays_b, dim):

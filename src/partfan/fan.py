@@ -20,14 +20,7 @@ from .errors import (
     NotComplete,
     UnknownCone,
 )
-from .rational import (
-    dot,
-    int_complement_projection,
-    matrix_rank,
-    mat_vec,
-    primitive_ray,
-    span_key,
-)
+from .rational import dot, matrix_rank, primitive_ray
 
 ZERO_CONE = ()
 
@@ -79,10 +72,7 @@ class Fan:
         self._facet_cache = {}
         self._ident = None
         self._admissible = {}  # partition blocks -> partition.is_admissible verdict
-        self._span_keys = {}
         self._symbol_bodies = {}  # groups.cone_symbol_body, per cone
-        self._scaled_projection_cache = {}
-        self._projected_ray_cache = {}
         self._project_star_cache = {}
 
     def __contains__(self, cone):
@@ -136,58 +126,25 @@ class Fan:
         return tuple(c for c in self._stars[cone] if len(c) == self.dim)
 
     def _facets(self, cone):
-        """{ray index i: facet functional h_i} of a maximal cone, once per cone.
+        """{ray index i: facet functional h_i} of any cone, once per cone.
 
-        h_i is the ``simplicial_halfspaces`` inequality of ray i: positive
-        on ray i and zero on the cone's other rays.  For a chamber c and a
-        wall w of c, the h_i with i in c - w is therefore the primitive
-        normal of span(w) that points into c; ``_wall_normal`` reads it, and
-        no other code derives a wall normal.
+        h_i is ``conelib.simplicial_facets`` functional i: the primitive
+        vector of span(cone) that is positive on ray i and zero on the
+        cone's other rays.  For a chamber c and a wall w of c, the h_i with
+        i in c - w is therefore the primitive normal of span(w) that points
+        into c; ``_wall_normal`` reads it, and no other code derives a wall
+        normal.  For a cone sigma + {i}, h_i is the projected ray i along
+        sigma (``_project_star_map``).
         """
         if cone not in self._facet_cache:
-            self._facet_cache[cone] = dict(zip(cone, conelib.simplicial_halfspaces(
-                self.ray_vectors(cone), self.dim)[1]))
+            self._facet_cache[cone] = dict(zip(cone, conelib.simplicial_facets(
+                self.ray_vectors(cone))))
         return self._facet_cache[cone]
 
     def _wall_normal(self, wall, chamber):
         """Primitive normal of span(wall) pointing into ``chamber``."""
         (i,) = set(chamber) - set(wall)
         return self._facets(chamber)[i]
-
-    def _span_key(self, cone):
-        """``span_key`` of the cone's rays, computed once per cone.
-
-        The one owner of a cone's span: the E-class key and the projection
-        caches below both read it.
-        """
-        if cone not in self._span_keys:
-            self._span_keys[cone] = span_key(self.ray_vectors(cone))
-        return self._span_keys[cone]
-
-    def _scaled_projection(self, span):
-        """A positive multiple of the projection onto span^perp, as integers.
-
-        ``span`` is a ``span_key``; its rows are a basis of the span, so
-        ``int_complement_projection`` of them is L * P for some L > 0, with
-        P the orthogonal projection onto span^perp.  Another basis of the
-        same span changes only L, and L * P maps every vector to a positive
-        multiple of its exact projection, so primitive projected rays are
-        the same.  Computed once per span, and only for a span that
-        projects some ray: a chamber projects none.  The zero span gives the
-        identity.
-        """
-        if span not in self._scaled_projection_cache:
-            self._scaled_projection_cache[span] = int_complement_projection(
-                span, self.dim)
-        return self._scaled_projection_cache[span]
-
-    def _projected_ray(self, span, i):
-        """Primitive projection of ray i onto span^perp, once per (span, ray)."""
-        key = (span, i)
-        if key not in self._projected_ray_cache:
-            self._projected_ray_cache[key] = primitive_ray(
-                mat_vec(self._scaled_projection(span), self.rays[i]))
-        return self._projected_ray_cache[key]
 
     def projected_cone(self, base, cone):
         """Canonical form of the projection of ``cone`` along ``base``.
@@ -219,15 +176,29 @@ class Fan:
         """``project_star_map`` of a cone read off this fan's own tables.
 
         The one memo of projected cones: tau in star(cone) maps to the
-        sorted primitive projections of tau's rays outside ``cone``.
+        sorted set of projected rays i of tau outside ``cone``, and
+        projected ray i is ``_facets(cone + {i})[i]``, one elimination per
+        cone of the fan however many cones project it.
+
+        Proof.  Let rho = sigma + {i} be a cone, G its rays, and P the
+        orthogonal projection onto span(sigma)^perp.  Row i of
+        (G G^T)^{-1} G lies in span(rho), vanishes on sigma and is 1 on r_i,
+        so it spans the line span(rho) & span(sigma)^perp, which has
+        dimension |rho| - |sigma| = 1 as rho is simplicial.  P r_i is
+        r_i minus a vector of span(sigma), so it lies on the same line, and
+        r_i . P r_i = |P r_i|^2 > 0, as r_i is not in span(sigma).  So both
+        are positive on r_i, they point the same way, and their primitive
+        vectors are equal: the facet functional h_i is the primitive
+        projection of r_i.
         """
         if cone not in self._project_star_cache:
-            span = self._span_key(cone)
+            star = self._stars[cone]
             base = set(cone)
+            ray = {i: h for rho in star if len(rho) == len(cone) + 1
+                   for i, h in self._facets(rho).items() if i not in base}
             self._project_star_cache[cone] = {
-                tau: tuple(sorted({self._projected_ray(span, i)
-                                   for i in tau if i not in base}))
-                for tau in self._stars[cone]}
+                tau: tuple(sorted({ray[i] for i in tau if i not in base}))
+                for tau in star}
         return self._project_star_cache[cone]
 
     def adjacent_chambers(self, wall):

@@ -18,6 +18,7 @@ from .errors import (
     PreconditionUnmet,
     SeedNotPossible,
 )
+from .rational import span_key
 
 
 class Partition:
@@ -163,10 +164,11 @@ class IdentTable:
 def potential_identifications(fan):
     """Group cones by (equal span, equal projected star); the coarsest partition.
 
-    The fan's span memo (``span_key``, the primitive integer echelon rows
-    of a cone's rays) is a canonical key for its span, so the classes are
-    the groups of equal (span, projected star) keys.  The classes are
-    computed once per fan and kept on it.
+    The classes are the groups of equal ``_ident_key`` keys: the projected
+    star alone where it fixes the span, and otherwise the ``span_key`` of
+    the cone's rays (their primitive integer echelon rows, a canonical key
+    for the span) with the projected star.  The classes are computed once
+    per fan and kept on it, so each cone's key is computed once.
 
     Precondition: projection along each cone sigma is injective on
     star(sigma), so that the projected star is a fan whose cones match
@@ -201,14 +203,33 @@ def potential_identifications(fan):
 
 
 def _ident_key(fan, cone):
-    """The E-class key of a cone; refuses a star that projects non-injectively."""
+    """The E-class key of a cone; refuses a star that projects non-injectively.
+
+    Where the star of the cone sigma holds a chamber, the key is the
+    projected star P alone, and otherwise (span key, P).  Two cones have
+    one key iff they have one span and one projected star.  A chamber in
+    star(sigma) has d independent rays, so the d - |sigma| rays of its
+    projection span span(sigma)^perp.  If sigma1 and sigma2 both hold a
+    chamber and P1 = P2, each projected chamber lies in both complements,
+    so span(sigma1)^perp = span(sigma2)^perp and the spans are equal.  If
+    only sigma1 holds one, the cones do not share a class: with one span
+    (so |sigma1| = |sigma2|) and P1 = P2, the projected chamber of sigma1
+    has d - |sigma1| independent rays, so it is the projection of a cone
+    of star(sigma2) with at least |sigma2| + d - |sigma1| = d rays, a
+    chamber after all.  A frozenset and a tuple never compare equal, so
+    neither do the two key forms, and the classes are those of the
+    (span, projected star) key.  On a complete fan every cone lies in a
+    chamber, so no span key is computed.
+    """
     star = fan._project_star_map(cone)
     projected = frozenset(star.values())
     if len(projected) < len(star):
         pair = next((t1, t2) for t1, t2 in combinations(star, 2) if star[t1] == star[t2])
         raise PreconditionUnmet("projection is not injective on a star",
                                 witness=[list(cone), *map(list, pair)])
-    return fan._span_key(cone), projected
+    if fan._star_chambers(cone):
+        return projected
+    return span_key(fan.ray_vectors(cone)), projected
 
 
 def _check_possible(fan, partition):

@@ -7,15 +7,16 @@ projected-fan equality, cone membership) are exact set equalities.
 
 There is one elimination, :func:`_echelon`: fraction-free Gauss-Jordan on
 plain Python ints (rows are scaled to integers first, which changes neither
-row space nor kernel).  :func:`matrix_rank`, :func:`span_key`,
-:func:`int_kernel_basis` and :func:`int_complement_projection` return its
-integer results, ``cones.simplicial_halfspaces`` reads its facet
-functionals off it, and :func:`dot` of integer vectors is an int.  A
-``Fraction`` is built in two places only: ``_exact`` parses rational input
-(for :func:`vec` and :func:`sqrt_combination_sign`), and :func:`rref`
-divides each echelon row by its pivot entry.  Spans are compared by their
-keys and projections are taken up to a positive scale, which is all the fan
-predicates need.
+row space nor kernel).  :func:`matrix_rank`, :func:`span_key` and
+:func:`int_kernel_basis` return its integer results,
+``cones.simplicial_facets`` reads every facet functional off it, and
+:func:`dot` of integer vectors is an int.  A projected ray is a facet
+functional (``fan.Fan._project_star_map`` proves it), so no projection
+matrix is formed.  A ``Fraction`` is built in two places only: ``_exact``
+parses rational input (for :func:`vec` and :func:`sqrt_combination_sign`),
+and :func:`rref` divides each echelon row by its pivot entry.  Spans are
+compared by their keys and functionals are taken up to a positive scale,
+which is all the fan predicates need.
 Python ints have arbitrary precision, so no coefficient can overflow.
 """
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DependentBasis, DimensionMismatch, InexactNumber, ZeroVector
+from .errors import DimensionMismatch, InexactNumber, ZeroVector
 
 
 def vec(entries):
@@ -73,19 +74,6 @@ def dot(a, b):
     if len(a) != len(b):
         raise DimensionMismatch("vectors of different length", witness=(len(a), len(b)))
     return sum(map(mul, a, b))
-
-
-def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m):
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0]))) if m else ()
 
 
 def primitive_ray(v):
@@ -244,37 +232,6 @@ def int_kernel_basis(rows, ncols):
         g = gcd(*x)
         basis.append(tuple(v // g for v in x))
     return tuple(basis)
-
-
-def int_complement_projection(basis, dim):
-    """Integer matrix L * P, for some L > 0, with P the projection onto span(basis)^perp.
-
-    P is the orthogonal projection: idempotent and symmetric with kernel
-    span(basis).  L * P maps every vector to a positive multiple of its
-    exact projection; an empty basis gives the identity.  Raises
-    DependentBasis if the vectors are dependent.
-
-    With B the basis rows (each scaled to integers, which keeps the span)
-    and G = B B^T, fraction-free elimination of [G | I] ends in rows
-    [c_i e_i | c_i (G^-1)_i] with c_i > 0, so L = lcm(c_i) makes L G^-1 an
-    integer matrix and L P = L I - B^T (L G^-1) B.
-
-    >>> int_complement_projection([(1, 1)], 2)
-    ((1, -1), (-1, 1))
-    """
-    b = _integer_rows(basis)
-    k = len(b)
-    gram = [[dot(u, v) for v in b] + [int(i == j) for j in range(k)]
-            for i, u in enumerate(b)]
-    reduced, pivots = _echelon(gram)
-    if pivots[:k] != list(range(k)):
-        raise DependentBasis("projection basis is linearly dependent",
-                             witness=[[str(x) for x in vec(v)] for v in basis])
-    scale = lcm(*(row[i] for i, row in enumerate(reduced)))
-    inv_b = mat_mul([[x * (scale // row[i]) for x in row[k:]]
-                     for i, row in enumerate(reduced)], b)
-    return tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
-                       for j in range(dim)) for i in range(dim))
 
 
 def sqrt_combination_sign(x, p, y, q):

@@ -5,10 +5,13 @@ elimination, ``_echelon``.  These are the routines it replaced, copied
 unchanged apart from their names for the rank test and the Gram inverse, so
 that no test checks the integer core against something derived from it.
 They import only the non-eliminating helpers of ``partfan.rational``.
-``complement_projection`` (the reference for ``int_complement_projection``),
-``span_equal`` (the reference for ``span_key``), ``identity_matrix``,
-``solve``, ``kernel_basis`` and ``gram_schmidt`` (with its vector helpers)
-have no library counterpart left, so this is their only copy.
+``complement_projection`` (the reference for
+``search_oracles.int_complement_projection``), ``span_equal`` (the
+reference for ``span_key``), ``identity_matrix``, ``solve``,
+``kernel_basis`` and ``gram_schmidt`` (with its vector helpers) have no
+library counterpart left, so this is their only copy.  Nor have the matrix
+helpers ``mat_vec``, ``mat_mul`` and ``transpose``, which left
+``partfan.rational`` once projected rays became facet functionals.
 
 The last routines are the Fraction plane frame that
 ``partfan.cw._attaching_word`` used before it moved to an integer frame:
@@ -24,14 +27,20 @@ from functools import cmp_to_key
 from partfan.cw import _angular_cmp
 from partfan.errors import DependentBasis, DimensionMismatch
 from partfan.fan import build_fan
-from partfan.rational import (
-    _exact,
-    dot,
-    mat_mul,
-    primitive_ray,
-    transpose,
-    vec,
-)
+from partfan.rational import _exact, dot, primitive_ray, vec
+
+
+def mat_vec(m, v):
+    return tuple(dot(row, v) for row in m)
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def transpose(m):
+    return tuple(tuple(row[j] for row in m) for j in range(len(m[0]))) if m else ()
 
 
 def identity_matrix(n):

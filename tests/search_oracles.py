@@ -39,11 +39,23 @@ apart from imports:
   interval listed by a scan of all chambers; the boundary-wall test by one
   dot product per (boundary wall, ray); and every outside chamber of a
   non-convex interval decided by ``fulldim_in_halfspaces``.
+- ``int_complement_projection``: the integer multiple L * P of the
+  projection onto a span's complement, from one elimination of
+  [G | I] with G the Gram matrix, which ``Fan._scaled_projection`` formed
+  once per span; ``Fan._projected_ray`` applied it to each ray.
+  ``Fan._project_star_map`` now reads each projected ray i along sigma
+  off the facet functionals of sigma + {i}, and computes no span key
+  where the projected star fixes the span.
 - ``PerConeProjection``: ``Fan._scaled_projection`` and
   ``Fan._projected_cone`` as they were before projections were keyed by
   span, as methods of an object holding the fan and the two caches: one
   ``int_complement_projection`` of the base cone's rays per base cone,
-  chambers and every wall of one hyperplane included.
+  chambers and every wall of one hyperplane included.  It and
+  ``fraction_oracles.complement_projection`` cross-check the facet route:
+  ``test_fan.test_projected_cones_match_the_per_cone_route`` and
+  ``test_category_and_cw_unchanged_under_the_per_cone_route`` against this
+  oracle, ``test_partition.test_integer_core_matches_fraction_route`` and
+  ``test_cone_sets_match_the_fraction_route`` against the Fraction one.
 - ``link_complex``: every subset of the next-dimension star cones tested
   for a projected cone of the star, layer by layer, where
   ``fan.link_complex`` now reads each simplex off one cone of the star.
@@ -107,6 +119,7 @@ import math
 from collections import deque
 from itertools import combinations, count
 
+from fraction_oracles import mat_mul, mat_vec
 from partfan import cones as conelib
 from partfan.arrangement import (
     ArrangementFan,
@@ -156,13 +169,14 @@ from partfan.partition import (
 )
 from partfan.poset import FanPoset, PosetReport
 from partfan.rational import (
+    _echelon,
+    _integer_rows,
     dot,
-    int_complement_projection,
     int_kernel_basis,
-    mat_vec,
     matrix_rank,
     primitive_ray,
     sqrt_combination_sign,
+    vec,
 )
 from partfan.render import _cross, _dotf, _normalize, _polyline, _svg_header
 
@@ -851,6 +865,37 @@ def _convex_union(fan, members, inward):
             if any(dot(nu, r) < 0 for r in rays):
                 return False
     return True
+
+
+def int_complement_projection(basis, dim):
+    """Integer matrix L * P, for some L > 0, with P the projection onto span(basis)^perp.
+
+    P is the orthogonal projection: idempotent and symmetric with kernel
+    span(basis).  L * P maps every vector to a positive multiple of its
+    exact projection; an empty basis gives the identity.  Raises
+    DependentBasis if the vectors are dependent.
+
+    With B the basis rows (each scaled to integers, which keeps the span)
+    and G = B B^T, fraction-free elimination of [G | I] ends in rows
+    [c_i e_i | c_i (G^-1)_i] with c_i > 0, so L = lcm(c_i) makes L G^-1 an
+    integer matrix and L P = L I - B^T (L G^-1) B.
+
+    >>> int_complement_projection([(1, 1)], 2)
+    ((1, -1), (-1, 1))
+    """
+    b = _integer_rows(basis)
+    k = len(b)
+    gram = [[dot(u, v) for v in b] + [int(i == j) for j in range(k)]
+            for i, u in enumerate(b)]
+    reduced, pivots = _echelon(gram)
+    if pivots[:k] != list(range(k)):
+        raise DependentBasis("projection basis is linearly dependent",
+                             witness=[[str(x) for x in vec(v)] for v in basis])
+    scale = math.lcm(*(row[i] for i, row in enumerate(reduced)))
+    inv_b = mat_mul([[x * (scale // row[i]) for x in row[k:]]
+                     for i, row in enumerate(reduced)], b)
+    return tuple(tuple(scale * (i == j) - sum(u[i] * w[j] for u, w in zip(b, inv_b))
+                       for j in range(dim)) for i in range(dim))
 
 
 class PerConeProjection:

@@ -8,9 +8,10 @@ from math import gcd
 
 from hypothesis import assume, strategies as st
 
+from fraction_oracles import mat_vec
 from partfan.fan import build_fan
 from partfan.partition import Partition, potential_identifications
-from partfan.rational import mat_vec, matrix_rank, primitive_ray
+from partfan.rational import matrix_rank, primitive_ray
 
 
 def _ccw(a, b):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_oracles as oracle
 import search_oracles
-from fraction_oracles import identity_matrix
+from fraction_oracles import identity_matrix, mat_mul, transpose
 from partfan import cones as conelib
 from partfan.cones import (
     extreme_rays,
@@ -19,13 +19,7 @@ from partfan.cones import (
 )
 from partfan.errors import DependentBasis, DimensionMismatch, PartFanError
 from partfan.fan import ValidationReport, build_fan, validate_fan
-from partfan.rational import (
-    dot,
-    mat_mul,
-    primitive_ray,
-    transpose,
-    vec,
-)
+from partfan.rational import dot, primitive_ray, vec
 
 
 def test_extreme_rays_quadrant():

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 import fraction_oracles as oracle
+from fraction_oracles import mat_mul, mat_vec
 import search_oracles
 from partfan import arrangement as arrlib
 from partfan import catalog
+from partfan import cones as conelib
 from partfan import fan as fanlib
+from partfan import partition as partlib
+from partfan import rational
 from partfan.errors import (
     BadIndex,
     DuplicateRay,
@@ -34,7 +38,7 @@ from partfan.fan import (
 )
 from partfan.partition import potential_identifications
 from partfan.poset import check_weak_fan_poset
-from partfan.rational import dot, mat_mul, mat_vec, primitive_ray
+from partfan.rational import dot, primitive_ray
 from strategies import (
     A3_NORMALS,
     A4_ESSENTIAL,
@@ -366,41 +370,41 @@ def test_category_and_cw_unchanged_under_the_per_cone_route(monkeypatch, name):
 
     monkeypatch.setattr(Fan, "_project_star_map", former_project_star_map)
     former, fan = _category_and_cw_documents(name)
-    assert not fan._projected_ray_cache
+    # the fan's own route reads projections along a cone of codimension 2 or
+    # more off the facets of cones that are no chambers
+    assert all(len(c) == fan.dim for c in fan._facet_cache)
     assert former == documents
 
 
-def _count_projections(monkeypatch):
-    """Record the basis of every ``int_complement_projection`` call of the fan."""
-    bases = []
-    original = fanlib.int_complement_projection
+def _count_eliminations(monkeypatch):
+    """Record the row count of every ``_echelon`` call; ``span_key`` fails."""
+    rows = []
+    original = rational._echelon
 
-    def counting(basis, dim):
-        bases.append(basis)
-        return original(basis, dim)
+    def counting(matrix):
+        rows.append(len(matrix))
+        return original(matrix)
 
-    monkeypatch.setattr(fanlib, "int_complement_projection", counting)
-    return bases
+    def refuse(vectors):
+        raise AssertionError("span_key called on %r" % (vectors,))
 
-
-@pytest.mark.parametrize("name, calls", [("A3", 14), ("A4", 51)])
-def test_one_projection_per_flat_below_the_top(monkeypatch, name, calls):
-    arrangement = arrangement_of(name)
-    fan = arrlib.arrangement_fan(arrangement)
-    bases = _count_projections(monkeypatch)
-    potential_identifications(fan)
-    assert len(bases) == len(arrlib.flats(arrangement)) - 1 == calls
+    monkeypatch.setattr(rational, "_echelon", counting)
+    monkeypatch.setattr(conelib, "_echelon", counting)
+    monkeypatch.setattr(partlib, "span_key", refuse)
+    return rows
 
 
 @pytest.mark.parametrize("name, calls", [
-    ("square", 3), ("hirzebruch-a1", 4), ("three-lines", 4)])
-def test_one_planar_projection_per_line_and_the_zero_cone(monkeypatch, name, calls):
+    ("A3", 74), ("A4", 540), ("square", 8), ("hirzebruch-a1", 8), ("three-lines", 12)])
+def test_one_elimination_per_nonzero_cone_and_no_span_key(monkeypatch, name, calls):
+    """On a complete fan every star holds a chamber, so the projected stars
+    alone key the E-classes, and each cone sigma + {i} gives projected ray i
+    along sigma from one elimination of its facet functionals."""
     fan = PROJECTION_FANS[name]()
-    bases = _count_projections(monkeypatch)
+    rows = _count_eliminations(monkeypatch)
     potential_identifications(fan)
-    lines = {max(r, tuple(-x for x in r)) for r in fan.rays}
-    assert len(bases) == len(lines) + 1 == calls
-    assert all(len(basis) < fan.dim for basis in bases)
+    assert len(rows) == len(fan.cones) - 1 == calls
+    assert sorted(rows) == sorted(len(c) for c in fan.cones if c)
 
 
 def test_no_check_cone_on_the_fans_own_cones(monkeypatch):

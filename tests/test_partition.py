@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracles as oracle
+from fraction_oracles import mat_vec
 import search_oracles
 from partfan import arrangement as arrlib
 from partfan import catalog
@@ -34,11 +35,12 @@ from partfan.partition import (
     potential_identifications,
     refines,
 )
-from partfan.rational import mat_vec, primitive_ray
+from partfan.rational import primitive_ray
 from strategies import (
     A3_NORMALS,
     b_normals,
     complete_planar_fans,
+    random_cone_set,
     random_seeds,
     refining_partition,
 )
@@ -477,11 +479,27 @@ def test_possible_identification_is_equivalence(square_fan, hzb_fan,
                 assert ident.same_class(a, b) == _pairwise_identified(fan, a, b)
 
 
-def fraction_projected_cone(fan, base, cone):
-    """The former projected cone: the Gram-inverse projection, then primitive rays."""
-    p = oracle.complement_projection(fan.ray_vectors(base), dim=fan.dim)
-    return tuple(sorted({primitive_ray(mat_vec(p, fan.rays[i]))
-                         for i in cone if i not in base}))
+def _fraction_route(fan):
+    """(projected star maps, refused cone, E-classes) of the former Fraction
+    route: the Gram-inverse projection of each cone, then primitive rays, and
+    the classes keyed by the Fraction rref of the span and the projected star.
+
+    The refused cone is the first whose star projects non-injectively,
+    where ``potential_identifications`` raises PreconditionUnmet, and the
+    classes are then None.
+    """
+    former = {}
+    for c in fan.cones:
+        p = oracle.complement_projection(fan.ray_vectors(c), dim=fan.dim)
+        former[c] = {t: tuple(sorted({primitive_ray(mat_vec(p, fan.rays[i]))
+                                      for i in t if i not in c}))
+                     for t in fan.star(c)}
+    refused = next((c for c in fan.cones
+                    if len(set(former[c].values())) < len(former[c])), None)
+    if refused is not None:
+        return former, refused, None
+    return former, None, group_by(fan, lambda c: (oracle.rref(fan.ray_vectors(c))[0],
+                                                  frozenset(former[c].values()))).blocks
 
 
 INTEGER_CORE_FANS = {
@@ -498,13 +516,47 @@ def test_integer_core_matches_fraction_route(name):
     """Integer projections and span keys give the former cones and E-classes,
     whose key was the Fraction rref of the span and the Fraction projected star."""
     fan = INTEGER_CORE_FANS[name]()
-    former = {c: {t: fraction_projected_cone(fan, c, t) for t in fan.star(c)}
-              for c in fan.cones}
+    former, refused, classes = _fraction_route(fan)
     for c in fan.cones:
         assert fan.project_star_map(c) == former[c]
-    classes = group_by(fan, lambda c: (oracle.rref(fan.ray_vectors(c))[0],
-                                       frozenset(former[c].values()))).blocks
+    assert refused is None
     assert potential_identifications(fan).classes == classes
+
+
+def test_cone_sets_match_the_fraction_route():
+    """On incomplete cone sets, where a star without a chamber takes the
+    span-keyed E-class key, the facet route gives the Fraction route's
+    projected stars, E-classes and refusals."""
+    outcomes = set()
+    for dim in (2, 3):
+        for seed in range(150):
+            fan = random_cone_set(dim, seed)
+            former, refused, classes = _fraction_route(fan)
+            for c in fan.cones:
+                assert fan.project_star_map(c) == former[c], (dim, seed, c)
+            if refused is not None:
+                with pytest.raises(PreconditionUnmet) as err:
+                    potential_identifications(fan)
+                assert err.value.witness[0] == list(refused), (dim, seed)
+                outcomes.add("refused")
+                continue
+            assert potential_identifications(fan).classes == classes, (dim, seed)
+            if any(len(b) > 1 and not fan.star_chambers(b[0]) for b in classes):
+                outcomes.add("fallback")
+    assert outcomes == {"refused", "fallback"}
+
+
+@pytest.mark.parametrize("dim, seed, block", [
+    (2, 9, ((2,), (3,))), (3, 186, ((0, 2), (2, 4)))])
+def test_span_fallback_joins_cones_whose_stars_hold_no_chamber(dim, seed, block):
+    """Two opposite rays, and two cones spanning one plane, whose stars
+    hold no chamber: the span-keyed E-class key joins them, as the
+    Fraction route does."""
+    fan = random_cone_set(dim, seed)
+    classes = potential_identifications(fan).classes
+    assert block in classes
+    assert classes == _fraction_route(fan)[2]
+    assert not any(fan.star_chambers(c) for c in block)
 
 
 def test_potential_identifications_do_not_keep_the_fan_alive():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracles as oracle
+from fraction_oracles import mat_mul, mat_vec, transpose
 from partfan import rational
 from partfan.errors import (
     DependentBasis,
@@ -18,19 +19,16 @@ from partfan.errors import (
 )
 from partfan.rational import (
     dot,
-    int_complement_projection,
     int_kernel_basis,
-    mat_mul,
-    mat_vec,
     matrix_rank,
     pivot_columns,
     primitive_ray,
     rref,
     span_key,
     sqrt_combination_sign,
-    transpose,
     vec,
 )
+from search_oracles import int_complement_projection
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
