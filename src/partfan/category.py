@@ -259,40 +259,53 @@ def check_cubical(category):
     give distinct pairs, so a cube whose sorted objects are f's pairs has
     2^k distinct objects; this equality is axiom 2's first test.
 
-    A Faq-morphism (g1, h1) -> (g2, h2) is a phi from g1's target to g2's
-    target with phi o g1 = g2 and h2 o phi = h1.  When every morphism
-    passes that first test, the Faq counts of an f of rank k >= 1 whose
-    middles are distinct are 1 on the pairs S < T of the cube and 0
-    elsewhere, so they are not computed.  Proof.  Let (sigma, tau) be f's
-    first rep, m_S the middle cone{sigma, {v_i : i in S}}, and
-    (g_S, h_S) = ([sigma, m_S], [m_S, tau]).
+    Let (sigma, tau) be f's first rep, m_S the middle
+    cone{sigma, {v_i : i in S}} and (g_S, h_S) = ([sigma, m_S], [m_S, tau]).
 
-    - Cube objects do not depend on the rep.  Let (sigma', tau') be
-      another rep of a morphism and m the star matching
+    - Middles never repeat, so the middle-object functor is injective on
+      objects in every category and axiom 3 tests faithfulness only.
+      Distinct subsets S pick distinct ray sets of the simplicial cone
+      tau, so the faces m_S have distinct spans.  Cones of one E-class
+      share a span (the proof in ``partition._ident_key``), and
+      ``build_category`` refuses a block that crosses E-classes (through
+      ``is_admissible`` and ``partition._check_possible``), so distinct S
+      give distinct blocks.  The middles come from ``of_pair`` and the
+      morphism targets, never from ``compose_table``, so no edit of the
+      table makes them repeat.
+    - The Faq counts come from the factorization pairs.  A Faq-morphism
+      (g1, h1) -> (g2, h2) is a phi from g1's target to g2's target with
+      phi o g1 = g2 and h2 o phi = h1.  g1 and g2 both start at sigma's
+      block, so (g1, phi) is a factorization pair of g2 exactly when
+      phi o g1 = g2 in the table and phi ends at g2's target.  So the
+      count is the number of pairs (g1, phi) of g2 whose phi starts at
+      g1's target and has (phi, h2) -> h1 in the table, and no second
+      index of the table is needed.
+    - When every morphism passes the first test, the counts of each cube
+      are 1 on the pairs S < T and 0 elsewhere, so none is computed.
+      Proof.  Cube objects do not depend on the rep: let (sigma', tau')
+      be another rep of a morphism and m the star matching
       star(sigma) -> star(sigma').  It preserves faces and sends tau to
       tau' (one signature, and projection is injective on a star), so it
       sends each middle mu to a middle m(mu) between sigma' and tau', and
       onto them.  As in ``build_category``, [sigma, mu] = [sigma', m(mu)]
       and [mu, tau] = [m(mu), tau'], by admissibility and the restriction
       of m to star(mu).  So ``_cube_objects`` of any rep is the same set.
-    - At most one phi, and only for S < T.  A counted phi from (g_S, h_S)
-      to (g_T, h_T) ends at g_T's target and has phi o g_S = g_T, while
-      g_S and g_T share the source; so (g_S, phi) is a factorization pair
-      of g_T.  (sigma, m_T) is a rep of g_T, so by the first test on g_T
-      and the point above, (g_S, phi) = ([sigma, m_U], [m_U, m_T]) for
-      some U <= T.  Then g_S = g_U, so S's and U's middles agree, and
-      distinct middles force U = S and phi = [m_S, m_T].
-    - At least one phi for S < T.  phi = [m_S, m_T] runs between the two
-      middles.  The first test on g_T, from its rep (sigma, m_T), puts
-      (g_S, phi) -> g_T in the table; on h_S, from its rep (m_S, tau),
-      it puts (phi, h_T) -> h_S there.
-
-    Otherwise (some morphism fails the first test, or f's middles repeat)
-    ``_faq_counts`` counts them, from an index of every phi by g and
-    phi o g that is built on first use; when the counts are not exactly 1
-    on the pairs S < T, every ordered pair is compared in turn, so axioms
-    2 and 3 record their witnesses in the order of a scan over all pairs.
-    A rank-0 cube has one object and so no pair to count.
+      At most one phi, and only for S < T: a counted phi from (g_S, h_S)
+      to (g_T, h_T) makes (g_S, phi) a factorization pair of g_T, and
+      (sigma, m_T) is a rep of g_T, so by the first test on g_T and the
+      point above, (g_S, phi) = ([sigma, m_U], [m_U, m_T]) for some
+      U <= T.  Then g_S = g_U, so S's and U's middles agree, and as
+      middles never repeat, U = S and phi = [m_S, m_T].  At least one phi
+      for S < T: phi = [m_S, m_T] runs between the two middles.  The
+      first test on g_T, from its rep (sigma, m_T), puts (g_S, phi) -> g_T
+      in the table; on h_S, from its rep (m_S, tau), it puts
+      (phi, h_T) -> h_S there.
+    - Otherwise (some morphism fails the first test) one witness pass,
+      ``_record_faq_counts``, walks the ordered pairs of each cube that
+      passes it and records each count that differs from the cube count.
+      Its pairs come in the order a scan of every pair would give, so it
+      records the same witnesses, in the same order, as counting them all
+      and then comparing.  A rank-0 cube has one object and so no pair.
 
     The factors of axioms 4 and 5 are read off f's factorization cube.  Its
     singleton objects {i} are (f_{sigma, cone{sigma, v_i}}, ...) and its
@@ -304,20 +317,17 @@ def check_cubical(category):
     """
     report = AxiomReport()
     ms = category.morphisms
-    of_pair = category.of_pair
-    entries = sorted(category.compose_table.items())
     factorizations = {}   # composite f -> its factorization pairs (g, h)
-    for (fi, gi), hi in entries:
+    for (fi, gi), hi in sorted(category.compose_table.items()):
         f, g, h = ms[fi], ms[gi], ms[hi]
         if f.rank + g.rank != h.rank:
             report.record(1, {"f": fi, "g": gi, "composite": hi})
         if f.source == h.source and g.target == h.target:
             factorizations.setdefault(hi, []).append((fi, gi))
-    cubes = [_cube_objects(of_pair, *f.reps[0]) for f in ms]
+    cubes = [_cube_objects(category.of_pair, *f.reps[0]) for f in ms]
     is_cube = [sorted(objects) == factorizations.get(f.index, [])
                for f, objects in zip(ms, cubes)]
     every_cube = all(is_cube)
-    after = None          # after[g][c]: the phi with phi o g = c
 
     by_first = {}
     by_last = {}
@@ -326,19 +336,8 @@ def check_cubical(category):
         if not is_cube[f.index]:
             report.record(2, {"morphism": f.index, "expected": 2 ** k,
                               "pairs": factorizations.get(f.index, [])})
-        elif k:
-            middles = [ms[g].target for g, _ in objects]
-            distinct = len(set(middles)) == len(middles)
-            if not distinct:
-                report.record(3, {"morphism": f.index, "middles": middles})
-            if not (every_cube and distinct):
-                if after is None:
-                    after = {}
-                    for (fi, gi), hi in entries:
-                        after.setdefault(fi, {}).setdefault(hi, []).append(gi)
-                counts = _faq_counts(category, after, objects, middles)
-                if counts != _cube_counts(k):
-                    _record_faq_counts(report, f, objects, counts)
+        elif not every_cube:
+            _record_faq_counts(report, category, factorizations, f, objects)
         if k == 0:
             continue
         fkey = tuple(sorted({g for g, _ in objects[1:k + 1]}))
@@ -354,64 +353,28 @@ def check_cubical(category):
     return report
 
 
-def _record_faq_counts(report, f, objects, counts):
-    """Record each ordered pair of f's cube objects whose count is not 1 on
-    an inclusion and 0 elsewhere: a count above 1 under axiom 3, any other
-    under axiom 2."""
-    inclusions = _cube_inclusions(f.rank)
+def _record_faq_counts(report, category, factorizations, f, objects):
+    """Record each ordered pair of f's cube objects whose Faq count is not
+    1 on an inclusion S_a < S_b and 0 elsewhere: a count above 1 under
+    axiom 3, any other under axiom 2.  The pairs are walked in
+    ``combinations`` order, (a, b) before (b, a).  Each count is read off
+    g2's factorization pairs, as ``check_cubical`` proves.
+    """
+    ms = category.morphisms
+    table = category.compose_table
+    subsets = [set(S) for S in _cube_subsets(f.rank)]
     for i, j in combinations(range(len(objects)), 2):
         for a, b in ((i, j), (j, i)):
-            count = counts.get((a, b), 0)
-            expected = 1 if (a, b) in inclusions else 0
+            (g1, h1), (g2, h2) = objects[a], objects[b]
+            count = sum(g == g1 and ms[phi].source == ms[g1].target
+                        and table.get((phi, h2)) == h1
+                        for g, phi in factorizations.get(g2, ()))
+            expected = int(subsets[a] <= subsets[b])
             if count != expected:
                 report.record(3 if count > 1 else 2,
                               {"morphism": f.index, "from": objects[a],
                                "to": objects[b], "count": count,
                                "expected": expected})
-
-
-def _faq_counts(category, after, objects, middles):
-    """The nonzero Faq-morphism counts between cube objects, by position.
-
-    The count from (g1, h1) to (g2, h2) is the number of phi from g1's
-    target to g2's target with phi o g1 = g2 and h2 o phi = h1;
-    ``after[g1][g2]`` lists the phi with phi o g1 = g2.
-    """
-    ms = category.morphisms
-    table = category.compose_table
-    counts = {}
-    for a, (g1, h1) in enumerate(objects):
-        composites = after.get(g1)
-        if composites is None:
-            continue
-        for b, (g2, h2) in enumerate(objects):
-            phis = composites.get(g2)
-            if phis is None or b == a:
-                continue
-            count = 0
-            for phi in phis:
-                m = ms[phi]
-                if (m.source == middles[a] and m.target == middles[b]
-                        and table.get((phi, h2)) == h1):
-                    count += 1
-            if count:
-                counts[a, b] = count
-    return counts
-
-
-@cache
-def _cube_inclusions(k):
-    """The position pairs (a, b), a != b, of factorization-cube objects whose
-    subsets of {0..k-1} satisfy S_a <= S_b."""
-    subsets = [frozenset(S) for S in _cube_subsets(k)]
-    return frozenset((a, b) for a, sa in enumerate(subsets)
-                     for b, sb in enumerate(subsets) if a != b and sa <= sb)
-
-
-@cache
-def _cube_counts(k):
-    """The Faq-morphism counts of a cubical rank-k cube: 1 on each inclusion."""
-    return dict.fromkeys(_cube_inclusions(k), 1)
 
 
 def check_last_factor_compatibility(category):

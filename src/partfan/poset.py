@@ -38,7 +38,9 @@ class FanPoset:
     interval [a, b] is ``_up_mask[a] & _down_mask[b]``.  Reading a mask
     from its lowest bit up lists its chambers in sorted order.  The masks
     are one fixpoint over the covers (``_closure``), with no topological
-    order; a cycle among the covers is read off them and refused.
+    order; a cycle among the covers is read off them and refused.  The
+    covers are sorted, so a cover listed twice lies next to its copy and
+    is refused there: each chain would be counted twice.
     """
 
     def __init__(self, fan, covers):
@@ -46,13 +48,16 @@ class FanPoset:
         self.elements = tuple(fan.chambers())
         self._index = {c: i for i, c in enumerate(self.elements)}
         covers = tuple(sorted(covers))
-        for lower, upper, wall in covers:
+        for previous, (lower, upper, wall) in zip((None,) + covers, covers):
             if lower not in self._index or upper not in self._index:
                 raise PosetInvalid("cover does not join two chambers",
                                    witness=[list(lower), list(upper)])
             shared = tuple(sorted(set(lower) & set(upper)))
             if shared != wall or len(wall) != fan.dim - 1 or wall not in fan:
                 raise PosetInvalid("cover does not cross a shared wall",
+                                   witness=[list(lower), list(upper)])
+            if previous == (lower, upper, wall):
+                raise PosetInvalid("cover listed twice",
                                    witness=[list(lower), list(upper)])
         self.covers = covers
         # (upper, wall) of each cover above a chamber, in sorted order

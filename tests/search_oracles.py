@@ -28,7 +28,12 @@ apart from imports:
   ``check_last_factor_compatibility``: every (sigma, tau) pair looked up
   through the validating ``Category.morphism_of_pair``, each Faq count by a
   scan of a whole hom-set, and the factors of axioms 4 and 5 looked up again
-  rather than read off the cube.
+  rather than read off the cube.  This ``check_cubical`` is the reference
+  for ``category.check_cubical``: it still tests every cube for repeated
+  middles (axiom 3's ``{"middles": ...}`` witness), which the category
+  layer proves cannot happen, and it counts every Faq-morphism by the
+  hom-set scan, where the category layer counts off the factorization
+  pairs, and only in a category where some cube fails axiom 2.
 - ``_factorizations``: each composite's factorization pairs from a sorted
   pass of their own over the composition table, where
   ``category.check_cubical`` now collects them in its one sorted pass.

@@ -299,6 +299,19 @@ def test_cycle_witness_is_the_first_chamber_on_the_cycle(square_fan):
     assert err.value.witness == [1, 2]
 
 
+def test_a_cover_listed_twice_is_refused(square_fan):
+    """The covers of (1, 1) on the square fan, with [1,2] < [0,1] listed
+    twice: each maximal chain through that cover would be counted twice,
+    so the poset is refused with the doubled cover as the witness."""
+    covers = [[[1, 2], [0, 1]], [[1, 2], [0, 1]], [[1, 2], [2, 3]],
+              [[0, 1], [0, 3]], [[2, 3], [0, 3]]]
+    assert sorted((tuple(lower), tuple(upper)) for lower, upper in covers[1:]) == [
+        cover[:2] for cover in poset_from_linear_functional(square_fan, (1, 1)).covers]
+    with pytest.raises(PosetInvalid) as err:
+        poset_from_json(square_fan, {"covers": covers})
+    assert err.value.witness == [[1, 2], [0, 1]]
+
+
 def test_poset_json_roundtrip(square_fan):
     poset = poset_from_linear_functional(square_fan, (1, 1))
     again = poset_from_json(square_fan, poset.to_json())
