@@ -111,8 +111,9 @@ def simplicial_facets(ray_vectors):
     other generators and span(G)^perp, oriented so that generator i is
     positive: a positive multiple of the dual-basis functional, row i of
     (G G^T)^{-1} G, which is 1 on generator i and 0 on the others.  This is
-    the one routine that derives facet functionals: ``simplicial_halfspaces``
-    and ``Fan._facets`` read theirs off it.
+    the one elimination that derives facet functionals:
+    ``simplicial_halfspaces`` reads its own off it, and ``Fan._facets`` its
+    base cases, from which it derives every other cone's by integer updates.
 
     All of them come from one fraction-free elimination of [G G^T | G],
     with G the generators scaled to integers (a positive scale of a

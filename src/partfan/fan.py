@@ -135,11 +135,72 @@ class Fan:
         into c; ``_wall_normal`` reads it, and no other code derives a wall
         normal.  For a cone sigma + {i}, h_i is the projected ray i along
         sigma (``_project_star_map``).
+
+        A maximal cone that no wall-crossing has reached is eliminated by
+        ``simplicial_facets``; if it is a chamber, ``_cross_walls`` then
+        derives every chamber of its wall-adjacency component from it, so a
+        complete fan runs one elimination.  Any other cone rho has a parent
+        tau = rho + {k} in the fan, the first in its star, and with
+        n = h^tau_k,
+
+            h^rho_i = primitive((n . n) h^tau_i - (h^tau_i . n) n).
+
+        Proof.  n lies in span(tau) and vanishes on rho, so span(tau) is
+        span(rho) plus the line of n, and the vector above, the projection
+        of h^tau_i orthogonal to n scaled by n . n > 0, lies in span(rho).
+        On a ray j of rho it is (n . n) h^tau_i . r_j, positive for j = i
+        and zero otherwise, which defines h^rho_i up to a positive scale.
         """
         if cone not in self._facet_cache:
-            self._facet_cache[cone] = dict(zip(cone, conelib.simplicial_facets(
-                self.ray_vectors(cone))))
+            parent = next((t for t in self._stars[cone] if len(t) == len(cone) + 1), None)
+            if parent is None:
+                self._facet_cache[cone] = dict(zip(cone, conelib.simplicial_facets(
+                    self.ray_vectors(cone))))
+                if len(cone) == self.dim:
+                    self._cross_walls(cone)
+            else:
+                facets = self._facets(parent)
+                (k,) = set(parent).difference(cone)
+                n = facets[k]
+                self._facet_cache[cone] = {
+                    i: _combine(dot(n, n), facets[i], dot(facets[i], n), n) for i in cone}
         return self._facet_cache[cone]
+
+    def _cross_walls(self, root):
+        """Derive the facets of every chamber that walls join to ``root``.
+
+        Breadth-first from the eliminated chamber ``root``: chamber c2 meets
+        a known chamber c1 in the wall w = c1 - {k1} = c2 - {k2}, and with
+        b = +/- h^c1_k1, the sign chosen so that beta = b . r_k2 > 0,
+
+            h^c2_k2 = b,  h^c2_i = primitive(beta h^c1_i - (h^c1_i . r_k2) b)
+
+        for i in w, the dual-basis pivot of the simplex method.  Proof.  Let
+        e_i be the dual basis of c1 and a_i = e_i . r_k2 the coordinates of
+        r_k2 in the rays of c1, so b = lambda e_k1 and beta = lambda a_k1.
+        The dual basis of c2 is f_k2 = e_k1 / a_k1 and
+        f_i = e_i - (a_i / a_k1) e_k1, which is 1 on r_i and zero on w - {i}
+        and on r_k2.  So b = beta f_k2, primitive as h^c1_k1 is, and with
+        h^c1_i = mu e_i, mu > 0, the vector above is beta mu f_i: both are
+        positive multiples.  Nothing here assumes a valid fan.  beta = 0
+        exactly when r_k2 lies in span(w), so c2 is dependent; it is left
+        out, and eliminating it when it is asked for raises DependentBasis.
+        """
+        queue = [root]
+        for c1 in queue:
+            h1 = self._facet_cache[c1]
+            for k1 in c1:
+                wall = tuple(i for i in c1 if i != k1)
+                for c2 in [c for c in self._star_chambers(wall) if c not in self._facet_cache]:
+                    (k2,) = set(c2).difference(wall)
+                    r = self.rays[k2]
+                    beta = dot(h1[k1], r)
+                    if beta:
+                        b = h1[k1] if beta > 0 else tuple(-x for x in h1[k1])
+                        self._facet_cache[c2] = {
+                            i: b if i == k2 else _combine(abs(beta), h1[i], dot(h1[i], r), b)
+                            for i in c2}
+                        queue.append(c2)
 
     def _wall_normal(self, wall, chamber):
         """Primitive normal of span(wall) pointing into ``chamber``."""
@@ -177,8 +238,10 @@ class Fan:
 
         The one memo of projected cones: tau in star(cone) maps to the
         sorted set of projected rays i of tau outside ``cone``, and
-        projected ray i is ``_facets(cone + {i})[i]``, one elimination per
-        cone of the fan however many cones project it.
+        projected ray i is ``_facets(cone + {i})[i]``, derived once per cone
+        of the fan however many cones project it.  ``_facets`` derives it
+        by the face projection from a parent, or, for a chamber, by a
+        wall-crossing pivot, so a complete fan runs one elimination in all.
 
         Proof.  Let rho = sigma + {i} be a cone, G its rays, and P the
         orthogonal projection onto span(sigma)^perp.  Row i of
@@ -213,6 +276,11 @@ class Fan:
             "rays": [list(r) for r in self.rays],
             "max_cones": [list(c) for c in self.max_cones],
         }
+
+
+def _combine(s, h, t, v):
+    """The primitive ray of s h - t v, the one exact update of ``Fan._facets``."""
+    return primitive_ray([s * x - t * y for x, y in zip(h, v)])
 
 
 def check_dim(dim):

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fan import is_finite_complete
 from .partition import _check_possible, _star_matching
-from .rational import dot, sqrt_combination_sign, vec
+from .rational import _integer_row, dot, sqrt_combination_sign
 
 # ``FanPoset.maximal_chains`` raises ChainLimitExceeded past this many chains
 CHAIN_CAP = 10 ** 6
@@ -251,11 +251,12 @@ def poset_from_linear_functional(fan, b):
     t1 < t2 for which the normal nu pointing from t1 to t2 has
     b(nu) > 0 (``_orient_walls`` with the sign of b . nu).  Requires
     completeness and genericity of b: DegenerateFunctional names the first
-    wall, in ``fan.walls()`` order, on which b(nu) == 0.
+    wall, in ``fan.walls()`` order, on which b(nu) == 0.  b is scaled to
+    integers by a positive factor first, which keeps every sign.
     """
     if not is_finite_complete(fan):
         raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
-    b = vec(b)
+    b = _integer_row(b)
     covers, ties = _orient_walls(fan, lambda nu: dot(b, nu))
     if ties:
         raise DegenerateFunctional("functional vanishes on a wall normal",

@@ -9,14 +9,20 @@ There is one elimination, :func:`_echelon`: fraction-free Gauss-Jordan on
 plain Python ints (rows are scaled to integers first, which changes neither
 row space nor kernel).  :func:`matrix_rank`, :func:`span_key` and
 :func:`int_kernel_basis` return its integer results,
-``cones.simplicial_facets`` reads every facet functional off it, and
-:func:`dot` of integer vectors is an int.  A projected ray is a facet
-functional (``fan.Fan._project_star_map`` proves it), so no projection
-matrix is formed.  A ``Fraction`` is built in two places only: ``_exact``
-parses rational input (for :func:`vec` and :func:`sqrt_combination_sign`),
-and :func:`rref` divides each echelon row by its pivot entry.  Spans are
-compared by their keys and functionals are taken up to a positive scale,
-which is all the fan predicates need.
+``cones.simplicial_facets`` reads the facet functionals of one cone off
+it, and :func:`dot` of integer vectors is an int.  ``fan.Fan._facets``
+runs it only on the first chamber of each wall-adjacency component and on
+each maximal cone that is no chamber.  Every other facet table is an exact
+integer update of a known one: a wall-crossing pivot from a neighbouring
+chamber or a projection from a parent cone (``Fan._cross_walls`` and
+``Fan._facets`` prove both).  So all facet tables of a complete fan cost
+one elimination.  A projected ray is a facet functional
+(``fan.Fan._project_star_map`` proves it), so no projection matrix is
+formed.  A ``Fraction`` is built in two places only: ``_exact`` parses
+rational input (for :func:`vec`, and for a non-int argument of
+:func:`sqrt_combination_sign`), and :func:`rref` divides each echelon row
+by its pivot entry.  Spans are compared by their keys and functionals are
+taken up to a positive scale, which is all the fan predicates need.
 Python ints have arbitrary precision, so no coefficient can overflow.
 """
 
@@ -235,9 +241,12 @@ def int_kernel_basis(rows, ncols):
 
 
 def sqrt_combination_sign(x, p, y, q):
-    """Exact sign of x*sqrt(p) + y*sqrt(q) for integers p, q > 0 and rational x, y."""
-    x = _exact(x)
-    y = _exact(y)
+    """Exact sign of x*sqrt(p) + y*sqrt(q) for integers p, q > 0 and rational x, y.
+
+    An int x or y is used as it is; any other is parsed by ``_exact``.
+    """
+    x = x if type(x) is int else _exact(x)
+    y = y if type(y) is int else _exact(y)
     if x >= 0 and y >= 0:
         return 0 if x == 0 and y == 0 else 1
     if x <= 0 and y <= 0:

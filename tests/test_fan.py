@@ -17,6 +17,7 @@ from partfan import partition as partlib
 from partfan import rational
 from partfan.errors import (
     BadIndex,
+    DependentBasis,
     DuplicateRay,
     InexactNumber,
     MixedBlock,
@@ -45,6 +46,7 @@ from strategies import (
     angular_order,
     b_normals,
     complete_planar_fans,
+    random_cone_set,
     random_fan,
 )
 
@@ -394,17 +396,91 @@ def _count_eliminations(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("name, calls", [
-    ("A3", 74), ("A4", 540), ("square", 8), ("hirzebruch-a1", 8), ("three-lines", 12)])
-def test_one_elimination_per_nonzero_cone_and_no_span_key(monkeypatch, name, calls):
+@pytest.mark.parametrize("name", ["A3", "A4", "square", "hirzebruch-a1", "three-lines"])
+def test_one_elimination_per_chamber_component_and_no_span_key(monkeypatch, name):
     """On a complete fan every star holds a chamber, so the projected stars
-    alone key the E-classes, and each cone sigma + {i} gives projected ray i
-    along sigma from one elimination of its facet functionals."""
+    alone key the E-classes.  Its chambers form one wall-adjacency
+    component, so one elimination of a chamber's [G G^T | G] gives every
+    facet functional, by wall-crossing pivots and face projections."""
     fan = PROJECTION_FANS[name]()
     rows = _count_eliminations(monkeypatch)
     potential_identifications(fan)
-    assert len(rows) == len(fan.cones) - 1 == calls
-    assert sorted(rows) == sorted(len(c) for c in fan.cones if c)
+    assert rows == [fan.dim]
+
+
+FACET_FANS = {
+    **PROJECTION_FANS,
+    **{"random-3-%d-flat" % seed: lambda seed=seed: random_fan(3, seed, 0)
+       for seed in range(4)},
+    **{"cone-set-%d-%d" % (dim, seed): lambda dim=dim, seed=seed: random_cone_set(dim, seed)
+       for dim in (2, 3, 4) for seed in range(8)},
+    # five rays going twice round the origin: the chambers overlap, and the
+    # pivots cross the walls of a fan that is not valid
+    "double-winding": lambda: build_fan(
+        2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    # chambers [0, 1] and [0, 2] lie on the same side of their wall, ray 0
+    "same-side": lambda: build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)]),
+}
+
+
+def _chamber_components(fan):
+    """The number of classes of chambers joined by shared walls."""
+    root = {c: c for c in fan.chambers()}
+
+    def find(c):
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    for wall in fan.walls():
+        incident = fan._star_chambers(wall)
+        for c in incident[1:]:
+            root[find(c)] = find(incident[0])
+    return len({find(c) for c in root})
+
+
+def _lower_maximal_cones(fan):
+    """The cones in no larger cone of the fan that are no chambers."""
+    return [c for c in fan.cones if len(c) < fan.dim and fan.star(c) == (c,)]
+
+
+@pytest.mark.parametrize("name", sorted(FACET_FANS))
+def test_derived_facets_equal_the_elimination_of_each_cone(monkeypatch, name):
+    """Every cone's facet functionals, derived by pivots and projections,
+    are those one elimination of the cone gives; the eliminations run once
+    per chamber component and once per maximal cone that is no chamber."""
+    fan = FACET_FANS[name]()
+    calls = []
+    original = conelib.simplicial_facets
+
+    def counting(rays):
+        calls.append(rays)
+        return original(rays)
+
+    monkeypatch.setattr(conelib, "simplicial_facets", counting)
+    derived = {c: fan._facets(c) for c in fan.cones if c}
+    monkeypatch.undo()
+    for c, facets in derived.items():
+        assert facets == dict(zip(c, original(fan.ray_vectors(c)))), c
+    assert len(calls) == _chamber_components(fan) + len(_lower_maximal_cones(fan))
+
+
+def test_the_facet_oracle_fans_have_lower_cones_and_several_components():
+    fans = [f() for f in FACET_FANS.values()]
+    assert any(_lower_maximal_cones(fan) for fan in fans)
+    assert any(_chamber_components(fan) > 1 for fan in fans)
+
+
+def test_a_dependent_chamber_is_not_crossed_into():
+    """Pivoting into chamber (1, 2) would divide by zero, as ray 2 lies on
+    the line of their wall; asking for its facets eliminates it, which
+    refuses it."""
+    fan = fanlib._fan_of_cones(2, [(1, 0), (0, 1), (0, -1)], [(0, 1), (1, 2)])
+    assert fan._facets((0, 1)) == {0: (1, 0), 1: (0, 1)}
+    assert (1, 2) not in fan._facet_cache
+    with pytest.raises(DependentBasis):
+        fan._facets((1, 2))
 
 
 def test_no_check_cone_on_the_fans_own_cones(monkeypatch):

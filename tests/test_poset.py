@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from partfan import catalog
 from partfan import cones as conelib
 from partfan.errors import (
     DegenerateFunctional,
+    InexactNumber,
     NotAnInterval,
     NotComplete,
     NotRank2,
@@ -105,6 +107,17 @@ def test_functional_poset_square(square_fan):
 def test_functional_poset_degenerate(square_fan):
     with pytest.raises(DegenerateFunctional):
         poset_from_linear_functional(square_fan, (1, 0))
+
+
+def test_functional_poset_takes_rational_functionals_and_refuses_inexact_ones(square_fan):
+    """b is scaled to integers by a positive factor, so a rational b orders
+    the walls as its integer multiple does; a float or bool is refused."""
+    poset = poset_from_linear_functional(square_fan, (Fraction(1, 2), "1/2"))
+    assert poset.covers == poset_from_linear_functional(square_fan, (1, 1)).covers
+    for bad in (0.5, True):
+        with pytest.raises(InexactNumber) as err:
+            poset_from_linear_functional(square_fan, (bad, 1))
+        assert err.value.witness is bad
 
 
 def test_functional_poset_hzb_acyclic(hzb_fan):
