@@ -184,13 +184,14 @@ class Flat:
 
 
 def _flat_from_indices(arrangement, indices):
-    normals = [arrangement.normals[i] for i in indices]
-    basis = int_kernel_basis(normals, arrangement.dim)
-    closed = frozenset(
-        i for i, n in enumerate(arrangement.normals)
-        if all(dot(n, b) == 0 for b in basis)
-    ) if basis else frozenset(range(len(arrangement.normals)))
-    return Flat(closed, basis)
+    """The closure of the hyperplanes ``indices`` with its basis.
+
+    The basis spans their intersection K, and the closure is the set of
+    hyperplanes that contain every basis vector, the zero set of the basis
+    (``_zero_sets``); with an empty basis it is every hyperplane.
+    """
+    basis = int_kernel_basis([arrangement.normals[i] for i in indices], arrangement.dim)
+    return Flat(_zero_sets(arrangement, basis)(range(len(basis))), basis)
 
 
 def flats(arrangement):
@@ -256,17 +257,16 @@ def support(arrangement, fan, cone):
     contain every ray of the face: the intersection of its rays' zero
     sets (``_zero_sets``).  Z is closed: the intersection K of Z contains
     the span of the face, so a hyperplane that contains K contains every
-    ray of the face and lies in Z.  So the flat is Z with the kernel basis
-    of Z's normals, and no closure is taken.
+    ray of the face and lies in Z.  So the flat is the closure of Z, which
+    is Z with the kernel basis of Z's normals.
     """
     try:
         cone = fan.check_cone(cone)
     except UnknownCone as err:
         raise UnknownFace("face not in the arrangement fan",
                           witness=err.witness) from err
-    zero = _zero_sets(arrangement, fan.ray_vectors(cone))(range(len(cone)))
-    return Flat(zero, int_kernel_basis(
-        [arrangement.normals[i] for i in sorted(zero)], arrangement.dim))
+    return _flat_from_indices(
+        arrangement, _zero_sets(arrangement, fan.ray_vectors(cone))(range(len(cone))))
 
 
 def flat_partition(arrangement, fan):

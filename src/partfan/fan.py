@@ -67,13 +67,9 @@ class Fan:
                     stars[sigma].append(tau)
         self._stars = {c: tuple(s) for c, s in stars.items()}
         self._by_dim = {d: tuple(cs) for d, cs in by_dim.items()}
-        self._validation = None
-        self._complete = None
         self._facet_cache = {}
-        self._ident = None
-        self._admissible = {}  # partition blocks -> partition.is_admissible verdict
-        self._symbol_bodies = {}  # groups.cone_symbol_body, per cone
         self._project_star_cache = {}
+        self._memo = {}  # see ``memo``
 
     def __contains__(self, cone):
         return tuple(cone) in self._stars
@@ -283,6 +279,25 @@ def _combine(s, h, t, v):
     return primitive_ray([s * x - t * y for x, y in zip(h, v)])
 
 
+def memo(holder, key, compute, *args):
+    """``holder._memo[key]``, storing ``compute(*args)`` there on the first read.
+
+    The holder is a ``Fan`` or a ``poset.FanPoset``, whose one ``_memo``
+    dict keeps every result that is computed once per object and read many
+    times.  Each module keys its own results by a tuple whose first entry
+    is its public function, followed by what the result depends on beyond
+    the holder, so two modules never share a key.  A ``compute`` that
+    raises stores nothing: the next read computes again and raises again.
+    Hot callers pass a module function and its arguments, not a lambda,
+    so a read builds no closure.
+    """
+    try:
+        return holder._memo[key]
+    except KeyError:
+        value = holder._memo[key] = compute(*args)
+        return value
+
+
 def check_dim(dim):
     """Refuse an ambient dimension that is not an integer >= 0 (a bool is
     not one), with BadInput whose witness is the value."""
@@ -346,7 +361,6 @@ def validate_fan(fan):
     it), so its report is empty and no pair is tested.  Otherwise most
     pairs are proved valid by facet separation, and the others are decided
     by exact extreme-ray extraction on the combined H-representations.
-    The report is computed once per fan.
 
     Separation certificate.  Facet functional h_i of a maximal cone a (from
     ``Fan._facets``) is positive on ray i and zero on the other rays of a.
@@ -372,10 +386,7 @@ def validate_fan(fan):
     (-2,-1,-1)) and cone((-1,0,3), (1,1,-1), (1,1,-3)), which share only
     the origin but are not separated by a facet of either.
     """
-    if fan._validation is None:
-        fan._validation = ValidationReport(
-            () if is_finite_complete(fan) else _pairwise_violations(fan))
-    return fan._validation
+    return ValidationReport(() if is_finite_complete(fan) else _pairwise_violations(fan))
 
 
 def _pairwise_violations(fan):
@@ -480,9 +491,7 @@ def is_finite_complete(fan):
     cone uses changes nothing: it is no cone of the fan, and validity
     (``validate_fan`` pairs maximal cones) does not see it either.
     """
-    if fan._complete is None:
-        fan._complete = _ridge_certificate(fan)
-    return fan._complete
+    return memo(fan, (is_finite_complete,), _ridge_certificate, fan)
 
 
 def _ridge_certificate(fan):

@@ -30,6 +30,7 @@ from .errors import (
     NotRank2,
     PosetInvalid,
 )
+from .fan import memo
 from .partition import refines
 from .poset import _facial_interval, check_nondegenerate
 
@@ -139,11 +140,11 @@ def cone_symbol_body(fan, cone):
 
     partfan calls it with cones it took from the fan's own tables.
     """
-    bodies = fan._symbol_bodies
-    if cone not in bodies:
-        bodies[cone] = ";".join(",".join(str(x) for x in r)
-                                for r in sorted(fan.ray_vectors(cone)))
-    return bodies[cone]
+    return memo(fan, (cone_symbol_body, cone), _symbol_body, fan, cone)
+
+
+def _symbol_body(fan, cone):
+    return ";".join(",".join(str(x) for x in r) for r in sorted(fan.ray_vectors(cone)))
 
 
 def wall_generator(fan, partition, wall):
@@ -176,14 +177,13 @@ def picture_group(fan, partition, poset, mode="full"):
     poset is a polygonal lattice (the caller asserts polygonality).
     Type-2 relators (identified-morphism words) are emitted only when the
     poset is degenerate.  The presentation is computed once per (fan,
-    partition, mode) and kept on the poset.
+    partition, mode) on the poset (``fan.memo``, key ``(picture_group,
+    fan, partition, mode)``); a raise stores nothing.
     """
     if mode not in ("full", "codim2"):
         raise PosetInvalid("unknown picture-group mode", witness=mode)
-    key = (fan, partition, mode)
-    if key not in poset._pictures:
-        poset._pictures[key] = _picture_group(fan, partition, poset, mode)
-    return poset._pictures[key]
+    return memo(poset, (picture_group, fan, partition, mode),
+                _picture_group, fan, partition, poset, mode)
 
 
 def _picture_group(fan, partition, poset, mode):
@@ -268,15 +268,13 @@ def psi(fan, partition, poset, morphism):
     ``poset.first_chain(sigma^-, kappa^-)``; any other chain gives a word
     equal to it up to the chain relators.  Identity morphisms map to the
     empty word.  No chain list is built, so no chain limit applies.  The
-    image is computed once per (fan, partition) and first representative,
-    and kept on the poset, where ``functor_check`` and
-    ``rank2_faithfulness_certificate`` read it.
+    image is computed once per (fan, partition) and first representative
+    on the poset (``fan.memo``, key ``(psi, fan, partition, rep)``), where
+    ``functor_check`` and ``rank2_faithfulness_certificate`` read it.
     """
-    images = poset._psi_images.setdefault((fan, partition), {})
     rep = morphism.reps[0]
-    if rep not in images:
-        images[rep] = _minima_chain_word(fan, partition, poset, *rep)
-    return images[rep]
+    return memo(poset, (psi, fan, partition, rep),
+                _minima_chain_word, fan, partition, poset, *rep)
 
 
 def _minima_chain_word(fan, partition, poset, sigma, kappa):

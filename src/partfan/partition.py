@@ -18,6 +18,7 @@ from .errors import (
     PreconditionUnmet,
     SeedNotPossible,
 )
+from .fan import memo
 from .rational import span_key
 
 
@@ -70,8 +71,13 @@ class Partition:
             return False
         return self.fan is other.fan or self.fan.to_json() == other.fan.to_json()
 
-    def __hash__(self):
+    # the blocks never change, and every memo key that names a partition hashes it
+    @cached_property
+    def _hash(self):
         return hash(self.blocks)
+
+    def __hash__(self):
+        return self._hash
 
     def to_json(self):
         return {"blocks": [[list(c) for c in b] for b in self.blocks]}
@@ -168,7 +174,8 @@ def potential_identifications(fan):
     star alone where it fixes the span, and otherwise the ``span_key`` of
     the cone's rays (their primitive integer echelon rows, a canonical key
     for the span) with the projected star.  The classes are computed once
-    per fan and kept on it, so each cone's key is computed once.
+    per fan (``fan.memo``, key ``(potential_identifications,)``), so each
+    cone's key is computed once.
 
     Precondition: projection along each cone sigma is injective on
     star(sigma), so that the projected star is a fan whose cones match
@@ -197,9 +204,8 @@ def potential_identifications(fan):
        composition is single-valued on an admissible partition (see
        ``category.build_category``).
     """
-    if fan._ident is None:
-        fan._ident = IdentTable(group_by(fan, lambda c: _ident_key(fan, c)))
-    return fan._ident
+    return memo(fan, (potential_identifications,),
+                lambda: IdentTable(group_by(fan, lambda c: _ident_key(fan, c))))
 
 
 def _ident_key(fan, cone):
@@ -254,16 +260,13 @@ def is_admissible(fan, partition):
     visits those pairs first, and a block fails only if one of them
     fails, so the witness is the one that scan returns.
 
-    The verdict depends only on the fan and the blocks, so it is kept on
-    the fan (``Fan._admissible``), keyed by the blocks; a later call with
-    the same blocks reads it there.  ``_check_possible`` runs on every
-    call, and its errors are never kept.
+    The verdict depends only on the fan and the blocks, so it is computed
+    once per fan and blocks (``fan.memo``, key ``(is_admissible, blocks)``);
+    a later call with the same blocks reads it.  ``_check_possible`` runs
+    on every call, and its errors are never stored.
     """
     _check_possible(fan, partition)
-    verdict = fan._admissible.get(partition.blocks)
-    if verdict is None:
-        verdict = fan._admissible[partition.blocks] = _admissibility(fan, partition)
-    return verdict
+    return memo(fan, (is_admissible, partition.blocks), _admissibility, fan, partition)
 
 
 def _admissibility(fan, partition):

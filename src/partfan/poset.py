@@ -20,7 +20,7 @@ from .errors import (
     NotRank2,
     PosetInvalid,
 )
-from .fan import is_finite_complete
+from .fan import is_finite_complete, memo
 from .partition import _check_possible, _star_matching
 from .rational import _integer_row, dot, sqrt_combination_sign
 
@@ -68,9 +68,7 @@ class FanPoset:
             self._across.setdefault(wall, []).append((lower, upper))
         self._up_mask, self._down_mask = self._closure()
         self._facial = {}
-        self._pictures = {}
-        self._psi_images = {}  # (fan, partition) -> groups.psi image per first rep
-        self._nondegenerate = {}  # (fan, partition) -> check_nondegenerate verdict
+        self._memo = {}  # see ``fan.memo``
 
     def _closure(self):
         """(up masks, down masks): the reflexive-transitive closure of the covers.
@@ -517,15 +515,15 @@ def check_nondegenerate(fan, partition, poset):
     the one that fails.  Blocks fail in the same order, so the witness is
     the one the scan over all blocks gives.
 
-    The verdict is kept on the poset, keyed by (fan, partition), so the
+    The verdict is computed once per (fan, partition) on the poset
+    (``fan.memo``, key ``(check_nondegenerate, fan, partition)``), so the
     picture group and the rank-2 certificate read the one a caller got.
-    ``_check_possible`` runs on every call, and its errors are never kept.
+    ``_check_possible`` runs on every call, and its errors are never
+    stored.
     """
     _check_possible(fan, partition)
-    key = (fan, partition)
-    if key not in poset._nondegenerate:
-        poset._nondegenerate[key] = _nondegeneracy(fan, partition, poset)
-    return poset._nondegenerate[key]
+    return memo(poset, (check_nondegenerate, fan, partition),
+                _nondegeneracy, fan, partition, poset)
 
 
 def _nondegeneracy(fan, partition, poset):

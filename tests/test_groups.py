@@ -226,6 +226,22 @@ def test_chain_cap(square_fan, torus_partition, monkeypatch):
         G.picture_group(square_fan, torus_partition, poset)
 
 
+def test_picture_group_raise_stores_nothing(square_fan, torus_partition, monkeypatch):
+    """A picture group that raises leaves no entry in the poset's memo, so
+    the same poset computes it again once the chain cap allows."""
+    from partfan.errors import ChainLimitExceeded
+
+    poset = poset_from_linear_functional(square_fan, (1, 1))
+    monkeypatch.setattr(poset_module, "CHAIN_CAP", 1)
+    with pytest.raises(ChainLimitExceeded):
+        G.picture_group(square_fan, torus_partition, poset)
+    assert not any(key[0] is G.picture_group for key in poset._memo)
+    monkeypatch.undo()
+    fresh = G.picture_group(square_fan, torus_partition,
+                            poset_from_linear_functional(square_fan, (1, 1)))
+    assert G.picture_group(square_fan, torus_partition, poset).to_json() == fresh.to_json()
+
+
 def test_picture_group_is_kept_on_the_poset(square_fan, torus_partition, monkeypatch):
     from partfan.errors import ChainLimitExceeded
 

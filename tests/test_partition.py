@@ -241,7 +241,7 @@ def test_pruned_enumeration_matches_product_filter_across_classes():
         with pytest.raises(PreconditionUnmet) as raised:
             enumerate_admissible(fan)
         assert raised.value.witness == [[1], [1, 4], [1, 5]]
-    assert fan._ident is None
+    assert (potential_identifications,) not in fan._memo
 
 
 def test_three_chambers_around_a_ray_forces_chamber_pairs():
@@ -268,7 +268,7 @@ def test_admissibility_verdicts_are_kept_per_fan():
     partitions = enumerate_admissible(square)
     for p in partitions:
         assert is_admissible(square, p) == (True, None)
-        assert square._admissible[p.blocks] == (True, None)
+        assert square._memo[is_admissible, p.blocks] == (True, None)
     crossing = [p.blocks for p in partitions if p.block_of[(0,)] == p.block_of[(2,)]]
     assert len(crossing) == 3
     for blocks in crossing:
@@ -276,7 +276,7 @@ def test_admissibility_verdicts_are_kept_per_fan():
         for _ in range(2):
             with pytest.raises(PossibleIdentViolation):
                 is_admissible(hzb, twin)
-    assert hzb._admissible == {}
+    assert not any(k[0] is is_admissible for k in hzb._memo)
 
 
 def test_admissibility_is_decided_once_per_partition():
