@@ -16,12 +16,10 @@ from .arrangement import (
     flat_partition,
     flats,
     poset_of_regions,
-    separating_set,
     shard_partition,
     shards,
     support,
     wa_certify,
-    wa_mul,
 )
 from .category import (
     build_category,
@@ -29,8 +27,6 @@ from .category import (
     check_last_factor_compatibility,
     compose,
     export_category_dot,
-    factorization_cube,
-    first_factors,
     last_factors,
 )
 from .cw import (
@@ -42,10 +38,8 @@ from .cw import (
 from .fan import (
     Fan,
     build_fan,
-    canonical_fan,
     fan_from_json,
     is_finite_complete,
-    link_complex,
     validate_fan,
 )
 from .groups import (

@@ -288,17 +288,6 @@ def _chamber_check(fan, base):
     return base
 
 
-def separating_set(arrfan, region, base):
-    """Hyperplanes with strictly opposite signs on region and base."""
-    region = _chamber_check(arrfan.fan, region)
-    base = _chamber_check(arrfan.fan, base)
-    return _separating(arrfan.sign_of(region), arrfan.sign_of(base))
-
-
-def _separating(rs, bs):
-    return frozenset(i for i, (a, b) in enumerate(zip(rs, bs)) if a == -b and a != 0)
-
-
 def poset_of_regions(arrfan, base):
     """Chambers ordered away from the base by separating-set inclusion.
 
@@ -492,10 +481,6 @@ class WallAlgebra:
                 k = self.basis_mul(ka, kb)
                 out[k] = out.get(k, 0) + va * vb
         return {k: v for k, v in out.items() if v}
-
-
-def wa_mul(algebra, x, y):
-    return algebra.mul(x, y)
 
 
 def wa_certify(arrangement, presentation):

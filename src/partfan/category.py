@@ -148,16 +148,6 @@ def compose(category, f, g):
     return category.morphisms[result]
 
 
-def first_factors(category, f):
-    """The rank-1 first factors [f_{sigma, cone{sigma, v_i}}]."""
-    if f.rank == 0:
-        raise RankZero("identity morphisms have no factors", witness=f.index)
-    sigma, tau = f.reps[0]
-    out = {category.of_pair[sigma, tuple(sorted(sigma + (v,)))]
-           for v in tau if v not in sigma}
-    return tuple(category.morphisms[i] for i in sorted(out))
-
-
 def last_factors(category, f):
     """The rank-1 last factors [f_{lambda_i, tau}] with lambda_i dropping v_i."""
     if f.rank == 0:
@@ -168,33 +158,14 @@ def last_factors(category, f):
     return tuple(category.morphisms[i] for i in sorted(out))
 
 
-class FactorizationCube:
-    """The factorization category Faq(f), indexed by subsets of {1..k}."""
-
-    def __init__(self, anchor, objects, subset_of):
-        self.anchor = anchor
-        self.objects = objects      # tuple of (g index, h index) pairs
-        self.subset_of = subset_of  # object -> frozenset index subset
-
-
-def factorization_cube(category, f):
-    """All two-step factorizations of f, with the subset-poset indexing.
-
-    The subset map comes from one representative (sigma, tau): S maps to
-    sigma -> cone{sigma, {v_i : i in S}} -> tau.  The objects are listed by
-    subset size, and within a size in ``combinations`` order, so objects
-    1..k are the singletons {i} and the k before the last are the
-    co-singletons, {v_k} dropped first.  ``check_cubical`` verifies that
-    this hits every factorization pair exactly once (Faq(f) ~ I^k).
-    """
-    objects = tuple(_cube_objects(category.of_pair, *f.reps[0]))
-    subset_of = dict(zip(objects, map(frozenset, _cube_subsets(f.rank))))
-    return FactorizationCube(f, objects, subset_of)
-
-
 def _cube_objects(of_pair, sigma, tau):
     """The factorization-cube objects of the rep (sigma, tau), in cube order.
 
+    Object S is the pair sigma -> cone{sigma, {v_i : i in S}} -> tau, v_i
+    tau's i-th ray outside sigma, and the subsets S come in
+    ``_cube_subsets`` order: by size, and within a size in
+    ``combinations`` order.  So objects 1..k are the singletons {i} and
+    the k before the last are the co-singletons, {v_k} dropped first.
     The reps are pairs of sorted cones and every middle is a sorted face of
     tau, so each middle is read off tau at the positions
     ``_middle_positions`` lists, and each pair straight off ``of_pair``.
@@ -255,7 +226,7 @@ def check_cubical(category):
     checks axiom 1 and collects the factorization pairs (g, h) of each
     composite f, those with g starting at f's source and h ending at f's
     target, in sorted order.  The cube of f has 2^k objects, read off by
-    ``_cube_objects`` as in ``factorization_cube``.  Distinct table entries
+    ``_cube_objects``, in cube order.  Distinct table entries
     give distinct pairs, so a cube whose sorted objects are f's pairs has
     2^k distinct objects; this equality is axiom 2's first test.
 
@@ -307,10 +278,11 @@ def check_cubical(category):
       records the same witnesses, in the same order, as counting them all
       and then comparing.  A rank-0 cube has one object and so no pair.
 
-    The factors of axioms 4 and 5 are read off f's factorization cube.  Its
-    singleton objects {i} are (f_{sigma, cone{sigma, v_i}}, ...) and its
-    co-singletons are (..., f_{lambda_i, tau}), with lambda_i dropping v_i:
-    the pairs ``first_factors`` and ``last_factors`` look up, from the same
+    The factors of axioms 4 and 5 are read off f's factorization cube
+    (``_cube_objects``).  Its singleton objects {i} are
+    (f_{sigma, cone{sigma, v_i}}, ...), the first factors, and its
+    co-singletons are (..., f_{lambda_i, tau}), with lambda_i dropping v_i,
+    the last factors that ``last_factors`` looks up from the same
     representative.  They are read by position, since a cube that fails
     axiom 2 may list one object twice.  Each axiom records its witnesses in
     morphism order.

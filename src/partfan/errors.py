@@ -61,10 +61,6 @@ class NotComplete(PartFanError):
     code = "NotComplete"
 
 
-class MixedBlock(PartFanError):
-    code = "MixedBlock"
-
-
 class PossibleIdentViolation(PartFanError):
     code = "PossibleIdentViolation"
 

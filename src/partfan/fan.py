@@ -14,10 +14,8 @@ from .errors import (
     BadIndex,
     BadInput,
     DuplicateRay,
-    MixedBlock,
     NonSimplicialCone,
     NotAFace,
-    NotComplete,
     UnknownCone,
 )
 from .rational import dot, matrix_rank, primitive_ray
@@ -259,12 +257,6 @@ class Fan:
                 tau: tuple(sorted({ray[i] for i in tau if i not in base}))
                 for tau in star}
         return self._project_star_cache[cone]
-
-    def adjacent_chambers(self, wall):
-        wall = self.check_cone(wall)
-        if len(wall) != self.dim - 1:
-            raise UnknownCone("not a codimension-1 cone", witness=list(wall))
-        return self._star_chambers(wall)
 
     def to_json(self):
         return {
@@ -512,95 +504,7 @@ def _ridge_certificate(fan):
                for c in fan.max_cones) == 1
 
 
-class LinkComplex:
-    """Abstract simplicial complex S([sigma]) on the next-dimension star cones."""
-
-    def __init__(self, vertices, simplices):
-        self.vertices = vertices
-        self.simplices = simplices  # tuples of vertex indices, downward closed
-
-    def facets(self):
-        maximal = []
-        sset = set(self.simplices)
-        for s in self.simplices:
-            if not any(set(s) < set(t) for t in sset if len(t) == len(s) + 1):
-                maximal.append(s)
-        return tuple(maximal)
-
-    def dimension(self):
-        return max((len(s) - 1 for s in self.simplices), default=-1)
-
-    def is_pure(self):
-        facets = self.facets()
-        return len({len(f) for f in facets}) <= 1
-
-    def ridge_degrees(self):
-        """Map from each codim-1 face of a facet to its facet count."""
-        facets = self.facets()
-        degrees = {}
-        for f in facets:
-            for ridge in combinations(f, len(f) - 1):
-                degrees[ridge] = degrees.get(ridge, 0) + 1
-        return degrees
-
-    def to_json(self):
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "simplices": [list(s) for s in self.simplices],
-        }
-
-
-def link_complex(fan, block):
-    """The sphere complex of a block of cones sharing one projected star.
-
-    Vertices are the cones of star(sigma) one dimension above a
-    representative sigma; a set of vertices spans a simplex iff the cone of
-    their projections is again a cone of the projected star.
-
-    So each tau in star(sigma) other than sigma is the simplex
-    {sigma + {i} : i in tau - sigma}, and these are all the simplices.
-    Proof: the projection pi along span(sigma) is injective on the rays of
-    star(sigma) outside sigma.  Let i != j be two of them with
-    pi(r_i) = c pi(r_j), c > 0.  Then r_i = c r_j + sum_k b_k r_k over k in
-    sigma, so x = r_i + sum_k a_k r_k, with every a_k > |b_k|, lies in the
-    relative interiors of both cone(sigma + {i}) and cone(sigma + {j}).  On a
-    valid fan (and a finite complete fan is valid) their intersection is a
-    common face, which then contains a relative interior point of each and
-    so is both cones: i == j, a contradiction.  Hence the projections of a
-    vertex set S generate pi(tau) iff S is {sigma + {i} : i in tau - sigma},
-    and every such sigma + {i} is a face of tau, so a vertex.  Simplices are
-    listed by size, then by their sorted vertex indices.
-    """
-    if not is_finite_complete(fan):
-        raise NotComplete("link complexes need a finite complete fan",
-                          witness=fan.to_json())
-    block = sorted(fan.check_cone(c) for c in block)
-    rep = block[0]
-    ps = fan.project_star(rep)
-    for other in block[1:]:
-        if fan.project_star(other) != ps:
-            raise MixedBlock("block members have different projected stars",
-                             witness=[list(rep), list(other)])
-    k = len(rep)
-    vertices = tuple(c for c in fan._stars[rep] if len(c) == k + 1)
-    index = {v: n for n, v in enumerate(vertices)}
-    simplices = sorted(
-        (tuple(sorted(index[tuple(sorted(rep + (i,)))] for i in tau if i not in rep))
-         for tau in fan._stars[rep] if tau != rep),
-        key=lambda s: (len(s), s))
-    return LinkComplex(vertices, tuple(simplices))
-
-
 def fan_from_json(data):
     return build_fan(data["dim"], [tuple(r) for r in data["rays"]],
                      [tuple(c) for c in data["max_cones"]])
-
-
-def canonical_fan(fan):
-    """Re-index with rays in lexicographic order; canonical output form."""
-    order = sorted(range(len(fan.rays)), key=lambda i: fan.rays[i])
-    relabel = {old: new for new, old in enumerate(order)}
-    rays = [fan.rays[i] for i in order]
-    max_cones = sorted(tuple(sorted(relabel[i] for i in c)) for c in fan.max_cones)
-    return build_fan(fan.dim, rays, max_cones)
 

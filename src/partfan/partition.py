@@ -179,8 +179,18 @@ def potential_identifications(fan):
 
     Precondition: projection along each cone sigma is injective on
     star(sigma), so that the projected star is a fan whose cones match
-    those of the star.  Every valid fan satisfies it (the proof is in
-    ``fan.link_complex``).  Raises PreconditionUnmet, witness
+    those of the star.  Every valid fan satisfies it.  Proof: the
+    projection pi along span(sigma) is injective on the rays of
+    star(sigma) outside sigma.  Let i != j be two of them with
+    pi(r_i) = c pi(r_j), c > 0.  Then r_i = c r_j + sum_k b_k r_k over k
+    in sigma, so x = r_i + sum_k a_k r_k, with every a_k > |b_k|, lies in
+    the relative interiors of both cone(sigma + {i}) and
+    cone(sigma + {j}).  On a valid fan their intersection is a common
+    face, which then contains a relative interior point of each and so is
+    both cones: i == j, a contradiction.  So tau in star(sigma) projects
+    to the cone of the projected rays i in tau - sigma, and distinct cones
+    of the star have distinct ray sets outside sigma and so distinct
+    projections.  Raises PreconditionUnmet, witness
     [sigma, tau1, tau2], at the first cone in ``fan.cones`` order whose
     star has two cones with one projection, tau1 and tau2 the first such
     pair in ``fan._stars[sigma]`` order; the refusal is not kept.  Every

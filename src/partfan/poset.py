@@ -155,23 +155,27 @@ class FanPoset:
         """All maximal chains from a to b, each as a tuple of wall labels.
 
         Listed depth-first, taking the covers above each chamber in sorted
-        order.  Raises ChainLimitExceeded past ``CHAIN_CAP`` chains.
+        order.  Raises ChainLimitExceeded past ``CHAIN_CAP`` chains.  The
+        walk keeps one iterator of covers per chamber of the current path
+        and one shared list of the labels of the covers taken, so a chain
+        of any length needs no recursion.
         """
-        chains = []
-
-        def walk(node, labels):
-            if node == b:
-                chains.append(tuple(labels))
-                if len(chains) > CHAIN_CAP:
-                    raise ChainLimitExceeded("too many maximal chains",
-                                             witness=CHAIN_CAP)
-                return
-            for upper, wall in self._up[node]:
-                if self.leq(upper, b):
-                    walk(upper, labels + [wall])
-
-        if self.leq(a, b):
-            walk(a, [])
+        chains, labels = ([()] if a == b else []), []
+        stack = [iter(self._up[a])] if self.leq(a, b) else []
+        while stack:
+            for upper, wall in stack[-1]:
+                if upper == b:
+                    chains.append((*labels, wall))
+                    if len(chains) > CHAIN_CAP:
+                        raise ChainLimitExceeded("too many maximal chains",
+                                                 witness=CHAIN_CAP)
+                elif self.leq(upper, b):
+                    labels.append(wall)
+                    stack.append(iter(self._up[upper]))
+                    break
+            else:
+                stack.pop()
+                del labels[-1:]  # the cover into the chamber left; a has none
         return chains
 
     def first_chain(self, a, b):

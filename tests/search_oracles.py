@@ -33,10 +33,16 @@ apart from imports:
   middles (axiom 3's ``{"middles": ...}`` witness), which the category
   layer proves cannot happen, and it counts every Faq-morphism by the
   hom-set scan, where the category layer counts off the factorization
-  pairs, and only in a category where some cube fails axiom 2.
+  pairs, and only in a category where some cube fails axiom 2.  This
+  ``factorization_cube`` returns the pair (objects, subset_of), which
+  ``category._cube_objects`` and ``_cube_subsets`` give in the same order.
 - ``_factorizations``: each composite's factorization pairs from a sorted
   pass of their own over the composition table, where
   ``category.check_cubical`` now collects them in its one sorted pass.
+- ``maximal_chains``: the former ``FanPoset.maximal_chains``, as a
+  function of the poset, walking each chain by one recursive call per
+  cover, where the method now keeps a stack of cover iterators and so
+  walks a chain longer than Python's recursion limit.
 - ``ClosureOrder`` (with the former ``FanPoset`` closure and its
   ``leq``, ``interval``, ``extremes`` and ``facial``), ``_convex_union``
   and ``check_weak_fan_poset``: the order as frozensets of the chambers
@@ -61,9 +67,6 @@ apart from imports:
   ``test_category_and_cw_unchanged_under_the_per_cone_route`` against this
   oracle, ``test_partition.test_integer_core_matches_fraction_route`` and
   ``test_cone_sets_match_the_fraction_route`` against the Fraction one.
-- ``link_complex``: every subset of the next-dimension star cones tested
-  for a projected cone of the star, layer by layer, where
-  ``fan.link_complex`` now reads each simplex off one cone of the star.
 - ``is_finite_complete``: every wall counted, the wall-crossing graph
   searched for connectivity, and every pair of maximal cones validated,
   where ``fan.is_finite_complete`` is now the ridge certificate.  The one
@@ -72,9 +75,11 @@ apart from imports:
 - ``wall_normal``: the kernel of the wall's rays, oriented by the sum of
   the chamber's rays, where the fan now reads its normals off the facet
   functionals of its chambers (``Fan._wall_normal``).
-- ``poset_of_regions``: each wall's cover oriented by comparing the
-  separating sets of its two chambers, where ``arrangement``'s is now the
-  functional poset of minus the base's ray sum.
+- ``poset_of_regions`` and ``_separating``: each wall's cover oriented by
+  comparing the separating sets of its two chambers, where
+  ``arrangement``'s is now the functional poset of minus the base's ray
+  sum.  The poset-of-regions tests read separating sets off
+  ``_separating`` too.
 - ``_rank2_basics``: the basic hyperplanes of a rank-2 flat from the
   kernels of its normals, where ``arrangement.shards`` now reads them off
   the wall normals of one chamber of a face's star.
@@ -116,8 +121,7 @@ apart from imports:
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
 ``ArrangementFan.sign_of``, since the arrangement fan keeps no table of
-face points or sign vectors, and ``link_complex`` reads its projected
-cones off ``Fan._project_star_map``, the fan's one projected-cone memo.
+face points or sign vectors.
 """
 
 import math
@@ -134,21 +138,16 @@ from partfan.arrangement import (
     _chamber_check,
     _generator_vector,
     _ray_sum,
-    _separating,
     _sign,
     _split_chain_relator,
 )
-from partfan.category import (
-    AxiomReport,
-    FactorizationCube,
-    _cliques_of_size_3_up,
-)
+from partfan.category import AxiomReport, _cliques_of_size_3_up
 from partfan.errors import (
     BadInput,
+    ChainLimitExceeded,
     DependentBasis,
     DimensionMismatch,
     EnumerationLimitExceeded,
-    MixedBlock,
     NotAChamber,
     NotAdmissible,
     NotComplete,
@@ -161,7 +160,7 @@ from partfan.errors import (
     UnknownFace,
 )
 from partfan import fan as fanlib
-from partfan.fan import LinkComplex, build_fan
+from partfan.fan import build_fan
 from partfan.groups import _neighbors, _rewrite_rules, word_concat, word_inverse
 from partfan.partition import (
     Partition,
@@ -172,7 +171,7 @@ from partfan.partition import (
     group_by,
     potential_identifications,
 )
-from partfan.poset import FanPoset, PosetReport
+from partfan.poset import CHAIN_CAP, FanPoset, PosetReport
 from partfan.rational import (
     _echelon,
     _integer_rows,
@@ -641,7 +640,7 @@ def last_factors(category, f):
 
 
 def factorization_cube(category, f):
-    """All two-step factorizations of f, with the subset-poset indexing.
+    """(objects, subset_of): all two-step factorizations of f, indexed by subsets.
 
     The subset map comes from one representative (sigma, tau): S maps to
     sigma -> cone{sigma, {v_i : i in S}} -> tau.  The build verifies that
@@ -658,7 +657,7 @@ def factorization_cube(category, f):
             h = category.morphism_of_pair(middle, tau)
             objects.append((g.index, h.index))
             subset_of[(g.index, h.index)] = frozenset(S)
-    return FactorizationCube(f, tuple(objects), subset_of)
+    return tuple(objects), subset_of
 
 
 def check_cubical(category):
@@ -680,19 +679,19 @@ def check_cubical(category):
     factorizations = _factorizations(category)
     for f in ms:
         pairs = factorizations.get(f.index, [])
-        cube = factorization_cube(category, f)
-        if sorted(cube.objects) != pairs or len(set(cube.objects)) != 2 ** f.rank:
+        objects, subset_of = factorization_cube(category, f)
+        if sorted(objects) != pairs or len(set(objects)) != 2 ** f.rank:
             report.record(2, {"morphism": f.index,
                               "expected": 2 ** f.rank,
                               "pairs": pairs})
             continue
-        middles = [ms[g].target for g, _ in cube.objects]
+        middles = [ms[g].target for g, _ in objects]
         if len(set(middles)) != len(middles):
             report.record(3, {"morphism": f.index, "middles": middles})
-        for (a, b) in combinations(cube.objects, 2):
+        for (a, b) in combinations(objects, 2):
             for src, dst in ((a, b), (b, a)):
                 count = _faq_morphisms(category, src, dst)
-                expected = 1 if cube.subset_of[src] <= cube.subset_of[dst] else 0
+                expected = 1 if subset_of[src] <= subset_of[dst] else 0
                 if count != expected:
                     report.record(3 if count > 1 else 2,
                                   {"morphism": f.index, "from": src, "to": dst,
@@ -824,6 +823,30 @@ class ClosureOrder:
         return self._facial[cone]
 
 
+def maximal_chains(poset, a, b):
+    """All maximal chains from a to b, each as a tuple of wall labels.
+
+    Listed depth-first, taking the covers above each chamber in sorted
+    order.  Raises ChainLimitExceeded past ``CHAIN_CAP`` chains.
+    """
+    chains = []
+
+    def walk(node, labels):
+        if node == b:
+            chains.append(tuple(labels))
+            if len(chains) > CHAIN_CAP:
+                raise ChainLimitExceeded("too many maximal chains",
+                                         witness=CHAIN_CAP)
+            return
+        for upper, wall in poset._up[node]:
+            if poset.leq(upper, b):
+                walk(upper, labels + [wall])
+
+    if poset.leq(a, b):
+        walk(a, [])
+    return chains
+
+
 def check_weak_fan_poset(fan, poset):
     """Report on the two fan-poset axioms, by the former interval scan."""
     if not fanlib.is_finite_complete(fan):
@@ -832,7 +855,7 @@ def check_weak_fan_poset(fan, poset):
     facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
     inward = {}  # (wall, chamber) -> normal of the wall pointing into chamber
     for wall in fan.walls():
-        t1, t2 = fan.adjacent_chambers(wall)
+        t1, t2 = fan.star_chambers(wall)
         nu = wall_normal(fan, wall, t1)
         inward[wall, t1] = nu
         inward[wall, t2] = tuple(-x for x in nu)
@@ -928,36 +951,6 @@ class PerConeProjection:
         return self._projected_cone_cache[key]
 
 
-def link_complex(fan, block):
-    """The sphere complex of a block of cones sharing one projected star."""
-    if not fanlib.is_finite_complete(fan):
-        raise NotComplete("link complexes need a finite complete fan",
-                          witness=fan.to_json())
-    block = sorted(fan.check_cone(c) for c in block)
-    rep = block[0]
-    ps = fan.project_star(rep)
-    for other in block[1:]:
-        if fan.project_star(other) != ps:
-            raise MixedBlock("block members have different projected stars",
-                             witness=[list(rep), list(other)])
-    k = len(rep)
-    vertices = tuple(c for c in fan._stars[rep] if len(c) == k + 1)
-    proj = {v: fan._project_star_map(rep)[v] for v in vertices}
-    simplices = []
-    for size in range(1, len(vertices) + 1):
-        layer = []
-        for combo in combinations(range(len(vertices)), size):
-            generators = set()
-            for i in combo:
-                generators.update(proj[vertices[i]])
-            if tuple(sorted(generators)) in ps:
-                layer.append(combo)
-        if not layer:
-            break
-        simplices.extend(layer)
-    return LinkComplex(vertices, tuple(simplices))
-
-
 def is_finite_complete(fan):
     """Whether the fan is a valid fan whose support is the whole space.
 
@@ -998,6 +991,11 @@ def wall_normal(fan, wall, toward):
     if side == 0:
         raise PosetInvalid("chamber does not determine a side", witness=list(wall))
     return nu if side > 0 else tuple(-x for x in nu)
+
+
+def _separating(rs, bs):
+    """The hyperplanes on which sign vectors rs and bs are strictly opposite."""
+    return frozenset(i for i, (a, b) in enumerate(zip(rs, bs)) if a == -b and a != 0)
 
 
 def poset_of_regions(arrfan, base):

@@ -469,7 +469,7 @@ def test_poset_of_regions_square():
     assert poset.minimum() == base
     top = poset.maximum()
     assert arrfan.sign_of(top) == (-1, -1)
-    sizes = sorted(len(A.separating_set(arrfan, c, base))
+    sizes = sorted(len(search_oracles._separating(arrfan.sign_of(c), arrfan.sign_of(base)))
                    for c in arrfan.fan.max_cones)
     assert sizes == [0, 1, 1, 2]
 
@@ -478,16 +478,18 @@ def test_poset_of_regions_brauer(brauer):
     poset = brauer.poset
     assert poset.minimum() == brauer.base
     assert brauer.arrfan.sign_of(poset.maximum()) == (-1,) * 7
-    assert A.separating_set(brauer.arrfan, brauer.base, brauer.base) == frozenset()
+    base_signs = brauer.arrfan.sign_of(brauer.base)
+    assert search_oracles._separating(base_signs, base_signs) == frozenset()
     antipode = poset.maximum()
-    assert A.separating_set(brauer.arrfan, antipode, brauer.base) == \
+    assert search_oracles._separating(brauer.arrfan.sign_of(antipode), base_signs) == \
         frozenset(range(7))
 
 
 def test_separating_set_single_flip(brauer):
     for lower, upper, wall in brauer.poset.covers:
         if lower == brauer.base:
-            diff = A.separating_set(brauer.arrfan, upper, brauer.base)
+            diff = search_oracles._separating(brauer.arrfan.sign_of(upper),
+                                              brauer.arrfan.sign_of(brauer.base))
             assert len(diff) == 1
 
 
@@ -608,20 +610,18 @@ def test_shard_partition_chambers_one_block(brauer):
 
 
 def test_brauer_link_complexes_are_spheres(brauer):
-    from partfan.fan import link_complex
-
+    # the sphere complex of a cone is read off its star: one vertex per cone
+    # one dimension up, one simplex per cone above it; it is pure when each
+    # cone of the star lies in a chamber, and a sphere's ridges lie in two
+    fan = brauer.fan
     # link of a ray block: a 1-sphere (cycle)
-    ray_block = next(b for b in brauer.flat.blocks if len(b[0]) == 1)
-    lc = link_complex(brauer.fan, ray_block)
-    assert lc.is_pure() and lc.dimension() == 1
-    assert all(d == 2 for d in lc.ridge_degrees().values())
+    ray = next(b for b in brauer.flat.blocks if len(b[0]) == 1)[0]
+    assert all(fan.star_chambers(c) for c in fan.star(ray))
+    assert all(len(fan.star_chambers(c)) == 2 for c in fan.star(ray) if len(c) == 2)
     # link of the origin block: a 2-sphere triangulation
-    lc0 = link_complex(brauer.fan, [()])
-    assert lc0.is_pure() and lc0.dimension() == 2
-    assert all(d == 2 for d in lc0.ridge_degrees().values())
-    vertices = len(lc0.vertices)
-    edges = len([s for s in lc0.simplices if len(s) == 2])
-    triangles = len([s for s in lc0.simplices if len(s) == 3])
+    assert all(fan.star_chambers(c) for c in fan.star(()))
+    assert all(len(fan.star_chambers(c)) == 2 for c in fan.walls())
+    vertices, edges, triangles = (len(fan.cones_of_dim(k)) for k in (1, 2, 3))
     assert vertices - edges + triangles == 2  # Euler characteristic of S^2
     assert (vertices, edges, triangles) == (18, 48, 32)
 
@@ -662,7 +662,7 @@ def test_wa_mul_bilinear(brauer):
     algebra = A.WallAlgebra(brauer.arrangement)
     x = algebra.element([((1, 1, 0), 2), ((0, 0, 0), 1)])
     y = algebra.element([((0, 0, 1), 1)])
-    product = A.wa_mul(algebra, x, y)
+    product = algebra.mul(x, y)
     assert product == {(1, 1, 1): 2, (0, 0, 1): 1}
 
 

@@ -14,8 +14,6 @@ from partfan.category import (
     check_last_factor_compatibility,
     compose,
     export_category_dot,
-    factorization_cube,
-    first_factors,
     last_factors,
 )
 from partfan.errors import (
@@ -149,25 +147,25 @@ def test_compose_not_composable(square_fan, torus_partition):
 def test_factorization_cube_rank0(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
     ident = cat.morphisms[cat.identities[0]]
-    cube = factorization_cube(cat, ident)
-    assert len(cube.objects) == 1
+    assert catlib._cube_objects(cat.of_pair, *ident.reps[0]) == [(ident.index, ident.index)]
 
 
 def test_factorization_cube_rank2_square(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
     f = cat.morphism_of_pair((), (0, 1))
-    cube = factorization_cube(cat, f)
-    assert len(cube.objects) == 4
-    assert sorted(map(len, cube.subset_of.values())) == [0, 1, 1, 2]
+    objects = catlib._cube_objects(cat.of_pair, *f.reps[0])
+    subset_of = dict(zip(objects, catlib._cube_subsets(f.rank)))
+    assert len(subset_of) == 4
+    assert sorted(map(len, subset_of.values())) == [0, 1, 1, 2]
 
 
 def test_factorization_cubes_identified_r3():
     fan = coordinate_fan_r3()
     partition = admissible_closure(fan, [((0,), (3,))])
     cat = build_category(fan, partition)
-    plus = factorization_cube(cat, cat.morphism_of_pair((0,), (0, 1, 2)))
-    minus = factorization_cube(cat, cat.morphism_of_pair((3,), (1, 2, 3)))
-    assert plus.objects == minus.objects
+    plus = catlib._cube_objects(cat.of_pair, (0,), (0, 1, 2))
+    minus = catlib._cube_objects(cat.of_pair, (3,), (1, 2, 3))
+    assert plus == minus
 
 
 def test_check_cubical_builtins(square_fan, torus_partition, hzb_fan, p1_partition):
@@ -191,7 +189,8 @@ def test_check_cubical_detects_corruption(square_fan, torus_partition):
 def test_first_last_factors_rank1(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
     f = cat.morphism_of_pair((0,), (0, 1))
-    assert first_factors(cat, f) == (f,)
+    # the singleton object {0} of f's cube is (first factor, identity)
+    assert catlib._cube_objects(cat.of_pair, *f.reps[0])[1][0] == f.index
     assert last_factors(cat, f) == (f,)
 
 
@@ -209,10 +208,11 @@ def test_factors_rank3():
     fan = coordinate_fan_r3()
     cat = build_category(fan, from_blocks(fan, []))
     f = cat.morphism_of_pair((), (0, 1, 2))
-    assert len(first_factors(cat, f)) == 3
+    objects = catlib._cube_objects(cat.of_pair, *f.reps[0])
+    assert len({g for g, _ in objects[1:4]}) == 3
     assert len(last_factors(cat, f)) == 3
     with pytest.raises(RankZero):
-        first_factors(cat, cat.morphisms[cat.identities[0]])
+        last_factors(cat, cat.morphisms[cat.identities[0]])
 
 
 def test_last_factor_compatibility_three_lines(three_lines_fan,
@@ -301,7 +301,7 @@ def test_hom_count_matches_bruteforce(square_fan, torus_partition):
 def test_factorization_pairs_match_cube(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
     for f in cat.morphisms:
-        assert sorted(factorization_cube(cat, f).objects) == \
+        assert sorted(catlib._cube_objects(cat.of_pair, *f.reps[0])) == \
             oracle._factorizations(cat).get(f.index, [])
 
 
@@ -478,10 +478,12 @@ def assert_cubical_matches_oracle(category):
     assert check_last_factor_compatibility(category) == \
         oracle.check_last_factor_compatibility(category)
     for f in category.morphisms:
-        cube, former = factorization_cube(category, f), oracle.factorization_cube(category, f)
-        assert (cube.objects, cube.subset_of) == (former.objects, former.subset_of)
+        objects = tuple(catlib._cube_objects(category.of_pair, *f.reps[0]))
+        subset_of = dict(zip(objects, map(frozenset, catlib._cube_subsets(f.rank))))
+        assert (objects, subset_of) == oracle.factorization_cube(category, f)
         if f.rank:
-            assert first_factors(category, f) == oracle.first_factors(category, f)
+            first = sorted({g for g, _ in objects[1:f.rank + 1]})
+            assert first == [m.index for m in oracle.first_factors(category, f)]
             assert last_factors(category, f) == oracle.last_factors(category, f)
 
 
@@ -551,10 +553,10 @@ def doubled_faq_morphism(category, rng, between_middles=True):
     for f in ms:
         if f.rank != 3:
             continue
-        cube = factorization_cube(category, f)
-        for a, b in combinations(cube.objects, 2):
-            if cube.subset_of[a] < cube.subset_of[b] and cube.subset_of[a] and \
-                    len(cube.subset_of[b]) < 3:
+        objects = catlib._cube_objects(category.of_pair, *f.reps[0])
+        subset_of = dict(zip(objects, map(frozenset, catlib._cube_subsets(3))))
+        for a, b in combinations(objects, 2):
+            if subset_of[a] < subset_of[b] and subset_of[a] and len(subset_of[b]) < 3:
                 (ga, ha), (gb, hb) = a, b
                 choices += [(ga, ha, gb, hb, m.index) for m in ms
                             if (m.source == ms[ga].target) + (m.target == ms[gb].target)

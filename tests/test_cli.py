@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -637,6 +638,25 @@ def test_functional_poset_on_double_winding_fan(monkeypatch, capsys):
     assert code == 1
     assert json.loads(out) == {"error": "NotComplete",
                                "witness": dict(fan, max_cones=sorted(fan["max_cones"]))}
+
+
+def test_a_chain_past_the_recursion_limit_is_walked(monkeypatch, capsys):
+    """2 100 chambers round the origin: the bisector poset's one maximal
+    chain crosses 2 100 walls, more than Python's default recursion limit,
+    and the picture group is one relator through every generator."""
+    n = 2100
+    rays = [[round(10 ** 6 * math.cos(2 * math.pi * k / n)),
+             round(10 ** 6 * math.sin(2 * math.pi * k / n))] for k in range(n)]
+    fan = {"dim": 2, "rays": rays, "max_cones": [sorted([k, (k + 1) % n]) for k in range(n)]}
+    code, out = run_cli(["poset", "bisector", "--base", "[0,1]"], json.dumps({"fan": fan}),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    envelope = dict(json.loads(out), partition={"blocks": []})
+    code, out = run_cli(["group", "picture"], json.dumps(envelope),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    code, out = run_cli(["group", "abelianize"], out, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, json.loads(out)) == (0, {"free_rank": n - 1, "torsion": []})
 
 
 def test_cw_build_on_one_chamber_fan_names_the_fan(monkeypatch, capsys):

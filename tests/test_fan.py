@@ -20,10 +20,8 @@ from partfan.errors import (
     DependentBasis,
     DuplicateRay,
     InexactNumber,
-    MixedBlock,
     NonSimplicialCone,
     NotAFace,
-    NotComplete,
     UnknownCone,
 )
 from partfan.category import build_category
@@ -31,10 +29,8 @@ from partfan.cw import build_cw
 from partfan.fan import (
     Fan,
     build_fan,
-    canonical_fan,
     fan_from_json,
     is_finite_complete,
-    link_complex,
     validate_fan,
 )
 from partfan.partition import potential_identifications
@@ -223,57 +219,28 @@ def test_project_star_of_maximal_cone(square_fan):
 
 
 def test_link_complex_square_origin(square_fan):
-    lc = link_complex(square_fan, [()])
-    assert len(lc.vertices) == 4
-    edges = [s for s in lc.simplices if len(s) == 2]
-    assert len(edges) == 4
-    assert lc.is_pure()
-    assert all(d == 2 for d in lc.ridge_degrees().values())
+    # the sphere complex of a cone is read off its star: one vertex per
+    # cone one dimension up, one simplex per cone above it
+    star = square_fan.star(())
+    assert [sum(len(c) == k for c in star) for k in (1, 2)] == [4, 4]
+    assert all(len(square_fan.star_chambers(r)) == 2 for r in square_fan.cones_of_dim(1))
 
 
 def test_link_complex_square_ray(square_fan):
-    lc = link_complex(square_fan, [(0,)])
-    assert len(lc.vertices) == 2
-    assert all(len(s) == 1 for s in lc.simplices)
+    assert sorted(map(len, square_fan.star((0,)))) == [1, 2, 2]
 
 
 def test_link_complex_hzb_ray_block(hzb_fan):
-    lc = link_complex(hzb_fan, [(1,), (3,)])
-    assert len(lc.vertices) == 2
-    assert all(len(s) == 1 for s in lc.simplices)
-
-
-def test_link_complex_mixed_block(hzb_fan):
-    with pytest.raises(MixedBlock):
-        link_complex(hzb_fan, [(0,), (2,)])
-
-
-LINK_FANS = ("square", "hirzebruch-a1", "hirzebruch-a2", "three-lines",
-             "brauer", "A3", "B3", "A4")
-
-
-@pytest.mark.parametrize("name", LINK_FANS)
-def test_link_complex_matches_the_subset_search(name):
-    fan = PROJECTION_FANS[name]()
-    for block in potential_identifications(fan).partition.blocks:
-        got, former = link_complex(fan, block), search_oracles.link_complex(fan, block)
-        assert (got.vertices, got.simplices) == (former.vertices, former.simplices), block
-
-
-def test_link_complex_incomplete():
-    quadrant = build_fan(2, [(1, 0), (0, 1)], [(0, 1)])
-    with pytest.raises(NotComplete) as err:
-        link_complex(quadrant, [()])
-    assert err.value.witness == quadrant.to_json()
+    assert hzb_fan.project_star((1,)) == hzb_fan.project_star((3,))
+    for ray in [(1,), (3,)]:
+        assert sorted(map(len, hzb_fan.star(ray))) == [1, 2, 2]
 
 
 def test_rank2_links_are_spheres(square_fan, hzb_fan):
     for fan in (square_fan, hzb_fan):
         for ray in fan.cones_of_dim(1):
-            lc = link_complex(fan, [ray])
-            assert len(lc.vertices) == 2 and lc.dimension() == 0
-        lc0 = link_complex(fan, [()])
-        assert len([s for s in lc0.simplices if len(s) == 2]) == len(fan.max_cones)
+            assert sorted(map(len, fan.star(ray))) == [1, 2, 2]
+        assert len(fan.star_chambers(())) == len(fan.max_cones)
 
 
 def test_projection_composition_identity(hzb_fan):
@@ -303,12 +270,6 @@ def test_projected_star_is_complete_fan(square_fan, hzb_fan):
 def test_fan_json_roundtrip(square_fan):
     again = fan_from_json(square_fan.to_json())
     assert again.to_json() == square_fan.to_json()
-
-
-def test_canonical_fan_sorts_rays(hzb_fan):
-    canon = canonical_fan(hzb_fan)
-    assert list(canon.rays) == sorted(canon.rays)
-    assert len(canon.cones) == len(hzb_fan.cones)
 
 
 def arrangement_of(name):

@@ -13,6 +13,11 @@ of its own module outside its definition names it, as a name or as an
 attribute.  Dead definitions are dropped and the scan repeats, so a routine
 named only by dead ones is dead too.
 
+The export scan pins the public surface: every name ``__init__.py``
+exports must be reached by the same scan started from the README's
+``python`` blocks and the benchmark's names alone.  An export that only
+the tests call is no part of the surface.
+
 The Fraction scan pins the exactness boundary: spans and projections are
 decided on integers, so only ``rational.py`` imports ``fractions``, and
 ``Fraction`` is named only in ``rational._exact`` (input parsing) and
@@ -27,6 +32,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from test_readme import README, python_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "partfan"
@@ -131,6 +137,37 @@ def test_the_scan_finds_an_unreferenced_definition():
 def test_every_definition_is_reached():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unreferenced_definitions(sources, exported_names() | benchmark_names()) == []
+
+
+def unreached_exports(sources, exports, roots):
+    """The names in ``exports`` that no code reached from ``roots`` names.
+
+    Reached is as in ``unreferenced_definitions``, so an export that only
+    other unreached exports name is unreached too.
+    """
+    return sorted(name for _, name in unreferenced_definitions(sources, roots)
+                  if name in exports)
+
+
+def readme_names():
+    """The names read in the README's ``python`` blocks."""
+    return _names(ast.parse(block) for block in python_blocks(README.read_text()))
+
+
+def test_the_scan_finds_an_export_that_nothing_reaches():
+    sources = {
+        "a": "def main():\n    return shown()\n\n\ndef shown():\n    return 1\n\n\n"
+             "def orphan():\n    return alias()\n\n\ndef alias():\n    return 2\n",
+        "b": "def documented():\n    return 3\n",
+    }
+    exports = {"shown", "orphan", "alias", "documented"}
+    assert unreached_exports(sources, exports, {"main", "documented"}) == ["alias", "orphan"]
+
+
+def test_every_export_is_reached_from_the_readme_or_the_benchmark():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    roots = readme_names() | benchmark_names()
+    assert unreached_exports(sources, exported_names(), roots) == []
 
 
 FRACTION_OWNERS = {("rational", "_exact"), ("rational", "rref")}

@@ -38,6 +38,7 @@ from strategies import (
     complete_planar_fans,
     random_seeds,
     refining_partition,
+    seeded_planar_fan,
 )
 
 TAU1, TAU2, TAU3, TAU4 = (0, 3), (0, 1), (1, 2), (2, 3)
@@ -603,3 +604,33 @@ def test_first_chain_on_functional_posets(fan, b):
     except DegenerateFunctional:
         assume(False)
     assert_first_chain_is_first_of_maximal_chains(poset)
+
+
+def test_maximal_chains_match_the_recursive_walk():
+    """Every comparable pair of the Brauer, A3 and B3 posets of regions and
+    of the bisector posets of the catalogue's and of seeded planar fans."""
+    posets, ends = [], []
+    for arrangement in (arrlib.builtin_brauer(), arrlib.Arrangement(3, A3_NORMALS),
+                        arrlib.Arrangement(3, b_normals(3))):
+        arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+        base = next(c for c in arrfan.fan.max_cones
+                    if arrfan.sign_of(c) == (1,) * len(arrangement.normals))
+        posets.append(arrlib.poset_of_regions(arrfan, base))
+        ends.append(len(posets[-1].maximal_chains(base, posets[-1].maximum())))
+    fans = [catalog.square(), catalog.hirzebruch(1), catalog.hirzebruch(2), catalog.three_lines()]
+    fans += [seeded_planar_fan(seed, n, n % 4 == 0) for seed in (1, 2, 3) for n in (5, 6, 8, 10)]
+    for fan in fans:
+        for base in fan.chambers():
+            try:
+                posets.append(rank2_bisector_poset(fan, base))
+            except PosetInvalid:
+                continue
+    chains = 0
+    for poset in posets:
+        for a in poset.elements:
+            for b in poset.elements:
+                got = poset.maximal_chains(a, b)
+                assert got == search_oracles.maximal_chains(poset, a, b), (a, b)
+                chains += len(got)
+    # reduced words of the longest element: 16 in type A3, 42 in type B3
+    assert (ends, len(posets), chains) == ([24, 16, 42], 105, 4329)

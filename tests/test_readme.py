@@ -23,9 +23,11 @@ STATED = {
     "pf.is_finite_complete(fan)": True,
     "pf.is_admissible(fan, torus)": (True, None),
     "pf.check_cubical(cat).ok": True,
+    "pf.compose(cat, f, g).rank": 2,
     "pf.euler_characteristic(cw)": 0,
     "pf.abelianization(pi1)": (2, ()),
     'pf.compare_pi1_picture(cw, pic)["abelianizations_equal"]': True,
+    "sorted(pf.support(arr, arrfan.fan, base[:1]).indices)": [0, 1, 3],
     "pf.wa_certify(arr, pres)": True,
 }
 
