@@ -454,14 +454,6 @@ class WallAlgebra:
         self.vectors = tuple(sorted(brauer.normals)) + ((0, 0, 0),)
         self.basis = self.vectors + (ZERO_SYMBOL,)
 
-    def element(self, items=()):
-        out = {}
-        for key, coeff in items:
-            self._check_key(key)
-            if coeff:
-                out[key] = out.get(key, 0) + coeff
-        return {k: v for k, v in out.items() if v}
-
     def _check_key(self, key):
         if key not in self.basis:
             raise WrongBasis("not a wall-algebra basis element", witness=key)
@@ -473,14 +465,6 @@ class WallAlgebra:
             return ZERO_SYMBOL
         total = tuple(x + y for x, y in zip(a, b))
         return total if total in self.vectors else ZERO_SYMBOL
-
-    def mul(self, x, y):
-        out = {}
-        for ka, va in x.items():
-            for kb, vb in y.items():
-                k = self.basis_mul(ka, kb)
-                out[k] = out.get(k, 0) + va * vb
-        return {k: v for k, v in out.items() if v}
 
 
 def wa_certify(arrangement, presentation):

@@ -7,10 +7,18 @@ along their sources coincide.  That canonical projected cone, together
 with the source and target blocks, is a complete identity for the class,
 so composition and all five cubical axioms can be checked on fully
 materialized tables.
+
+``build_category`` hands out its composition table as a read-only view and
+records that view on the category.  ``check_cubical`` decides axioms 1-3
+by proof while a category's table is that view, and by reading every entry
+once the table has been replaced or the category was built by hand.
+Axioms 4 and 5 and the last-factor checks read one table of factor keys
+per category, computed on first use.
 """
 
 from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import NotAdmissible, NotAFace, NotComposable, RankZero
 from .partition import is_admissible
@@ -45,6 +53,13 @@ class Category:
         self.compose_table = compose_table  # (f, g) -> index of g o f
         self.identities = identities      # block id -> morphism index
         self.of_pair = of_pair            # (sigma, tau) -> morphism index
+        # the read-only table build_category made: while compose_table is
+        # this view, check_cubical proves axioms 1-3 instead of reading it;
+        # None on a hand-built category, which always takes the table path
+        self._built_table = None
+        # per morphism index, its (first-factor key, last-factor key),
+        # filled by _factor_keys on first use
+        self._factor_keys = None
 
     def hom_set(self, source, target):
         return tuple(self.morphisms[i] for i in self.hom.get((source, target), ()))
@@ -98,7 +113,12 @@ def build_category(fan, partition):
     kappa, so it sends g's rep (kappa0, tau2) to (kappa, m(tau2)), with
     the same signature; by admissibility tau2 ~ m(tau2), so
     (kappa, m(tau2)) is g's rep at kappa, and [sigma0, tau2] =
-    [sigma, m(tau2)] as both have one signature.
+    [sigma, m(tau2)] as both have one signature.  The g starting at
+    kappa0 are distinct, so kappa0's out-row (g, tau2), sorted once, is in
+    g order for every f whose first rep ends at kappa0.
+
+    The table is handed out as a read-only view, recorded on the category;
+    ``check_cubical`` proves axioms 1-3 for it instead of reading it.
     """
     ok, witness = is_admissible(fan, partition)
     if not ok:
@@ -127,13 +147,18 @@ def build_category(fan, partition):
             identities[m.source] = m.index
 
     compose_table = {}
+    out_rows = {}    # kappa -> sorted (g, tau2) of the g starting at kappa
     for f in morphisms:
         sigma, kappa = f.reps[0]
-        row = sorted((of_pair[kappa, tau2], of_pair[sigma, tau2])
-                     for tau2 in fan._stars[kappa])
-        compose_table.update(((f.index, g), h) for g, h in row)
-    return Category(fan, partition, tuple(morphisms), hom, compose_table, identities,
-                    of_pair)
+        row = out_rows.get(kappa)
+        if row is None:
+            row = out_rows[kappa] = sorted((of_pair[kappa, tau2], tau2)
+                                           for tau2 in fan._stars[kappa])
+        compose_table.update(((f.index, g), of_pair[sigma, tau2]) for g, tau2 in row)
+    category = Category(fan, partition, tuple(morphisms), hom,
+                        MappingProxyType(compose_table), identities, of_pair)
+    category._built_table = category.compose_table
+    return category
 
 
 def compose(category, f, g):
@@ -152,10 +177,34 @@ def last_factors(category, f):
     """The rank-1 last factors [f_{lambda_i, tau}] with lambda_i dropping v_i."""
     if f.rank == 0:
         raise RankZero("identity morphisms have no factors", witness=f.index)
-    sigma, tau = f.reps[0]
-    out = {category.of_pair[tuple(i for i in tau if i != v), tau]
-           for v in tau if v not in sigma}
-    return tuple(category.morphisms[i] for i in sorted(out))
+    return tuple(category.morphisms[i] for i in _factor_keys(category)[f.index][1])
+
+
+def _factor_keys(category):
+    """Per morphism index, its first-factor and last-factor keys, computed
+    on first use and kept on the category.
+
+    Off f's first rep (sigma, tau), for each ray v of tau outside sigma:
+    the first factors [sigma, sigma u {v}] and the last factors
+    [tau - {v}, tau], each key sorted without repeats and empty at rank 0.
+    These are the singleton and co-singleton objects of f's
+    factorization cube (``_cube_objects``), read straight off ``of_pair``.
+    """
+    if category._factor_keys is None:
+        of_pair = category.of_pair
+        keys = []
+        for f in category.morphisms:
+            if f.rank < 2:    # a rank-1 f is its own first and last factor
+                key = (f.index,) * f.rank
+                keys.append((key, key))
+                continue
+            sigma, tau = f.reps[0]
+            others = [v for v in tau if v not in sigma]
+            first = {of_pair[sigma, tuple(sorted(sigma + (v,)))] for v in others}
+            last = {of_pair[tuple(i for i in tau if i != v), tau] for v in others}
+            keys.append((tuple(sorted(first)), tuple(sorted(last))))
+        category._factor_keys = keys
+    return category._factor_keys
 
 
 def _cube_objects(of_pair, sigma, tau):
@@ -221,14 +270,21 @@ def check_cubical(category):
     4. morphisms of equal rank >= 1 are determined by their first factors;
     5. likewise by their last factors.
 
-    Everything is read from the current ``compose_table``, so an entry
-    changed after the build is seen.  One sorted pass over the table
-    checks axiom 1 and collects the factorization pairs (g, h) of each
-    composite f, those with g starting at f's source and h ending at f's
-    target, in sorted order.  The cube of f has 2^k objects, read off by
-    ``_cube_objects``, in cube order.  Distinct table entries
-    give distinct pairs, so a cube whose sorted objects are f's pairs has
-    2^k distinct objects; this equality is axiom 2's first test.
+    Axioms 1-3 take one of two paths.  The proof path is taken exactly
+    when ``category.compose_table`` is the read-only view that
+    ``build_category`` made and recorded on this category: axioms 1-3
+    then hold by the proof below, and no entry is read.  Any other table,
+    one replaced after the build or that of a hand-built ``Category``,
+    takes the table path, which reads every entry, so a changed entry is
+    seen.
+
+    The table path.  One sorted pass over the table checks axiom 1 and
+    collects the factorization pairs (g, h) of each composite f, those
+    with g starting at f's source and h ending at f's target, in sorted
+    order.  The cube of f has 2^k objects, read off by ``_cube_objects``,
+    in cube order.  Distinct table entries give distinct pairs, so a cube
+    whose sorted objects are f's pairs has 2^k distinct objects; this
+    equality is axiom 2's first test.
 
     Let (sigma, tau) be f's first rep, m_S the middle
     cone{sigma, {v_i : i in S}} and (g_S, h_S) = ([sigma, m_S], [m_S, tau]).
@@ -278,42 +334,62 @@ def check_cubical(category):
       records the same witnesses, in the same order, as counting them all
       and then comparing.  A rank-0 cube has one object and so no pair.
 
-    The factors of axioms 4 and 5 are read off f's factorization cube
-    (``_cube_objects``).  Its singleton objects {i} are
-    (f_{sigma, cone{sigma, v_i}}, ...), the first factors, and its
-    co-singletons are (..., f_{lambda_i, tau}), with lambda_i dropping v_i,
-    the last factors that ``last_factors`` looks up from the same
-    representative.  They are read by position, since a cube that fails
-    axiom 2 may list one object twice.  Each axiom records its witnesses in
-    morphism order.
+    The proof path.  ``build_category`` puts (f, g) -> h in its table
+    exactly when, with (sigma0, kappa0) f's first rep, g = [kappa0, tau2]
+    and h = [sigma0, tau2] for some tau2 in star(kappa0).  No one can
+    change that table, since it is read-only and no other name holds it.
+
+    - Axiom 1.  A morphism's rank is the number of rays its reps' targets
+      have beyond their sources, the same for every rep, so
+      rank f + rank g = (|kappa0| - |sigma0|) + (|tau2| - |kappa0|)
+      = rank h.
+    - The first test.  Every entry is a factorization pair of its h,
+      which starts at sigma0's block and ends at tau2's, and it is the
+      cube object of h's rep (sigma0, tau2) at the middle kappa0; cube
+      objects do not depend on the rep, so it is one of
+      ``_cube_objects`` of h's first rep.  Conversely, let
+      ([sigma, mu], [mu, tau]) be a cube object of h's first rep
+      (sigma, tau), f = [sigma, mu] with first rep (sigma0, kappa0), and
+      m the star matching star(sigma) -> star(sigma0).  Then
+      [sigma0, m(mu)] = [sigma, mu] = f, and f has one rep starting at
+      sigma0, so m(mu) = kappa0; as above, [mu, tau] = [kappa0, m(tau)]
+      and h = [sigma0, m(tau)], which is the entry of f's row at
+      tau2 = m(tau).  Table keys are distinct and middles never repeat,
+      so the sorted cube objects are h's factorization pairs.
+    - So every morphism passes the first test, axiom 2 holds, and by the
+      proof above every Faq count is the cube count: axiom 3 holds.
+
+    Axioms 4 and 5, on both paths, compare the first-factor and
+    last-factor keys of ``_factor_keys``: the factors of f's singleton
+    and co-singleton cube objects, the latter what ``last_factors``
+    returns.  Each axiom records its witnesses in morphism order.
     """
     report = AxiomReport()
     ms = category.morphisms
-    factorizations = {}   # composite f -> its factorization pairs (g, h)
-    for (fi, gi), hi in sorted(category.compose_table.items()):
-        f, g, h = ms[fi], ms[gi], ms[hi]
-        if f.rank + g.rank != h.rank:
-            report.record(1, {"f": fi, "g": gi, "composite": hi})
-        if f.source == h.source and g.target == h.target:
-            factorizations.setdefault(hi, []).append((fi, gi))
-    cubes = [_cube_objects(category.of_pair, *f.reps[0]) for f in ms]
-    is_cube = [sorted(objects) == factorizations.get(f.index, [])
-               for f, objects in zip(ms, cubes)]
-    every_cube = all(is_cube)
+    if category.compose_table is not category._built_table:
+        factorizations = {}   # composite f -> its factorization pairs (g, h)
+        for (fi, gi), hi in sorted(category.compose_table.items()):
+            f, g, h = ms[fi], ms[gi], ms[hi]
+            if f.rank + g.rank != h.rank:
+                report.record(1, {"f": fi, "g": gi, "composite": hi})
+            if f.source == h.source and g.target == h.target:
+                factorizations.setdefault(hi, []).append((fi, gi))
+        cubes = [_cube_objects(category.of_pair, *f.reps[0]) for f in ms]
+        is_cube = [sorted(objects) == factorizations.get(f.index, [])
+                   for f, objects in zip(ms, cubes)]
+        every_cube = all(is_cube)
+        for f, objects in zip(ms, cubes):
+            if not is_cube[f.index]:
+                report.record(2, {"morphism": f.index, "expected": 2 ** f.rank,
+                                  "pairs": factorizations.get(f.index, [])})
+            elif not every_cube:
+                _record_faq_counts(report, category, factorizations, f, objects)
 
     by_first = {}
     by_last = {}
-    for f, objects in zip(ms, cubes):
-        k = f.rank
-        if not is_cube[f.index]:
-            report.record(2, {"morphism": f.index, "expected": 2 ** k,
-                              "pairs": factorizations.get(f.index, [])})
-        elif not every_cube:
-            _record_faq_counts(report, category, factorizations, f, objects)
-        if k == 0:
+    for f, (fkey, lkey) in zip(ms, _factor_keys(category)):
+        if f.rank == 0:
             continue
-        fkey = tuple(sorted({g for g, _ in objects[1:k + 1]}))
-        lkey = tuple(sorted({h for _, h in objects[-1 - k:-1]}))
         if fkey in by_first:
             report.record(4, {"a": by_first[fkey], "b": f.index, "first": fkey})
         else:
@@ -357,7 +433,13 @@ def check_last_factor_compatibility(category):
     last-factor set of a rank-k morphism.  Returns (True, None) or
     (False, offending set of morphism indices).  In ambient dimension 2
     this amounts to detecting any 3 pairwise-compatible rank-1 morphisms.
+
+    Each morphism's last factors are its last-factor key in
+    ``_factor_keys``, computed once per category off ``of_pair`` and the
+    first reps.  No path reads ``compose_table``, so a built category and
+    one whose table was replaced or built by hand are checked alike.
     """
+    keys = _factor_keys(category)
     incoming_of = {}
     for m in category.morphisms:
         incoming_of.setdefault(m.target, []).append(m)
@@ -371,7 +453,7 @@ def check_last_factor_compatibility(category):
         for m in incoming:
             if m.rank < 2:
                 continue
-            key = tuple(sorted(x.index for x in last_factors(category, m)))
+            key = keys[m.index][1]
             realized.setdefault(len(key), set()).add(key)
             if m.rank == 2:
                 edges.add(key)

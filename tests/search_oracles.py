@@ -112,11 +112,12 @@ apart from imports:
   returned None for the cone {0} and the origin for a pure subspace, with
   a signed copy of each normal made by a helper, where
   ``cones.strict_sign_feasible`` now sums the extreme rays itself.
-- ``wa_certify``, ``_wa_unit`` and ``_wa_add``: both sides of each
-  relator multiplied out in the wall algebra and the products compared,
-  where ``arrangement.wa_certify`` now compares the two sides' letters
-  with multiplicity.  The two helpers are the former ``WallAlgebra.unit``
-  and ``WallAlgebra.add``, as functions.
+- ``wa_certify``, ``_wa_unit``, ``_wa_add``, ``wa_element`` and
+  ``wa_mul``: both sides of each relator multiplied out in the wall
+  algebra and the products compared, where ``arrangement.wa_certify`` now
+  compares the two sides' letters with multiplicity.  The four helpers are
+  the former ``WallAlgebra.unit``, ``add``, ``element`` and ``mul``, as
+  functions of the algebra; ``WallAlgebra`` keeps ``basis_mul``.
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -1229,6 +1230,24 @@ def _wa_add(x, y):
     return {k: v for k, v in out.items() if v}
 
 
+def wa_element(algebra, items=()):
+    out = {}
+    for key, coeff in items:
+        algebra._check_key(key)
+        if coeff:
+            out[key] = out.get(key, 0) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def wa_mul(algebra, x, y):
+    out = {}
+    for ka, va in x.items():
+        for kb, vb in y.items():
+            k = algebra.basis_mul(ka, kb)
+            out[k] = out.get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
 def wa_certify(arrangement, presentation):
     """Generator-distinctness certificate via the wall algebra.
 
@@ -1252,10 +1271,10 @@ def wa_certify(arrangement, presentation):
         w1, w2 = split
         lhs = unit
         for sym in w1:
-            lhs = algebra.mul(lhs, images[sym])
+            lhs = wa_mul(algebra, lhs, images[sym])
         rhs = unit
         for sym in w2:
-            rhs = algebra.mul(rhs, images[sym])
+            rhs = wa_mul(algebra, rhs, images[sym])
         if lhs != rhs:
             return False
     return True

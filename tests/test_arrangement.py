@@ -654,15 +654,15 @@ def test_wall_algebra_rejects_other_arrangements():
 
 def test_wall_algebra_rejects_a_key_outside_its_basis():
     with pytest.raises(WrongBasis) as err:
-        A.WallAlgebra(A.builtin_brauer()).element([((9, 9, 9), 1)])
+        A.WallAlgebra(A.builtin_brauer()).basis_mul((9, 9, 9), (0, 0, 0))
     assert err.value.witness == (9, 9, 9)
 
 
 def test_wa_mul_bilinear(brauer):
     algebra = A.WallAlgebra(brauer.arrangement)
-    x = algebra.element([((1, 1, 0), 2), ((0, 0, 0), 1)])
-    y = algebra.element([((0, 0, 1), 1)])
-    product = algebra.mul(x, y)
+    x = search_oracles.wa_element(algebra, [((1, 1, 0), 2), ((0, 0, 0), 1)])
+    y = search_oracles.wa_element(algebra, [((0, 0, 1), 1)])
+    product = search_oracles.wa_mul(algebra, x, y)
     assert product == {(1, 1, 1): 2, (0, 0, 1): 1}
 
 

@@ -175,11 +175,15 @@ def test_check_cubical_builtins(square_fan, torus_partition, hzb_fan, p1_partiti
 
 
 def test_check_cubical_detects_corruption(square_fan, torus_partition):
-    cat = build_category(square_fan, torus_partition)
+    built = build_category(square_fan, torus_partition)
     (f, g), _ = next(
-        (k, v) for k, v in cat.compose_table.items()
-        if cat.morphisms[k[0]].rank == 1 and cat.morphisms[k[1]].rank == 1)
-    cat.compose_table[(f, g)] = cat.identities[cat.morphisms[f].source]
+        (k, v) for k, v in built.compose_table.items()
+        if built.morphisms[k[0]].rank == 1 and built.morphisms[k[1]].rank == 1)
+    identity = built.identities[built.morphisms[f].source]
+    with pytest.raises(TypeError):
+        built.compose_table[(f, g)] = identity
+    cat = corrupted(built)
+    cat.compose_table[(f, g)] = identity
     report = check_cubical(cat)
     assert not report.ok
     assert report.failures[1]
@@ -473,8 +477,12 @@ def test_star_injectivity_is_all_the_composition_proofs_need():
 
 def assert_cubical_matches_oracle(category):
     """The axiom report, the last-factor verdict, every factorization cube and
-    every factor set equal the former lookups through ``morphism_of_pair``."""
-    assert check_cubical(category).to_json() == oracle.check_cubical(category).to_json()
+    every factor set equal the former lookups through ``morphism_of_pair``.
+    The report is checked on both paths: as built, which proves axioms 1-3,
+    and through an unedited copy of the table, which reads every entry."""
+    expected = oracle.check_cubical(category).to_json()
+    assert check_cubical(category).to_json() == expected
+    assert check_cubical(corrupted(category)).to_json() == expected
     assert check_last_factor_compatibility(category) == \
         oracle.check_last_factor_compatibility(category)
     for f in category.morphisms:
@@ -516,10 +524,36 @@ def test_planar_cubical_matches_oracle(fan):
 
 
 def corrupted(category):
-    """A copy of the category with its own composition table to change."""
+    """A copy of the category with its own composition table to change; a
+    replaced table takes ``check_cubical``'s table path."""
     twin = copy.copy(category)
     twin.compose_table = dict(category.compose_table)
     return twin
+
+
+def test_a_hand_built_category_takes_the_table_path(square_fan, torus_partition,
+                                                    monkeypatch):
+    """A ``Category`` made from a dict is never taken for a built one, even
+    when its table starts as an exact copy; edited, its corruption is seen."""
+    built = build_category(square_fan, torus_partition)
+    table = dict(built.compose_table)
+
+    def by_hand():
+        return catlib.Category(built.fan, built.partition, built.morphisms,
+                               built.hom, table, built.identities, built.of_pair)
+
+    calls = []
+    cube_objects = catlib._cube_objects
+    monkeypatch.setattr(catlib, "_cube_objects",
+                        lambda *args: calls.append(args) or cube_objects(*args))
+    assert check_cubical(built).ok and not calls
+    assert check_cubical(by_hand()).ok and len(calls) == len(built.morphisms)
+    key = min(k for k, h in table.items() if built.morphisms[h].rank == 2)
+    table[key] = built.identities[built.morphisms[key[0]].source]
+    report = check_cubical(by_hand())
+    assert report.to_json() == oracle.check_cubical(by_hand()).to_json()
+    assert report.failures[1][0] == {"f": key[0], "g": key[1],
+                                     "composite": table[key]}
 
 
 def retargeted_composite(category, rng):
@@ -685,7 +719,8 @@ def test_a4_cubical_matches_oracle(which, a4_categories):
 def test_cubical_categories_need_no_faq_count(monkeypatch, coxeter_partitions,
                                               a4_categories):
     """Where every cube passes axiom 2 and has distinct middles, the Faq
-    counts follow from axiom 2 and are not computed."""
+    counts follow from axiom 2 and are not computed, on the proof path and
+    on the table path of an unedited copy."""
     def refuse(*args):
         raise AssertionError("Faq-morphisms counted")
 
@@ -697,6 +732,7 @@ def test_cubical_categories_need_no_faq_count(monkeypatch, coxeter_partitions,
                        for which in ("flat", "shard", "finest")]
     for category in categories:
         assert check_cubical(category).ok
+        assert check_cubical(corrupted(category)).ok
 
 
 def test_cubical_matches_oracle_over_the_cone_set_sweep():
