@@ -9,18 +9,16 @@ so composition and all five cubical axioms can be checked on fully
 materialized tables.
 
 ``build_category`` hands out its composition table as a read-only view and
-records that view on the category.  ``check_cubical`` decides axioms 1-3
-by proof while a category's table is that view, and by reading every entry
-once the table has been replaced or the category was built by hand.
-Axioms 4 and 5 and the last-factor checks read one table of factor keys
-per category, computed on first use.
+records that view on the category.  ``check_cubical`` proves axioms 1-3
+for that table without reading it, and refuses any other table, one
+replaced after the build or that of a hand-built ``Category``, with
+PreconditionUnmet.  Axioms 4 and 5 and the last-factor checks read one
+table of factor keys per category, computed on first use.
 """
 
-from functools import cache
-from itertools import combinations
 from types import MappingProxyType
 
-from .errors import NotAdmissible, NotAFace, NotComposable, RankZero
+from .errors import NotAdmissible, NotAFace, NotComposable, PreconditionUnmet, RankZero
 from .partition import is_admissible
 
 
@@ -53,16 +51,12 @@ class Category:
         self.compose_table = compose_table  # (f, g) -> index of g o f
         self.identities = identities      # block id -> morphism index
         self.of_pair = of_pair            # (sigma, tau) -> morphism index
-        # the read-only table build_category made: while compose_table is
-        # this view, check_cubical proves axioms 1-3 instead of reading it;
-        # None on a hand-built category, which always takes the table path
+        # the read-only table build_category made, the only table that
+        # check_cubical accepts; None on a hand-built category
         self._built_table = None
         # per morphism index, its (first-factor key, last-factor key),
         # filled by _factor_keys on first use
         self._factor_keys = None
-
-    def hom_set(self, source, target):
-        return tuple(self.morphisms[i] for i in self.hom.get((source, target), ()))
 
     def morphism_of_pair(self, sigma, tau):
         sigma = self.fan.check_cone(sigma)
@@ -187,8 +181,9 @@ def _factor_keys(category):
     Off f's first rep (sigma, tau), for each ray v of tau outside sigma:
     the first factors [sigma, sigma u {v}] and the last factors
     [tau - {v}, tau], each key sorted without repeats and empty at rank 0.
-    These are the singleton and co-singleton objects of f's
-    factorization cube (``_cube_objects``), read straight off ``of_pair``.
+    These are the factors of the cube objects of f at the singletons and
+    at the co-singletons (see ``check_cubical``), read straight off
+    ``of_pair``.
     """
     if category._factor_keys is None:
         of_pair = category.of_pair
@@ -205,41 +200,6 @@ def _factor_keys(category):
             keys.append((tuple(sorted(first)), tuple(sorted(last))))
         category._factor_keys = keys
     return category._factor_keys
-
-
-def _cube_objects(of_pair, sigma, tau):
-    """The factorization-cube objects of the rep (sigma, tau), in cube order.
-
-    Object S is the pair sigma -> cone{sigma, {v_i : i in S}} -> tau, v_i
-    tau's i-th ray outside sigma, and the subsets S come in
-    ``_cube_subsets`` order: by size, and within a size in
-    ``combinations`` order.  So objects 1..k are the singletons {i} and
-    the k before the last are the co-singletons, {v_k} dropped first.
-    The reps are pairs of sorted cones and every middle is a sorted face of
-    tau, so each middle is read off tau at the positions
-    ``_middle_positions`` lists, and each pair straight off ``of_pair``.
-    """
-    objects = []
-    for positions in _middle_positions(len(tau), tuple(map(tau.index, sigma))):
-        middle = tuple([tau[p] for p in positions])
-        objects.append((of_pair[sigma, middle], of_pair[middle, tau]))
-    return objects
-
-
-@cache
-def _middle_positions(size, inner):
-    """The positions, in a sorted cone tau of ``size`` rays, of each cube
-    middle cone{sigma, {v_i : i in S}}, S in cube order, where ``inner``
-    holds the positions of sigma's rays and v_i is tau's i-th other ray."""
-    extra = [p for p in range(size) if p not in inner]
-    return tuple(tuple(sorted(inner + tuple(extra[i] for i in S)))
-                 for S in _cube_subsets(len(extra)))
-
-
-@cache
-def _cube_subsets(k):
-    """The subsets of range(k) in the order of the factorization-cube objects."""
-    return tuple(S for size in range(k + 1) for S in combinations(range(k), size))
 
 
 class AxiomReport:
@@ -261,7 +221,7 @@ class AxiomReport:
 
 
 def check_cubical(category):
-    """Verify the five cubical axioms on the materialized category.
+    """Verify the five cubical axioms on a category ``build_category`` made.
 
     1. rank additivity over the composition table;
     2. Faq(f) is isomorphic to the subset poset of {1..rank f};
@@ -270,124 +230,85 @@ def check_cubical(category):
     4. morphisms of equal rank >= 1 are determined by their first factors;
     5. likewise by their last factors.
 
-    Axioms 1-3 take one of two paths.  The proof path is taken exactly
-    when ``category.compose_table`` is the read-only view that
-    ``build_category`` made and recorded on this category: axioms 1-3
-    then hold by the proof below, and no entry is read.  Any other table,
-    one replaced after the build or that of a hand-built ``Category``,
-    takes the table path, which reads every entry, so a changed entry is
-    seen.
+    Axioms 1-3 hold by the proof below, which is about the table
+    ``build_category`` made, so no entry is read.  That table is read-only
+    and no other name holds it, so nothing changes it.  A category whose
+    ``compose_table`` is not the view recorded at the build, a table
+    replaced after the build or that of a hand-built ``Category``, is
+    refused with PreconditionUnmet: no verdict on axioms 1-3 is given for
+    a table that was not proved.
 
-    The table path.  One sorted pass over the table checks axiom 1 and
-    collects the factorization pairs (g, h) of each composite f, those
-    with g starting at f's source and h ending at f's target, in sorted
-    order.  The cube of f has 2^k objects, read off by ``_cube_objects``,
-    in cube order.  Distinct table entries give distinct pairs, so a cube
-    whose sorted objects are f's pairs has 2^k distinct objects; this
-    equality is axiom 2's first test.
+    The table.  ``build_category`` puts (f, g) -> h in it exactly when,
+    with (sigma0, kappa0) f's first rep, g = [kappa0, tau2] and
+    h = [sigma0, tau2] for some tau2 in star(kappa0).  A factorization
+    pair of h is an entry (f, g) -> h with f starting at h's source block
+    and g ending at h's target block.
 
-    Let (sigma, tau) be f's first rep, m_S the middle
-    cone{sigma, {v_i : i in S}} and (g_S, h_S) = ([sigma, m_S], [m_S, tau]).
-
-    - Middles never repeat, so the middle-object functor is injective on
-      objects in every category and axiom 3 tests faithfulness only.
-      Distinct subsets S pick distinct ray sets of the simplicial cone
-      tau, so the faces m_S have distinct spans.  Cones of one E-class
-      share a span (the proof in ``partition._ident_key``), and
-      ``build_category`` refuses a block that crosses E-classes (through
-      ``is_admissible`` and ``partition._check_possible``), so distinct S
-      give distinct blocks.  The middles come from ``of_pair`` and the
-      morphism targets, never from ``compose_table``, so no edit of the
-      table makes them repeat.
-    - The Faq counts come from the factorization pairs.  A Faq-morphism
-      (g1, h1) -> (g2, h2) is a phi from g1's target to g2's target with
-      phi o g1 = g2 and h2 o phi = h1.  g1 and g2 both start at sigma's
-      block, so (g1, phi) is a factorization pair of g2 exactly when
-      phi o g1 = g2 in the table and phi ends at g2's target.  So the
-      count is the number of pairs (g1, phi) of g2 whose phi starts at
-      g1's target and has (phi, h2) -> h1 in the table, and no second
-      index of the table is needed.
-    - When every morphism passes the first test, the counts of each cube
-      are 1 on the pairs S < T and 0 elsewhere, so none is computed.
-      Proof.  Cube objects do not depend on the rep: let (sigma', tau')
-      be another rep of a morphism and m the star matching
-      star(sigma) -> star(sigma').  It preserves faces and sends tau to
-      tau' (one signature, and projection is injective on a star), so it
-      sends each middle mu to a middle m(mu) between sigma' and tau', and
-      onto them.  As in ``build_category``, [sigma, mu] = [sigma', m(mu)]
-      and [mu, tau] = [m(mu), tau'], by admissibility and the restriction
-      of m to star(mu).  So ``_cube_objects`` of any rep is the same set.
-      At most one phi, and only for S < T: a counted phi from (g_S, h_S)
-      to (g_T, h_T) makes (g_S, phi) a factorization pair of g_T, and
-      (sigma, m_T) is a rep of g_T, so by the first test on g_T and the
-      point above, (g_S, phi) = ([sigma, m_U], [m_U, m_T]) for some
-      U <= T.  Then g_S = g_U, so S's and U's middles agree, and as
-      middles never repeat, U = S and phi = [m_S, m_T].  At least one phi
-      for S < T: phi = [m_S, m_T] runs between the two middles.  The
-      first test on g_T, from its rep (sigma, m_T), puts (g_S, phi) -> g_T
-      in the table; on h_S, from its rep (m_S, tau), it puts
-      (phi, h_T) -> h_S there.
-    - Otherwise (some morphism fails the first test) one witness pass,
-      ``_record_faq_counts``, walks the ordered pairs of each cube that
-      passes it and records each count that differs from the cube count.
-      Its pairs come in the order a scan of every pair would give, so it
-      records the same witnesses, in the same order, as counting them all
-      and then comparing.  A rank-0 cube has one object and so no pair.
-
-    The proof path.  ``build_category`` puts (f, g) -> h in its table
-    exactly when, with (sigma0, kappa0) f's first rep, g = [kappa0, tau2]
-    and h = [sigma0, tau2] for some tau2 in star(kappa0).  No one can
-    change that table, since it is read-only and no other name holds it.
+    The cube.  For a rep (sigma, tau) of a morphism of rank k, let
+    v_1..v_k be tau's rays outside sigma and, for S a subset of {1..k},
+    m_S the middle cone{sigma, {v_i : i in S}}.  The cube object at S is
+    (g_S, h_S) = ([sigma, m_S], [m_S, tau]).
 
     - Axiom 1.  A morphism's rank is the number of rays its reps' targets
       have beyond their sources, the same for every rep, so
       rank f + rank g = (|kappa0| - |sigma0|) + (|tau2| - |kappa0|)
       = rank h.
-    - The first test.  Every entry is a factorization pair of its h,
-      which starts at sigma0's block and ends at tau2's, and it is the
-      cube object of h's rep (sigma0, tau2) at the middle kappa0; cube
-      objects do not depend on the rep, so it is one of
-      ``_cube_objects`` of h's first rep.  Conversely, let
-      ([sigma, mu], [mu, tau]) be a cube object of h's first rep
-      (sigma, tau), f = [sigma, mu] with first rep (sigma0, kappa0), and
-      m the star matching star(sigma) -> star(sigma0).  Then
+    - Cube objects do not depend on the rep.  Let (sigma', tau') be
+      another rep of the morphism and m the star matching
+      star(sigma) -> star(sigma').  It preserves faces and sends tau to
+      tau' (one signature, and projection is injective on a star), so it
+      sends each middle mu to a middle m(mu) between sigma' and tau', and
+      onto them.  As in ``build_category``, [sigma, mu] = [sigma', m(mu)]
+      and [mu, tau] = [m(mu), tau'], by admissibility and the restriction
+      of m to star(mu).  So every rep gives the same set of cube objects.
+    - Middles never repeat: distinct S give middles in distinct blocks.
+      Distinct subsets S pick distinct ray sets of the simplicial cone
+      tau, so the faces m_S have distinct spans.  Cones of one E-class
+      share a span (the proof in ``partition._ident_key``), and
+      ``build_category`` refuses a block that crosses E-classes (through
+      ``is_admissible`` and ``partition._check_possible``).  So the cube
+      has 2^k distinct objects, and the middle-object functor is injective
+      on objects.
+    - The first test: the factorization pairs of h are its cube objects.
+      Every entry (f, g) -> h is a factorization pair of h, which starts
+      at sigma0's block and ends at tau2's, and it is the cube object of
+      h's rep (sigma0, tau2) at the middle kappa0, so by the point above a
+      cube object of every rep of h.  Conversely, let
+      ([sigma, mu], [mu, tau]) be a cube object of a rep (sigma, tau) of
+      h, f = [sigma, mu] with first rep (sigma0, kappa0), and m the star
+      matching star(sigma) -> star(sigma0).  Then
       [sigma0, m(mu)] = [sigma, mu] = f, and f has one rep starting at
       sigma0, so m(mu) = kappa0; as above, [mu, tau] = [kappa0, m(tau)]
       and h = [sigma0, m(tau)], which is the entry of f's row at
-      tau2 = m(tau).  Table keys are distinct and middles never repeat,
-      so the sorted cube objects are h's factorization pairs.
-    - So every morphism passes the first test, axiom 2 holds, and by the
-      proof above every Faq count is the cube count: axiom 3 holds.
+      tau2 = m(tau).
+    - Axioms 2 and 3.  So Faq(h) has the 2^k objects (g_S, h_S).  A
+      Faq-morphism (g1, h1) -> (g2, h2) is a phi from g1's target to g2's
+      target with phi o g1 = g2 and h2 o phi = h1.  At most one phi, and
+      only for S <= T: a phi from (g_S, h_S) to (g_T, h_T) makes
+      (g_S, phi) a factorization pair of g_T, and (sigma, m_T) is a rep of
+      g_T, so by the first test (g_S, phi) = ([sigma, m_U], [m_U, m_T])
+      for some U <= T.  Then g_S = g_U, so the middles at S and U share a
+      block, and as middles never repeat, U = S and phi = [m_S, m_T].  At
+      least one phi for S <= T: phi = [m_S, m_T] runs between the two
+      middles.  The first test on g_T, from its rep (sigma, m_T), puts
+      (g_S, phi) -> g_T in the table; on h_S, from its rep (m_S, tau), it
+      puts (phi, h_T) -> h_S there.  So every Faq count is 1 on S <= T and
+      0 elsewhere: Faq(h) is the subset poset, and the middle-object
+      functor is faithful.
 
-    Axioms 4 and 5, on both paths, compare the first-factor and
-    last-factor keys of ``_factor_keys``: the factors of f's singleton
-    and co-singleton cube objects, the latter what ``last_factors``
-    returns.  Each axiom records its witnesses in morphism order.
+    Axioms 4 and 5 compare the first-factor and last-factor keys of
+    ``_factor_keys``: the factors of f's cube objects at the singletons
+    and at the co-singletons, the latter what ``last_factors`` returns.
+    Each axiom records its witnesses in morphism order.
     """
-    report = AxiomReport()
-    ms = category.morphisms
     if category.compose_table is not category._built_table:
-        factorizations = {}   # composite f -> its factorization pairs (g, h)
-        for (fi, gi), hi in sorted(category.compose_table.items()):
-            f, g, h = ms[fi], ms[gi], ms[hi]
-            if f.rank + g.rank != h.rank:
-                report.record(1, {"f": fi, "g": gi, "composite": hi})
-            if f.source == h.source and g.target == h.target:
-                factorizations.setdefault(hi, []).append((fi, gi))
-        cubes = [_cube_objects(category.of_pair, *f.reps[0]) for f in ms]
-        is_cube = [sorted(objects) == factorizations.get(f.index, [])
-                   for f, objects in zip(ms, cubes)]
-        every_cube = all(is_cube)
-        for f, objects in zip(ms, cubes):
-            if not is_cube[f.index]:
-                report.record(2, {"morphism": f.index, "expected": 2 ** f.rank,
-                                  "pairs": factorizations.get(f.index, [])})
-            elif not every_cube:
-                _record_faq_counts(report, category, factorizations, f, objects)
-
+        raise PreconditionUnmet("axioms 1-3 are proved only for the table "
+                                "build_category made",
+                                witness={"built": category._built_table is not None})
+    report = AxiomReport()
     by_first = {}
     by_last = {}
-    for f, (fkey, lkey) in zip(ms, _factor_keys(category)):
+    for f, (fkey, lkey) in zip(category.morphisms, _factor_keys(category)):
         if f.rank == 0:
             continue
         if fkey in by_first:
@@ -401,30 +322,6 @@ def check_cubical(category):
     return report
 
 
-def _record_faq_counts(report, category, factorizations, f, objects):
-    """Record each ordered pair of f's cube objects whose Faq count is not
-    1 on an inclusion S_a < S_b and 0 elsewhere: a count above 1 under
-    axiom 3, any other under axiom 2.  The pairs are walked in
-    ``combinations`` order, (a, b) before (b, a).  Each count is read off
-    g2's factorization pairs, as ``check_cubical`` proves.
-    """
-    ms = category.morphisms
-    table = category.compose_table
-    subsets = [set(S) for S in _cube_subsets(f.rank)]
-    for i, j in combinations(range(len(objects)), 2):
-        for a, b in ((i, j), (j, i)):
-            (g1, h1), (g2, h2) = objects[a], objects[b]
-            count = sum(g == g1 and ms[phi].source == ms[g1].target
-                        and table.get((phi, h2)) == h1
-                        for g, phi in factorizations.get(g2, ()))
-            expected = int(subsets[a] <= subsets[b])
-            if count != expected:
-                report.record(3 if count > 1 else 2,
-                              {"morphism": f.index, "from": objects[a],
-                               "to": objects[b], "count": count,
-                               "expected": expected})
-
-
 def check_last_factor_compatibility(category):
     """Pairwise compatibility of last factors.
 
@@ -436,8 +333,9 @@ def check_last_factor_compatibility(category):
 
     Each morphism's last factors are its last-factor key in
     ``_factor_keys``, computed once per category off ``of_pair`` and the
-    first reps.  No path reads ``compose_table``, so a built category and
-    one whose table was replaced or built by hand are checked alike.
+    first reps.  No entry of ``compose_table`` is read, so a replaced or
+    hand-built table, which ``check_cubical`` refuses, is checked here
+    like a built one.
     """
     keys = _factor_keys(category)
     incoming_of = {}

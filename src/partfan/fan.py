@@ -105,12 +105,8 @@ class Fan:
     def star(self, cone):
         return self._stars[self.check_cone(cone)]
 
-    def star_chambers(self, cone):
-        """The maximal cones of full dimension in star(cone)."""
-        return self._star_chambers(self.check_cone(cone))
-
     def _star_chambers(self, cone):
-        """``star_chambers`` of a cone read off this fan's own tables.
+        """The maximal cones of full dimension in star(cone).
 
         The underscore reads (this, ``_project_star_map`` and the
         ``_stars`` table) skip ``check_cone``:

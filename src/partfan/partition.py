@@ -34,6 +34,8 @@ class Partition:
     def __init__(self, fan, blocks):
         blocks = [tuple(b) if len(b) < 2 else tuple(sorted(b, key=_cone_key))
                   for b in blocks]
+        if not all(blocks):
+            raise FanMismatch("empty block", witness=blocks.index(()))
         blocks.sort(key=_block_key)
         self.fan = fan
         self.blocks = tuple(blocks)
@@ -54,14 +56,6 @@ class Partition:
     @cached_property
     def block_of(self):
         return {c: idx for idx, block in enumerate(self.blocks) for c in block}
-
-    def same_block(self, a, b):
-        """Whether two cones of the fan, each checked, share a block.
-
-        partfan's own loops read ``block_of`` on the fan's cones instead.
-        """
-        check = self.fan.check_cone
-        return self.block_of[check(a)] == self.block_of[check(b)]
 
     def block(self, cone):
         return self.blocks[self.block_of[self.fan.check_cone(cone)]]

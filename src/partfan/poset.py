@@ -128,9 +128,6 @@ class FanPoset:
         return (mins[0] if len(mins) == 1 else None,
                 maxs[0] if len(maxs) == 1 else None)
 
-    def minimum(self):
-        return self.extremes(self.elements)[0]
-
     def maximum(self):
         return self.extremes(self.elements)[1]
 
@@ -193,7 +190,7 @@ class FanPoset:
         >>> from partfan import catalog
         >>> square = catalog.square()
         >>> poset = poset_from_linear_functional(square, (1, 1))
-        >>> poset.minimum(), poset.maximum()
+        >>> poset.extremes(poset.elements)
         ((1, 2), (0, 3))
         >>> poset.first_chain((1, 2), (0, 3))
         ((1,), (0,))

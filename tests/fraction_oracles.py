@@ -241,7 +241,7 @@ def _attaching_word(fan, partition, edge_of_block, sigma):
     """
     basis = subspace_coordinates(fan, sigma)
     walls = [c for c in fan.star(sigma) if len(c) == len(sigma) + 1]
-    chambers = fan.star_chambers(sigma)
+    chambers = fan._star_chambers(sigma)
     proj = {w: fan.projected_cone(sigma, w)[0] for w in walls}
     coords = {w: _plane_coordinates(basis, proj[w]) for w in walls}
     ordered = sorted(walls, key=cmp_to_key(lambda a, b: _angular_cmp(coords[a],

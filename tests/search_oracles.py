@@ -1,7 +1,9 @@
 """Former exhaustive searches of partfan, kept as oracles for the pruned ones.
 
 Each routine below is the one it replaced in partfan, copied unchanged
-apart from imports:
+apart from imports and from the reads of methods partfan no longer has:
+``partition.same_block(a, b)`` is read as ``block_of`` and
+``fan.star_chambers`` as ``fan._star_chambers``.
 
 - ``enumerate_admissible`` and ``_product``: the product filter that
   ``partition.enumerate_admissible``'s depth-first search replaced.  It
@@ -29,16 +31,21 @@ apart from imports:
   through the validating ``Category.morphism_of_pair``, each Faq count by a
   scan of a whole hom-set, and the factors of axioms 4 and 5 looked up again
   rather than read off the cube.  This ``check_cubical`` is the reference
-  for ``category.check_cubical``: it still tests every cube for repeated
-  middles (axiom 3's ``{"middles": ...}`` witness), which the category
-  layer proves cannot happen, and it counts every Faq-morphism by the
-  hom-set scan, where the category layer counts off the factorization
-  pairs, and only in a category where some cube fails axiom 2.  This
-  ``factorization_cube`` returns the pair (objects, subset_of), which
-  ``category._cube_objects`` and ``_cube_subsets`` give in the same order.
+  for ``category.check_cubical``, which proves axioms 1-3 for the table
+  ``build_category`` made and refuses any other: it reads every entry,
+  so a changed table is seen, it tests every cube for repeated middles
+  (axiom 3's ``{"middles": ...}`` witness), which the category layer
+  proves cannot happen, and it counts every Faq-morphism by the hom-set
+  scan.
 - ``_factorizations``: each composite's factorization pairs from a sorted
   pass of their own over the composition table, where
-  ``category.check_cubical`` now collects them in its one sorted pass.
+  ``category.check_cubical`` now proves that they are the cube objects.
+- ``_cube_objects``, ``_middle_positions`` and ``_cube_subsets``: the
+  cube objects of any representative (sigma, tau), in the order of
+  ``factorization_cube``, read straight off ``of_pair``.  The former
+  table pass of ``category.check_cubical`` read each morphism's cube
+  this way; the tests now compare the cubes of every representative,
+  the lemma that ``check_cubical``'s proof rests on.
 - ``maximal_chains``: the former ``FanPoset.maximal_chains``, as a
   function of the poset, walking each chain by one recursive call per
   cover, where the method now keeps a stack of cover iterators and so
@@ -127,6 +134,7 @@ face points or sign vectors.
 
 import math
 from collections import deque
+from functools import cache
 from itertools import combinations, count
 
 from fraction_oracles import mat_mul, mat_vec
@@ -500,7 +508,7 @@ def is_admissible(fan, partition):
         for s1, s2 in combinations(block, 2):
             match = _star_matching(fan, s1, s2)
             for t1, t2 in match.items():
-                if not partition.same_block(t1, t2):
+                if partition.block_of[t1] != partition.block_of[t2]:
                     return False, (s1, s2, t1, t2)
     return True, None
 
@@ -661,6 +669,41 @@ def factorization_cube(category, f):
     return tuple(objects), subset_of
 
 
+def _cube_objects(of_pair, sigma, tau):
+    """The factorization-cube objects of the rep (sigma, tau), in cube order.
+
+    Object S is the pair sigma -> cone{sigma, {v_i : i in S}} -> tau, v_i
+    tau's i-th ray outside sigma, and the subsets S come in
+    ``_cube_subsets`` order: by size, and within a size in
+    ``combinations`` order.  So objects 1..k are the singletons {i} and
+    the k before the last are the co-singletons, {v_k} dropped first.
+    The reps are pairs of sorted cones and every middle is a sorted face of
+    tau, so each middle is read off tau at the positions
+    ``_middle_positions`` lists, and each pair straight off ``of_pair``.
+    """
+    objects = []
+    for positions in _middle_positions(len(tau), tuple(map(tau.index, sigma))):
+        middle = tuple([tau[p] for p in positions])
+        objects.append((of_pair[sigma, middle], of_pair[middle, tau]))
+    return objects
+
+
+@cache
+def _middle_positions(size, inner):
+    """The positions, in a sorted cone tau of ``size`` rays, of each cube
+    middle cone{sigma, {v_i : i in S}}, S in cube order, where ``inner``
+    holds the positions of sigma's rays and v_i is tau's i-th other ray."""
+    extra = [p for p in range(size) if p not in inner]
+    return tuple(tuple(sorted(inner + tuple(extra[i] for i in S)))
+                 for S in _cube_subsets(len(extra)))
+
+
+@cache
+def _cube_subsets(k):
+    """The subsets of range(k) in the order of the factorization-cube objects."""
+    return tuple(S for size in range(k + 1) for S in combinations(range(k), size))
+
+
 def check_cubical(category):
     """Verify the five cubical axioms on the materialized category.
 
@@ -815,7 +858,7 @@ class ClosureOrder:
         Computed once per cone.
         """
         if cone not in self._facial:
-            members = self.fan.star_chambers(cone)
+            members = self.fan._star_chambers(cone)
             lo, hi = self.extremes(members)
             if lo is None or hi is None or \
                     set(self.interval(lo, hi)) != set(members):
@@ -856,7 +899,7 @@ def check_weak_fan_poset(fan, poset):
     facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
     inward = {}  # (wall, chamber) -> normal of the wall pointing into chamber
     for wall in fan.walls():
-        t1, t2 = fan.star_chambers(wall)
+        t1, t2 = fan._star_chambers(wall)
         nu = wall_normal(fan, wall, t1)
         inward[wall, t1] = nu
         inward[wall, t2] = tuple(-x for x in nu)
@@ -888,7 +931,7 @@ def _convex_union(fan, members, inward):
     rays = [fan.rays[i] for i in {i for c in members for i in c}]
     for c in members:
         for wall in combinations(c, fan.dim - 1):
-            if all(t in member_set for t in fan.star_chambers(wall)):
+            if all(t in member_set for t in fan._star_chambers(wall)):
                 continue
             nu = inward[wall, c]
             if any(dot(nu, r) < 0 for r in rays):

@@ -58,7 +58,7 @@ def test_criterion_2_closure_and_homsets(hzb_fan, p1_partition):
               if m.source == src and m.target in chamber_blocks]
     assert len(arrows) == 2                      # the labels a and b
     assert {m.signature for m in arrows} == {((1, 0),), ((-1, 0),)}
-    assert all(len(category.hom_set(src, b)) == 1 for b in chamber_blocks)
+    assert all(len(category.hom[src, b]) == 1 for b in chamber_blocks)
     report(2, "closure of sigma2~sigma4 is P1; [sigma2] has the two arrows a, b")
 
 

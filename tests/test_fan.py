@@ -152,7 +152,7 @@ def test_star_index_matches_scan(square_fan, hzb_fan, three_lines_fan, brauer):
         for cone in fan.cones:
             scan = tuple(c for c in fan.cones if set(cone) <= set(c))
             assert fan.star(cone) == scan
-            assert fan.star_chambers(cone) == \
+            assert fan._star_chambers(cone) == \
                 tuple(c for c in scan if len(c) == fan.dim)
         for d in range(fan.dim + 1):
             assert fan.cones_of_dim(d) == tuple(c for c in fan.cones if len(c) == d)
@@ -223,7 +223,7 @@ def test_link_complex_square_origin(square_fan):
     # cone one dimension up, one simplex per cone above it
     star = square_fan.star(())
     assert [sum(len(c) == k for c in star) for k in (1, 2)] == [4, 4]
-    assert all(len(square_fan.star_chambers(r)) == 2 for r in square_fan.cones_of_dim(1))
+    assert all(len(square_fan._star_chambers(r)) == 2 for r in square_fan.cones_of_dim(1))
 
 
 def test_link_complex_square_ray(square_fan):
@@ -240,7 +240,7 @@ def test_rank2_links_are_spheres(square_fan, hzb_fan):
     for fan in (square_fan, hzb_fan):
         for ray in fan.cones_of_dim(1):
             assert sorted(map(len, fan.star(ray))) == [1, 2, 2]
-        assert len(fan.star_chambers(())) == len(fan.max_cones)
+        assert len(fan._star_chambers(())) == len(fan.max_cones)
 
 
 def test_projection_composition_identity(hzb_fan):
@@ -482,7 +482,7 @@ FOLD = ([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
 
 def opposite_sides(fan, wall):
     """Whether the wall's two chambers lie strictly on opposite sides of it."""
-    t1, t2 = fan.star_chambers(wall)
+    t1, t2 = fan._star_chambers(wall)
     (j,) = set(t2) - set(wall)
     return dot(fan._wall_normal(wall, t1), fan.rays[j]) < 0
 
@@ -491,7 +491,7 @@ def opposite_sides(fan, wall):
                          ids=["double-winding", "suspension"])
 def test_a_double_cover_fails_only_the_point_count(fan):
     assert all(len(c) == fan.dim for c in fan.max_cones)
-    assert all(len(fan.star_chambers(w)) == 2 and opposite_sides(fan, w)
+    assert all(len(fan._star_chambers(w)) == 2 and opposite_sides(fan, w)
                for w in fan.walls())
     assert not is_finite_complete(fan)
     assert not search_oracles.is_finite_complete(fan)
@@ -499,7 +499,7 @@ def test_a_double_cover_fails_only_the_point_count(fan):
 
 def test_the_fold_fails_the_side_test():
     fan = build_fan(2, *FOLD)
-    assert all(len(fan.star_chambers(w)) == 2 for w in fan.walls())
+    assert all(len(fan._star_chambers(w)) == 2 for w in fan.walls())
     assert [opposite_sides(fan, w) for w in fan.walls()] == [False, False, True]
     assert not is_finite_complete(fan)
     assert not search_oracles.is_finite_complete(fan)
@@ -510,7 +510,7 @@ def test_a_wall_in_three_chambers_fails_the_count():
     # (0,1) and (0,-1) lie in three chambers, the point (1,1) in one
     fan = build_fan(2, [(1, 0), (0, -1), (-1, 0), (0, 1), (-1, 1), (-1, -1)],
                     [(0, 3), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    assert sorted(len(fan.star_chambers(w)) for w in fan.walls()) == [2, 2, 2, 2, 3, 3]
+    assert sorted(len(fan._star_chambers(w)) for w in fan.walls()) == [2, 2, 2, 2, 3, 3]
     assert not is_finite_complete(fan)
     assert not search_oracles.is_finite_complete(fan)
 
@@ -574,6 +574,6 @@ def test_a_certified_fan_validates_without_testing_pairs(monkeypatch):
 def test_wall_normals_match_the_kernel(name):
     fan = PROJECTION_FANS[name]()
     for wall in fan.walls():
-        for chamber in fan.star_chambers(wall):
+        for chamber in fan._star_chambers(wall):
             assert fan._wall_normal(wall, chamber) == \
                 search_oracles.wall_normal(fan, wall, chamber), (wall, chamber)

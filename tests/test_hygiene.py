@@ -10,8 +10,11 @@ and everything ``perfbench/workloads.py`` names.  Both benchmark files are
 only parsed, never imported.  A module-level function or class is reached
 when a start name is its name, or when the live code of another module or
 of its own module outside its definition names it, as a name or as an
-attribute.  Dead definitions are dropped and the scan repeats, so a routine
-named only by dead ones is dead too.
+attribute.  A method of a module-level class, dunders apart, is reached
+when a start name is its name or when live code outside its own body
+names it.  Dead definitions are dropped and the scan repeats, so a routine
+named only by dead ones is dead too, and so are the methods of a dead
+class.
 
 The export scan pins the public surface: every name ``__init__.py``
 exports must be reached by the same scan started from the README's
@@ -29,6 +32,7 @@ no test shows can happen.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,23 +78,54 @@ def _names(nodes):
     return out
 
 
+def _parts(body):
+    """A module body as (name, owner, names) parts.
+
+    Each method of a module-level class, dunders apart, is a part named
+    ``Class.method`` and owned by the class.  Every other top-level
+    statement is a part named and owned by what it defines (None when it
+    defines nothing), a class's part holding the rest of the class.
+    ``names`` is every name the part reads.
+    """
+    parts = []
+    for node in body:
+        name = getattr(node, "name", None)
+        if not isinstance(node, ast.ClassDef):
+            parts.append((name, name, _names([node])))
+            continue
+        methods = [n for n in node.body if isinstance(n, ast.FunctionDef)
+                   and not (n.name.startswith("__") and n.name.endswith("__"))]
+        rest = [n for n in node.body if n not in methods]
+        parts.append((name, name, _names(node.decorator_list + node.bases
+                                         + node.keywords + rest)))
+        parts += [("%s.%s" % (name, m.name), name, _names([m])) for m in methods]
+    return parts
+
+
 def unreferenced_definitions(sources, roots=frozenset()):
-    """(module, name) of each module-level def or class that no live code names.
+    """(module, name) of each module-level def or class, and (module,
+    ``Class.method``) of each method, that no live code names.
 
     ``sources`` maps module names to source text; ``roots`` holds the names
-    that code outside those modules reads.
+    that code outside those modules reads.  A top-level definition's own
+    code is its whole body, methods included; a method's is its body.
     """
-    bodies = {module: ast.parse(text).body for module, text in sources.items()}
+    parts = [(m, *part) for m, text in sources.items()
+             for part in _parts(ast.parse(text).body)]
     dead = set()
     while True:
-        live = {m: [n for n in body if (m, getattr(n, "name", None)) not in dead]
-                for m, body in bodies.items()}
-        named = {m: _names(nodes) for m, nodes in live.items()}
-        found = {(m, node.name) for m, nodes in live.items() for node in nodes
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                 and node.name not in set(roots).union(
-                     *(n for k, n in named.items() if k != m),
-                     _names(n for n in nodes if n is not node))}
+        live = [(m, name, owner, names) for m, name, owner, names in parts
+                if (m, name) not in dead and (m, owner) not in dead]
+        named = Counter(n for *_, names in live for n in names)
+        found = set()
+        for module, name, owner, _ in live:
+            if name is None:
+                continue
+            own = [names for m, n, o, names in live
+                   if m == module and (n == name or name == owner == o)]
+            short = name.rpartition(".")[2]
+            if short not in roots and named[short] == sum(short in n for n in own):
+                found.add((module, name))
         if not found:
             return sorted(dead)
         dead |= found
@@ -132,6 +167,23 @@ def test_the_scan_finds_an_unreferenced_definition():
     }
     assert unreferenced_definitions(sources, {"used", "Wrapped"}) == [
         ("a", "recursive"), ("b", "chained"), ("b", "orphan")]
+
+
+def test_the_scan_finds_an_unreferenced_method():
+    sources = {
+        "a": "class Box:\n    def __init__(self):\n        self.helper()\n\n"
+             "    def helper(self):\n        return 1\n\n"
+             "    def recursive(self):\n        return self.recursive()\n\n"
+             "    def orphan(self):\n        return self.chained()\n\n"
+             "    def chained(self):\n        return 2\n\n"
+             "    def traced(self):\n        return 3\n\n"
+             "    def used(self):\n        return Box\n\n\n"
+             "class Gone:\n    def inner(self):\n        return Gone\n",
+        "b": "from .a import Box\n\n\ndef main():\n    return Box().used()\n",
+    }
+    assert unreferenced_definitions(sources, {"main", "traced"}) == [
+        ("a", "Box.chained"), ("a", "Box.orphan"), ("a", "Box.recursive"),
+        ("a", "Gone"), ("a", "Gone.inner")]
 
 
 def test_every_definition_is_reached():

@@ -315,7 +315,7 @@ def test_closure_minimality(hzb_fan, hzb_admissible):
     seed = ((1,), (3,))
     closure = admissible_closure(hzb_fan, [seed])
     for p in hzb_admissible:
-        if p.same_block(*seed):
+        if p.block_of[seed[0]] == p.block_of[seed[1]]:
             assert refines(closure, p)
 
 
@@ -327,22 +327,17 @@ def test_partition_json_roundtrip(square_fan, torus_partition):
 
 def test_partition_json_defaults_singletons(square_fan):
     p = partition_from_json(square_fan, {"blocks": [[[0], [2]]]})
-    assert p.same_block((0,), (2,))
-    assert not p.same_block((0, 1), (0, 3))
+    assert p.block_of[(0,)] == p.block_of[(2,)]
+    assert p.block_of[(0, 1)] != p.block_of[(0, 3)]
 
 
 def test_partition_checks_its_cone_arguments(torus_partition):
     p = torus_partition
     for bad in ((9,), (0, 2), (0.0,), "x"):
         with pytest.raises(UnknownCone):
-            p.same_block(bad, (0,))
-        with pytest.raises(UnknownCone):
-            p.same_block((0,), bad)
-        with pytest.raises(UnknownCone):
             p.block(bad)
     assert p.block((1, 0)) == p.block((0, 1)) == p.block([0, 1])
-    assert p.same_block([1, 0], (0, 1))
-    assert p.same_block((0,), (2,)) and not p.same_block((0,), (1,))
+    assert p.block((0,)) == p.block((2,)) != p.block((1,))
 
 
 def test_fan_mismatch(square_fan, hzb_fan):
@@ -366,6 +361,16 @@ def test_partition_blocks_are_canonical_and_checked(square_fan):
     with pytest.raises(FanMismatch) as err:
         Partition(square_fan, [[c] for c in square_fan.cones if c != (1,)] + [[(7,)]])
     assert err.value.witness == {"missing": [[1]], "unknown": [[7]]}
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_an_empty_block_is_refused_with_its_position(square_fan, at):
+    """An empty block has no least cone to be sorted by: it is refused, and
+    the witness is its position among the blocks given."""
+    singletons = [[c] for c in square_fan.cones]
+    with pytest.raises(FanMismatch) as err:
+        Partition(square_fan, singletons[:at] + [[]] + singletons[at:])
+    assert err.value.witness == at
 
 
 def _oracle_fans():
@@ -406,7 +411,7 @@ def test_block_fails_at_a_later_member(brauer):
     w0, w1, w2 = next(b for b in brauer.flat.blocks if len(b[0]) == 2 and len(b) >= 3)[:3]
     sides = _star_matching(fan, w0, w1)
     partition = from_blocks(fan, [(w0, w1, w2)] +
-                            [(c, sides[c]) for c in fan.star_chambers(w0)])
+                            [(c, sides[c]) for c in fan._star_chambers(w0)])
     ok, witness = is_admissible(fan, partition)
     assert not ok and witness[:2] == (w0, w2)
     assert (ok, witness) == search_oracles.is_admissible(fan, partition)
@@ -419,7 +424,8 @@ def test_closure_merges_along_every_member(brauer):
     closure = admissible_closure(fan, seeds)
     assert closure.blocks == search_oracles.admissible_closure(fan, seeds).blocks
     sides = _star_matching(fan, w1, w2)
-    assert all(closure.same_block(c, sides[c]) for c in fan.star_chambers(w1))
+    assert all(closure.block_of[c] == closure.block_of[sides[c]]
+               for c in fan._star_chambers(w1))
 
 
 def test_overlapping_fan_is_checked_pair_by_pair():
@@ -541,7 +547,7 @@ def test_cone_sets_match_the_fraction_route():
                 outcomes.add("refused")
                 continue
             assert potential_identifications(fan).classes == classes, (dim, seed)
-            if any(len(b) > 1 and not fan.star_chambers(b[0]) for b in classes):
+            if any(len(b) > 1 and not fan._star_chambers(b[0]) for b in classes):
                 outcomes.add("fallback")
     assert outcomes == {"refused", "fallback"}
 
@@ -556,7 +562,7 @@ def test_span_fallback_joins_cones_whose_stars_hold_no_chamber(dim, seed, block)
     classes = potential_identifications(fan).classes
     assert block in classes
     assert classes == _fraction_route(fan)[2]
-    assert not any(fan.star_chambers(c) for c in block)
+    assert not any(fan._star_chambers(c) for c in block)
 
 
 def test_potential_identifications_do_not_keep_the_fan_alive():

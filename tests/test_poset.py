@@ -101,7 +101,7 @@ def chain_poset(fan, chambers):
 
 def test_functional_poset_square(square_fan):
     poset = poset_from_linear_functional(square_fan, (1, 1))
-    assert poset.minimum() == TAU3       # chamber containing (-1,-1)
+    assert poset.extremes(poset.elements)[0] == TAU3       # chamber containing (-1,-1)
     assert poset.maximum() == TAU1
 
 
@@ -124,7 +124,7 @@ def test_functional_poset_takes_rational_functionals_and_refuses_inexact_ones(sq
 def test_functional_poset_hzb_acyclic(hzb_fan):
     poset = poset_from_linear_functional(hzb_fan, (1, 2))
     assert len(poset.covers) == 4
-    assert poset.minimum() is not None and poset.maximum() is not None
+    assert None not in poset.extremes(poset.elements)
 
 
 def test_functional_poset_incomplete():
@@ -145,7 +145,7 @@ def test_wall_normal_orientation(square_fan):
 
 def test_bisector_square(square_fan):
     poset = rank2_bisector_poset(square_fan, TAU1)
-    assert poset.minimum() == TAU1
+    assert poset.extremes(poset.elements)[0] == TAU1
     assert poset.maximum() == TAU3
     chains = poset.maximal_chains(TAU1, TAU3)
     assert len(chains) == 2 and all(len(c) == 2 for c in chains)
@@ -154,7 +154,7 @@ def test_bisector_square(square_fan):
 def test_bisector_hzb(hzb_fan):
     poset = rank2_bisector_poset(hzb_fan, TAU1)
     assert len(poset.elements) == 4
-    assert poset.minimum() == TAU1 and poset.maximum() == TAU3
+    assert poset.extremes(poset.elements) == (TAU1, TAU3)
 
 
 def test_bisector_tie_break():
@@ -280,7 +280,7 @@ def test_facial_interval_values(square_fan):
     fi_max = facial_interval(square_fan, poset, TAU1)
     assert fi_max.lower == fi_max.upper == TAU1
     fi0 = facial_interval(square_fan, poset, ())
-    assert fi0.lower == poset.minimum() and fi0.upper == poset.maximum()
+    assert (fi0.lower, fi0.upper) == poset.extremes(poset.elements)
 
 
 def test_facial_interval_error(square_fan):

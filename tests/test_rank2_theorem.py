@@ -36,7 +36,7 @@ def last_factors_fail_expected(fan, partition):
     """Whether the fan is three lines with all opposite rays identified."""
     pairs = opposite_pairs(fan)
     return len(fan.rays) == 6 and len(pairs) == 3 and \
-        all(partition.same_block(a, b) for a, b in pairs)
+        all(partition.block_of[a] == partition.block_of[b] for a, b in pairs)
 
 
 def bisector_posets(fan):
@@ -64,7 +64,7 @@ def assert_rank2_theorem(fan, partitions):
         for poset in posets:
             if check_nondegenerate(fan, partition, poset)[0]:
                 ok, witness = G.rank2_faithfulness_certificate(category, poset)
-                assert ok, (fan.rays, poset.minimum(), partition.blocks, witness)
+                assert ok, (fan.rays, poset.extremes(poset.elements), partition.blocks, witness)
     return failures
 
 
