@@ -4,18 +4,15 @@ Objects are the blocks of an admissible partition.  A morphism class is an
 equivalence class of inclusion pairs (sigma, tau), sigma a face of tau,
 where two pairs are identified exactly when the projections of the targets
 along their sources coincide.  That canonical projected cone, together
-with the source and target blocks, is a complete identity for the class,
-so composition and all five cubical axioms can be checked on fully
-materialized tables.
+with the source and target blocks, is a complete identity for the class.
 
-``build_category`` hands out its composition table as a read-only view and
-records that view on the category.  ``check_cubical`` proves axioms 1-3
-for that table without reading it, and refuses any other table, one
-replaced after the build or that of a hand-built ``Category``, with
-PreconditionUnmet.  Axioms 4 and 5 and the last-factor checks read one
-table of factor keys per category, computed on first use.
+The composition table is read-only and derives each row on first read;
+``check_cubical`` proves axioms 1-3 for it unread and refuses any other
+table.  Axioms 4 and 5 and the last-factor checks read one table of
+factor keys per category, computed on first use.
 """
 
+from collections.abc import ItemsView, Mapping
 from types import MappingProxyType
 
 from .errors import NotAdmissible, NotAFace, NotComposable, PreconditionUnmet, RankZero
@@ -28,12 +25,10 @@ class MorphClass:
     __slots__ = ("index", "source", "target", "signature", "reps", "rank")
 
     def __init__(self, index, source, target, signature, reps, rank):
-        self.index = index
-        self.source = source          # block id
-        self.target = target          # block id
-        self.signature = signature    # canonical projected cone
-        self.reps = reps              # sorted tuple of (sigma, tau) pairs
-        self.rank = rank
+        # source and target are block ids, signature the canonical projected
+        # cone, reps the sorted tuple of (sigma, tau) pairs
+        self.index, self.source, self.target = index, source, target
+        self.signature, self.reps, self.rank = signature, reps, rank
 
     def __repr__(self):
         return "MorphClass(%d: %d->%d, sig=%s)" % (
@@ -51,10 +46,8 @@ class Category:
         self.compose_table = compose_table  # (f, g) -> index of g o f
         self.identities = identities      # block id -> morphism index
         self.of_pair = of_pair            # (sigma, tau) -> morphism index
-        # the read-only table build_category made, the only table that
-        # check_cubical accepts; None on a hand-built category
+        # the table build_category made; None if hand-built
         self._built_table = None
-        # per morphism index, its (first-factor key, last-factor key),
         # filled by _factor_keys on first use
         self._factor_keys = None
 
@@ -80,14 +73,56 @@ class Category:
                 }
                 for m in self.morphisms
             ],
-            "composition": sorted(
-                [f, g, h] for (f, g), h in self.compose_table.items()
-            ),
+            # built tables walk f, then g, ascending
+            "composition": [[f, g, h] for (f, g), h in self.compose_table.items()],
         }
 
 
+class _ComposeTable(Mapping):
+    """(f, g) -> of_pair[sigma0, row(kappa0)[g]], (sigma0, kappa0) f's first
+    rep and row(kappa) = {g: tau2} in g order, kept once derived.  Walked
+    in f, then g, order."""
+
+    def __init__(self, of_pair, firsts, stars):
+        self._of_pair, self._firsts, self._stars, self._rows = of_pair, firsts, stars, {}
+        self._len = sum(len(stars[kappa]) for _, kappa in firsts)
+
+    def _row(self, kappa):
+        if kappa not in self._rows:
+            self._rows[kappa] = dict(sorted(
+                (self._of_pair[kappa, tau2], tau2) for tau2 in self._stars[kappa]))
+        return self._rows[kappa]
+
+    def __getitem__(self, key):
+        hash(key)  # an unhashable key raises TypeError
+        fs = range(len(self._firsts))
+        if isinstance(key, tuple) and len(key) == 2 and key[0] in fs:
+            sigma, kappa = self._firsts[fs.index(key[0])]
+            row = self._row(kappa)
+            if key[1] in row:
+                return self._of_pair[sigma, row[key[1]]]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def __len__(self):
+        return self._len
+
+    def items(self):
+        return _ComposeItems(self)
+
+
+class _ComposeItems(ItemsView):
+    def __iter__(self):
+        table = self._mapping
+        for f, (sigma, kappa) in enumerate(table._firsts):
+            for g, tau2 in table._row(kappa).items():
+                yield (f, g), table._of_pair[sigma, tau2]
+
+
 def build_category(fan, partition):
-    """Materialize objects, morphism classes and the composition table.
+    """Build objects, morphism classes and the composition table.
 
     Raises NotAdmissible when the partition fails the admissibility check.
     On an admissible partition composition is well defined, and each
@@ -100,19 +135,18 @@ def build_category(fan, partition):
     of exactly one g, so star(kappa) lists, once each, the g that start
     at kappa's block.  For each f, the composites are read off its first
     representative (sigma0, kappa0): g o f = [sigma0, tau2] for each
-    tau2 in star(kappa0), g = [kappa0, tau2], and the row is filled in g
-    order.  Every other rep (sigma, kappa) of f gives the same row, so
-    this is the class of every representative chain.  Proof: the matching
+    tau2 in star(kappa0), g = [kappa0, tau2].  Every other rep
+    (sigma, kappa) of f gives the same row, so this is the class of every
+    representative chain.  Proof: the matching
     m: star(sigma0) -> star(sigma) preserves faces and sends kappa0 to
     kappa, so it sends g's rep (kappa0, tau2) to (kappa, m(tau2)), with
     the same signature; by admissibility tau2 ~ m(tau2), so
     (kappa, m(tau2)) is g's rep at kappa, and [sigma0, tau2] =
     [sigma, m(tau2)] as both have one signature.  The g starting at
     kappa0 are distinct, so kappa0's out-row (g, tau2), sorted once, is in
-    g order for every f whose first rep ends at kappa0.
-
-    The table is handed out as a read-only view, recorded on the category;
-    ``check_cubical`` proves axioms 1-3 for it instead of reading it.
+    g order for every f whose first rep ends at kappa0.  So the table
+    keeps only ``of_pair``, the first reps and the stars, and derives each
+    out-row on first read.
     """
     ok, witness = is_admissible(fan, partition)
     if not ok:
@@ -123,35 +157,20 @@ def build_category(fan, partition):
         for tau, signature in fan._project_star_map(sigma).items():
             key = (partition.block_of[sigma], partition.block_of[tau], signature)
             groups.setdefault(key, set()).add((sigma, tau))
-    morphisms = []
-    of_pair = {}
+    morphisms, of_pair, hom = [], {}, {}
     for idx, key in enumerate(sorted(groups)):
         source, target, signature = key
         reps = tuple(sorted(groups[key]))
         rank = len(reps[0][1]) - len(reps[0][0])
         morphisms.append(MorphClass(idx, source, target, signature, reps, rank))
         of_pair.update(dict.fromkeys(reps, idx))
-    hom = {}
-    for m in morphisms:
-        hom.setdefault((m.source, m.target), []).append(m.index)
+        hom.setdefault((source, target), []).append(idx)
     hom = {k: tuple(v) for k, v in hom.items()}
-    identities = {}
-    for m in morphisms:
-        if m.rank == 0:
-            identities[m.source] = m.index
-
-    compose_table = {}
-    out_rows = {}    # kappa -> sorted (g, tau2) of the g starting at kappa
-    for f in morphisms:
-        sigma, kappa = f.reps[0]
-        row = out_rows.get(kappa)
-        if row is None:
-            row = out_rows[kappa] = sorted((of_pair[kappa, tau2], tau2)
-                                           for tau2 in fan._stars[kappa])
-        compose_table.update(((f.index, g), of_pair[sigma, tau2]) for g, tau2 in row)
-    category = Category(fan, partition, tuple(morphisms), hom,
-                        MappingProxyType(compose_table), identities, of_pair)
-    category._built_table = category.compose_table
+    identities = {m.source: m.index for m in morphisms if m.rank == 0}
+    table = _ComposeTable(of_pair, tuple(m.reps[0] for m in morphisms), fan._stars)
+    category = Category(fan, partition, tuple(morphisms), hom, table, identities,
+                        MappingProxyType(of_pair))
+    category._built_table = table
     return category
 
 
@@ -182,8 +201,7 @@ def _factor_keys(category):
     the first factors [sigma, sigma u {v}] and the last factors
     [tau - {v}, tau], each key sorted without repeats and empty at rank 0.
     These are the factors of the cube objects of f at the singletons and
-    at the co-singletons (see ``check_cubical``), read straight off
-    ``of_pair``.
+    at the co-singletons (see ``check_cubical``), read off ``of_pair``.
     """
     if category._factor_keys is None:
         of_pair = category.of_pair
@@ -231,18 +249,17 @@ def check_cubical(category):
     5. likewise by their last factors.
 
     Axioms 1-3 hold by the proof below, which is about the table
-    ``build_category`` made, so no entry is read.  That table is read-only
-    and no other name holds it, so nothing changes it.  A category whose
-    ``compose_table`` is not the view recorded at the build, a table
-    replaced after the build or that of a hand-built ``Category``, is
-    refused with PreconditionUnmet: no verdict on axioms 1-3 is given for
-    a table that was not proved.
+    ``build_category`` made, so no entry is read.  Nothing changes that
+    table: it has no setter and reads only its own first reps (so not an
+    edited ``MorphClass``), the fan's fixed stars and ``of_pair``, which
+    the category shows read-only.  Any other ``compose_table``, replaced
+    or hand-built, is not proved, so it is refused with PreconditionUnmet.
 
-    The table.  ``build_category`` puts (f, g) -> h in it exactly when,
-    with (sigma0, kappa0) f's first rep, g = [kappa0, tau2] and
-    h = [sigma0, tau2] for some tau2 in star(kappa0).  A factorization
-    pair of h is an entry (f, g) -> h with f starting at h's source block
-    and g ending at h's target block.
+    The table.  It holds (f, g) -> h exactly when, with (sigma0, kappa0)
+    f's first rep, g = [kappa0, tau2] and h = [sigma0, tau2] for some
+    tau2 in star(kappa0).  A factorization pair of h is an entry
+    (f, g) -> h with f starting at h's source block and g ending at h's
+    target block.
 
     The cube.  For a rep (sigma, tau) of a morphism of rank k, let
     v_1..v_k be tau's rays outside sigma and, for S a subset of {1..k},
@@ -306,8 +323,7 @@ def check_cubical(category):
                                 "build_category made",
                                 witness={"built": category._built_table is not None})
     report = AxiomReport()
-    by_first = {}
-    by_last = {}
+    by_first, by_last = {}, {}
     for f, (fkey, lkey) in zip(category.morphisms, _factor_keys(category)):
         if f.rank == 0:
             continue
@@ -331,11 +347,8 @@ def check_last_factor_compatibility(category):
     (False, offending set of morphism indices).  In ambient dimension 2
     this amounts to detecting any 3 pairwise-compatible rank-1 morphisms.
 
-    Each morphism's last factors are its last-factor key in
-    ``_factor_keys``, computed once per category off ``of_pair`` and the
-    first reps.  No entry of ``compose_table`` is read, so a replaced or
-    hand-built table, which ``check_cubical`` refuses, is checked here
-    like a built one.
+    The last factors are read off ``_factor_keys``, not the table, so a
+    table ``check_cubical`` refuses is checked here like a built one.
     """
     keys = _factor_keys(category)
     incoming_of = {}
@@ -346,21 +359,14 @@ def check_last_factor_compatibility(category):
         rank1 = sorted(m.index for m in incoming if m.rank == 1)
         if len(rank1) < 3:
             continue
-        edges = set()
-        realized = {}
-        for m in incoming:
-            if m.rank < 2:
-                continue
-            key = keys[m.index][1]
-            realized.setdefault(len(key), set()).add(key)
-            if m.rank == 2:
-                edges.add(key)
+        realized = {keys[m.index][1] for m in incoming if m.rank >= 2}
+        edges = {keys[m.index][1] for m in incoming if m.rank == 2}
         neighbors = {v: set() for v in rank1}
         for a, b in edges:
             neighbors[a].add(b)
             neighbors[b].add(a)
         for clique in _cliques_of_size_3_up(rank1, neighbors):
-            if clique not in realized.get(len(clique), set()):
+            if clique not in realized:
                 return False, clique
     return True, None
 
@@ -390,10 +396,9 @@ def export_category_dot(category):
     for obj in category.objects:
         lines.append('  n%d [label="%s"];' % (obj, _block_text(category, obj)))
     for m in category.morphisms:
-        if m.rank != 1:
-            continue
-        lines.append('  n%d -> n%d [label="%s"];'
-                     % (m.source, m.target, _signature_text(m.signature)))
+        if m.rank == 1:
+            lines.append('  n%d -> n%d [label="%s"];'
+                         % (m.source, m.target, _signature_text(m.signature)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -381,6 +381,7 @@ def functor_check(category, poset):
 
     Equality is witnessed by ``words_equal`` against the full picture
     presentation.  Psi images come from the poset's memo (see ``psi``).
+    Entries are checked in table order (f, then g, ascending if built).
     Returns (True, []) or (False, failures).
     """
     fan = category.fan
@@ -388,7 +389,7 @@ def functor_check(category, poset):
     pres = picture_group(fan, partition, poset, mode="full")
     images = [psi(fan, partition, poset, m) for m in category.morphisms]
     failures = []
-    for (fi, gi), hi in sorted(category.compose_table.items()):
+    for (fi, gi), hi in category.compose_table.items():
         lhs = word_concat(images[fi], images[gi])
         rhs = images[hi]
         if not words_equal(lhs, rhs, pres.relators):

@@ -57,9 +57,6 @@ class Partition:
     def block_of(self):
         return {c: idx for idx, block in enumerate(self.blocks) for c in block}
 
-    def block(self, cone):
-        return self.blocks[self.block_of[self.fan.check_cone(cone)]]
-
     def __eq__(self, other):
         if not isinstance(other, Partition) or self.blocks != other.blocks:
             return False

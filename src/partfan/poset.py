@@ -112,10 +112,6 @@ class FanPoset:
     def interval_mask(self, a, b):
         return self._up_mask[self._index[a]] & self._down_mask[self._index[b]]
 
-    def interval(self, a, b):
-        """The chambers c with a <= c <= b, in sorted order."""
-        return tuple(self.elements[i] for i in _bit_indices(self.interval_mask(a, b)))
-
     def extremes(self, members):
         """(minimum, maximum) of the members, each None unless unique.
 

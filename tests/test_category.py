@@ -392,6 +392,78 @@ def test_first_representative_composites_match_the_union(which, coxeter_partitio
             build_category(fan, partitions[which]))
 
 
+def outcome(lookup, key):
+    """What ``lookup(key)`` returns, or the type of what it raises."""
+    try:
+        return "returned", lookup(key)
+    except (KeyError, TypeError) as exc:
+        return "raised", type(exc)
+
+
+@pytest.mark.parametrize("name", ["catalogue", "A3"])
+def test_the_table_behaves_like_the_former_dict(
+        name, coxeter_partitions, square_fan, torus_partition, hzb_fan, p1_partition,
+        three_lines_fan, three_lines_partition):
+    """``in``, ``get`` and ``[]`` agree with the former dict on every pair of
+    indices from -1 to n, on numbers equal to indices and on malformed
+    keys; so do the length, the walk in order and equality, and neither
+    takes an assignment."""
+    if name == "catalogue":
+        cases = [(square_fan, torus_partition), (hzb_fan, p1_partition),
+                 (three_lines_fan, three_lines_partition)]
+    else:
+        fan, partitions = coxeter_partitions["A3"]
+        cases = [(fan, partitions["flat"]), (fan, partitions["shard"])]
+    for fan, partition in cases:
+        category = build_category(fan, partition)
+        table = category.compose_table
+        former = former_compose_table(category)
+        n = len(category.morphisms)
+        keys = list(product(range(-1, n + 1), repeat=2))
+        keys += [(0.0, 0), (True, 1), (0,), (0, 1, 2), "ab", b"\0\0", None, [0, 1]]
+        for key in keys:
+            for lookup in (table.__contains__, table.get, table.__getitem__):
+                former_lookup = getattr(former, lookup.__name__)
+                assert outcome(lookup, key) == outcome(former_lookup, key), key
+        assert len(table) == len(former)
+        assert list(table.items()) == list(former.items())
+        assert table == former and former == table
+        key = next(iter(former))
+        with pytest.raises(TypeError):
+            table[key] = former[key]
+        with pytest.raises(TypeError):
+            del table[key]
+
+
+@pytest.mark.parametrize("name", ["A3", "brauer", "B3"])
+def test_the_table_derives_rows_only_when_read(name, coxeter_partitions):
+    """Building, the cubical and last-factor checks and the length read no
+    row; a full walk keeps at most one row entry per pair of ``of_pair``.
+    Neither ``of_pair`` nor an edited representative changes the table."""
+    fan, partitions = coxeter_partitions[name]
+    for which in ("flat", "shard"):
+        category = build_category(fan, partitions[which])
+        table = category.compose_table
+        check_cubical(category)
+        check_last_factor_compatibility(category)
+        for f in category.morphisms:
+            if f.rank:
+                last_factors(category, f)
+        assert len(table) > 0
+        assert table._rows == {}
+        entries = dict(table.items())
+        assert 0 < sum(map(len, table._rows.values())) <= len(category.of_pair)
+        assert len(entries) == len(table)
+        with pytest.raises(TypeError):
+            category.of_pair[category.morphisms[0].reps[0]] = 0
+
+        edited = build_category(fan, partitions[which])
+        ms = edited.morphisms
+        for m, other in zip(ms, ms[1:] + ms[:1]):
+            m.reps = other.reps
+        assert dict(edited.compose_table) == entries
+
+
 def test_composition_not_single_valued_on_an_overlapping_fan():
     """Cones of this overlapping fan overlap, so two chains of one pair of
     morphisms would give different composites.  Cones (0, 1) and (0, 5)

@@ -333,11 +333,15 @@ def test_partition_json_defaults_singletons(square_fan):
 
 def test_partition_checks_its_cone_arguments(torus_partition):
     p = torus_partition
+
+    def block(cone):
+        return p.blocks[p.block_of[p.fan.check_cone(cone)]]
+
     for bad in ((9,), (0, 2), (0.0,), "x"):
         with pytest.raises(UnknownCone):
-            p.block(bad)
-    assert p.block((1, 0)) == p.block((0, 1)) == p.block([0, 1])
-    assert p.block((0,)) == p.block((2,)) != p.block((1,))
+            block(bad)
+    assert block((1, 0)) == block((0, 1)) == block([0, 1])
+    assert block((0,)) == block((2,)) != block((1,))
 
 
 def test_fan_mismatch(square_fan, hzb_fan):

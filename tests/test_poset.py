@@ -88,7 +88,9 @@ def assert_matches_poset_oracles(fan, poset):
     for a in poset.elements:
         for b in poset.elements:
             assert poset.leq(a, b) == order.leq(a, b)
-            assert poset.interval(a, b) == order.interval(a, b)
+            mask = poset.interval_mask(a, b)
+            assert {c for i, c in enumerate(poset.elements) if mask >> i & 1} == \
+                set(order.interval(a, b))
     assert poset.extremes(poset.elements) == order.extremes(poset.elements)
     return report, len(calls)
 
