@@ -5,11 +5,15 @@ equivalence class of inclusion pairs (sigma, tau), sigma a face of tau,
 where two pairs are identified exactly when the projections of the targets
 along their sources coincide.  That canonical projected cone, together
 with the source and target blocks, is a complete identity for the class.
+On an admissible partition the morphisms out of a block are read off the
+star of its first member, one per cone, and their reps at the other
+members off the fan's inverse star maps (``build_category``).
 
 The composition table is read-only and derives each row on first read;
 ``check_cubical`` proves axioms 1-3 for it unread and refuses any other
 table.  Axioms 4 and 5 and the last-factor checks read one table of
-factor keys per category, computed on first use.
+factor keys per category, computed on first use: the first factors off
+each morphism's signature, the last factors off ``of_pair``.
 """
 
 from collections.abc import ItemsView, Mapping
@@ -128,6 +132,32 @@ def build_category(fan, partition):
     On an admissible partition composition is well defined, and each
     composite is read off one representative chain.
 
+    The morphisms out of a block B are read off the star of its first
+    member s0: one morphism per tau in star(s0), listed by (block of tau,
+    signature), whose rep at each other member s is
+    (s, inverse_s[signature]), inverse_s the fan's
+    ``_project_star_inverse(s)``.  These are the former grouping's
+    morphisms (``tests/search_oracles.build_category``): every pair
+    (sigma, tau) grouped by the key (block of sigma, block of tau,
+    signature), the keys sorted and each group's reps sorted.  Proof.
+    ``is_admissible`` has put B in one E-class, so each member s has the
+    projected star of s0, and projection is injective on every star (the
+    precondition of ``potential_identifications``, which it checks first).
+    So the star matching m_s: star(s0) -> star(s) sends tau to
+    inverse_s[signature of tau], and admissibility puts the two in one
+    block.  A pair (s, t) out of B thus has t = m_s(tau) for the one tau
+    in star(s0) with t's signature, and the key of tau: the keys out of B
+    are those of the tau in star(s0), distinct as their signatures are,
+    and each has exactly one rep at each member.  The blocks come in
+    order, and B's morphisms in (target, signature) order, so the indices
+    are the sorted keys' positions, and ``hom`` and ``of_pair``, the union
+    of the reps, are the grouping's.  Members of a block have one span, so
+    one length, and the blocks are sorted by (length, first member): the
+    identity (tau = s0) comes first out of B, as every other tau in
+    star(s0) has more rays and so lies in a later block, and each block is
+    in tuple order, so the reps, listed in block order, are sorted, and
+    ``reps[k]`` is the rep at member k.
+
     Each g has at most one rep (kappa, tau2) starting at a cone kappa:
     distinct cones of star(kappa) have distinct signatures (consequence 4
     of ``potential_identifications``, which ``is_admissible`` reaches
@@ -152,21 +182,22 @@ def build_category(fan, partition):
     if not ok:
         raise NotAdmissible("partition is not admissible",
                             witness=[list(c) for c in witness])
-    groups = {}
-    for sigma in fan.cones:
-        for tau, signature in fan._project_star_map(sigma).items():
-            key = (partition.block_of[sigma], partition.block_of[tau], signature)
-            groups.setdefault(key, set()).add((sigma, tau))
-    morphisms, of_pair, hom = [], {}, {}
-    for idx, key in enumerate(sorted(groups)):
-        source, target, signature = key
-        reps = tuple(sorted(groups[key]))
-        rank = len(reps[0][1]) - len(reps[0][0])
-        morphisms.append(MorphClass(idx, source, target, signature, reps, rank))
-        of_pair.update(dict.fromkeys(reps, idx))
-        hom.setdefault((source, target), []).append(idx)
+    block_of = partition.block_of
+    morphisms, of_pair, hom, identities = [], {}, {}, {}
+    for source, block in enumerate(partition.blocks):
+        s0 = block[0]
+        members = [(s, fan._project_star_inverse(s)) for s in block[1:]]
+        identities[source] = len(morphisms)
+        for idx, (target, signature, tau) in enumerate(sorted(
+                (block_of[tau], signature, tau)
+                for tau, signature in fan._project_star_map(s0).items()), len(morphisms)):
+            reps = ((s0, tau), *[(s, inverse[signature]) for s, inverse in members])
+            morphisms.append(MorphClass(idx, source, target, signature, reps,
+                                        len(tau) - len(s0)))
+            for rep in reps:
+                of_pair[rep] = idx
+            hom.setdefault((source, target), []).append(idx)
     hom = {k: tuple(v) for k, v in hom.items()}
-    identities = {m.source: m.index for m in morphisms if m.rank == 0}
     table = _ComposeTable(of_pair, tuple(m.reps[0] for m in morphisms), fan._stars)
     category = Category(fan, partition, tuple(morphisms), hom, table, identities,
                         MappingProxyType(of_pair))
@@ -197,14 +228,28 @@ def _factor_keys(category):
     """Per morphism index, its first-factor and last-factor keys, computed
     on first use and kept on the category.
 
-    Off f's first rep (sigma, tau), for each ray v of tau outside sigma:
-    the first factors [sigma, sigma u {v}] and the last factors
+    For f with first rep (sigma, tau) and each ray v of tau outside
+    sigma: the first factors [sigma, sigma u {v}] and the last factors
     [tau - {v}, tau], each key sorted without repeats and empty at rank 0.
     These are the factors of the cube objects of f at the singletons and
-    at the co-singletons (see ``check_cubical``), read off ``of_pair``.
+    at the co-singletons (see ``check_cubical``).
+
+    The last factors are read off ``of_pair``, tau - {v} as the slice of
+    tau without v.  The first factors of a rank >= 2 f are read off its
+    signature: one for each projected ray r, the rank-1 morphism out of
+    f's source block with signature (r,).  This holds for the categories
+    ``build_category`` makes, where sigma is the first member s0 of the
+    source block: [s0, s0 u {v}] starts at that block and has signature
+    (projection of v along s0,), a ray of f's signature, and the morphisms
+    out of the block are those of the cones of star(s0), one per
+    signature, so (source, r) names one rank-1 morphism.  The rays of f's
+    signature are distinct (projection is injective on star(s0)), so are
+    its first factors, and sorting them leaves no repeat.
     """
     if category._factor_keys is None:
         of_pair = category.of_pair
+        first_of = {(m.source, m.signature[0]): m.index
+                    for m in category.morphisms if m.rank == 1}
         keys = []
         for f in category.morphisms:
             if f.rank < 2:    # a rank-1 f is its own first and last factor
@@ -212,10 +257,10 @@ def _factor_keys(category):
                 keys.append((key, key))
                 continue
             sigma, tau = f.reps[0]
-            others = [v for v in tau if v not in sigma]
-            first = {of_pair[sigma, tuple(sorted(sigma + (v,)))] for v in others}
-            last = {of_pair[tuple(i for i in tau if i != v), tau] for v in others}
-            keys.append((tuple(sorted(first)), tuple(sorted(last))))
+            last = {of_pair[tau[:i] + tau[i + 1:], tau]
+                    for i, v in enumerate(tau) if v not in sigma}
+            keys.append((tuple(sorted([first_of[f.source, r] for r in f.signature])),
+                         tuple(sorted(last))))
         category._factor_keys = keys
     return category._factor_keys
 

@@ -67,6 +67,7 @@ class Fan:
         self._by_dim = {d: tuple(cs) for d, cs in by_dim.items()}
         self._facet_cache = {}
         self._project_star_cache = {}
+        self._project_star_inverse_cache = {}
         self._memo = {}  # see ``memo``
 
     def __contains__(self, cone):
@@ -108,10 +109,11 @@ class Fan:
     def _star_chambers(self, cone):
         """The maximal cones of full dimension in star(cone).
 
-        The underscore reads (this, ``_project_star_map`` and the
-        ``_stars`` table) skip ``check_cone``:
-        partfan calls them with sorted cones it took from the fan, and the
-        public names check their input before calling them.
+        The underscore reads (this, ``_project_star_map``,
+        ``_project_star_inverse`` and the ``_stars`` table) skip
+        ``check_cone``: partfan calls them with sorted cones it took from
+        the fan, and the public names check their input before calling
+        them.
         """
         return tuple(c for c in self._stars[cone] if len(c) == self.dim)
 
@@ -253,6 +255,21 @@ class Fan:
                 tau: tuple(sorted({ray[i] for i in tau if i not in base}))
                 for tau in star}
         return self._project_star_cache[cone]
+
+    def _project_star_inverse(self, cone):
+        """The inverse of ``_project_star_map(cone)``, projected cone -> tau,
+        computed once per cone.
+
+        It is the inverse only where projection is injective on the star,
+        which ``partition.potential_identifications`` checks before any
+        caller reads it (its precondition); every reader (the star
+        matchings of ``partition`` and ``category.build_category``) calls
+        that first.
+        """
+        if cone not in self._project_star_inverse_cache:
+            self._project_star_inverse_cache[cone] = {
+                v: k for k, v in self._project_star_map(cone).items()}
+        return self._project_star_inverse_cache[cone]
 
     def to_json(self):
         return {

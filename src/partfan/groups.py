@@ -562,7 +562,8 @@ def hom_distinctness_certificate(category, poset, wall_algebra_certified):
     Every morphism out of a block has a representative at each member
     sigma: ``build_category`` has checked admissibility, so the star
     matching of the block's first member onto sigma carries each
-    representative there to one at sigma.
+    representative there to one at sigma.  It lists exactly one rep per
+    member, in block order, so the rep at member k is ``reps[k]``.
     """
     if not wall_algebra_certified:
         raise MissingWallAlgebraCertificate(
@@ -572,10 +573,10 @@ def hom_distinctness_certificate(category, poset, wall_algebra_certified):
         if len(indices) < 2:
             continue
         source_block = category.partition.blocks[src]
-        for sigma in source_block:
+        for k, sigma in enumerate(source_block):
             minima = {}
             for i in indices:
-                kappa = next(t for s, t in category.morphisms[i].reps if s == sigma)
+                kappa = category.morphisms[i].reps[k][1]
                 lo = _facial_interval(poset, kappa).lower
                 if lo in minima:
                     return False, {"hom": [src, dst],

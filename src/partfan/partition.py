@@ -281,11 +281,10 @@ def _admissibility(fan, partition):
 
 
 def _star_matching(fan, s1, s2):
-    """tau1 in star(s1) -> the unique tau2 in star(s2) with equal projection."""
-    m1 = fan._project_star_map(s1)
-    m2 = fan._project_star_map(s2)
-    inverse2 = {v: k for k, v in m2.items()}
-    return {t1: inverse2[c] for t1, c in m1.items()}
+    """tau1 in star(s1) -> the unique tau2 in star(s2) with equal projection,
+    read off the fan's one inverse of s2's projected star."""
+    inverse2 = fan._project_star_inverse(s2)
+    return {t1: inverse2[c] for t1, c in fan._project_star_map(s1).items()}
 
 
 def _block_pairs(block):

@@ -22,6 +22,12 @@ apart from imports and from the reads of methods partfan no longer has:
   function of the poset, which the ``check_nondegenerate`` oracle calls,
   where ``poset._degenerate_pair`` now decides each cover by whether its
   projected pair lies in the D-set of the other member.
+- ``build_category``: every inclusion pair (sigma, tau) of the fan
+  grouped by (block of sigma, block of tau, signature), the keys sorted
+  into morphism indices and each group's reps sorted, where
+  ``category.build_category`` now reads the morphisms out of each block
+  off the star of its first member, and the reps at the other members
+  off their inverse star maps.
 - ``_composites_by_union``: each morphism's composites as the union of
   the classes over all representative chains, where
   ``category.build_category`` now reads them off the first representative.
@@ -136,6 +142,7 @@ import math
 from collections import deque
 from functools import cache
 from itertools import combinations, count
+from types import MappingProxyType
 
 from fraction_oracles import mat_mul, mat_vec
 from partfan import cones as conelib
@@ -150,7 +157,13 @@ from partfan.arrangement import (
     _sign,
     _split_chain_relator,
 )
-from partfan.category import AxiomReport, _cliques_of_size_3_up
+from partfan.category import (
+    AxiomReport,
+    Category,
+    MorphClass,
+    _cliques_of_size_3_up,
+    _ComposeTable,
+)
 from partfan.errors import (
     BadInput,
     ChainLimitExceeded,
@@ -169,6 +182,7 @@ from partfan.errors import (
     UnknownFace,
 )
 from partfan import fan as fanlib
+from partfan import partition as partlib
 from partfan.fan import build_fan
 from partfan.groups import _neighbors, _rewrite_rules, word_concat, word_inverse
 from partfan.partition import (
@@ -584,6 +598,35 @@ def _cover_direction(poset, a, b):
 
 # ---------------------------------------------------------------------------
 # composition
+
+
+def build_category(fan, partition):
+    """The former grouping build: every (sigma, tau) pair keyed by
+    (source block, target block, signature), the keys sorted."""
+    ok, witness = partlib.is_admissible(fan, partition)
+    if not ok:
+        raise NotAdmissible("partition is not admissible",
+                            witness=[list(c) for c in witness])
+    groups = {}
+    for sigma in fan.cones:
+        for tau, signature in fan._project_star_map(sigma).items():
+            key = (partition.block_of[sigma], partition.block_of[tau], signature)
+            groups.setdefault(key, set()).add((sigma, tau))
+    morphisms, of_pair, hom = [], {}, {}
+    for idx, key in enumerate(sorted(groups)):
+        source, target, signature = key
+        reps = tuple(sorted(groups[key]))
+        rank = len(reps[0][1]) - len(reps[0][0])
+        morphisms.append(MorphClass(idx, source, target, signature, reps, rank))
+        of_pair.update(dict.fromkeys(reps, idx))
+        hom.setdefault((source, target), []).append(idx)
+    hom = {k: tuple(v) for k, v in hom.items()}
+    identities = {m.source: m.index for m in morphisms if m.rank == 0}
+    table = _ComposeTable(of_pair, tuple(m.reps[0] for m in morphisms), fan._stars)
+    category = Category(fan, partition, tuple(morphisms), hom, table, identities,
+                        MappingProxyType(of_pair))
+    category._built_table = table
+    return category
 
 
 def _composites_by_union(f, reps_from, of_pair):

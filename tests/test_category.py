@@ -1,6 +1,9 @@
 import copy
+import importlib.util
+import json
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from partfan.errors import (
     PreconditionUnmet,
     RankZero,
 )
-from partfan.fan import build_fan, is_finite_complete, validate_fan
+from partfan.fan import Fan, build_fan, is_finite_complete, validate_fan
 from partfan.partition import (
     admissible_closure,
     enumerate_admissible,
@@ -616,6 +619,7 @@ def test_a_replaced_or_hand_built_table_is_refused(square_fan, torus_partition):
         assert raised.value.witness == {"built": was_built}
         assert oracle.check_cubical(twin).ok
         assert check_last_factor_compatibility(twin) == (True, None)
+        assert_factor_keys_match_oracle(twin)
 
 
 def retargeted_composite(category, rng):
@@ -848,11 +852,10 @@ def test_axiom_5_fails_on_a_valid_incomplete_cone_set():
     assert oracle.check_cubical(category).to_json() == expected
 
 
-def test_seeded_closures_of_the_coordinate_fan_match_oracle():
-    """400 draws of one to three seed pairs, each pair two cones of one
-    E-class of the coordinate fan of R^3, closed and kept once per distinct
-    closure: every report equals the oracle's, and the failures are all on
-    axiom 5 (see the next test)."""
+def seeded_coordinate_closures():
+    """The coordinate fan of R^3 and its closures over 400 draws of one to
+    three seed pairs, each pair two cones of one E-class, kept once per
+    distinct closure in the order first drawn."""
     fan = coordinate_fan_r3()
     classes = [c for c in potential_identifications(fan).classes if len(c) > 1]
     rng = random.Random(1)
@@ -861,8 +864,16 @@ def test_seeded_closures_of_the_coordinate_fan_match_oracle():
         seeds = [rng.sample(rng.choice(classes), 2) for _ in range(rng.randint(1, 3))]
         partition = admissible_closure(fan, seeds)
         closures.setdefault(partition.blocks, partition)
+    return fan, list(closures.values())
+
+
+def test_seeded_closures_of_the_coordinate_fan_match_oracle():
+    """The seeded closures of the coordinate fan of R^3: every report equals
+    the oracle's, and the failures are all on axiom 5 (see the next
+    test)."""
+    fan, closures = seeded_coordinate_closures()
     failing = []
-    for partition in closures.values():
+    for partition in closures:
         category = build_category(fan, partition)
         report = check_cubical(category).to_json()
         assert report == oracle.check_cubical(category).to_json()
@@ -872,24 +883,30 @@ def test_seeded_closures_of_the_coordinate_fan_match_oracle():
     assert all(axioms == ["5"] for axioms in failing)
 
 
-@pytest.mark.parametrize("name, seeds, witness", [
+AXIOM_5_WITNESSES = [
     ("coordinate", [((0, 4), (0, 5)), ((2, 4), (2, 5))],
      {"a": 68, "b": 77, "last": (88, 103)}),
     ("A3", [((5, 9), (1, 4)), ((0, 9), (2, 4))],
      {"a": 130, "b": 179, "last": (249, 255)}),
-])
+]
+
+
+def axiom_5_witness_fan(name):
+    if name == "coordinate":
+        return build_fan(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                             (0, 0, 1), (0, 0, -1)],
+                         [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
+                          (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)])
+    return arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS))
+
+
+@pytest.mark.parametrize("name, seeds, witness", AXIOM_5_WITNESSES)
 def test_axiom_5_fails_on_complete_fans(name, seeds, witness):
     """Completeness does not save axiom 5.  On the coordinate fan of R^3,
     morphisms 68 and 77 are rank-2 morphisms from the opposite, unidentified
     rays 4 and 5 into the block [0,2,4]~[0,2,5], with last factors 88 and
     103 each; the A3 fan fails the same way.  Both routes report it."""
-    if name == "coordinate":
-        fan = build_fan(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                            (0, 0, 1), (0, 0, -1)],
-                        [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
-                         (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)])
-    else:
-        fan = arrlib.arrangement_fan(arrlib.Arrangement(3, A3_NORMALS))
+    fan = axiom_5_witness_fan(name)
     assert is_finite_complete(fan)
     partition = admissible_closure(fan, seeds)
     assert is_admissible(fan, partition) == (True, None)
@@ -897,3 +914,137 @@ def test_axiom_5_fails_on_complete_fans(name, seeds, witness):
     expected = {"cubical": False, "violations": {"5": [witness]}}
     assert check_cubical(category).to_json() == expected
     assert oracle.check_cubical(category).to_json() == expected
+
+
+def assert_factor_keys_match_oracle(category):
+    """``_factor_keys`` equals the first and last factors the oracle looks
+    up through ``morphism_of_pair`` off each first rep."""
+    keys = catlib._factor_keys(category)
+    for f in category.morphisms:
+        expected = ((), ())
+        if f.rank:
+            expected = tuple(tuple(m.index for m in factors(category, f))
+                             for factors in (oracle.first_factors, oracle.last_factors))
+        assert keys[f.index] == expected, f.index
+
+
+def perfbench_inputs():
+    """``perfbench/inputs.py``, which imports nothing from partfan."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def grouping_corpus(coxeter_partitions, a4_categories, square_fan, torus_partition,
+                    hzb_fan, p1_partition, three_lines_fan, three_lines_partition,
+                    square_admissible, hzb_admissible):
+    """(fan, partition) pairs: the catalogue partitions and the admissible
+    partitions of the square and Hirzebruch fans; the A3, Brauer, B3 and A4
+    flat, shard and finest partitions; the seeded closures of the
+    coordinate fan and the two axiom-5 witnesses; and every 7th admissible
+    partition of each ``planar_batch`` fan of seeds 1-3 with at most 16
+    cones."""
+    cases = [(square_fan, torus_partition), (hzb_fan, p1_partition),
+             (three_lines_fan, three_lines_partition)]
+    cases += [(square_fan, p) for p in square_admissible]
+    cases += [(hzb_fan, p) for p in hzb_admissible]
+    for fan, partitions in coxeter_partitions.values():
+        cases += [(fan, partitions[which]) for which in ("flat", "shard", "finest")]
+    a4 = a4_categories["flat"].fan
+    cases += [(a4, a4_categories[which].partition) for which in ("flat", "shard")]
+    cases.append((a4, from_blocks(a4, [])))
+    coordinate, closures = seeded_coordinate_closures()
+    cases += [(coordinate, p) for p in closures]
+    for name, seeds, _ in AXIOM_5_WITNESSES:
+        fan = axiom_5_witness_fan(name)
+        cases.append((fan, admissible_closure(fan, seeds)))
+    inputs = perfbench_inputs()
+    for seed in (1, 2, 3):
+        for spec in inputs.planar_batch(seed):
+            fan = build_fan(2, spec["rays"], spec["chambers"])
+            if len(fan.cones) <= 16:
+                cases += [(fan, p) for p in enumerate_admissible(fan)[::7]]
+    return cases
+
+
+def test_the_build_matches_the_former_grouping(grouping_corpus):
+    """Every morphism field, ``of_pair``, ``hom``, the identities, the
+    table's walk and the document equal the former grouping's, in order;
+    and ``reps[k]`` is the rep at member k of the source block, which
+    ``hom_distinctness_certificate`` reads."""
+    assert len(grouping_corpus) == 844
+    for fan, partition in grouping_corpus:
+        category = build_category(fan, partition)
+        former = oracle.build_category(fan, partition)
+        for m in category.morphisms:
+            assert [s for s, _ in m.reps] == list(partition.blocks[m.source])
+        assert [[getattr(m, k) for k in catlib.MorphClass.__slots__]
+                for m in category.morphisms] == \
+            [[getattr(m, k) for k in catlib.MorphClass.__slots__] for m in former.morphisms]
+        for name in ("of_pair", "hom", "identities"):
+            assert list(getattr(category, name).items()) == \
+                list(getattr(former, name).items())
+        assert list(category.compose_table.items()) == list(former.compose_table.items())
+        assert json.dumps(category.to_json()) == json.dumps(former.to_json())
+
+
+def test_factor_keys_match_the_oracle(grouping_corpus):
+    """The signature route to the first factors and the slice route to the
+    last ones, on the grouping corpus; the two axiom-5 witnesses share
+    their last-factor keys."""
+    for fan, partition in grouping_corpus:
+        assert_factor_keys_match_oracle(build_category(fan, partition))
+    for name, seeds, witness in AXIOM_5_WITNESSES:
+        fan = axiom_5_witness_fan(name)
+        keys = catlib._factor_keys(build_category(fan, admissible_closure(fan, seeds)))
+        assert keys[witness["a"]][1] == keys[witness["b"]][1] == witness["last"]
+        assert keys[witness["a"]][0] != keys[witness["b"]][0]
+
+
+@pytest.mark.parametrize("name", ["A3", "brauer", "B3"])
+def test_each_inverse_star_map_is_computed_once(name, coxeter_partitions, monkeypatch):
+    """On a fresh fan, ``is_admissible`` and ``build_category`` of the flat
+    and shard partitions read each cone's inverse star map as one object:
+    it is computed once and then shared."""
+    fan, partitions = coxeter_partitions[name]
+    fresh = build_fan(fan.dim, fan.rays, fan.max_cones)
+    read = {}
+    inverse = Fan._project_star_inverse
+
+    def recorded(self, cone):
+        result = inverse(self, cone)
+        read.setdefault(cone, []).append(result)
+        return result
+
+    monkeypatch.setattr(Fan, "_project_star_inverse", recorded)
+    blocks = {which: from_blocks(fresh, partitions[which].blocks)
+              for which in ("flat", "shard")}
+    for partition in blocks.values():
+        assert is_admissible(fresh, partition) == (True, None)
+    for partition in blocks.values():
+        build_category(fresh, partition)
+    assert read and sum(map(len, read.values())) > len(read)
+    assert all(all(r is results[0] for r in results) for results in read.values())
+
+
+def test_a_non_injective_star_is_refused_before_any_inverse_is_read(monkeypatch):
+    """The overlapping fan whose cones (0, 1) and (0, 5) project along ray 0
+    to one cone: every reader of star matchings raises PreconditionUnmet
+    without reading an inverse star map."""
+    rays = [(3, 0), (-3, -1), (0, 3), (3, -1), (0, -1), (1, -2)]
+    fan = build_fan(2, rays, [tuple(sorted((i, (i + 1) % 6))) for i in range(6)])
+    read = []
+    monkeypatch.setattr(Fan, "_project_star_inverse",
+                        lambda self, cone: read.append(cone))
+    partition = from_blocks(fan, [[(0, 1), (0, 5)]])
+    for refused in (lambda: admissible_closure(fan, [((0, 1), (0, 5))]),
+                    lambda: is_admissible(fan, partition),
+                    lambda: enumerate_admissible(fan),
+                    lambda: build_category(fan, partition)):
+        with pytest.raises(PreconditionUnmet) as raised:
+            refused()
+        assert raised.value.witness == [[0], [0, 1], [0, 5]]
+    assert read == []
