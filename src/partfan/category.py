@@ -40,15 +40,13 @@ class MorphClass:
 
 
 class Category:
-    def __init__(self, fan, partition, morphisms, hom, compose_table, identities,
-                 of_pair):
+    def __init__(self, fan, partition, morphisms, hom, compose_table, of_pair):
         self.fan = fan
         self.partition = partition
         self.objects = tuple(range(len(partition.blocks)))
         self.morphisms = morphisms
         self.hom = hom                    # (source, target) -> tuple of indices
         self.compose_table = compose_table  # (f, g) -> index of g o f
-        self.identities = identities      # block id -> morphism index
         self.of_pair = of_pair            # (sigma, tau) -> morphism index
         # the table build_category made; None if hand-built
         self._built_table = None
@@ -156,7 +154,9 @@ def build_category(fan, partition):
     identity (tau = s0) comes first out of B, as every other tau in
     star(s0) has more rays and so lies in a later block, and each block is
     in tuple order, so the reps, listed in block order, are sorted, and
-    ``reps[k]`` is the rep at member k.
+    ``reps[k]`` is the rep at member k.  So the identity of block b is
+    ``hom[b, b][0]``: every other morphism from b to b has a target tau
+    outside b.
 
     Each g has at most one rep (kappa, tau2) starting at a cone kappa:
     distinct cones of star(kappa) have distinct signatures (consequence 4
@@ -183,11 +183,10 @@ def build_category(fan, partition):
         raise NotAdmissible("partition is not admissible",
                             witness=[list(c) for c in witness])
     block_of = partition.block_of
-    morphisms, of_pair, hom, identities = [], {}, {}, {}
+    morphisms, of_pair, hom = [], {}, {}
     for source, block in enumerate(partition.blocks):
         s0 = block[0]
         members = [(s, fan._project_star_inverse(s)) for s in block[1:]]
-        identities[source] = len(morphisms)
         for idx, (target, signature, tau) in enumerate(sorted(
                 (block_of[tau], signature, tau)
                 for tau, signature in fan._project_star_map(s0).items()), len(morphisms)):
@@ -199,7 +198,7 @@ def build_category(fan, partition):
             hom.setdefault((source, target), []).append(idx)
     hom = {k: tuple(v) for k, v in hom.items()}
     table = _ComposeTable(of_pair, tuple(m.reps[0] for m in morphisms), fan._stars)
-    category = Category(fan, partition, tuple(morphisms), hom, table, identities,
+    category = Category(fan, partition, tuple(morphisms), hom, table,
                         MappingProxyType(of_pair))
     category._built_table = table
     return category

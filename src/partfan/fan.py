@@ -204,7 +204,7 @@ class Fan:
 
         ``base`` must be a face of ``cone``; the result is the sorted tuple
         of primitive projected generators (ambient coordinates), read off
-        ``project_star_map(base)``.  Raises NotAFace otherwise.
+        ``_project_star_map(base)``.  Raises NotAFace otherwise.
         """
         cone = self.check_cone(cone)
         base = self.check_cone(base)
@@ -216,17 +216,11 @@ class Fan:
 
     def project_star(self, cone):
         """The projected fan pi_sigma(star(sigma)) as a set of canonical cones."""
-        return frozenset(self.project_star_map(cone).values())
-
-    def project_star_map(self, cone):
-        """Bijection star(sigma) -> canonical projected cones.
-
-        Computed once per cone; callers must not modify the returned dict.
-        """
-        return self._project_star_map(self.check_cone(cone))
+        return frozenset(self._project_star_map(self.check_cone(cone)).values())
 
     def _project_star_map(self, cone):
-        """``project_star_map`` of a cone read off this fan's own tables.
+        """The bijection star(cone) -> canonical projected cones, for a cone
+        read off this fan's own tables; callers must not modify the dict.
 
         The one memo of projected cones: tau in star(cone) maps to the
         sorted set of projected rays i of tau outside ``cone``, and
@@ -263,8 +257,8 @@ class Fan:
         It is the inverse only where projection is injective on the star,
         which ``partition.potential_identifications`` checks before any
         caller reads it (its precondition); every reader (the star
-        matchings of ``partition`` and ``category.build_category``) calls
-        that first.
+        matchings of ``partition``, ``category.build_category`` and the
+        witness of ``poset.check_nondegenerate``) calls that first.
         """
         if cone not in self._project_star_inverse_cache:
             self._project_star_inverse_cache[cone] = {

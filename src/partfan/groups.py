@@ -199,7 +199,7 @@ def _picture_group(fan, partition, poset, mode):
     or of a morphism with one representative, are dropped here.
     """
     for cone in fan.cones:
-        if poset.facial(cone)[1] is None:
+        if poset.facial(cone) is None:
             raise PosetInvalid("facial-interval axiom fails", witness=list(cone))
     generators = wall_generators(fan, partition)
     relators = []
@@ -208,8 +208,7 @@ def _picture_group(fan, partition, poset, mode):
     else:
         cones = fan.cones_of_dim(fan.dim - 2)
     for cone in cones:
-        fi = _facial_interval(poset, cone)
-        chains = poset.maximal_chains(fi.lower, fi.upper)
+        chains = poset.maximal_chains(*_facial_interval(poset, cone))
         reference = chain_word(fan, partition, chains[0])
         for other in chains[1:]:
             relators.append(word_concat(reference,
@@ -246,7 +245,7 @@ def alt_presentation(fan, partition, poset):
     nondeg, witness = check_nondegenerate(fan, partition, poset)
     if not nondeg:
         raise Degenerate("poset is degenerate on identified stars", witness=witness)
-    fi0 = _facial_interval(poset, ())
+    bottom, _ = _facial_interval(poset, ())
     generators = wall_generators(fan, partition)
     chamber_syms = sorted(chamber_generator(fan, c) for c in fan.chambers())
     relators = []
@@ -256,7 +255,7 @@ def alt_presentation(fan, partition, poset):
             (chamber_generator(fan, upper), -1),
             (wall_generator(fan, partition, wall), -1),
         )))
-    relators.append(((chamber_generator(fan, fi0.lower), 1),))
+    relators.append(((chamber_generator(fan, bottom), 1),))
     return Presentation(generators + chamber_syms, relators)
 
 
@@ -285,8 +284,8 @@ def _minima_chain_word(fan, partition, poset, sigma, kappa):
     star(sigma), which ``_facial_interval`` has checked is the interval
     [sigma^-, sigma^+].  So kappa^- lies in it, and sigma^- <= kappa^-.
     """
-    chain = poset.first_chain(_facial_interval(poset, sigma).lower,
-                              _facial_interval(poset, kappa).lower)
+    chain = poset.first_chain(_facial_interval(poset, sigma)[0],
+                              _facial_interval(poset, kappa)[0])
     return chain_word(fan, partition, chain)
 
 
@@ -577,7 +576,7 @@ def hom_distinctness_certificate(category, poset, wall_algebra_certified):
             minima = {}
             for i in indices:
                 kappa = category.morphisms[i].reps[k][1]
-                lo = _facial_interval(poset, kappa).lower
+                lo, _ = _facial_interval(poset, kappa)
                 if lo in minima:
                     return False, {"hom": [src, dst],
                                    "morphisms": [minima[lo], i],

@@ -197,9 +197,10 @@ def potential_identifications(fan):
        t2 = match(t1), then span(t1) = span(t2), and projection along t
        factors as pi_t = pi_{pi_s(t)} o pi_s, so t1 and t2 have one
        projected star.  ``enumerate_admissible`` needs no cross-class prune.
-    3. A block that fails the chain test of ``poset.check_nondegenerate``
-       has a pair of members and a cover whose matched image is not a
-       cover, so its pair scan always finds a witness.
+    3. ``poset.check_nondegenerate`` decides the pair (s1, s2) of a block
+       by D(s1) <= D(s2), and a block by the chain of these inclusions, so
+       a block that fails has a pair that fails, and that pair has a cover
+       whose matched image is not a cover, the witness.
     4. Distinct cones of star(kappa) have distinct signatures, so each
        morphism has at most one representative starting at kappa, and
        composition is single-valued on an admissible partition (see
@@ -262,16 +263,19 @@ def is_admissible(fan, partition):
     fails, so the witness is the one that scan returns.
 
     The verdict depends only on the fan and the blocks, so it is computed
-    once per fan and blocks (``fan.memo``, key ``(is_admissible, blocks)``);
-    a later call with the same blocks reads it.  ``_check_possible`` runs
-    on every call, and its errors are never stored.
+    once per fan and partition (``fan.memo``, key
+    ``(is_admissible, partition)``; a partition hashes its blocks once),
+    and a later call with an equal partition reads it.  ``_check_possible`` runs
+    inside the computation, so a partition that passes it is checked
+    once, and one whose block crosses E-classes stores nothing and raises
+    on every call.
     """
-    _check_possible(fan, partition)
-    return memo(fan, (is_admissible, partition.blocks), _admissibility, fan, partition)
+    return memo(fan, (is_admissible, partition), _admissibility, fan, partition)
 
 
 def _admissibility(fan, partition):
     """The verdict ``is_admissible`` returns, computed afresh."""
+    _check_possible(fan, partition)
     for block in partition.blocks:
         for s1, s2 in _block_pairs(block):
             for t1, t2 in _star_matching(fan, s1, s2).items():

@@ -128,20 +128,19 @@ class FanPoset:
         return self.extremes(self.elements)[1]
 
     def facial(self, cone):
-        """The facial interval of ``cone`` as (members, lower, upper).
+        """The facial interval of ``cone`` as (lower, upper), or None
+        unless the chambers of star(cone) form the order interval
+        [lower, upper].
 
-        Members are the chambers of star(cone); lower and upper are None
-        unless the members form the order interval [lower, upper].
         Computed once per cone; ``cone`` is one of ``fan.cones``, unchecked
         (``facial_interval`` checks its input first).
         """
         if cone not in self._facial:
             members = self.fan._star_chambers(cone)
             lo, hi = self.extremes(members)
-            if lo is None or hi is None or \
-                    self.interval_mask(lo, hi) != _bits(self._index[c] for c in members):
-                lo = hi = None
-            self._facial[cone] = (members, lo, hi)
+            is_interval = lo is not None and hi is not None and \
+                self.interval_mask(lo, hi) == _bits(self._index[c] for c in members)
+            self._facial[cone] = (lo, hi) if is_interval else None
         return self._facial[cone]
 
     def maximal_chains(self, a, b):
@@ -391,7 +390,7 @@ def check_weak_fan_poset(fan, poset):
     """
     if not is_finite_complete(fan):
         raise NotComplete("fan posets need a finite complete fan", witness=fan.to_json())
-    facial_failures = [cone for cone in fan.cones if poset.facial(cone)[1] is None]
+    facial_failures = [cone for cone in fan.cones if poset.facial(cone) is None]
     index = poset._index
     ray_masks = [_bits(c) for c in poset.elements]
     sides = [[] for _ in poset.elements]  # (bit across, far-side ray mask)
@@ -465,24 +464,19 @@ def _bit_indices(mask):
     return out
 
 
-class FacialInterval:
-    def __init__(self, cone, lower, upper, members):
-        self.cone = cone
-        self.lower = lower
-        self.upper = upper
-        self.members = members
-
-
 def facial_interval(fan, poset, cone):
+    """The facial interval of ``cone`` as (lower, upper): the chambers of
+    star(cone) are the order interval [lower, upper].  Raises
+    NotAnInterval, witness the cone, when they are no interval."""
     return _facial_interval(poset, fan.check_cone(cone))
 
 
 def _facial_interval(poset, cone):
     """``facial_interval`` of a sorted cone taken from the fan's tables."""
-    members, lo, hi = poset.facial(cone)
-    if lo is None:
+    interval = poset.facial(cone)
+    if interval is None:
         raise NotAnInterval("star is not an order interval", witness=list(cone))
-    return FacialInterval(cone, lo, hi, members)
+    return interval
 
 
 def check_nondegenerate(fan, partition, poset):
@@ -494,43 +488,64 @@ def check_nondegenerate(fan, partition, poset):
     (True, None) or (False, witness).  Raises PossibleIdentViolation when
     a block crosses potential-identification classes.
 
-    A block is decided without its pairs.  Let D(s) be the set of pairs
+    A pair is decided by one set inclusion.  Let D(s) be the set of pairs
     (projected_cone(s, lower), projected_cone(s, upper)) over the covers
-    across the walls of star(s).  The pair test of s_i, s_j asks that
-    (match(lower), match(upper)) be a cover for each such cover of s_i.
-    That pair lies in star(s_j) and projects to the cover's own projected
-    pair, and projection is injective on star(s_j) (the precondition of
+    across the walls of star(s).  The pair test of s1, s2 asks that
+    (match(lower), match(upper)) be a cover for each such cover of s1.
+    That pair lies in star(s2) and projects to the cover's own projected
+    pair, and projection is injective on star(s2) (the precondition of
     ``potential_identifications``, which ``_check_possible`` reaches
-    first), so it is a cover iff that projected pair lies in D(s_j).  So
-    the test is D(s_i) <= D(s_j), and over the block s_0, ..., s_k it
-    holds for every i < j iff D(s_0) <= D(s_1) <= ... <= D(s_k).  The
-    covers need not cross every wall, so D(s_i) = D(s_j) is not
-    required.  Only a failing block goes through the pair scan of
-    ``_degenerate_pair``, which gives the witness: a failing block has a
-    pair and a cover whose matched image is not a cover, and by the same
-    equivalence the scan decides each cover by D(s_j) and matches only
-    the one that fails.  Blocks fail in the same order, so the witness is
-    the one the scan over all blocks gives.
+    first), so it is a cover iff that projected pair lies in D(s2).  So
+    the pair holds iff D(s1) <= D(s2), and a pair that fails has a cover
+    whose projected pair is not in D(s2).  The covers need not cross
+    every wall, so D(s1) = D(s2) is not required.  Over the block s_0,
+    ..., s_k every pair i < j holds iff D(s_0) <= D(s_1) <= ... <= D(s_k),
+    so ``_nondegeneracy`` decides a block by that chain of k inclusions.
+    Only a failing block has its pairs scanned, in ``combinations`` order
+    as the scan of every pair against every cover does, so the first pair
+    with a failing cover is the first pair whose D is not included, and
+    its least failing cover in sorted order is that scan's witness.
 
     The verdict is computed once per (fan, partition) on the poset
     (``fan.memo``, key ``(check_nondegenerate, fan, partition)``), so the
     picture group and the rank-2 certificate read the one a caller got.
-    ``_check_possible`` runs on every call, and its errors are never
-    stored.
+    ``_check_possible`` runs inside the computation, so a partition that
+    passes it is checked once, and one whose block crosses E-classes
+    stores nothing and raises on every call.
     """
-    _check_possible(fan, partition)
     return memo(poset, (check_nondegenerate, fan, partition),
                 _nondegeneracy, fan, partition, poset)
 
 
 def _nondegeneracy(fan, partition, poset):
-    """The verdict ``check_nondegenerate`` keeps, computed afresh."""
+    """The verdict ``check_nondegenerate`` keeps, computed afresh.
+
+    The failing covers of a pair (s1, s2) are the covers across the walls
+    of star(s1) whose projected pairs lie in D(s1) - D(s2).  Projection is
+    injective on star(s1), so ``fan._project_star_inverse(s1)`` reads each
+    back, and the least in sorted order is the witness cover.  A wall
+    contains s1 exactly when it lies in star(s1), so it is also the first
+    failing cover of s1 in the sorted ``poset.covers``.  Only the failing
+    cover is matched, for the witness.
+    """
+    _check_possible(fan, partition)
     for block in partition.blocks:
         if len(block[0]) == fan.dim:
             continue
         images = [_cover_images(fan, poset, s) for s in block]
-        if not all(a <= b for a, b in zip(images, images[1:])):
-            return False, _degenerate_pair(fan, poset, block, images)
+        if all(a <= b for a, b in zip(images, images[1:])):
+            continue
+        for (s1, d1), (s2, d2) in combinations(zip(block, images), 2):
+            if d1 <= d2:
+                continue
+            inverse = fan._project_star_inverse(s1)
+            lower, upper = min((inverse[a], inverse[b]) for a, b in d1 - d2)
+            match = _star_matching(fan, s1, s2)
+            return False, {
+                "block": [list(c) for c in block],
+                "cover": [list(lower), list(upper)],
+                "image": [list(match[lower]), list(match[upper])],
+            }
     return True, None
 
 
@@ -540,33 +555,3 @@ def _cover_images(fan, poset, cone):
     return {(project[lower], project[upper])
             for wall in fan._stars[cone] if len(wall) == fan.dim - 1
             for lower, upper in poset._across.get(wall, ())}
-
-
-def _degenerate_pair(fan, poset, block, images):
-    """The first failing (pair, cover) of a block that fails, as a witness.
-
-    ``images`` holds D(s) of each member s, in block order.  For each pair
-    (s1, s2) it scans the covers whose wall contains s1, in sorted order.
-    A wall contains s1 exactly when it lies in star(s1), so these are the
-    covers across the walls of ``fan._stars[s1]``, read from
-    ``poset._across``; sorted, they are the subsequence of the sorted
-    ``poset.covers`` that a scan of every cover would test, in the same
-    order, so the witness is the same.  A cover (lower, upper) fails
-    exactly when its matched image is not a cover, that is when
-    (projected_cone(s1, lower), projected_cone(s1, upper)) is not in
-    D(s2), as ``check_nondegenerate`` shows; only the failing cover is
-    matched, for the witness.
-    """
-    for (s1, _), (s2, d2) in combinations(zip(block, images), 2):
-        project = fan._project_star_map(s1)
-        covers = sorted((lower, upper, wall) for wall in fan._stars[s1]
-                        if len(wall) == fan.dim - 1
-                        for lower, upper in poset._across.get(wall, ()))
-        for lower, upper, wall in covers:
-            if (project[lower], project[upper]) not in d2:
-                match = _star_matching(fan, s1, s2)
-                return {
-                    "block": [list(c) for c in block],
-                    "cover": [list(lower), list(upper)],
-                    "image": [list(match[lower]), list(match[upper])],
-                }

@@ -20,8 +20,8 @@ apart from imports and from the reads of methods partfan no longer has:
   non-degeneracy a scan of every cover for each such pair.
 - ``_cover_direction``: the former ``FanPoset.cover_direction``, as a
   function of the poset, which the ``check_nondegenerate`` oracle calls,
-  where ``poset._degenerate_pair`` now decides each cover by whether its
-  projected pair lies in the D-set of the other member.
+  where ``poset.check_nondegenerate`` now decides each pair of members by
+  whether the D-set of the first lies in that of the second.
 - ``build_category``: every inclusion pair (sigma, tau) of the fan
   grouped by (block of sigma, block of tau, signature), the keys sorted
   into morphism indices and each group's reps sorted, where
@@ -621,9 +621,8 @@ def build_category(fan, partition):
         of_pair.update(dict.fromkeys(reps, idx))
         hom.setdefault((source, target), []).append(idx)
     hom = {k: tuple(v) for k, v in hom.items()}
-    identities = {m.source: m.index for m in morphisms if m.rank == 0}
     table = _ComposeTable(of_pair, tuple(m.reps[0] for m in morphisms), fan._stars)
-    category = Category(fan, partition, tuple(morphisms), hom, table, identities,
+    category = Category(fan, partition, tuple(morphisms), hom, table,
                         MappingProxyType(of_pair))
     category._built_table = table
     return category

@@ -109,8 +109,8 @@ def test_build_category_rejects_inadmissible(hzb_fan):
 def test_compose_identity(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
     for m in cat.morphisms:
-        ident_src = cat.morphisms[cat.identities[m.source]]
-        ident_dst = cat.morphisms[cat.identities[m.target]]
+        ident_src = cat.morphisms[cat.hom[m.source, m.source][0]]
+        ident_dst = cat.morphisms[cat.hom[m.target, m.target][0]]
         assert compose(cat, ident_src, m) is m
         assert compose(cat, m, ident_dst) is m
 
@@ -149,7 +149,7 @@ def test_compose_not_composable(square_fan, torus_partition):
 
 def test_factorization_cube_rank0(square_fan, torus_partition):
     cat = build_category(square_fan, torus_partition)
-    ident = cat.morphisms[cat.identities[0]]
+    ident = cat.morphisms[cat.hom[0, 0][0]]
     objects, _ = oracle.factorization_cube(cat, ident)
     assert objects == ((ident.index, ident.index),)
 
@@ -173,7 +173,8 @@ def test_check_cubical_detects_corruption(square_fan, torus_partition):
     (f, g), _ = next(
         (k, v) for k, v in built.compose_table.items()
         if built.morphisms[k[0]].rank == 1 and built.morphisms[k[1]].rank == 1)
-    identity = built.identities[built.morphisms[f].source]
+    source = built.morphisms[f].source
+    identity = built.hom[source, source][0]
     with pytest.raises(TypeError):
         built.compose_table[(f, g)] = identity
     cat = corrupted(built)
@@ -210,7 +211,7 @@ def test_factors_rank3():
     assert len({g for g, _ in objects[1:4]}) == 3
     assert len(last_factors(cat, f)) == 3
     with pytest.raises(RankZero):
-        last_factors(cat, cat.morphisms[cat.identities[0]])
+        last_factors(cat, cat.morphisms[cat.hom[0, 0][0]])
 
 
 def test_last_factor_compatibility_three_lines(three_lines_fan,
@@ -610,8 +611,7 @@ def test_a_replaced_or_hand_built_table_is_refused(square_fan, torus_partition):
     takes them as it takes the built one."""
     built = build_category(square_fan, torus_partition)
     by_hand = catlib.Category(built.fan, built.partition, built.morphisms, built.hom,
-                              dict(built.compose_table), built.identities,
-                              built.of_pair)
+                              dict(built.compose_table), built.of_pair)
     assert check_cubical(built).ok
     for twin, was_built in ((by_hand, False), (corrupted(built), True)):
         with pytest.raises(PreconditionUnmet) as raised:
@@ -971,10 +971,11 @@ def grouping_corpus(coxeter_partitions, a4_categories, square_fan, torus_partiti
 
 
 def test_the_build_matches_the_former_grouping(grouping_corpus):
-    """Every morphism field, ``of_pair``, ``hom``, the identities, the
-    table's walk and the document equal the former grouping's, in order;
-    and ``reps[k]`` is the rep at member k of the source block, which
-    ``hom_distinctness_certificate`` reads."""
+    """Every morphism field, ``of_pair``, ``hom``, the table's walk and the
+    document equal the former grouping's, in order; ``reps[k]`` is the rep
+    at member k of the source block, which ``hom_distinctness_certificate``
+    reads; and the identity of block b, the grouping's one rank-0 morphism
+    out of b, is ``hom[b, b][0]``."""
     assert len(grouping_corpus) == 844
     for fan, partition in grouping_corpus:
         category = build_category(fan, partition)
@@ -984,7 +985,9 @@ def test_the_build_matches_the_former_grouping(grouping_corpus):
         assert [[getattr(m, k) for k in catlib.MorphClass.__slots__]
                 for m in category.morphisms] == \
             [[getattr(m, k) for k in catlib.MorphClass.__slots__] for m in former.morphisms]
-        for name in ("of_pair", "hom", "identities"):
+        assert {b: category.hom[b, b][0] for b in category.objects} == \
+            {m.source: m.index for m in former.morphisms if m.rank == 0}
+        for name in ("of_pair", "hom"):
             assert list(getattr(category, name).items()) == \
                 list(getattr(former, name).items())
         assert list(category.compose_table.items()) == list(former.compose_table.items())

@@ -176,10 +176,10 @@ def test_project_star_hirzebruch(hzb_fan):
 
 
 def test_project_star_map_computed_once(hzb_fan):
-    star_map = hzb_fan.project_star_map((1,))
-    assert hzb_fan.project_star_map([1]) is star_map
+    star_map = hzb_fan._project_star_map((1,))
+    assert hzb_fan._project_star_map((1,)) is star_map
     assert set(star_map) == set(hzb_fan.star((1,)))
-    assert hzb_fan.project_star((1,)) == frozenset(star_map.values())
+    assert hzb_fan.project_star([1]) == frozenset(star_map.values())
 
 
 def test_projected_cone_memo_matches_fresh_projection(square_fan, hzb_fan,
@@ -210,7 +210,7 @@ def test_projected_cone_checks_its_cones(square_fan):
     with pytest.raises(UnknownCone):
         fan.projected_cone((0, 2), (0, 1))
     assert fan.projected_cone((0,), (3, 0)) is fan.projected_cone((0,), (0, 3))
-    assert fan.projected_cone((0,), (3, 0)) is fan.project_star_map((0,))[0, 3]
+    assert fan.projected_cone((0,), (3, 0)) is fan._project_star_map((0,))[0, 3]
     assert set(fan._project_star_cache) == {(0,)}
 
 

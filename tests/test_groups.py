@@ -15,9 +15,11 @@ from partfan.errors import (
     NotComparable,
     NotRank2,
     PosetInvalid,
+    PossibleIdentViolation,
 )
 from partfan.fan import build_fan
 from partfan.partition import (
+    Partition,
     admissible_closure,
     from_blocks,
     potential_identifications,
@@ -358,7 +360,7 @@ def test_alt_presentation_tietze_elimination(square_fan, torus_partition):
 def test_psi_identity_empty(square_fan, torus_partition):
     poset = poset_from_linear_functional(square_fan, (1, 1))
     cat = build_category(square_fan, torus_partition)
-    ident = cat.morphisms[cat.identities[0]]
+    ident = cat.morphisms[cat.hom[0, 0][0]]
     assert G.psi(square_fan, torus_partition, poset, ident) == ()
 
 
@@ -385,8 +387,8 @@ def test_psi_word_length_is_chain_length(square_fan, torus_partition):
 
     for m in cat.morphisms:
         sigma, kappa = m.reps[0]
-        lo_s = facial_interval(square_fan, poset, sigma).lower
-        lo_k = facial_interval(square_fan, poset, kappa).lower
+        lo_s, _ = facial_interval(square_fan, poset, sigma)
+        lo_k, _ = facial_interval(square_fan, poset, kappa)
         word = G.psi(square_fan, torus_partition, poset, m)
         chains = poset.maximal_chains(lo_s, lo_k)
         assert len(word) == len(chains[0])
@@ -614,8 +616,10 @@ def test_psi_is_computed_once_per_morphism(square_fan, torus_partition, monkeypa
 def test_nondegeneracy_is_decided_once_per_poset(square_fan, torus_partition,
                                                  monkeypatch):
     """``picture_group``, ``functor_check`` and the rank-2 certificate on one
-    poset scan each member of each block once; ``_check_possible`` runs on
-    every call."""
+    poset check the E-classes once and scan each member of each block once.
+    A later call, with the partition or an equal one, reads the verdict: it
+    checks no E-class, scans no member and matches no star.  A block across
+    E-classes raises on every call and leaves no entry."""
     scans, checks = [], []
     real_scan = poset_module._cover_images
     real_check = poset_module._check_possible
@@ -637,10 +641,22 @@ def test_nondegeneracy_is_decided_once_per_poset(square_fan, torus_partition,
     assert G.rank2_faithfulness_certificate(category, poset)[0]
     assert sorted(scans) == sorted(c for b in torus_partition.blocks
                                    if len(b[0]) < square_fan.dim for c in b)
-    assert len(checks) == 2
-    cones_scanned = len(scans)
-    assert check_nondegenerate(square_fan, torus_partition, poset) == (True, None)
-    assert len(checks) == 3 and len(scans) == cones_scanned
+    assert checks == [torus_partition]
+    crossing = from_blocks(square_fan, [[(0,), (1,)]])
+    for _ in range(2):
+        with pytest.raises(PossibleIdentViolation):
+            check_nondegenerate(square_fan, crossing, poset)
+    assert checks == [torus_partition, crossing, crossing]
+    assert [k for k in poset._memo if k[0] is check_nondegenerate] == \
+        [(check_nondegenerate, square_fan, torus_partition)]
+
+    def fail(*args):
+        raise AssertionError("recomputed on a memo hit")
+
+    for name in ("_check_possible", "_cover_images", "_star_matching"):
+        monkeypatch.setattr(poset_module, name, fail)
+    for partition in (torus_partition, Partition(square_fan, torus_partition.blocks)):
+        assert check_nondegenerate(square_fan, partition, poset) == (True, None)
 
 
 def test_rank2_certificate_requires_plane():

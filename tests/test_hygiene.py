@@ -21,6 +21,12 @@ exports must be reached by the same scan started from the README's
 ``python`` blocks and the benchmark's names alone.  An export that only
 the tests call is no part of the surface.
 
+The state scan asks that every attribute assigned on ``self`` in
+``src/partfan``, tuple targets included, be read somewhere: as an
+attribute anywhere in ``src/partfan`` (which the definition scan keeps
+live), or as a name in the README's ``python`` blocks or in
+``perfbench/workloads.py``.  State that nothing reads is state to delete.
+
 The Fraction scan pins the exactness boundary: spans and projections are
 decided on integers, so only ``rational.py`` imports ``fractions``, and
 ``Fraction`` is named only in ``rational._exact`` (input parsing) and
@@ -220,6 +226,45 @@ def test_every_export_is_reached_from_the_readme_or_the_benchmark():
     sources = {p.stem: p.read_text() for p in SOURCES}
     roots = readme_names() | benchmark_names()
     assert unreached_exports(sources, exported_names(), roots) == []
+
+
+def unread_state(sources, roots=frozenset()):
+    """(module, line, attribute) of each attribute assigned on ``self`` in
+    ``sources`` that none of them reads as an attribute and ``roots`` does
+    not name.
+
+    ``sources`` maps module names to source text.  An assignment is an
+    attribute of ``self`` in store context, so each attribute of a tuple
+    target counts; an augmented assignment reads its target too.
+    """
+    assigned, read = [], set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.AugAssign):
+                read.add(getattr(node.target, "attr", None))
+            if not isinstance(node, ast.Attribute):
+                continue
+            if not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                assigned.append((module, node.lineno, node.attr))
+    return sorted(a for a in assigned if a[2] not in read | roots)
+
+
+def test_the_scan_finds_unread_state():
+    sources = {
+        "a": "class Box:\n    def __init__(self, x):\n        self.kept, self.lost = x, x\n"
+             "        self.count = 0\n        self.shown = self.gone = x\n\n"
+             "    def bump(self):\n        self.count += 1\n",
+        "b": "def read(box):\n    return box.kept\n",
+    }
+    assert unread_state(sources, {"shown"}) == [("a", 3, "lost"), ("a", 5, "gone")]
+
+
+def test_every_attribute_assigned_on_self_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    assert unread_state(sources, readme_names() | _names([workloads])) == []
 
 
 FRACTION_OWNERS = {("rational", "_exact"), ("rational", "rref")}

@@ -261,21 +261,40 @@ def test_pruned_enumeration_matches_product_filter_on_planar_fans(fan):
 
 
 def test_admissibility_verdicts_are_kept_per_fan():
-    """The square keeps the verdict of each of its admissible partitions;
-    the blocks that join rays 0 and 2 cross the E-classes of hirzebruch(1),
-    and still raise there on every call."""
+    """The square keeps the verdict of each of its admissible partitions, and
+    a memo hit, with the partition or an equal one, checks no E-class and
+    matches no star.  The blocks that join rays 0 and 2 cross the E-classes
+    of hirzebruch(1): there they raise on every call and leave no entry."""
     square, hzb = catalog.square(), catalog.hirzebruch(1)
     partitions = enumerate_admissible(square)
     for p in partitions:
         assert is_admissible(square, p) == (True, None)
-        assert square._memo[is_admissible, p.blocks] == (True, None)
+        assert square._memo[is_admissible, p] == (True, None)
+
+    def fail(*args):
+        raise AssertionError("recomputed on a memo hit")
+
+    with mock.patch.object(partlib, "_check_possible", fail), \
+            mock.patch.object(partlib, "_star_matching", fail):
+        for p in partitions:
+            assert is_admissible(square, p) == (True, None)
+            assert is_admissible(square, Partition(square, p.blocks)) == (True, None)
     crossing = [p.blocks for p in partitions if p.block_of[(0,)] == p.block_of[(2,)]]
     assert len(crossing) == 3
-    for blocks in crossing:
-        twin = Partition(hzb, blocks)
-        for _ in range(2):
-            with pytest.raises(PossibleIdentViolation):
-                is_admissible(hzb, twin)
+    checks = []
+    real_check = partlib._check_possible
+
+    def check(fan, partition):
+        checks.append(partition)
+        return real_check(fan, partition)
+
+    with mock.patch.object(partlib, "_check_possible", check):
+        for blocks in crossing:
+            twin = Partition(hzb, blocks)
+            for _ in range(2):
+                with pytest.raises(PossibleIdentViolation):
+                    is_admissible(hzb, twin)
+    assert len(checks) == 2 * len(crossing)
     assert not any(k[0] is is_admissible for k in hzb._memo)
 
 
@@ -528,7 +547,7 @@ def test_integer_core_matches_fraction_route(name):
     fan = INTEGER_CORE_FANS[name]()
     former, refused, classes = _fraction_route(fan)
     for c in fan.cones:
-        assert fan.project_star_map(c) == former[c]
+        assert fan._project_star_map(c) == former[c]
     assert refused is None
     assert potential_identifications(fan).classes == classes
 
@@ -543,7 +562,7 @@ def test_cone_sets_match_the_fraction_route():
             fan = random_cone_set(dim, seed)
             former, refused, classes = _fraction_route(fan)
             for c in fan.cones:
-                assert fan.project_star_map(c) == former[c], (dim, seed, c)
+                assert fan._project_star_map(c) == former[c], (dim, seed, c)
             if refused is not None:
                 with pytest.raises(PreconditionUnmet) as err:
                     potential_identifications(fan)
