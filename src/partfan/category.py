@@ -10,10 +10,9 @@ star of its first member, one per cone, and their reps at the other
 members off the fan's inverse star maps (``build_category``).
 
 The composition table is read-only and derives each row on first read;
-``check_cubical`` proves axioms 1-3 for it unread and refuses any other
-table.  Axioms 4 and 5 and the last-factor checks read one table of
-factor keys per category, computed on first use: the first factors off
-each morphism's signature, the last factors off ``of_pair``.
+``check_cubical`` proves axioms 1-4 for it unread and refuses any other
+table.  Axiom 5 and the last-factor checks read one last-factor key per
+morphism, computed on first use off ``of_pair``.
 """
 
 from collections.abc import ItemsView, Mapping
@@ -220,47 +219,26 @@ def last_factors(category, f):
     """The rank-1 last factors [f_{lambda_i, tau}] with lambda_i dropping v_i."""
     if f.rank == 0:
         raise RankZero("identity morphisms have no factors", witness=f.index)
-    return tuple(category.morphisms[i] for i in _factor_keys(category)[f.index][1])
+    return tuple(category.morphisms[i] for i in _factor_keys(category)[f.index])
 
 
 def _factor_keys(category):
-    """Per morphism index, its first-factor and last-factor keys, computed
-    on first use and kept on the category.
+    """Per morphism index, its last-factor key, computed on first use and
+    kept on the category.
 
-    For f with first rep (sigma, tau) and each ray v of tau outside
-    sigma: the first factors [sigma, sigma u {v}] and the last factors
-    [tau - {v}, tau], each key sorted without repeats and empty at rank 0.
-    These are the factors of the cube objects of f at the singletons and
-    at the co-singletons (see ``check_cubical``).
-
-    The last factors are read off ``of_pair``, tau - {v} as the slice of
-    tau without v.  The first factors of a rank >= 2 f are read off its
-    signature: one for each projected ray r, the rank-1 morphism out of
-    f's source block with signature (r,).  This holds for the categories
-    ``build_category`` makes, where sigma is the first member s0 of the
-    source block: [s0, s0 u {v}] starts at that block and has signature
-    (projection of v along s0,), a ray of f's signature, and the morphisms
-    out of the block are those of the cones of star(s0), one per
-    signature, so (source, r) names one rank-1 morphism.  The rays of f's
-    signature are distinct (projection is injective on star(s0)), so are
-    its first factors, and sorting them leaves no repeat.
+    For f with first rep (sigma, tau): the last factors [tau - {v}, tau],
+    one for each ray v of tau outside sigma, read off ``of_pair`` with
+    tau - {v} the slice of tau without v, sorted without repeats.  These
+    are the factors of f's cube objects at the co-singletons (see
+    ``check_cubical``).  The key is () at rank 0, and (f,) at rank 1,
+    where tau - {v} is sigma.
     """
     if category._factor_keys is None:
         of_pair = category.of_pair
-        first_of = {(m.source, m.signature[0]): m.index
-                    for m in category.morphisms if m.rank == 1}
-        keys = []
-        for f in category.morphisms:
-            if f.rank < 2:    # a rank-1 f is its own first and last factor
-                key = (f.index,) * f.rank
-                keys.append((key, key))
-                continue
-            sigma, tau = f.reps[0]
-            last = {of_pair[tau[:i] + tau[i + 1:], tau]
-                    for i, v in enumerate(tau) if v not in sigma}
-            keys.append((tuple(sorted([first_of[f.source, r] for r in f.signature])),
-                         tuple(sorted(last))))
-        category._factor_keys = keys
+        category._factor_keys = [
+            tuple(sorted({of_pair[tau[:i] + tau[i + 1:], tau]
+                          for i, v in enumerate(tau) if v not in sigma}))
+            for sigma, tau in (f.reps[0] for f in category.morphisms)]
     return category._factor_keys
 
 
@@ -283,7 +261,8 @@ class AxiomReport:
 
 
 def check_cubical(category):
-    """Verify the five cubical axioms on a category ``build_category`` made.
+    """Verify the five cubical axioms on a category ``build_category`` made:
+    axioms 1-4 by proof, axiom 5 by its last-factor keys.
 
     1. rank additivity over the composition table;
     2. Faq(f) is isomorphic to the subset poset of {1..rank f};
@@ -292,7 +271,7 @@ def check_cubical(category):
     4. morphisms of equal rank >= 1 are determined by their first factors;
     5. likewise by their last factors.
 
-    Axioms 1-3 hold by the proof below, which is about the table
+    Axioms 1-4 hold by the proofs below, which are about the category
     ``build_category`` made, so no entry is read.  Nothing changes that
     table: it has no setter and reads only its own first reps (so not an
     edited ``MorphClass``), the fan's fixed stars and ``of_pair``, which
@@ -357,28 +336,40 @@ def check_cubical(category):
       0 elsewhere: Faq(h) is the subset poset, and the middle-object
       functor is faithful.
 
-    Axioms 4 and 5 compare the first-factor and last-factor keys of
-    ``_factor_keys``: the factors of f's cube objects at the singletons
-    and at the co-singletons, the latter what ``last_factors`` returns.
-    Each axiom records its witnesses in morphism order.
+    - Axiom 4.  Let f != f' be morphisms of equal rank k >= 1 with equal
+      first-factor sets.  A rank-1 morphism is its own first factor, so
+      k >= 2.  Let B be f's source block and s0 its first member, so that
+      (s0, tau) is f's first rep.  Each first factor [s0, s0 u {v}], v a
+      ray of tau outside s0, starts at B and has the signature (r,), r the
+      projection of v along s0 and so a ray of f's signature; the
+      morphisms out of B are those of the cones of star(s0), one per
+      signature (``build_category``), so (B, (r,)) names one rank-1
+      morphism.  Every first factor starts at its morphism's source
+      block, so equal first factors force f' out of B too, and then equal
+      sets of rays r, which are the rays of the two signatures.  Both
+      signatures are sorted, so they are equal, and B has one morphism
+      per signature: f = f', a contradiction.  The former scan of the
+      first-factor keys is kept in ``tests/search_oracles.check_cubical``.
+
+    Axiom 5 compares the last-factor keys of ``_factor_keys``: the
+    factors of f's cube objects at the co-singletons, what
+    ``last_factors`` returns.  It records its witnesses in morphism
+    order; ``AxiomReport`` keeps a slot per axiom, as the oracle reports
+    all five.
     """
     if category.compose_table is not category._built_table:
         raise PreconditionUnmet("axioms 1-3 are proved only for the table "
                                 "build_category made",
                                 witness={"built": category._built_table is not None})
     report = AxiomReport()
-    by_first, by_last = {}, {}
-    for f, (fkey, lkey) in zip(category.morphisms, _factor_keys(category)):
+    by_last = {}
+    for f, key in zip(category.morphisms, _factor_keys(category)):
         if f.rank == 0:
             continue
-        if fkey in by_first:
-            report.record(4, {"a": by_first[fkey], "b": f.index, "first": fkey})
+        if key in by_last:
+            report.record(5, {"a": by_last[key], "b": f.index, "last": key})
         else:
-            by_first[fkey] = f.index
-        if lkey in by_last:
-            report.record(5, {"a": by_last[lkey], "b": f.index, "last": lkey})
-        else:
-            by_last[lkey] = f.index
+            by_last[key] = f.index
     return report
 
 
@@ -403,8 +394,8 @@ def check_last_factor_compatibility(category):
         rank1 = sorted(m.index for m in incoming if m.rank == 1)
         if len(rank1) < 3:
             continue
-        realized = {keys[m.index][1] for m in incoming if m.rank >= 2}
-        edges = {keys[m.index][1] for m in incoming if m.rank == 2}
+        realized = {keys[m.index] for m in incoming if m.rank >= 2}
+        edges = {keys[m.index] for m in incoming if m.rank == 2}
         neighbors = {v: set() for v in rank1}
         for a, b in edges:
             neighbors[a].add(b)

@@ -229,15 +229,21 @@ def _read_stdin():
     text = sys.stdin.read().strip()
     if not text:
         return {}
-    # json.loads raises JSONDecodeError, a plain ValueError for an integer
-    # of too many digits, or RecursionError for arrays nested too deep
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as err:
-        raise BadInput("stdin is not JSON", witness=str(err))
+    data = _parse_json(text, "stdin is not JSON")
     if not isinstance(data, dict):
         raise BadInput("envelope must be a JSON object", witness=_JSON_TYPES[type(data)])
     return data
+
+
+def _parse_json(text, problem):
+    """The JSON value of stdin or of an option's file; BadInput, with the
+    parser's message as the witness, when it is none."""
+    # json.loads raises JSONDecodeError, a plain ValueError for an integer
+    # of too many digits, or RecursionError for arrays nested too deep
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise BadInput(problem, witness=str(err)) from err
 
 
 def parse_ints(text):
@@ -345,9 +351,10 @@ def _other_partition(path, env):
     """The partition in the file at ``path``, parsed on the envelope's fan."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except (OSError, ValueError) as err:
         raise BadInput("cannot read the partition file", witness=str(err)) from err
+    data = _parse_json(text, "cannot read the partition file")
     if not (isinstance(data, dict) and "partition" in data):
         data = {"partition": data}
     return Envelope(data, {"fan": env["fan"]})["partition"]

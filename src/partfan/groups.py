@@ -16,7 +16,11 @@ one generator, ``_rotations``.  Inequality certificates use the
 abelianization modulo the relator lattice.  Faithfulness claims are only
 issued through the two certificate routes with an actual proof behind
 them: the rank-2 bisector argument and the wall-algebra route for the
-built-in rank-3 arrangement.
+built-in rank-3 arrangement.  The wall-algebra route rests on
+``arrangement.wa_certify`` alone: its other half, that parallel morphisms
+have distinct interval minima, holds on every built category (the lemma
+of ``hom_distinctness_certificate``, which only reads the facial
+intervals).
 """
 
 from collections import deque
@@ -553,33 +557,38 @@ def rank2_faithfulness_certificate(category, poset):
 def hom_distinctness_certificate(category, poset, wall_algebra_certified):
     """Faithfulness route for arrangement fans with distinct generators.
 
-    Given the wall-algebra generator-distinctness certificate, it remains
-    to check that distinct parallel morphisms from a common source
-    representative have distinct interval minima kappa^-.  Returns
-    (True, None) or (False, witness).
+    Given the wall-algebra generator-distinctness certificate, it remains to
+    show that distinct parallel morphisms from a common source representative
+    have distinct interval minima kappa^-.  That holds on every category
+    ``build_category`` makes, so this returns (True, None) once the
+    certificate is given; it raises MissingWallAlgebraCertificate without
+    it, and NotAnInterval, witness the cone, at the first target kappa
+    whose star is no interval of the poset.  The targets are read by hom
+    in sorted order, then by member of the source block, then by morphism.
 
-    Every morphism out of a block has a representative at each member
-    sigma: ``build_category`` has checked admissibility, so the star
-    matching of the block's first member onto sigma carries each
-    representative there to one at sigma.  It lists exactly one rep per
-    member, in block order, so the rep at member k is ``reps[k]``.
+    Lemma: a chamber holds at most one cone of each block.  A block lies
+    in one E-class (``build_category`` has checked admissibility), and
+    the cones of an E-class share a span (the proof in
+    ``partition._ident_key``).  Two faces of a simplicial chamber with one
+    span have the same rays, so they are one face.
+
+    Proof.  Every morphism out of a block has a representative at each
+    member sigma, and ``reps[k]`` is the one at member k
+    (``build_category``).  Let i != j be parallel morphisms and
+    (sigma, kappa_i), (sigma, kappa_j) their reps at sigma.  Distinct
+    morphisms have distinct reps, so kappa_i != kappa_j, and both lie in
+    the target block.  The minimum kappa^- of a facial interval is a
+    chamber of star(kappa), which holds kappa; by the lemma no chamber
+    holds both, so kappa_i^- != kappa_j^-.  The former comparison of the
+    minima is kept as ``tests/search_oracles.hom_distinctness_certificate``.
     """
     if not wall_algebra_certified:
         raise MissingWallAlgebraCertificate(
             "wall-algebra generator certificate must be supplied")
-    fan = category.fan
-    for (src, dst), indices in sorted(category.hom.items()):
+    for (src, _), indices in sorted(category.hom.items()):
         if len(indices) < 2:
             continue
-        source_block = category.partition.blocks[src]
-        for k, sigma in enumerate(source_block):
-            minima = {}
+        for k in range(len(category.partition.blocks[src])):
             for i in indices:
-                kappa = category.morphisms[i].reps[k][1]
-                lo, _ = _facial_interval(poset, kappa)
-                if lo in minima:
-                    return False, {"hom": [src, dst],
-                                   "morphisms": [minima[lo], i],
-                                   "source": list(sigma)}
-                minima[lo] = i
+                _facial_interval(poset, category.morphisms[i].reps[k][1])
     return True, None

@@ -131,6 +131,11 @@ apart from imports and from the reads of methods partfan no longer has:
   compares the two sides' letters with multiplicity.  The four helpers are
   the former ``WallAlgebra.unit``, ``add``, ``element`` and ``mul``, as
   functions of the algebra; ``WallAlgebra`` keeps ``basis_mul``.
+- ``hom_distinctness_certificate`` (less its unused local ``fan``): the
+  interval minima kappa^- of the reps of each hom-set's parallel
+  morphisms at each source member, compared for a repeat, where ``groups.hom_distinctness_certificate`` now
+  proves that none repeats on a built category and only reads the facial
+  intervals, in the same order.
 
 The oracles ``shards`` and ``poset_of_regions`` read the base's ray sum
 and the sign vectors through ``arrangement._ray_sum`` and
@@ -170,6 +175,7 @@ from partfan.errors import (
     DependentBasis,
     DimensionMismatch,
     EnumerationLimitExceeded,
+    MissingWallAlgebraCertificate,
     NotAChamber,
     NotAdmissible,
     NotComplete,
@@ -194,7 +200,7 @@ from partfan.partition import (
     group_by,
     potential_identifications,
 )
-from partfan.poset import CHAIN_CAP, FanPoset, PosetReport
+from partfan.poset import CHAIN_CAP, FanPoset, PosetReport, _facial_interval
 from partfan.rational import (
     _echelon,
     _integer_rows,
@@ -1363,3 +1369,37 @@ def wa_certify(arrangement, presentation):
         if lhs != rhs:
             return False
     return True
+
+
+def hom_distinctness_certificate(category, poset, wall_algebra_certified):
+    """Faithfulness route for arrangement fans with distinct generators.
+
+    Given the wall-algebra generator-distinctness certificate, it remains
+    to check that distinct parallel morphisms from a common source
+    representative have distinct interval minima kappa^-.  Returns
+    (True, None) or (False, witness).
+
+    Every morphism out of a block has a representative at each member
+    sigma: ``build_category`` has checked admissibility, so the star
+    matching of the block's first member onto sigma carries each
+    representative there to one at sigma.  It lists exactly one rep per
+    member, in block order, so the rep at member k is ``reps[k]``.
+    """
+    if not wall_algebra_certified:
+        raise MissingWallAlgebraCertificate(
+            "wall-algebra generator certificate must be supplied")
+    for (src, dst), indices in sorted(category.hom.items()):
+        if len(indices) < 2:
+            continue
+        source_block = category.partition.blocks[src]
+        for k, sigma in enumerate(source_block):
+            minima = {}
+            for i in indices:
+                kappa = category.morphisms[i].reps[k][1]
+                lo, _ = _facial_interval(poset, kappa)
+                if lo in minima:
+                    return False, {"hom": [src, dst],
+                                   "morphisms": [minima[lo], i],
+                                   "source": list(sigma)}
+                minima[lo] = i
+    return True, None

@@ -743,3 +743,15 @@ def test_wa_certify_rejects_bad_relator(brauer):
     bad = Presentation(pres.generators,
                        list(pres.relators) + [((gen, 1),)])
     assert not A.wa_certify(brauer.arrangement, bad)
+
+
+@pytest.mark.parametrize("generator, witness", [("g", "g"), ("X[1,0,0]", "X[1,0,0]")],
+                         ids=["no-wall-symbol", "one-ray"])
+def test_wa_certify_refuses_a_generator_that_names_no_wall(generator, witness):
+    """A generator must be an X-symbol whose rays span a wall: "g" is no
+    X-symbol, and the one ray of "X[1,0,0]" leaves a plane of normals."""
+    from partfan.groups import Presentation
+
+    with pytest.raises(WrongArrangement) as err:
+        A.wa_certify(A.builtin_brauer(), Presentation([generator], []))
+    assert err.value.witness == witness

@@ -543,17 +543,15 @@ def test_star_injectivity_is_all_the_composition_proofs_need():
 
 
 def assert_cubical_matches_oracle(category):
-    """The axiom report, the last-factor verdict and every factor set equal
-    the former lookups through ``morphism_of_pair``; the oracle reads every
-    entry of the table whose axioms 1-3 ``check_cubical`` proves."""
+    """The axiom report, the last-factor verdict and every last-factor set
+    equal the former lookups through ``morphism_of_pair``; the oracle reads
+    every entry of the table whose axioms 1-3 ``check_cubical`` proves, and
+    scans the first factors of axiom 4, which it proves too."""
     assert check_cubical(category).to_json() == oracle.check_cubical(category).to_json()
     assert check_last_factor_compatibility(category) == \
         oracle.check_last_factor_compatibility(category)
-    keys = catlib._factor_keys(category)
     for f in category.morphisms:
         if f.rank:
-            first = [m.index for m in oracle.first_factors(category, f)]
-            assert list(keys[f.index][0]) == first
             assert last_factors(category, f) == oracle.last_factors(category, f)
 
 
@@ -917,14 +915,13 @@ def test_axiom_5_fails_on_complete_fans(name, seeds, witness):
 
 
 def assert_factor_keys_match_oracle(category):
-    """``_factor_keys`` equals the first and last factors the oracle looks
-    up through ``morphism_of_pair`` off each first rep."""
+    """``_factor_keys`` equals the last factors the oracle looks up through
+    ``morphism_of_pair`` off each first rep, and is () at rank 0."""
     keys = catlib._factor_keys(category)
     for f in category.morphisms:
-        expected = ((), ())
+        expected = ()
         if f.rank:
-            expected = tuple(tuple(m.index for m in factors(category, f))
-                             for factors in (oracle.first_factors, oracle.last_factors))
+            expected = tuple(m.index for m in oracle.last_factors(category, f))
         assert keys[f.index] == expected, f.index
 
 
@@ -995,16 +992,57 @@ def test_the_build_matches_the_former_grouping(grouping_corpus):
 
 
 def test_factor_keys_match_the_oracle(grouping_corpus):
-    """The signature route to the first factors and the slice route to the
-    last ones, on the grouping corpus; the two axiom-5 witnesses share
-    their last-factor keys."""
+    """The slice route to the last factors, on the grouping corpus; the two
+    axiom-5 witnesses share their last-factor keys, and the oracle's first
+    factors tell them apart."""
     for fan, partition in grouping_corpus:
         assert_factor_keys_match_oracle(build_category(fan, partition))
     for name, seeds, witness in AXIOM_5_WITNESSES:
         fan = axiom_5_witness_fan(name)
-        keys = catlib._factor_keys(build_category(fan, admissible_closure(fan, seeds)))
-        assert keys[witness["a"]][1] == keys[witness["b"]][1] == witness["last"]
-        assert keys[witness["a"]][0] != keys[witness["b"]][0]
+        category = build_category(fan, admissible_closure(fan, seeds))
+        keys = catlib._factor_keys(category)
+        assert keys[witness["a"]] == keys[witness["b"]] == witness["last"]
+        a, b = (category.morphisms[witness[k]] for k in "ab")
+        assert oracle.first_factors(category, a) != oracle.first_factors(category, b)
+
+
+def test_first_factors_tell_morphisms_of_equal_rank_apart(grouping_corpus):
+    """Axiom 4, which ``check_cubical`` proves: on every category of the
+    grouping corpus (the catalogue, Coxeter and A4 partitions, the seeded
+    closures of the coordinate fan and the planar-batch sample), the
+    oracle's first-factor sets of the morphisms of rank >= 1 are distinct.
+    Sets of different sizes differ, so this covers each rank."""
+    for fan, partition in grouping_corpus:
+        category = build_category(fan, partition)
+        firsts = [tuple(m.index for m in oracle.first_factors(category, f))
+                  for f in category.morphisms if f.rank]
+        assert len(set(firsts)) == len(firsts)
+
+
+def assert_no_chamber_holds_two_cones_of_a_block(fan, blocks):
+    for block in blocks:
+        chambers = [c for cone in block for c in fan._star_chambers(cone)]
+        assert len(set(chambers)) == len(chambers), block
+
+
+def test_no_chamber_holds_two_cones_of_one_block(square_admissible, hzb_admissible,
+                                                 three_lines_fan, coxeter_partitions):
+    """The lemma of ``hom_distinctness_certificate``: every admissible
+    partition of the planar catalogue fans, and every E-class of the
+    coordinate fan of R^3 and of the A3, Brauer and B3 fans.  Each block
+    of an admissible partition lies in one E-class, so the E-classes
+    cover every block of the coordinate fan's 17 038 admissible
+    partitions without enumerating them."""
+    partitions = [*square_admissible, *hzb_admissible,
+                  *enumerate_admissible(three_lines_fan)]
+    assert len(partitions) == 20 + 17 + 256
+    for partition in partitions:
+        assert_no_chamber_holds_two_cones_of_a_block(partition.fan, partition.blocks)
+    fans = [coordinate_fan_r3()] + [fan for fan, _ in coxeter_partitions.values()]
+    for fan in fans:
+        classes = potential_identifications(fan).classes
+        assert any(len(c) > 1 for c in classes)
+        assert_no_chamber_holds_two_cones_of_a_block(fan, classes)
 
 
 @pytest.mark.parametrize("name", ["A3", "brauer", "B3"])

@@ -318,6 +318,9 @@ def test_poset_regions(monkeypatch, capsys):
     assert code == 0
     env = json.loads(out)
     assert len(env["poset"]["covers"]) == 48
+    # the all-positive chamber named by its rays gives the same document
+    assert pipeline(monkeypatch, capsys, ["examples", "brauer3"],
+                    ["poset", "regions", "--base", "[9,11,16]"]) == (0, out)
 
 
 def test_group_alt_and_formats(monkeypatch, capsys):
@@ -545,9 +548,10 @@ def test_a_dim_that_is_no_integer_at_least_zero_is_bad_input(monkeypatch, capsys
     (["poset", "functional", "--b", "-1,x"], json.dumps({"fan": SQUARE}), "-1,x"),
     (["poset", "functional", "--b", "--help"], json.dumps({"fan": SQUARE}), "--help"),
     (["render", "--projection", "-1,0,a"], json.dumps({"arrangement": AXES}), "-1,0,a"),
+    (["partition", "closure", "--seed", "s1"], json.dumps({"fan": SQUARE}), "s1"),
 ], ids=["no-partition", "category-no-partition", "array", "number",
         "no-positive-chamber", "minus-functional", "option-as-functional",
-        "minus-projection"])
+        "minus-projection", "seed-without-tilde"])
 def test_bad_input_has_a_witness(monkeypatch, capsys, args, stdin_text, witness):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(args)
@@ -710,3 +714,77 @@ def test_readme_pipelines_independent_of_hash_seed():
     stages = [json.loads(line) for line in outputs[0].splitlines()]
     assert len(stages) == sum(len(p) for p in README_PIPELINES)
     assert all(code == 0 for _, code, _ in stages)
+
+
+@pytest.mark.parametrize("args", [["partition", "meet", "--other"],
+                                  ["partition", "join", "--other"],
+                                  ["group", "quotient", "--coarse"]],
+                         ids=["meet", "join", "quotient"])
+def test_a_deeply_nested_option_file_is_bad_input(monkeypatch, capsys, tmp_path, args):
+    """The partition file of ``--other`` and ``--coarse`` is parsed like
+    stdin, so nesting past the recursion limit ends in BadInput, not in a
+    traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, env_text = pipeline(monkeypatch, capsys,
+                              ["examples", "square"], ["partition", "potentials"])
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(env_text))
+    code = main(args + [str(deep)])
+    captured = capsys.readouterr()
+    assert code == 1
+    document = json.loads(captured.out)
+    assert document["error"] == "BadInput" and "recursion" in document["witness"]
+    assert captured.err == ""
+
+
+THREE_LINES_DEGENERATE = {
+    "fan": {"dim": 2, "max_cones": [[0, 1], [0, 2], [1, 5], [2, 4], [3, 4], [3, 5]],
+            "rays": [[1, 0], [0, 1], [2, -3], [-1, 0], [0, -1], [-2, 3]]},
+    "partition": {"blocks": [[[0], [3]], [[0, 1], [3, 5]], [[0, 2], [3, 4]]]},
+    "poset": {"covers": [[[0, 2], [0, 1]], [[1, 5], [0, 1]], [[2, 4], [0, 2]],
+                         [[3, 4], [2, 4]], [[3, 5], [1, 5]], [[3, 5], [3, 4]]]}}
+
+
+@pytest.mark.parametrize("args, envelope, document", [
+    (["poset", "bisector", "--base", "[0]"], {"fan": SQUARE},
+     {"error": "NotRank2", "witness": [0]}),
+    (["cw", "build"], {"fan": SQUARE, "partition": {"blocks": [[[0], [2]]]}},
+     {"error": "NotAdmissible", "witness": [[0], [2], [0, 1], [1, 2]]}),
+    (["group", "certify-rank2"], THREE_LINES_DEGENERATE,
+     {"error": "Degenerate", "witness": {"block": [[0], [3]],
+                                         "cover": [[0, 2], [0, 1]],
+                                         "image": [[3, 4], [3, 5]]}}),
+], ids=["bisector-base-not-a-chamber", "cw-not-admissible", "certify-rank2-degenerate"])
+def test_refusals_print_their_document(monkeypatch, capsys, args, envelope, document):
+    code, out = run_cli(args, json.dumps(envelope), monkeypatch=monkeypatch,
+                        capsys=capsys)
+    assert (code, json.loads(out)) == (1, document)
+
+
+def test_a_missing_option_file_is_bad_input(monkeypatch, capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out = pipeline(monkeypatch, capsys, ["examples", "square"],
+                         ["partition", "potentials"],
+                         ["partition", "meet", "--other", str(missing)])
+    assert (code, json.loads(out)) == (1, {
+        "error": "BadInput",
+        "witness": "[Errno 2] No such file or directory: %r" % str(missing)})
+
+
+def test_a_quotient_of_a_presentation_without_the_fine_generators(monkeypatch, capsys,
+                                                                  tmp_path):
+    """The envelope's presentation has none of the fine partition's wall
+    generators, so the first one it lacks is the witness."""
+    code, fine = pipeline(monkeypatch, capsys, ["examples", "square"],
+                          ["partition", "closure", "--seed", "s1~s3"])
+    assert code == 0
+    code, coarse = pipeline(monkeypatch, capsys, ["examples", "square"],
+                            ["partition", "potentials"])
+    assert code == 0
+    path = tmp_path / "coarse.json"
+    path.write_text(coarse)
+    envelope = dict(json.loads(fine), presentation={"generators": ["a"], "relators": []})
+    code, out = run_cli(["group", "quotient", "--coarse", str(path)], json.dumps(envelope),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, json.loads(out)) == (1, {"error": "PosetInvalid", "witness": "X[0,1]"})

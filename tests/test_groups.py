@@ -12,6 +12,7 @@ from partfan.category import build_category
 from partfan.errors import (
     Degenerate,
     MissingWallAlgebraCertificate,
+    NotAnInterval,
     NotComparable,
     NotRank2,
     PosetInvalid,
@@ -21,6 +22,7 @@ from partfan.fan import build_fan
 from partfan.partition import (
     Partition,
     admissible_closure,
+    enumerate_admissible,
     from_blocks,
     potential_identifications,
 )
@@ -30,7 +32,7 @@ from partfan.poset import (
     poset_from_linear_functional,
     rank2_bisector_poset,
 )
-from strategies import A3_NORMALS
+from strategies import A3_NORMALS, b_normals
 
 TAU1, TAU2, TAU3, TAU4 = (0, 3), (0, 1), (1, 2), (2, 3)
 
@@ -639,8 +641,7 @@ def test_nondegeneracy_is_decided_once_per_poset(square_fan, torus_partition,
     G.picture_group(square_fan, torus_partition, poset)
     assert G.functor_check(category, poset)[0]
     assert G.rank2_faithfulness_certificate(category, poset)[0]
-    assert sorted(scans) == sorted(c for b in torus_partition.blocks
-                                   if len(b[0]) < square_fan.dim for c in b)
+    assert sorted(scans) == sorted(c for b in torus_partition.blocks for c in b)
     assert checks == [torus_partition]
     crossing = from_blocks(square_fan, [[(0,), (1,)]])
     for _ in range(2):
@@ -670,8 +671,65 @@ def test_hom_distinctness_requires_the_wall_algebra_certificate(square_fan,
                                                                 torus_partition):
     cat = build_category(square_fan, torus_partition)
     poset = poset_from_linear_functional(square_fan, (1, 1))
-    with pytest.raises(MissingWallAlgebraCertificate):
-        G.hom_distinctness_certificate(cat, poset, False)
+    for certificate in (G.hom_distinctness_certificate,
+                        search_oracles.hom_distinctness_certificate):
+        with pytest.raises(MissingWallAlgebraCertificate):
+            certificate(cat, poset, False)
+
+
+def hom_distinctness_outcome(certificate, category, poset):
+    """The certificate's result, or ("NotAnInterval", witness) if it raises."""
+    try:
+        return certificate(category, poset, True)
+    except NotAnInterval as err:
+        return "NotAnInterval", err.witness
+
+
+def hom_distinctness_corpus(square_fan, hzb_fan, three_lines_fan, brauer):
+    """(category, poset) pairs: every admissible partition of the planar
+    catalogue fans under the bisector poset of each chamber and two
+    functional posets; the square's torus partition under the cover chain
+    [0,1] < [1,2] < [2,3] < [0,3], where ray 0's star is no interval; and
+    the A3, Brauer and B3 flat, shard and finest partitions under the
+    poset of regions of each of four chambers."""
+    cases = []
+    for fan in (square_fan, hzb_fan, three_lines_fan):
+        posets = [rank2_bisector_poset(fan, c) for c in fan.chambers()]
+        posets += [poset_from_linear_functional(fan, b) for b in ((1, 2), (-3, 1))]
+        cases += [(build_category(fan, p), poset)
+                  for p in enumerate_admissible(fan) for poset in posets]
+    chain = [((0, 1), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (0, 3))]
+    cases.append((build_category(square_fan, catalog.torus_partition(square_fan)),
+                  FanPoset(square_fan, [(lo, up, tuple(sorted(set(lo) & set(up))))
+                                        for lo, up in chain])))
+    for arrangement in (arrlib.Arrangement(3, A3_NORMALS), brauer.arrangement,
+                        arrlib.Arrangement(3, b_normals(3))):
+        arrfan = arrlib.arrangement_fan(arrangement, with_signs=True)
+        fan = arrfan.fan
+        base = next(c for c in fan.max_cones
+                    if arrfan.sign_of(c) == (1,) * len(arrangement.normals))
+        partitions = [arrlib.flat_partition(arrangement, fan),
+                      arrlib.shard_partition(arrangement, arrfan, base),
+                      from_blocks(fan, [])]
+        posets = [arrlib.poset_of_regions(arrfan, c) for c in fan.chambers()[::7][:4]]
+        cases += [(build_category(fan, p), poset) for p in partitions for poset in posets]
+    return cases
+
+
+def test_hom_distinctness_matches_the_minima_scan(square_fan, hzb_fan, three_lines_fan,
+                                                  brauer):
+    """The certificate, which proves that the interval minima never
+    repeat, gives what the former scan of the minima gives: (True, None)
+    on every pair, or the same NotAnInterval at the same cone."""
+    outcomes = []
+    for category, poset in hom_distinctness_corpus(square_fan, hzb_fan, three_lines_fan,
+                                                   brauer):
+        outcome = hom_distinctness_outcome(G.hom_distinctness_certificate, category, poset)
+        assert outcome == hom_distinctness_outcome(
+            search_oracles.hom_distinctness_certificate, category, poset)
+        outcomes.append(outcome[0])
+    assert outcomes.count(True) > 1000 and outcomes.count("NotAnInterval") > 0
+    assert set(outcomes) == {True, "NotAnInterval"}
 
 
 def test_type2_relators_are_consequences(square_fan, torus_partition):
@@ -720,3 +778,10 @@ def test_presentation_letters_are_a_generator_and_one_or_minus_one(letter):
     # ["a", 2] used to count as a^2 in the abelianization but print as a^-1
     with pytest.raises(ValueError, match="is not \\[generator, 1 or -1\\]"):
         G.presentation_from_json({"generators": ["a"], "relators": [[letter]]})
+
+
+def test_an_unknown_picture_mode_is_refused(square_fan, torus_partition):
+    poset = poset_from_linear_functional(square_fan, (1, 1))
+    with pytest.raises(PosetInvalid) as err:
+        G.picture_group(square_fan, torus_partition, poset, mode="x")
+    assert err.value.witness == "x"
