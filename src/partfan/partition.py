@@ -7,7 +7,7 @@ identification of the matching members of their stars.  The admissible
 partitions of a fan form a complete lattice under refinement.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from operator import itemgetter
 
@@ -368,45 +368,40 @@ def _require_same_fan(p1, p2):
 def enumerate_admissible(fan, limit=16):
     """All admissible partitions of a small fan, by depth-first search.
 
-    Candidates are the products of set partitions of the E-classes.  The
-    search fixes one class at a time, in the classes' order, taking its
-    set partitions in ``_set_partitions`` order, so leaves come in product
-    order.  A candidate is admissible iff, for the first member s0 and
-    each other member s of each of its blocks, it identifies every pair
-    (t1, t2) that ``_star_matching(fan, s0, s)`` forces: the pairs
-    ``is_admissible`` checks, which decide a block (``_block_pairs``).
-    Each class is read once as positions 0..n-1 of its members: each set
-    partition becomes position blocks and a label vector (the block of
-    each position), and each pair of positions the forced pairs of its two
-    members, as (class, position, position).  A set partition carries the
-    forced pairs of (first position, other position) of each of its
-    blocks only.  Three facts keep the result the list, in the same order,
-    that filtering the whole product by ``is_admissible`` gives:
+    The search fixes one E-class at a time, in the classes' order, reading
+    each as positions 0..n-1 of its members.  A partition is admissible
+    iff, for the first member s0 and each other member s of each of its
+    blocks, it identifies every pair (t1, t2) that
+    ``_star_matching(fan, s0, s)`` forces: the pairs ``is_admissible``
+    checks, which decide a block (``_block_pairs``).  Each is kept as
+    (class, position, position) and is decided at its class:
 
-    - The matching sends s1 to s2, and that pair holds inside its own
-      block, so it is dropped.  Every other t1 strictly contains s1, so on
-      a simplicial fan it has more rays and lies in a later class, as the
+    - The matching sends s1 to s2, which holds inside its own block, so
+      that pair is dropped.  Every other t1 strictly contains s1, so on a
+      simplicial fan it has more rays and lies in a later class, as the
       classes are sorted by ray count.
-    - The two cones of a forced pair lie in one E-class (consequence 2 of
-      ``potential_identifications``), so no set partition is pruned for
-      forcing a pair across classes.
-    - A forced pair is decided at its class, the first by which the
-      blocks of t1 and t2 are fixed.  The pairs due at class k are tested
-      against the label vector of its set partition before anything is
-      propagated, and the last class propagates nothing.
+    - t1 and t2 lie in one E-class (consequence 2 of
+      ``potential_identifications``), so no pair crosses classes.
+
+    At class k the pairs forced so far span an equivalence E on its
+    positions, and the search takes only the set partitions coarser than
+    E, by ``_coarser_partitions``, the filtered sequence in the product
+    filter's order (tests/search_oracles.py).  So the leaves are the
+    admissible partitions in the order of that filter.  No dead ends: the
+    one-block partition of a class is coarser than any E, so every node
+    has a leaf below it.  Nodes at one depth have disjoint sets of leaves
+    below them, so the search visits at most (leaves x classes) nodes, and
+    its time grows with its output.  A class's choices are made once per E
+    (keyed by ``_next_mates``), and a block, ranked by its first member's
+    index in ``fan.cones``, with the pairs it forces, once per set of
+    positions.
 
     A Partition is built only at a leaf, by ``_sorted_partition``, which
-    equals ``Partition(fan, blocks)`` there; each block comes ranked by its
-    first member's index in ``fan.cones``, and the leaf's ``block_of`` is
-    filled when first read.  The E-classes partition the
-    fan's cones and each is sorted by ``_cone_key`` (they are blocks of a
-    Partition); each leaf takes one set partition of every class, so its
-    blocks partition the fan's cones.  ``_set_partitions`` of an
-    increasing list yields increasing blocks: ``first`` is the least item
-    and goes to the front of a block, and the rest is increasing by
-    induction.  So each leaf block lists its positions in increasing
-    order, and its members are sorted.  Guarded by a cone-count limit
-    because partition counts explode.
+    equals ``Partition(fan, blocks)`` there; the leaf's ``block_of`` is
+    filled when first read.  The E-classes partition the fan's cones and
+    each is sorted by ``_cone_key`` (they are blocks of a Partition), and
+    each block lists increasing positions, so sorted members.  Guarded by
+    a cone-count limit because partition counts explode.
     """
     if len(fan.cones) > limit:
         raise EnumerationLimitExceeded(
@@ -414,15 +409,32 @@ def enumerate_admissible(fan, limit=16):
     classes = potential_identifications(fan).classes
     place = {c: (k, i) for k, cls in enumerate(classes) for i, c in enumerate(cls)}
     rank = {c: r for r, c in enumerate(fan.cones)}
-    choices = [_class_choices(fan, k, cls, place, rank) for k, cls in enumerate(classes)]
     last = len(classes) - 1
     due = [[] for _ in classes]  # due[j]: position pairs forced so far at class j
     out = []
 
+    @cache
+    def forced(k, p, q):  # the pairs that joining positions p and q of class k forces
+        pairs = []
+        for t1, t2 in _star_matching(fan, classes[k][p], classes[k][q]).items():
+            (j, a), (_, b) = place[t1], place[t2]
+            if j != k:
+                pairs.append((j, a, b))
+        return pairs
+
+    @cache
+    def block(k, positions):  # (rank, members) and the pairs it forces
+        first, cls = positions[0], classes[k]
+        return ((rank[cls[first]], tuple(cls[p] for p in positions)),
+                [x for q in positions[1:] for x in forced(k, first, q)])
+
+    @cache
+    def choices(k, mates):  # (ranked blocks, forced pairs) of each choice
+        made = [[block(k, b) for b in part] for part in _coarser_partitions(mates)]
+        return [([r for r, _ in m], [x for _, f in m for x in f]) for m in made]
+
     def search(k, blocks):
-        for part, label, pairs in choices[k]:
-            if any(label[p] != label[q] for p, q in due[k]):
-                continue
+        for part, pairs in choices(k, _next_mates(len(classes[k]), due[k])):
             if k == last:
                 out.append(_sorted_partition(fan, blocks + part))
                 continue
@@ -436,44 +448,39 @@ def enumerate_admissible(fan, limit=16):
     return out
 
 
-def _class_choices(fan, k, cls, place, rank):
-    """(blocks, label vector, forced pairs) of each set partition of class k,
-    in ``_set_partitions`` order.
+def _next_mates(n, pairs):
+    """For each position p < n, the least q > p that ``pairs`` join to p,
+    or None: a key of the equivalence the pairs span."""
+    sets = UnionFind(range(n))
+    for p, q in pairs:
+        sets.union(p, q)
+    mates, after = [None] * n, {}
+    for p in reversed(range(n)):
+        root = sets.find(p)
+        mates[p] = after.get(root)
+        after[root] = p
+    return tuple(mates)
 
-    Each block comes as (rank of its first member, block), for
-    ``_sorted_partition``.  Forced pairs are (class, position, position)
-    and lie in later classes; both cones of a pair lie in one class.  A
-    block's positions increase, so its first position p pairs with each
-    later q: the pairs of ``_block_pairs``.  If they hold, every pair of
-    the block does, since the matchings compose, so the pairs of two
-    later members add no test.
+
+def _coarser_partitions(mates, p=0):
+    """The set partitions of positions p, p + 1, ... coarser than the
+    equivalence E of ``mates`` (``_next_mates``), blocks as increasing
+    tuples.
+
+    This is the recursion of the product filter's ``_set_partitions``,
+    less the choices that part p from its mate q: a partition is coarser
+    than E iff its restriction to the later positions is, and p sits with
+    q, so with the rest of its class.  So it yields the filtered sequence,
+    in the same order.
     """
-    forced = {}
-    for p, q in combinations(range(len(cls)), 2):
-        pairs = forced[p, q] = []
-        for t1, t2 in _star_matching(fan, cls[p], cls[q]).items():
-            (j, a), (_, b) = place[t1], place[t2]
-            if j != k:
-                pairs.append((j, a, b))
-    out = []
-    for part in _set_partitions(list(range(len(cls)))):
-        pairs = [forced[block[0], q] for block in part for q in block[1:]]
-        label = [0] * len(cls)
-        for i, block in enumerate(part):
-            for p in block:
-                label[p] = i
-        out.append(([(rank[cls[block[0]]], tuple(cls[p] for p in block))
-                     for block in part], label,
-                    [pair for f in pairs for pair in f]))
-    return out
-
-
-def _set_partitions(items):
-    if not items:
+    if p == len(mates):
         yield []
         return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+    for part in _coarser_partitions(mates, p + 1):
+        if mates[p] is None:
+            yield [(p,)] + part
+            where = range(len(part))
+        else:
+            where = [next(i for i, b in enumerate(part) if mates[p] in b)]
+        for i in where:
+            yield part[:i] + [(p,) + part[i]] + part[i + 1:]

@@ -5,10 +5,13 @@ apart from imports and from the reads of methods partfan no longer has:
 ``partition.same_block(a, b)`` is read as ``block_of`` and
 ``fan.star_chambers`` as ``fan._star_chambers``.
 
-- ``enumerate_admissible`` and ``_product``: the product filter that
-  ``partition.enumerate_admissible``'s depth-first search replaced.  It
-  builds every product of set partitions of the E-classes and keeps the
-  candidates that ``is_admissible`` accepts.
+- ``enumerate_admissible``, ``_product`` and ``_set_partitions``: the
+  product filter that ``partition.enumerate_admissible``'s depth-first
+  search replaced.  It builds every product of set partitions of the
+  E-classes and keeps the candidates that ``is_admissible`` accepts.
+  ``_set_partitions`` fixes the order; ``partition._coarser_partitions``
+  yields the set partitions it lists that are coarser than an
+  equivalence, in its order.
 - ``flats``, ``_flat_from_indices``, ``support`` and ``flat_partition``:
   the lattice of flats from the closures of all 2^m hyperplane subsets,
   and supports by a second closure.
@@ -195,7 +198,6 @@ from partfan.partition import (
     Partition,
     UnionFind,
     _check_possible,
-    _set_partitions,
     _star_matching,
     group_by,
     potential_identifications,
@@ -242,6 +244,17 @@ def _product(lists):
     for head in lists[0]:
         for rest in _product(lists[1:]):
             yield [head] + rest
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -865,6 +865,25 @@ def seeded_coordinate_closures():
     return fan, list(closures.values())
 
 
+@pytest.fixture(scope="module")
+def coordinate_admissible():
+    """The coordinate fan of R^3, its seeded closures, and its admissible
+    partitions enumerated under a guard of its 27 cones."""
+    fan, closures = seeded_coordinate_closures()
+    return fan, closures, enumerate_admissible(fan, limit=27)
+
+
+def test_the_coordinate_fan_has_17038_admissible_partitions(coordinate_admissible):
+    """17 038 distinct partitions, each admissible, among them every
+    seeded closure, the finest partition and the E-class partition."""
+    fan, closures, partitions = coordinate_admissible
+    assert len(fan.cones) == 27
+    assert len(set(partitions)) == len(partitions) == 17038
+    assert all(is_admissible(fan, p) == (True, None) for p in partitions)
+    ends = [from_blocks(fan, []), potential_identifications(fan).partition]
+    assert {*closures, *ends} <= set(partitions)
+
+
 def test_seeded_closures_of_the_coordinate_fan_match_oracle():
     """The seeded closures of the coordinate fan of R^3: every report equals
     the oracle's, and the failures are all on axiom 5 (see the next
@@ -1026,19 +1045,21 @@ def assert_no_chamber_holds_two_cones_of_a_block(fan, blocks):
 
 
 def test_no_chamber_holds_two_cones_of_one_block(square_admissible, hzb_admissible,
-                                                 three_lines_fan, coxeter_partitions):
+                                                 three_lines_fan, coxeter_partitions,
+                                                 coordinate_admissible):
     """The lemma of ``hom_distinctness_certificate``: every admissible
-    partition of the planar catalogue fans, and every E-class of the
-    coordinate fan of R^3 and of the A3, Brauer and B3 fans.  Each block
-    of an admissible partition lies in one E-class, so the E-classes
-    cover every block of the coordinate fan's 17 038 admissible
-    partitions without enumerating them."""
+    partition of the planar catalogue fans and of the coordinate fan of
+    R^3, and every E-class of the coordinate fan and of the A3, Brauer and
+    B3 fans.  Each block of an admissible partition lies in one E-class,
+    so on the arrangement fans the E-classes cover every block of their
+    admissible partitions, which are not enumerated."""
+    coordinate, _, coordinate_partitions = coordinate_admissible
     partitions = [*square_admissible, *hzb_admissible,
-                  *enumerate_admissible(three_lines_fan)]
-    assert len(partitions) == 20 + 17 + 256
+                  *enumerate_admissible(three_lines_fan), *coordinate_partitions]
+    assert len(partitions) == 20 + 17 + 256 + 17038
     for partition in partitions:
         assert_no_chamber_holds_two_cones_of_a_block(partition.fan, partition.blocks)
-    fans = [coordinate_fan_r3()] + [fan for fan, _ in coxeter_partitions.values()]
+    fans = [coordinate] + [fan for fan, _ in coxeter_partitions.values()]
     for fan in fans:
         classes = potential_identifications(fan).classes
         assert any(len(c) > 1 for c in classes)

@@ -23,6 +23,8 @@ from partfan.errors import (
 from partfan.fan import build_fan
 from partfan.partition import (
     Partition,
+    _coarser_partitions,
+    _next_mates,
     _star_matching,
     admissible_closure,
     enumerate_admissible,
@@ -174,6 +176,38 @@ def test_pruned_enumeration_matches_product_filter_on_catalog():
     for fan in [catalog.square(), catalog.three_lines()] + \
             [catalog.hirzebruch(a) for a in range(4)]:
         assert_matches_product_filter(fan)
+
+
+def spanning_pairs(rng, equivalence):
+    """Pairs that span ``equivalence``: each member joined to an earlier
+    member of its block, a few pairs twice, in random orientation and
+    order."""
+    pairs = [(rng.choice(b[:i]), b[i]) for b in equivalence for i in range(1, len(b))]
+    pairs += rng.sample(pairs, min(2, len(pairs)))
+    pairs = [pair[::rng.choice((1, -1))] for pair in pairs]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_coarser_partitions_are_the_filtered_set_partitions():
+    """For every equivalence on at most 5 positions, and a seeded sample
+    on 6 and 7, ``_coarser_partitions`` yields the set partitions of the
+    product filter's ``_set_partitions`` in which every spanning pair
+    shares a block, in that order, and the one-block partition among
+    them."""
+    rng = random.Random(1)
+    cases = [(n, e) for n in range(1, 6)
+             for e in search_oracles._set_partitions(list(range(n)))]
+    cases += [(n, e) for n in (6, 7)
+              for e in rng.sample(list(search_oracles._set_partitions(list(range(n)))), 30)]
+    for n, equivalence in cases:
+        pairs = spanning_pairs(rng, equivalence)
+        expected = [list(map(tuple, part))
+                    for part in search_oracles._set_partitions(list(range(n)))
+                    if all(any(p in b and q in b for b in part) for p, q in pairs)]
+        chosen = list(_coarser_partitions(_next_mates(n, pairs)))
+        assert chosen == expected, (n, pairs)
+        assert [tuple(range(n))] in chosen
 
 
 def test_leaves_are_sorted_without_block_keys_and_fill_block_of_on_first_read(monkeypatch):
